@@ -480,6 +480,58 @@ proptest! {
     }
 }
 
+/// Applies one resolved request through the per-edit API, returning its
+/// diff.
+fn apply_resolved_diff(live: &mut LiveValidator<'_, '_>, b: &BatchEdit) -> ReportDiff {
+    let out = match b {
+        BatchEdit::SetAttr { node, attr, value } => {
+            live.set_attr(*node, attr.clone(), value.clone())
+        }
+        BatchEdit::RemoveAttr { node, attr } => live.remove_attr(*node, attr.as_str()),
+        BatchEdit::SetText { node, index, text } => live.set_text(*node, *index, text.clone()),
+        BatchEdit::InsertSubtree {
+            parent,
+            position,
+            fragment,
+        } => live.insert_subtree(*parent, *position, fragment),
+        BatchEdit::DeleteSubtree { node } => live.delete_subtree(*node),
+    };
+    out.expect("resolved against this state").diff
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// A one-edit batch is the per-edit call: same `raised` and `cleared`
+    /// vectors in the same order, and the same report afterwards.
+    #[test]
+    fn one_edit_batch_matches_the_per_edit_call(
+        sigma in prop::collection::vec(constraint(), 0..8),
+        nodes in prop::collection::vec(node_recipe(), 0..25),
+        edits in prop::collection::vec(edit_recipe(), 1..12),
+    ) {
+        let dtdc = DtdC::new_unchecked(test_structure(), Language::Lid, sigma);
+        for strict in [true, false] {
+            let opts = Options { strict_attributes: strict, threads: 1 };
+            let v = Validator::with_matcher(&dtdc, MatcherKind::Dfa, opts);
+            let tree = build_tree(&nodes);
+            let mut per = LiveValidator::new(&v, tree.clone());
+            let mut one = LiveValidator::new(&v, tree);
+            for e in &edits {
+                let Some(b) = resolve_edit(&per, e) else { continue };
+                let d1 = apply_resolved_diff(&mut per, &b);
+                let d2 = one.apply_batch(std::slice::from_ref(&b)).expect("applicable");
+                prop_assert_eq!(&d1.raised, &d2.raised, "raised differ (strict={}, edit={:?})", strict, b);
+                prop_assert_eq!(&d1.cleared, &d2.cleared, "cleared differ (strict={}, edit={:?})", strict, b);
+                prop_assert_eq!(
+                    &per.report().violations, &one.report().violations,
+                    "reports differ (strict={}, edit={:?})", strict, b
+                );
+            }
+        }
+    }
+}
+
 /// Deleting a keyed vertex and reinserting an equivalent one in the same
 /// batch: the delete retracts the old key occurrence and the insert
 /// announces the new vertex, all within one propagation pass — the report
