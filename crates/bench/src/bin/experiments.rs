@@ -726,8 +726,22 @@ fn e12_stream_pipeline() {
     );
 }
 
-/// E13 — incremental revalidation: a [`LiveValidator`] absorbing typed
-/// edit deltas against full from-scratch revalidation, across edit-batch
+/// One edit through [`LiveValidator::apply_batch`] as a one-edit batch.
+fn apply_one(live: &mut LiveValidator<'_, '_>, edit: BatchEdit) -> ReportDiff {
+    live.apply_batch(&[edit]).expect("edit applies")
+}
+
+/// A `set-attr` request on `order.sup`.
+fn set_sup(o: NodeId, sup: impl Into<String>) -> BatchEdit {
+    BatchEdit::SetAttr {
+        node: o,
+        attr: "sup".into(),
+        value: AttrValue::single(sup.into()),
+    }
+}
+
+/// E13 — incremental revalidation: a [`LiveValidator`] absorbing one-edit
+/// batches against full from-scratch revalidation, across edit-batch
 /// sizes, on the E11 workload. Verifies byte-identical reports against
 /// the from-scratch engine after every edit of a mixed script (smallest
 /// size), exercises the violation diff on a break/repair episode, and at
@@ -760,28 +774,15 @@ fn e13_incremental_revalidate() {
             let orders: Vec<NodeId> = live.tree().ext("order").collect();
             for i in 0..20usize {
                 let o = orders[r.gen_range(0..orders.len())];
-                match i % 4 {
-                    0 => {
-                        live.set_attr(
-                            o,
-                            "sup",
-                            AttrValue::single(format!("s{}", r.gen_range(0..rows))),
-                        )
-                        .unwrap();
-                    }
-                    1 => {
-                        live.set_attr(
-                            o,
-                            "part",
-                            AttrValue::single(format!("p{}", r.gen_range(0..rows))),
-                        )
-                        .unwrap();
-                    }
-                    2 => {
-                        // A dangling reference: raises, next round repairs.
-                        live.set_attr(o, "sup", AttrValue::single("s-dangling"))
-                            .unwrap();
-                    }
+                let edit = match i % 4 {
+                    0 => set_sup(o, format!("s{}", r.gen_range(0..rows))),
+                    1 => BatchEdit::SetAttr {
+                        node: o,
+                        attr: "part".into(),
+                        value: AttrValue::single(format!("p{}", r.gen_range(0..rows))),
+                    },
+                    // A dangling reference: raises, next round repairs.
+                    2 => set_sup(o, "s-dangling"),
                     _ => {
                         let memo = live
                             .tree()
@@ -793,10 +794,14 @@ fn e13_incremental_revalidate() {
                                 Child::Text(_) => None,
                             })
                             .expect("order has a memo child");
-                        live.set_text(memo, 0, format!("m{}", r.gen_range(0..rows)))
-                            .unwrap();
+                        BatchEdit::SetText {
+                            node: memo,
+                            index: 0,
+                            text: format!("m{}", r.gen_range(0..rows)),
+                        }
                     }
-                }
+                };
+                apply_one(&mut live, edit);
                 let fresh = v.validate(live.tree());
                 assert_eq!(
                     live.report().violations,
@@ -813,18 +818,14 @@ fn e13_incremental_revalidate() {
 
         // The violation diff: break one foreign key, then repair it.
         let orders: Vec<NodeId> = live.tree().ext("order").collect();
-        let broken = live
-            .set_attr(orders[0], "sup", AttrValue::single("s-nowhere"))
-            .unwrap();
+        let broken = apply_one(&mut live, set_sup(orders[0], "s-nowhere"));
         assert!(
-            !broken.diff.raised.is_empty(),
+            !broken.raised.is_empty(),
             "dangling FK must raise a violation"
         );
-        let repaired = live
-            .set_attr(orders[0], "sup", AttrValue::single("s0"))
-            .unwrap();
+        let repaired = apply_one(&mut live, set_sup(orders[0], "s0"));
         assert!(
-            !repaired.diff.cleared.is_empty() && repaired.diff.raised.is_empty(),
+            !repaired.cleared.is_empty() && repaired.raised.is_empty(),
             "repair must clear the raised violation"
         );
 
@@ -832,8 +833,8 @@ fn e13_incremental_revalidate() {
             "  nodes = {nodes:8}  full validate {:9.3} ms   live init {:9.3} ms   diff: break +{} / repair -{}",
             t_full * 1e3,
             t_init * 1e3,
-            broken.diff.raised.len(),
-            repaired.diff.cleared.len()
+            broken.raised.len(),
+            repaired.cleared.len()
         );
 
         let mut r = rng(303);
@@ -842,19 +843,17 @@ fn e13_incremental_revalidate() {
         for &batch in &batch_sizes {
             let mut best = f64::INFINITY;
             for _ in 0..reps {
-                let edits: Vec<(NodeId, String)> = (0..batch)
+                let edits: Vec<BatchEdit> = (0..batch)
                     .map(|_| {
-                        (
+                        set_sup(
                             orders[r.gen_range(0..orders.len())],
                             format!("s{}", r.gen_range(0..rows)),
                         )
                     })
                     .collect();
                 let start = std::time::Instant::now();
-                for (o, sup) in &edits {
-                    let out = live
-                        .set_attr(*o, "sup", AttrValue::single(sup.clone()))
-                        .unwrap();
+                for e in &edits {
+                    let out = live.apply_batch(std::slice::from_ref(e)).unwrap();
                     std::hint::black_box(&out);
                 }
                 best = best.min(start.elapsed().as_secs_f64() / batch as f64);
@@ -1287,7 +1286,8 @@ fn e17_sizes() -> &'static [usize] {
 /// `Validator::validate` of the same tree at 10⁶ vertices (≤4× at the 10⁵
 /// smoke size). Both sides are measured best-of-reps in the same process,
 /// so machine noise cancels out of the ratio. **Batching**:
-/// `apply_batch` must beat the equivalent sequential per-edit loop ≥5× in
+/// `apply_batch` must beat the equivalent sequential loop of one-edit
+/// batches ≥5× in
 /// µs/edit at 10⁶ vertices for batches ≥ 100 on the burst stream (edits
 /// concentrated on `batch/8` vertices, where last-writer-wins coalescing
 /// and per-group propagation pay off; ≥2× at the smoke size), with the
@@ -1342,7 +1342,7 @@ fn e17_batch_propagation() {
             );
         }
 
-        // Sequential edits drive `live`; batches drive `live_b`. Both see
+        // One-edit batches drive `live`; larger batches drive `live_b`. Both see
         // the same edit sequence, so their reports must stay identical at
         // every batch boundary.
         let mut live_b = LiveValidator::new(&v, tree);
@@ -1359,30 +1359,20 @@ fn e17_batch_propagation() {
                 };
                 let (mut best_seq, mut best_bat) = (f64::INFINITY, f64::INFINITY);
                 for rep in 0..reps {
-                    let edits: Vec<(NodeId, String)> = (0..batch)
+                    let reqs: Vec<BatchEdit> = (0..batch)
                         .map(|_| {
-                            (
+                            set_sup(
                                 orders[r.gen_range(0..span)],
                                 format!("s{}", r.gen_range(0..rows)),
                             )
                         })
                         .collect();
                     let start = std::time::Instant::now();
-                    for (o, sup) in &edits {
-                        let out = live
-                            .set_attr(*o, "sup", AttrValue::single(sup.clone()))
-                            .unwrap();
+                    for e in &reqs {
+                        let out = live.apply_batch(std::slice::from_ref(e)).unwrap();
                         std::hint::black_box(&out);
                     }
                     best_seq = best_seq.min(start.elapsed().as_secs_f64() / batch as f64);
-                    let reqs: Vec<BatchEdit> = edits
-                        .iter()
-                        .map(|(o, sup)| BatchEdit::SetAttr {
-                            node: *o,
-                            attr: "sup".into(),
-                            value: AttrValue::single(sup.clone()),
-                        })
-                        .collect();
                     let start = std::time::Instant::now();
                     let diff = live_b.apply_batch(&reqs).unwrap();
                     best_bat = best_bat.min(start.elapsed().as_secs_f64() / batch as f64);
@@ -1467,7 +1457,7 @@ fn e17_batch_propagation() {
     register_section(
         "e17_batch_edits",
         format!(
-            "{{\n    \"workload\": \"constraint_heavy_workload; order.sup retargets, sequential set_attr loop vs apply_batch, uniform and burst (batch/8 vertices) streams (seed 101/303)\",\n    \"rows\": [\n{}\n    ]\n  }}",
+            "{{\n    \"workload\": \"constraint_heavy_workload; order.sup retargets, sequential one-edit apply_batch loop vs one apply_batch, uniform and burst (batch/8 vertices) streams (seed 101/303)\",\n    \"rows\": [\n{}\n    ]\n  }}",
             json_rows.join(",\n")
         ),
     );

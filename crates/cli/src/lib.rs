@@ -535,65 +535,7 @@ fn parse_node(s: &str) -> Result<NodeId, String> {
         .map_err(|_| format!("bad node id {s:?} (expected a node number, e.g. 7 or #7)"))
 }
 
-/// Applies one line of an edit script to the live validator.
-fn apply_script_line(live: &mut LiveValidator<'_, '_>, line: &str) -> Result<EditOutcome, String> {
-    let (cmd, _) = split_tokens(line, 1)?;
-    let model_err = |e: xic::model::ModelError| e.to_string();
-    match cmd[0] {
-        "set-attr" => {
-            let (toks, value) = split_tokens(line, 3)?;
-            if value.is_empty() {
-                return Err("set-attr NODE ATTR V[,V...]: missing value".into());
-            }
-            let vals: Vec<&str> = value.split(',').collect();
-            let av = if let [single] = vals.as_slice() {
-                AttrValue::single(*single)
-            } else {
-                AttrValue::set(vals)
-            };
-            live.set_attr(parse_node(toks[1])?, toks[2], av)
-                .map_err(model_err)
-        }
-        "remove-attr" => {
-            let (toks, rest) = split_tokens(line, 3)?;
-            if !rest.is_empty() {
-                return Err("remove-attr takes exactly NODE ATTR".into());
-            }
-            live.remove_attr(parse_node(toks[1])?, toks[2])
-                .map_err(model_err)
-        }
-        "set-text" => {
-            let (toks, text) = split_tokens(line, 3)?;
-            let index: usize = toks[2]
-                .parse()
-                .map_err(|_| format!("bad text index {:?}", toks[2]))?;
-            live.set_text(parse_node(toks[1])?, index, text)
-                .map_err(model_err)
-        }
-        "delete" => {
-            let (toks, rest) = split_tokens(line, 2)?;
-            if !rest.is_empty() {
-                return Err("delete takes exactly NODE".into());
-            }
-            live.delete_subtree(parse_node(toks[1])?).map_err(model_err)
-        }
-        "insert" => {
-            let (toks, fragment) = split_tokens(line, 3)?;
-            let position: usize = toks[2]
-                .parse()
-                .map_err(|_| format!("bad position {:?}", toks[2]))?;
-            let sub = parse_document(fragment).map_err(|e| format!("bad fragment: {e}"))?;
-            live.insert_subtree(parse_node(toks[1])?, position, &sub.tree)
-                .map_err(model_err)
-        }
-        other => Err(format!(
-            "unknown edit {other:?} (expected set-attr, remove-attr, set-text, delete or insert)"
-        )),
-    }
-}
-
-/// Parses one line of an edit script into a batch request: the grammar of
-/// [`apply_script_line`], without applying anything.
+/// Parses one line of an edit script into a batch request.
 fn parse_script_edit(line: &str) -> Result<BatchEdit, String> {
     let (cmd, _) = split_tokens(line, 1)?;
     match cmd[0] {
@@ -662,67 +604,88 @@ fn parse_script_edit(line: &str) -> Result<BatchEdit, String> {
     }
 }
 
-/// Plays an edit script against a live validator, rendering the output both
-/// `xic apply-edits` and `POST /edits` print.
-///
-/// The default path parses the whole script up front and submits it as one
-/// [`LiveValidator::apply_batch`] call: echoes each line, then a
-/// `batch: N edits` summary with the *net* ± violation diff (writes
-/// coalesce last-writer-wins, so violations both raised and cleared within
-/// the script cancel out). With `sequential` the pre-batching behaviour —
-/// one propagation per line, each line's own ± diff under it — is kept.
-/// Errors carry the 1-based script line number.
-fn run_edit_script(
-    live: &mut LiveValidator<'_, '_>,
-    script: &str,
-    sequential: bool,
-    out: &mut String,
-) -> Result<(), (usize, String)> {
-    if sequential {
+/// A parsed edit script: the requests in script order, each with its
+/// 1-based line number and trimmed text (blank and `#` lines dropped).
+struct Script<'a> {
+    lines: Vec<(usize, &'a str)>,
+    edits: Vec<BatchEdit>,
+}
+
+impl<'a> Script<'a> {
+    /// Parses a whole script. A malformed line rejects the script before
+    /// anything is applied; the error carries its 1-based line number.
+    fn parse(script: &'a str) -> Result<Self, (usize, String)> {
+        let mut parsed = Script {
+            lines: Vec::new(),
+            edits: Vec::new(),
+        };
         for (idx, raw) in script.lines().enumerate() {
             let line = raw.trim();
             if line.is_empty() || line.starts_with('#') {
                 continue;
             }
-            let outcome = apply_script_line(live, line).map_err(|e| (idx + 1, e))?;
-            let _ = writeln!(out, "edit: {line}");
-            for v in &outcome.diff.raised {
-                let _ = writeln!(out, "  + {v}");
-            }
-            for v in &outcome.diff.cleared {
-                let _ = writeln!(out, "  - {v}");
-            }
+            parsed
+                .edits
+                .push(parse_script_edit(line).map_err(|e| (idx + 1, e))?);
+            parsed.lines.push((idx + 1, line));
         }
-        return Ok(());
+        Ok(parsed)
     }
-    let mut lines: Vec<(usize, &str)> = Vec::new();
-    let mut batch: Vec<BatchEdit> = Vec::new();
-    for (idx, raw) in script.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        batch.push(parse_script_edit(line).map_err(|e| (idx + 1, e))?);
-        lines.push((idx + 1, line));
-    }
-    if batch.is_empty() {
-        return Ok(());
-    }
-    match live.apply_batch(&batch) {
-        Ok(diff) => {
-            for (_, line) in &lines {
+
+    /// Applies the script to a live validator, rendering the output both
+    /// `xic apply-edits` and `POST /edits` print.
+    ///
+    /// By default the script is one [`LiveValidator::apply_batch`] call:
+    /// each line is echoed, then a `batch: N edits` summary with the *net*
+    /// ± violation diff (writes coalesce last-writer-wins, so violations
+    /// both raised and cleared within the script cancel out). With
+    /// `sequential` each line is its own one-edit batch, echoed with that
+    /// edit's ± diff under it. Either way an edit that cannot apply keeps
+    /// the edits before it; the error's `index` is the number applied.
+    fn apply(
+        &self,
+        live: &mut LiveValidator<'_, '_>,
+        sequential: bool,
+        out: &mut String,
+    ) -> Result<(), BatchError> {
+        if sequential {
+            for (index, (edit, (_, line))) in self.edits.iter().zip(&self.lines).enumerate() {
+                let diff =
+                    live.apply_batch(std::slice::from_ref(edit))
+                        .map_err(|e| BatchError {
+                            index,
+                            error: e.error,
+                        })?;
                 let _ = writeln!(out, "edit: {line}");
+                write_diff(&diff, out);
             }
-            let _ = writeln!(out, "batch: {} edits", batch.len());
-            for v in &diff.raised {
-                let _ = writeln!(out, "  + {v}");
-            }
-            for v in &diff.cleared {
-                let _ = writeln!(out, "  - {v}");
-            }
-            Ok(())
+            return Ok(());
         }
-        Err(e) => Err((lines[e.index].0, e.error.to_string())),
+        if self.edits.is_empty() {
+            return Ok(());
+        }
+        let diff = live.apply_batch(&self.edits)?;
+        for (_, line) in &self.lines {
+            let _ = writeln!(out, "edit: {line}");
+        }
+        let _ = writeln!(out, "batch: {} edits", self.edits.len());
+        write_diff(&diff, out);
+        Ok(())
+    }
+
+    /// The 1-based script line of the request that failed in `e`.
+    fn line_of(&self, e: &BatchError) -> usize {
+        self.lines[e.index].0
+    }
+}
+
+/// Renders a diff as `+` (raised) and `-` (cleared) lines.
+fn write_diff(diff: &ReportDiff, out: &mut String) {
+    for v in &diff.raised {
+        let _ = writeln!(out, "  + {v}");
+    }
+    for v in &diff.cleared {
+        let _ = writeln!(out, "  - {v}");
     }
 }
 
@@ -747,9 +710,11 @@ fn cmd_apply_edits(o: &Opts, out: &mut String) -> Result<i32, String> {
     }
     let validator = Validator::with_matcher(&dtdc, MatcherKind::Dfa, options).with_obs(obs.clone());
     let mut live = LiveValidator::new(&validator, doc.tree);
-    let script = read(script_path)?;
-    run_edit_script(&mut live, &script, o.sequential, out)
-        .map_err(|(line, e)| format!("{script_path}:{line}: {e}"))?;
+    let src = read(script_path)?;
+    let script = Script::parse(&src).map_err(|(line, e)| format!("{script_path}:{line}: {e}"))?;
+    script
+        .apply(&mut live, o.sequential, out)
+        .map_err(|e| format!("{script_path}:{}: {}", script.line_of(&e), e.error))?;
     let report = live.report();
     let _ = write!(out, "{report}");
     emit_metrics(o, report.metrics.as_ref(), out);
@@ -997,8 +962,24 @@ mod tests {
     use super::*;
     use std::path::PathBuf;
 
-    fn tmp(name: &str, content: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join("xic-cli-tests");
+    /// A path under the temp dir unique to this call (process id plus a
+    /// counter), not yet created, so parallel tests never share scratch
+    /// files.
+    pub(crate) fn unique_path(tag: &str) -> PathBuf {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        static N: AtomicU64 = AtomicU64::new(0);
+        let path = std::env::temp_dir().join(format!(
+            "xic-{tag}-{}-{}",
+            std::process::id(),
+            N.fetch_add(1, Ordering::Relaxed)
+        ));
+        let _ = std::fs::remove_dir_all(&path);
+        path
+    }
+
+    /// Writes `content` to `name` in a fresh directory of its own.
+    pub(crate) fn tmp(name: &str, content: &str) -> PathBuf {
+        let dir = unique_path("tests");
         std::fs::create_dir_all(&dir).unwrap();
         let p = dir.join(name);
         std::fs::write(&p, content).unwrap();
@@ -1369,10 +1350,7 @@ ref.to <=s entry.isbn";
     fn emit_countermodel_writes_parseable_xml() {
         let dtd = tmp("book4.dtd", BOOK_DTD);
         let sigma = tmp("book4.sigma", BOOK_SIGMA);
-        let model_path = std::env::temp_dir()
-            .join("xic-cli-tests")
-            .join("countermodel.xml");
-        let _ = std::fs::remove_file(&model_path);
+        let model_path = unique_path("countermodel.xml");
         let (code, out) = call(&[
             "implies",
             "--dtd",
@@ -1420,8 +1398,7 @@ ref.to <=s entry.isbn";
         let dtd = tmp("book-snap.dtd", BOOK_DTD);
         let sigma = tmp("book-snap.sigma", BOOK_SIGMA);
         let doc = tmp("good-snap.xml", GOOD_DOC);
-        let state = std::env::temp_dir().join(format!("xic-cli-state-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&state);
+        let state = unique_path("cli-state");
         let flags = [
             "--dtd",
             dtd.to_str().unwrap(),
@@ -1690,7 +1667,7 @@ ref.to <=s entry.isbn";
 
     #[test]
     fn trace_out_writes_loadable_chrome_trace_json() {
-        let dir = std::env::temp_dir().join("xic-cli-tests");
+        let dir = unique_path("trace");
         std::fs::create_dir_all(&dir).unwrap();
         for (name, extra) in [
             ("trace-validate.json", Vec::new()),
@@ -1780,15 +1757,16 @@ ref.to <=s entry.isbn";
         assert_eq!(m.counter("edit.coalesced"), 1, "{out}");
         assert!(m.spans.contains_key("edit.batch"), "{out}");
         assert!(m.spans.contains_key("parse"), "{out}");
-        // Sequential path: one `edit` span per line, nothing coalesces.
+        // Sequential path: one one-edit batch per line, so one
+        // `edit.batch` span each and nothing coalesces.
         let mut args = args.to_vec();
         args.push("--sequential");
         let (code, out) = call(&args);
         assert_eq!(code, 0, "{out}");
         let m = metrics_of(&out);
         assert_eq!(m.counter("edits"), 2, "{out}");
-        assert!(m.spans.contains_key("edit"), "{out}");
-        assert!(m.spans.contains_key("edit.set_attr"), "{out}");
+        assert_eq!(m.span("edit.batch").count, 2, "{out}");
+        assert_eq!(m.counter("edit.coalesced"), 2, "{out}");
         assert!(m.spans.contains_key("parse"), "{out}");
     }
 }

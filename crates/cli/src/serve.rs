@@ -100,7 +100,7 @@ use xic::obs::{Collector, DEFAULT_TRACE_CAPACITY};
 use xic::prelude::*;
 
 use crate::http::{self, HttpError, Request};
-use crate::{durable, load_dtdc, parse_opts, parse_script_edit, read, run_edit_script, Opts};
+use crate::{durable, load_dtdc, parse_opts, read, Opts, Script};
 
 /// The address `xic serve` binds when `--addr` is absent.
 const DEFAULT_ADDR: &str = "127.0.0.1:9100";
@@ -161,9 +161,8 @@ pub fn serve_on(listener: TcpListener, args: &[String]) -> Result<(), String> {
 enum DocRequest {
     /// Render the current validation report.
     Report(u64, SyncSender<String>),
-    /// Apply an edit script; `Ok` is the rendered diff + report, `Err`
-    /// the script error message.
-    Edits(u64, String, SyncSender<Result<String, String>>),
+    /// Apply an edit script; `Ok` is the rendered diff + report.
+    Edits(u64, String, SyncSender<Result<String, EditFailure>>),
     /// Write the doc's snapshot now (requires `--state-dir`); `Ok` names
     /// the file written, `Err` explains why it could not be.
     Snapshot(u64, SyncSender<Result<String, String>>),
@@ -181,7 +180,7 @@ struct DocShardStatus {
     /// The sequence number of the last acknowledged batch (survives
     /// snapshot resets — the WAL never rewinds its counter).
     wal_last_seq: u64,
-    /// Acknowledged batches since the last snapshot.
+    /// Batches logged since the last snapshot.
     since_snapshot: u64,
 }
 
@@ -1014,8 +1013,13 @@ fn doc_edits(store: &Store, id: &str, script: &str) -> Response {
     span.end();
     match reply {
         Ok(Ok(rendered)) => Response::text("200 OK", "http.route.edits", rendered),
-        Ok(Err(e)) => Response::text(
+        Ok(Err(EditFailure::Script(e))) => Response::text(
             "400 Bad Request",
+            "http.route.edits",
+            format!("error: {e}\n"),
+        ),
+        Ok(Err(EditFailure::Server(e))) => Response::text(
+            "500 Internal Server Error",
             "http.route.edits",
             format!("error: {e}\n"),
         ),
@@ -1156,24 +1160,17 @@ fn run_doc_shard(
             let sdisk = match disk {
                 Some((store, snapshot_every)) => {
                     let persisted = (|| {
-                        let mut wal = store.open_wal(&id).map_err(|e| e.to_string())?;
-                        let state = live.export_state();
-                        let snap = store.snapshot_path(&id).map_err(|e| e.to_string())?;
-                        {
-                            let _span = obs.span("snapshot.write");
-                            write_snapshot(&snap, &state, wal.last_seq())
-                                .map_err(|e| e.to_string())?;
-                        }
-                        wal.reset().map_err(|e| e.to_string())?;
-                        obs.add("snapshot.writes", 1);
-                        durable::write_meta(&store, &id, dtdc.structure())?;
-                        Ok::<ShardDisk, String>(ShardDisk {
+                        let wal = store.open_wal(&id).map_err(|e| e.to_string())?;
+                        let mut d = ShardDisk {
                             store,
                             id: id.clone(),
                             wal,
                             snapshot_every,
                             since_snapshot: 0,
-                        })
+                        };
+                        snapshot_now(&live, &mut d, &obs)?;
+                        durable::write_meta(&d.store, &id, dtdc.structure())?;
+                        Ok::<ShardDisk, String>(d)
                     })();
                     match persisted {
                         Ok(d) => Some(d),
@@ -1189,40 +1186,22 @@ fn run_doc_shard(
         }
         Start::Warm(recovered) => {
             let (store, snapshot_every) = disk.expect("warm start checked --state-dir above");
-            let Recovered {
-                state,
-                batches,
-                wal,
-                ..
-            } = *recovered;
-            let span = obs.span("recover.replay");
-            let mut live = match LiveValidator::from_state(&validator, state) {
-                Ok(live) => live,
+            match replay(&validator, *recovered, &obs) {
+                Ok((live, wal, since_snapshot)) => (
+                    live,
+                    Some(ShardDisk {
+                        store,
+                        id: id.clone(),
+                        wal,
+                        snapshot_every,
+                        since_snapshot,
+                    }),
+                ),
                 Err(e) => {
-                    let _ = ready.send(Err(e.to_string()));
-                    return;
-                }
-            };
-            for batch in &batches {
-                if let Err(e) = live.apply_batch(batch) {
-                    let _ = ready.send(Err(format!("wal replay: {}", e.error)));
+                    let _ = ready.send(Err(e));
                     return;
                 }
             }
-            span.end();
-            obs.add("recover.replays", 1);
-            obs.add("recover.batches", batches.len() as u64);
-            let since_snapshot = batches.len() as u64;
-            (
-                live,
-                Some(ShardDisk {
-                    store,
-                    id: id.clone(),
-                    wal,
-                    snapshot_every,
-                    since_snapshot,
-                }),
-            )
         }
     };
     let _ = ready.send(Ok(()));
@@ -1238,13 +1217,20 @@ fn run_doc_shard(
             }
             DocRequest::Edits(rid, script, reply) => {
                 let _scope = request_scope(rid);
-                let _ = reply.send(apply_edit_script(
-                    &mut live,
-                    &script,
-                    opts.sequential,
-                    sdisk.as_mut(),
-                    &obs,
-                ));
+                let result =
+                    apply_edit_script(&mut live, &script, opts.sequential, sdisk.as_mut(), &obs);
+                if let (Err(EditFailure::Server(_)), Some(d)) = (&result, sdisk.as_mut()) {
+                    // The batch is applied in memory but not logged: reload
+                    // the document from what the disk holds. If that fails
+                    // too the shard exits without replying (the route's
+                    // "document shard died" 500) and without its exit
+                    // snapshot, which would persist the unlogged batch.
+                    match reload(&validator, d, &obs) {
+                        Ok(fresh) => live = fresh,
+                        Err(_) => return,
+                    }
+                }
+                let _ = reply.send(result);
             }
             DocRequest::Snapshot(rid, reply) => {
                 let _scope = request_scope(rid);
@@ -1288,8 +1274,8 @@ struct ShardDisk {
     id: String,
     wal: Wal,
     snapshot_every: u64,
-    /// Acknowledged batches since the last snapshot (includes batches
-    /// replayed from the WAL at warm start — they are still in the log).
+    /// Batches logged since the last snapshot (includes batches replayed
+    /// from the WAL at warm start — they are still in the log).
     since_snapshot: u64,
 }
 
@@ -1319,81 +1305,114 @@ fn snapshot_now(
     Ok(snap.display().to_string())
 }
 
+/// Warm-starts a live validator from a loaded snapshot + WAL: decode the
+/// state, then replay every logged batch on top of it. Returns the
+/// validator, the WAL positioned for appending, and the batches replayed
+/// (still in the log, so they count toward the next snapshot). Boot
+/// recovery and the reload after a failed WAL append both come through
+/// here.
+fn replay<'v, 'd>(
+    validator: &'v Validator<'d>,
+    recovered: Recovered,
+    obs: &Obs,
+) -> Result<(LiveValidator<'v, 'd>, Wal, u64), String> {
+    let Recovered {
+        state,
+        batches,
+        wal,
+        ..
+    } = recovered;
+    let span = obs.span("recover.replay");
+    let mut live = LiveValidator::from_state(validator, state).map_err(|e| e.to_string())?;
+    for batch in &batches {
+        live.apply_batch(batch)
+            .map_err(|e| format!("wal replay: {}", e.error))?;
+    }
+    span.end();
+    obs.add("recover.replays", 1);
+    obs.add("recover.batches", batches.len() as u64);
+    Ok((live, wal, batches.len() as u64))
+}
+
+/// Rebuilds the shard's live validator from its snapshot + WAL on disk,
+/// replacing the shard's WAL handle: after a failed append, memory holds
+/// a batch the log does not, and this brings memory back to the disk.
+fn reload<'v, 'd>(
+    validator: &'v Validator<'d>,
+    disk: &mut ShardDisk,
+    obs: &Obs,
+) -> Result<LiveValidator<'v, 'd>, String> {
+    let recovered = disk
+        .store
+        .load(&disk.id)
+        .map_err(|e| e.to_string())?
+        .ok_or_else(|| format!("no snapshot for doc '{}'", disk.id))?;
+    let (live, wal, since_snapshot) = replay(validator, recovered, obs)?;
+    disk.wal = wal;
+    disk.since_snapshot = since_snapshot;
+    Ok(live)
+}
+
+/// Why `POST /edits` failed, and whose fault it was.
+enum EditFailure {
+    /// The script: a malformed line, or an edit that cannot apply (`400`).
+    Script(String),
+    /// The server: the applied batch could not be logged (`500`).
+    Server(String),
+}
+
 /// Plays an edit script against the live document, rendering exactly what
 /// `xic apply-edits` prints: the script lines, the batch diff (or per-edit
 /// ± diffs when the daemon was started with `--sequential`), then the new
 /// report.
 ///
-/// Under `--state-dir` the script's edits are appended to the WAL *before*
-/// they propagate: once the client sees the `200`, the batch is on disk.
-/// A script error leaves the log holding exactly the prefix that was
-/// applied (lines before the failing one), so replay always reproduces
-/// the in-memory state.
+/// The script is parsed once. A malformed line rejects it before anything
+/// is applied or logged; an edit that cannot apply keeps the edits before
+/// it. Under `--state-dir` the applied edits — the whole script, or that
+/// prefix — are appended to the WAL as one record after propagation and
+/// before the reply, so a `200` means the batch is on disk and replay
+/// always reproduces the in-memory state. A failed append is a
+/// [`EditFailure::Server`] fault: the caller must reload from disk.
 fn apply_edit_script(
     live: &mut LiveValidator<'_, '_>,
     script: &str,
     sequential: bool,
     disk: Option<&mut ShardDisk>,
     obs: &Obs,
-) -> Result<String, String> {
-    let disk_and_batch = match disk {
-        Some(disk) => {
-            // Pre-parse so the whole script can be logged up front; the
-            // same parse inside `run_edit_script` yields the same errors,
-            // so a malformed line is rejected here before anything
-            // touches disk.
-            let mut edits: Vec<(usize, BatchEdit)> = Vec::new();
-            for (idx, raw) in script.lines().enumerate() {
-                let line = raw.trim();
-                if line.is_empty() || line.starts_with('#') {
-                    continue;
-                }
-                let edit =
-                    parse_script_edit(line).map_err(|e| format!("edits line {}: {e}", idx + 1))?;
-                edits.push((idx + 1, edit));
-            }
-            let mark = disk.wal.mark();
-            if !edits.is_empty() {
-                let batch: Vec<BatchEdit> = edits.iter().map(|(_, e)| e.clone()).collect();
-                let span = obs.span("wal.append");
-                disk.wal
-                    .append(&batch)
-                    .map_err(|e| format!("wal append: {e}"))?;
-                span.end();
-                obs.add("wal.records", 1);
-            }
-            Some((disk, mark, edits))
-        }
-        None => None,
-    };
+) -> Result<String, EditFailure> {
+    let script = Script::parse(script)
+        .map_err(|(line, e)| EditFailure::Script(format!("edits line {line}: {e}")))?;
     let mut out = String::new();
-    if let Err((line, e)) = run_edit_script(live, script, sequential, &mut out) {
-        if let Some((disk, mark, edits)) = disk_and_batch {
-            // Only the lines before the failing one were applied; rewrite
-            // the log to hold exactly that prefix.
+    let applied = script.apply(live, sequential, &mut out);
+    if let Some(disk) = disk {
+        let n = match &applied {
+            Ok(()) => script.edits.len(),
+            Err(e) => e.index,
+        };
+        if n > 0 {
+            let span = obs.span("wal.append");
             disk.wal
-                .rollback(mark)
-                .map_err(|re| format!("wal rollback: {re} (after edits line {line}: {e})"))?;
-            let applied: Vec<BatchEdit> = edits
-                .iter()
-                .filter(|(l, _)| *l < line)
-                .map(|(_, edit)| edit.clone())
-                .collect();
-            if !applied.is_empty() {
-                disk.wal
-                    .append(&applied)
-                    .map_err(|ae| format!("wal rewrite: {ae} (after edits line {line}: {e})"))?;
+                .append(&script.edits[..n])
+                .map_err(|e| EditFailure::Server(format!("wal append: {e}")))?;
+            span.end();
+            obs.add("wal.records", 1);
+            disk.since_snapshot += 1;
+            // The batch is applied and logged, so a failed snapshot must
+            // not fail the request (a retry would apply it twice). The
+            // counter stays unreset and the next batch retries.
+            if disk.snapshot_every > 0 && disk.since_snapshot >= disk.snapshot_every {
+                let _ = snapshot_now(live, disk, obs);
             }
         }
-        return Err(format!("edits line {line}: {e}"));
+    }
+    if let Err(e) = applied {
+        return Err(EditFailure::Script(format!(
+            "edits line {}: {}",
+            script.line_of(&e),
+            e.error
+        )));
     }
     let _ = write!(out, "{}", live.report());
-    if let Some((disk, _, _)) = disk_and_batch {
-        disk.since_snapshot += 1;
-        if disk.snapshot_every > 0 && disk.since_snapshot >= disk.snapshot_every {
-            snapshot_now(live, disk, obs).map_err(|e| format!("snapshot: {e}"))?;
-        }
-    }
     Ok(out)
 }
 
@@ -1401,15 +1420,8 @@ fn apply_edit_script(
 mod tests {
     use super::*;
     use crate::http::HttpClient;
-    use std::path::PathBuf;
+    use crate::tests::{tmp, unique_path};
 
-    fn tmp(name: &str, content: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join("xic-serve-tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        let p = dir.join(name);
-        std::fs::write(&p, content).unwrap();
-        p
-    }
 
     const BOOK_DTD: &str = "\
 <!ELEMENT book (entry, author*, section*, ref)>
@@ -1871,22 +1883,9 @@ ref.to <=s entry.isbn";
         daemon.join().unwrap().unwrap();
     }
 
-    /// A fresh, empty state directory unique to this test run.
-    fn fresh_state_dir(tag: &str) -> PathBuf {
-        use std::sync::atomic::AtomicU64;
-        static N: AtomicU64 = AtomicU64::new(0);
-        let dir = std::env::temp_dir().join(format!(
-            "xic-serve-state-{tag}-{}-{}",
-            std::process::id(),
-            N.fetch_add(1, Ordering::SeqCst)
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
-
     #[test]
     fn state_dir_restart_preserves_edited_state() {
-        let state = fresh_state_dir("restart");
+        let state = unique_path("restart");
         let state_s = state.to_str().unwrap().to_string();
         let mut expected = String::new();
         with_daemon(GOOD_DOC, &["--state-dir", &state_s], |addr| {
@@ -1926,7 +1925,7 @@ ref.to <=s entry.isbn";
 
     #[test]
     fn wal_batches_replay_on_boot() {
-        let state = fresh_state_dir("walreplay");
+        let state = unique_path("walreplay");
         let state_s = state.to_str().unwrap().to_string();
         // Run A persists the pristine document and shuts down cleanly.
         with_daemon(GOOD_DOC, &["--state-dir", &state_s], |addr| {
@@ -1967,7 +1966,7 @@ ref.to <=s entry.isbn";
 
     #[test]
     fn put_docs_survive_restart_even_after_delete() {
-        let state = fresh_state_dir("multidoc");
+        let state = unique_path("multidoc");
         let state_s = state.to_str().unwrap().to_string();
         with_daemon(GOOD_DOC, &["--state-dir", &state_s], |addr| {
             // An internal-DOCTYPE document: its structure must survive the
@@ -2145,7 +2144,7 @@ ref.to <=s entry.isbn";
 
     #[test]
     fn access_log_lines_round_trip_and_sample() {
-        let log = fresh_state_dir("accesslog");
+        let log = unique_path("accesslog");
         let log_s = log.to_str().unwrap().to_string();
         let script = "set-attr 5 to dangling\n";
         with_daemon(
@@ -2190,7 +2189,7 @@ ref.to <=s entry.isbn";
 
         // --log-sample 3 keeps every 3rd offered request: of 6 offered
         // (5 reports + the shutdown), indices 0 and 3 are written.
-        let log = fresh_state_dir("accesslog-sampled");
+        let log = unique_path("accesslog-sampled");
         let log_s = log.to_str().unwrap().to_string();
         with_daemon(
             GOOD_DOC,
@@ -2209,7 +2208,7 @@ ref.to <=s entry.isbn";
 
     #[test]
     fn status_wal_counters_match_disk_after_snapshot_cycle() {
-        let state = fresh_state_dir("statuswal");
+        let state = unique_path("statuswal");
         let state_s = state.to_str().unwrap().to_string();
         with_daemon(GOOD_DOC, &["--state-dir", &state_s], |addr| {
             for value in ["dangling", "x1"] {
@@ -2297,9 +2296,9 @@ ref.to <=s entry.isbn";
 
     #[test]
     fn trace_endpoint_drains_request_scoped_span_chain() {
-        let state = fresh_state_dir("tracechain");
+        let state = unique_path("tracechain");
         let state_s = state.to_str().unwrap().to_string();
-        let trace_out = fresh_state_dir("tracechain-out");
+        let trace_out = unique_path("tracechain-out");
         let trace_out_s = trace_out.to_str().unwrap().to_string();
         let events_of = |body: &str| -> Vec<Json> {
             match xic::obs::json::parse(body).unwrap() {
@@ -2367,6 +2366,184 @@ ref.to <=s entry.isbn";
             Json::Array(_)
         ));
         let _ = std::fs::remove_file(&trace_out);
+        let _ = std::fs::remove_dir_all(&state);
+    }
+
+    /// Runs `apply-edits` on `GOOD_DOC` with `script`, returning the exit
+    /// code, the output, and the script's path.
+    fn apply_edits_cli(script: &str, extra: &[&str]) -> (i32, String, String) {
+        let doc = tmp("doc.xml", GOOD_DOC);
+        let script_file = tmp("script.txt", script);
+        let mut args = vec![
+            "apply-edits".to_string(),
+            doc.to_str().unwrap().to_string(),
+            script_file.to_str().unwrap().to_string(),
+        ];
+        args.extend(book_flags());
+        args.extend(extra.iter().map(ToString::to_string));
+        let mut out = String::new();
+        let code = crate::run(&args, &mut out);
+        (code, out, script_file.to_str().unwrap().to_string())
+    }
+
+    /// A malformed line rejects the whole script with its line number and
+    /// applies (and logs) nothing; an edit that cannot apply keeps the
+    /// applied prefix. Pinned in every mode: `apply-edits`, serve, and
+    /// serve `--state-dir`, each batched and `--sequential`.
+    #[test]
+    fn failing_scripts_behave_the_same_in_every_mode() {
+        const MALFORMED: &str = "set-attr 5 to dangling\nset-attr 1 isbn x9\nfrobnicate 1\n";
+        const STUCK: &str = "set-attr 5 to dangling\nset-attr 999 isbn x9\nset-attr 1 isbn x7\n";
+        let (_, pristine, _) = apply_edits_cli("", &[]);
+        let (_, prefix, _) = apply_edits_cli("set-attr 5 to dangling\n", &[]);
+        let prefix = report_of(&prefix);
+        assert!(prefix.contains("dangling"), "{prefix}");
+
+        for mode in [&[][..], &["--sequential"][..]] {
+            let sequential = !mode.is_empty();
+            // apply-edits: the error names the script line; a malformed
+            // script echoes no edit, a stuck one echoes its applied prefix
+            // only when each line is its own batch.
+            let (code, out, path) = apply_edits_cli(MALFORMED, mode);
+            assert_eq!(code, 2, "{out}");
+            assert!(out.contains(&format!("{path}:3: unknown edit")), "{out}");
+            assert!(!out.contains("edit: "), "nothing may apply: {out}");
+            let (code, out, path) = apply_edits_cli(STUCK, mode);
+            assert_eq!(code, 2, "{out}");
+            assert!(out.contains(&format!("{path}:2: unknown vertex")), "{out}");
+            let echoed: Vec<&str> = out.lines().filter(|l| l.starts_with("edit: ")).collect();
+            let expected: &[&str] = if sequential {
+                &["edit: set-attr 5 to dangling"]
+            } else {
+                &[]
+            };
+            assert_eq!(echoed, expected, "{out}");
+
+            for durable in [false, true] {
+                let state = unique_path("modes");
+                let state_s = state.to_str().unwrap().to_string();
+                let mut flags: Vec<&str> = mode.to_vec();
+                if durable {
+                    flags.extend(["--state-dir", &state_s]);
+                }
+                with_daemon(GOOD_DOC, &flags, |addr| {
+                    for id in ["m", "s"] {
+                        let (status, body) = http(addr, "PUT", &format!("/docs/{id}"), GOOD_DOC);
+                        assert_eq!(status, 201, "{body}");
+                    }
+                    let wal_records = |id: &str| {
+                        let st = fetch_status(addr);
+                        num(resident(&st, id), "wal_records")
+                    };
+                    let label = format!("sequential={sequential} durable={durable}");
+
+                    let (status, body) = http(addr, "POST", "/docs/m/edits", MALFORMED);
+                    assert_eq!(status, 400, "{label}: {body}");
+                    assert!(body.contains("edits line 3: unknown edit"), "{label}: {body}");
+                    let (_, report) = http(addr, "GET", "/docs/m/report", "");
+                    assert_eq!(report, pristine, "{label}: malformed script applied");
+                    if durable {
+                        assert_eq!(wal_records("m"), 0, "{label}: malformed script logged");
+                    }
+
+                    let (status, body) = http(addr, "POST", "/docs/s/edits", STUCK);
+                    assert_eq!(status, 400, "{label}: {body}");
+                    assert!(body.contains("edits line 2: unknown vertex"), "{label}: {body}");
+                    let (_, report) = http(addr, "GET", "/docs/s/report", "");
+                    assert_eq!(report, prefix, "{label}: applied prefix lost");
+                    if durable {
+                        assert_eq!(wal_records("s"), 1, "{label}: prefix not logged once");
+                    }
+                });
+                let _ = std::fs::remove_dir_all(&state);
+            }
+        }
+    }
+
+    /// Copies every file of a `--state-dir` tree: a crash image of a
+    /// running daemon's disk.
+    fn copy_tree(from: &std::path::Path, to: &std::path::Path) {
+        std::fs::create_dir_all(to).unwrap();
+        for entry in std::fs::read_dir(from).unwrap() {
+            let entry = entry.unwrap();
+            let dest = to.join(entry.file_name());
+            if entry.file_type().unwrap().is_dir() {
+                copy_tree(&entry.path(), &dest);
+            } else {
+                std::fs::copy(entry.path(), dest).unwrap();
+            }
+        }
+    }
+
+    /// A script failing on line 2 logs exactly its applied line 1: the WAL
+    /// gains one record, and both a crash image of the disk and a clean
+    /// restart recover the report the daemon served before.
+    #[test]
+    fn failing_script_logs_its_applied_prefix_across_restarts() {
+        let state = unique_path("failing-restart");
+        let state_s = state.to_str().unwrap().to_string();
+        let image = unique_path("failing-restart-image");
+        let image_s = image.to_str().unwrap().to_string();
+        let mut before = String::new();
+        with_daemon(GOOD_DOC, &["--state-dir", &state_s], |addr| {
+            let records = |addr| num(resident(&fetch_status(addr), "default"), "wal_records");
+            let start = records(addr);
+            let script = "set-attr 5 to dangling\nset-attr 999 to x1\nset-attr 5 to x1\n";
+            let (status, body) = http(addr, "POST", "/edits", script);
+            assert_eq!(status, 400, "{body}");
+            assert!(body.contains("edits line 2"), "{body}");
+            assert_eq!(records(addr), start + 1);
+            let (_, report) = http(addr, "GET", "/report", "");
+            assert!(report.contains("dangling"), "line 1 must stay applied: {report}");
+            before = report;
+            copy_tree(&state, &image);
+        });
+        for dir in [&image_s, &state_s] {
+            with_daemon(GOOD_DOC, &["--state-dir", dir], |addr| {
+                let (status, report) = http(addr, "GET", "/report", "");
+                assert_eq!(status, 200);
+                assert_eq!(report, before, "recovery from {dir} diverged");
+            });
+        }
+        let _ = std::fs::remove_dir_all(&state);
+        let _ = std::fs::remove_dir_all(&image);
+    }
+
+    /// A `--snapshot-every` snapshot that fails after the batch was applied
+    /// and logged still answers 200; `since_snapshot` stays unreset so the
+    /// next batch retries, and succeeds once the obstacle is gone.
+    #[test]
+    fn failed_periodic_snapshot_still_acknowledges_the_batch() {
+        let state = unique_path("snapshot-fail");
+        let state_s = state.to_str().unwrap().to_string();
+        with_daemon(
+            GOOD_DOC,
+            &["--state-dir", &state_s, "--snapshot-every", "1"],
+            |addr| {
+                let since = |addr| num(resident(&fetch_status(addr), "default"), "since_snapshot");
+                // Answered only once boot has persisted the document.
+                assert_eq!(since(addr), 0);
+                // A non-empty directory where the snapshot goes makes the
+                // atomic rename fail, whatever the process's privileges.
+                let snap = DocStore::open(&state, FsyncPolicy::Always)
+                    .unwrap()
+                    .snapshot_path("default")
+                    .unwrap();
+                std::fs::remove_file(&snap).unwrap();
+                std::fs::create_dir_all(snap.join("blocker")).unwrap();
+                for (n, value) in [(1, "dangling"), (2, "x1")] {
+                    let script = format!("set-attr 5 to {value}\n");
+                    let (status, body) = http(addr, "POST", "/edits", &script);
+                    assert_eq!(status, 200, "{body}");
+                    assert_eq!(since(addr), n, "a failed snapshot must not reset the counter");
+                }
+                std::fs::remove_dir_all(&snap).unwrap();
+                let (status, body) = http(addr, "POST", "/edits", "set-attr 5 to x1\n");
+                assert_eq!(status, 200, "{body}");
+                assert_eq!(since(addr), 0, "the retried snapshot succeeds");
+                assert!(snap.is_file());
+            },
+        );
         let _ = std::fs::remove_dir_all(&state);
     }
 }

@@ -106,8 +106,8 @@ pub mod prelude {
         Recovered, SnapshotStats, StorageError, Wal,
     };
     pub use xic_validate::{
-        check_constraint, validate, BatchEdit, BatchError, EditOutcome, LiveState, LiveValidator,
-        MatcherKind, Options, Report, ReportDiff, StateError, Validator, Violation,
+        check_constraint, validate, BatchEdit, BatchError, LiveState, LiveValidator, MatcherKind,
+        Options, Report, ReportDiff, StateError, Validator, Violation,
     };
     pub use xic_xml::{
         constraints_to_xsd, parse_document, parse_dtd, parse_events, serialize_document,

@@ -51,7 +51,7 @@ pub use snapshot::{
     decode_snapshot, encode_snapshot, read_snapshot, write_snapshot, SNAPSHOT_MAGIC,
     SNAPSHOT_VERSION,
 };
-pub use wal::{FsyncPolicy, ReplayedBatches, Wal, WalMark, WAL_MAGIC, WAL_VERSION};
+pub use wal::{FsyncPolicy, ReplayedBatches, Wal, WAL_MAGIC, WAL_VERSION};
 
 /// Why a storage operation failed.
 ///

@@ -12,8 +12,9 @@
 //!   payload len bytes                (one encoded `Vec<BatchEdit>`)
 //! ```
 //!
-//! Callers append a batch *before* applying it to the live validator, so
-//! after a crash the log replays every batch the daemon acknowledged.
+//! Callers append a batch after applying it to the live validator and
+//! before acknowledging it, so after a crash the log replays every batch
+//! the daemon acknowledged.
 //! On open, the tail is scanned: a record cut short by a crash (the file
 //! ends inside its header or payload) is a *torn write* and is truncated
 //! away; a record that is fully present but fails its checksum is
@@ -67,15 +68,6 @@ impl FsyncPolicy {
             _ => Err(format!("unknown fsync policy '{s}' (use always|never)")),
         }
     }
-}
-
-/// A position in a [`Wal`], captured by [`Wal::mark`] before an append so
-/// [`Wal::rollback`] can undo it when the batch fails to apply.
-#[derive(Clone, Copy, Debug)]
-pub struct WalMark {
-    len: u64,
-    records: u64,
-    next_seq: u64,
 }
 
 /// The intact `(sequence, batch)` records [`Wal::open`] replayed from
@@ -242,7 +234,7 @@ impl Wal {
 
     /// Appends one batch as a checksummed record, honouring the fsync
     /// policy, and returns the sequence number it was stamped with. Call
-    /// this *before* applying the batch to the validator.
+    /// this *before* acknowledging the batch.
     pub fn append(&mut self, batch: &[BatchEdit]) -> Result<u64, StorageError> {
         let mut payload = Enc::default();
         enc_batch(&mut payload, batch);
@@ -265,45 +257,6 @@ impl Wal {
         self.records += 1;
         self.next_seq = seq + 1;
         Ok(seq)
-    }
-
-    /// The current end-of-log position, for [`Wal::rollback`].
-    pub fn mark(&self) -> WalMark {
-        WalMark {
-            len: self.len,
-            records: self.records,
-            next_seq: self.next_seq,
-        }
-    }
-
-    /// Truncates the log back to `mark` — the undo for appends whose
-    /// batches then failed to apply, keeping the log (and its sequence
-    /// counter) in lockstep with the validator. `mark` must come from this
-    /// log's [`Wal::mark`], at or before the current end.
-    pub fn rollback(&mut self, mark: WalMark) -> Result<(), StorageError> {
-        if mark.len > self.len || mark.records > self.records {
-            return Err(StorageError::Corrupt {
-                detail: format!(
-                    "{}: rollback mark is past the end of the log",
-                    self.path.display()
-                ),
-            });
-        }
-        self.file
-            .set_len(mark.len)
-            .map_err(io_err(format!("truncate {}", self.path.display())))?;
-        self.file
-            .seek(SeekFrom::Start(mark.len))
-            .map_err(io_err(format!("seek {}", self.path.display())))?;
-        if self.policy == FsyncPolicy::Always {
-            self.file
-                .sync_all()
-                .map_err(io_err(format!("sync {}", self.path.display())))?;
-        }
-        self.len = mark.len;
-        self.records = mark.records;
-        self.next_seq = mark.next_seq;
-        Ok(())
     }
 
     /// Discards every record (after a successful snapshot has made them

@@ -19,11 +19,12 @@
 //! * per-constraint **violation tables** keyed so that in-order iteration
 //!   reproduces the sequential engine's emission order byte for byte.
 //!
-//! Each edit returns an [`EditOutcome`]: the typed [`Edit`] delta the tree
-//! produced and a [`ReportDiff`] of violations newly raised and newly
-//! cleared, while [`LiveValidator::report`] stays byte-identical to
-//! `Validator::validate` on the current tree (enforced by the
-//! `incremental_equivalence` proptest).
+//! Edits arrive through one path, [`LiveValidator::apply_batch`] (a
+//! single edit is a one-element batch). Each batch returns a
+//! [`ReportDiff`] of violations newly raised and newly cleared, while
+//! [`LiveValidator::report`] stays byte-identical to `Validator::validate`
+//! on the current tree (enforced by the `incremental_equivalence`
+//! proptests).
 //!
 //! Per edit the work is bounded by the number of vertices whose violation
 //! status can actually change — the edited vertex, its parent, and the
@@ -73,16 +74,6 @@ impl ReportDiff {
     pub fn is_empty(&self) -> bool {
         self.raised.is_empty() && self.cleared.is_empty()
     }
-}
-
-/// The result of applying one edit through [`LiveValidator`]: the typed
-/// tree delta and the violation diff it caused.
-#[derive(Clone, Debug)]
-pub struct EditOutcome {
-    /// The delta the tree recorded for this edit.
-    pub edit: Edit,
-    /// Violations raised and cleared by this edit.
-    pub diff: ReportDiff,
 }
 
 /// Sort key of one violation entry inside a part's table. The tuples are
@@ -1814,13 +1805,12 @@ fn build_parts(dtdc: &DtdC) -> Vec<Part> {
 /// Dense column ids, reverse keys, and per-column part subscriptions for
 /// the batch path, built once at construction.
 ///
-/// The per-edit path dispatches every change to every part; each part's
-/// `apply` drops changes outside its `(τ, field)` interest set via name
-/// comparisons, so at one change per edit the waste is a cheap scan. A
-/// batch dispatches thousands of cell deltas, so the scan is hoisted into
-/// this index: dispatching a delta only to the parts subscribed to its
-/// column is behavior-preserving because the skipped `apply` calls were
-/// no-ops by those same match arms.
+/// Each part's `apply` drops changes outside its `(τ, field)` interest set
+/// via name comparisons. A batch dispatches thousands of cell deltas, so
+/// that scan is hoisted into this index: dispatching a delta only to the
+/// parts subscribed to its column is behavior-preserving because the
+/// skipped `apply` calls would be no-ops by those same match arms. Vertex
+/// announcements (`NodeAdded`/`NodeRemoved`) still reach every part.
 struct Subs {
     /// Planned single-valued column ↦ dense id (`0..singles`).
     single_ids: HashMap<(Name, Field), u32>,
@@ -2599,140 +2589,6 @@ impl<'v, 'd> LiveValidator<'v, 'd> {
         self.v.obs.clone()
     }
 
-    /// Sets attribute `l` of `node` (creating or replacing it) and
-    /// revalidates incrementally.
-    pub fn set_attr(
-        &mut self,
-        node: NodeId,
-        l: impl Into<Name>,
-        value: AttrValue,
-    ) -> Result<EditOutcome, ModelError> {
-        let obs = self.obs();
-        let _edit = obs.span("edit");
-        let _kind = obs.span("edit.set_attr");
-        let l: Name = l.into();
-        let edit = self.tree.set_attr(node, l.clone(), value)?;
-        let mut acc = DiffAcc::default();
-        self.apply_attr_change(node, &l, &mut acc);
-        self.refresh_struct(node, &mut acc);
-        Ok(self.outcome(edit, acc))
-    }
-
-    /// Removes attribute `l` of `node` and revalidates incrementally.
-    pub fn remove_attr(&mut self, node: NodeId, l: &str) -> Result<EditOutcome, ModelError> {
-        let obs = self.obs();
-        let _edit = obs.span("edit");
-        let _kind = obs.span("edit.remove_attr");
-        let edit = self.tree.remove_attr(node, l)?;
-        let Edit::RemoveAttr { attr, .. } = &edit else {
-            unreachable!("remove_attr yields a RemoveAttr delta");
-        };
-        let attr = attr.clone();
-        let mut acc = DiffAcc::default();
-        self.apply_attr_change(node, &attr, &mut acc);
-        self.refresh_struct(node, &mut acc);
-        Ok(self.outcome(edit, acc))
-    }
-
-    /// Replaces the `index`-th *text* child of `node` and revalidates
-    /// incrementally. The child word is unchanged, so no structural
-    /// recheck is needed; only the parent's sub-element column can shift.
-    pub fn set_text(
-        &mut self,
-        node: NodeId,
-        index: usize,
-        text: impl Into<Value>,
-    ) -> Result<EditOutcome, ModelError> {
-        let obs = self.obs();
-        let _edit = obs.span("edit");
-        let _kind = obs.span("edit.set_text");
-        let edit = self.tree.set_text(node, index, text)?;
-        let mut acc = DiffAcc::default();
-        if let Some(p) = self.tree.node(node).parent() {
-            let ptau = self.tree.label(p).clone();
-            let e = self.tree.label(node).clone();
-            self.emit_single(&ptau, &Field::Sub(e), p.index() as u32, &mut acc);
-        }
-        Ok(self.outcome(edit, acc))
-    }
-
-    /// Grafts a copy of `fragment` under `parent` at child `position` and
-    /// revalidates incrementally. The new vertices get fresh ids at the
-    /// arena end, so every extent view only appends and report order is
-    /// preserved.
-    pub fn insert_subtree(
-        &mut self,
-        parent: NodeId,
-        position: usize,
-        fragment: &DataTree,
-    ) -> Result<EditOutcome, ModelError> {
-        let obs = self.obs();
-        let _edit = obs.span("edit");
-        let _kind = obs.span("edit.insert_subtree");
-        let before = self.tree.id_bound();
-        let edit = self.tree.insert_subtree(parent, position, fragment)?;
-        let Edit::InsertSubtree { root, .. } = &edit else {
-            unreachable!("insert_subtree yields an InsertSubtree delta");
-        };
-        let root = *root;
-        let mut acc = DiffAcc::default();
-        let new_ids: Vec<NodeId> = (before..self.tree.id_bound())
-            .map(NodeId::from_index)
-            .collect();
-        // Fill every new vertex's columns first, then announce them: the
-        // store must reflect the final state before any part refreshes,
-        // and each refresh is idempotent over it.
-        for &x in &new_ids {
-            self.fill_node(x);
-        }
-        for &x in &new_ids {
-            let tau = self.tree.label(x).clone();
-            self.dispatch(
-                Change::NodeAdded {
-                    tau,
-                    node: x.index() as u32,
-                },
-                &mut acc,
-            );
-            self.refresh_struct(x, &mut acc);
-        }
-        let e = self.tree.label(root).clone();
-        let ptau = self.tree.label(parent).clone();
-        self.emit_single(&ptau, &Field::Sub(e), parent.index() as u32, &mut acc);
-        self.refresh_struct(parent, &mut acc);
-        Ok(self.outcome(edit, acc))
-    }
-
-    /// Deletes the subtree rooted at `node` and revalidates incrementally.
-    pub fn delete_subtree(&mut self, node: NodeId) -> Result<EditOutcome, ModelError> {
-        let obs = self.obs();
-        let _edit = obs.span("edit");
-        let _kind = obs.span("edit.delete_subtree");
-        let edit = self.tree.delete_subtree(node)?;
-        let Edit::DeleteSubtree { parent, root, .. } = &edit else {
-            unreachable!("delete_subtree yields a DeleteSubtree delta");
-        };
-        let (parent, root) = (*parent, *root);
-        let mut acc = DiffAcc::default();
-        // The tombstoned vertices are still readable; collect the removed
-        // subtree in ascending id order and retract each vertex.
-        let mut removed: Vec<NodeId> = Vec::new();
-        let mut stack = vec![root];
-        while let Some(x) = stack.pop() {
-            removed.push(x);
-            stack.extend(self.tree.node(x).child_nodes());
-        }
-        removed.sort_by_key(|n| n.index());
-        for &x in &removed {
-            self.remove_node(x, &mut acc);
-        }
-        let e = self.tree.label(root).clone();
-        let ptau = self.tree.label(parent).clone();
-        self.emit_single(&ptau, &Field::Sub(e), parent.index() as u32, &mut acc);
-        self.refresh_struct(parent, &mut acc);
-        Ok(self.outcome(edit, acc))
-    }
-
     /// Applies a batch of edit requests with one propagation pass.
     ///
     /// Requests are staged in order: structural requests (insert/delete)
@@ -3137,91 +2993,6 @@ impl<'v, 'd> LiveValidator<'v, 'd> {
         }
     }
 
-    fn outcome(&mut self, edit: Edit, acc: DiffAcc) -> EditOutcome {
-        let mut diff = acc.finalize(&self.struct_viols, &self.parts);
-        let obs = &self.v.obs;
-        if obs.enabled() {
-            obs.add("edits", 1);
-            obs.add("edit.count", 1);
-            obs.add("edit.coalesced", 1);
-            obs.add("violations.raised", diff.raised.len() as u64);
-            obs.add("violations.cleared", diff.cleared.len() as u64);
-            diff.metrics = obs.snapshot();
-        }
-        EditOutcome { edit, diff }
-    }
-
-    /// Re-extracts both columns attribute `l` can feed (a single-valued
-    /// `Attr` field and a set-valued attribute column) and dispatches any
-    /// change.
-    fn apply_attr_change(&mut self, node: NodeId, l: &Name, acc: &mut DiffAcc) {
-        let tau = self.tree.label(node).clone();
-        let xi = node.index() as u32;
-        self.emit_single(&tau, &Field::Attr(l.clone()), xi, acc);
-        self.emit_set(&tau, l, xi, acc);
-    }
-
-    /// Recomputes one single-valued cell from the tree; if it changed,
-    /// updates the store and dispatches the delta. No-op for unplanned
-    /// columns.
-    fn emit_single(&mut self, tau: &Name, field: &Field, x: u32, acc: &mut DiffAcc) {
-        let key = (tau.clone(), field.clone());
-        if !self.store.singles.contains_key(&key) {
-            return;
-        }
-        let Self { tree, store, .. } = &mut *self;
-        let new = extract_single(tree, nid(x), field, &mut store.interner);
-        let old = store
-            .singles
-            .get_mut(&key)
-            .expect("checked above")
-            .set(x, new);
-        if old != new {
-            self.dispatch(
-                Change::Single {
-                    tau: tau.clone(),
-                    field: field.clone(),
-                    node: x,
-                    old,
-                    new,
-                },
-                acc,
-            );
-        }
-    }
-
-    /// Set-valued counterpart of [`Self::emit_single`].
-    fn emit_set(&mut self, tau: &Name, attr: &Name, x: u32, acc: &mut DiffAcc) {
-        let key = (tau.clone(), attr.clone());
-        if !self.store.sets.contains_key(&key) {
-            return;
-        }
-        let Self { tree, store, .. } = &mut *self;
-        let new: Vec<Sym> = match tree.attr(nid(x), attr) {
-            Some(val) => val
-                .values()
-                .iter()
-                .map(|s| store.interner.intern(s))
-                .collect(),
-            None => Vec::new(),
-        };
-        let old = store
-            .sets
-            .get_mut(&key)
-            .expect("checked above")
-            .set(x, new.clone());
-        if old != new {
-            self.dispatch(
-                Change::Set {
-                    tau: tau.clone(),
-                    attr: attr.clone(),
-                    node: x,
-                },
-                acc,
-            );
-        }
-    }
-
     /// Runs core ID-table maintenance, then every part, on one change.
     fn dispatch(&mut self, change: Change, acc: &mut DiffAcc) {
         let Self {
@@ -3364,6 +3135,19 @@ mod tests {
         b.finish(entry).unwrap()
     }
 
+    /// Applies `e` as a one-edit batch and returns its diff.
+    fn edit(live: &mut LiveValidator<'_, '_>, e: BatchEdit) -> ReportDiff {
+        live.apply_batch(&[e]).expect("edit applies")
+    }
+
+    fn set(node: NodeId, attr: &str, value: AttrValue) -> BatchEdit {
+        BatchEdit::SetAttr {
+            node,
+            attr: attr.into(),
+            value,
+        }
+    }
+
     /// Asserts the live report is byte-identical to a from-scratch run.
     fn assert_matches_scratch(live: &LiveValidator<'_, '_>, v: &Validator<'_>) {
         let scratch = v.validate(live.tree());
@@ -3412,28 +3196,22 @@ mod tests {
 
         // Renaming the entry's key leaves ref.@to dangling.
         let before = live.report();
-        let out = live
-            .set_attr(entry, "isbn", AttrValue::single("x9"))
-            .unwrap();
+        let diff = edit(&mut live, set(entry, "isbn", AttrValue::single("x9")));
         assert!(
-            out.diff
-                .raised
+            diff.raised
                 .iter()
                 .any(|x| matches!(x, Violation::ForeignKey { value, .. } if value == "x1")),
-            "expected a dangling-reference violation, got {:?}",
-            out.diff
+            "expected a dangling-reference violation, got {diff:?}"
         );
-        assert_diff_consistent(&before, &out.diff, &live.report());
+        assert_diff_consistent(&before, &diff, &live.report());
         assert_matches_scratch(&live, &v);
 
         // Renaming it back clears exactly what was raised.
         let before = live.report();
-        let out = live
-            .set_attr(entry, "isbn", AttrValue::single("x1"))
-            .unwrap();
-        assert!(out.diff.raised.is_empty(), "{:?}", out.diff);
-        assert!(!out.diff.cleared.is_empty());
-        assert_diff_consistent(&before, &out.diff, &live.report());
+        let diff = edit(&mut live, set(entry, "isbn", AttrValue::single("x1")));
+        assert!(diff.raised.is_empty(), "{diff:?}");
+        assert!(!diff.cleared.is_empty());
+        assert_diff_consistent(&before, &diff, &live.report());
         assert!(live.report().is_valid());
         assert_matches_scratch(&live, &v);
     }
@@ -3447,27 +3225,31 @@ mod tests {
 
         // A second entry with a duplicate ISBN violates the key and the
         // content model (book allows one entry).
+        // The fragment's vertices get fresh ids at the arena end.
         let before = live.report();
-        let out = live.insert_subtree(book, 1, &entry_fragment("x1")).unwrap();
-        let inserted = match out.edit {
-            Edit::InsertSubtree { root, count, .. } => {
-                assert_eq!(count, 3);
-                root
-            }
-            ref e => panic!("unexpected delta {e:?}"),
-        };
-        assert!(out
-            .diff
+        let bound = live.tree().id_bound();
+        let diff = edit(
+            &mut live,
+            BatchEdit::InsertSubtree {
+                parent: book,
+                position: 1,
+                fragment: entry_fragment("x1"),
+            },
+        );
+        assert_eq!(live.tree().id_bound(), bound + 3);
+        let inserted = NodeId::from_index(bound);
+        assert_eq!(live.tree().label(inserted).as_str(), "entry");
+        assert!(diff
             .raised
             .iter()
             .any(|x| matches!(x, Violation::Key { .. })));
-        assert_diff_consistent(&before, &out.diff, &live.report());
+        assert_diff_consistent(&before, &diff, &live.report());
         assert_matches_scratch(&live, &v);
 
         // Deleting it restores the exact pre-insert report.
         let before = live.report();
-        let out = live.delete_subtree(inserted).unwrap();
-        assert_diff_consistent(&before, &out.diff, &live.report());
+        let diff = edit(&mut live, BatchEdit::DeleteSubtree { node: inserted });
+        assert_diff_consistent(&before, &diff, &live.report());
         assert!(live.report().is_valid());
         assert_matches_scratch(&live, &v);
     }
@@ -3481,15 +3263,27 @@ mod tests {
         let title = live.tree().ext("title").next().unwrap();
 
         let before = live.report();
-        let out = live.remove_attr(entry, "isbn").unwrap();
-        assert!(!out.diff.raised.is_empty(), "missing key field must raise");
-        assert_diff_consistent(&before, &out.diff, &live.report());
+        let diff = edit(
+            &mut live,
+            BatchEdit::RemoveAttr {
+                node: entry,
+                attr: "isbn".into(),
+            },
+        );
+        assert!(!diff.raised.is_empty(), "missing key field must raise");
+        assert_diff_consistent(&before, &diff, &live.report());
         assert_matches_scratch(&live, &v);
 
-        let out = live.set_text(title, 0, "New Title").unwrap();
+        edit(
+            &mut live,
+            BatchEdit::SetText {
+                node: title,
+                index: 0,
+                text: "New Title".into(),
+            },
+        );
         assert_matches_scratch(&live, &v);
         assert_eq!(live.tree().node(title).text(), "New Title");
-        drop(out);
     }
 
     #[test]
@@ -3498,10 +3292,8 @@ mod tests {
         let v = Validator::new(&d);
         let mut live = LiveValidator::new(&v, valid_book());
         let entry = live.tree().ext("entry").next().unwrap();
-        let out = live
-            .set_attr(entry, "isbn", AttrValue::single("x1"))
-            .unwrap();
-        assert!(out.diff.is_empty(), "{:?}", out.diff);
+        let diff = edit(&mut live, set(entry, "isbn", AttrValue::single("x1")));
+        assert!(diff.is_empty(), "{diff:?}");
         assert_matches_scratch(&live, &v);
     }
 
@@ -3525,8 +3317,8 @@ mod tests {
         assert_matches_scratch(&live, &v);
 
         let before = live.report();
-        let out = live.set_attr(r, "to", AttrValue::set(["k"])).unwrap();
-        assert_diff_consistent(&before, &out.diff, &live.report());
+        let diff = edit(&mut live, set(r, "to", AttrValue::set(["k"])));
+        assert_diff_consistent(&before, &diff, &live.report());
         assert_matches_scratch(&live, &v);
     }
 
@@ -3539,12 +3331,18 @@ mod tests {
         // Dirty the state first: an insert, a delete, and a broken key, so
         // the export carries dead vertices and live violations.
         let book = live.tree().root();
-        live.insert_subtree(book, 1, &entry_fragment("x2")).unwrap();
+        edit(
+            &mut live,
+            BatchEdit::InsertSubtree {
+                parent: book,
+                position: 1,
+                fragment: entry_fragment("x2"),
+            },
+        );
         let section = live.tree().ext("section").next().unwrap();
-        live.delete_subtree(section).unwrap();
+        edit(&mut live, BatchEdit::DeleteSubtree { node: section });
         let entry = live.tree().ext("entry").next().unwrap();
-        live.set_attr(entry, "isbn", AttrValue::single("x9"))
-            .unwrap();
+        edit(&mut live, set(entry, "isbn", AttrValue::single("x9")));
         assert!(!live.report().is_valid());
 
         let warm = LiveValidator::from_state(&v, live.export_state()).unwrap();
@@ -3558,10 +3356,10 @@ mod tests {
         // The warm validator must also *edit* identically from here on.
         let mut warm = warm;
         let fix = live.tree().ext("entry").next().unwrap();
-        let a = live.set_attr(fix, "isbn", AttrValue::single("x1")).unwrap();
-        let b = warm.set_attr(fix, "isbn", AttrValue::single("x1")).unwrap();
-        assert_eq!(a.diff.raised, b.diff.raised);
-        assert_eq!(a.diff.cleared, b.diff.cleared);
+        let a = edit(&mut live, set(fix, "isbn", AttrValue::single("x1")));
+        let b = edit(&mut warm, set(fix, "isbn", AttrValue::single("x1")));
+        assert_eq!(a.raised, b.raised);
+        assert_eq!(a.cleared, b.cleared);
         assert_eq!(warm.report().violations, live.report().violations);
         assert_matches_scratch(&warm, &v);
     }
@@ -3625,7 +3423,7 @@ mod tests {
         let mut live = LiveValidator::new(&v, valid_book());
         let section = live.tree().ext("section").next().unwrap();
         let dead = section.index();
-        live.delete_subtree(section).unwrap();
+        edit(&mut live, BatchEdit::DeleteSubtree { node: section });
 
         let mut bad = live.export_state();
         let sym = Sym::from_index(0);

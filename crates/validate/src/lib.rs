@@ -66,9 +66,7 @@ mod stream;
 mod structure;
 
 pub use constraints::check_constraint;
-pub use incremental::{
-    BatchEdit, BatchError, EditOutcome, LiveState, LiveValidator, ReportDiff, StateError,
-};
+pub use incremental::{BatchEdit, BatchError, LiveState, LiveValidator, ReportDiff, StateError};
 pub use report::{Report, Violation};
 pub use structure::{MatcherKind, Options, Validator};
 

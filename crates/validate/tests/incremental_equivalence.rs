@@ -7,8 +7,9 @@
 //! The Σ/document universe is the one the stream-equivalence test uses
 //! (same 96-case budget); on top of it, a random sequence of typed edits
 //! (attribute set/remove, text replacement, subtree insert/delete) is
-//! played through a [`LiveValidator`] with a from-scratch
-//! [`Validator::validate`] cross-check after every single step.
+//! played through a [`LiveValidator`] as one-edit batches with a
+//! from-scratch [`Validator::validate`] cross-check after every single
+//! step, and in random batch cuts against the one-edit replay.
 
 use proptest::prelude::*;
 use xic_constraints::{Constraint, DtdC, DtdStructure, Field, Language};
@@ -212,70 +213,11 @@ fn edit_recipe() -> BoxedStrategy<EditRecipe> {
     .boxed()
 }
 
-/// Applies one recipe; `None` means the recipe was inapplicable (removing
-/// an absent attribute, editing text of a text-less vertex, deleting the
-/// root) and the step is skipped.
-fn apply_edit(live: &mut LiveValidator<'_, '_>, e: &EditRecipe) -> Option<ReportDiff> {
-    let ids: Vec<NodeId> = live.tree().node_ids().collect();
-    let pick = |sel: u8| ids[sel as usize % ids.len()];
-    match e {
-        EditRecipe::SetAttr(n, a, vs) => {
-            let node = pick(*n);
-            let value = AttrValue::set(vs.iter().map(|&v| val(v)));
-            Some(
-                live.set_attr(node, ATTRS[*a as usize], value)
-                    .expect("live vertex")
-                    .diff,
-            )
-        }
-        EditRecipe::RemoveAttr(n, a) => {
-            let node = pick(*n);
-            live.remove_attr(node, ATTRS[*a as usize])
-                .ok()
-                .map(|o| o.diff)
-        }
-        EditRecipe::SetText(n, i, v) => {
-            let node = pick(*n);
-            let texts = live
-                .tree()
-                .node(node)
-                .children
-                .iter()
-                .filter(|c| matches!(c, Child::Text(_)))
-                .count();
-            if texts == 0 {
-                return None;
-            }
-            Some(
-                live.set_text(node, *i as usize % texts, val(*v))
-                    .expect("text child exists")
-                    .diff,
-            )
-        }
-        EditRecipe::Delete(n) => {
-            let node = pick(*n);
-            if node == live.tree().root() {
-                return None;
-            }
-            Some(live.delete_subtree(node).expect("non-root vertex").diff)
-        }
-        EditRecipe::Insert(n, p, recipe) => {
-            let parent = pick(*n);
-            let len = live.tree().node(parent).children.len();
-            let pos = *p as usize % (len + 1);
-            Some(
-                live.insert_subtree(parent, pos, &build_fragment(recipe))
-                    .expect("position in range")
-                    .diff,
-            )
-        }
-    }
-}
-
 /// Resolves one recipe against the current tree into a concrete
-/// [`BatchEdit`], or `None` when inapplicable — the same applicability
-/// rules as [`apply_edit`], so a resolved request is guaranteed to stage
-/// cleanly when the tree is in the state it was resolved against.
+/// [`BatchEdit`], or `None` when the recipe is inapplicable there (removing
+/// an absent attribute, editing text of a text-less vertex, deleting the
+/// root) and the step is skipped. A resolved request is guaranteed to
+/// stage cleanly when the tree is in the state it was resolved against.
 fn resolve_edit(live: &LiveValidator<'_, '_>, e: &EditRecipe) -> Option<BatchEdit> {
     let ids: Vec<NodeId> = live.tree().node_ids().collect();
     let pick = |sel: u8| ids[sel as usize % ids.len()];
@@ -326,42 +268,25 @@ fn resolve_edit(live: &LiveValidator<'_, '_>, e: &EditRecipe) -> Option<BatchEdi
     }
 }
 
-/// Applies one already-resolved request through the per-edit API.
-fn apply_resolved(live: &mut LiveValidator<'_, '_>, b: &BatchEdit) {
-    match b {
-        BatchEdit::SetAttr { node, attr, value } => {
-            live.set_attr(*node, attr.clone(), value.clone())
-                .expect("resolved against this state");
-        }
-        BatchEdit::RemoveAttr { node, attr } => {
-            live.remove_attr(*node, attr.as_str())
-                .expect("resolved against this state");
-        }
-        BatchEdit::SetText { node, index, text } => {
-            live.set_text(*node, *index, text.clone())
-                .expect("resolved against this state");
-        }
-        BatchEdit::InsertSubtree {
-            parent,
-            position,
-            fragment,
-        } => {
-            live.insert_subtree(*parent, *position, fragment)
-                .expect("resolved against this state");
-        }
-        BatchEdit::DeleteSubtree { node } => {
-            live.delete_subtree(*node)
-                .expect("resolved against this state");
-        }
-    }
-}
-
 /// Violation multiset as Debug-string counts (zero entries pruned).
 fn counts(vs: &[Violation]) -> std::collections::BTreeMap<String, i64> {
     let mut m = std::collections::BTreeMap::new();
     for v in vs {
         *m.entry(format!("{v:?}")).or_insert(0) += 1;
     }
+    m
+}
+
+/// `before + raised − cleared` as a violation multiset.
+fn reconciled(before: &[Violation], diff: &ReportDiff) -> std::collections::BTreeMap<String, i64> {
+    let mut m = counts(before);
+    for r in &diff.raised {
+        *m.entry(format!("{r:?}")).or_insert(0) += 1;
+    }
+    for c in &diff.cleared {
+        *m.entry(format!("{c:?}")).or_insert(0) -= 1;
+    }
+    m.retain(|_, n| *n != 0);
     m
 }
 
@@ -385,8 +310,11 @@ proptest! {
                 "initial report diverged (strict={})", strict
             );
             for e in &edits {
+                let Some(b) = resolve_edit(&live, e) else { continue };
                 let before = live.report().violations;
-                let Some(diff) = apply_edit(&mut live, e) else { continue };
+                let diff = live
+                    .apply_batch(std::slice::from_ref(&b))
+                    .expect("resolved against this state");
                 let after = live.report().violations;
                 let scratch = v.validate(live.tree()).violations;
                 prop_assert_eq!(
@@ -394,16 +322,8 @@ proptest! {
                     "live report diverged (strict={}, edit={:?})", strict, e
                 );
                 // The diff must reconcile the two reports as multisets.
-                let mut m = counts(&before);
-                for r in &diff.raised {
-                    *m.entry(format!("{r:?}")).or_insert(0) += 1;
-                }
-                for c in &diff.cleared {
-                    *m.entry(format!("{c:?}")).or_insert(0) -= 1;
-                }
-                m.retain(|_, n| *n != 0);
                 prop_assert_eq!(
-                    &m, &counts(&after),
+                    &reconciled(&before, &diff), &counts(&after),
                     "diff does not reconcile (strict={}, edit={:?}, diff={:?})",
                     strict, e, diff
                 );
@@ -411,13 +331,12 @@ proptest! {
         }
     }
 
-    /// Batched propagation is report-equivalent to sequential: the same
+    /// Larger batches are report-equivalent to one-edit batches: the same
     /// random edit sequence (inserts, deletes, attribute retargets, text
-    /// rewrites) is played edit-by-edit through one validator and in
-    /// random batch cuts through [`LiveValidator::apply_batch`] on
-    /// another; at every batch boundary the reports must be
-    /// byte-identical, the batch diff must reconcile them, and at the end
-    /// both must match a from-scratch validation.
+    /// rewrites) is played as one-edit batches through one validator and
+    /// in random batch cuts on another; at every batch boundary the
+    /// reports must be byte-identical to each other and to a from-scratch
+    /// validation, and the batch diff must reconcile them.
     #[test]
     fn batched_report_is_byte_identical_at_every_batch_boundary(
         sigma in prop::collection::vec(constraint(), 0..8),
@@ -433,11 +352,12 @@ proptest! {
         let mut bat = LiveValidator::new(&v, tree);
         let mut pending: Vec<BatchEdit> = Vec::new();
         for (i, e) in edits.iter().enumerate() {
-            // Resolve against the sequential state (the batched tree is
+            // Resolve against the one-edit state (the batched tree is
             // identical up to value writes still pending, which cannot
             // change vertex ids, child positions or text-child counts).
             let Some(b) = resolve_edit(&seq, e) else { continue };
-            apply_resolved(&mut seq, &b);
+            seq.apply_batch(std::slice::from_ref(&b))
+                .expect("resolved against this state");
             pending.push(b);
             if !cuts[i] {
                 continue;
@@ -451,16 +371,12 @@ proptest! {
                 &after, &seq.report().violations,
                 "batched report diverged at boundary {} (edit={:?})", i, e
             );
-            let mut m = counts(&before);
-            for r in &diff.raised {
-                *m.entry(format!("{r:?}")).or_insert(0) += 1;
-            }
-            for c in &diff.cleared {
-                *m.entry(format!("{c:?}")).or_insert(0) -= 1;
-            }
-            m.retain(|_, n| *n != 0);
             prop_assert_eq!(
-                &m, &counts(&after),
+                &after, &v.validate(bat.tree()).violations,
+                "batched report diverged from scratch at boundary {} (edit={:?})", i, e
+            );
+            prop_assert_eq!(
+                &reconciled(&before, &diff), &counts(&after),
                 "batch diff does not reconcile at boundary {} (diff={:?})", i, diff
             );
         }
@@ -470,7 +386,7 @@ proptest! {
         prop_assert_eq!(
             &bat.report().violations,
             &seq.report().violations,
-            "final batched report diverged from sequential"
+            "final batched report diverged from one-edit batches"
         );
         prop_assert_eq!(
             &bat.report().violations,
@@ -480,62 +396,10 @@ proptest! {
     }
 }
 
-/// Applies one resolved request through the per-edit API, returning its
-/// diff.
-fn apply_resolved_diff(live: &mut LiveValidator<'_, '_>, b: &BatchEdit) -> ReportDiff {
-    let out = match b {
-        BatchEdit::SetAttr { node, attr, value } => {
-            live.set_attr(*node, attr.clone(), value.clone())
-        }
-        BatchEdit::RemoveAttr { node, attr } => live.remove_attr(*node, attr.as_str()),
-        BatchEdit::SetText { node, index, text } => live.set_text(*node, *index, text.clone()),
-        BatchEdit::InsertSubtree {
-            parent,
-            position,
-            fragment,
-        } => live.insert_subtree(*parent, *position, fragment),
-        BatchEdit::DeleteSubtree { node } => live.delete_subtree(*node),
-    };
-    out.expect("resolved against this state").diff
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
-
-    /// A one-edit batch is the per-edit call: same `raised` and `cleared`
-    /// vectors in the same order, and the same report afterwards.
-    #[test]
-    fn one_edit_batch_matches_the_per_edit_call(
-        sigma in prop::collection::vec(constraint(), 0..8),
-        nodes in prop::collection::vec(node_recipe(), 0..25),
-        edits in prop::collection::vec(edit_recipe(), 1..12),
-    ) {
-        let dtdc = DtdC::new_unchecked(test_structure(), Language::Lid, sigma);
-        for strict in [true, false] {
-            let opts = Options { strict_attributes: strict, threads: 1 };
-            let v = Validator::with_matcher(&dtdc, MatcherKind::Dfa, opts);
-            let tree = build_tree(&nodes);
-            let mut per = LiveValidator::new(&v, tree.clone());
-            let mut one = LiveValidator::new(&v, tree);
-            for e in &edits {
-                let Some(b) = resolve_edit(&per, e) else { continue };
-                let d1 = apply_resolved_diff(&mut per, &b);
-                let d2 = one.apply_batch(std::slice::from_ref(&b)).expect("applicable");
-                prop_assert_eq!(&d1.raised, &d2.raised, "raised differ (strict={}, edit={:?})", strict, b);
-                prop_assert_eq!(&d1.cleared, &d2.cleared, "cleared differ (strict={}, edit={:?})", strict, b);
-                prop_assert_eq!(
-                    &per.report().violations, &one.report().violations,
-                    "reports differ (strict={}, edit={:?})", strict, b
-                );
-            }
-        }
-    }
-}
-
 /// Deleting a keyed vertex and reinserting an equivalent one in the same
 /// batch: the delete retracts the old key occurrence and the insert
 /// announces the new vertex, all within one propagation pass — the report
-/// must match sequential application and a from-scratch validation, and
+/// must match one-edit batches and a from-scratch validation, and
 /// the reused key value must not be double-counted.
 #[test]
 fn delete_then_reinsert_in_one_batch_matches_sequential() {
@@ -583,13 +447,14 @@ fn delete_then_reinsert_in_one_batch_matches_sequential() {
         },
     ];
     for b in &batch {
-        apply_resolved(&mut seq, b);
+        seq.apply_batch(std::slice::from_ref(b))
+            .expect("resolved against this state");
     }
     let diff = bat.apply_batch(&batch).expect("batch applies");
     assert_eq!(
         bat.report().violations,
         seq.report().violations,
-        "batched delete+reinsert diverged from sequential"
+        "batched delete+reinsert diverged from one-edit batches"
     );
     assert_eq!(
         bat.report().violations,
