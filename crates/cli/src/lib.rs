@@ -34,9 +34,10 @@
 //!   is submitted as one [`LiveValidator::apply_batch`] call: repeated
 //!   writes to the same (vertex, attribute) or text slot coalesce
 //!   last-writer-wins and propagation runs once for the batch, so the
-//!   printed diff is the script's *net* effect. `--sequential` restores
-//!   one propagation per line with per-edit diffs; the final report is
-//!   identical either way.
+//!   printed diff is the script's *net* effect. `--sequential` submits
+//!   each line as its own one-edit batch and prints its diff; the final
+//!   report is identical either way. The script is parsed before
+//!   anything applies, so a malformed line rejects it whole.
 //! * `snapshot` / `recover` — durable live-validator state (`xic-storage`):
 //!   `snapshot` validates a document and persists its state as a versioned,
 //!   checksummed snapshot under `--state-dir`; `recover` warm-starts from
@@ -365,8 +366,9 @@ usage:
                batch (repeated writes to the same cell coalesce, one
                propagation pass), printing the net violations it raised (+)
                and cleared (-), then the final report. --sequential applies
-               line by line instead, printing each edit's own ± diff — same
-               final report, more propagation work. Script lines (# comments;
+               each line as its own one-edit batch, printing its ± diff —
+               same final report, more propagation work. A malformed line
+               rejects the whole script. Script lines (# comments;
                vertices are the node numbers `render --ids` prints):
                  set-attr NODE ATTR V[,V...]    remove-attr NODE ATTR
                  set-text NODE INDEX [TEXT]     delete NODE
@@ -416,7 +418,7 @@ usage:
                  POST   /shutdown          drain in-flight work and exit
                With --state-dir DIR the daemon is durable: every acknowledged
                edit batch is appended to a per-doc write-ahead log before it
-               propagates (--fsync always|never, default always), snapshots
+               is acknowledged (--fsync always|never, default always), snapshots
                are written on ingest, eviction, shutdown, on demand, and
                every --snapshot-every N batches; on boot every persisted doc
                is recovered (snapshot + WAL replay) and served warm.

@@ -51,7 +51,8 @@
 //! **Durability (`--state-dir DIR`).** Each document keeps
 //! `DIR/<id>/snapshot.bin` (a versioned, checksummed image of its live
 //! validator, published by atomic rename), `wal.log` (acknowledged edit
-//! batches, appended *before* they propagate, fsynced per `--fsync`), and
+//! batches, appended after they propagate and *before* the reply, fsynced
+//! per `--fsync`), and
 //! `dtd.txt` (the DTD in force, so internal-`<!DOCTYPE>` documents survive
 //! restarts). Snapshots are written on ingest, on eviction/shutdown (the
 //! shard's exit), on `POST /docs/{id}/snapshot`, and every
@@ -1422,7 +1423,6 @@ mod tests {
     use crate::http::HttpClient;
     use crate::tests::{tmp, unique_path};
 
-
     const BOOK_DTD: &str = "\
 <!ELEMENT book (entry, author*, section*, ref)>
 <!ELEMENT entry (title, publisher)>
@@ -2439,7 +2439,10 @@ ref.to <=s entry.isbn";
 
                     let (status, body) = http(addr, "POST", "/docs/m/edits", MALFORMED);
                     assert_eq!(status, 400, "{label}: {body}");
-                    assert!(body.contains("edits line 3: unknown edit"), "{label}: {body}");
+                    assert!(
+                        body.contains("edits line 3: unknown edit"),
+                        "{label}: {body}"
+                    );
                     let (_, report) = http(addr, "GET", "/docs/m/report", "");
                     assert_eq!(report, pristine, "{label}: malformed script applied");
                     if durable {
@@ -2448,7 +2451,10 @@ ref.to <=s entry.isbn";
 
                     let (status, body) = http(addr, "POST", "/docs/s/edits", STUCK);
                     assert_eq!(status, 400, "{label}: {body}");
-                    assert!(body.contains("edits line 2: unknown vertex"), "{label}: {body}");
+                    assert!(
+                        body.contains("edits line 2: unknown vertex"),
+                        "{label}: {body}"
+                    );
                     let (_, report) = http(addr, "GET", "/docs/s/report", "");
                     assert_eq!(report, prefix, "{label}: applied prefix lost");
                     if durable {
@@ -2494,7 +2500,10 @@ ref.to <=s entry.isbn";
             assert!(body.contains("edits line 2"), "{body}");
             assert_eq!(records(addr), start + 1);
             let (_, report) = http(addr, "GET", "/report", "");
-            assert!(report.contains("dangling"), "line 1 must stay applied: {report}");
+            assert!(
+                report.contains("dangling"),
+                "line 1 must stay applied: {report}"
+            );
             before = report;
             copy_tree(&state, &image);
         });
@@ -2535,7 +2544,11 @@ ref.to <=s entry.isbn";
                     let script = format!("set-attr 5 to {value}\n");
                     let (status, body) = http(addr, "POST", "/edits", &script);
                     assert_eq!(status, 200, "{body}");
-                    assert_eq!(since(addr), n, "a failed snapshot must not reset the counter");
+                    assert_eq!(
+                        since(addr),
+                        n,
+                        "a failed snapshot must not reset the counter"
+                    );
                 }
                 std::fs::remove_dir_all(&snap).unwrap();
                 let (status, body) = http(addr, "POST", "/edits", "set-attr 5 to x1\n");

@@ -69,7 +69,7 @@
 //! | `merge` | span | concatenating per-constraint violation lists in Σ order |
 //! | `par.constraint`, `par.chunk` | span | one parallel task at each fan-out grain |
 //! | `stream.apply`, `stream.recv_wait` | span | pipeline occupancy: consumer work vs. waiting on the lexer thread |
-//! | `edit`, `edit.set_attr`, … | span | one `LiveValidator` edit (total and per kind) |
+//! | `edit.batch` | span | one `LiveValidator::apply_batch` call (a single edit is a one-edit batch) |
 //! | `implication.query`, `chase` | span | one implication query / chase run |
 //! | `nodes`, `attrs`, `violations` | counter | document totals per run |
 //! | `xml.events`, `xml.entity_expansions` | counter | lexer/parser totals |

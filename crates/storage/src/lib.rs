@@ -11,7 +11,7 @@
 //!   snapshot.
 //! * **A write-ahead log** ([`Wal`]) — checksummed
 //!   [`BatchEdit`] records appended *before*
-//!   each batch is applied, each stamped with a monotonic sequence
+//!   each batch is acknowledged, each stamped with a monotonic sequence
 //!   number. On reopen the log replays intact records, truncates a torn
 //!   final record, and refuses (with a clean error) to deserialize
 //!   corruption.
