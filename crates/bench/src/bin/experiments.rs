@@ -1740,7 +1740,7 @@ fn e19_warm_start() {
         let mut live = LiveValidator::new(&v, tree);
         let orders: Vec<NodeId> = live.tree().ext("order").collect();
         let snap = dir.join(format!("snapshot-{n}.bin"));
-        write_snapshot(&snap, &live.export_state(), 0).expect("write snapshot");
+        write_snapshot(&snap, &live, 0).expect("write snapshot");
         let wal_path = dir.join(format!("wal-{n}.log"));
         let (mut wal, _) = Wal::open(&wal_path, FsyncPolicy::Never).unwrap();
         let mut r = rng(909);
@@ -1892,12 +1892,7 @@ fn e19_warm_start() {
         drop(crash_store.open_wal("d").unwrap()); // create the layout
         std::fs::copy(&wal_path, crash_store.wal_path("d").unwrap()).unwrap();
         let last_seq = batches.last().map(|&(s, _)| s).unwrap();
-        write_snapshot(
-            &crash_store.snapshot_path("d").unwrap(),
-            &live.export_state(),
-            last_seq,
-        )
-        .unwrap();
+        write_snapshot(&crash_store.snapshot_path("d").unwrap(), &live, last_seq).unwrap();
         let rec = crash_store.load("d").unwrap().expect("crash-window doc");
         assert!(
             rec.batches.is_empty(),

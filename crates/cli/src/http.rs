@@ -14,8 +14,8 @@
 //! the same way and parses the response status and body back out.
 
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::time::Duration;
+use std::net::{Shutdown, SocketAddr, TcpStream};
+use std::time::{Duration, Instant};
 
 /// One parsed HTTP request: the request line, the body (already read to
 /// its full `Content-Length`), and whether the client asked to keep the
@@ -174,6 +174,39 @@ pub fn write_response<W: Write>(
     w.flush()
 }
 
+/// How long [`linger_close`] waits for the client to finish sending.
+const LINGER_TIMEOUT: Duration = Duration::from_millis(250);
+
+/// How many unread request bytes [`linger_close`] drains at most.
+const LINGER_MAX_BYTES: usize = 1 << 20;
+
+/// Closes a connection the server answered before reading the whole
+/// request, without resetting it.
+///
+/// Closing a TCP socket that still holds unread input makes Linux send an
+/// RST, and an RST can destroy the response the client has not read yet.
+/// So: half-close the write side (the client sees the response, then
+/// EOF), read and discard what the client still sends until it closes,
+/// `LINGER_TIMEOUT` passes or 1 MiB is drained, and only then close.
+pub fn linger_close(stream: &TcpStream) {
+    if stream.shutdown(Shutdown::Write).is_err() {
+        return;
+    }
+    let deadline = Instant::now() + LINGER_TIMEOUT;
+    let mut buf = [0u8; 8192];
+    let mut drained = 0usize;
+    while drained < LINGER_MAX_BYTES {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            return;
+        }
+        match (&*stream).read(&mut buf) {
+            Ok(0) | Err(_) => return,
+            Ok(n) => drained += n,
+        }
+    }
+}
+
 /// A keep-alive HTTP/1.1 client connection: one TCP stream reused across
 /// any number of [`HttpClient::request`] calls, with responses parsed by
 /// their `Content-Length`. This is the client the serve tests and the
@@ -257,6 +290,7 @@ impl HttpClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::io::Cursor;
 
     fn parse(raw: &str, max: usize) -> Result<Request, HttpError> {
@@ -330,5 +364,49 @@ mod tests {
         write_response(&mut wire, "503 Busy", "text/plain", "", false).unwrap();
         let s = String::from_utf8(wire).unwrap();
         assert!(s.contains("Connection: close\r\n"), "{s}");
+    }
+
+    /// Fragments requests are made of, plus arbitrary bytes, so random
+    /// concatenations reach every branch of the parser.
+    fn request_piece() -> BoxedStrategy<Vec<u8>> {
+        prop_oneof![
+            prop_oneof![
+                Just("GET"),
+                Just("POST"),
+                Just(" "),
+                Just("/docs/a"),
+                Just("HTTP/1.1"),
+                Just("\r\n"),
+                Just("\n"),
+                Just("Content-Length:"),
+                Just("Connection: close"),
+                Just(":"),
+            ]
+            .prop_map(|s| s.as_bytes().to_vec()),
+            "[0-9]{1,25}".prop_map(String::into_bytes),
+            prop::collection::vec(any::<u8>(), 1..8),
+        ]
+        .boxed()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// Arbitrary bytes frame to a request or a typed error, never a
+        /// panic, and a framed body never exceeds the limit.
+        #[test]
+        fn read_request_never_panics_on_arbitrary_bytes(
+            pieces in prop::collection::vec(request_piece(), 0..24),
+            max_body in 0usize..64,
+        ) {
+            let bytes = pieces.concat();
+            match read_request(&mut Cursor::new(&bytes), max_body) {
+                Ok(r) => prop_assert!(r.body.len() <= max_body),
+                Err(HttpError::TooLarge { declared, limit }) => {
+                    prop_assert!(declared > limit);
+                }
+                Err(_) => {}
+            }
+        }
     }
 }

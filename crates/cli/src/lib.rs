@@ -532,8 +532,8 @@ fn split_tokens(line: &str, n: usize) -> Result<(Vec<&str>, &str), String> {
 fn parse_node(s: &str) -> Result<NodeId, String> {
     let digits = s.strip_prefix(['#', 'n']).unwrap_or(s);
     digits
-        .parse::<usize>()
-        .map(NodeId::from_index)
+        .parse::<u32>()
+        .map(|i| NodeId::from_index(i as usize))
         .map_err(|_| format!("bad node id {s:?} (expected a node number, e.g. 7 or #7)"))
 }
 
@@ -753,10 +753,9 @@ fn cmd_snapshot(o: &Opts, out: &mut String) -> Result<i32, String> {
     let validator =
         Validator::with_matcher(&dtdc, MatcherKind::Dfa, live_options(o)).with_obs(obs.clone());
     let live = LiveValidator::new(&validator, doc.tree);
-    let state = live.export_state();
     {
         let _span = obs.span("snapshot.write");
-        store.save(id, &state).map_err(|e| e.to_string())?;
+        store.save(id, &live).map_err(|e| e.to_string())?;
     }
     durable::write_meta(&store, id, dtdc.structure())?;
     let snap = store.snapshot_path(id).map_err(|e| e.to_string())?;
@@ -962,6 +961,7 @@ fn cmd_render(o: &Opts, out: &mut String) -> Result<i32, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::path::PathBuf;
 
     /// A path under the temp dir unique to this call (process id plus a
@@ -1770,5 +1770,60 @@ ref.to <=s entry.isbn";
         assert_eq!(m.span("edit.batch").count, 2, "{out}");
         assert_eq!(m.counter("edit.coalesced"), 2, "{out}");
         assert!(m.spans.contains_key("parse"), "{out}");
+    }
+
+    /// Argument fragments of edit-script lines, plus arbitrary text, so
+    /// random lines reach every branch of the line parser.
+    fn script_piece() -> BoxedStrategy<String> {
+        prop_oneof![
+            prop_oneof![
+                Just(" "),
+                Just("\t"),
+                Just("#"),
+                Just("n"),
+                Just(","),
+                Just("isbn"),
+                Just("<a/>"),
+                Just("<a>"),
+                Just("</a>"),
+                Just("&amp;"),
+                Just("&#xFFFFFFFF;"),
+            ]
+            .prop_map(str::to_string),
+            "[0-9]{1,25}",
+            prop::collection::vec(any::<u8>(), 1..8)
+                .prop_map(|b| String::from_utf8_lossy(&b).into_owned()),
+        ]
+        .boxed()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// Any line — usually a command word and then random arguments —
+        /// parses to an edit or an error message, never a panic.
+        #[test]
+        fn parse_script_edit_never_panics_on_arbitrary_lines(
+            cmd in prop::option::of(prop_oneof![
+                Just("set-attr "),
+                Just("remove-attr "),
+                Just("set-text "),
+                Just("delete "),
+                Just("insert "),
+            ]),
+            pieces in prop::collection::vec(script_piece(), 0..12),
+        ) {
+            let line = format!("{}{}", cmd.unwrap_or(""), pieces.concat());
+            let _ = parse_script_edit(&line);
+        }
+    }
+
+    #[test]
+    fn node_numbers_beyond_the_id_space_are_errors() {
+        for line in ["delete 4294967296", "delete #99999999999999999999"] {
+            let err = parse_script_edit(line).unwrap_err();
+            assert!(err.contains("bad node id"), "{err}");
+        }
+        assert!(parse_script_edit("delete 4294967295").is_ok());
     }
 }

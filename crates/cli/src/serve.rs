@@ -383,6 +383,7 @@ fn serve_loop(listener: TcpListener, o: &Opts) -> Result<(), String> {
                     "server busy: accept queue full, retry\n",
                     false,
                 );
+                http::linger_close(&s);
             }
             Err(TrySendError::Disconnected(_)) => break,
         }
@@ -442,6 +443,7 @@ fn serve_connection(store: &Store, item: WorkItem) {
                     &format!("error: {m}\n"),
                     false,
                 );
+                http::linger_close(&writer);
                 return;
             }
             Err(HttpError::TooLarge { declared, limit }) => {
@@ -452,6 +454,7 @@ fn serve_connection(store: &Store, item: WorkItem) {
                     &format!("error: body of {declared} bytes exceeds --max-body {limit}\n"),
                     false,
                 );
+                http::linger_close(&writer);
                 return;
             }
         };
@@ -1291,14 +1294,13 @@ fn snapshot_now(
     disk: &mut ShardDisk,
     obs: &Obs,
 ) -> Result<String, String> {
-    let state = live.export_state();
     let snap = disk
         .store
         .snapshot_path(&disk.id)
         .map_err(|e| e.to_string())?;
     {
         let _span = obs.span("snapshot.write");
-        write_snapshot(&snap, &state, disk.wal.last_seq()).map_err(|e| e.to_string())?;
+        write_snapshot(&snap, live, disk.wal.last_seq()).map_err(|e| e.to_string())?;
     }
     disk.wal.reset().map_err(|e| e.to_string())?;
     obs.add("snapshot.writes", 1);
@@ -1718,6 +1720,87 @@ ref.to <=s entry.isbn";
                     "expected the stalled client to hold the worker briefly"
                 );
                 drop(stalled);
+            },
+        );
+    }
+
+    /// A node number beyond the id space is the client's mistake: a 400,
+    /// and the document's shard keeps serving.
+    #[test]
+    fn out_of_range_node_numbers_are_client_errors() {
+        with_daemon(GOOD_DOC, &[], |addr| {
+            let (status, body) = http(addr, "POST", "/edits", "delete 4294967296\n");
+            assert_eq!(status, 400, "{body}");
+            assert!(body.contains("edits line 1: bad node id"), "{body}");
+            let (status, report) = http(addr, "GET", "/report", "");
+            assert_eq!(status, 200, "{report}");
+        });
+    }
+
+    /// Sends `request` on a fresh connection and reads the reply to EOF.
+    /// An `Err` here is what a client sees when the daemon resets the
+    /// connection instead of closing it.
+    fn send_raw(addr: SocketAddr, request: &[u8]) -> std::io::Result<String> {
+        use std::io::{Read, Write};
+        let mut s = TcpStream::connect(addr)?;
+        s.set_read_timeout(Some(Duration::from_secs(30)))?;
+        s.write_all(request)?;
+        let mut reply = Vec::new();
+        s.read_to_end(&mut reply)?;
+        Ok(String::from_utf8_lossy(&reply).into_owned())
+    }
+
+    /// A rejected client reads its whole framed reply and a clean EOF,
+    /// never a reset, even with request bytes the daemon never read.
+    #[test]
+    fn rejected_connections_close_without_a_reset() {
+        let body = "x".repeat(256 * 1024);
+        let post = format!(
+            "POST /edits HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        );
+        use std::io::{Read, Write};
+        with_daemon(
+            GOOD_DOC,
+            &["--queue", "1", "--http-threads", "1", "--max-body", "1024"],
+            |addr| {
+                // 413: the body is never read.
+                let reply = send_raw(addr, post.as_bytes()).expect("413 without a reset");
+                assert!(reply.starts_with("HTTP/1.1 413 "), "{reply}");
+                // 400: the headers after the bad request line are never read.
+                let garbage = format!("NOT HTTP\r\nX-Pad: {body}\r\n\r\n");
+                let reply = send_raw(addr, garbage.as_bytes()).expect("400 without a reset");
+                assert!(reply.starts_with("HTTP/1.1 400 "), "{reply}");
+
+                // Saturate: a keep-alive client holds the only worker, a
+                // second connection fills the one queue slot, and every
+                // later connection is shed with a 503 by the accept loop.
+                let mut holder = HttpClient::connect(addr, Duration::from_secs(30)).unwrap();
+                assert_eq!(holder.request("GET", "/report", "").unwrap().0, 200);
+                // Connected here, before any shed client: the listen
+                // backlog is FIFO, so the accept loop queues this one first.
+                let mut queued = TcpStream::connect(addr).unwrap();
+                queued
+                    .write_all(b"GET /report HTTP/1.1\r\nConnection: close\r\n\r\n")
+                    .unwrap();
+                let queued = std::thread::spawn(move || {
+                    let mut reply = String::new();
+                    queued.read_to_string(&mut reply).map(|_| reply)
+                });
+                let shed: Vec<_> = (0..8)
+                    .map(|_| {
+                        let post = post.clone();
+                        std::thread::spawn(move || send_raw(addr, post.as_bytes()))
+                    })
+                    .collect();
+                for client in shed {
+                    let reply = client.join().unwrap().expect("503 without a reset");
+                    assert!(reply.starts_with("HTTP/1.1 503 "), "{reply}");
+                    assert!(reply.ends_with("accept queue full, retry\n"), "{reply}");
+                }
+                drop(holder);
+                let reply = queued.join().unwrap().expect("queued request served");
+                assert!(reply.starts_with("HTTP/1.1 200 "), "{reply}");
             },
         );
     }

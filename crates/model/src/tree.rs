@@ -178,7 +178,7 @@ impl Node {
     }
 
     /// Iterates over `(name, value)` attribute pairs in name order.
-    pub fn attrs(&self) -> impl Iterator<Item = (&Name, &AttrValue)> {
+    pub fn attrs(&self) -> impl ExactSizeIterator<Item = (&Name, &AttrValue)> {
         self.attrs.iter().map(|(n, v)| (n, v))
     }
 
@@ -805,26 +805,6 @@ pub struct RawNode {
 }
 
 impl DataTree {
-    /// Disassembles the tree into per-slot vertex descriptions, the root
-    /// id, and tombstone flags — the encode path for persisted trees, and
-    /// the exact inverse of [`DataTree::from_raw_parts`]: feeding the
-    /// parts back reproduces a tree equal slot-for-slot (tombstones
-    /// included, so node ids stay stable across a round trip).
-    pub fn raw_parts(&self) -> (Vec<RawNode>, NodeId, Vec<bool>) {
-        let nodes = (0..self.id_bound())
-            .map(|i| {
-                let node = &self.nodes[i];
-                RawNode {
-                    label: node.label.clone(),
-                    children: node.children.clone(),
-                    attrs: node.attrs().map(|(n, v)| (n.clone(), v.clone())).collect(),
-                    parent: node.parent(),
-                }
-            })
-            .collect();
-        (nodes, self.root, self.dead.clone())
-    }
-
     /// Reassembles a tree from per-slot vertex descriptions, the root id,
     /// and tombstone flags (`dead` may be empty when no vertex is
     /// tombstoned; otherwise it must cover every slot).
@@ -1468,9 +1448,29 @@ mod tests {
         );
     }
 
-    /// Captures a tree's complete raw state.
+    /// Captures a tree's complete raw state through its public accessors,
+    /// the way a serializer does: one description per slot (tombstones
+    /// included) and tombstone flags, empty when no vertex is dead.
     fn raw_parts_of(t: &DataTree) -> (Vec<RawNode>, NodeId, Vec<bool>) {
-        t.raw_parts()
+        let ids = (0..t.id_bound()).map(NodeId::from_index);
+        let nodes = ids
+            .clone()
+            .map(|id| {
+                let node = t.node(id);
+                RawNode {
+                    label: node.label.clone(),
+                    children: node.children.clone(),
+                    attrs: node.attrs().map(|(n, v)| (n.clone(), v.clone())).collect(),
+                    parent: node.parent(),
+                }
+            })
+            .collect();
+        let dead = if t.len() < t.id_bound() {
+            ids.map(|id| !t.is_alive(id)).collect()
+        } else {
+            Vec::new()
+        };
+        (nodes, t.root(), dead)
     }
 
     #[test]

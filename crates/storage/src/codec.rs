@@ -8,7 +8,7 @@
 
 use xic_constraints::Field;
 use xic_model::{AttrValue, Child, DataTree, Name, NodeId, RawNode, Sym};
-use xic_validate::{BatchEdit, LiveState, Violation};
+use xic_validate::{BatchEdit, LiveStateRef, Violation};
 
 use crate::StorageError;
 
@@ -189,38 +189,43 @@ fn dec_attr_value(d: &mut Dec<'_>) -> Result<AttrValue, StorageError> {
 // ---------------------------------------------------------------------------
 // Trees.
 
+/// Encodes every arena slot of `t`, tombstones included, so node ids stay
+/// stable across a round trip. The tree is read in place through its
+/// public accessors; [`dec_tree`] rebuilds it with
+/// [`DataTree::from_raw_parts`].
 pub(crate) fn enc_tree(e: &mut Enc, t: &DataTree) {
-    let (nodes, root, dead) = t.raw_parts();
-    e.len(nodes.len());
-    e.u32(root.index() as u32);
-    e.u8(if dead.is_empty() { 0 } else { 1 });
-    if !dead.is_empty() {
-        let mut bits = vec![0u8; nodes.len().div_ceil(8)];
-        for (i, &flag) in dead.iter().enumerate() {
-            if flag {
-                bits[i / 8] |= 1 << (i % 8);
-            }
+    let slots = t.id_bound();
+    e.len(slots);
+    e.u32(t.root().index() as u32);
+    // A tree with no tombstone stores no flag bitmap.
+    let has_dead = t.len() < slots;
+    e.u8(u8::from(has_dead));
+    if has_dead {
+        let start = e.buf.len();
+        e.buf.resize(start + slots.div_ceil(8), 0);
+        for i in (0..slots).filter(|&i| !t.is_alive(NodeId::from_index(i))) {
+            e.buf[start + i / 8] |= 1 << (i % 8);
         }
-        e.buf.extend_from_slice(&bits);
     }
-    for node in &nodes {
+    for i in 0..slots {
+        let node = t.node(NodeId::from_index(i));
         e.str(&node.label);
-        enc_opt_u32(e, node.parent.map(|p| p.index() as u32));
+        enc_opt_u32(e, node.parent().map(|p| p.index() as u32));
         e.len(node.children.len());
         for c in &node.children {
             match c {
-                Child::Text(t) => {
+                Child::Text(text) => {
                     e.u8(0);
-                    e.str(t);
+                    e.str(text);
                 }
-                Child::Node(n) => {
+                Child::Node(child) => {
                     e.u8(1);
-                    enc_node_id(e, *n);
+                    enc_node_id(e, *child);
                 }
             }
         }
-        e.len(node.attrs.len());
-        for (name, val) in &node.attrs {
+        e.len(node.attrs().len());
+        for (name, val) in node.attrs() {
             e.str(name);
             enc_attr_value(e, val);
         }
@@ -502,13 +507,13 @@ pub(crate) fn dec_interner(d: &mut Dec<'_>) -> Result<InternerParts, StorageErro
     Ok((arena, spans))
 }
 
-pub(crate) fn enc_columns(e: &mut Enc, state: &LiveState) {
+pub(crate) fn enc_columns(e: &mut Enc, state: &LiveStateRef<'_>) {
     e.len(state.singles.len());
     for ((tau, field), vals) in &state.singles {
         e.str(tau);
         enc_field(e, field);
         e.len(vals.len());
-        for cell in vals {
+        for cell in *vals {
             enc_opt_u32(e, cell.map(|s| s.index() as u32));
         }
     }
@@ -517,7 +522,7 @@ pub(crate) fn enc_columns(e: &mut Enc, state: &LiveState) {
         e.str(tau);
         e.str(attr);
         e.len(rows.len());
-        for row in rows {
+        for row in *rows {
             e.len(row.len());
             for &m in row {
                 enc_sym(e, m);
@@ -562,10 +567,10 @@ pub(crate) fn dec_columns(d: &mut Dec<'_>) -> Result<(Singles, Sets), StorageErr
     Ok((singles, sets))
 }
 
-pub(crate) fn enc_struct_viols(e: &mut Enc, entries: &[(u32, Vec<Violation>)]) {
+pub(crate) fn enc_struct_viols(e: &mut Enc, entries: &[(u32, &[Violation])]) {
     e.len(entries.len());
-    for (x, viols) in entries {
-        e.u32(*x);
+    for &(x, viols) in entries {
+        e.u32(x);
         e.len(viols.len());
         for v in viols {
             enc_violation(e, v);

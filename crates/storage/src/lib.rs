@@ -8,7 +8,8 @@
 //!   planned constraint column, and the structural violation table. Each
 //!   section is length-prefixed and CRC-32-checksummed; files are
 //!   published by atomic rename, so a reader never observes a torn
-//!   snapshot.
+//!   snapshot. Writers take a borrowed [`xic_validate::LiveStateRef`], so
+//!   a `&LiveValidator` is encoded in place, without copying its state.
 //! * **A write-ahead log** ([`Wal`]) — checksummed
 //!   [`BatchEdit`] records appended *before*
 //!   each batch is acknowledged, each stamped with a monotonic sequence
@@ -44,7 +45,7 @@ mod wal;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use xic_validate::{BatchEdit, LiveState};
+use xic_validate::{BatchEdit, LiveState, LiveStateRef};
 
 pub use crc::crc32;
 pub use snapshot::{
@@ -236,16 +237,20 @@ impl DocStore {
         Ok(ids)
     }
 
-    /// Snapshots `state` for `id` and empties its WAL (the snapshot
-    /// subsumes every logged batch). Creates the subdirectory on first
-    /// save.
+    /// Snapshots `state` (a `&LiveValidator` or a `&LiveState`) for `id`
+    /// and empties its WAL (the snapshot subsumes every logged batch).
+    /// Creates the subdirectory on first save.
     ///
     /// Crash-safe ordering: the snapshot is stamped with the WAL's last
     /// sequence number and published (atomic rename) *before* the log is
     /// emptied, so a crash between the two steps leaves stale records that
     /// [`DocStore::load`] skips by sequence — never replays onto state
     /// that already contains them.
-    pub fn save(&self, id: &str, state: &LiveState) -> Result<(), StorageError> {
+    pub fn save<'a>(
+        &self,
+        id: &str,
+        state: impl Into<LiveStateRef<'a>>,
+    ) -> Result<(), StorageError> {
         let dir = self.doc_dir(id)?;
         fs::create_dir_all(&dir).map_err(io_err(format!("create {}", dir.display())))?;
         let wal_path = dir.join(WAL_FILE);

@@ -28,7 +28,7 @@ use std::fs::{self, File};
 use std::io::Write;
 use std::path::Path;
 
-use xic_validate::LiveState;
+use xic_validate::{LiveState, LiveStateRef};
 
 use crate::codec::{
     dec_columns, dec_interner, dec_struct_viols, dec_tree, enc_columns, enc_interner,
@@ -51,39 +51,41 @@ const SEC_META: u32 = 5;
 /// Serializes `state` into the snapshot byte format. `last_seq` is the WAL
 /// sequence number of the last batch already applied to `state` (zero when
 /// no log exists yet): recovery replays only records above it.
-pub fn encode_snapshot(state: &LiveState, last_seq: u64) -> Vec<u8> {
+///
+/// `state` is anything that views as a [`LiveStateRef`]: a
+/// `&LiveValidator` is encoded in place, with no intermediate copy of the
+/// document, and a `&LiveState` encodes to the same bytes.
+pub fn encode_snapshot<'a>(state: impl Into<LiveStateRef<'a>>, last_seq: u64) -> Vec<u8> {
+    let state = state.into();
     let mut out = Enc::default();
     out.buf.extend_from_slice(&SNAPSHOT_MAGIC);
     out.u32(SNAPSHOT_VERSION);
-
-    let section = |out: &mut Enc, tag: u32, payload: Enc| {
-        out.u32(tag);
-        out.u64(payload.buf.len() as u64);
-        out.u32(crc32(&payload.buf));
-        out.buf.extend_from_slice(&payload.buf);
-    };
-
-    let mut meta = Enc::default();
-    meta.u64(last_seq);
-    section(&mut out, SEC_META, meta);
-
-    let mut tree = Enc::default();
-    enc_tree(&mut tree, &state.tree);
-    section(&mut out, SEC_TREE, tree);
-
-    let mut interner = Enc::default();
-    enc_interner(&mut interner, &state.interner_arena, &state.interner_spans);
-    section(&mut out, SEC_INTERNER, interner);
-
-    let mut columns = Enc::default();
-    enc_columns(&mut columns, state);
-    section(&mut out, SEC_COLUMNS, columns);
-
-    let mut sv = Enc::default();
-    enc_struct_viols(&mut sv, &state.struct_viols);
-    section(&mut out, SEC_STRUCT, sv);
-
+    section(&mut out, SEC_META, |e| e.u64(last_seq));
+    section(&mut out, SEC_TREE, |e| enc_tree(e, state.tree));
+    section(&mut out, SEC_INTERNER, |e| {
+        enc_interner(e, state.interner_arena, state.interner_spans)
+    });
+    section(&mut out, SEC_COLUMNS, |e| enc_columns(e, &state));
+    section(&mut out, SEC_STRUCT, |e| {
+        enc_struct_viols(e, &state.struct_viols)
+    });
     out.buf
+}
+
+/// Appends one section to `out` without staging its payload: reserves the
+/// header, lets `payload` encode straight into `out`, then patches the
+/// header's length and CRC over the bytes just written.
+fn section(out: &mut Enc, tag: u32, payload: impl FnOnce(&mut Enc)) {
+    out.u32(tag);
+    let header = out.buf.len();
+    out.u64(0);
+    out.u32(0);
+    let start = out.buf.len();
+    payload(out);
+    let len = (out.buf.len() - start) as u64;
+    let crc = crc32(&out.buf[start..]);
+    out.buf[header..header + 8].copy_from_slice(&len.to_le_bytes());
+    out.buf[header + 8..start].copy_from_slice(&crc.to_le_bytes());
 }
 
 /// Deserializes a snapshot produced by [`encode_snapshot`], returning the
@@ -172,7 +174,11 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<(LiveState, u64), StorageError> {
 /// sibling, fsync it, rename over `path`, fsync the directory. A crash at
 /// any point leaves either the old snapshot or the new one — never a torn
 /// file.
-pub fn write_snapshot(path: &Path, state: &LiveState, last_seq: u64) -> Result<(), StorageError> {
+pub fn write_snapshot<'a>(
+    path: &Path,
+    state: impl Into<LiveStateRef<'a>>,
+    last_seq: u64,
+) -> Result<(), StorageError> {
     let bytes = encode_snapshot(state, last_seq);
     let tmp = path.with_extension("tmp");
     let io = |context: &str| {

@@ -13,7 +13,7 @@ use xic_storage::{
     crc32, decode_snapshot, encode_snapshot, write_snapshot, DocStore, FsyncPolicy, StorageError,
     Wal, WAL_MAGIC, WAL_VERSION,
 };
-use xic_validate::{BatchEdit, LiveValidator, MatcherKind, Options, Validator};
+use xic_validate::{BatchEdit, LiveValidator, MatcherKind, Options, Validator, Violation};
 
 /// Three element types with an ID attribute, single attributes, set-valued
 /// attributes, and sub-element labels — every column shape the plan can
@@ -229,7 +229,7 @@ proptest! {
                 live.apply_batch(&[b]).unwrap();
             }
         }
-        store.save("doc", &live.export_state()).unwrap();
+        store.save("doc", &live).unwrap();
         let mut wal = store.open_wal("doc").unwrap();
         for e in &edits[cut..] {
             if let Some(b) = resolve_edit(&live, e) {
@@ -259,6 +259,40 @@ proptest! {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Encoding a live validator in place writes the same bytes as
+    /// encoding its exported copy, under any Σ and after any edit batches
+    /// (tombstones, inserted slots, set columns, structural violations),
+    /// and decoding then re-encoding reproduces them too.
+    #[test]
+    fn live_and_exported_snapshots_are_byte_identical(
+        sigma_mask in any::<u8>(),
+        nodes in prop::collection::vec(node_recipe(), 0..12),
+        batches in prop::collection::vec(prop::collection::vec(edit_recipe(), 1..4), 0..5),
+        last_seq in any::<u64>(),
+    ) {
+        let sigma = test_sigma()
+            .into_iter()
+            .enumerate()
+            .filter(|(i, _)| sigma_mask & (1 << i) != 0)
+            .map(|(_, c)| c)
+            .collect();
+        let dtdc = DtdC::new_unchecked(test_structure(), Language::Lid, sigma);
+        let v = validator(&dtdc);
+        let mut live = LiveValidator::new(&v, build_tree(&nodes));
+        for recipes in &batches {
+            let batch: Vec<BatchEdit> =
+                recipes.iter().filter_map(|e| resolve_edit(&live, e)).collect();
+            // A batch whose later edit no longer applies keeps its prefix;
+            // either way the state is a reachable one to snapshot.
+            let _ = live.apply_batch(&batch);
+        }
+        let bytes = encode_snapshot(&live, last_seq);
+        prop_assert!(bytes == encode_snapshot(&live.export_state(), last_seq));
+        let (state, seq) = decode_snapshot(&bytes).unwrap();
+        prop_assert_eq!(seq, last_seq);
+        prop_assert!(bytes == encode_snapshot(&state, last_seq));
+    }
+
     /// Any truncation of a snapshot decodes to a clean error, never a
     /// panic or a silently wrong state.
     #[test]
@@ -269,7 +303,7 @@ proptest! {
         let dtdc = DtdC::new_unchecked(test_structure(), Language::Lid, test_sigma());
         let v = validator(&dtdc);
         let live = LiveValidator::new(&v, build_tree(&nodes));
-        let bytes = encode_snapshot(&live.export_state(), 0);
+        let bytes = encode_snapshot(&live, 0);
         let cut = (bytes.len() as u64 * frac as u64 / 1000) as usize;
         prop_assert!(
             decode_snapshot(&bytes[..cut]).is_err(),
@@ -287,7 +321,7 @@ proptest! {
         let dtdc = DtdC::new_unchecked(test_structure(), Language::Lid, test_sigma());
         let v = validator(&dtdc);
         let live = LiveValidator::new(&v, build_tree(&nodes));
-        let mut bytes = encode_snapshot(&live.export_state(), 0);
+        let mut bytes = encode_snapshot(&live, 0);
         let at = pos as usize % bytes.len();
         bytes[at] ^= 1 << bit;
         prop_assert!(
@@ -417,7 +451,7 @@ fn crash_between_wal_append_and_propagation_recovers() {
 
     let dir = tempdir("crash");
     let store = DocStore::open(&dir, FsyncPolicy::Always).unwrap();
-    store.save("doc", &live.export_state()).unwrap();
+    store.save("doc", &live).unwrap();
     let mut wal = store.open_wal("doc").unwrap();
 
     // The daemon acknowledges this batch: WAL first, then propagation —
@@ -464,14 +498,11 @@ fn doc_store_lifecycle() {
     assert!(store.doc_ids().unwrap().is_empty());
     assert!(store.load("absent").unwrap().is_none());
     for bad in ["", ".", "..", "a/b", "a\\b", "a b", "..evil/../x"] {
-        assert!(
-            store.save(bad, &live.export_state()).is_err(),
-            "id '{bad}' accepted"
-        );
+        assert!(store.save(bad, &live).is_err(), "id '{bad}' accepted");
     }
 
-    store.save("doc-1", &live.export_state()).unwrap();
-    store.save("doc.2", &live.export_state()).unwrap();
+    store.save("doc-1", &live).unwrap();
+    store.save("doc.2", &live).unwrap();
     assert_eq!(store.doc_ids().unwrap(), vec!["doc-1", "doc.2"]);
 
     // Log two batches, then save: the snapshot subsumes them.
@@ -480,7 +511,7 @@ fn doc_store_lifecycle() {
     wal.append(&[]).unwrap();
     assert_eq!(wal.records(), 2);
     drop(wal);
-    store.save("doc-1", &live.export_state()).unwrap();
+    store.save("doc-1", &live).unwrap();
     let rec = store.load("doc-1").unwrap().unwrap();
     assert!(rec.batches.is_empty(), "save did not reset the WAL");
     assert!(rec.wal.is_empty());
@@ -506,7 +537,7 @@ fn crash_between_snapshot_publication_and_wal_reset_skips_stale_records() {
 
     let dir = tempdir("stale-wal");
     let store = DocStore::open(&dir, FsyncPolicy::Always).unwrap();
-    store.save("doc", &live.export_state()).unwrap();
+    store.save("doc", &live).unwrap();
     let mut wal = store.open_wal("doc").unwrap();
 
     // Acknowledge an insert (replaying it twice would duplicate the
@@ -521,12 +552,7 @@ fn crash_between_snapshot_publication_and_wal_reset_skips_stale_records() {
     live.apply_batch(&batch).unwrap();
 
     // The snapshot lands (atomic rename), the reset never does.
-    write_snapshot(
-        &store.snapshot_path("doc").unwrap(),
-        &live.export_state(),
-        wal.last_seq(),
-    )
-    .unwrap();
+    write_snapshot(&store.snapshot_path("doc").unwrap(), &live, wal.last_seq()).unwrap();
     drop(wal); // crash
 
     let rec = store.load("doc").unwrap().unwrap();
@@ -616,4 +642,123 @@ fn non_increasing_wal_sequences_are_corruption() {
     assert_eq!(wal.last_seq(), 7);
     assert_eq!(wal.append(&[]).unwrap(), 8);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The fixed document of the snapshot format pin: single and set-valued
+/// columns, a structural violation (a `t1` nested in a `t0`), and — after the
+/// returned batch is applied — a tombstone.
+fn pinned_tree() -> (DataTree, NodeId) {
+    let mut b = TreeBuilder::new();
+    let db = b.node("db");
+    let t0 = b.child_node(db, "t0").unwrap();
+    b.attr(t0, "id", AttrValue::single("v1")).unwrap();
+    b.attr(t0, "a1", AttrValue::single("v2")).unwrap();
+    b.attr(t0, "r0", AttrValue::set(["v4"])).unwrap();
+    b.leaf(t0, "e0", "v0").unwrap();
+    let nested = b.child_node(t0, "t1").unwrap();
+    b.attr(nested, "a0", AttrValue::single("v2")).unwrap();
+    let t1 = b.child_node(db, "t1").unwrap();
+    b.attr(t1, "a0", AttrValue::single("v9")).unwrap();
+    b.attr(t1, "r0", AttrValue::set(["v1"])).unwrap();
+    b.leaf(t1, "e1", "v3").unwrap();
+    let t2 = b.child_node(db, "t2").unwrap();
+    b.attr(t2, "a1", AttrValue::single("v1")).unwrap();
+    b.attr(t2, "r1", AttrValue::set(["v3", "v5"])).unwrap();
+    let doomed = b.child_node(db, "t2").unwrap();
+    b.attr(doomed, "r1", AttrValue::set(["v6"])).unwrap();
+    b.leaf(doomed, "e1", "v7").unwrap();
+    (b.finish(db).unwrap(), doomed)
+}
+
+/// [`pinned_tree`]'s format-v2 snapshot at WAL sequence 7. Any change to
+/// these bytes is a format change: it needs a new `SNAPSHOT_VERSION`, and
+/// files written in the old format must still load.
+const PINNED_SNAPSHOT_HEX: &str = concat!(
+    "584943530200000005000000080000000000000070d6e76f0700000000000000",
+    "0100000067020000000000009162217d09000000000000000000000001800102",
+    "0000000000000064620000000003000000000000000101000000010400000001",
+    "0600000000000000000000000200000000000000743001000000020000000000",
+    "0000010200000001030000000300000000000000020000000000000061310100",
+    "0000000000000200000000000000763202000000000000006964010000000000",
+    "0000020000000000000076310200000000000000723001000000000000000200",
+    "0000000000007634020000000000000065300200000001000000000000000002",
+    "0000000000000076300000000000000000020000000000000074310200000000",
+    "0000000000000001000000000000000200000000000000613001000000000000",
+    "0002000000000000007632020000000000000074310100000001000000000000",
+    "0001050000000200000000000000020000000000000061300100000000000000",
+    "0200000000000000763902000000000000007230010000000000000002000000",
+    "0000000076310200000000000000653105000000010000000000000000020000",
+    "0000000000763300000000000000000200000000000000743201000000000000",
+    "0000000000020000000000000002000000000000006131010000000000000002",
+    "0000000000000076310200000000000000723102000000000000000200000000",
+    "0000007633020000000000000076350200000000000000743200000000010000",
+    "0000000000010800000001000000000000000200000000000000723101000000",
+    "0000000002000000000000007636020000000000000065310800000001000000",
+    "0000000000020000000000000076370000000000000000020000006000000000",
+    "000000791c253210000000000000007632763176307639763376347635763608",
+    "0000000000000000000000020000000200000002000000040000000200000006",
+    "0000000200000008000000020000000a000000020000000c000000020000000e",
+    "00000002000000030000005403000000000000d9c9124c080000000000000002",
+    "0000000000000074300002000000000000006131090000000000000000000000",
+    "0100000000000000000000000000000000000000000000000000000000000000",
+    "0200000000000000743000020000000000000069640900000000000000000000",
+    "0002000000000000000000000000000000000000000000000000000000000000",
+    "0002000000000000007430010200000000000000653009000000000000000000",
+    "0000030000000000000000000000000000000000000000000000000000000000",
+    "0000020000000000000074310002000000000000006130090000000000000000",
+    "0000000000000000000000010000000400000000000000000000000000000000",
+    "0000000200000000000000743100020000000000000069640900000000000000",
+    "0000000000000000000000000000000000000000000000000000000000000000",
+    "0000000002000000000000007431010200000000000000653109000000000000",
+    "0000000000000000000000000000000000050000000000000000000000000000",
+    "0000000000020000000000000074320002000000000000006131090000000000",
+    "0000000000000000000000000000000000000000000000000000020000000000",
+    "0000000000000200000000000000743200020000000000000069640900000000",
+    "0000000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000003000000000000000200000000000000743002000000000000",
+    "0072300900000000000000000000000000000001000000000000000500000000",
+    "0000000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000000000000000000000000000000000000020000000000000074",
+    "3102000000000000007230090000000000000000000000000000000000000000",
+    "0000000000000000000000000000000000000001000000000000000100000000",
+    "0000000000000000000000000000000000000000000000000000000000000002",
+    "0000000000000074320200000000000000723109000000000000000000000000",
+    "0000000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000000000000020000000000000004000000060000000000000000",
+    "00000000000000000000000400000047000000000000006b07ae5d0100000000",
+    "0000000100000001000000000000000201000000020000000000000074300e00",
+    "000000000000286530202b206531202b2053292a060000000000000065302c20",
+    "7431",
+);
+
+/// The snapshot format is pinned: a live validator's state encodes to the
+/// exact bytes of [`PINNED_SNAPSHOT_HEX`], whether it is written straight
+/// from the validator or from an exported copy.
+#[test]
+fn snapshot_bytes_match_the_pinned_format() {
+    let dtdc = DtdC::new_unchecked(test_structure(), Language::Lid, test_sigma());
+    let v = validator(&dtdc);
+    let (tree, doomed) = pinned_tree();
+    let mut live = LiveValidator::new(&v, tree);
+    live.apply_batch(&[BatchEdit::DeleteSubtree { node: doomed }])
+        .unwrap();
+    assert!(!live.tree().is_alive(doomed));
+    assert!(
+        live.report()
+            .violations
+            .iter()
+            .any(|x| matches!(x, Violation::ContentModel { .. })),
+        "the fixture carries a structural violation"
+    );
+    let hex = |bytes: &[u8]| -> String { bytes.iter().map(|b| format!("{b:02x}")).collect() };
+    let bytes = encode_snapshot(&live, 7);
+    assert_eq!(hex(&bytes), PINNED_SNAPSHOT_HEX);
+    assert_eq!(
+        hex(&encode_snapshot(&live.export_state(), 7)),
+        PINNED_SNAPSHOT_HEX
+    );
+    let (state, last_seq) = decode_snapshot(&bytes).unwrap();
+    assert_eq!(last_seq, 7);
+    let warm = LiveValidator::from_state(&v, state).unwrap();
+    assert_eq!(warm.report().to_string(), live.report().to_string());
 }

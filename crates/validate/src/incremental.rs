@@ -2032,6 +2032,14 @@ pub type SingleColumnState = ((Name, Field), Vec<Option<Sym>>);
 /// attribute)` key plus the column's dense per-vertex member vectors.
 pub type SetColumnState = ((Name, Name), Vec<Vec<Sym>>);
 
+/// One single-valued column of a [`LiveStateRef`]: a borrowed
+/// [`SingleColumnState`].
+pub type SingleColumnRef<'a> = (&'a (Name, Field), &'a [Option<Sym>]);
+
+/// One set-valued column of a [`LiveStateRef`]: a borrowed
+/// [`SetColumnState`].
+pub type SetColumnRef<'a> = (&'a (Name, Name), &'a [Vec<Sym>]);
+
 /// A serialisable snapshot of a [`LiveValidator`]'s owned state.
 ///
 /// The state captures exactly what a warm start cannot cheaply recompute:
@@ -2044,7 +2052,8 @@ pub type SetColumnState = ((Name, Name), Vec<Vec<Sym>>);
 /// byte-identical to scratch validation of the same tree.
 ///
 /// Fields are public so an external codec (the `xic-storage` crate) can
-/// encode the state without this crate taking on any I/O concerns.
+/// build the state it decodes without this crate taking on any I/O
+/// concerns; encoders read the borrowed [`LiveStateRef`] instead.
 #[derive(Clone, Debug)]
 pub struct LiveState {
     /// The document.
@@ -2061,6 +2070,94 @@ pub struct LiveState {
     pub sets: Vec<SetColumnState>,
     /// Vertex ↦ its structural violations, ascending by vertex.
     pub struct_viols: Vec<(u32, Vec<Violation>)>,
+}
+
+impl LiveState {
+    /// Borrows the state as a [`LiveStateRef`], the shape snapshot
+    /// encoders read.
+    pub fn view(&self) -> LiveStateRef<'_> {
+        LiveStateRef {
+            tree: &self.tree,
+            interner_arena: &self.interner_arena,
+            interner_spans: &self.interner_spans,
+            singles: self
+                .singles
+                .iter()
+                .map(|(k, v)| (k, v.as_slice()))
+                .collect(),
+            sets: self.sets.iter().map(|(k, v)| (k, v.as_slice())).collect(),
+            struct_viols: self
+                .struct_viols
+                .iter()
+                .map(|(x, vs)| (*x, vs.as_slice()))
+                .collect(),
+        }
+    }
+}
+
+/// A borrowed view of the state a [`LiveState`] owns: the same fields in
+/// the same order, each a reference into a [`LiveValidator`] or a
+/// [`LiveState`].
+///
+/// This is what gets persisted. A snapshot encoder reads the view, so it
+/// can write a live validator's state without first copying the document
+/// and its columns into a [`LiveState`]; [`LiveStateRef::into_owned`] is
+/// that copy, for callers that do need one
+/// ([`LiveValidator::export_state`]).
+#[derive(Debug)]
+pub struct LiveStateRef<'a> {
+    /// The document.
+    pub tree: &'a DataTree,
+    /// The intern pool's byte arena (see [`Interner::arena`]).
+    pub interner_arena: &'a [u8],
+    /// The intern pool's `(start, len)` spans (see [`Interner::spans`]).
+    pub interner_spans: &'a [(u32, u32)],
+    /// Every planned single-valued column, ascending by `(element type,
+    /// field)` key.
+    pub singles: Vec<SingleColumnRef<'a>>,
+    /// Every planned set-valued column, ascending by `(element type,
+    /// attribute)` key.
+    pub sets: Vec<SetColumnRef<'a>>,
+    /// Vertex ↦ its structural violations, ascending by vertex.
+    pub struct_viols: Vec<(u32, &'a [Violation])>,
+}
+
+impl LiveStateRef<'_> {
+    /// Copies the viewed state into an owned [`LiveState`].
+    pub fn into_owned(self) -> LiveState {
+        LiveState {
+            tree: self.tree.clone(),
+            interner_arena: self.interner_arena.to_vec(),
+            interner_spans: self.interner_spans.to_vec(),
+            singles: self
+                .singles
+                .into_iter()
+                .map(|(k, v)| (k.clone(), v.to_vec()))
+                .collect(),
+            sets: self
+                .sets
+                .into_iter()
+                .map(|(k, v)| (k.clone(), v.to_vec()))
+                .collect(),
+            struct_viols: self
+                .struct_viols
+                .into_iter()
+                .map(|(x, vs)| (x, vs.to_vec()))
+                .collect(),
+        }
+    }
+}
+
+impl<'a> From<&'a LiveState> for LiveStateRef<'a> {
+    fn from(state: &'a LiveState) -> Self {
+        state.view()
+    }
+}
+
+impl<'a> From<&'a LiveValidator<'_, '_>> for LiveStateRef<'a> {
+    fn from(live: &'a LiveValidator<'_, '_>) -> Self {
+        live.state_view()
+    }
 }
 
 /// An inconsistency detected while adopting a [`LiveState`] snapshot:
@@ -2523,41 +2620,49 @@ impl<'v, 'd> LiveValidator<'v, 'd> {
         })
     }
 
-    /// Exports the validator's owned state for snapshotting.
+    /// Borrows the validator's persistable state, without copying it.
     ///
-    /// The export is deterministic (columns and violation entries come out
-    /// in ascending key order) and self-contained: feeding it back through
-    /// [`LiveValidator::from_state`] — on this validator or a freshly built
-    /// one over the same schema — reproduces a validator whose report and
-    /// future edit behaviour are identical.
-    pub fn export_state(&self) -> LiveState {
-        let _span = self.v.obs.span("live.export");
-        let mut singles: Vec<SingleColumnState> = self
+    /// The view is deterministic (columns and violation entries come out
+    /// in ascending key order) and self-contained: turned into a
+    /// [`LiveState`] and fed back through [`LiveValidator::from_state`] —
+    /// on this validator or a freshly built one over the same schema — it
+    /// reproduces a validator whose report and future edit behaviour are
+    /// identical.
+    pub fn state_view(&self) -> LiveStateRef<'_> {
+        let mut singles: Vec<_> = self
             .store
             .singles
             .iter()
-            .map(|(k, col)| (k.clone(), col.vals.clone()))
+            .map(|(k, col)| (k, col.vals.as_slice()))
             .collect();
-        singles.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut sets: Vec<SetColumnState> = self
+        singles.sort_by(|a, b| a.0.cmp(b.0));
+        let mut sets: Vec<_> = self
             .store
             .sets
             .iter()
-            .map(|(k, col)| (k.clone(), col.vals.clone()))
+            .map(|(k, col)| (k, col.vals.as_slice()))
             .collect();
-        sets.sort_by(|a, b| a.0.cmp(&b.0));
-        LiveState {
-            tree: self.tree.clone(),
-            interner_arena: self.store.interner.arena().to_vec(),
-            interner_spans: self.store.interner.spans().to_vec(),
+        sets.sort_by(|a, b| a.0.cmp(b.0));
+        LiveStateRef {
+            tree: &self.tree,
+            interner_arena: self.store.interner.arena(),
+            interner_spans: self.store.interner.spans(),
             singles,
             sets,
             struct_viols: self
                 .struct_viols
                 .iter()
-                .map(|(x, vs)| (*x, vs.clone()))
+                .map(|(x, vs)| (*x, vs.as_slice()))
                 .collect(),
         }
+    }
+
+    /// Exports the validator's owned state: [`LiveValidator::state_view`]
+    /// copied into a [`LiveState`]. Snapshot writers take the view
+    /// directly and need no copy.
+    pub fn export_state(&self) -> LiveState {
+        let _span = self.v.obs.span("live.export");
+        self.state_view().into_owned()
     }
 
     /// The current document.
