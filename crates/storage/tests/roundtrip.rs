@@ -262,7 +262,8 @@ proptest! {
     /// Encoding a live validator in place writes the same bytes as
     /// encoding its exported copy, under any Σ and after any edit batches
     /// (tombstones, inserted slots, set columns, structural violations),
-    /// and decoding then re-encoding reproduces them too.
+    /// and decoding then re-encoding reproduces them too — both the
+    /// decoded state and a validator rebuilt from it.
     #[test]
     fn live_and_exported_snapshots_are_byte_identical(
         sigma_mask in any::<u8>(),
@@ -291,6 +292,8 @@ proptest! {
         let (state, seq) = decode_snapshot(&bytes).unwrap();
         prop_assert_eq!(seq, last_seq);
         prop_assert!(bytes == encode_snapshot(&state, last_seq));
+        let warm = LiveValidator::from_state(&v, state).unwrap();
+        prop_assert!(bytes == encode_snapshot(&warm, last_seq));
     }
 
     /// Any truncation of a snapshot decodes to a clean error, never a

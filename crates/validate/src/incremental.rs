@@ -40,7 +40,7 @@ use xic_model::{
 use xic_obs::{Metrics, Obs};
 use xic_regex::Symbol;
 
-use crate::plan::{extract_single, CountedSymSet};
+use crate::plan::{extract_set, extract_single, CountedSymSet, Plan};
 use crate::report::{Report, Violation};
 use crate::structure::Validator;
 
@@ -349,27 +349,32 @@ impl SetCol {
     }
 }
 
-/// The live counterpart of the one-shot `DocIndex`: every planned column as
-/// a mutable map, sharing one interner. Interning order is irrelevant for
-/// report equality — symbols are only compared for equality/membership, and
-/// violations carry resolved strings.
-struct Store {
+/// The live counterpart of the one-shot `DocIndex`: every planned column,
+/// mutable and in plan order, sharing one interner. Interning order is
+/// irrelevant for report equality — symbols are only compared for
+/// equality/membership, and violations carry resolved strings.
+struct Store<'p> {
+    plan: &'p Plan,
     interner: Interner,
-    singles: HashMap<(Name, Field), SingleCol>,
-    sets: HashMap<(Name, Name), SetCol>,
+    singles: Vec<SingleCol>,
+    sets: Vec<SetCol>,
 }
 
-impl Store {
+impl Store<'_> {
     fn single(&self, tau: &Name, f: &Field) -> &SingleCol {
-        self.singles
-            .get(&(tau.clone(), f.clone()))
-            .expect("plan covers every single field a constraint reads")
+        let c = self
+            .plan
+            .single_col(tau, f)
+            .expect("plan covers every single field a constraint reads");
+        &self.singles[c]
     }
 
     fn set_col(&self, tau: &Name, a: &Name) -> &SetCol {
-        self.sets
-            .get(&(tau.clone(), a.clone()))
-            .expect("plan covers every set attribute a constraint reads")
+        let c = self
+            .plan
+            .set_col(tau, a)
+            .expect("plan covers every set attribute a constraint reads");
+        &self.sets[c]
     }
 
     fn resolve(&self, s: Sym) -> &str {
@@ -490,6 +495,74 @@ fn nid(x: u32) -> NodeId {
     NodeId::from_index(x as usize)
 }
 
+/// The thread budget of live construction: the validator's, clamped to
+/// what the document can amortize (see `crate::par::MIN_NODES_PER_THREAD`).
+fn init_threads(v: &Validator<'_>, tree: &DataTree) -> usize {
+    (tree.len() / crate::par::MIN_NODES_PER_THREAD)
+        .max(1)
+        .min(v.effective_threads())
+}
+
+/// Checks one imported column `(τ, field)` of a [`LiveState`]: no more
+/// cells than the tree's id bound, every symbol inside the intern pool, and
+/// values only at vertices of `ext(τ)` — live and labelled τ. The extent
+/// check counts instead of looking up each holder's label: the values
+/// inside `ext(τ)` must be all of the column's values.
+fn check_column<T>(
+    tree: &DataTree,
+    idx: &ExtIndex,
+    nsym: usize,
+    tau: &Name,
+    field: &dyn std::fmt::Display,
+    vals: &[T],
+    members: fn(&T) -> &[Sym],
+) -> Result<(), StateError> {
+    let bound = tree.id_bound();
+    let err = |detail: String| Err(StateError { detail });
+    if vals.len() > bound {
+        return err(format!(
+            "column ({tau}, {field}) holds {} cells but the tree's id bound is {bound}",
+            vals.len()
+        ));
+    }
+    let mut held = 0;
+    for (xi, cell) in vals.iter().enumerate() {
+        let cell = members(cell);
+        if let Some(sym) = cell.iter().find(|s| s.index() >= nsym) {
+            return err(format!(
+                "column ({tau}, {field}) cell n{xi} references symbol {} of an \
+                 intern pool holding {nsym}",
+                sym.index()
+            ));
+        }
+        held += usize::from(!cell.is_empty());
+    }
+    let held_in_ext = (idx.ext(tau).iter())
+        .filter(|x| vals.get(x.index()).is_some_and(|c| !members(c).is_empty()))
+        .count();
+    if held_in_ext == held {
+        return Ok(());
+    }
+    let xi = (0..vals.len())
+        .find(|&xi| {
+            let x = NodeId::from_index(xi);
+            let outside = !tree.is_alive(x) || tree.label(x) != tau;
+            outside && !members(&vals[xi]).is_empty()
+        })
+        .expect("a value outside ext(τ) exists when the counts differ");
+    let x = NodeId::from_index(xi);
+    if tree.is_alive(x) {
+        err(format!(
+            "column ({tau}, {field}) has a value at n{xi}, a {} vertex outside ext({tau})",
+            tree.label(x)
+        ))
+    } else {
+        err(format!(
+            "column ({tau}, {field}) has a value at dead vertex n{xi}"
+        ))
+    }
+}
+
 /// Stable counting sort of `(sym, payload)` pairs by dense symbol index:
 /// one count pass, one scatter, no hashing or comparisons. Equal-symbol
 /// runs in the result keep their input order. Bulk init uses this to build
@@ -547,12 +620,20 @@ fn sym_run_count<V: Copy>(sorted: &[(Sym, V)]) -> usize {
     runs
 }
 
-/// Groups a column's `(value, vertex)` pairs into its reverse occurrence
-/// index: one counting sort, one reserve-exact map fill, no singleton
+/// Groups a column's dense cells (vertex `i` holds `cells[i]`) into its
+/// reverse occurrence index: one counting sort over the ascending
+/// `(value, vertex)` pairs, one reserve-exact map fill, no singleton
 /// B-tree allocations. Independent across columns, so bulk init fans it
 /// out over the validator's thread budget.
-fn build_occ(pairs: &[(Sym, u32)], sym_count: usize) -> FastHashMap<Sym, Holders> {
-    let sorted = counting_sort_by_sym(pairs, sym_count);
+fn build_occ<'c>(
+    cells: impl Iterator<Item = &'c [Sym]> + Clone,
+    sym_count: usize,
+) -> FastHashMap<Sym, Holders> {
+    let mut pairs: Vec<(Sym, u32)> = Vec::with_capacity(cells.clone().map(<[Sym]>::len).sum());
+    for (xi, members) in cells.enumerate() {
+        pairs.extend(members.iter().map(|&m| (m, xi as u32)));
+    }
+    let sorted = counting_sort_by_sym(&pairs, sym_count);
     let mut occ = FastHashMap::with_capacity_and_hasher(sym_run_count(&sorted), Default::default());
     for_each_sym_run(&sorted, |sym, run| {
         occ.insert(sym, Holders::from_run(run.iter().map(|&(_, x)| x)));
@@ -570,7 +651,7 @@ fn tuple_in(cols: &[&SingleCol], x: u32) -> Option<Vec<Sym>> {
 /// read access to the store and ID table, write access to the part's
 /// violation table, all writes funneled through the diff accumulator.
 struct Ctx<'a> {
-    store: &'a Store,
+    store: &'a Store<'a>,
     ids: &'a IdTable,
     name: &'a str,
     pi: u32,
@@ -1802,8 +1883,8 @@ fn build_parts(dtdc: &DtdC) -> Vec<Part> {
     parts
 }
 
-/// Dense column ids, reverse keys, and per-column part subscriptions for
-/// the batch path, built once at construction.
+/// Per-column part subscriptions for the batch path, built once at
+/// construction over the plan's column ids.
 ///
 /// Each part's `apply` drops changes outside its `(τ, field)` interest set
 /// via name comparisons. A batch dispatches thousands of cell deltas, so
@@ -1812,100 +1893,71 @@ fn build_parts(dtdc: &DtdC) -> Vec<Part> {
 /// skipped `apply` calls would be no-ops by those same match arms. Vertex
 /// announcements (`NodeAdded`/`NodeRemoved`) still reach every part.
 struct Subs {
-    /// Planned single-valued column ↦ dense id (`0..singles`).
-    single_ids: HashMap<(Name, Field), u32>,
-    /// Planned set-valued column ↦ dense id (`singles..`).
-    set_ids: HashMap<(Name, Name), u32>,
-    /// Dense column id ↦ the column's key, for re-extraction.
-    keys: Vec<ColKey>,
-    /// Dense column id ↦ subscribed part indices, ascending and deduped.
+    /// Column id ↦ subscribed part indices, ascending and deduped.
     parts_of: Vec<Vec<u32>>,
 }
 
-#[derive(Clone)]
-enum ColKey {
-    Single(Name, Field),
-    Set(Name, Name),
-}
-
 impl Subs {
-    fn build(store: &Store, parts: &[Part], ids: &IdTable) -> Self {
-        let mut single_ids = HashMap::new();
-        let mut set_ids = HashMap::new();
-        let mut keys: Vec<ColKey> = Vec::new();
-        let mut skeys: Vec<_> = store.singles.keys().cloned().collect();
-        skeys.sort();
-        for k in skeys {
-            single_ids.insert(k.clone(), keys.len() as u32);
-            keys.push(ColKey::Single(k.0, k.1));
-        }
-        let mut tkeys: Vec<_> = store.sets.keys().cloned().collect();
-        tkeys.sort();
-        for k in tkeys {
-            set_ids.insert(k.clone(), keys.len() as u32);
-            keys.push(ColKey::Set(k.0, k.1));
-        }
-        let mut parts_of = vec![Vec::new(); keys.len()];
+    fn build(plan: &Plan, parts: &[Part], ids: &IdTable) -> Self {
+        let mut parts_of = vec![Vec::new(); plan.column_count()];
         for (pi, p) in parts.iter().enumerate() {
             let pi = pi as u32;
-            let mut singles: Vec<(Name, Field)> = Vec::new();
-            let mut sets: Vec<(Name, Name)> = Vec::new();
+            let mut singles: Vec<(&Name, &Field)> = Vec::new();
+            let mut sets: Vec<(&Name, &Name)> = Vec::new();
             match &p.kind {
                 PartKind::KeyUnary(k) => {
-                    singles.push((k.tau.clone(), k.field.clone()));
+                    singles.push((&k.tau, &k.field));
                 }
                 PartKind::Key(k) => {
                     for f in &k.fields {
-                        singles.push((k.tau.clone(), f.clone()));
+                        singles.push((&k.tau, f));
                     }
                 }
                 PartKind::FkSingle(k) => {
-                    singles.push((k.tau.clone(), k.field.clone()));
+                    singles.push((&k.tau, &k.field));
                     if let Some(tf) = &k.target_field {
-                        singles.push((k.target.clone(), tf.clone()));
+                        singles.push((&k.target, tf));
                     }
                 }
                 PartKind::FkNary(k) => {
                     for f in &k.fields {
-                        singles.push((k.tau.clone(), f.clone()));
+                        singles.push((&k.tau, f));
                     }
                     for f in &k.target_fields {
-                        singles.push((k.target.clone(), f.clone()));
+                        singles.push((&k.target, f));
                     }
                 }
                 PartKind::SetFk(k) => {
-                    sets.push((k.tau.clone(), k.attr.clone()));
+                    sets.push((&k.tau, &k.attr));
                     if let Some(tf) = &k.target_field {
-                        singles.push((k.target.clone(), tf.clone()));
+                        singles.push((&k.target, tf));
                     }
                 }
                 PartKind::Id(k) => {
                     // An ID part reacts to *any* type's ID column (a
                     // carrier change anywhere shifts its duplicate
                     // lists), not just its own type's.
-                    singles.push((k.tau.clone(), k.id_field.clone()));
-                    for (t, f) in &ids.id_field_of {
-                        singles.push((t.clone(), f.clone()));
-                    }
+                    singles.push((&k.tau, &k.id_field));
+                    singles.extend(&ids.id_field_of);
                 }
                 PartKind::Inverse(k) => {
-                    singles.push((k.tau.clone(), k.key.clone()));
-                    singles.push((k.target.clone(), k.target_key.clone()));
-                    sets.push((k.tau.clone(), k.attr.clone()));
-                    sets.push((k.target.clone(), k.target_attr.clone()));
+                    singles.push((&k.tau, &k.key));
+                    singles.push((&k.target, &k.target_key));
+                    sets.push((&k.tau, &k.attr));
+                    sets.push((&k.target, &k.target_attr));
                 }
             }
-            // An interest column missing from the store cannot exist in
+            // An interest column missing from the plan cannot exist in
             // any delta (the plan covers every column a constraint
             // reads), so skipping it drops nothing.
-            for key in singles {
-                if let Some(&c) = single_ids.get(&key) {
-                    parts_of[c as usize].push(pi);
+            for (tau, f) in singles {
+                if let Some(c) = plan.single_col(tau, f) {
+                    parts_of[c].push(pi);
                 }
             }
-            for key in sets {
-                if let Some(&c) = set_ids.get(&key) {
-                    parts_of[c as usize].push(pi);
+            for (tau, a) in sets {
+                if let Some(c) = plan.set_col(tau, a) {
+                    parts_of[plan.set_id(c)].push(pi);
                 }
             }
         }
@@ -1913,12 +1965,7 @@ impl Subs {
             l.sort_unstable();
             l.dedup();
         }
-        Subs {
-            single_ids,
-            set_ids,
-            keys,
-            parts_of,
-        }
+        Subs { parts_of }
     }
 }
 
@@ -2193,7 +2240,7 @@ impl std::error::Error for StateError {}
 pub struct LiveValidator<'v, 'd> {
     v: &'v Validator<'d>,
     tree: DataTree,
-    store: Store,
+    store: Store<'v>,
     ids: IdTable,
     parts: Vec<Part>,
     subs: Subs,
@@ -2208,134 +2255,37 @@ impl<'v, 'd> LiveValidator<'v, 'd> {
     /// Builds the live state for `tree` (one full-validation-cost pass).
     ///
     /// Columns, occurrence maps, and constraint tables are bulk-loaded:
-    /// each planned cell is extracted exactly once into a reserve-exact
-    /// map, reverse indexes are grouped with one counting sort per column
-    /// instead of a hash probe and B-tree insert per cell, and the
-    /// per-constraint init passes run with pre-resolved columns and no
-    /// diff accounting.
+    /// each planned cell is extracted exactly once into a dense
+    /// per-vertex column, and the content-model scan runs once per
+    /// vertex; [`LiveValidator::from_state`] shares everything after that
+    /// (see `assemble`).
     pub fn new(v: &'v Validator<'d>, tree: DataTree) -> Self {
         let _init = v.obs.span("live.init");
-        let s = v.dtdc().structure();
+        let plan = &v.plan;
         let idx = ExtIndex::build(&tree);
-
-        let mut store = Store {
-            interner: Interner::new(),
-            singles: HashMap::new(),
-            sets: HashMap::new(),
-        };
-        // Extraction interns through the one shared interner and stays
-        // sequential; everything downstream of it is per-column
-        // independent and fans out over the same thread budget the
-        // one-shot engine's check phase uses.
-        let threads = (tree.len() / crate::par::MIN_NODES_PER_THREAD)
-            .max(1)
-            .min(v.effective_threads());
-        enum RawVals {
-            Single((Name, Field), Vec<Option<Sym>>),
-            Set((Name, Name), Vec<Vec<Sym>>),
-        }
+        let threads = init_threads(v, &tree);
         let bound = tree.id_bound();
-        let mut raw: Vec<(RawVals, Vec<(Sym, u32)>)> = Vec::new();
-        for (tau, fields) in &v.plan.singles {
-            let ext = idx.ext(tau);
-            // One extent walk extracts every planned field of τ: the
-            // vertex's node record and attribute list stay hot across
-            // fields instead of being re-fetched once per column.
-            type SingleCol = (Vec<Option<Sym>>, Vec<(Sym, u32)>);
-            let mut cols: Vec<SingleCol> = fields
-                .iter()
-                .map(|_| (vec![None; bound], Vec::with_capacity(ext.len())))
-                .collect();
-            for &x in ext {
-                let xi = x.index() as u32;
-                for (col, field) in cols.iter_mut().zip(fields) {
-                    let val = extract_single(&tree, x, field, &mut store.interner);
-                    col.0[xi as usize] = val;
-                    if let Some(sym) = val {
-                        col.1.push((sym, xi));
-                    }
+
+        // Extraction interns through the one shared interner and stays
+        // sequential: one extent walk per τ fills every single-valued
+        // column of τ (the vertex's node record and attribute list stay
+        // hot across fields), then each set-valued column in plan order.
+        let mut interner = Interner::new();
+        let mut singles: Vec<Vec<Option<Sym>>> = vec![vec![None; bound]; plan.singles.len()];
+        for (tau, tp) in &plan.taus {
+            for &x in idx.ext(tau) {
+                for (field, c) in &tp.singles {
+                    singles[*c][x.index()] = extract_single(&tree, x, field, &mut interner);
                 }
-            }
-            for ((vals, pairs), field) in cols.into_iter().zip(fields) {
-                raw.push((RawVals::Single((tau.clone(), field.clone()), vals), pairs));
             }
         }
-        for (tau, attrs) in &v.plan.sets {
-            let ext = idx.ext(tau);
-            for attr in attrs {
-                let mut vals: Vec<Vec<Sym>> = Vec::new();
-                vals.resize_with(bound, Vec::new);
-                let mut pairs: Vec<(Sym, u32)> = Vec::new();
-                for &x in ext {
-                    let xi = x.index() as u32;
-                    let members: Vec<Sym> = match tree.attr(x, attr) {
-                        Some(val) => val
-                            .values()
-                            .iter()
-                            .map(|s| store.interner.intern(s))
-                            .collect(),
-                        None => Vec::new(),
-                    };
-                    for &m in &members {
-                        pairs.push((m, xi));
-                    }
-                    vals[xi as usize] = members;
-                }
-                raw.push((RawVals::Set((tau.clone(), attr.clone()), vals), pairs));
-            }
-        }
-        let nsym = store.interner.len();
-        let built = crate::par::fan_out(threads, raw, &v.obs, "init.col", |(rv, pairs)| {
-            (rv, build_occ(&pairs, nsym))
-        });
-        for (rv, occ) in built {
-            match rv {
-                RawVals::Single(key, vals) => {
-                    store.singles.insert(key, SingleCol { vals, occ });
-                }
-                RawVals::Set(key, vals) => {
-                    store.sets.insert(key, SetCol { vals, occ });
-                }
+        let mut sets: Vec<Vec<Vec<Sym>>> = vec![vec![Vec::new(); bound]; plan.sets.len()];
+        for ((tau, attr), col) in plan.sets.iter().zip(&mut sets) {
+            for &x in idx.ext(tau) {
+                col[x.index()] = extract_set(&tree, x, attr, &mut interner).collect();
             }
         }
 
-        let mut ids = IdTable::default();
-        for (rank, tau) in s.element_types().enumerate() {
-            ids.ranks.insert(tau.clone(), rank as u32);
-        }
-        if v.plan.needs_ids {
-            for tau in s.element_types() {
-                if let Some(a) = s.id_attr(tau) {
-                    ids.id_field_of.insert(tau.clone(), Field::Attr(a.clone()));
-                }
-            }
-            let IdTable {
-                ranks,
-                id_field_of,
-                carriers,
-            } = &mut ids;
-            for (tau, f) in id_field_of.iter() {
-                let Some(col) = store.singles.get(&(tau.clone(), f.clone())) else {
-                    continue;
-                };
-                let rank = ranks[tau];
-                for &x in idx.ext(tau) {
-                    let xi = x.index() as u32;
-                    if let Some(val) = col.get(xi) {
-                        carriers.entry(val).or_default().insert((rank, xi));
-                    }
-                }
-            }
-        }
-
-        let mut root_viol = None;
-        let root_label = tree.label(tree.root());
-        if root_label != s.root() {
-            root_viol = Some(Violation::RootLabel {
-                expected: s.root().clone(),
-                found: root_label.clone(),
-            });
-        }
         // Vertices are structurally independent: chunk the scan, then
         // merge the (ascending) per-chunk results in order.
         let all_nodes: Vec<NodeId> = tree.node_ids().collect();
@@ -2352,28 +2302,9 @@ impl<'v, 'd> LiveValidator<'v, 'd> {
             }
             out
         });
-        let mut struct_viols = BTreeMap::new();
-        for chunk in chunks {
-            struct_viols.extend(chunk);
-        }
+        let struct_viols = chunks.into_iter().flatten().collect();
 
-        let mut parts = build_parts(v.dtdc());
-        let items: Vec<(u32, &mut Part)> = (0u32..).zip(parts.iter_mut()).collect();
-        crate::par::fan_out(threads, items, &v.obs, "init.part", |(pi, p)| {
-            p.init(&idx, &store, &ids, pi);
-        });
-        let subs = Subs::build(&store, &parts, &ids);
-
-        LiveValidator {
-            v,
-            tree,
-            store,
-            ids,
-            parts,
-            subs,
-            struct_viols,
-            root_viol,
-        }
+        Self::assemble(v, tree, &idx, interner, singles, sets, struct_viols)
     }
 
     /// Rebuilds a live validator from an exported [`LiveState`] without
@@ -2381,23 +2312,23 @@ impl<'v, 'd> LiveValidator<'v, 'd> {
     ///
     /// The expensive phases of [`LiveValidator::new`] — per-cell attribute
     /// extraction and interning, and the structural DFA scan — are replaced
-    /// by the snapshot's stored columns and violation table; only the
-    /// derived indexes (occurrence maps via the same stable counting sort,
-    /// the ID table, per-constraint tables, subscriptions) are recomputed,
-    /// in the same deterministic order `new` builds them. The resulting
-    /// validator's [`report`](LiveValidator::report) is byte-identical to
-    /// scratch validation of `state.tree`.
+    /// by the snapshot's stored columns and violation table; the derived
+    /// indexes (occurrence maps, the ID table, per-constraint tables,
+    /// subscriptions) are then built by the same assembly `new` ends in.
+    /// The resulting validator's [`report`](LiveValidator::report) is
+    /// byte-identical to scratch validation of `state.tree`.
     ///
     /// # Errors
     ///
     /// Returns [`StateError`] — never panics — when the state is
     /// internally inconsistent or does not match `v`'s constraint plan:
-    /// malformed intern-pool parts, missing/extra/duplicate columns,
-    /// symbols outside the pool, or vectors extending past the tree's id
-    /// bound. Cells of dead vertices must be empty.
+    /// malformed intern-pool parts, columns other than the plan's (in the
+    /// plan's order), symbols outside the pool, or vectors extending past
+    /// the tree's id bound. A column may hold values only at live vertices
+    /// of its own element type.
     pub fn from_state(v: &'v Validator<'d>, state: LiveState) -> Result<Self, StateError> {
         let _warm = v.obs.span("live.warm");
-        let s = v.dtdc().structure();
+        let plan = &v.plan;
         let LiveState {
             tree,
             interner_arena,
@@ -2412,92 +2343,36 @@ impl<'v, 'd> LiveValidator<'v, 'd> {
         let nsym = interner.len();
         let bound = tree.id_bound();
 
-        // The snapshot must cover the plan exactly: a missing column would
-        // panic on first read, and an extra one means the snapshot was
-        // taken under a different schema or constraint set.
-        let want: BTreeSet<(Name, Field)> = v
-            .plan
-            .singles
-            .iter()
-            .flat_map(|(tau, fs)| fs.iter().map(move |f| (tau.clone(), f.clone())))
-            .collect();
-        let got: BTreeSet<(Name, Field)> = singles.iter().map(|(k, _)| k.clone()).collect();
-        if got != want || got.len() != singles.len() {
+        // The snapshot must hold exactly the plan's columns: a missing
+        // column would panic on first read, and an extra one means the
+        // snapshot was taken under a different schema or constraint set.
+        if !singles.iter().map(|(k, _)| k).eq(&plan.singles) {
             return Err(StateError {
                 detail: format!(
                     "single columns do not match the constraint plan \
                      ({} stored, {} planned)",
                     singles.len(),
-                    want.len()
+                    plan.singles.len()
                 ),
             });
         }
-        let want: BTreeSet<(Name, Name)> = v
-            .plan
-            .sets
-            .iter()
-            .flat_map(|(tau, attrs)| attrs.iter().map(move |a| (tau.clone(), a.clone())))
-            .collect();
-        let got: BTreeSet<(Name, Name)> = sets.iter().map(|(k, _)| k.clone()).collect();
-        if got != want || got.len() != sets.len() {
+        if !sets.iter().map(|(k, _)| k).eq(&plan.sets) {
             return Err(StateError {
                 detail: format!(
                     "set columns do not match the constraint plan \
                      ({} stored, {} planned)",
                     sets.len(),
-                    want.len()
+                    plan.sets.len()
                 ),
             });
         }
 
-        let check_cell = |xi: usize, sym: Sym, what: &dyn std::fmt::Display| {
-            if sym.index() >= nsym {
-                return Err(StateError {
-                    detail: format!(
-                        "column {what} cell n{xi} references symbol {} of an \
-                         intern pool holding {nsym}",
-                        sym.index()
-                    ),
-                });
-            }
-            if !tree.is_alive(NodeId::from_index(xi)) {
-                return Err(StateError {
-                    detail: format!("column {what} has a value at dead vertex n{xi}"),
-                });
-            }
-            Ok(())
-        };
+        let idx = ExtIndex::build(&tree);
         for ((tau, f), vals) in &singles {
-            if vals.len() > bound {
-                return Err(StateError {
-                    detail: format!(
-                        "column ({tau}, {f}) holds {} cells but the tree's id \
-                         bound is {bound}",
-                        vals.len()
-                    ),
-                });
-            }
-            for (xi, cell) in vals.iter().enumerate() {
-                if let Some(sym) = cell {
-                    check_cell(xi, *sym, &format_args!("({tau}, {f})"))?;
-                }
-            }
+            check_column(&tree, &idx, nsym, tau, &f, vals, Option::as_slice)?;
         }
         for ((tau, a), vals) in &sets {
-            if vals.len() > bound {
-                return Err(StateError {
-                    detail: format!(
-                        "column ({tau}, {a}) holds {} rows but the tree's id \
-                         bound is {bound}",
-                        vals.len()
-                    ),
-                });
-            }
-            for (xi, members) in vals.iter().enumerate() {
-                for &m in members {
-                    check_cell(xi, m, &format_args!("({tau}, {a})"))?;
-                }
-            }
+            check_column(&tree, &idx, nsym, tau, &a, vals, Vec::as_slice)?;
         }
         for (xi, viols) in &struct_viols {
             if *xi as usize >= bound || viols.is_empty() {
@@ -2510,56 +2385,51 @@ impl<'v, 'd> LiveValidator<'v, 'd> {
             }
         }
 
-        let idx = ExtIndex::build(&tree);
-        let threads = (tree.len() / crate::par::MIN_NODES_PER_THREAD)
-            .max(1)
-            .min(v.effective_threads());
-        let mut store = Store {
+        Ok(Self::assemble(
+            v,
+            tree,
+            &idx,
             interner,
-            singles: HashMap::new(),
-            sets: HashMap::new(),
+            singles.into_iter().map(|(_, vals)| vals).collect(),
+            sets.into_iter().map(|(_, vals)| vals).collect(),
+            struct_viols.into_iter().collect(),
+        ))
+    }
+
+    /// The shared tail of [`LiveValidator::new`] and
+    /// [`LiveValidator::from_state`]: from the document, its columns as
+    /// dense per-vertex vectors in plan order, and its structural table,
+    /// derives everything else — occurrence maps, the ID table, the root
+    /// check, the per-constraint tables and the subscription index — in
+    /// one deterministic order, so both constructors build the same
+    /// validator from the same cells.
+    fn assemble(
+        v: &'v Validator<'d>,
+        tree: DataTree,
+        idx: &ExtIndex,
+        interner: Interner,
+        singles: Vec<Vec<Option<Sym>>>,
+        sets: Vec<Vec<Vec<Sym>>>,
+        struct_viols: BTreeMap<u32, Vec<Violation>>,
+    ) -> Self {
+        let s = v.dtdc().structure();
+        let threads = init_threads(v, &tree);
+        let nsym = interner.len();
+        // Reverse occurrence maps are per-column independent, so they fan
+        // out over the same thread budget the one-shot engine's check
+        // phase uses.
+        let store = Store {
+            plan: &v.plan,
+            interner,
+            singles: crate::par::fan_out(threads, singles, &v.obs, "init.col", |vals| SingleCol {
+                occ: build_occ(vals.iter().map(Option::as_slice), nsym),
+                vals,
+            }),
+            sets: crate::par::fan_out(threads, sets, &v.obs, "init.col", |vals| SetCol {
+                occ: build_occ(vals.iter().map(Vec::as_slice), nsym),
+                vals,
+            }),
         };
-        // Occurrence maps are regrouped exactly as bulk init groups them:
-        // pairs ascend by vertex (extraction walked extents in ascending
-        // id order, and dense cells are revisited the same way), and the
-        // counting sort is stable, so `Holders` runs come out identical.
-        enum RawVals {
-            Single((Name, Field), Vec<Option<Sym>>),
-            Set((Name, Name), Vec<Vec<Sym>>),
-        }
-        let mut raw: Vec<(RawVals, Vec<(Sym, u32)>)> =
-            Vec::with_capacity(singles.len() + sets.len());
-        for (key, vals) in singles {
-            let mut pairs = Vec::new();
-            for (xi, cell) in vals.iter().enumerate() {
-                if let Some(sym) = cell {
-                    pairs.push((*sym, xi as u32));
-                }
-            }
-            raw.push((RawVals::Single(key, vals), pairs));
-        }
-        for (key, vals) in sets {
-            let mut pairs = Vec::new();
-            for (xi, members) in vals.iter().enumerate() {
-                for &m in members {
-                    pairs.push((m, xi as u32));
-                }
-            }
-            raw.push((RawVals::Set(key, vals), pairs));
-        }
-        let built = crate::par::fan_out(threads, raw, &v.obs, "warm.col", |(rv, pairs)| {
-            (rv, build_occ(&pairs, nsym))
-        });
-        for (rv, occ) in built {
-            match rv {
-                RawVals::Single(key, vals) => {
-                    store.singles.insert(key, SingleCol { vals, occ });
-                }
-                RawVals::Set(key, vals) => {
-                    store.sets.insert(key, SetCol { vals, occ });
-                }
-            }
-        }
 
         let mut ids = IdTable::default();
         for (rank, tau) in s.element_types().enumerate() {
@@ -2567,57 +2437,48 @@ impl<'v, 'd> LiveValidator<'v, 'd> {
         }
         if v.plan.needs_ids {
             for tau in s.element_types() {
-                if let Some(a) = s.id_attr(tau) {
-                    ids.id_field_of.insert(tau.clone(), Field::Attr(a.clone()));
-                }
-            }
-            let IdTable {
-                ranks,
-                id_field_of,
-                carriers,
-            } = &mut ids;
-            for (tau, f) in id_field_of.iter() {
-                let Some(col) = store.singles.get(&(tau.clone(), f.clone())) else {
+                let Some(a) = s.id_attr(tau) else {
                     continue;
                 };
-                let rank = ranks[tau];
-                for &x in idx.ext(tau) {
-                    let xi = x.index() as u32;
-                    if let Some(val) = col.get(xi) {
-                        carriers.entry(val).or_default().insert((rank, xi));
+                let f = Field::Attr(a.clone());
+                if let Some(c) = v.plan.single_col(tau, &f) {
+                    let rank = ids.ranks[tau];
+                    for &x in idx.ext(tau) {
+                        let xi = x.index() as u32;
+                        if let Some(val) = store.singles[c].get(xi) {
+                            ids.carriers.entry(val).or_default().insert((rank, xi));
+                        }
                     }
                 }
+                ids.id_field_of.insert(tau.clone(), f);
             }
         }
 
         // The root check is two label compares — recomputing it beats
         // trusting (and having to re-verify) a stored copy.
-        let mut root_viol = None;
         let root_label = tree.label(tree.root());
-        if root_label != s.root() {
-            root_viol = Some(Violation::RootLabel {
-                expected: s.root().clone(),
-                found: root_label.clone(),
-            });
-        }
+        let root_viol = (root_label != s.root()).then(|| Violation::RootLabel {
+            expected: s.root().clone(),
+            found: root_label.clone(),
+        });
 
         let mut parts = build_parts(v.dtdc());
         let items: Vec<(u32, &mut Part)> = (0u32..).zip(parts.iter_mut()).collect();
-        crate::par::fan_out(threads, items, &v.obs, "warm.part", |(pi, p)| {
-            p.init(&idx, &store, &ids, pi);
+        crate::par::fan_out(threads, items, &v.obs, "init.part", |(pi, p)| {
+            p.init(idx, &store, &ids, pi);
         });
-        let subs = Subs::build(&store, &parts, &ids);
+        let subs = Subs::build(&v.plan, &parts, &ids);
 
-        Ok(LiveValidator {
+        LiveValidator {
             v,
             tree,
             store,
             ids,
             parts,
             subs,
-            struct_viols: struct_viols.into_iter().collect(),
+            struct_viols,
             root_viol,
-        })
+        }
     }
 
     /// Borrows the validator's persistable state, without copying it.
@@ -2629,26 +2490,19 @@ impl<'v, 'd> LiveValidator<'v, 'd> {
     /// reproduces a validator whose report and future edit behaviour are
     /// identical.
     pub fn state_view(&self) -> LiveStateRef<'_> {
-        let mut singles: Vec<_> = self
-            .store
-            .singles
-            .iter()
-            .map(|(k, col)| (k, col.vals.as_slice()))
-            .collect();
-        singles.sort_by(|a, b| a.0.cmp(b.0));
-        let mut sets: Vec<_> = self
-            .store
-            .sets
-            .iter()
-            .map(|(k, col)| (k, col.vals.as_slice()))
-            .collect();
-        sets.sort_by(|a, b| a.0.cmp(b.0));
+        let plan = &self.v.plan;
         LiveStateRef {
             tree: &self.tree,
             interner_arena: self.store.interner.arena(),
             interner_spans: self.store.interner.spans(),
-            singles,
-            sets,
+            singles: (plan.singles.iter())
+                .zip(&self.store.singles)
+                .map(|(k, col)| (k, col.vals.as_slice()))
+                .collect(),
+            sets: (plan.sets.iter())
+                .zip(&self.store.sets)
+                .map(|(k, col)| (k, col.vals.as_slice()))
+                .collect(),
             struct_viols: self
                 .struct_viols
                 .iter()
@@ -2766,29 +2620,22 @@ impl<'v, 'd> LiveValidator<'v, 'd> {
 
     /// Records both cells attribute `l` of `node` can feed.
     fn touch_attr_cells(&self, node: NodeId, l: &Name, st: &mut BatchState) {
+        let plan = &self.v.plan;
         let tau = self.tree.label(node);
         let xi = node.index() as u32;
-        if let Some(&c) = self
-            .subs
-            .single_ids
-            .get(&(tau.clone(), Field::Attr(l.clone())))
-        {
-            st.touched.push((c, xi));
+        if let Some(c) = plan.single_col(tau, &Field::Attr(l.clone())) {
+            st.touched.push((c as u32, xi));
         }
-        if let Some(&c) = self.subs.set_ids.get(&(tau.clone(), l.clone())) {
-            st.touched.push((c, xi));
+        if let Some(c) = plan.set_col(tau, l) {
+            st.touched.push((plan.set_id(c) as u32, xi));
         }
     }
 
     /// Records the parent-side `Sub(e)` cell a child-word change can feed.
     fn touch_sub_cell(&self, parent: NodeId, e: &Name, st: &mut BatchState) {
         let ptau = self.tree.label(parent);
-        if let Some(&c) = self
-            .subs
-            .single_ids
-            .get(&(ptau.clone(), Field::Sub(e.clone())))
-        {
-            st.touched.push((c, parent.index() as u32));
+        if let Some(c) = self.v.plan.single_col(ptau, &Field::Sub(e.clone())) {
+            st.touched.push((c as u32, parent.index() as u32));
         }
     }
 
@@ -2986,28 +2833,25 @@ impl<'v, 'd> LiveValidator<'v, 'd> {
         // slot sees every final value.
         touched.sort_unstable();
         touched.dedup();
+        let plan = &self.v.plan;
         let mut i = 0;
         while i < touched.len() {
             let col = touched[i].0;
             let mut j = i;
-            match self.subs.keys[col as usize].clone() {
-                ColKey::Single(tau, field) => {
+            match (col as usize).checked_sub(plan.singles.len()) {
+                None => {
+                    let (tau, field) = &plan.singles[col as usize];
                     let mut changes: Vec<(u32, Option<Sym>, Option<Sym>)> = Vec::new();
                     {
                         let Self { tree, store, .. } = &mut *self;
-                        let Store {
-                            interner, singles, ..
-                        } = store;
-                        let cmap = singles
-                            .get_mut(&(tau.clone(), field.clone()))
-                            .expect("touched columns come from the subscription index");
+                        let cmap = &mut store.singles[col as usize];
                         while j < touched.len() && touched[j].0 == col {
                             let xi = touched[j].1;
                             j += 1;
                             if xi >= pre_bound || !tree.is_alive(nid(xi)) {
                                 continue;
                             }
-                            let new = extract_single(tree, nid(xi), &field, interner);
+                            let new = extract_single(tree, nid(xi), field, &mut store.interner);
                             let old = cmap.set(xi, new);
                             if old != new {
                                 changes.push((xi, old, new));
@@ -3028,26 +2872,20 @@ impl<'v, 'd> LiveValidator<'v, 'd> {
                         );
                     }
                 }
-                ColKey::Set(tau, attr) => {
+                Some(c) => {
+                    let (tau, attr) = &plan.sets[c];
                     let mut changes: Vec<u32> = Vec::new();
                     {
                         let Self { tree, store, .. } = &mut *self;
-                        let Store { interner, sets, .. } = store;
-                        let cmap = sets
-                            .get_mut(&(tau.clone(), attr.clone()))
-                            .expect("touched columns come from the subscription index");
+                        let cmap = &mut store.sets[c];
                         while j < touched.len() && touched[j].0 == col {
                             let xi = touched[j].1;
                             j += 1;
                             if xi >= pre_bound || !tree.is_alive(nid(xi)) {
                                 continue;
                             }
-                            let new: Vec<Sym> = match tree.attr(nid(xi), &attr) {
-                                Some(val) => {
-                                    val.values().iter().map(|s| interner.intern(s)).collect()
-                                }
-                                None => Vec::new(),
-                            };
+                            let new: Vec<Sym> =
+                                extract_set(tree, nid(xi), attr, &mut store.interner).collect();
                             let old = cmap.set(xi, new.clone());
                             if old != new {
                                 changes.push(xi);
@@ -3113,35 +2951,18 @@ impl<'v, 'd> LiveValidator<'v, 'd> {
     /// (no change dispatch — `NodeAdded` announces it afterwards).
     fn fill_node(&mut self, x: NodeId) {
         let v = self.v;
-        let tau = self.tree.label(x).clone();
+        let Some(tp) = v.plan.taus.get(self.tree.label(x)) else {
+            return;
+        };
         let xi = x.index() as u32;
-        let Self { tree, store, .. } = &mut *self;
-        if let Some(fields) = v.plan.singles.get(&tau) {
-            for f in fields {
-                let val = extract_single(tree, x, f, &mut store.interner);
-                store
-                    .singles
-                    .get_mut(&(tau.clone(), f.clone()))
-                    .expect("plan column built at construction")
-                    .set(xi, val);
-            }
+        let Self { tree, store, .. } = self;
+        for (f, c) in &tp.singles {
+            let val = extract_single(tree, x, f, &mut store.interner);
+            store.singles[*c].set(xi, val);
         }
-        if let Some(attrs) = v.plan.sets.get(&tau) {
-            for a in attrs {
-                let members: Vec<Sym> = match tree.attr(x, a) {
-                    Some(val) => val
-                        .values()
-                        .iter()
-                        .map(|s| store.interner.intern(s))
-                        .collect(),
-                    None => Vec::new(),
-                };
-                store
-                    .sets
-                    .get_mut(&(tau.clone(), a.clone()))
-                    .expect("plan column built at construction")
-                    .set(xi, members);
-            }
+        for (a, c) in &tp.sets {
+            let members = extract_set(tree, x, a, &mut store.interner).collect();
+            store.sets[*c].set(xi, members);
         }
     }
 
@@ -3152,23 +2973,12 @@ impl<'v, 'd> LiveValidator<'v, 'd> {
         let tau = self.tree.label(x).clone();
         let xi = x.index() as u32;
         let mut singles: Vec<(Field, Option<Sym>)> = Vec::new();
-        if let Some(fields) = v.plan.singles.get(&tau) {
-            for f in fields {
-                let col = self
-                    .store
-                    .singles
-                    .get_mut(&(tau.clone(), f.clone()))
-                    .expect("plan column built at construction");
-                singles.push((f.clone(), col.remove(xi)));
+        if let Some(tp) = v.plan.taus.get(&tau) {
+            for (f, c) in &tp.singles {
+                singles.push((f.clone(), self.store.singles[*c].remove(xi)));
             }
-        }
-        if let Some(attrs) = v.plan.sets.get(&tau) {
-            for a in attrs {
-                self.store
-                    .sets
-                    .get_mut(&(tau.clone(), a.clone()))
-                    .expect("plan column built at construction")
-                    .remove(xi);
+            for (_, c) in &tp.sets {
+                self.store.sets[*c].remove(xi);
             }
         }
         self.dispatch(
@@ -3516,6 +3326,24 @@ mod tests {
         ));
         let err = reject(&v, bad);
         assert!(err.detail.contains("out of bounds"), "{err}");
+
+        // A value copied onto a live vertex outside the column's extent:
+        // every `(entry, @isbn)` / `(section, @sid)` value, onto every
+        // vertex of another label.
+        let tree = &good.tree;
+        for (ci, ((tau, _), vals)) in good.singles.iter().enumerate() {
+            let Some(sym) = vals.iter().flatten().next() else {
+                continue;
+            };
+            for x in tree.node_ids().filter(|&x| tree.label(x) != tau) {
+                let mut bad = good.clone();
+                let col = &mut bad.singles[ci].1;
+                col.resize(col.len().max(x.index() + 1), None);
+                col[x.index()] = Some(*sym);
+                let err = reject(&v, bad);
+                assert!(err.detail.contains("outside ext"), "{err}");
+            }
+        }
 
         // The untampered export still loads.
         assert!(LiveValidator::from_state(&v, good).is_ok());

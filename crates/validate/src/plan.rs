@@ -25,7 +25,7 @@
 //! [`Validator`]: crate::Validator
 
 use std::cell::OnceCell;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 use xic_constraints::{Constraint, DtdC, DtdStructure, Field};
 use xic_model::{DataTree, ExtIndex, FastHashMap, FastHashSet, Interner, Name, NodeId, Sym};
@@ -173,26 +173,54 @@ impl<'c> CName<'c> {
 }
 
 /// The columns a constraint set will read, compiled once per `DTD^C`.
+///
+/// The plan is the one owner of the column layout. It numbers the planned
+/// columns once: the single-valued columns ascending by `(τ, field)`, then
+/// the set-valued columns ascending by `(τ, attr)`. Every column store —
+/// the one-shot [`DocIndex`], the stream fill, and the live validator's
+/// mutable store and snapshots — is a vector in that order, and every
+/// reader finds a column through [`Plan::single_col`] / [`Plan::set_col`].
 #[derive(Clone, Debug, Default)]
 pub(crate) struct Plan {
-    /// Per element type: single-valued fields (attributes or unique
-    /// sub-elements) some constraint reads.
-    pub(crate) singles: BTreeMap<Name, BTreeSet<Field>>,
-    /// Per element type: set-valued attributes some constraint reads.
-    pub(crate) sets: BTreeMap<Name, BTreeSet<Name>>,
+    /// Single-valued column `i` reads field `singles[i].1` of `ext(singles[i].0)`.
+    pub(crate) singles: Vec<(Name, Field)>,
+    /// Set-valued column `i` reads attribute `sets[i].1` of `ext(sets[i].0)`.
+    pub(crate) sets: Vec<(Name, Name)>,
+    /// Per element type some constraint reads: its columns.
+    pub(crate) taus: BTreeMap<Name, TauPlan>,
     /// Whether any `L_id` ID constraint needs the document-wide ID table.
     pub(crate) needs_ids: bool,
+}
+
+/// The columns of one element type τ, so a pass over a vertex of τ fills
+/// its cells without touching the rest of the plan.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct TauPlan {
+    /// `(field, single-column index)`, ascending by field (attributes
+    /// before unique sub-elements).
+    pub(crate) singles: Vec<(Field, usize)>,
+    /// `(attribute, set-column index)`, ascending by attribute.
+    pub(crate) sets: Vec<(Name, usize)>,
+}
+
+/// The `(τ, field)` pairs Σ reads, collected before [`Plan::build`]
+/// numbers them.
+#[derive(Default)]
+struct Cover {
+    singles: BTreeSet<(Name, Field)>,
+    sets: BTreeSet<(Name, Name)>,
 }
 
 impl Plan {
     /// Compiles the column set for `dtdc`'s Σ.
     pub(crate) fn build(dtdc: &DtdC) -> Self {
         let s = dtdc.structure();
-        let mut plan = Plan::default();
+        let mut cover = Cover::default();
+        let mut needs_ids = false;
         for c in dtdc.constraints() {
             match c {
                 Constraint::Key { tau, fields } => {
-                    plan.add_singles(tau, fields);
+                    cover.add_singles(tau, fields);
                 }
                 Constraint::ForeignKey {
                     tau,
@@ -200,8 +228,8 @@ impl Plan {
                     target,
                     target_fields,
                 } => {
-                    plan.add_singles(tau, fields);
-                    plan.add_singles(target, target_fields);
+                    cover.add_singles(tau, fields);
+                    cover.add_singles(target, target_fields);
                 }
                 Constraint::SetForeignKey {
                     tau,
@@ -209,8 +237,8 @@ impl Plan {
                     target,
                     target_field,
                 } => {
-                    plan.add_set(tau, attr);
-                    plan.add_single(target, target_field.clone());
+                    cover.add_set(tau, attr);
+                    cover.add_single(target, target_field.clone());
                 }
                 Constraint::InverseU {
                     tau,
@@ -220,22 +248,22 @@ impl Plan {
                     target_key,
                     target_attr,
                 } => {
-                    plan.add_single(tau, key.clone());
-                    plan.add_set(tau, attr);
-                    plan.add_single(target, target_key.clone());
-                    plan.add_set(target, target_attr);
+                    cover.add_single(tau, key.clone());
+                    cover.add_set(tau, attr);
+                    cover.add_single(target, target_key.clone());
+                    cover.add_set(target, target_attr);
                 }
                 Constraint::Id { tau } => {
-                    plan.needs_ids = true;
-                    plan.add_id_column(s, tau);
+                    needs_ids = true;
+                    cover.add_id_column(s, tau);
                 }
                 Constraint::FkToId { tau, attr, target } => {
-                    plan.add_single(tau, Field::Attr(attr.clone()));
-                    plan.add_id_column(s, target);
+                    cover.add_single(tau, Field::Attr(attr.clone()));
+                    cover.add_id_column(s, target);
                 }
                 Constraint::SetFkToId { tau, attr, target } => {
-                    plan.add_set(tau, attr);
-                    plan.add_id_column(s, target);
+                    cover.add_set(tau, attr);
+                    cover.add_id_column(s, target);
                 }
                 Constraint::InverseId {
                     tau,
@@ -243,25 +271,68 @@ impl Plan {
                     target,
                     target_attr,
                 } => {
-                    plan.add_set(tau, attr);
-                    plan.add_set(target, target_attr);
-                    plan.add_id_column(s, tau);
-                    plan.add_id_column(s, target);
+                    cover.add_set(tau, attr);
+                    cover.add_set(target, target_attr);
+                    cover.add_id_column(s, tau);
+                    cover.add_id_column(s, target);
                 }
             }
         }
-        if plan.needs_ids {
+        if needs_ids {
             // The document-wide ID table spans every type with an ID
             // attribute, not just the types named in Σ.
             for tau in s.element_types() {
-                plan.add_id_column(s, tau);
+                cover.add_id_column(s, tau);
             }
         }
-        plan
+        let mut taus: BTreeMap<Name, TauPlan> = BTreeMap::new();
+        for (i, (tau, field)) in cover.singles.iter().enumerate() {
+            taus.entry(tau.clone())
+                .or_default()
+                .singles
+                .push((field.clone(), i));
+        }
+        for (i, (tau, attr)) in cover.sets.iter().enumerate() {
+            taus.entry(tau.clone())
+                .or_default()
+                .sets
+                .push((attr.clone(), i));
+        }
+        Plan {
+            singles: cover.singles.into_iter().collect(),
+            sets: cover.sets.into_iter().collect(),
+            taus,
+            needs_ids,
+        }
     }
 
+    /// The index of single-valued column `(τ, field)`, if planned.
+    pub(crate) fn single_col(&self, tau: &Name, field: &Field) -> Option<usize> {
+        let tp = self.taus.get(tau)?;
+        tp.singles.iter().find(|(f, _)| f == field).map(|&(_, i)| i)
+    }
+
+    /// The index of set-valued column `(τ, attr)`, if planned.
+    pub(crate) fn set_col(&self, tau: &Name, attr: &Name) -> Option<usize> {
+        let tp = self.taus.get(tau)?;
+        tp.sets.iter().find(|(a, _)| a == attr).map(|&(_, i)| i)
+    }
+
+    /// The id of set-valued column `i` in the plan's one numbering, where
+    /// single-valued columns take `0..singles.len()` and sets follow.
+    pub(crate) fn set_id(&self, i: usize) -> usize {
+        self.singles.len() + i
+    }
+
+    /// Number of `(τ, field)` columns the plan extracts (for diagnostics).
+    pub(crate) fn column_count(&self) -> usize {
+        self.singles.len() + self.sets.len()
+    }
+}
+
+impl Cover {
     fn add_single(&mut self, tau: &Name, field: Field) {
-        self.singles.entry(tau.clone()).or_default().insert(field);
+        self.singles.insert((tau.clone(), field));
     }
 
     fn add_singles(&mut self, tau: &Name, fields: &[Field]) {
@@ -271,10 +342,7 @@ impl Plan {
     }
 
     fn add_set(&mut self, tau: &Name, attr: &Name) {
-        self.sets
-            .entry(tau.clone())
-            .or_default()
-            .insert(attr.clone());
+        self.sets.insert((tau.clone(), attr.clone()));
     }
 
     fn add_id_column(&mut self, s: &DtdStructure, tau: &Name) {
@@ -282,56 +350,39 @@ impl Plan {
             self.add_single(tau, Field::Attr(id_attr.clone()));
         }
     }
-
-    /// Number of `(τ, field)` columns the plan extracts (for diagnostics).
-    pub(crate) fn column_count(&self) -> usize {
-        self.singles.values().map(BTreeSet::len).sum::<usize>()
-            + self.sets.values().map(BTreeSet::len).sum::<usize>()
-    }
 }
 
 /// The per-document columnar index: one interned column per planned
-/// `(τ, field)`, aligned with `ext(τ)`, plus the document-wide ID table.
-pub(crate) struct DocIndex {
+/// `(τ, field)`, aligned with `ext(τ)` and stored in plan order, plus the
+/// document-wide ID table.
+pub(crate) struct DocIndex<'p> {
+    plan: &'p Plan,
     interner: Interner,
-    /// `(τ, field) ↦` column of `ext(τ)`-aligned single values.
-    singles: HashMap<(Name, Field), Vec<Option<Sym>>>,
-    /// `(τ, attr) ↦` flattened column of `ext(τ)`-aligned set values, each
-    /// row in `AttrValue`'s sorted-string order (so iteration matches
+    /// Single-valued column `i` of the plan: `ext(τ)`-aligned values.
+    singles: Vec<Vec<Option<Sym>>>,
+    /// Set-valued column `i` of the plan: `ext(τ)`-aligned rows, each in
+    /// `AttrValue`'s sorted-string order (so iteration matches
     /// `set_value`).
-    sets: HashMap<(Name, Name), SetCol>,
+    sets: Vec<SetCol>,
     /// ID value ↦ carriers, in `element_types()` × document order
     /// (matching the sequential `build_global_ids`).
     global_ids: FastHashMap<Sym, Vec<NodeId>>,
 }
 
-impl DocIndex {
-    /// One-pass extraction of every planned column from `tree`.
-    pub(crate) fn build(tree: &DataTree, idx: &ExtIndex, s: &DtdStructure, plan: &Plan) -> Self {
+impl<'p> DocIndex<'p> {
+    /// One pass over each planned extent extracts every column of τ.
+    pub(crate) fn build(tree: &DataTree, idx: &ExtIndex, s: &DtdStructure, plan: &'p Plan) -> Self {
         let mut interner = Interner::new();
-        let mut singles = HashMap::new();
-        for (tau, fields) in &plan.singles {
-            let ext = idx.ext(tau);
-            for field in fields {
-                let col: Vec<Option<Sym>> = ext
-                    .iter()
-                    .map(|&x| extract_single(tree, x, field, &mut interner))
-                    .collect();
-                singles.insert((tau.clone(), field.clone()), col);
-            }
-        }
-        let mut sets = HashMap::new();
-        for (tau, attrs) in &plan.sets {
-            let ext = idx.ext(tau);
-            for attr in attrs {
-                let mut col = SetCol::default();
-                for &x in ext {
-                    match tree.attr(x, attr) {
-                        Some(v) => col.push_row(v.values().iter().map(|s| interner.intern(s))),
-                        None => col.push_row([]),
-                    }
+        let mut singles = vec![Vec::new(); plan.singles.len()];
+        let mut sets = vec![SetCol::default(); plan.sets.len()];
+        for (tau, tp) in &plan.taus {
+            for &x in idx.ext(tau) {
+                for (field, c) in &tp.singles {
+                    singles[*c].push(extract_single(tree, x, field, &mut interner));
                 }
-                sets.insert((tau.clone(), attr.clone()), col);
+                for (attr, c) in &tp.sets {
+                    sets[*c].push_row(extract_set(tree, x, attr, &mut interner));
+                }
             }
         }
         DocIndex::from_parts(interner, singles, sets, idx, s, plan)
@@ -345,11 +396,11 @@ impl DocIndex {
     /// interning yields byte-identical reports.
     pub(crate) fn from_parts(
         interner: Interner,
-        singles: HashMap<(Name, Field), Vec<Option<Sym>>>,
-        sets: HashMap<(Name, Name), SetCol>,
+        singles: Vec<Vec<Option<Sym>>>,
+        sets: Vec<SetCol>,
         idx: &ExtIndex,
         s: &DtdStructure,
-        plan: &Plan,
+        plan: &'p Plan,
     ) -> Self {
         let mut global_ids: FastHashMap<Sym, Vec<NodeId>> = FastHashMap::default();
         if plan.needs_ids {
@@ -357,12 +408,11 @@ impl DocIndex {
                 let Some(id_attr) = s.id_attr(tau) else {
                     continue;
                 };
-                let key = (tau.clone(), Field::Attr(id_attr.clone()));
-                let Some(col) = singles.get(&key) else {
+                let Some(c) = plan.single_col(tau, &Field::Attr(id_attr.clone())) else {
                     continue;
                 };
                 let ext = idx.ext(tau);
-                for (pos, sym) in col.iter().enumerate() {
+                for (pos, sym) in singles[c].iter().enumerate() {
                     if let Some(sym) = sym {
                         global_ids.entry(*sym).or_default().push(ext[pos]);
                     }
@@ -370,6 +420,7 @@ impl DocIndex {
             }
         }
         DocIndex {
+            plan,
             interner,
             singles,
             sets,
@@ -378,15 +429,19 @@ impl DocIndex {
     }
 
     fn single(&self, tau: &Name, field: &Field) -> &[Option<Sym>] {
-        self.singles
-            .get(&(tau.clone(), field.clone()))
-            .expect("plan covers every single field a constraint reads")
+        let c = self
+            .plan
+            .single_col(tau, field)
+            .expect("plan covers every single field a constraint reads");
+        &self.singles[c]
     }
 
     fn set(&self, tau: &Name, attr: &Name) -> &SetCol {
-        self.sets
-            .get(&(tau.clone(), attr.clone()))
-            .expect("plan covers every set attribute a constraint reads")
+        let c = self
+            .plan
+            .set_col(tau, attr)
+            .expect("plan covers every set attribute a constraint reads");
+        &self.sets[c]
     }
 
     fn resolve(&self, sym: Sym) -> &str {
@@ -437,6 +492,19 @@ pub(crate) fn extract_single(
             Some(interner.intern(&tree.node(child).text()))
         }
     }
+}
+
+/// Set-valued attribute extraction: `x`'s members of `attr` interned in
+/// `AttrValue`'s sorted order (nothing when the attribute is absent); must
+/// agree with `set_value` in `constraints.rs`.
+pub(crate) fn extract_set<'a>(
+    tree: &'a DataTree,
+    x: NodeId,
+    attr: &Name,
+    interner: &'a mut Interner,
+) -> impl ExactSizeIterator<Item = Sym> + 'a {
+    let members = tree.attr(x, attr).map_or(&[][..], |v| v.values());
+    members.iter().map(|s| interner.intern(s))
 }
 
 /// Checks all of Σ against the planned columns, appending violations in Σ

@@ -52,24 +52,12 @@ use xic_obs::Obs;
 use xic_regex::Symbol;
 use xic_xml::{parse_events, Event, EventParser, XmlError};
 
-use crate::plan::{check_planned, DocIndex, Plan, SetCol};
+use crate::plan::{check_planned, DocIndex, Plan, SetCol, TauPlan};
 use crate::report::{Report, Violation};
 use crate::structure::{CompiledMatcher, MatcherRun, Validator};
 
 #[cfg(doc)]
 use xic_model::{AttrValue, DataTree};
-
-/// Per element type: where each planned field of `τ` lives in the flat
-/// column arrays, split by how the value is obtained while streaming.
-#[derive(Default)]
-struct TauPlan {
-    /// Single-valued attribute fields: `(attribute, single-column id)`.
-    attr_singles: Vec<(Name, usize)>,
-    /// Unique sub-element fields (§3.4): `(child label, single-column id)`.
-    sub_singles: Vec<(Name, usize)>,
-    /// Set-valued attribute fields: `(attribute, set-column id)`.
-    sets: Vec<(Name, usize)>,
-}
 
 /// Everything the event loop needs about one element-name spelling,
 /// resolved once when the spelling is first seen and addressed by dense id
@@ -82,8 +70,8 @@ struct ElemInfo<'v> {
     /// Content-model matcher; `None` for element types the `DTD^C` does
     /// not declare (which skip structural checks, as in the tree path).
     matcher: Option<&'v CompiledMatcher>,
-    /// Index into [`StreamChecker::tau_plans`], when Σ reads this type.
-    plan: Option<u32>,
+    /// The plan's columns of this type, when Σ reads it.
+    plan: Option<&'v TauPlan>,
     /// `Att(τ)` of the `DTD^C` in name order — drives the attribute
     /// clauses of Definition 2.4 (undeclared / not-singleton / missing).
     attr_decls: Vec<(Name, AttrType)>,
@@ -137,9 +125,10 @@ struct Frame<'s> {
     /// Attribute violations, held back so they follow a `ContentModel`
     /// violation of the same node (the tree path's per-node order).
     attr_viols: Vec<Violation>,
-    /// Per [`TauPlan::sub_singles`] entry: how many children with that
-    /// label closed, and the first one's interned text (the field value
-    /// iff the count ends at exactly one — §3.4's *unique* sub-element).
+    /// Per [`TauPlan::singles`] entry that is a sub-element field: how
+    /// many children with that label closed, and the first one's interned
+    /// text (the field value iff the count ends at exactly one — §3.4's
+    /// *unique* sub-element). Attribute entries stay at a zero count.
     subs: Vec<(u32, Option<Sym>)>,
     /// The slot in the parent's `subs` this element reports to, if its
     /// label is a planned sub-element field of the parent's type.
@@ -179,11 +168,8 @@ pub(crate) struct StreamChecker<'v, 's> {
     /// [`ExtIndex`] once, at finish.
     exts: Vec<Vec<NodeId>>,
     interner: Interner,
-    tau_plans: Vec<TauPlan>,
-    tau_lookup: HashMap<Name, usize>,
-    single_keys: Vec<(Name, Field)>,
+    /// The plan's columns, in plan order, filled as elements seal/close.
     single_cols: Vec<Vec<Option<Sym>>>,
-    set_keys: Vec<(Name, Name)>,
     set_cols: Vec<SetCol>,
     /// The validator's observability handle (off by default). Per-event
     /// totals below are plain fields — never collector calls on the hot
@@ -256,37 +242,6 @@ fn render_word(elems: &[ElemInfo<'_>], word: &[u32]) -> String {
 
 impl<'v, 's> StreamChecker<'v, 's> {
     pub(crate) fn new(v: &'v Validator<'_>, doc_dtd: Option<DtdStructure>) -> Self {
-        // Flatten the plan's per-type field sets into dense columns with a
-        // per-τ recipe, so the hot path never touches the BTree maps.
-        let mut tau_plans: Vec<TauPlan> = Vec::new();
-        let mut tau_lookup: HashMap<Name, usize> = HashMap::new();
-        let mut plan_of = |tau: &Name, tau_plans: &mut Vec<TauPlan>| -> usize {
-            *tau_lookup.entry(tau.clone()).or_insert_with(|| {
-                tau_plans.push(TauPlan::default());
-                tau_plans.len() - 1
-            })
-        };
-        let mut single_keys = Vec::new();
-        for (tau, fields) in &v.plan.singles {
-            let pi = plan_of(tau, &mut tau_plans);
-            for field in fields {
-                let col = single_keys.len();
-                single_keys.push((tau.clone(), field.clone()));
-                match field {
-                    Field::Attr(l) => tau_plans[pi].attr_singles.push((l.clone(), col)),
-                    Field::Sub(e) => tau_plans[pi].sub_singles.push((e.clone(), col)),
-                }
-            }
-        }
-        let mut set_keys = Vec::new();
-        for (tau, attrs) in &v.plan.sets {
-            let pi = plan_of(tau, &mut tau_plans);
-            for attr in attrs {
-                let col = set_keys.len();
-                set_keys.push((tau.clone(), attr.clone()));
-                tau_plans[pi].sets.push((attr.clone(), col));
-            }
-        }
         StreamChecker {
             dtdc: v.dtdc,
             s: v.dtdc.structure(),
@@ -304,12 +259,8 @@ impl<'v, 's> StreamChecker<'v, 's> {
             attr_lookup: FastHashMap::default(),
             exts: Vec::new(),
             interner: Interner::new(),
-            single_cols: vec![Vec::new(); single_keys.len()],
-            set_cols: vec![SetCol::default(); set_keys.len()],
-            tau_plans,
-            tau_lookup,
-            single_keys,
-            set_keys,
+            single_cols: vec![Vec::new(); v.plan.singles.len()],
+            set_cols: vec![SetCol::default(); v.plan.sets.len()],
             obs: v.obs.clone(),
             max_depth: 0,
             attr_count: 0,
@@ -337,7 +288,7 @@ impl<'v, 's> StreamChecker<'v, 's> {
         let info = ElemInfo {
             sym: Symbol::Elem(label.clone()),
             matcher: self.matchers.get(name),
-            plan: self.tau_lookup.get(name).map(|&i| i as u32),
+            plan: self.plan.taus.get(name),
             attr_decls: self
                 .s
                 .attributes(name)
@@ -391,11 +342,11 @@ impl<'v, 's> StreamChecker<'v, 's> {
                     m.step(run, &info.sym);
                     parent.word.push(iid);
                 }
-                if let Some(pi) = self.elems[parent.info as usize].plan {
-                    sub_slot = self.tau_plans[pi as usize]
-                        .sub_singles
+                if let Some(tp) = self.elems[parent.info as usize].plan {
+                    sub_slot = tp
+                        .singles
                         .iter()
-                        .position(|(e, _)| e == &info.label);
+                        .position(|(f, _)| matches!(f, Field::Sub(e) if *e == info.label));
                 }
             }
             None => {
@@ -423,9 +374,7 @@ impl<'v, 's> StreamChecker<'v, 's> {
                 None
             }
         };
-        let n_subs = info
-            .plan
-            .map_or(0, |pi| self.tau_plans[pi as usize].sub_singles.len());
+        let n_subs = info.plan.map_or(0, |tp| tp.singles.len());
         let ext = &mut self.exts[iid as usize];
         let ext_pos = u32::try_from(ext.len()).expect("extent fits u32");
         ext.push(node_id);
@@ -544,11 +493,16 @@ impl<'v, 's> StreamChecker<'v, 's> {
         }
         // Column fill — by label, declared or not, because `ext(τ)` (and
         // hence the tree path's columns) includes undeclared nodes too.
-        if let Some(pi) = info.plan {
-            let tp = &self.tau_plans[pi as usize];
-            for (l, col) in &tp.attr_singles {
-                let sym = find_pending(&top.pending_attrs, names, l)
-                    .and_then(|v| pval_single(v, &mut self.interner));
+        if let Some(tp) = info.plan {
+            // Sub-element fields get a placeholder now (keeping the column
+            // ext-aligned) and their value at close, when the children —
+            // and hence uniqueness — are known.
+            for (field, col) in &tp.singles {
+                let sym = match field {
+                    Field::Attr(l) => find_pending(&top.pending_attrs, names, l)
+                        .and_then(|v| pval_single(v, &mut self.interner)),
+                    Field::Sub(_) => None,
+                };
                 debug_assert_eq!(self.single_cols[*col].len(), top.ext_pos as usize);
                 self.single_cols[*col].push(sym);
             }
@@ -571,13 +525,6 @@ impl<'v, 's> StreamChecker<'v, 's> {
                     }
                     None => scol.push_row([]),
                 }
-            }
-            // Sub-element fields get a placeholder now (keeping the column
-            // ext-aligned) and their value at close, when the children —
-            // and hence uniqueness — are known.
-            for (_, col) in &tp.sub_singles {
-                debug_assert_eq!(self.single_cols[*col].len(), top.ext_pos as usize);
-                self.single_cols[*col].push(None);
             }
         }
     }
@@ -611,9 +558,10 @@ impl<'v, 's> StreamChecker<'v, 's> {
         for v in frame.attr_viols.drain(..) {
             self.tagged.push((frame.node, v));
         }
-        // Patch this element's unique-sub-element column entries.
-        if let Some(pi) = info.plan {
-            for (i, (_, col)) in self.tau_plans[pi as usize].sub_singles.iter().enumerate() {
+        // Patch this element's unique-sub-element column entries (an
+        // attribute entry's count stays 0).
+        if let Some(tp) = info.plan {
+            for (i, (_, col)) in tp.singles.iter().enumerate() {
                 let (count, sym) = frame.subs[i];
                 if count == 1 {
                     self.single_cols[*col][frame.ext_pos as usize] = sym;
@@ -660,11 +608,14 @@ impl<'v, 's> StreamChecker<'v, 's> {
             for (info, ids) in self.elems.iter().zip(self.exts) {
                 ext.insert_extent(info.label.clone(), ids);
             }
-            let singles: HashMap<(Name, Field), Vec<Option<Sym>>> =
-                self.single_keys.into_iter().zip(self.single_cols).collect();
-            let sets: HashMap<(Name, Name), SetCol> =
-                self.set_keys.into_iter().zip(self.set_cols).collect();
-            DocIndex::from_parts(self.interner, singles, sets, &ext, self.s, self.plan)
+            DocIndex::from_parts(
+                self.interner,
+                self.single_cols,
+                self.set_cols,
+                &ext,
+                self.s,
+                self.plan,
+            )
         };
         check_planned(
             &ext,
