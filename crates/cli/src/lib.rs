@@ -228,9 +228,7 @@ fn parse_lang(s: Option<&str>) -> Result<Language, String> {
 }
 
 /// Builds the `DTD^C` from `--dtd/--root/--sigma/--lang`, or from a parsed
-/// document's internal subset when `--dtd` is absent. When `checked` is
-/// false the set-level well-formedness of `Σ` is skipped (implication
-/// accepts arbitrary constraint sets; side conditions are derived).
+/// document's internal subset when `--dtd` is absent.
 fn load_dtdc(o: &Opts, doc_dtd: Option<&DtdStructure>, checked: bool) -> Result<DtdC, String> {
     let structure = match (&o.dtd, doc_dtd) {
         (Some(path), _) => {
@@ -245,6 +243,13 @@ fn load_dtdc(o: &Opts, doc_dtd: Option<&DtdStructure>, checked: bool) -> Result<
             return Err("no DTD: pass --dtd FILE --root NAME, or use a document with an internal <!DOCTYPE> subset".into())
         }
     };
+    dtdc_of(o, structure, checked)
+}
+
+/// Builds the `DTD^C` of `structure` with `--sigma/--lang`. When `checked`
+/// is false the set-level well-formedness of `Σ` is skipped (implication
+/// accepts arbitrary constraint sets; side conditions are derived).
+fn dtdc_of(o: &Opts, structure: DtdStructure, checked: bool) -> Result<DtdC, String> {
     let lang = parse_lang(o.lang.as_deref())?;
     let sigma_src = match &o.sigma {
         Some(path) => read(path)?,
@@ -437,7 +442,8 @@ usage:
                [--lenient] [--threads N]
                warm-start the document from its snapshot + WAL (no XML parse,
                no from-scratch validation) and print its report; pass the
-               same --sigma/--lang the snapshot was taken with
+               same --sigma/--lang the snapshot was taken with (the DTD is
+               the one the document was persisted with, from its dtd.txt)
   xic implies  --dtd FILE --root NAME --sigma FILE --lang L|Lu|Lid [--finite|--unrestricted]
                [--emit-countermodel FILE] CONSTRAINT
   xic path     --dtd FILE --root NAME --sigma FILE CONSTRAINT
@@ -468,14 +474,7 @@ fn cmd_validate(o: &Opts, out: &mut String) -> Result<i32, String> {
         return Err("validate takes exactly one document".into());
     };
     let src = read(doc_path)?;
-    let mut options = if o.lenient {
-        Options::lenient()
-    } else {
-        Options::default()
-    };
-    if let Some(threads) = o.threads {
-        options = options.with_threads(threads);
-    }
+    let options = live_options(o);
     let setup = obs_setup(o);
     let obs = setup.obs.clone();
     let report = if o.no_stream {
@@ -702,15 +701,8 @@ fn cmd_apply_edits(o: &Opts, out: &mut String) -> Result<i32, String> {
         parse_document(&read(doc_path)?).map_err(|e| e.to_string())?
     };
     let dtdc = load_dtdc(o, doc.dtd.as_ref(), true)?;
-    let mut options = if o.lenient {
-        Options::lenient()
-    } else {
-        Options::default()
-    };
-    if let Some(threads) = o.threads {
-        options = options.with_threads(threads);
-    }
-    let validator = Validator::with_matcher(&dtdc, MatcherKind::Dfa, options).with_obs(obs.clone());
+    let validator =
+        Validator::with_matcher(&dtdc, MatcherKind::Dfa, live_options(o)).with_obs(obs.clone());
     let mut live = LiveValidator::new(&validator, doc.tree);
     let src = read(script_path)?;
     let script = Script::parse(&src).map_err(|(line, e)| format!("{script_path}:{line}: {e}"))?;
@@ -724,7 +716,8 @@ fn cmd_apply_edits(o: &Opts, out: &mut String) -> Result<i32, String> {
     Ok(if report.is_valid() { 0 } else { 1 })
 }
 
-/// The validator options shared by every live-validator command.
+/// The validator options (`--lenient`, `--threads`) shared by every
+/// command that validates.
 fn live_options(o: &Opts) -> Options {
     let mut options = if o.lenient {
         Options::lenient()
@@ -772,6 +765,11 @@ fn cmd_recover(o: &Opts, out: &mut String) -> Result<i32, String> {
     if !o.positional.is_empty() {
         return Err("recover takes no positional arguments (state comes from --state-dir)".into());
     }
+    if o.dtd.is_some() || o.root.is_some() {
+        return Err(
+            "recover takes no --dtd/--root (a document keeps the DTD it was persisted with)".into(),
+        );
+    }
     let store = durable::open_store(o)?.ok_or("recover requires --state-dir DIR")?;
     let id = o.doc_id.as_deref().unwrap_or("default");
     let setup = obs_setup(o);
@@ -779,17 +777,7 @@ fn cmd_recover(o: &Opts, out: &mut String) -> Result<i32, String> {
     let (dtdc, recovered) = durable::load_doc(o, &store, id)?;
     let validator =
         Validator::with_matcher(&dtdc, MatcherKind::Dfa, live_options(o)).with_obs(obs.clone());
-    let replayed = recovered.batches.len();
-    let live = {
-        let _span = obs.span("recover.replay");
-        let mut live =
-            LiveValidator::from_state(&validator, recovered.state).map_err(|e| e.to_string())?;
-        for batch in &recovered.batches {
-            live.apply_batch(batch)
-                .map_err(|e| format!("wal replay: {}", e.error))?;
-        }
-        live
-    };
+    let (live, _, replayed) = durable::replay(&validator, recovered, &obs)?;
     let _ = writeln!(
         out,
         "recovered doc '{id}' from {}: snapshot + {replayed} wal batch{}",
@@ -1480,6 +1468,45 @@ ref.to <=s entry.isbn";
             "{out}"
         );
         let _ = std::fs::remove_dir_all(&state);
+    }
+
+    /// `xic recover` rebuilds the DTD from the document's sidecar only:
+    /// `--dtd`/`--root` are refused, and `--metrics` counts the replay.
+    #[test]
+    fn recover_takes_the_dtd_from_the_sidecar_only() {
+        let dtd = tmp("book-sidecar.dtd", BOOK_DTD);
+        let sigma = tmp("book-sidecar.sigma", BOOK_SIGMA);
+        let doc = tmp("good-sidecar.xml", GOOD_DOC);
+        let state = unique_path("cli-sidecar");
+        let (dtd, sigma, state) = (
+            dtd.to_str().unwrap(),
+            sigma.to_str().unwrap(),
+            state.to_str().unwrap(),
+        );
+        let (code, out) = call(&[
+            "snapshot",
+            doc.to_str().unwrap(),
+            "--dtd",
+            dtd,
+            "--root",
+            "book",
+            "--sigma",
+            sigma,
+            "--state-dir",
+            state,
+        ]);
+        assert_eq!(code, 0, "{out}");
+        let recover = ["recover", "--sigma", sigma, "--state-dir", state];
+        for extra in [&["--dtd", dtd][..], &["--root", "book"][..]] {
+            let (code, out) = call(&[&recover[..], extra].concat());
+            assert_eq!(code, 2, "{extra:?}: {out}");
+            assert!(out.contains("recover takes no --dtd/--root"), "{out}");
+        }
+        let (code, out) = call(&[&recover[..], &["--metrics", "json"]].concat());
+        assert_eq!(code, 0, "{out}");
+        assert!(out.contains("\"recover.replays\": 1"), "{out}");
+        assert!(out.contains("\"recover.batches\": 0"), "{out}");
+        let _ = std::fs::remove_dir_all(state);
     }
 
     #[test]

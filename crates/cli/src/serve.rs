@@ -99,9 +99,10 @@ use std::time::{Duration, Instant};
 use xic::obs::json::Json;
 use xic::obs::{Collector, DEFAULT_TRACE_CAPACITY};
 use xic::prelude::*;
+use xic::storage::valid_doc_id;
 
 use crate::http::{self, HttpError, Request};
-use crate::{durable, load_dtdc, parse_opts, read, Opts, Script};
+use crate::{durable, live_options, load_dtdc, parse_opts, read, Opts, Script};
 
 /// The address `xic serve` binds when `--addr` is absent.
 const DEFAULT_ADDR: &str = "127.0.0.1:9100";
@@ -155,24 +156,29 @@ pub fn serve_on(listener: TcpListener, args: &[String]) -> Result<(), String> {
     serve_loop(listener, &parse_opts(args)?)
 }
 
+/// Where a shard sends its answer to one request: the reply, or the
+/// fault that prevented it.
+type Reply<T> = SyncSender<Result<T, Fault>>;
+
 /// One request a worker forwards to a document shard. The leading `u64`
 /// is the originating HTTP request's id: the shard re-enters its
 /// [`request_scope`] before handling, so spans recorded on the shard
 /// thread stay attributed across the channel hop.
 enum DocRequest {
     /// Render the current validation report.
-    Report(u64, SyncSender<String>),
+    Report(u64, Reply<String>),
     /// Apply an edit script; `Ok` is the rendered diff + report.
-    Edits(u64, String, SyncSender<Result<String, EditFailure>>),
+    Edits(u64, String, Reply<String>),
     /// Write the doc's snapshot now (requires `--state-dir`); `Ok` names
-    /// the file written, `Err` explains why it could not be.
-    Snapshot(u64, SyncSender<Result<String, String>>),
+    /// the file written.
+    Snapshot(u64, Reply<String>),
     /// Report the shard's durable-state counters for `GET /status`.
-    Status(u64, SyncSender<DocShardStatus>),
+    Status(u64, Reply<DocShardStatus>),
 }
 
 /// One shard's introspection snapshot, from the state the shard itself
 /// owns (its open [`Wal`] handle), not from re-reading disk.
+#[derive(Default)]
 struct DocShardStatus {
     /// Whether the shard persists (`--state-dir`).
     durable: bool,
@@ -190,6 +196,15 @@ struct DocHandle {
     tx: mpsc::Sender<DocRequest>,
     collector: Arc<MetricsCollector>,
     join: JoinHandle<()>,
+}
+
+impl DocHandle {
+    /// Stops the shard: dropping the sender ends its loop, which writes
+    /// the exit snapshot under `--state-dir`; returns once it has exited.
+    fn stop(self) {
+        drop(self.tx);
+        let _ = self.join.join();
+    }
 }
 
 /// Everything the worker pool shares.
@@ -222,6 +237,60 @@ struct Store {
     queue_capacity: usize,
 }
 
+impl Store {
+    /// The shared state of a daemon configured by `o` and bound to
+    /// `addr`, with no document loaded yet.
+    fn new(o: &Opts, addr: SocketAddr) -> Result<Store, String> {
+        // The HTTP layer gets its own collector (request counters + the
+        // http.* and serve.* latency histograms), merged with every doc
+        // shard's collector at scrape time via `Metrics::merge`.
+        let http_collector = {
+            let mut c = MetricsCollector::new();
+            c.set_histogram_families(["http", "serve"]);
+            Arc::new(c)
+        };
+        // One trace ring shared by the HTTP workers and every shard: request
+        // scoping is what keys the interleaved spans back to their request.
+        let trace = match o.trace_buffer.unwrap_or(DEFAULT_TRACE_CAPACITY) {
+            0 => None,
+            n => Some(Arc::new(TraceCollector::with_capacity(n))),
+        };
+        let http_obs = match &trace {
+            Some(tc) => Obs::new(Arc::new(Fanout::new(vec![
+                http_collector.clone() as Arc<dyn Collector>,
+                tc.clone() as Arc<dyn Collector>,
+            ]))),
+            None => Obs::new(http_collector.clone()),
+        };
+        let access_log = match &o.access_log {
+            Some(path) => Some(
+                AccessLog::open(path, o.log_sample.unwrap_or(1))
+                    .map_err(|e| format!("cannot open --access-log {path}: {e}"))?,
+            ),
+            None => None,
+        };
+        let queue_capacity = o.queue.unwrap_or(DEFAULT_QUEUE).max(1);
+        Ok(Store {
+            docs: RwLock::new(BTreeMap::new()),
+            opts: Arc::new(o.clone()),
+            http_obs,
+            http_collector,
+            draining: AtomicBool::new(false),
+            addr,
+            max_body: o.max_body.unwrap_or(DEFAULT_MAX_BODY),
+            read_timeout: Duration::from_secs_f64(o.timeout_secs.unwrap_or(DEFAULT_TIMEOUT_SECS)),
+            disk: durable::open_store(o)?,
+            snapshot_every: o.snapshot_every.unwrap_or(0),
+            started: Instant::now(),
+            trace,
+            access_log,
+            next_req: AtomicU64::new(0),
+            queue_depth: AtomicUsize::new(0),
+            queue_capacity,
+        })
+    }
+}
+
 /// One accepted connection waiting for a worker, stamped so
 /// `serve.queue_wait` can record how long it sat in the queue.
 struct WorkItem {
@@ -235,55 +304,8 @@ fn serve_loop(listener: TcpListener, o: &Opts) -> Result<(), String> {
         [p] => Some(p.clone()),
         _ => return Err("serve takes at most one document".into()),
     };
-    let opts = Arc::new(o.clone());
-
-    // The HTTP layer gets its own collector (request counters + the
-    // http.* and serve.* latency histograms), merged with every doc
-    // shard's collector at scrape time via `Metrics::merge`.
-    let http_collector = {
-        let mut c = MetricsCollector::new();
-        c.set_histogram_families(["http", "serve"]);
-        Arc::new(c)
-    };
-    // One trace ring shared by the HTTP workers and every shard: request
-    // scoping is what keys the interleaved spans back to their request.
-    let trace = match o.trace_buffer.unwrap_or(DEFAULT_TRACE_CAPACITY) {
-        0 => None,
-        n => Some(Arc::new(TraceCollector::with_capacity(n))),
-    };
-    let http_obs = match &trace {
-        Some(tc) => Obs::new(Arc::new(Fanout::new(vec![
-            http_collector.clone() as Arc<dyn Collector>,
-            tc.clone() as Arc<dyn Collector>,
-        ]))),
-        None => Obs::new(http_collector.clone()),
-    };
-    let access_log = match &o.access_log {
-        Some(path) => Some(
-            AccessLog::open(path, o.log_sample.unwrap_or(1))
-                .map_err(|e| format!("cannot open --access-log {path}: {e}"))?,
-        ),
-        None => None,
-    };
-    let queue_capacity = o.queue.unwrap_or(DEFAULT_QUEUE).max(1);
-    let store = Arc::new(Store {
-        docs: RwLock::new(BTreeMap::new()),
-        opts: opts.clone(),
-        http_obs,
-        http_collector,
-        draining: AtomicBool::new(false),
-        addr: listener.local_addr().map_err(|e| e.to_string())?,
-        max_body: o.max_body.unwrap_or(DEFAULT_MAX_BODY),
-        read_timeout: Duration::from_secs_f64(o.timeout_secs.unwrap_or(DEFAULT_TIMEOUT_SECS)),
-        disk: durable::open_store(o)?,
-        snapshot_every: o.snapshot_every.unwrap_or(0),
-        started: Instant::now(),
-        trace,
-        access_log,
-        next_req: AtomicU64::new(0),
-        queue_depth: AtomicUsize::new(0),
-        queue_capacity,
-    });
+    let addr = listener.local_addr().map_err(|e| e.to_string())?;
+    let store = Arc::new(Store::new(o, addr)?);
 
     // Boot recovery: warm-start every document persisted under
     // --state-dir (snapshot + WAL replay) before accepting traffic. A
@@ -313,13 +335,10 @@ fn serve_loop(listener: TcpListener, o: &Opts) -> Result<(), String> {
             );
             let _ = stdout.flush();
         } else {
-            let src = read(&path)?;
-            if let (_, Err(e)) = put_doc(&store, DEFAULT_DOC, src) {
-                return Err(e
-                    .trim_end()
-                    .strip_prefix("error: ")
-                    .unwrap_or(&e)
-                    .to_string());
+            let resp = put_doc(&store, DEFAULT_DOC, read(&path)?);
+            if status_code(resp.status) >= 400 {
+                let e = resp.body.trim_end();
+                return Err(e.strip_prefix("error: ").unwrap_or(e).to_string());
             }
         }
     }
@@ -397,8 +416,7 @@ fn serve_loop(listener: TcpListener, o: &Opts) -> Result<(), String> {
     // Stop the shards: dropping every sender ends each shard's loop.
     let docs = std::mem::take(&mut *store.docs.write().unwrap());
     for (_, handle) in docs {
-        drop(handle.tx);
-        let _ = handle.join.join();
+        handle.stop();
     }
     // Continuous export: persist whatever the ring still holds (events
     // since the last `GET /trace` drain, including the shards' exit
@@ -560,21 +578,52 @@ impl Response {
             shutdown: false,
         }
     }
+
+    /// The one mapping from a fault to a status: `400` for the client's,
+    /// `500` for the server's.
+    fn fault(route: &'static str, fault: Fault) -> Self {
+        let (status, e) = match fault {
+            Fault::Client(e) => ("400 Bad Request", e),
+            Fault::Server(e) => ("500 Internal Server Error", e),
+        };
+        Response::text(status, route, format!("error: {e}\n"))
+    }
+
+    /// A document route's answer: `ok` with the body, `404` only when no
+    /// document `id` is registered, otherwise the fault's status.
+    fn doc(
+        route: &'static str,
+        id: &str,
+        ok: &'static str,
+        reply: Option<Result<String, Fault>>,
+    ) -> Self {
+        match reply {
+            None => Response::text("404 Not Found", route, format!("no such document: {id}\n")),
+            Some(Ok(body)) => Response::text(ok, route, body),
+            Some(Err(fault)) => Response::fault(route, fault),
+        }
+    }
 }
 
-/// Validates a document id: non-empty, `[A-Za-z0-9._-]`.
-fn valid_id(id: &str) -> bool {
-    !id.is_empty()
-        && id
-            .bytes()
-            .all(|b| b.is_ascii_alphanumeric() || matches!(b, b'.' | b'_' | b'-'))
+/// Why a document request failed, and whose fault it was.
+enum Fault {
+    /// The client's: a document that does not load, a bad id, a malformed
+    /// script or an edit that cannot apply, a snapshot without
+    /// `--state-dir`.
+    Client(String),
+    /// The server's: storage failed, or the document's shard is gone.
+    Server(String),
 }
 
 /// Dispatches one parsed request against the store.
 fn route(store: &Store, req: &Request) -> Response {
-    match (req.method.as_str(), req.path.as_str()) {
-        ("GET", "/report") => doc_report(store, DEFAULT_DOC),
-        ("POST", "/edits") => doc_edits(store, DEFAULT_DOC, &req.body),
+    // The legacy un-prefixed routes are doc `default`'s.
+    let path = match req.path.as_str() {
+        "/report" => "/docs/default/report",
+        "/edits" => "/docs/default/edits",
+        path => path,
+    };
+    match (req.method.as_str(), path) {
         ("GET", "/docs") => {
             let ids: String = store
                 .docs
@@ -611,31 +660,30 @@ fn route(store: &Store, req: &Request) -> Response {
         ("GET", "/trace") => trace_json(store),
         (method, path) => {
             if let Some(rest) = path.strip_prefix("/docs/") {
-                if let (Some(id), "GET") = (rest.strip_suffix("/report"), method) {
-                    return doc_report(store, id);
-                }
-                if let (Some(id), "POST") = (rest.strip_suffix("/edits"), method) {
-                    return doc_edits(store, id, &req.body);
-                }
-                if let (Some(id), "POST") = (rest.strip_suffix("/snapshot"), method) {
-                    return doc_snapshot(store, id);
-                }
-                if let (Some(id), "GET") = (rest.strip_suffix("/metrics"), method) {
-                    return doc_metrics(store, id);
-                }
-                if !rest.contains('/') {
-                    match method {
-                        "PUT" => {
-                            let (status, body) = put_doc(store, rest, req.body.clone());
-                            let (status, body) = match body {
-                                Ok(report) => (status, report),
-                                Err(e) => ("400 Bad Request", e),
-                            };
-                            return Response::text(status, "http.route.put_doc", body);
-                        }
-                        "DELETE" => return delete_doc(store, rest),
-                        _ => {}
+                let (id, action) = match rest.rsplit_once('/') {
+                    Some((id, action)) => (id, Some(action)),
+                    None => (rest, None),
+                };
+                let ok = "200 OK";
+                match (method, action) {
+                    ("GET", Some("report")) => {
+                        let reply = ask(store, id, DocRequest::Report);
+                        return Response::doc("http.route.report", id, ok, reply);
                     }
+                    ("POST", Some("edits")) => {
+                        let reply = ask(store, id, |rid, reply| {
+                            DocRequest::Edits(rid, req.body.clone(), reply)
+                        });
+                        return Response::doc("http.route.edits", id, ok, reply);
+                    }
+                    ("POST", Some("snapshot")) => {
+                        let reply = ask(store, id, DocRequest::Snapshot);
+                        return Response::doc("http.route.snapshot", id, ok, reply);
+                    }
+                    ("GET", Some("metrics")) => return doc_metrics(store, id),
+                    ("PUT", None) => return put_doc(store, id, req.body.clone()),
+                    ("DELETE", None) => return delete_doc(store, id),
+                    _ => {}
                 }
                 // No /docs/ shape matched. A malformed suffix — invalid
                 // id characters, an empty id, extra path segments, an
@@ -643,26 +691,22 @@ fn route(store: &Store, req: &Request) -> Response {
                 // well-formed path with the wrong method or no handler
                 // is plain not-found (404), so 404 rates stay alertable
                 // without malformed-request noise.
-                let (id, action) = match rest.rsplit_once('/') {
-                    Some((id, action)) => (id, Some(action)),
-                    None => (rest, None),
-                };
                 let known_action = matches!(
                     action,
                     None | Some("report" | "edits" | "snapshot" | "metrics")
                 );
-                if !(valid_id(id) && known_action) {
+                if !(valid_doc_id(id) && known_action) {
                     return Response::text(
                         "400 Bad Request",
                         "http.route.bad_request",
-                        format!("malformed /docs path: {method} {path}\n"),
+                        format!("malformed /docs path: {method} {}\n", req.path),
                     );
                 }
             }
             Response::text(
                 "404 Not Found",
                 "http.route.not_found",
-                format!("no such endpoint: {method} {path}\n"),
+                format!("no such endpoint: {method} {}\n", req.path),
             )
         }
     }
@@ -730,16 +774,26 @@ fn doc_metrics(store: &Store, id: &str) -> Response {
     }
 }
 
-/// Asks `id`'s shard for its durable-state counters.
-fn doc_status(store: &Store, id: &str) -> Option<DocShardStatus> {
+/// One round trip to `id`'s shard: look the document up, send the
+/// request `make` builds from this request's id and a reply channel, and
+/// wait for the answer, inside one `serve.shard_dispatch` span. `None`
+/// means no document `id` is registered; a shard that is gone before it
+/// answers is a server fault.
+fn ask<T>(
+    store: &Store,
+    id: &str,
+    make: impl FnOnce(u64, Reply<T>) -> DocRequest,
+) -> Option<Result<T, Fault>> {
     let tx = store.docs.read().unwrap().get(id)?.tx.clone();
     let (reply_tx, reply_rx) = mpsc::sync_channel(1);
     let span = store.http_obs.span("serve.shard_dispatch");
-    tx.send(DocRequest::Status(current_request(), reply_tx))
-        .ok()?;
-    let reply = reply_rx.recv().ok();
+    let reply = tx
+        .send(make(current_request(), reply_tx))
+        .ok()
+        .and_then(|()| reply_rx.recv().ok())
+        .unwrap_or_else(|| Err(Fault::Server("document shard died".into())));
     span.end();
-    reply
+    Some(reply)
 }
 
 /// `GET /status`: live daemon introspection as JSON — uptime and build
@@ -750,7 +804,7 @@ fn status_json(store: &Store) -> Response {
     let ids: Vec<String> = store.docs.read().unwrap().keys().cloned().collect();
     let mut docs = Vec::new();
     for id in &ids {
-        let Some(st) = doc_status(store, id) else {
+        let Some(Ok(st)) = ask(store, id, DocRequest::Status) else {
             continue; // evicted or died between listing and asking
         };
         let mut pairs = vec![("id".into(), Json::String(id.clone()))];
@@ -845,18 +899,14 @@ fn merged_metrics(store: &Store) -> Metrics {
     m
 }
 
-/// Ingests (or replaces) document `id` from `src`. On success the shard
-/// is registered and the body is its initial validation report; `Err`
-/// carries a rendered `400` body. The bool-ish status distinguishes
-/// create (`201`) from replace (`200`).
-fn put_doc(store: &Store, id: &str, src: String) -> (&'static str, Result<String, String>) {
-    if !valid_id(id) {
-        return (
-            "400 Bad Request",
-            Err(format!(
-                "error: bad document id {id:?} (allowed: [A-Za-z0-9._-]+)\n"
-            )),
-        );
+/// `PUT /docs/{id}`: ingests (or replaces) document `id` from `src`. On
+/// success the shard is registered and the body is its initial
+/// validation report, `201` on create and `200` on replace.
+fn put_doc(store: &Store, id: &str, src: String) -> Response {
+    const ROUTE: &str = "http.route.put_doc";
+    if !valid_doc_id(id) {
+        let e = format!("bad document id {id:?} (allowed: [A-Za-z0-9._-]+, but not . or ..)");
+        return Response::fault(ROUTE, Fault::Client(e));
     }
     // Durable replace: stop the old shard (it writes its exit snapshot)
     // *before* the new shard resets the doc's on-disk state — otherwise
@@ -864,32 +914,21 @@ fn put_doc(store: &Store, id: &str, src: String) -> (&'static str, Result<String
     let mut replaced = false;
     if store.disk.is_some() {
         if let Some(prev) = store.docs.write().unwrap().remove(id) {
-            drop(prev.tx);
-            let _ = prev.join.join();
+            prev.stop();
             replaced = true;
         }
     }
     let handle = match start_shard(store, id, ShardInit::Cold(src)) {
         Ok(handle) => handle,
-        Err((status, e)) => return (status, Err(format!("error: {e}\n"))),
+        Err(fault) => return Response::fault(ROUTE, fault),
     };
     let prev = store.docs.write().unwrap().insert(id.to_string(), handle);
-    let status = if let Some(prev) = prev {
-        drop(prev.tx);
-        let _ = prev.join.join();
-        "200 OK"
-    } else if replaced {
-        "200 OK"
-    } else {
-        "201 Created"
-    };
-    match shard_report(store, id) {
-        Some(report) => (status, Ok(report)),
-        None => (
-            "500 Internal Server Error",
-            Err("error: document shard died after load\n".into()),
-        ),
+    if let Some(prev) = prev {
+        prev.stop();
+        replaced = true;
     }
+    let status = if replaced { "200 OK" } else { "201 Created" };
+    Response::doc(ROUTE, id, status, ask(store, id, DocRequest::Report))
 }
 
 /// How a shard obtains its initial validator state.
@@ -900,13 +939,8 @@ enum ShardInit {
     Warm,
 }
 
-/// Spawns a document shard and waits for it to load. `Err` carries the
-/// HTTP status the failure maps to plus the reason.
-fn start_shard(
-    store: &Store,
-    id: &str,
-    init: ShardInit,
-) -> Result<DocHandle, (&'static str, String)> {
+/// Spawns a document shard and waits for it to load.
+fn start_shard(store: &Store, id: &str, init: ShardInit) -> Result<DocHandle, Fault> {
     let collector = MetricsCollector::shared_with_histograms();
     let (tx, rx) = mpsc::channel();
     let (ready_tx, ready_rx) = mpsc::sync_channel(1);
@@ -920,27 +954,27 @@ fn start_shard(
             run_doc_shard(init, id, &opts, disk, collector, trace, rx, ready_tx)
         })
     };
-    match ready_rx.recv() {
-        Ok(Ok(())) => Ok(DocHandle {
+    let loaded = ready_rx
+        .recv()
+        .unwrap_or_else(|_| Err(Fault::Server("document shard died during load".into())));
+    match loaded {
+        Ok(()) => Ok(DocHandle {
             tx,
             collector,
             join,
         }),
-        Ok(Err(e)) => {
+        Err(fault) => {
             let _ = join.join();
-            Err(("400 Bad Request", e))
+            Err(fault)
         }
-        Err(_) => Err((
-            "500 Internal Server Error",
-            "document shard died during load".into(),
-        )),
     }
 }
 
 /// Boot recovery of one persisted document: warm-start its shard from
 /// the snapshot + WAL and register it in the store.
 fn recover_doc(store: &Store, id: &str) -> Result<(), String> {
-    let handle = start_shard(store, id, ShardInit::Warm).map_err(|(_, e)| e)?;
+    let handle = start_shard(store, id, ShardInit::Warm)
+        .map_err(|(Fault::Client(e) | Fault::Server(e))| e)?;
     store.docs.write().unwrap().insert(id.to_string(), handle);
     Ok(())
 }
@@ -948,132 +982,11 @@ fn recover_doc(store: &Store, id: &str) -> Result<(), String> {
 /// Evicts document `id`, joining its shard.
 fn delete_doc(store: &Store, id: &str) -> Response {
     let handle = store.docs.write().unwrap().remove(id);
-    match handle {
-        Some(handle) => {
-            drop(handle.tx);
-            let _ = handle.join.join();
-            Response::text("200 OK", "http.route.delete_doc", format!("deleted {id}\n"))
-        }
-        None => Response::text(
-            "404 Not Found",
-            "http.route.delete_doc",
-            format!("no such document: {id}\n"),
-        ),
-    }
-}
-
-/// Asks `id`'s shard for its report; `None` when the doc is absent or
-/// its shard died.
-fn shard_report(store: &Store, id: &str) -> Option<String> {
-    let tx = store.docs.read().unwrap().get(id)?.tx.clone();
-    let (reply_tx, reply_rx) = mpsc::sync_channel(1);
-    let span = store.http_obs.span("serve.shard_dispatch");
-    tx.send(DocRequest::Report(current_request(), reply_tx))
-        .ok()?;
-    let reply = reply_rx.recv().ok();
-    span.end();
-    reply
-}
-
-fn doc_report(store: &Store, id: &str) -> Response {
-    match shard_report(store, id) {
-        Some(report) => Response::text("200 OK", "http.route.report", report),
-        None => Response::text(
-            "404 Not Found",
-            "http.route.report",
-            format!("no such document: {id}\n"),
-        ),
-    }
-}
-
-fn doc_edits(store: &Store, id: &str, script: &str) -> Response {
-    let tx = match store.docs.read().unwrap().get(id) {
-        Some(handle) => handle.tx.clone(),
-        None => {
-            return Response::text(
-                "404 Not Found",
-                "http.route.edits",
-                format!("no such document: {id}\n"),
-            )
-        }
-    };
-    let (reply_tx, reply_rx) = mpsc::sync_channel(1);
-    let span = store.http_obs.span("serve.shard_dispatch");
-    if tx
-        .send(DocRequest::Edits(
-            current_request(),
-            script.to_string(),
-            reply_tx,
-        ))
-        .is_err()
-    {
-        return Response::text(
-            "404 Not Found",
-            "http.route.edits",
-            format!("no such document: {id}\n"),
-        );
-    }
-    let reply = reply_rx.recv();
-    span.end();
-    match reply {
-        Ok(Ok(rendered)) => Response::text("200 OK", "http.route.edits", rendered),
-        Ok(Err(EditFailure::Script(e))) => Response::text(
-            "400 Bad Request",
-            "http.route.edits",
-            format!("error: {e}\n"),
-        ),
-        Ok(Err(EditFailure::Server(e))) => Response::text(
-            "500 Internal Server Error",
-            "http.route.edits",
-            format!("error: {e}\n"),
-        ),
-        Err(_) => Response::text(
-            "500 Internal Server Error",
-            "http.route.edits",
-            "error: document shard died\n".into(),
-        ),
-    }
-}
-
-/// Asks `id`'s shard to write its snapshot now.
-fn doc_snapshot(store: &Store, id: &str) -> Response {
-    let tx = match store.docs.read().unwrap().get(id) {
-        Some(handle) => handle.tx.clone(),
-        None => {
-            return Response::text(
-                "404 Not Found",
-                "http.route.snapshot",
-                format!("no such document: {id}\n"),
-            )
-        }
-    };
-    let (reply_tx, reply_rx) = mpsc::sync_channel(1);
-    let span = store.http_obs.span("serve.shard_dispatch");
-    if tx
-        .send(DocRequest::Snapshot(current_request(), reply_tx))
-        .is_err()
-    {
-        return Response::text(
-            "404 Not Found",
-            "http.route.snapshot",
-            format!("no such document: {id}\n"),
-        );
-    }
-    let reply = reply_rx.recv();
-    span.end();
-    match reply {
-        Ok(Ok(body)) => Response::text("200 OK", "http.route.snapshot", body),
-        Ok(Err(e)) => Response::text(
-            "400 Bad Request",
-            "http.route.snapshot",
-            format!("error: {e}\n"),
-        ),
-        Err(_) => Response::text(
-            "500 Internal Server Error",
-            "http.route.snapshot",
-            "error: document shard died\n".into(),
-        ),
-    }
+    let reply = handle.map(|handle| {
+        handle.stop();
+        Ok(format!("deleted {id}\n"))
+    });
+    Response::doc("http.route.delete_doc", id, "200 OK", reply)
 }
 
 /// The body of one document shard: owns the `DtdC` → `Validator` →
@@ -1089,7 +1002,7 @@ fn run_doc_shard(
     collector: Arc<MetricsCollector>,
     trace: Option<Arc<TraceCollector>>,
     rx: Receiver<DocRequest>,
-    ready: SyncSender<Result<(), String>>,
+    ready: Reply<()>,
 ) {
     // The shard's aggregates stay per-doc (merged into /metrics under its
     // label), while its raw spans additionally feed the daemon-wide trace
@@ -1107,52 +1020,38 @@ fn run_doc_shard(
         Cold(DataTree),
         Warm(Box<Recovered>),
     }
-    let (dtdc, start) = match init {
-        ShardInit::Cold(src) => {
-            let doc = {
-                let _parse = obs.span("parse");
-                match parse_document(&src) {
-                    Ok(doc) => doc,
-                    Err(e) => {
-                        let _ = ready.send(Err(e.to_string()));
-                        return;
-                    }
-                }
-            };
-            match load_dtdc(opts, doc.dtd.as_ref(), true) {
-                Ok(d) => (d, Start::Cold(doc.tree)),
-                Err(e) => {
-                    let _ = ready.send(Err(e));
-                    return;
-                }
+    let loaded = (|| -> Result<(DtdC, Start), Fault> {
+        match init {
+            ShardInit::Cold(src) => {
+                let doc = {
+                    let _parse = obs.span("parse");
+                    parse_document(&src).map_err(|e| Fault::Client(e.to_string()))?
+                };
+                let dtdc = load_dtdc(opts, doc.dtd.as_ref(), true).map_err(Fault::Client)?;
+                Ok((dtdc, Start::Cold(doc.tree)))
+            }
+            ShardInit::Warm => {
+                // A warm shard is only ever spawned by boot recovery,
+                // which requires --state-dir.
+                let (store, _) = disk
+                    .as_ref()
+                    .ok_or_else(|| Fault::Server("warm start requires --state-dir".into()))?;
+                let (dtdc, recovered) =
+                    durable::load_doc(opts, store, &id).map_err(Fault::Server)?;
+                Ok((dtdc, Start::Warm(Box::new(recovered))))
             }
         }
-        ShardInit::Warm => {
-            // A warm shard is only ever spawned by boot recovery, which
-            // requires --state-dir.
-            let Some((store, _)) = disk.as_ref() else {
-                let _ = ready.send(Err("warm start requires --state-dir".into()));
-                return;
-            };
-            match durable::load_doc(opts, store, &id) {
-                Ok((dtdc, recovered)) => (dtdc, Start::Warm(Box::new(recovered))),
-                Err(e) => {
-                    let _ = ready.send(Err(e));
-                    return;
-                }
-            }
+    })();
+    let (dtdc, start) = match loaded {
+        Ok(loaded) => loaded,
+        Err(fault) => {
+            let _ = ready.send(Err(fault));
+            return;
         }
     };
-    let mut options = if opts.lenient {
-        Options::lenient()
-    } else {
-        Options::default()
-    };
-    if let Some(threads) = opts.threads {
-        options = options.with_threads(threads);
-    }
-    let validator = Validator::with_matcher(&dtdc, MatcherKind::Dfa, options).with_obs(obs.clone());
-    let (mut live, mut sdisk) = match start {
+    let validator =
+        Validator::with_matcher(&dtdc, MatcherKind::Dfa, live_options(opts)).with_obs(obs.clone());
+    let started = match start {
         Start::Cold(tree) => {
             let live = LiveValidator::new(&validator, tree);
             // Durable mode persists the ingested document before the PUT
@@ -1161,51 +1060,45 @@ fn run_doc_shard(
             // stamped with that sequence — so a crash before the reset
             // below leaves only records the snapshot subsumes, which
             // recovery skips — then empty the log, then the DTD sidecar.
-            let sdisk = match disk {
-                Some((store, snapshot_every)) => {
-                    let persisted = (|| {
-                        let wal = store.open_wal(&id).map_err(|e| e.to_string())?;
-                        let mut d = ShardDisk {
-                            store,
-                            id: id.clone(),
-                            wal,
-                            snapshot_every,
-                            since_snapshot: 0,
-                        };
-                        snapshot_now(&live, &mut d, &obs)?;
-                        durable::write_meta(&d.store, &id, dtdc.structure())?;
-                        Ok::<ShardDisk, String>(d)
-                    })();
-                    match persisted {
-                        Ok(d) => Some(d),
-                        Err(e) => {
-                            let _ = ready.send(Err(format!("persist: {e}")));
-                            return;
-                        }
-                    }
-                }
-                None => None,
-            };
-            (live, sdisk)
+            let persisted = disk.map(|(store, snapshot_every)| {
+                let wal = store.open_wal(&id).map_err(|e| e.to_string())?;
+                let mut d = ShardDisk {
+                    store,
+                    id: id.clone(),
+                    wal,
+                    snapshot_every,
+                    since_snapshot: 0,
+                };
+                snapshot_now(&live, &mut d, &obs)?;
+                durable::write_meta(&d.store, &id, dtdc.structure())?;
+                Ok::<ShardDisk, String>(d)
+            });
+            match persisted.transpose() {
+                Ok(d) => Ok((live, d)),
+                Err(e) => Err(Fault::Server(format!("persist: {e}"))),
+            }
         }
         Start::Warm(recovered) => {
             let (store, snapshot_every) = disk.expect("warm start checked --state-dir above");
-            match replay(&validator, *recovered, &obs) {
-                Ok((live, wal, since_snapshot)) => (
-                    live,
-                    Some(ShardDisk {
+            durable::replay(&validator, *recovered, &obs)
+                .map(|(live, wal, since_snapshot)| {
+                    let d = ShardDisk {
                         store,
                         id: id.clone(),
                         wal,
                         snapshot_every,
                         since_snapshot,
-                    }),
-                ),
-                Err(e) => {
-                    let _ = ready.send(Err(e));
-                    return;
-                }
-            }
+                    };
+                    (live, Some(d))
+                })
+                .map_err(Fault::Server)
+        }
+    };
+    let (mut live, mut sdisk) = match started {
+        Ok(started) => started,
+        Err(fault) => {
+            let _ = ready.send(Err(fault));
+            return;
         }
     };
     let _ = ready.send(Ok(()));
@@ -1217,13 +1110,13 @@ fn run_doc_shard(
         match req {
             DocRequest::Report(rid, reply) => {
                 let _scope = request_scope(rid);
-                let _ = reply.send(live.report().to_string());
+                let _ = reply.send(Ok(live.report().to_string()));
             }
             DocRequest::Edits(rid, script, reply) => {
                 let _scope = request_scope(rid);
                 let result =
                     apply_edit_script(&mut live, &script, opts.sequential, sdisk.as_mut(), &obs);
-                if let (Err(EditFailure::Server(_)), Some(d)) = (&result, sdisk.as_mut()) {
+                if let (Err(Fault::Server(_)), Some(d)) = (&result, sdisk.as_mut()) {
                     // The batch is applied in memory but not logged: reload
                     // the document from what the disk holds. If that fails
                     // too the shard exits without replying (the route's
@@ -1240,26 +1133,24 @@ fn run_doc_shard(
                 let _scope = request_scope(rid);
                 let _ = reply.send(match sdisk.as_mut() {
                     Some(d) => snapshot_now(&live, d, &obs)
-                        .map(|path| format!("snapshot written: {path}\n")),
-                    None => Err("daemon is running without --state-dir".into()),
+                        .map(|path| format!("snapshot written: {path}\n"))
+                        .map_err(Fault::Server),
+                    None => Err(Fault::Client(
+                        "daemon is running without --state-dir".into(),
+                    )),
                 });
             }
             DocRequest::Status(rid, reply) => {
                 let _scope = request_scope(rid);
-                let _ = reply.send(match sdisk.as_ref() {
+                let _ = reply.send(Ok(match sdisk.as_ref() {
                     Some(d) => DocShardStatus {
                         durable: true,
                         wal_records: d.wal.records(),
                         wal_last_seq: d.wal.last_seq(),
                         since_snapshot: d.since_snapshot,
                     },
-                    None => DocShardStatus {
-                        durable: false,
-                        wal_records: 0,
-                        wal_last_seq: 0,
-                        since_snapshot: 0,
-                    },
-                });
+                    None => DocShardStatus::default(),
+                }));
             }
         }
     }
@@ -1308,35 +1199,6 @@ fn snapshot_now(
     Ok(snap.display().to_string())
 }
 
-/// Warm-starts a live validator from a loaded snapshot + WAL: decode the
-/// state, then replay every logged batch on top of it. Returns the
-/// validator, the WAL positioned for appending, and the batches replayed
-/// (still in the log, so they count toward the next snapshot). Boot
-/// recovery and the reload after a failed WAL append both come through
-/// here.
-fn replay<'v, 'd>(
-    validator: &'v Validator<'d>,
-    recovered: Recovered,
-    obs: &Obs,
-) -> Result<(LiveValidator<'v, 'd>, Wal, u64), String> {
-    let Recovered {
-        state,
-        batches,
-        wal,
-        ..
-    } = recovered;
-    let span = obs.span("recover.replay");
-    let mut live = LiveValidator::from_state(validator, state).map_err(|e| e.to_string())?;
-    for batch in &batches {
-        live.apply_batch(batch)
-            .map_err(|e| format!("wal replay: {}", e.error))?;
-    }
-    span.end();
-    obs.add("recover.replays", 1);
-    obs.add("recover.batches", batches.len() as u64);
-    Ok((live, wal, batches.len() as u64))
-}
-
 /// Rebuilds the shard's live validator from its snapshot + WAL on disk,
 /// replacing the shard's WAL handle: after a failed append, memory holds
 /// a batch the log does not, and this brings memory back to the disk.
@@ -1350,18 +1212,10 @@ fn reload<'v, 'd>(
         .load(&disk.id)
         .map_err(|e| e.to_string())?
         .ok_or_else(|| format!("no snapshot for doc '{}'", disk.id))?;
-    let (live, wal, since_snapshot) = replay(validator, recovered, obs)?;
+    let (live, wal, since_snapshot) = durable::replay(validator, recovered, obs)?;
     disk.wal = wal;
     disk.since_snapshot = since_snapshot;
     Ok(live)
-}
-
-/// Why `POST /edits` failed, and whose fault it was.
-enum EditFailure {
-    /// The script: a malformed line, or an edit that cannot apply (`400`).
-    Script(String),
-    /// The server: the applied batch could not be logged (`500`).
-    Server(String),
 }
 
 /// Plays an edit script against the live document, rendering exactly what
@@ -1371,20 +1225,20 @@ enum EditFailure {
 ///
 /// The script is parsed once. A malformed line rejects it before anything
 /// is applied or logged; an edit that cannot apply keeps the edits before
-/// it. Under `--state-dir` the applied edits — the whole script, or that
-/// prefix — are appended to the WAL as one record after propagation and
-/// before the reply, so a `200` means the batch is on disk and replay
-/// always reproduces the in-memory state. A failed append is a
-/// [`EditFailure::Server`] fault: the caller must reload from disk.
+/// it. Both are [`Fault::Client`]. Under `--state-dir` the applied edits —
+/// the whole script, or that prefix — are appended to the WAL as one
+/// record after propagation and before the reply, so a `200` means the
+/// batch is on disk and replay always reproduces the in-memory state. A
+/// failed append is a [`Fault::Server`]: the caller must reload from disk.
 fn apply_edit_script(
     live: &mut LiveValidator<'_, '_>,
     script: &str,
     sequential: bool,
     disk: Option<&mut ShardDisk>,
     obs: &Obs,
-) -> Result<String, EditFailure> {
+) -> Result<String, Fault> {
     let script = Script::parse(script)
-        .map_err(|(line, e)| EditFailure::Script(format!("edits line {line}: {e}")))?;
+        .map_err(|(line, e)| Fault::Client(format!("edits line {line}: {e}")))?;
     let mut out = String::new();
     let applied = script.apply(live, sequential, &mut out);
     if let Some(disk) = disk {
@@ -1396,7 +1250,7 @@ fn apply_edit_script(
             let span = obs.span("wal.append");
             disk.wal
                 .append(&script.edits[..n])
-                .map_err(|e| EditFailure::Server(format!("wal append: {e}")))?;
+                .map_err(|e| Fault::Server(format!("wal append: {e}")))?;
             span.end();
             obs.add("wal.records", 1);
             disk.since_snapshot += 1;
@@ -1409,7 +1263,7 @@ fn apply_edit_script(
         }
     }
     if let Err(e) = applied {
-        return Err(EditFailure::Script(format!(
+        return Err(Fault::Client(format!(
             "edits line {}: {}",
             script.line_of(&e),
             e.error
@@ -2638,6 +2492,158 @@ ref.to <=s entry.isbn";
                 assert_eq!(status, 200, "{body}");
                 assert_eq!(since(addr), 0, "the retried snapshot succeeds");
                 assert!(snap.is_file());
+            },
+        );
+        let _ = std::fs::remove_dir_all(&state);
+    }
+
+    /// A `PUT` whose document directory cannot be created is the server's
+    /// fault: 500, and the id stays unregistered.
+    #[test]
+    fn put_with_a_blocked_doc_directory_answers_500() {
+        let state = unique_path("put-blocked");
+        let state_s = state.to_str().unwrap().to_string();
+        with_daemon(GOOD_DOC, &["--state-dir", &state_s], |addr| {
+            // Answered only once boot has persisted the document.
+            assert_eq!(http(addr, "GET", "/report", "").0, 200);
+            // A regular file where the document's directory goes.
+            std::fs::write(state.join("blocked"), "").unwrap();
+            let (status, body) = http(addr, "PUT", "/docs/blocked", GOOD_DOC);
+            assert_eq!(status, 500, "{body}");
+            assert!(body.starts_with("error: persist: "), "{body}");
+            let (_, ids) = http(addr, "GET", "/docs", "");
+            assert_eq!(ids, "default\n");
+        });
+        let _ = std::fs::remove_dir_all(&state);
+    }
+
+    /// A `POST /docs/{id}/snapshot` whose snapshot cannot be published is
+    /// the server's fault: 500, and the doc keeps serving.
+    #[test]
+    fn snapshot_with_a_blocked_path_answers_500() {
+        let state = unique_path("snapshot-blocked");
+        let state_s = state.to_str().unwrap().to_string();
+        with_daemon(GOOD_DOC, &["--state-dir", &state_s], |addr| {
+            assert_eq!(http(addr, "GET", "/report", "").0, 200);
+            // A non-empty directory where the snapshot goes makes the
+            // atomic rename fail, whatever the process's privileges.
+            let snap = DocStore::open(&state, FsyncPolicy::Always)
+                .unwrap()
+                .snapshot_path("default")
+                .unwrap();
+            std::fs::remove_file(&snap).unwrap();
+            std::fs::create_dir_all(snap.join("blocker")).unwrap();
+            let (status, body) = http(addr, "POST", "/docs/default/snapshot", "");
+            assert_eq!(status, 500, "{body}");
+            assert!(body.starts_with("error: "), "{body}");
+            let (status, _) = http(addr, "GET", "/report", "");
+            assert_eq!(status, 200);
+            std::fs::remove_dir_all(&snap).unwrap();
+            let (status, body) = http(addr, "POST", "/docs/default/snapshot", "");
+            assert_eq!(status, 200, "{body}");
+        });
+        let _ = std::fs::remove_dir_all(&state);
+    }
+
+    /// A registered document whose shard has exited answers 500 on every
+    /// route that asks the shard, whether the shard was gone before the
+    /// request was sent or dropped it unanswered. Only an id that is not
+    /// registered answers 404.
+    #[test]
+    fn a_dead_shard_answers_500_on_every_doc_route() {
+        let store = Store::new(
+            &parse_opts(&book_flags()).unwrap(),
+            "127.0.0.1:0".parse().unwrap(),
+        )
+        .unwrap();
+        let register = |id: &str, tx, join| {
+            let collector = MetricsCollector::shared_with_histograms();
+            let handle = DocHandle {
+                tx,
+                collector,
+                join,
+            };
+            store.docs.write().unwrap().insert(id.into(), handle);
+        };
+        let (tx, rx) = mpsc::channel();
+        drop(rx);
+        register("gone", tx, std::thread::spawn(|| {}));
+        let (tx, rx) = mpsc::channel::<DocRequest>();
+        register(
+            "mute",
+            tx,
+            std::thread::spawn(move || rx.iter().for_each(drop)),
+        );
+
+        let request = |method: &str, path: String| Request {
+            method: method.into(),
+            path,
+            body: "set-attr 5 to x1\n".into(),
+            keep_alive: true,
+        };
+        for id in ["gone", "mute"] {
+            for (method, action) in [("GET", "report"), ("POST", "edits"), ("POST", "snapshot")] {
+                let resp = route(&store, &request(method, format!("/docs/{id}/{action}")));
+                assert_eq!(resp.status, "500 Internal Server Error", "{id} {action}");
+                assert_eq!(resp.body, "error: document shard died\n", "{id} {action}");
+            }
+        }
+        let resp = route(&store, &request("GET", "/docs/ghost/report".into()));
+        assert_eq!(resp.status, "404 Not Found", "{}", resp.body);
+        for (_, handle) in std::mem::take(&mut *store.docs.write().unwrap()) {
+            handle.stop();
+        }
+    }
+
+    /// `.` and `..` are not document ids, with or without `--state-dir`.
+    /// The request line is sent raw: an HTTP client would normalize the
+    /// path.
+    #[test]
+    fn dot_segments_are_rejected_as_document_ids() {
+        let state = unique_path("dot-ids");
+        let state_s = state.to_str().unwrap().to_string();
+        for flags in [&[][..], &["--state-dir", &state_s][..]] {
+            with_daemon(GOOD_DOC, flags, |addr| {
+                for id in [".", ".."] {
+                    let put = format!(
+                        "PUT /docs/{id} HTTP/1.1\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{GOOD_DOC}",
+                        GOOD_DOC.len()
+                    );
+                    let reply = send_raw(addr, put.as_bytes()).unwrap();
+                    assert!(
+                        reply.starts_with("HTTP/1.1 400 "),
+                        "{flags:?} {id}: {reply}"
+                    );
+                    assert!(reply.contains("bad document id"), "{flags:?} {id}: {reply}");
+                }
+                let (_, ids) = http(addr, "GET", "/docs", "");
+                assert_eq!(ids, "default\n", "{flags:?}");
+            });
+        }
+        let _ = std::fs::remove_dir_all(&state);
+    }
+
+    /// A recovered document is validated under the DTD it was persisted
+    /// with, not the restarted daemon's `--dtd`: deleting the only author
+    /// re-checks the root's content model, and the reply matches
+    /// `apply-edits` under the persisted DTD (`author*`), not the new one
+    /// (`author+`).
+    #[test]
+    fn recovery_validates_under_the_persisted_dtd() {
+        let state = unique_path("persisted-dtd");
+        let state_s = state.to_str().unwrap().to_string();
+        let plus = tmp("plus.dtd", &BOOK_DTD.replace("author*", "author+"));
+        let script = "delete 4\n";
+        let (code, expected, _) = apply_edits_cli(script, &[]);
+        assert_eq!(code, 0, "{expected}");
+        with_daemon(GOOD_DOC, &["--state-dir", &state_s], |_| {});
+        with_daemon(
+            GOOD_DOC,
+            &["--state-dir", &state_s, "--dtd", plus.to_str().unwrap()],
+            |addr| {
+                let (status, body) = http(addr, "POST", "/edits", script);
+                assert_eq!(status, 200, "{body}");
+                assert_eq!(body, expected, "recovered under --dtd, not dtd.txt");
             },
         );
         let _ = std::fs::remove_dir_all(&state);

@@ -26,8 +26,9 @@
 //! Trees are built through [`TreeBuilder`], which enforces the single-parent
 //! invariant of Definition 2.1 by construction. Finished trees can be
 //! *edited* in place (subtree insert/delete, attribute and text updates);
-//! every mutation returns a typed [`Edit`] delta so that derived indexes —
-//! notably incremental validators — can follow along without rescanning.
+//! a structural mutation returns a typed [`Edit`] delta and a value update
+//! the value it displaced, so that derived indexes — notably incremental
+//! validators — can follow along without rescanning.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -250,7 +250,7 @@ pub enum ModelError {
         /// The requested text-child index.
         index: usize,
     },
-    /// [`DataTree::remove_attr`] addressed an attribute that is not set.
+    /// A batch edit removed an attribute that is not set.
     NoSuchAttribute {
         /// The vertex.
         node: NodeId,
@@ -311,11 +311,12 @@ impl fmt::Display for ModelError {
 
 impl std::error::Error for ModelError {}
 
-/// A typed delta describing one successful mutation of a [`DataTree`].
+/// A typed delta describing one successful structural mutation of a
+/// [`DataTree`].
 ///
-/// Edits are the currency of incremental revalidation: applying a mutation
-/// method on [`DataTree`] returns the `Edit` actually performed, carrying
-/// enough context (parent, position, displaced values) for a consumer to
+/// Edits are the currency of incremental revalidation: inserting or
+/// deleting a subtree returns the `Edit` actually performed, carrying
+/// enough context (parent, position, vertex count) for a consumer to
 /// update derived indexes without rescanning the tree.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Edit {
@@ -342,38 +343,6 @@ pub enum Edit {
         /// Number of vertices deleted.
         count: usize,
     },
-    /// Attribute `attr` on `node` was set (created or replaced).
-    SetAttr {
-        /// The vertex edited.
-        node: NodeId,
-        /// The attribute name.
-        attr: Name,
-        /// The previous value, if the attribute was already set.
-        old: Option<AttrValue>,
-        /// The new value.
-        new: AttrValue,
-    },
-    /// Attribute `attr` on `node` was removed.
-    RemoveAttr {
-        /// The vertex edited.
-        node: NodeId,
-        /// The attribute name.
-        attr: Name,
-        /// The removed value.
-        old: AttrValue,
-    },
-    /// The `index`-th text child of `node` was replaced.
-    SetText {
-        /// The vertex edited.
-        node: NodeId,
-        /// Index among the vertex's text children (element children do
-        /// not count).
-        index: usize,
-        /// The previous text.
-        old: Value,
-        /// The new text.
-        new: Value,
-    },
 }
 
 impl fmt::Display for Edit {
@@ -397,13 +366,6 @@ impl fmt::Display for Edit {
                 f,
                 "delete {root:?} ({count} vertices) from {parent:?} at {position}"
             ),
-            Edit::SetAttr {
-                node, attr, new, ..
-            } => write!(f, "set {node:?}.{attr} = {new}"),
-            Edit::RemoveAttr { node, attr, .. } => write!(f, "remove {node:?}.{attr}"),
-            Edit::SetText {
-                node, index, new, ..
-            } => write!(f, "set text #{index} of {node:?} to {new:?}"),
         }
     }
 }
@@ -411,13 +373,14 @@ impl fmt::Display for Edit {
 /// A data tree `(V, elem, att, root)` per Definition 2.1.
 ///
 /// Construct via [`TreeBuilder`]. A finished tree may afterwards be edited
-/// through the mutation methods ([`DataTree::insert_subtree`],
-/// [`DataTree::delete_subtree`], [`DataTree::set_attr`],
-/// [`DataTree::remove_attr`], [`DataTree::set_text`]), each returning the
-/// [`Edit`] delta performed. Deleted vertices become *tombstones*: their
-/// ids are never reused, [`DataTree::node`] still resolves them (so
-/// consumers of deltas can read the removed content), but they are
-/// excluded from `len`, `node_ids`, `ext` and every derived view.
+/// through the mutation methods: [`DataTree::insert_subtree`] and
+/// [`DataTree::delete_subtree`] return the [`Edit`] delta performed;
+/// [`DataTree::set_attr`], [`DataTree::remove_attr`] and
+/// [`DataTree::set_text`] return the displaced value. Deleted vertices
+/// become *tombstones*: their ids are never reused, [`DataTree::node`]
+/// still resolves them (so consumers of deltas can read the removed
+/// content), but they are excluded from `len`, `node_ids`, `ext` and
+/// every derived view.
 #[derive(Clone, Debug)]
 pub struct DataTree {
     nodes: Vec<Node>,
@@ -548,90 +511,15 @@ impl DataTree {
     }
 
     /// Sets attribute `l` on `node`, creating or replacing it, and returns
-    /// the [`Edit::SetAttr`] delta (carrying the displaced value, if any).
+    /// the displaced value, if any.
     pub fn set_attr(
         &mut self,
         node: NodeId,
         l: impl Into<Name>,
         value: AttrValue,
-    ) -> Result<Edit, ModelError> {
-        self.check_alive(node)?;
-        let l = l.into();
-        let attrs = &mut self.nodes[node.index()].attrs;
-        let old = match attrs.binary_search_by(|(n, _)| n.cmp(&l)) {
-            Ok(i) => Some(std::mem::replace(&mut attrs[i].1, value.clone())),
-            Err(pos) => {
-                attrs.insert(pos, (l.clone(), value.clone()));
-                None
-            }
-        };
-        Ok(Edit::SetAttr {
-            node,
-            attr: l,
-            old,
-            new: value,
-        })
-    }
-
-    /// Removes attribute `l` from `node`, returning the
-    /// [`Edit::RemoveAttr`] delta. Errors if the attribute is not set.
-    pub fn remove_attr(&mut self, node: NodeId, l: &str) -> Result<Edit, ModelError> {
-        self.check_alive(node)?;
-        let attrs = &mut self.nodes[node.index()].attrs;
-        match attrs.binary_search_by(|(n, _)| n.as_str().cmp(l)) {
-            Ok(i) => {
-                let (attr, old) = attrs.remove(i);
-                Ok(Edit::RemoveAttr { node, attr, old })
-            }
-            Err(_) => Err(ModelError::NoSuchAttribute {
-                node,
-                attr: Name::new(l),
-            }),
-        }
-    }
-
-    /// Replaces the `index`-th *text* child of `node` (element children do
-    /// not count towards `index`), returning the [`Edit::SetText`] delta.
-    ///
-    /// The child word of `node` is unchanged by this edit (a text slot
-    /// stays a text slot), so content models never need rechecking.
-    pub fn set_text(
-        &mut self,
-        node: NodeId,
-        index: usize,
-        text: impl Into<Value>,
-    ) -> Result<Edit, ModelError> {
-        self.check_alive(node)?;
-        let text = text.into();
-        let mut k = 0usize;
-        for c in &mut self.nodes[node.index()].children {
-            if let Child::Text(t) = c {
-                if k == index {
-                    let old = std::mem::replace(t, text.clone());
-                    return Ok(Edit::SetText {
-                        node,
-                        index,
-                        old,
-                        new: text,
-                    });
-                }
-                k += 1;
-            }
-        }
-        Err(ModelError::NoSuchText { node, index })
-    }
-
-    /// [`DataTree::set_attr`] without the [`Edit`] delta: returns only the
-    /// displaced value. Batch appliers that coalesce many writes to the
-    /// same cell use this to avoid cloning the value into a delta that
-    /// would be discarded anyway.
-    pub fn set_attr_quiet(
-        &mut self,
-        node: NodeId,
-        l: Name,
-        value: AttrValue,
     ) -> Result<Option<AttrValue>, ModelError> {
         self.check_alive(node)?;
+        let l = l.into();
         let attrs = &mut self.nodes[node.index()].attrs;
         Ok(match attrs.binary_search_by(|(n, _)| n.cmp(&l)) {
             Ok(i) => Some(std::mem::replace(&mut attrs[i].1, value)),
@@ -642,14 +530,11 @@ impl DataTree {
         })
     }
 
-    /// [`DataTree::remove_attr`] without the [`Edit`] delta; removing an
-    /// absent attribute is a no-op returning `Ok(None)` (a batch applier
-    /// may have coalesced away the write that would have created it).
-    pub fn remove_attr_quiet(
-        &mut self,
-        node: NodeId,
-        l: &str,
-    ) -> Result<Option<AttrValue>, ModelError> {
+    /// Removes attribute `l` from `node`, returning the removed value.
+    /// Removing an absent attribute is a no-op returning `Ok(None)` (a
+    /// batch applier may have coalesced away the write that would have
+    /// created it).
+    pub fn remove_attr(&mut self, node: NodeId, l: &str) -> Result<Option<AttrValue>, ModelError> {
         self.check_alive(node)?;
         let attrs = &mut self.nodes[node.index()].attrs;
         Ok(match attrs.binary_search_by(|(n, _)| n.as_str().cmp(l)) {
@@ -658,9 +543,12 @@ impl DataTree {
         })
     }
 
-    /// [`DataTree::set_text`] without the [`Edit`] delta: returns only the
-    /// displaced text.
-    pub fn set_text_quiet(
+    /// Replaces the `index`-th *text* child of `node` (element children do
+    /// not count towards `index`), returning the displaced text.
+    ///
+    /// The child word of `node` is unchanged by this edit (a text slot
+    /// stays a text slot), so content models never need rechecking.
+    pub fn set_text(
         &mut self,
         node: NodeId,
         index: usize,
@@ -1311,24 +1199,16 @@ mod tests {
     fn set_attr_replaces_and_creates() {
         let mut t = book_tree();
         let entry = t.ext("entry").next().unwrap();
-        let e = t
+        let old = t
             .set_attr(entry, "isbn", AttrValue::single("0-201-53771-0"))
             .unwrap();
-        assert_eq!(
-            e,
-            Edit::SetAttr {
-                node: entry,
-                attr: Name::new("isbn"),
-                old: Some(AttrValue::single("1-55860-622-X")),
-                new: AttrValue::single("0-201-53771-0"),
-            }
-        );
+        assert_eq!(old, Some(AttrValue::single("1-55860-622-X")));
         assert_eq!(
             t.attr(entry, "isbn").unwrap().as_single().unwrap(),
             "0-201-53771-0"
         );
-        let e = t.set_attr(entry, "lang", AttrValue::single("en")).unwrap();
-        assert!(matches!(e, Edit::SetAttr { old: None, .. }));
+        let old = t.set_attr(entry, "lang", AttrValue::single("en")).unwrap();
+        assert_eq!(old, None);
         assert_eq!(t.attr(entry, "lang").unwrap().as_single().unwrap(), "en");
     }
 
@@ -1336,35 +1216,25 @@ mod tests {
     fn remove_attr_and_errors() {
         let mut t = book_tree();
         let entry = t.ext("entry").next().unwrap();
-        let e = t.remove_attr(entry, "isbn").unwrap();
-        assert!(matches!(e, Edit::RemoveAttr { .. }));
+        let old = t.remove_attr(entry, "isbn").unwrap();
+        assert_eq!(old, Some(AttrValue::single("1-55860-622-X")));
         assert!(t.attr(entry, "isbn").is_none());
-        assert_eq!(
-            t.remove_attr(entry, "isbn"),
-            Err(ModelError::NoSuchAttribute {
-                node: entry,
-                attr: Name::new("isbn")
-            })
-        );
+        // Removing it again is a no-op; a dead vertex is an error.
+        assert_eq!(t.remove_attr(entry, "isbn"), Ok(None));
+        let s1 = t.ext("section").next().unwrap();
+        t.delete_subtree(s1).unwrap();
+        assert_eq!(t.remove_attr(s1, "sid"), Err(ModelError::DeadNode(s1)));
     }
 
     #[test]
     fn set_text_replaces_kth_text_child() {
         let mut t = book_tree();
         let title = t.ext("title").next().unwrap();
-        let e = t.set_text(title, 0, "Web Data").unwrap();
-        assert_eq!(
-            e,
-            Edit::SetText {
-                node: title,
-                index: 0,
-                old: "Data on the Web".into(),
-                new: "Web Data".into(),
-            }
-        );
+        let old = t.set_text(title, 0, "Web Data".into()).unwrap();
+        assert_eq!(old, Value::from("Data on the Web"));
         assert_eq!(t.node(title).text(), "Web Data");
         assert_eq!(
-            t.set_text(title, 1, "x"),
+            t.set_text(title, 1, "x".into()),
             Err(ModelError::NoSuchText {
                 node: title,
                 index: 1

@@ -851,7 +851,8 @@ impl KeyUnaryPart {
     }
 }
 
-/// A key constraint: within `ext(τ)`, no two vertices with complete field
+/// A key constraint over two or more fields (a one-field key is a
+/// [`KeyUnaryPart`]): within `ext(τ)`, no two vertices with complete field
 /// tuples agree. Entries are keyed `(x, 0, 0, 0)` at the *later* witness:
 /// the sequential first-seen scan emits one violation per non-first holder,
 /// in extent order, against the group's minimum vertex.
@@ -957,42 +958,19 @@ impl KeyPart {
             .map(|f| cx.store.single(&self.tau, f))
             .collect();
         self.tuples.reserve(ext.len());
-        let mut groups: Vec<Vec<Sym>> = Vec::new();
-        if let [col] = cols.as_slice() {
-            // Unary key: group holders by symbol with one counting-sort
-            // pass instead of hashing a fresh tuple per vertex.
-            let mut pairs: Vec<(Sym, u32)> = Vec::with_capacity(ext.len());
-            for &x in ext {
-                let x = x.index() as u32;
-                if let Some(v) = col.get(x) {
-                    self.tuples.insert(x, vec![v]);
-                    pairs.push((v, x));
-                }
+        for &x in ext {
+            let x = x.index() as u32;
+            if let Some(t) = tuple_in(&cols, x) {
+                self.occ.entry(t.clone()).or_default().insert(x);
+                self.tuples.insert(x, t);
             }
-            let sorted = counting_sort_by_sym(&pairs, cx.store.interner.len());
-            self.occ.reserve(sym_run_count(&sorted));
-            let occ = &mut self.occ;
-            for_each_sym_run(&sorted, |v, run| {
-                if run.len() > 1 {
-                    groups.push(vec![v]);
-                }
-                occ.insert(vec![v], run.iter().map(|&(_, x)| x).collect());
-            });
-        } else {
-            for &x in ext {
-                let x = x.index() as u32;
-                if let Some(t) = tuple_in(&cols, x) {
-                    self.occ.entry(t.clone()).or_default().insert(x);
-                    self.tuples.insert(x, t);
-                }
-            }
-            groups = self
-                .occ
-                .iter()
-                .filter(|(_, h)| h.len() > 1)
-                .map(|(t, _)| t.clone())
-                .collect();
         }
+        let groups: Vec<Vec<Sym>> = self
+            .occ
+            .iter()
+            .filter(|(_, h)| h.len() > 1)
+            .map(|(t, _)| t.clone())
+            .collect();
         for t in groups {
             self.refresh_group(&t, cx);
         }
@@ -2768,13 +2746,13 @@ impl<'v, 'd> LiveValidator<'v, 'd> {
                     let single = value.is_singleton();
                     let old = self
                         .tree
-                        .set_attr_quiet(x, l, value)
+                        .set_attr(x, l, value)
                         .expect("liveness checked above");
                     old.is_none_or(|o| o.is_singleton() != single)
                 }
                 None => self
                     .tree
-                    .remove_attr_quiet(x, &l)
+                    .remove_attr(x, &l)
                     .expect("liveness checked above")
                     .is_some(),
             };
@@ -2793,7 +2771,7 @@ impl<'v, 'd> LiveValidator<'v, 'd> {
             }
             coalesced += 1;
             self.tree
-                .set_text_quiet(x, index, text)
+                .set_text(x, index, text)
                 .expect("slot staged-validated and batch-invariant");
         }
 

@@ -48,10 +48,10 @@
 //! ## Incremental revalidation
 //!
 //! [`LiveValidator`] owns a document and keeps its validation state alive
-//! across edits: typed [`xic_model::Edit`] deltas update refcounted
-//! key/reference indexes and a per-vertex structural map instead of
-//! re-running the whole pipeline, and each edit returns the violations it
-//! raised and cleared as a [`ReportDiff`]. [`LiveValidator::report`] stays
+//! across edits: [`xic_model::Edit`] deltas and displaced values update
+//! refcounted key/reference indexes and a per-vertex structural map
+//! instead of re-running the whole pipeline, and each edit returns the
+//! violations it raised and cleared as a [`ReportDiff`]. [`LiveValidator::report`] stays
 //! byte-identical to [`Validator::validate`] on the current tree.
 
 #![forbid(unsafe_code)]
