@@ -10,10 +10,11 @@
 //! back-to-back in one bump-allocated byte arena (addressed by
 //! `(offset, len)` spans, so a million symbols cost two flat `Vec`s, not a
 //! million heap allocations), and lookups go through an open-addressing
-//! table of 8-byte slots, each holding a 32-bit hash tag. A call to
-//! [`Interner::intern_bytes`] hashes the *borrowed* slice exactly once,
-//! compares candidates tag-first, and copies bytes only when the string has
-//! never been seen — no owned temporaries on the hit path, and table growth
+//! table of 16-byte slots, each holding a hash tag, the symbol and the
+//! string's first eight bytes. A call to [`Interner::intern_bytes`] hashes
+//! the *borrowed* slice exactly once, decides a string of at most eight
+//! bytes inside its slot, and copies bytes only when the string has never
+//! been seen — no owned temporaries on the hit path, and table growth
 //! rehashes nothing because the stored tags are reused.
 
 use std::hash::Hasher;
@@ -55,34 +56,62 @@ impl Sym {
     }
 }
 
-/// One open-addressing slot: a 32-bit hash tag plus the symbol (offset by
-/// one so the all-zero slot means *empty*). Eight bytes per slot — eight
-/// slots per cache line — matters more than tag width here: with millions
-/// of distinct values the table far exceeds cache, and every intern is one
-/// random memory touch whose cost is set by how much of the line is
-/// useful. The tag folds the full 64-bit hash, so growth is pure
-/// reinsertion (no string is ever rehashed) and probes reject non-matches
-/// without touching the arena; a 1-in-2³² tag collision just falls back to
-/// the byte comparison.
+/// One open-addressing slot: the hash tag, the symbol (offset by one so
+/// the all-zero slot means *empty*) and the string's first eight bytes,
+/// zero-padded. With millions of distinct values the table far exceeds
+/// cache, so what an intern costs is the number of dependent memory
+/// touches, not slot density: a hit on a slot that holds only a tag must
+/// go on to `spans` and then the arena, three cache misses in a row. The
+/// tag's low [`LEN_BITS`] carry the length (exactly, up to eight bytes),
+/// so a string of at most eight bytes is decided by `tag` and `key` alone,
+/// inside the one line the probe already loaded; a longer one compares
+/// `key` before it touches the arena. Growth is pure reinsertion from the
+/// stored tags (no string is ever rehashed).
 #[derive(Clone, Copy, Debug)]
 struct Slot {
     tag: u32,
     sym_plus1: u32,
+    key: u64,
 }
 
 const EMPTY: Slot = Slot {
     tag: 0,
     sym_plus1: 0,
+    key: 0,
 };
 
-/// Folds a string's 64-bit hash into the 32-bit slot tag, which also
-/// provides the probe start index.
+/// Low tag bits holding the length class: the byte length, saturated at
+/// `2^LEN_BITS - 1`. Lengths up to [`INLINE`] are exact, which is what
+/// lets the inline key decide equality (`"a"` and `"a\0"` share a key).
+const LEN_BITS: u32 = 4;
+
+/// Bytes a slot keeps inline.
+const INLINE: usize = 8;
+
+/// A string's slot tag (hash bits above its length class) and inline key.
 #[inline]
-fn hash_tag(s: &[u8]) -> u32 {
+fn probe_key(s: &[u8]) -> (u32, u64) {
     let mut h = FastHasher::default();
     h.write(s);
     let hash = h.finish();
-    (hash ^ (hash >> 32)) as u32
+    let class = s.len().min((1 << LEN_BITS) - 1) as u32;
+    let tag = ((hash ^ (hash >> 32)) as u32) << LEN_BITS | class;
+    let key = match s.get(..INLINE) {
+        Some(head) => u64::from_le_bytes(head.try_into().expect("8-byte head")),
+        None => {
+            let mut buf = [0u8; INLINE];
+            buf[..s.len()].copy_from_slice(s);
+            u64::from_le_bytes(buf)
+        }
+    };
+    (tag, key)
+}
+
+/// Where a tag's probe sequence starts: its hash bits, not its length
+/// class, pick the slot.
+#[inline]
+fn home(tag: u32, mask: usize) -> usize {
+    tag.rotate_right(LEN_BITS) as usize & mask
 }
 
 /// A string intern pool mapping distinct strings to dense [`Sym`] handles.
@@ -102,7 +131,8 @@ pub struct Interner {
     arena: Vec<u8>,
     /// `sym.index() ↦ (arena offset, byte length)`.
     spans: Vec<(u32, u32)>,
-    /// Open-addressing lookup table; power-of-two capacity.
+    /// Open-addressing lookup table; power-of-two capacity. Empty while
+    /// released (see [`Interner::release_table`]) even if `spans` is not.
     table: Vec<Slot>,
 }
 
@@ -132,9 +162,9 @@ impl Interner {
         if self.spans.len() + 1 > self.table.len() / 2 {
             self.grow();
         }
-        let tag = hash_tag(s);
+        let (tag, key) = probe_key(s);
         let mask = self.table.len() - 1;
-        let mut i = tag as usize & mask;
+        let mut i = home(tag, mask);
         loop {
             let slot = self.table[i];
             if slot.sym_plus1 == 0 {
@@ -146,10 +176,11 @@ impl Interner {
                 self.table[i] = Slot {
                     tag,
                     sym_plus1: sym + 1,
+                    key,
                 };
                 return Sym::from_index(sym);
             }
-            if slot.tag == tag && self.span_bytes(slot.sym_plus1 - 1) == s {
+            if self.holds(slot, tag, key, s) {
                 return Sym::from_index(slot.sym_plus1 - 1);
             }
             i = (i + 1) & mask;
@@ -157,20 +188,25 @@ impl Interner {
     }
 
     /// The symbol of `s` if it has been interned, without allocating.
+    ///
+    /// While the lookup table is released this scans every symbol; the
+    /// next [`Interner::intern`] rebuilds the table.
     pub fn get(&self, s: &str) -> Option<Sym> {
-        if self.table.is_empty() {
-            return None;
-        }
         let bytes = s.as_bytes();
-        let tag = hash_tag(bytes);
+        if self.table.is_empty() {
+            return (0..self.spans.len() as u32)
+                .find(|&sym| self.span_bytes(sym) == bytes)
+                .map(Sym::from_index);
+        }
+        let (tag, key) = probe_key(bytes);
         let mask = self.table.len() - 1;
-        let mut i = tag as usize & mask;
+        let mut i = home(tag, mask);
         loop {
             let slot = self.table[i];
             if slot.sym_plus1 == 0 {
                 return None;
             }
-            if slot.tag == tag && self.span_bytes(slot.sym_plus1 - 1) == bytes {
+            if self.holds(slot, tag, key, bytes) {
                 return Some(Sym::from_index(slot.sym_plus1 - 1));
             }
             i = (i + 1) & mask;
@@ -203,6 +239,15 @@ impl Interner {
     /// [`Sym::index`]. See [`Interner::arena`].
     pub fn spans(&self) -> &[(u32, u32)] {
         &self.spans
+    }
+
+    /// Frees the lookup table, the largest part of a big pool, for a
+    /// holder that from now on only resolves symbols. Symbols, arena and
+    /// spans are untouched; the next [`Interner::intern`] rebuilds the
+    /// table from the spans, as [`Interner::from_parts`] does, and
+    /// [`Interner::get`] falls back to a scan until then.
+    pub fn release_table(&mut self) {
+        self.table = Vec::new();
     }
 
     /// Reassembles a pool from a previously captured
@@ -250,34 +295,13 @@ impl Interner {
                 return Err(format!("interner: span {i} splits a multi-byte character"));
             }
         }
-        let cap = (spans.len() * 2 + 2).next_power_of_two().max(32);
         let mut pool = Interner {
             arena,
             spans,
-            table: vec![EMPTY; cap],
+            table: Vec::new(),
         };
-        let mask = cap - 1;
-        for sym in 0..pool.spans.len() as u32 {
-            let tag = hash_tag(pool.span_bytes(sym));
-            let mut i = tag as usize & mask;
-            loop {
-                let slot = pool.table[i];
-                if slot.sym_plus1 == 0 {
-                    pool.table[i] = Slot {
-                        tag,
-                        sym_plus1: sym + 1,
-                    };
-                    break;
-                }
-                if slot.tag == tag && pool.span_bytes(slot.sym_plus1 - 1) == pool.span_bytes(sym) {
-                    return Err(format!(
-                        "interner: spans {} and {sym} denote the same string",
-                        slot.sym_plus1 - 1
-                    ));
-                }
-                i = (i + 1) & mask;
-            }
-        }
+        pool.rebuild_table()
+            .map_err(|(a, b)| format!("interner: spans {a} and {b} denote the same string"))?;
         Ok(pool)
     }
 
@@ -294,10 +318,57 @@ impl Interner {
         &self.arena[start as usize..start as usize + len as usize]
     }
 
+    /// Whether the occupied `slot` holds `s`, whose tag and key are `tag`
+    /// and `key`. Equal tags mean equal length classes, so for a string
+    /// of at most [`INLINE`] bytes equal keys settle it without touching
+    /// `spans` or the arena; a longer one compares its tail there.
+    #[inline]
+    fn holds(&self, slot: Slot, tag: u32, key: u64, s: &[u8]) -> bool {
+        slot.tag == tag
+            && slot.key == key
+            && (s.len() <= INLINE || self.span_bytes(slot.sym_plus1 - 1)[INLINE..] == s[INLINE..])
+    }
+
+    /// Sizes the table for the spans (≤50% load after the next intern)
+    /// and inserts every span, rehashing its bytes. Fails with the two
+    /// symbols if two spans denote the same string.
+    fn rebuild_table(&mut self) -> Result<(), (u32, u32)> {
+        let cap = (self.spans.len() * 2 + 2).next_power_of_two().max(32);
+        self.table = vec![EMPTY; cap];
+        let mask = cap - 1;
+        for sym in 0..self.spans.len() as u32 {
+            let s = self.span_bytes(sym);
+            let (tag, key) = probe_key(s);
+            let mut i = home(tag, mask);
+            loop {
+                let slot = self.table[i];
+                if slot.sym_plus1 == 0 {
+                    self.table[i] = Slot {
+                        tag,
+                        sym_plus1: sym + 1,
+                        key,
+                    };
+                    break;
+                }
+                if self.holds(slot, tag, key, s) {
+                    return Err((slot.sym_plus1 - 1, sym));
+                }
+                i = (i + 1) & mask;
+            }
+        }
+        Ok(())
+    }
+
     /// Doubles the table (≤50% load), reinserting entries from their stored
-    /// tags — no string is rehashed.
+    /// tags — no string is rehashed. A released table is rebuilt from the
+    /// spans instead.
     #[cold]
     fn grow(&mut self) {
+        if self.table.is_empty() && !self.spans.is_empty() {
+            self.rebuild_table()
+                .expect("a pool's spans denote distinct strings");
+            return;
+        }
         let cap = (self.table.len() * 2).max(32);
         let old = std::mem::replace(&mut self.table, vec![EMPTY; cap]);
         let mask = cap - 1;
@@ -305,7 +376,7 @@ impl Interner {
             if slot.sym_plus1 == 0 {
                 continue;
             }
-            let mut i = slot.tag as usize & mask;
+            let mut i = home(slot.tag, mask);
             while self.table[i].sym_plus1 != 0 {
                 i = (i + 1) & mask;
             }
