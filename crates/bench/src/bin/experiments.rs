@@ -1711,7 +1711,9 @@ fn e19_sizes() -> &'static [usize] {
 /// whose final record is torn mid-write recovers to a report
 /// byte-identical to the pre-crash validator that applied every intact
 /// batch — the torn tail is truncated away, never replayed, and never
-/// misread as corruption. Registers its rows for `BENCH_validate.json`.
+/// misread as corruption. **Size**: at the smoke size the snapshot must
+/// stay at or under 100 bytes per vertex (format v3 writes about 52;
+/// format v2 wrote 189). Registers its rows for `BENCH_validate.json`.
 fn e19_warm_start() {
     heading(
         "E19 (durable state)",
@@ -1824,8 +1826,9 @@ fn e19_warm_start() {
             t_read * 1e3,
             t_rebuild * 1e3
         );
+        let bytes_per_vertex = snap_bytes as f64 / nodes as f64;
         println!(
-            "  nodes = {nodes:8}  cold boot {:9.3} ms   warm start {:9.3} ms   ×{ratio:.3} end-to-end   ×{rebuild_ratio:.3} rebuild/cold   (snapshot {:.1} MB + 8×64-edit wal)",
+            "  nodes = {nodes:8}  cold boot {:9.3} ms   warm start {:9.3} ms   ×{ratio:.3} end-to-end   ×{rebuild_ratio:.3} rebuild/cold   (snapshot {:.1} MB = {bytes_per_vertex:.1} B/vertex + 8×64-edit wal)",
             t_cold * 1e3,
             t_warm * 1e3,
             snap_bytes as f64 / 1e6
@@ -1848,6 +1851,10 @@ fn e19_warm_start() {
             assert!(
                 ratio <= 0.8,
                 "end-to-end warm boot smoke gate at n={n}: ×{ratio:.3} of cold boot (gate ≤0.8)"
+            );
+            assert!(
+                bytes_per_vertex <= 100.0,
+                "snapshot size smoke gate at n={n}: {bytes_per_vertex:.1} B per vertex (gate ≤100)"
             );
         }
 

@@ -1,10 +1,26 @@
 //! Little-endian binary codecs for the model and validator types.
 //!
-//! The encoding is deliberately plain: fixed-width integers, u64 length
-//! prefixes, and tag bytes for enums, all little-endian. Every decode
-//! validates lengths against the remaining input *before* allocating, so
-//! corrupted length fields produce a clean [`StorageError::Corrupt`]
-//! instead of an allocation panic.
+//! Two encodings live here:
+//!
+//! * **v2** — fixed-width integers, u64 length prefixes and tag bytes, all
+//!   little-endian. WAL records (format v2) are written in it; snapshot
+//!   v2 files are only read ([`dec_tree_v2`], [`dec_interner_v2`],
+//!   [`dec_columns_v2`]).
+//! * **v3** — the snapshot's three bulk sections in LEB128 varints. A
+//!   tree names each label and attribute name by a varint id into a
+//!   dictionary built inline: the first use of an id is followed by its
+//!   spelling, so encoder and decoder each make one pass. A child is one
+//!   varint (`id << 1 | 1`, or `len << 1` before the text's bytes); a
+//!   column cell is `sym + 1` (0 = absent); an interner span is its
+//!   length, plus a zigzag gap only when it does not start where the
+//!   previous one ended.
+//!
+//! Every decode validates a length against the remaining input *before*
+//! allocating, so a corrupted length field produces a clean
+//! [`StorageError::Corrupt`] instead of an allocation panic; a varint
+//! past u64 (or past u32 where the value is a u32) is corrupt too.
+
+use std::collections::hash_map::{Entry, HashMap};
 
 use xic_constraints::Field;
 use xic_model::{AttrValue, Child, DataTree, Name, NodeId, RawNode, Sym};
@@ -43,6 +59,21 @@ impl Enc {
     pub(crate) fn str(&mut self, v: &str) {
         self.bytes(v.as_bytes());
     }
+
+    /// An unsigned LEB128 varint: seven bits per byte, low bits first,
+    /// the high bit set on every byte but the last.
+    pub(crate) fn var(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.buf.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.buf.push(v as u8);
+    }
+
+    pub(crate) fn var_str(&mut self, v: &str) {
+        self.var(v.len() as u64);
+        self.buf.extend_from_slice(v.as_bytes());
+    }
 }
 
 /// A bounds-checked decode cursor over one buffer.
@@ -62,7 +93,7 @@ impl<'a> Dec<'a> {
         self.pos == self.buf.len()
     }
 
-    fn corrupt<T>(&self, detail: &str) -> Result<T, StorageError> {
+    pub(crate) fn corrupt<T>(&self, detail: &str) -> Result<T, StorageError> {
         Err(StorageError::Corrupt {
             detail: format!("{}: {} at byte {}", self.what, detail, self.pos),
         })
@@ -99,6 +130,12 @@ impl<'a> Dec<'a> {
     /// occupancy check, e.g. for element counts of variable-size records).
     pub(crate) fn len(&mut self, min_elem: usize) -> Result<usize, StorageError> {
         let n = self.u64()?;
+        self.fit(n, min_elem)
+    }
+
+    /// Checks a decoded length `n` against the remaining input, as
+    /// [`Dec::len`] describes.
+    fn fit(&self, n: u64, min_elem: usize) -> Result<usize, StorageError> {
         let Ok(n) = usize::try_from(n) else {
             return self.corrupt("length does not fit this platform");
         };
@@ -114,8 +151,14 @@ impl<'a> Dec<'a> {
     }
 
     pub(crate) fn str(&mut self) -> Result<&'a str, StorageError> {
+        let n = self.len(1)?;
+        self.str_of(n)
+    }
+
+    /// The next `n` bytes as a UTF-8 string.
+    fn str_of(&mut self, n: usize) -> Result<&'a str, StorageError> {
         let pos = self.pos;
-        match std::str::from_utf8(self.bytes()?) {
+        match std::str::from_utf8(self.take(n)?) {
             Ok(s) => Ok(s),
             Err(_) => {
                 self.pos = pos;
@@ -123,43 +166,84 @@ impl<'a> Dec<'a> {
             }
         }
     }
+
+    /// An unsigned LEB128 varint (see [`Enc::var`]). A tenth byte may
+    /// hold only bit 63, so an encoding past u64 is corrupt.
+    #[inline]
+    pub(crate) fn var(&mut self) -> Result<u64, StorageError> {
+        let mut v = 0u64;
+        let mut shift = 0;
+        loop {
+            let Some(&b) = self.buf.get(self.pos) else {
+                return self.corrupt("input ends inside a varint");
+            };
+            self.pos += 1;
+            if shift == 63 && b > 1 {
+                return self.corrupt("varint overflows u64");
+            }
+            v |= u64::from(b & 0x7f) << shift;
+            if b < 0x80 {
+                return Ok(v);
+            }
+            shift += 7;
+        }
+    }
+
+    pub(crate) fn var_u32(&mut self) -> Result<u32, StorageError> {
+        let v = self.var()?;
+        u32::try_from(v).or_else(|_| self.corrupt("varint overflows u32"))
+    }
+
+    /// A varint length prefix, checked like [`Dec::len`].
+    pub(crate) fn var_len(&mut self, min_elem: usize) -> Result<usize, StorageError> {
+        let n = self.var()?;
+        self.fit(n, min_elem)
+    }
+
+    pub(crate) fn var_bytes(&mut self) -> Result<&'a [u8], StorageError> {
+        let n = self.var_len(1)?;
+        self.take(n)
+    }
+
+    pub(crate) fn var_str(&mut self) -> Result<&'a str, StorageError> {
+        let n = self.var_len(1)?;
+        self.str_of(n)
+    }
 }
 
 // ---------------------------------------------------------------------------
 // Scalar wrappers.
 
-fn enc_opt_u32(e: &mut Enc, v: Option<u32>) {
+fn dec_opt_u32(d: &mut Dec<'_>) -> Result<Option<u32>, StorageError> {
     // 0 = absent, else value + 1 — mirrors the `NonZeroU32` niche the
     // in-memory types use.
-    e.u32(match v {
-        None => 0,
-        Some(x) => x
-            .checked_add(1)
-            .expect("index + 1 fits u32 (enforced at interning/build time)"),
-    });
-}
-
-fn dec_opt_u32(d: &mut Dec<'_>) -> Result<Option<u32>, StorageError> {
     Ok(match d.u32()? {
         0 => None,
         x => Some(x - 1),
     })
 }
 
-pub(crate) fn enc_sym(e: &mut Enc, s: Sym) {
-    e.u32(s.index() as u32);
+/// A symbol from its dense index. u32::MAX is the one index `Sym` cannot
+/// represent (index + 1 must be non-zero); constructing it would panic,
+/// and decoding never panics.
+fn sym_of(d: &Dec<'_>, index: u64) -> Result<Sym, StorageError> {
+    match u32::try_from(index) {
+        Ok(i) if i != u32::MAX => Ok(Sym::from_index(i)),
+        _ => d.corrupt("symbol index is past u32::MAX - 1"),
+    }
 }
 
-pub(crate) fn dec_sym(d: &mut Dec<'_>) -> Result<Sym, StorageError> {
+fn dec_sym_v2(d: &mut Dec<'_>) -> Result<Sym, StorageError> {
     let index = d.u32()?;
-    // u32::MAX is the one index `Sym` cannot represent (index + 1 must be
-    // non-zero); constructing it would panic, and decoding never panics.
-    if index == u32::MAX {
-        return Err(StorageError::Corrupt {
-            detail: "symbol index is the reserved sentinel u32::MAX".into(),
-        });
+    sym_of(d, index.into())
+}
+
+/// A cell of a v3 single-valued column: `sym + 1`, 0 = absent.
+fn dec_cell_v3(d: &mut Dec<'_>) -> Result<Option<Sym>, StorageError> {
+    match d.var()? {
+        0 => Ok(None),
+        v => sym_of(d, v - 1).map(Some),
     }
-    Ok(Sym::from_index(index))
 }
 
 fn enc_node_id(e: &mut Enc, n: NodeId) {
@@ -168,6 +252,14 @@ fn enc_node_id(e: &mut Enc, n: NodeId) {
 
 fn dec_node_id(d: &mut Dec<'_>) -> Result<NodeId, StorageError> {
     Ok(NodeId::from_index(d.u32()? as usize))
+}
+
+/// A node id from a decoded varint, which may exceed the u32 id space.
+fn node_of(d: &Dec<'_>, index: u64) -> Result<NodeId, StorageError> {
+    match u32::try_from(index) {
+        Ok(i) => Ok(NodeId::from_index(i as usize)),
+        Err(_) => d.corrupt("node id overflows u32"),
+    }
 }
 
 fn enc_attr_value(e: &mut Enc, v: &AttrValue) {
@@ -189,15 +281,10 @@ fn dec_attr_value(d: &mut Dec<'_>) -> Result<AttrValue, StorageError> {
 // ---------------------------------------------------------------------------
 // Trees.
 
-/// Encodes every arena slot of `t`, tombstones included, so node ids stay
-/// stable across a round trip. The tree is read in place through its
-/// public accessors; [`dec_tree`] rebuilds it with
-/// [`DataTree::from_raw_parts`].
-pub(crate) fn enc_tree(e: &mut Enc, t: &DataTree) {
+/// The tombstone flag byte, then one bit per slot — only if the tree has
+/// a tombstone.
+fn enc_dead(e: &mut Enc, t: &DataTree) {
     let slots = t.id_bound();
-    e.len(slots);
-    e.u32(t.root().index() as u32);
-    // A tree with no tombstone stores no flag bitmap.
     let has_dead = t.len() < slots;
     e.u8(u8::from(has_dead));
     if has_dead {
@@ -207,10 +294,35 @@ pub(crate) fn enc_tree(e: &mut Enc, t: &DataTree) {
             e.buf[start + i / 8] |= 1 << (i % 8);
         }
     }
+}
+
+fn dec_dead(d: &mut Dec<'_>, n: usize) -> Result<Vec<bool>, StorageError> {
+    Ok(if d.u8()? != 0 {
+        let bits = d.take(n.div_ceil(8))?;
+        (0..n).map(|i| bits[i / 8] & (1 << (i % 8)) != 0).collect()
+    } else {
+        Vec::new()
+    })
+}
+
+fn tree_of(nodes: Vec<RawNode>, root: NodeId, dead: Vec<bool>) -> Result<DataTree, StorageError> {
+    DataTree::from_raw_parts(nodes, root, dead).map_err(|e| StorageError::Corrupt {
+        detail: format!("tree: decoded parts are inconsistent: {e}"),
+    })
+}
+
+/// Encodes every arena slot of `t` in format v2, tombstones included, so
+/// node ids stay stable across a round trip. The WAL writes inserted
+/// fragments with it.
+pub(crate) fn enc_tree_v2(e: &mut Enc, t: &DataTree) {
+    let slots = t.id_bound();
+    e.len(slots);
+    e.u32(t.root().index() as u32);
+    enc_dead(e, t);
     for i in 0..slots {
         let node = t.node(NodeId::from_index(i));
         e.str(&node.label);
-        enc_opt_u32(e, node.parent().map(|p| p.index() as u32));
+        e.u32(node.parent().map_or(0, |p| p.index() as u32 + 1));
         e.len(node.children.len());
         for c in &node.children {
             match c {
@@ -232,13 +344,14 @@ pub(crate) fn enc_tree(e: &mut Enc, t: &DataTree) {
     }
 }
 
-/// Reuses one [`Name`] per distinct spelling while decoding a tree:
-/// element labels and attribute names repeat across every vertex, and a
-/// refcount bump is far cheaper than allocating a fresh `Arc<str>` for
-/// each of a million nodes.
+/// Reuses one [`Name`] per distinct spelling while decoding a v2 tree,
+/// which spells out every label and attribute name: a refcount bump is
+/// far cheaper than a fresh `Arc<str>` for each of a million nodes, and
+/// a tree loaded from a v2 file stays as small in memory as one loaded
+/// from v3.
 #[derive(Default)]
 struct NameCache<'a> {
-    seen: std::collections::HashMap<&'a str, Name>,
+    seen: HashMap<&'a str, Name>,
 }
 
 impl<'a> NameCache<'a> {
@@ -247,15 +360,10 @@ impl<'a> NameCache<'a> {
     }
 }
 
-pub(crate) fn dec_tree(d: &mut Dec<'_>) -> Result<DataTree, StorageError> {
+pub(crate) fn dec_tree_v2(d: &mut Dec<'_>) -> Result<DataTree, StorageError> {
     let n = d.len(1)?;
     let root = NodeId::from_index(d.u32()? as usize);
-    let dead = if d.u8()? != 0 {
-        let bits = d.take(n.div_ceil(8))?;
-        (0..n).map(|i| bits[i / 8] & (1 << (i % 8)) != 0).collect()
-    } else {
-        Vec::new()
-    };
+    let dead = dec_dead(d, n)?;
     let mut names = NameCache::default();
     let mut nodes = Vec::with_capacity(n);
     for _ in 0..n {
@@ -287,30 +395,134 @@ pub(crate) fn dec_tree(d: &mut Dec<'_>) -> Result<DataTree, StorageError> {
             parent,
         });
     }
-    DataTree::from_raw_parts(nodes, root, dead).map_err(|e| StorageError::Corrupt {
-        detail: format!("tree: decoded parts are inconsistent: {e}"),
-    })
+    tree_of(nodes, root, dead)
+}
+
+/// Writes `name` as its dictionary id, assigning the next id (followed by
+/// the spelling) on first use.
+fn enc_name<'t>(e: &mut Enc, ids: &mut HashMap<&'t str, u64>, name: &'t str) {
+    let next = ids.len() as u64;
+    match ids.entry(name) {
+        Entry::Occupied(id) => e.var(*id.get()),
+        Entry::Vacant(slot) => {
+            slot.insert(next);
+            e.var(next);
+            e.var_str(name);
+        }
+    }
+}
+
+/// Reads a dictionary id: a known one clones its [`Name`], the next one
+/// brings its spelling, and any other is corrupt.
+fn dec_name(d: &mut Dec<'_>, names: &mut Vec<Name>) -> Result<Name, StorageError> {
+    let id = d.var()?;
+    if let Some(name) = usize::try_from(id).ok().and_then(|i| names.get(i)) {
+        return Ok(name.clone());
+    }
+    if id != names.len() as u64 {
+        return d.corrupt("name id past the dictionary");
+    }
+    let name = Name::new(d.var_str()?);
+    names.push(name.clone());
+    Ok(name)
+}
+
+/// Encodes every arena slot of `t` in format v3, tombstones included, so
+/// node ids stay stable across a round trip. The tree is read in place
+/// through its public accessors; [`dec_tree_v3`] rebuilds it with
+/// [`DataTree::from_raw_parts`].
+pub(crate) fn enc_tree_v3(e: &mut Enc, t: &DataTree) {
+    let slots = t.id_bound();
+    e.var(slots as u64);
+    e.var(t.root().index() as u64);
+    enc_dead(e, t);
+    let mut names = HashMap::new();
+    for i in 0..slots {
+        let node = t.node(NodeId::from_index(i));
+        enc_name(e, &mut names, &node.label);
+        e.var(node.parent().map_or(0, |p| p.index() as u64 + 1));
+        e.var(node.children.len() as u64);
+        for c in &node.children {
+            match c {
+                Child::Text(text) => {
+                    e.var((text.len() as u64) << 1);
+                    e.buf.extend_from_slice(text.as_bytes());
+                }
+                Child::Node(child) => e.var((child.index() as u64) << 1 | 1),
+            }
+        }
+        e.var(node.attrs().len() as u64);
+        for (name, val) in node.attrs() {
+            enc_name(e, &mut names, name);
+            e.var(val.values().len() as u64);
+            for m in val.values() {
+                e.var_str(m);
+            }
+        }
+    }
+}
+
+pub(crate) fn dec_tree_v3(d: &mut Dec<'_>) -> Result<DataTree, StorageError> {
+    // A slot is at least four one-byte varints: label, parent, and the
+    // child and attribute counts.
+    let n = d.var_len(4)?;
+    let root = NodeId::from_index(d.var_u32()? as usize);
+    let dead = dec_dead(d, n)?;
+    let mut names = Vec::new();
+    let mut nodes = Vec::with_capacity(n);
+    for _ in 0..n {
+        let label = dec_name(d, &mut names)?;
+        let parent = match d.var()? {
+            0 => None,
+            p => Some(node_of(d, p - 1)?),
+        };
+        let nchildren = d.var_len(1)?;
+        let mut children = Vec::with_capacity(nchildren);
+        for _ in 0..nchildren {
+            let c = d.var()?;
+            children.push(if c & 1 == 1 {
+                Child::Node(node_of(d, c >> 1)?)
+            } else {
+                let len = d.fit(c >> 1, 1)?;
+                Child::Text(d.str_of(len)?.to_string())
+            });
+        }
+        // An attribute is at least its name id and its member count.
+        let nattrs = d.var_len(2)?;
+        let mut attrs = Vec::with_capacity(nattrs);
+        for _ in 0..nattrs {
+            let name = dec_name(d, &mut names)?;
+            let nmembers = d.var_len(1)?;
+            let mut members = Vec::with_capacity(nmembers);
+            for _ in 0..nmembers {
+                members.push(d.var_str()?.to_string());
+            }
+            attrs.push((name, AttrValue::set(members)));
+        }
+        nodes.push(RawNode {
+            label,
+            children,
+            attrs,
+            parent,
+        });
+    }
+    tree_of(nodes, root, dead)
 }
 
 // ---------------------------------------------------------------------------
 // Constraint fields and violations.
 
-fn enc_field(e: &mut Enc, f: &Field) {
-    match f {
-        Field::Attr(n) => {
-            e.u8(0);
-            e.str(n);
-        }
-        Field::Sub(n) => {
-            e.u8(1);
-            e.str(n);
-        }
-    }
+fn enc_field_v3(e: &mut Enc, f: &Field) {
+    let (tag, name) = match f {
+        Field::Attr(n) => (0, n),
+        Field::Sub(n) => (1, n),
+    };
+    e.u8(tag);
+    e.var_str(name);
 }
 
-fn dec_field(d: &mut Dec<'_>) -> Result<Field, StorageError> {
-    let tag = d.u8()?;
-    let name = Name::new(d.str()?);
+fn field_of(tag: u8, name: &str) -> Result<Field, StorageError> {
+    let name = Name::new(name);
     match tag {
         0 => Ok(Field::Attr(name)),
         1 => Ok(Field::Sub(name)),
@@ -318,6 +530,16 @@ fn dec_field(d: &mut Dec<'_>) -> Result<Field, StorageError> {
             detail: format!("field: unknown tag {t}"),
         }),
     }
+}
+
+fn dec_field_v2(d: &mut Dec<'_>) -> Result<Field, StorageError> {
+    let tag = d.u8()?;
+    field_of(tag, d.str()?)
+}
+
+fn dec_field_v3(d: &mut Dec<'_>) -> Result<Field, StorageError> {
+    let tag = d.u8()?;
+    field_of(tag, d.var_str()?)
 }
 
 fn enc_violation(e: &mut Enc, v: &Violation) {
@@ -484,20 +706,62 @@ fn dec_violation(d: &mut Dec<'_>) -> Result<Violation, StorageError> {
 // ---------------------------------------------------------------------------
 // Live-validator state sections.
 
-pub(crate) fn enc_interner(e: &mut Enc, arena: &[u8], spans: &[(u32, u32)]) {
-    e.bytes(arena);
-    e.len(spans.len());
-    for &(start, len) in spans {
-        e.u32(start);
-        e.u32(len);
-    }
-}
-
 /// The decoded interner parts: the byte arena plus its `(start, len)`
 /// spans, in the shape `Interner::from_parts` consumes.
 pub(crate) type InternerParts = (Vec<u8>, Vec<(u32, u32)>);
 
-pub(crate) fn dec_interner(d: &mut Dec<'_>) -> Result<InternerParts, StorageError> {
+/// The decoded columns: single-valued, then set-valued, in stored order.
+pub(crate) type Columns = (
+    Vec<((Name, Field), Vec<Option<Sym>>)>,
+    Vec<((Name, Name), Vec<Vec<Sym>>)>,
+);
+
+/// Encodes the arena, then each span as one varint `len << 1 | moved`. A
+/// span that starts where the previous one ended — the layout the intern
+/// path writes — is that varint alone; a moved one is followed by its
+/// zigzag gap from that end, so any span list round-trips.
+pub(crate) fn enc_interner_v3(e: &mut Enc, arena: &[u8], spans: &[(u32, u32)]) {
+    e.var(arena.len() as u64);
+    e.buf.extend_from_slice(arena);
+    e.var(spans.len() as u64);
+    let mut end = 0i64;
+    for &(start, len) in spans {
+        let gap = i64::from(start) - end;
+        e.var(u64::from(len) << 1 | u64::from(gap != 0));
+        if gap != 0 {
+            e.var(((gap << 1) ^ (gap >> 63)) as u64);
+        }
+        end = i64::from(start) + i64::from(len);
+    }
+}
+
+pub(crate) fn dec_interner_v3(d: &mut Dec<'_>) -> Result<InternerParts, StorageError> {
+    let arena = d.var_bytes()?.to_vec();
+    let n = d.var_len(1)?;
+    let mut spans = Vec::with_capacity(n);
+    let mut end = 0i64;
+    for _ in 0..n {
+        let v = d.var()?;
+        let Ok(len) = u32::try_from(v >> 1) else {
+            return d.corrupt("interner span length overflows u32");
+        };
+        let start = if v & 1 == 0 {
+            Some(end)
+        } else {
+            let z = d.var()?;
+            end.checked_add((z >> 1) as i64 ^ -((z & 1) as i64))
+        };
+        let Some(start) = start.and_then(|s| u32::try_from(s).ok()) else {
+            return d.corrupt("interner span starts outside u32");
+        };
+        end = i64::from(start) + i64::from(len);
+        spans.push((start, len));
+    }
+    Ok((arena, spans))
+}
+
+/// Format v2's interner section: read-only.
+pub(crate) fn dec_interner_v2(d: &mut Dec<'_>) -> Result<InternerParts, StorageError> {
     let arena = d.bytes()?.to_vec();
     let n = d.len(8)?;
     let mut spans = Vec::with_capacity(n);
@@ -507,39 +771,73 @@ pub(crate) fn dec_interner(d: &mut Dec<'_>) -> Result<InternerParts, StorageErro
     Ok((arena, spans))
 }
 
-pub(crate) fn enc_columns(e: &mut Enc, state: &LiveStateRef<'_>) {
-    e.len(state.singles.len());
+pub(crate) fn enc_columns_v3(e: &mut Enc, state: &LiveStateRef<'_>) {
+    e.var(state.singles.len() as u64);
     for ((tau, field), vals) in &state.singles {
-        e.str(tau);
-        enc_field(e, field);
-        e.len(vals.len());
+        e.var_str(tau);
+        enc_field_v3(e, field);
+        e.var(vals.len() as u64);
         for cell in *vals {
-            enc_opt_u32(e, cell.map(|s| s.index() as u32));
+            e.var(cell.map_or(0, |s| s.index() as u64 + 1));
         }
     }
-    e.len(state.sets.len());
+    e.var(state.sets.len() as u64);
     for ((tau, attr), rows) in &state.sets {
-        e.str(tau);
-        e.str(attr);
-        e.len(rows.len());
+        e.var_str(tau);
+        e.var_str(attr);
+        e.var(rows.len() as u64);
         for row in *rows {
-            e.len(row.len());
+            e.var(row.len() as u64);
             for &m in row {
-                enc_sym(e, m);
+                e.var(m.index() as u64);
             }
         }
     }
 }
 
-type Singles = Vec<((Name, Field), Vec<Option<Sym>>)>;
-type Sets = Vec<((Name, Name), Vec<Vec<Sym>>)>;
+pub(crate) fn dec_columns_v3(d: &mut Dec<'_>) -> Result<Columns, StorageError> {
+    // A single-valued column is at least τ, the field's tag and name, and
+    // its cell count; a set-valued one τ, the attribute and its row count.
+    let nsingles = d.var_len(4)?;
+    let mut singles = Vec::with_capacity(nsingles);
+    for _ in 0..nsingles {
+        let tau = Name::new(d.var_str()?);
+        let field = dec_field_v3(d)?;
+        let ncells = d.var_len(1)?;
+        let mut vals = Vec::with_capacity(ncells);
+        for _ in 0..ncells {
+            vals.push(dec_cell_v3(d)?);
+        }
+        singles.push(((tau, field), vals));
+    }
+    let nsets = d.var_len(3)?;
+    let mut sets = Vec::with_capacity(nsets);
+    for _ in 0..nsets {
+        let tau = Name::new(d.var_str()?);
+        let attr = Name::new(d.var_str()?);
+        let nrows = d.var_len(1)?;
+        let mut rows = Vec::with_capacity(nrows);
+        for _ in 0..nrows {
+            let nmembers = d.var_len(1)?;
+            let mut row = Vec::with_capacity(nmembers);
+            for _ in 0..nmembers {
+                let m = d.var()?;
+                row.push(sym_of(d, m)?);
+            }
+            rows.push(row);
+        }
+        sets.push(((tau, attr), rows));
+    }
+    Ok((singles, sets))
+}
 
-pub(crate) fn dec_columns(d: &mut Dec<'_>) -> Result<(Singles, Sets), StorageError> {
+/// Format v2's columns section: read-only.
+pub(crate) fn dec_columns_v2(d: &mut Dec<'_>) -> Result<Columns, StorageError> {
     let nsingles = d.len(8)?;
     let mut singles = Vec::with_capacity(nsingles);
     for _ in 0..nsingles {
         let tau = Name::new(d.str()?);
-        let field = dec_field(d)?;
+        let field = dec_field_v2(d)?;
         let ncells = d.len(4)?;
         let mut vals = Vec::with_capacity(ncells);
         for _ in 0..ncells {
@@ -558,7 +856,7 @@ pub(crate) fn dec_columns(d: &mut Dec<'_>) -> Result<(Singles, Sets), StorageErr
             let nmembers = d.len(4)?;
             let mut row = Vec::with_capacity(nmembers);
             for _ in 0..nmembers {
-                row.push(dec_sym(d)?);
+                row.push(dec_sym_v2(d)?);
             }
             rows.push(row);
         }
@@ -627,7 +925,7 @@ pub(crate) fn enc_batch(e: &mut Enc, batch: &[BatchEdit]) {
                 e.u8(3);
                 enc_node_id(e, *parent);
                 e.len(*position);
-                enc_tree(e, fragment);
+                enc_tree_v2(e, fragment);
             }
             BatchEdit::DeleteSubtree { node } => {
                 e.u8(4);
@@ -659,7 +957,7 @@ pub(crate) fn dec_batch(d: &mut Dec<'_>) -> Result<Vec<BatchEdit>, StorageError>
             3 => BatchEdit::InsertSubtree {
                 parent: dec_node_id(d)?,
                 position: d.len(0)?,
-                fragment: dec_tree(d)?,
+                fragment: dec_tree_v2(d)?,
             },
             4 => BatchEdit::DeleteSubtree {
                 node: dec_node_id(d)?,
@@ -680,15 +978,163 @@ mod tests {
 
     /// The one unrepresentable symbol index decodes to a clean error, not
     /// the `Sym::from_index` panic — a crafted snapshot with a valid
-    /// section CRC must never abort the process.
+    /// section CRC must never abort the process. Both formats: a v2 u32
+    /// and a v3 set member or cell (`sym + 1`).
     #[test]
     fn dec_sym_rejects_the_sentinel_index() {
         let bytes = u32::MAX.to_le_bytes();
         let mut d = Dec::new(&bytes, "test");
-        assert!(matches!(dec_sym(&mut d), Err(StorageError::Corrupt { .. })));
+        assert!(matches!(
+            dec_sym_v2(&mut d),
+            Err(StorageError::Corrupt { .. })
+        ));
         // Every other index decodes.
         let bytes = (u32::MAX - 1).to_le_bytes();
         let mut d = Dec::new(&bytes, "test");
-        assert_eq!(dec_sym(&mut d).unwrap().index(), (u32::MAX - 1) as usize);
+        assert_eq!(dec_sym_v2(&mut d).unwrap().index(), (u32::MAX - 1) as usize);
+
+        let d = Dec::new(&[], "test");
+        assert!(sym_of(&d, u32::MAX.into()).is_err());
+        assert!(sym_of(&d, u64::MAX).is_err());
+        assert_eq!(
+            sym_of(&d, (u32::MAX - 1).into()).unwrap().index(),
+            (u32::MAX - 1) as usize
+        );
+        let cells = [leb(u64::from(u32::MAX) + 1), leb(u32::MAX.into())].concat();
+        let mut d = Dec::new(&cells, "test");
+        assert!(dec_cell_v3(&mut d).is_err());
+        assert_eq!(
+            dec_cell_v3(&mut d).unwrap().unwrap().index(),
+            (u32::MAX - 1) as usize
+        );
+    }
+
+    fn leb(v: u64) -> Vec<u8> {
+        let mut e = Enc::default();
+        e.var(v);
+        e.buf
+    }
+
+    fn var_of(bytes: &[u8]) -> Result<u64, StorageError> {
+        let mut d = Dec::new(bytes, "test");
+        let v = d.var()?;
+        assert!(d.is_empty(), "{bytes:?} left bytes behind");
+        Ok(v)
+    }
+
+    #[test]
+    fn varints_round_trip_at_every_width() {
+        assert_eq!(var_of(&[0]).unwrap(), 0);
+        assert_eq!(var_of(&[0x7f]).unwrap(), 127);
+        assert_eq!(var_of(&[0x80, 0x01]).unwrap(), 128);
+        let max = [0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01];
+        assert_eq!(var_of(&max).unwrap(), u64::MAX);
+        for v in [
+            0,
+            1,
+            127,
+            128,
+            300,
+            u32::MAX.into(),
+            1 << 35,
+            u64::MAX - 1,
+            u64::MAX,
+        ] {
+            let bytes = leb(v);
+            assert_eq!(
+                bytes.len(),
+                (64 - v.leading_zeros() as usize).div_ceil(7).max(1)
+            );
+            assert_eq!(var_of(&bytes).unwrap(), v);
+        }
+    }
+
+    #[test]
+    fn varints_past_u64_or_cut_short_are_corrupt() {
+        // A tenth byte holding more than bit 63, or asking for an eleventh.
+        let mut over = [0xff; 10];
+        over[9] = 0x02;
+        assert!(matches!(var_of(&over), Err(StorageError::Corrupt { .. })));
+        over[9] = 0x81;
+        assert!(matches!(
+            var_of(&[over.as_slice(), &[0]].concat()),
+            Err(StorageError::Corrupt { .. })
+        ));
+        // Input ending mid-varint, including on an empty input.
+        for cut in [&[][..], &[0x80], &[0xff, 0xff, 0x80]] {
+            assert!(matches!(var_of(cut), Err(StorageError::Corrupt { .. })));
+        }
+        // A u32 field one past its range.
+        let past = leb(u64::from(u32::MAX) + 1);
+        assert!(Dec::new(&past, "test").var_u32().is_err());
+        let max = leb(u32::MAX.into());
+        assert_eq!(Dec::new(&max, "test").var_u32().unwrap(), u32::MAX);
+    }
+
+    #[test]
+    fn var_lengths_are_checked_before_allocating() {
+        assert!(Dec::new(&leb(u64::MAX), "test").var_len(1).is_err());
+        // Three elements of two bytes each need six; five remain.
+        let three = [3, 0, 0, 0, 0, 0];
+        assert!(Dec::new(&three, "test").var_len(2).is_err());
+        assert_eq!(Dec::new(&three, "test").var_len(1).unwrap(), 3);
+    }
+
+    /// Spans that skip ahead, step back, overlap or sit at the ends of
+    /// the u32 range round-trip; a gap or a length past u32 is corrupt.
+    #[test]
+    fn interner_spans_round_trip_in_any_layout() {
+        let arena = b"abcdef";
+        let spans = [
+            (0, 2),
+            (2, 1),
+            (5, 1),
+            (1, 3),
+            (0, 0),
+            (u32::MAX, 0),
+            (0, u32::MAX),
+            (u32::MAX - 1, 1),
+        ];
+        let mut e = Enc::default();
+        enc_interner_v3(&mut e, arena, &spans);
+        let mut d = Dec::new(&e.buf, "test");
+        assert_eq!(
+            dec_interner_v3(&mut d).unwrap(),
+            (arena.to_vec(), spans.to_vec())
+        );
+        assert!(d.is_empty());
+
+        // One span, moved by a gap of -1 from the start, then one whose
+        // length is 2^32.
+        for span in [vec![1, 1], leb(1 << 33)] {
+            let bytes = [&[0, 1][..], &span].concat();
+            assert!(dec_interner_v3(&mut Dec::new(&bytes, "test")).is_err());
+        }
+    }
+
+    #[test]
+    fn name_ids_past_the_dictionary_are_corrupt() {
+        let mut e = Enc::default();
+        let mut ids = HashMap::new();
+        enc_name(&mut e, &mut ids, "a");
+        enc_name(&mut e, &mut ids, "b");
+        enc_name(&mut e, &mut ids, "a");
+        assert_eq!(e.buf, [0, 1, b'a', 1, 1, b'b', 0]);
+        let mut d = Dec::new(&e.buf, "test");
+        let mut names = Vec::new();
+        for want in ["a", "b", "a"] {
+            assert_eq!(dec_name(&mut d, &mut names).unwrap().as_str(), want);
+        }
+        // Id 3 skips id 2; u64::MAX is far past any dictionary.
+        for id in [3, u64::MAX] {
+            let bytes = leb(id);
+            let mut d = Dec::new(&bytes, "test");
+            match dec_name(&mut d, &mut names.clone()) {
+                Err(StorageError::Corrupt { detail }) => {
+                    assert!(detail.contains("past the dictionary"), "id {id}: {detail}")
+                }
+                other => panic!("id {id}: {other:?}"),
+            }
+        }
     }
 }

@@ -8,8 +8,11 @@
 //!   planned constraint column, and the structural violation table. Each
 //!   section is length-prefixed and CRC-32-checksummed; files are
 //!   published by atomic rename, so a reader never observes a torn
-//!   snapshot. Writers take a borrowed [`xic_validate::LiveStateRef`], so
-//!   a `&LiveValidator` is encoded in place, without copying its state.
+//!   snapshot. Format v3 writes the bulk sections as varints, with the
+//!   tree's labels and attribute names in an inline dictionary; format
+//!   v2 files still load and are rewritten as v3 on their next snapshot.
+//!   Writers take a borrowed [`xic_validate::LiveStateRef`], so a
+//!   `&LiveValidator` is encoded in place, without copying its state.
 //! * **A write-ahead log** ([`Wal`]) — checksummed
 //!   [`BatchEdit`] records appended *before*
 //!   each batch is acknowledged, each stamped with a monotonic sequence

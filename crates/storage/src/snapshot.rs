@@ -1,16 +1,25 @@
 //! The versioned, checksummed snapshot file.
 //!
-//! Layout (all integers little-endian):
+//! Layout (all fixed-width integers little-endian):
 //!
 //! ```text
 //! magic   b"XICS"
-//! version u32                        (currently 2)
+//! version u32                        (3; version 2 files still load)
 //! section*:
 //!   tag     u32                      (1 tree, 2 interner, 3 columns, 4 struct, 5 meta)
 //!   len     u64                      payload byte length
 //!   crc     u32                      CRC-32 of the payload
 //!   payload len bytes
 //! ```
+//!
+//! Each tag appears exactly once; a repeated, unknown or missing section
+//! is an error. In version 3 the tree, interner and columns payloads are
+//! varint-encoded, and the tree names labels and attribute names through
+//! an inline dictionary (see `codec`); the structural-violation and meta
+//! payloads are as in version 2. [`decode_snapshot`] picks its section
+//! readers by the version word. Writers emit only version 3, so a
+//! version 2 file is rewritten as version 3 the next time its document
+//! is snapshotted.
 //!
 //! Each section is independently length-prefixed and checksummed: a torn
 //! write truncates or corrupts the byte stream and is *detected* (the CRC
@@ -28,11 +37,13 @@ use std::fs::{self, File};
 use std::io::Write;
 use std::path::Path;
 
+use xic_model::DataTree;
 use xic_validate::{LiveState, LiveStateRef};
 
 use crate::codec::{
-    dec_columns, dec_interner, dec_struct_viols, dec_tree, enc_columns, enc_interner,
-    enc_struct_viols, enc_tree, Dec, Enc,
+    dec_columns_v2, dec_columns_v3, dec_interner_v2, dec_interner_v3, dec_struct_viols,
+    dec_tree_v2, dec_tree_v3, enc_columns_v3, enc_interner_v3, enc_struct_viols, enc_tree_v3,
+    Columns, Dec, Enc, InternerParts,
 };
 use crate::crc::crc32;
 use crate::StorageError;
@@ -40,7 +51,7 @@ use crate::StorageError;
 /// The snapshot file magic.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"XICS";
 /// The current snapshot format version.
-pub const SNAPSHOT_VERSION: u32 = 2;
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 const SEC_TREE: u32 = 1;
 const SEC_INTERNER: u32 = 2;
@@ -61,11 +72,11 @@ pub fn encode_snapshot<'a>(state: impl Into<LiveStateRef<'a>>, last_seq: u64) ->
     out.buf.extend_from_slice(&SNAPSHOT_MAGIC);
     out.u32(SNAPSHOT_VERSION);
     section(&mut out, SEC_META, |e| e.u64(last_seq));
-    section(&mut out, SEC_TREE, |e| enc_tree(e, state.tree));
+    section(&mut out, SEC_TREE, |e| enc_tree_v3(e, state.tree));
     section(&mut out, SEC_INTERNER, |e| {
-        enc_interner(e, state.interner_arena, state.interner_spans)
+        enc_interner_v3(e, state.interner_arena, state.interner_spans)
     });
-    section(&mut out, SEC_COLUMNS, |e| enc_columns(e, &state));
+    section(&mut out, SEC_COLUMNS, |e| enc_columns_v3(e, &state));
     section(&mut out, SEC_STRUCT, |e| {
         enc_struct_viols(e, &state.struct_viols)
     });
@@ -88,12 +99,21 @@ fn section(out: &mut Enc, tag: u32, payload: impl FnOnce(&mut Enc)) {
     out.buf[header + 8..start].copy_from_slice(&crc.to_le_bytes());
 }
 
-/// Deserializes a snapshot produced by [`encode_snapshot`], returning the
-/// state plus the WAL sequence number of the last batch it captures.
+/// The readers of one format version's bulk sections.
+type SectionReaders = (
+    fn(&mut Dec<'_>) -> Result<DataTree, StorageError>,
+    fn(&mut Dec<'_>) -> Result<InternerParts, StorageError>,
+    fn(&mut Dec<'_>) -> Result<Columns, StorageError>,
+);
+
+/// Deserializes a snapshot produced by [`encode_snapshot`] (format v3) or
+/// by a build that wrote format v2, returning the state plus the WAL
+/// sequence number of the last batch it captures.
 ///
 /// Fails cleanly — never panics — on truncation, checksum mismatch,
-/// unknown sections or versions, and structurally inconsistent payloads
-/// (the decoded tree and intern pool are re-validated by the model layer).
+/// unknown or repeated sections, unknown versions, and structurally
+/// inconsistent payloads (the decoded tree and intern pool are
+/// re-validated by the model layer).
 pub fn decode_snapshot(bytes: &[u8]) -> Result<(LiveState, u64), StorageError> {
     let mut d = Dec::new(bytes, "snapshot");
     let magic = d.u32()?;
@@ -102,15 +122,19 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<(LiveState, u64), StorageError> {
             detail: "snapshot: bad magic (not a snapshot file)".into(),
         });
     }
-    let version = d.u32()?;
-    if version != SNAPSHOT_VERSION {
-        return Err(StorageError::Format {
-            detail: format!(
-                "snapshot: format version {version} (this build reads {SNAPSHOT_VERSION})"
-            ),
-        });
-    }
+    let (dec_tree, dec_interner, dec_columns): SectionReaders = match d.u32()? {
+        2 => (dec_tree_v2, dec_interner_v2, dec_columns_v2),
+        SNAPSHOT_VERSION => (dec_tree_v3, dec_interner_v3, dec_columns_v3),
+        version => {
+            return Err(StorageError::Format {
+                detail: format!(
+                    "snapshot: format version {version} (this build reads 2 and {SNAPSHOT_VERSION})"
+                ),
+            })
+        }
+    };
 
+    let mut seen = 0u32;
     let mut last_seq = None;
     let mut tree = None;
     let mut interner = None;
@@ -131,18 +155,25 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<(LiveState, u64), StorageError> {
                 detail: format!("snapshot: section {tag} fails its checksum"),
             });
         }
+        if !(SEC_TREE..=SEC_META).contains(&tag) {
+            return Err(StorageError::Format {
+                detail: format!("snapshot: unknown section {tag} (newer format?)"),
+            });
+        }
+        if seen & (1 << tag) != 0 {
+            return Err(StorageError::Corrupt {
+                detail: format!("snapshot: section {tag} appears twice"),
+            });
+        }
+        seen |= 1 << tag;
         let mut pd = Dec::new(payload, "snapshot");
         match tag {
             SEC_META => last_seq = Some(pd.u64()?),
             SEC_TREE => tree = Some(dec_tree(&mut pd)?),
             SEC_INTERNER => interner = Some(dec_interner(&mut pd)?),
             SEC_COLUMNS => columns = Some(dec_columns(&mut pd)?),
-            SEC_STRUCT => struct_viols = Some(dec_struct_viols(&mut pd)?),
-            t => {
-                return Err(StorageError::Format {
-                    detail: format!("snapshot: unknown section {t} (newer format?)"),
-                })
-            }
+            // SEC_STRUCT, the one tag left.
+            _ => struct_viols = Some(dec_struct_viols(&mut pd)?),
         }
         if !pd.is_empty() {
             return Err(StorageError::Corrupt {

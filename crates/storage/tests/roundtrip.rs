@@ -2,16 +2,17 @@
 //!
 //! Random documents and edit sequences round-trip through the snapshot
 //! codec and the WAL: the recovered validator's report is byte-identical
-//! to from-scratch validation. Corruption corpora — truncated tails and
-//! bit flips — must produce clean errors (or, for a torn WAL tail, the
-//! longest intact prefix), never panics or silently wrong state.
+//! to from-scratch validation. Corruption corpora — truncated tails, bit
+//! flips, and hostile section payloads re-stamped with a valid CRC —
+//! must produce clean errors (or, for a torn WAL tail, the longest intact
+//! prefix), never panics or silently wrong state.
 
 use proptest::prelude::*;
 use xic_constraints::{Constraint, DtdC, DtdStructure, Field, Language};
 use xic_model::{AttrValue, DataTree, NodeId, TreeBuilder};
 use xic_storage::{
     crc32, decode_snapshot, encode_snapshot, write_snapshot, DocStore, FsyncPolicy, StorageError,
-    Wal, WAL_MAGIC, WAL_VERSION,
+    Wal, SNAPSHOT_VERSION, WAL_MAGIC, WAL_VERSION,
 };
 use xic_validate::{BatchEdit, LiveValidator, MatcherKind, Options, Validator, Violation};
 
@@ -673,10 +674,33 @@ fn pinned_tree() -> (DataTree, NodeId) {
     (b.finish(db).unwrap(), doomed)
 }
 
-/// [`pinned_tree`]'s format-v2 snapshot at WAL sequence 7. Any change to
-/// these bytes is a format change: it needs a new `SNAPSHOT_VERSION`, and
-/// files written in the old format must still load.
+/// [`pinned_tree`]'s snapshot at WAL sequence 7, in the current format
+/// (v3). Any change to these bytes is a format change: it needs a new
+/// `SNAPSHOT_VERSION`, and files written in the old format must still
+/// load.
 const PINNED_SNAPSHOT_HEX: &str = concat!(
+    "584943530300000005000000080000000000000070d6e76f0700000000000000",
+    "010000008a0000000000000026d7c40a090001800100026462000303090d0001",
+    "0274300102050703020261310102763203026964010276310402723001027634",
+    "050265300201047630000602743102000107026130010276320601010b020701",
+    "0276390401027631080265310501047633000902743201000202010276310a02",
+    "72310202763302763509000111010a0102763608080104763700020000001a00",
+    "000000000000562ed5d410763276317630763976337634763576360804040404",
+    "0404040403000000be000000000000007360bade080274300002613109000100",
+    "0000000000000274300002696409000200000000000000027430010265300900",
+    "0300000000000000027431000261300900000001040000000002743100026964",
+    "0900000000000000000002743101026531090000000005000000000274320002",
+    "6131090000000000000200000274320002696409000000000000000000030274",
+    "3002723009000105000000000000000274310272300900000000010100000000",
+    "0274320272310900000000000002040600000400000047000000000000006b07",
+    "ae5d010000000000000001000000010000000000000002010000000200000000",
+    "00000074300e00000000000000286530202b206531202b2053292a0600000000",
+    "00000065302c207431",
+);
+
+/// The same snapshot in format v2, as builds before v3 wrote it. It must
+/// keep loading: [`pinned_v2_snapshot_loads_and_rewrites_as_v3`].
+const PINNED_V2_SNAPSHOT_HEX: &str = concat!(
     "584943530200000005000000080000000000000070d6e76f0700000000000000",
     "0100000067020000000000009162217d09000000000000000000000001800102",
     "0000000000000064620000000003000000000000000101000000010400000001",
@@ -734,6 +758,28 @@ const PINNED_SNAPSHOT_HEX: &str = concat!(
     "7431",
 );
 
+/// [`pinned_tree`] loaded into a live validator, its doomed subtree
+/// deleted.
+fn pinned_live<'v>(v: &'v Validator<'v>) -> LiveValidator<'v, 'v> {
+    let (tree, doomed) = pinned_tree();
+    let mut live = LiveValidator::new(v, tree);
+    live.apply_batch(&[BatchEdit::DeleteSubtree { node: doomed }])
+        .unwrap();
+    assert!(!live.tree().is_alive(doomed));
+    live
+}
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+fn unhex(hex: &str) -> Vec<u8> {
+    (0..hex.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+        .collect()
+}
+
 /// The snapshot format is pinned: a live validator's state encodes to the
 /// exact bytes of [`PINNED_SNAPSHOT_HEX`], whether it is written straight
 /// from the validator or from an exported copy.
@@ -741,11 +787,7 @@ const PINNED_SNAPSHOT_HEX: &str = concat!(
 fn snapshot_bytes_match_the_pinned_format() {
     let dtdc = DtdC::new_unchecked(test_structure(), Language::Lid, test_sigma());
     let v = validator(&dtdc);
-    let (tree, doomed) = pinned_tree();
-    let mut live = LiveValidator::new(&v, tree);
-    live.apply_batch(&[BatchEdit::DeleteSubtree { node: doomed }])
-        .unwrap();
-    assert!(!live.tree().is_alive(doomed));
+    let live = pinned_live(&v);
     assert!(
         live.report()
             .violations
@@ -753,8 +795,8 @@ fn snapshot_bytes_match_the_pinned_format() {
             .any(|x| matches!(x, Violation::ContentModel { .. })),
         "the fixture carries a structural violation"
     );
-    let hex = |bytes: &[u8]| -> String { bytes.iter().map(|b| format!("{b:02x}")).collect() };
     let bytes = encode_snapshot(&live, 7);
+    assert_eq!(&bytes[4..8], &SNAPSHOT_VERSION.to_le_bytes());
     assert_eq!(hex(&bytes), PINNED_SNAPSHOT_HEX);
     assert_eq!(
         hex(&encode_snapshot(&live.export_state(), 7)),
@@ -764,4 +806,210 @@ fn snapshot_bytes_match_the_pinned_format() {
     assert_eq!(last_seq, 7);
     let warm = LiveValidator::from_state(&v, state).unwrap();
     assert_eq!(warm.report().to_string(), live.report().to_string());
+}
+
+/// A snapshot written in format v2 still loads: the state it decodes to
+/// rebuilds a validator with the fixture's report, and writing it again
+/// gives the v3 pin's bytes.
+#[test]
+fn pinned_v2_snapshot_loads_and_rewrites_as_v3() {
+    let dtdc = DtdC::new_unchecked(test_structure(), Language::Lid, test_sigma());
+    let v = validator(&dtdc);
+    let live = pinned_live(&v);
+    let v2 = unhex(PINNED_V2_SNAPSHOT_HEX);
+    assert_eq!(&v2[4..8], &2u32.to_le_bytes());
+    let (state, last_seq) = decode_snapshot(&v2).unwrap();
+    assert_eq!(last_seq, 7);
+    assert_eq!(hex(&encode_snapshot(&state, 7)), PINNED_SNAPSHOT_HEX);
+    let warm = LiveValidator::from_state(&v, state).unwrap();
+    assert_eq!(warm.report().to_string(), live.report().to_string());
+    assert_eq!(hex(&encode_snapshot(&warm, 7)), PINNED_SNAPSHOT_HEX);
+}
+
+/// A snapshot's 8-byte header (magic, version) and its `(tag, payload)`
+/// sections, in file order.
+fn split_sections(bytes: &[u8]) -> (Vec<u8>, Vec<(u32, Vec<u8>)>) {
+    let word = |at: usize, n: usize| -> u64 {
+        let mut le = [0u8; 8];
+        le[..n].copy_from_slice(&bytes[at..at + n]);
+        u64::from_le_bytes(le)
+    };
+    let mut sections = Vec::new();
+    let mut at = 8;
+    while at < bytes.len() {
+        let (tag, len) = (word(at, 4) as u32, word(at + 4, 8) as usize);
+        sections.push((tag, bytes[at + 16..at + 16 + len].to_vec()));
+        at += 16 + len;
+    }
+    (bytes[..8].to_vec(), sections)
+}
+
+/// Joins a header and sections into a snapshot, stamping each section
+/// with its length and a fresh CRC — so a payload edited after the fact
+/// reaches the section decoders instead of failing its checksum.
+fn join_sections(header: &[u8], sections: &[(u32, Vec<u8>)]) -> Vec<u8> {
+    let mut out = header.to_vec();
+    for (tag, payload) in sections {
+        out.extend_from_slice(&tag.to_le_bytes());
+        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        out.extend_from_slice(&crc32(payload).to_le_bytes());
+        out.extend_from_slice(payload);
+    }
+    out
+}
+
+/// An unsigned LEB128 varint, as snapshot v3 writes its integers.
+fn leb(mut v: u64) -> Vec<u8> {
+    let mut out = Vec::new();
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+    out
+}
+
+/// A second copy of any section, each with a valid CRC, is corruption in
+/// both formats; before, the decoder silently kept the last copy. The v3
+/// case appends a *different* valid tree (an empty document's), which
+/// would otherwise have replaced the fixture's.
+#[test]
+fn repeated_sections_are_corruption() {
+    let dtdc = DtdC::new_unchecked(test_structure(), Language::Lid, test_sigma());
+    let v = validator(&dtdc);
+    let empty = encode_snapshot(&LiveValidator::new(&v, build_tree(&[])), 7);
+    let (_, empty_sections) = split_sections(&empty);
+    for pin in [PINNED_SNAPSHOT_HEX, PINNED_V2_SNAPSHOT_HEX] {
+        let bytes = unhex(pin);
+        let (header, sections) = split_sections(&bytes);
+        assert_eq!(join_sections(&header, &sections), bytes);
+        assert_eq!(sections.len(), 5);
+        for i in 0..sections.len() {
+            let mut twice = sections.clone();
+            let copy = if pin == PINNED_SNAPSHOT_HEX {
+                empty_sections[i].clone()
+            } else {
+                sections[i].clone()
+            };
+            twice.insert(i + 1, copy);
+            match decode_snapshot(&join_sections(&header, &twice)) {
+                Err(StorageError::Corrupt { detail }) => {
+                    assert!(detail.contains("twice"), "{detail}")
+                }
+                other => panic!(
+                    "section {} repeated must be corruption, got {other:?}",
+                    sections[i].0
+                ),
+            }
+        }
+    }
+}
+
+/// Hand-made v3 tree payloads with a valid CRC: a varint past u64, one
+/// past u32 where a node id goes, a slot count larger than the remaining
+/// bytes, and a name id past the dictionary. Each is a clean `Corrupt`
+/// that names the fault.
+#[test]
+fn hostile_v3_tree_payloads_are_corrupt() {
+    let (header, sections) = split_sections(&unhex(PINNED_SNAPSHOT_HEX));
+    let at = sections.iter().position(|s| s.0 == 1).unwrap();
+    let tree = &sections[at].1;
+    // Slot count, root id, tombstone flag + bitmap, then the first
+    // label: a new dictionary id 0 spelled "db".
+    let (slots, label) = (tree[0] as usize, 3 + (tree[0] as usize).div_ceil(8));
+    assert!(slots < 0x80 && tree[1] == 0 && tree[2] == 1);
+    assert_eq!(&tree[label..label + 4], &[0, 2, b'd', b'b']);
+    let over_u64 = [&[0xff; 9][..], &[0x02]].concat();
+    let cases: [(std::ops::Range<usize>, Vec<u8>, &str); 4] = [
+        (0..1, over_u64, "varint overflows u64"),
+        (1..2, leb(1 << 32), "varint overflows u32"),
+        (0..1, leb(1 << 40), "length exceeds remaining input"),
+        (label..label + 1, leb(1), "name id past the dictionary"),
+    ];
+    for (range, with, want) in cases {
+        let mut hostile = sections.clone();
+        hostile[at].1.splice(range, with);
+        match decode_snapshot(&join_sections(&header, &hostile)) {
+            Err(StorageError::Corrupt { detail }) => assert!(detail.contains(want), "{detail}"),
+            other => panic!("{want}: got {other:?}"),
+        }
+    }
+}
+
+/// One hostile edit of a section payload: cut it short, overwrite bytes,
+/// or splice in a crafted varint.
+#[derive(Debug, Clone)]
+enum Hostile {
+    Truncate(u16),
+    Overwrite(u16, Vec<u8>),
+    Splice(u16, u8),
+}
+
+fn hostile() -> BoxedStrategy<Hostile> {
+    prop_oneof![
+        any::<u16>().prop_map(Hostile::Truncate),
+        (any::<u16>(), prop::collection::vec(any::<u8>(), 1..4))
+            .prop_map(|(at, bytes)| Hostile::Overwrite(at, bytes)),
+        (any::<u16>(), any::<u8>()).prop_map(|(at, kind)| Hostile::Splice(at, kind)),
+    ]
+    .boxed()
+}
+
+/// The varints [`Hostile::Splice`] inserts: past u64, past u32, a count
+/// far beyond any payload, a likely dictionary miss, and a cut-off one.
+fn crafted(kind: u8) -> Vec<u8> {
+    match kind % 5 {
+        0 => [&[0xff; 9][..], &[0x7f]].concat(),
+        1 => leb(1 << 32),
+        2 => leb(1 << 40),
+        3 => leb(200),
+        _ => vec![0x80; 3],
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// A hostile edit inside one section's payload, re-stamped with a valid
+    /// CRC so it gets past the checksum, decodes to `Ok` or a clean
+    /// `Corrupt`/`Format` error — never a panic or an allocation abort —
+    /// in both formats. A state that does decode must also be rejected or
+    /// accepted cleanly by `from_state`.
+    #[test]
+    fn hostile_section_payloads_fail_cleanly(
+        nodes in prop::collection::vec(node_recipe(), 0..8),
+        v2 in any::<bool>(),
+        section in 0usize..5,
+        edit in hostile(),
+    ) {
+        let dtdc = DtdC::new_unchecked(test_structure(), Language::Lid, test_sigma());
+        let v = validator(&dtdc);
+        let bytes = if v2 {
+            unhex(PINNED_V2_SNAPSHOT_HEX)
+        } else {
+            encode_snapshot(&LiveValidator::new(&v, build_tree(&nodes)), 0)
+        };
+        let (header, mut sections) = split_sections(&bytes);
+        let payload = &mut sections[section].1;
+        let at = |pos: u16| pos as usize % (payload.len() + 1);
+        match &edit {
+            Hostile::Truncate(pos) => payload.truncate(at(*pos)),
+            Hostile::Overwrite(pos, with) => {
+                let start = at(*pos);
+                let end = (start + with.len()).min(payload.len());
+                payload.splice(start..end, with.iter().copied());
+            }
+            Hostile::Splice(pos, kind) => {
+                let start = at(*pos);
+                payload.splice(start..start, crafted(*kind));
+            }
+        }
+        match decode_snapshot(&join_sections(&header, &sections)) {
+            Ok((state, _)) => {
+                let _ = LiveValidator::from_state(&v, state);
+            }
+            Err(StorageError::Corrupt { .. }) | Err(StorageError::Format { .. }) => {}
+            Err(e) => prop_assert!(false, "unexpected error class: {e}"),
+        }
+    }
 }
