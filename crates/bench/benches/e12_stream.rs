@@ -9,8 +9,8 @@
 //! * `stream_t1` — `validate_stream`, the fused single pass (event parser
 //!   drives the matcher automata and fills the constraint columns; live
 //!   state is O(depth) plus the columns).
-//! * `stream_t2` — the same pass with lexing on a producer thread behind
-//!   a bounded channel (byte-identical reports).
+//! * `stream_t2` — the same pass at a 2-thread budget, which only fans
+//!   out the final constraint pass (byte-identical reports).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use xic::prelude::*;

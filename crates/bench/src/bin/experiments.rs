@@ -616,11 +616,12 @@ fn e11_validate_engine() {
 }
 
 /// E12 — the streaming validation pipeline: `validate_stream` (one
-/// bounded-memory pass over the source text, with an optional lexer
-/// thread) against parse-then-validate, on the E11 workload serialized to
-/// XML. Measures wall time and — via the counting allocator — peak heap
-/// above the source text, and asserts the streaming path's memory
-/// advantage at the largest size. Registers its rows for
+/// bounded-memory pull loop over the source text; a thread budget fans
+/// out only the final constraint pass) against parse-then-validate, on
+/// the E11 workload serialized to XML, at 1 and 2 threads. Measures wall
+/// time and — via the counting allocator — peak heap above the source
+/// text, and asserts the streaming path's memory advantage at the largest
+/// size. Registers its rows for
 /// `BENCH_validate.json`.
 fn e12_stream_pipeline() {
     heading(
@@ -653,7 +654,7 @@ fn e12_stream_pipeline() {
             assert!(v.validate(&doc.tree).is_valid());
         });
 
-        // Streaming path, sequential and pipelined.
+        // Streaming path at a 1- and a 2-thread budget.
         let mut stream_json: Vec<String> = Vec::new();
         let mut stream_peak_t1 = 0u64;
         for threads in [1usize, 2] {

@@ -23,8 +23,8 @@
 //!   document tree first. Both paths print identical reports.
 //!   `--metrics text|json` appends a per-phase breakdown (parse,
 //!   structure, plan, check, merge timings plus node/attribute/violation
-//!   counters) from the [`xic::obs`] layer; `XIC_TRACE=1`
-//!   additionally echoes spans to stderr as they close.
+//!   counters) from the [`xic::obs`] layer; `--trace-out FILE` writes
+//!   every span as a Chrome trace-event timeline.
 //! * `apply-edits` — loads a document into a [`LiveValidator`], plays a
 //!   line-based edit script against it (`set-attr`, `remove-attr`,
 //!   `set-text`, `delete`, `insert`; vertices are addressed by the node
@@ -273,11 +273,10 @@ struct ObsSetup {
 }
 
 /// Builds the [`Obs`] handle for this invocation: a fresh
-/// [`MetricsCollector`] (honouring the `XIC_TRACE` span-echo filter, with
-/// latency histograms on the default span families) when `--metrics` was
-/// passed, a [`TraceCollector`] ring when `--trace-out` was, both under a
-/// [`Fanout`] when both were — otherwise the disabled handle, where the
-/// validator never reads a clock.
+/// [`MetricsCollector`] (with latency histograms on the default span
+/// families) when `--metrics` was passed, a [`TraceCollector`] ring when
+/// `--trace-out` was, both under a [`Fanout`] when both were — otherwise
+/// the disabled handle, where the validator never reads a clock.
 fn obs_setup(o: &Opts) -> ObsSetup {
     let metrics = o
         .metrics
@@ -361,8 +360,7 @@ usage:
                [--stream|--no-stream]  (default --stream: single-pass validation straight
                from the source text; --no-stream parses a tree first — same report)
                [--metrics text|json|prom]  (append per-phase timings, counters and latency
-               histograms after the report; prom = Prometheus text exposition; set
-               XIC_TRACE=1 or XIC_TRACE=prefix,... to echo spans to stderr)
+               histograms after the report; prom = Prometheus text exposition)
                [--trace-out FILE]  (write a Chrome trace-event / Perfetto timeline of
                all spans; open in chrome://tracing or ui.perfetto.dev)
   xic apply-edits <doc.xml> <edits.txt> [--dtd FILE --root NAME] [--sigma FILE --lang L|Lu|Lid]

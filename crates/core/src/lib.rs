@@ -97,7 +97,7 @@ pub mod prelude {
     };
     pub use xic_obs::{
         current_request, request_scope, AccessLog, AccessRecord, Fanout, Histogram, Metrics,
-        MetricsCollector, Obs, TraceCollector, TraceFilter,
+        MetricsCollector, Obs, TraceCollector,
     };
     pub use xic_paths::{ext_of_path, nodes_of, Path, PathConstraint, PathSolver};
     pub use xic_regex::{ContentModel, Dfa, Nfa, Symbol};

@@ -487,19 +487,6 @@ impl DataTree {
         d
     }
 
-    /// Total count of text children across all live vertices.
-    pub fn text_len(&self) -> usize {
-        self.node_ids()
-            .map(|id| {
-                self.node(id)
-                    .children
-                    .iter()
-                    .filter(|c| c.as_text().is_some())
-                    .count()
-            })
-            .sum()
-    }
-
     fn check_alive(&self, id: NodeId) -> Result<(), ModelError> {
         if id.index() >= self.nodes.len() {
             Err(ModelError::UnknownNode(id))

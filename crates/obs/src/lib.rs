@@ -5,8 +5,7 @@
 //! no longer a black box: where did the time go (parse? column
 //! extraction? which constraint kind?), how much work was done (nodes,
 //! attributes, entity expansions, chase steps), and how busy were the
-//! parallel stages (per-chunk timings, stream-pipeline occupancy, peak
-//! in-flight frames)?
+//! parallel stages (per-chunk timings, peak in-flight frames)?
 //!
 //! The design constraints, in order:
 //!
@@ -68,12 +67,11 @@
 //! | `check.key` … `check.inverse_id` | span | per-constraint-kind share of `check` |
 //! | `merge` | span | concatenating per-constraint violation lists in Σ order |
 //! | `par.constraint`, `par.chunk` | span | one parallel task at each fan-out grain |
-//! | `stream.apply`, `stream.recv_wait` | span | pipeline occupancy: consumer work vs. waiting on the lexer thread |
 //! | `edit.batch` | span | one `LiveValidator::apply_batch` call (a single edit is a one-edit batch) |
 //! | `implication.query`, `chase` | span | one implication query / chase run |
 //! | `nodes`, `attrs`, `violations` | counter | document totals per run |
 //! | `xml.events`, `xml.entity_expansions` | counter | lexer/parser totals |
-//! | `stream.batches`, `par.tasks`, `edits` | counter | work items per run |
+//! | `par.tasks`, `edits` | counter | work items per run |
 //! | `violations.raised`, `violations.cleared` | counter | `ReportDiff` totals across edits |
 //! | `implication.rules`, `chase.steps` | counter | proof-rule applications / chase firings |
 //! | `stream.peak_depth` | maximum | peak in-flight element frames (streaming) |
@@ -82,13 +80,12 @@
 //!
 //! ## Tracing
 //!
-//! Setting the `XIC_TRACE` environment variable makes the CLI's collector
-//! echo every matching span to stderr as it closes (`XIC_TRACE=1` for
-//! everything, or a comma-separated list of name prefixes such as
-//! `XIC_TRACE=check,edit`). Each line carries the originating thread's
-//! first-seen ordinal and the span's start offset from collector
-//! creation — `[xic-trace] t2 +14.103ms par.chunk 3.220ms` — so
-//! interleaved parallel spans stay attributable. See [`TraceFilter`].
+//! Span timelines come from one place, the [`TraceCollector`] ring:
+//! `xic validate --trace-out FILE` (and `apply-edits`) writes it as a
+//! Chrome trace-event array once the run ends, and `xic serve` drains it
+//! live at `GET /trace`. Each event carries its thread's first-seen
+//! ordinal and its start offset, so interleaved parallel spans stay
+//! attributable.
 //!
 //! ## Distributions, timelines, scraping
 //!
@@ -135,9 +132,7 @@ pub use trace::{
     DEFAULT_TRACE_CAPACITY,
 };
 
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
-use std::thread::ThreadId;
 use std::time::Instant;
 
 /// A sink for observability events.
@@ -268,78 +263,16 @@ impl Drop for Span<'_> {
     }
 }
 
-/// Which span names the collector echoes to stderr as they close.
-///
-/// Built from the `XIC_TRACE` environment variable by
-/// [`TraceFilter::from_env`]: `1`, `all` or `*` match every span; any
-/// other value is a comma-separated list of name prefixes (`check` also
-/// matches `check.key`).
-#[derive(Clone, Debug)]
-pub struct TraceFilter {
-    /// `None` ⇒ match everything; otherwise the accepted name prefixes.
-    prefixes: Option<Vec<String>>,
-}
-
-impl TraceFilter {
-    /// A filter matching every span.
-    pub fn all() -> Self {
-        TraceFilter { prefixes: None }
-    }
-
-    /// A filter matching spans whose name starts with any of `prefixes`.
-    pub fn prefixes<I: IntoIterator<Item = S>, S: Into<String>>(prefixes: I) -> Self {
-        TraceFilter {
-            prefixes: Some(prefixes.into_iter().map(Into::into).collect()),
-        }
-    }
-
-    /// The filter requested by the `XIC_TRACE` environment variable, or
-    /// `None` when the variable is unset or empty.
-    pub fn from_env() -> Option<Self> {
-        let v = std::env::var("XIC_TRACE").ok()?;
-        Self::parse(&v)
-    }
-
-    /// Parses an `XIC_TRACE` value (see the type docs). Empty ⇒ `None`.
-    pub fn parse(value: &str) -> Option<Self> {
-        let v = value.trim();
-        if v.is_empty() {
-            return None;
-        }
-        if v == "1" || v == "all" || v == "*" {
-            return Some(TraceFilter::all());
-        }
-        Some(TraceFilter::prefixes(
-            v.split(',').map(str::trim).filter(|p| !p.is_empty()),
-        ))
-    }
-
-    /// Whether `name` passes the filter.
-    pub fn matches(&self, name: &str) -> bool {
-        match &self.prefixes {
-            None => true,
-            Some(ps) => ps.iter().any(|p| name.starts_with(p.as_str())),
-        }
-    }
-}
-
 /// The standard aggregating [`Collector`]: span totals, counters and
 /// maxima behind one mutex. Spans and counters arrive at phase,
 /// constraint, chunk and edit granularity (a few hundred events per run),
 /// so a mutex around two B-tree maps is plenty fast and keeps the crate
-/// dependency-free.
-///
-/// Optionally echoes matching spans to stderr as they close (see
-/// [`TraceFilter`]); `wall_nanos` in the snapshot is the time since
+/// dependency-free. `wall_nanos` in the snapshot is the time since
 /// construction.
 pub struct MetricsCollector {
     start: Instant,
-    trace: Option<TraceFilter>,
     /// Span families recording full latency histograms (empty ⇒ none).
     hist_families: Vec<String>,
-    /// First-seen thread ordinals for `XIC_TRACE` stderr lines (touched
-    /// only on the traced path).
-    tids: Mutex<HashMap<ThreadId, u64>>,
     inner: Mutex<metrics::Inner>,
 }
 
@@ -351,19 +284,11 @@ impl Default for MetricsCollector {
 
 /// The span families that record latency histograms by default (see
 /// [`MetricsCollector::with_histograms`]): per-edit latency, parallel
-/// chunk tasks, constraint checks, stream-pipeline stalls, and the
-/// durability path (`wal.append`, `snapshot.write`, `recover.replay`) —
-/// the distributions operators alert on. Families with no samples cost
-/// nothing and emit no series.
-pub const DEFAULT_HIST_FAMILIES: [&str; 7] = [
-    "edit",
-    "par.chunk",
-    "check",
-    "stream.recv_wait",
-    "wal",
-    "snapshot",
-    "recover",
-];
+/// chunk tasks, constraint checks, and the durability path (`wal.append`,
+/// `snapshot.write`, `recover.replay`) — the distributions operators
+/// alert on. Families with no samples cost nothing and emit no series.
+pub const DEFAULT_HIST_FAMILIES: [&str; 6] =
+    ["edit", "par.chunk", "check", "wal", "snapshot", "recover"];
 
 /// Whether span `name` belongs to `family`: equal, or `family` followed
 /// by a dotted suffix (`check` matches `check.key`, not `checkpoint`).
@@ -379,19 +304,8 @@ impl MetricsCollector {
     pub fn new() -> Self {
         MetricsCollector {
             start: Instant::now(),
-            trace: None,
             hist_families: Vec::new(),
-            tids: Mutex::new(HashMap::new()),
             inner: Mutex::new(metrics::Inner::default()),
-        }
-    }
-
-    /// An empty collector that also echoes spans matching `filter` to
-    /// stderr as they close.
-    pub fn with_trace(filter: TraceFilter) -> Self {
-        MetricsCollector {
-            trace: Some(filter),
-            ..MetricsCollector::new()
         }
     }
 
@@ -417,25 +331,17 @@ impl MetricsCollector {
         self.hist_families = families.into_iter().map(Into::into).collect();
     }
 
-    /// A collector honouring the `XIC_TRACE` environment variable,
-    /// ready to share (`Arc`-wrapped for [`Obs::new`]).
+    /// An empty collector, ready to share (`Arc`-wrapped for
+    /// [`Obs::new`]).
     pub fn shared() -> Arc<Self> {
-        Arc::new(match TraceFilter::from_env() {
-            Some(f) => MetricsCollector::with_trace(f),
-            None => MetricsCollector::new(),
-        })
+        Arc::new(MetricsCollector::new())
     }
 
     /// [`MetricsCollector::shared`] plus histogram recording for the
     /// [`DEFAULT_HIST_FAMILIES`] (what `xic serve` and
     /// `--metrics` with histograms use).
     pub fn shared_with_histograms() -> Arc<Self> {
-        let mut c = match TraceFilter::from_env() {
-            Some(f) => MetricsCollector::with_trace(f),
-            None => MetricsCollector::new(),
-        };
-        c.enable_default_histograms();
-        Arc::new(c)
+        Arc::new(MetricsCollector::with_histograms())
     }
 
     /// Everything recorded so far, with `wall_nanos` the time since this
@@ -448,25 +354,6 @@ impl MetricsCollector {
 
 impl Collector for MetricsCollector {
     fn record_span(&self, name: &'static str, nanos: u64) {
-        if let Some(t) = &self.trace {
-            if t.matches(name) {
-                // Attribute the span: first-seen thread ordinal plus its
-                // start offset (now − duration) from collector creation,
-                // so interleaved parallel spans read unambiguously.
-                let now = u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                let start = now.saturating_sub(nanos);
-                let tid = {
-                    let mut tids = self.tids.lock().unwrap();
-                    let next = tids.len() as u64;
-                    *tids.entry(std::thread::current().id()).or_insert(next)
-                };
-                eprintln!(
-                    "[xic-trace] t{tid} +{:.3}ms {name} {:.3}ms",
-                    start as f64 / 1e6,
-                    nanos as f64 / 1e6
-                );
-            }
-        }
         let record_hist = self.hist_families.iter().any(|f| family_matches(f, name));
         let mut inner = self.inner.lock().unwrap();
         inner.record_span(name, nanos);
@@ -557,21 +444,6 @@ mod tests {
         assert!(!family_matches("check", "chec"));
         assert!(family_matches("par.chunk", "par.chunk"));
         assert!(!family_matches("par.chunk", "par.constraint"));
-    }
-
-    #[test]
-    fn trace_filter_parsing() {
-        assert!(TraceFilter::parse("").is_none());
-        assert!(TraceFilter::parse("  ").is_none());
-        for all in ["1", "all", "*"] {
-            let f = TraceFilter::parse(all).unwrap();
-            assert!(f.matches("anything"));
-        }
-        let f = TraceFilter::parse("check, edit").unwrap();
-        assert!(f.matches("check"));
-        assert!(f.matches("check.key"));
-        assert!(f.matches("edit.set_attr"));
-        assert!(!f.matches("parse"));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! Where [`MetricsCollector`](crate::MetricsCollector) aggregates (span
 //! sums, counters, histograms), a [`TraceCollector`] keeps the *events
 //! themselves* — name, originating thread, start offset, duration — so
-//! thread overlap and pipeline occupancy can be inspected on a timeline
+//! thread overlap and parallel-task occupancy can be inspected on a timeline
 //! instead of inferred from totals. [`TraceCollector::to_chrome_json`]
 //! renders the buffer in the Chrome trace-event array format, which loads
 //! directly in `chrome://tracing` and [Perfetto](https://ui.perfetto.dev)

@@ -285,11 +285,6 @@ impl Dfa {
         Dfa::build(&Nfa::build(m))
     }
 
-    /// Number of DFA states.
-    pub fn num_states(&self) -> usize {
-        self.trans.len()
-    }
-
     /// Membership test.
     pub fn matches(&self, word: &[Symbol]) -> bool {
         let mut state = 0usize;

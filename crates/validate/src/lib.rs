@@ -30,8 +30,8 @@
 //! key, foreign-key, ID, and inverse check, instead of re-walking the tree
 //! per constraint. [`Options::threads`] additionally fans the checks out
 //! across worker threads (across constraints, and across chunks of large
-//! extents) behind the default-on `parallel` cargo feature; reports are
-//! byte-identical to the sequential engine's regardless of thread count.
+//! extents); reports are byte-identical to the sequential engine's
+//! regardless of thread count.
 //! [`check_constraint`] remains the naive per-constraint ground truth.
 //!
 //! ## Streaming validation
@@ -41,9 +41,9 @@
 //! [`DataTree`]: content models run as incremental automata with O(depth)
 //! live state, attribute clauses fire as start tags complete, and the
 //! compiled plan's columns fill on the fly, feeding the same constraint
-//! engine. Reports are byte-identical to the tree path at any thread
-//! count; with `threads > 1` lexing overlaps checking through a bounded
-//! channel.
+//! engine. Events are lexed and applied in one pull loop on the calling
+//! thread; the thread budget fans out only the final constraint pass, so
+//! reports are byte-identical to the tree path at any thread count.
 //!
 //! ## Incremental revalidation
 //!

@@ -5,8 +5,7 @@
 //! **in input order**, so concatenating them reproduces the sequential
 //! engine's output byte for byte. The helpers here are plain
 //! `std::thread::scope` fan-outs (no external thread-pool dependency);
-//! with the `parallel` feature disabled, or `threads <= 1`, they degrade
-//! to the sequential loop.
+//! with `threads <= 1` they degrade to the sequential loop.
 //!
 //! Both helpers accept an [`Obs`] handle and a span name: when work
 //! actually fans out across worker threads, each task records one
@@ -14,7 +13,9 @@
 //! fallback records nothing — its time is already covered by the
 //! enclosing phase span, and per-task spans there would double-count.
 
+use std::collections::VecDeque;
 use std::ops::Range;
+use std::sync::Mutex;
 
 use xic_obs::Obs;
 
@@ -36,15 +37,28 @@ where
     if threads <= 1 || items.len() <= 1 {
         return items.into_iter().map(f).collect();
     }
-    #[cfg(feature = "parallel")]
-    {
-        parallel_impl::fan_out(threads, items, obs, task_span, f)
-    }
-    #[cfg(not(feature = "parallel"))]
-    {
-        let _ = (obs, task_span);
-        items.into_iter().map(f).collect()
-    }
+    const POISONED: &str = "a fan-out task panicked";
+    let n = items.len();
+    let queue: Mutex<VecDeque<(usize, T)>> = Mutex::new(items.into_iter().enumerate().collect());
+    let results: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(n));
+    std::thread::scope(|scope| {
+        for _ in 0..threads.min(n) {
+            scope.spawn(|| loop {
+                let Some((i, item)) = queue.lock().expect(POISONED).pop_front() else {
+                    return;
+                };
+                let r = {
+                    let _task = obs.span(task_span);
+                    f(item)
+                };
+                obs.add("par.tasks", 1);
+                results.lock().expect(POISONED).push((i, r));
+            });
+        }
+    });
+    let mut results = results.into_inner().expect(POISONED);
+    results.sort_by_key(|&(i, _)| i);
+    results.into_iter().map(|(_, r)| r).collect()
 }
 
 /// Minimum extent length worth splitting across threads: below this, the
@@ -83,51 +97,6 @@ where
         .map(|start| start..(start + chunk).min(len))
         .collect();
     fan_out(threads, ranges, obs, task_span, f)
-}
-
-#[cfg(feature = "parallel")]
-mod parallel_impl {
-    use std::collections::VecDeque;
-    use std::sync::Mutex;
-
-    use xic_obs::Obs;
-
-    pub(super) fn fan_out<T, R, F>(
-        threads: usize,
-        items: Vec<T>,
-        obs: &Obs,
-        task_span: &'static str,
-        f: F,
-    ) -> Vec<R>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(T) -> R + Sync,
-    {
-        let queue: Mutex<VecDeque<(usize, T)>> =
-            Mutex::new(items.into_iter().enumerate().collect());
-        let n = queue.lock().unwrap().len();
-        let results: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(n));
-        let workers = threads.min(n);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let Some((i, item)) = queue.lock().unwrap().pop_front() else {
-                        return;
-                    };
-                    let r = {
-                        let _task = obs.span(task_span);
-                        f(item)
-                    };
-                    obs.add("par.tasks", 1);
-                    results.lock().unwrap().push((i, r));
-                });
-            }
-        });
-        let mut results = results.into_inner().unwrap();
-        results.sort_by_key(|&(i, _)| i);
-        results.into_iter().map(|(_, r)| r).collect()
-    }
 }
 
 #[cfg(test)]
@@ -179,11 +148,8 @@ mod tests {
         let items: Vec<usize> = (0..8).collect();
         let out = fan_out(4, items, &obs, "par.test", |i| i + 1);
         assert_eq!(out, (1..=8).collect::<Vec<_>>());
-        #[cfg(feature = "parallel")]
-        {
-            let m = collector.snapshot();
-            assert_eq!(m.counter("par.tasks"), 8);
-            assert_eq!(m.span("par.test").count, 8);
-        }
+        let m = collector.snapshot();
+        assert_eq!(m.counter("par.tasks"), 8);
+        assert_eq!(m.span("par.test").count, 8);
     }
 }

@@ -1027,3 +1027,85 @@ fn check_inverse_planned(
         out.extend(chunk);
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::check_constraint;
+    use crate::par::{MIN_NODES_PER_THREAD, SPLIT_THRESHOLD};
+    use xic_constraints::Language;
+    use xic_model::{AttrValue, TreeBuilder};
+    use xic_obs::MetricsCollector;
+
+    /// A violation-dense `item` extent longer than [`SPLIT_THRESHOLD`]
+    /// under a unary key and a set foreign key into it.
+    fn dense_doc() -> (DtdC, DataTree) {
+        let s = DtdStructure::builder("db")
+            .elem("db", "item*")
+            .elem("item", "EMPTY")
+            .attr("item", "k", "S")
+            .attr("item", "r", "S*")
+            .build()
+            .unwrap();
+        let sigma = vec![
+            Constraint::unary_key("item", "k"),
+            Constraint::set_fk("item", "r", "item", "k"),
+        ];
+        let dtdc = DtdC::new_unchecked(s, Language::Lu, sigma);
+        let mut b = TreeBuilder::new();
+        let db = b.node("db");
+        let n = 3 * SPLIT_THRESHOLD;
+        for i in 0..n {
+            let it = b.child_node(db, "item").unwrap();
+            let k = if i % 7 == 0 {
+                "dup".to_string()
+            } else {
+                format!("k{i}")
+            };
+            b.attr(it, "k", AttrValue::single(k)).unwrap();
+            let mut refs = vec![format!("k{}", (i + 1) % n)];
+            if i % 5 == 0 {
+                refs.push("missing".to_string());
+            }
+            b.attr(it, "r", AttrValue::set(refs)).unwrap();
+        }
+        (dtdc, b.finish(db).unwrap())
+    }
+
+    /// With a vertex count past the per-thread clamp, `check_planned`
+    /// really fans out — across constraints, and from 4 threads on across
+    /// chunks of the set-FK scan — and still returns the 1-thread
+    /// violations, which are the per-constraint ground truth concatenated
+    /// in Σ order.
+    #[test]
+    fn fanned_out_check_matches_sequential() {
+        let (dtdc, tree) = dense_doc();
+        let idx = ExtIndex::build(&tree);
+        let plan = Plan::build(&dtdc);
+        let doc = DocIndex::build(&tree, &idx, dtdc.structure(), &plan);
+        let run = |threads: usize, obs: &Obs| {
+            let mut out = Vec::new();
+            let doc_nodes = threads * MIN_NODES_PER_THREAD;
+            check_planned(&idx, &dtdc, &doc, threads, doc_nodes, obs, &mut out);
+            out
+        };
+        let seq = run(1, &Obs::off());
+        let ground: Vec<Violation> = dtdc
+            .constraints()
+            .iter()
+            .flat_map(|c| check_constraint(&tree, &dtdc, c))
+            .collect();
+        assert_eq!(seq, ground);
+        assert!(seq.len() > 2_000, "got {} violations", seq.len());
+        for threads in [2, 4, 8] {
+            let collector = MetricsCollector::shared();
+            let par = run(threads, &Obs::new(collector.clone()));
+            assert_eq!(par, seq, "threads={threads}");
+            let m = collector.snapshot();
+            assert!(m.counter("par.tasks") > 0, "threads={threads}: no fan-out");
+            if threads >= 4 {
+                assert!(m.span("par.chunk").count > 0, "threads={threads}: no split");
+            }
+        }
+    }
+}

@@ -41,8 +41,9 @@
 //! within one node the push order already matches the tree engine
 //! (content model, then attribute clauses in name order). Constraint
 //! violations follow in Σ order, appended by the shared checker. This
-//! holds at any thread count: the pipelined path only moves *lexing* to
-//! another thread; event application stays sequential.
+//! holds at any thread count: events are always lexed and applied in one
+//! pull loop on the calling thread, and only the final constraint pass
+//! fans out.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -675,10 +676,9 @@ impl Validator<'_> {
     /// columns on the fly. The report is byte-identical to parsing the
     /// document and calling [`Validator::validate`], at any thread count.
     ///
-    /// With [`Options::threads`](crate::Options) `> 1` (and the `parallel`
-    /// feature), lexing moves to a producer thread feeding a bounded
-    /// channel, overlapping parsing with checking; the remaining budget
-    /// fans out the final constraint pass.
+    /// Events are read and applied on the calling thread;
+    /// [`Options::threads`](crate::Options) only fans out the final
+    /// constraint pass, exactly as on the tree path.
     ///
     /// Errors are *parse* errors only — invalid documents yield an `Ok`
     /// report listing violations, exactly like the tree path.
@@ -696,17 +696,8 @@ impl Validator<'_> {
         let doc_dtd = events.dtd()?.cloned();
         let threads = self.effective_threads();
         let mut checker = StreamChecker::<'_, 's>::new(self, doc_dtd);
-        #[cfg(feature = "parallel")]
-        if threads > 1 {
-            {
-                let _parse = self.obs.span("parse");
-                run_pipelined(events, &mut checker, &self.obs)?;
-            }
-            return Ok(checker.finish(threads));
-        }
-        // threads == 1: a pure pull loop — no channel, no scope, no
-        // synchronization of any kind. Streaming fuses lexing with
-        // structural checking, so "parse" covers the whole single pass.
+        // One pull loop at every thread budget. Streaming fuses lexing
+        // with structural checking, so "parse" covers the whole pass.
         {
             let _parse = self.obs.span("parse");
             for ev in &mut events {
@@ -727,80 +718,6 @@ impl Validator<'_> {
         self.obs
             .add("xml.entity_expansions", stats.entity_expansions);
     }
-}
-
-/// The pipelined event loop: a producer thread lexes batches of events
-/// into a bounded channel while the consumer (this thread) applies them.
-/// Only the lexer moves — application order is untouched, which is what
-/// keeps reports byte-identical regardless of thread count.
-#[cfg(feature = "parallel")]
-fn run_pipelined<'s>(
-    events: EventParser<'s>,
-    checker: &mut StreamChecker<'_, 's>,
-    obs: &Obs,
-) -> Result<(), XmlError> {
-    use std::sync::mpsc;
-    /// Events per channel message: large enough to amortize the channel,
-    /// small enough to bound in-flight memory (`BATCH × BOUND` events).
-    const BATCH: usize = 1024;
-    /// Channel capacity in batches.
-    const BOUND: usize = 8;
-    let (tx, rx) = mpsc::sync_channel::<Result<Vec<Event<'s>>, XmlError>>(BOUND);
-    std::thread::scope(|scope| {
-        let producer = scope.spawn(move || {
-            let mut events = events;
-            let mut batch = Vec::with_capacity(BATCH);
-            for ev in &mut events {
-                match ev {
-                    Ok(ev) => {
-                        batch.push(ev);
-                        if batch.len() == BATCH {
-                            let full = std::mem::replace(&mut batch, Vec::with_capacity(BATCH));
-                            if tx.send(Ok(full)).is_err() {
-                                return events.stats(); // receiver bailed on an error
-                            }
-                        }
-                    }
-                    Err(e) => {
-                        let _ = tx.send(Err(e));
-                        return events.stats();
-                    }
-                }
-            }
-            let _ = tx.send(Ok(batch));
-            events.stats()
-        });
-        // `stream.recv_wait` is time this consumer spends starved (the
-        // producer still lexing); `stream.apply` is time spent applying
-        // events. Both recorded per batch, never per event.
-        let result = loop {
-            let msg = {
-                let _wait = obs.span("stream.recv_wait");
-                rx.recv()
-            };
-            let Ok(msg) = msg else {
-                break Ok(()); // producer done, channel drained
-            };
-            let batch = match msg {
-                Ok(batch) => batch,
-                Err(e) => break Err(e),
-            };
-            let _apply = obs.span("stream.apply");
-            obs.add("stream.batches", 1);
-            for ev in batch {
-                checker.on_event(ev);
-            }
-        };
-        // Unblock a producer still sending before the scope joins it.
-        drop(rx);
-        if let Ok(stats) = producer.join() {
-            if obs.enabled() {
-                obs.add("xml.events", stats.events);
-                obs.add("xml.entity_expansions", stats.entity_expansions);
-            }
-        }
-        result
-    })
 }
 
 #[cfg(test)]

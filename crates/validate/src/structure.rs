@@ -34,10 +34,11 @@ pub struct Options {
     /// the machine's available parallelism via
     /// [`std::thread::available_parallelism`], `1` runs the sequential
     /// engine — the semantic ground truth — and `n > 1` fans checks out
-    /// across constraints and splits large extents. Every setting produces
-    /// byte-identical reports, and small documents stay single-threaded
-    /// regardless (see `MIN_NODES_PER_THREAD`). Without the `parallel`
-    /// cargo feature (default-on), checking is always sequential.
+    /// across constraints and splits large extents. This budget governs
+    /// only the final constraint pass, on the tree and streaming paths
+    /// alike; streaming always reads its events on the calling thread.
+    /// Every setting produces byte-identical reports, and small documents
+    /// stay single-threaded regardless (see `MIN_NODES_PER_THREAD`).
     pub threads: usize,
 }
 
@@ -195,20 +196,9 @@ impl<'a> Validator<'a> {
         self.dtdc
     }
 
-    /// Number of `(element type, field)` columns the compiled plan
-    /// extracts per document — a measure of how much extraction work Σ's
-    /// constraints share.
-    pub fn plan_columns(&self) -> usize {
-        self.plan.column_count()
-    }
-
     /// The constraint-checking thread count after resolving `threads == 0`
-    /// to the machine's available parallelism (and clamping to `1` when
-    /// the `parallel` feature is disabled).
+    /// to the machine's available parallelism.
     pub fn effective_threads(&self) -> usize {
-        if !cfg!(feature = "parallel") {
-            return 1;
-        }
         match self.options.threads {
             0 => std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)

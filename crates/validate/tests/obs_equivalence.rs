@@ -6,15 +6,16 @@
 //!
 //! This is the invariant that makes `--metrics` safe to reach for in
 //! production: spans and counters only observe the run, they never
-//! steer it.
+//! steer it. A deterministic test also pins that, on a small document,
+//! a thread budget adds no telemetry of its own.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 use xic_constraints::{Constraint, DtdC, DtdStructure, Field, Language};
-use xic_model::{AttrValue, DataTree, TreeBuilder};
-use xic_obs::{Fanout, MetricsCollector, Obs, TraceCollector};
-use xic_validate::{MatcherKind, Options, Validator};
+use xic_model::{AttrValue, DataTree, Name, TreeBuilder};
+use xic_obs::{Fanout, Metrics, MetricsCollector, Obs, TraceCollector};
+use xic_validate::{BatchEdit, LiveValidator, MatcherKind, Options, Validator};
 use xic_xml::{parse_document, serialize_document, serialize_dtd};
 
 /// Same universe as the stream-equivalence test: three element types with
@@ -264,4 +265,66 @@ proptest! {
         let src = to_source(&s, &build_tree(&nodes));
         assert_observation_is_inert(&dtdc, &src)?;
     }
+}
+
+/// The shape of one run's telemetry: every span, counter, maximum and
+/// histogram name with its count (or value), timings left out.
+fn telemetry_shape(m: &Metrics) -> Vec<(String, u64)> {
+    let spans = m.spans.iter().map(|(n, s)| (format!("span {n}"), s.count));
+    let counters = m.counters.iter().map(|(n, &v)| (format!("counter {n}"), v));
+    let maxima = m.maxima.iter().map(|(n, &v)| (format!("max {n}"), v));
+    let hists = m.hists.iter().map(|(n, h)| (format!("hist {n}"), h.count));
+    spans.chain(counters).chain(maxima).chain(hists).collect()
+}
+
+/// A small document records the same telemetry at a 4-thread budget as at
+/// 1 on the tree, stream and live paths: below the per-thread vertex
+/// clamp every path runs on the calling thread, so a budget adds no
+/// spans, counters or histogram samples of its own.
+#[test]
+fn small_document_telemetry_is_thread_budget_independent() {
+    let s = test_structure();
+    let sigma = vec![
+        Constraint::unary_key("t0", "a0"),
+        Constraint::set_fk("t1", "r1", "t0", "a0"),
+    ];
+    let dtdc = DtdC::new_unchecked(test_structure(), Language::Lid, sigma);
+    let recipes: Vec<NodeRecipe> = (0..5u8)
+        .map(|i| {
+            (
+                (i % 3, Some(i), Some(i % 2), None),
+                (vec![i], vec![i, 5], vec![(i % 2, i)]),
+            )
+        })
+        .collect();
+    let tree = build_tree(&recipes);
+    let src = to_source(&s, &tree);
+    let shape = |threads: usize| {
+        let metrics = Arc::new(MetricsCollector::with_histograms());
+        let v = Validator::with_matcher(
+            &dtdc,
+            MatcherKind::Dfa,
+            Options::default().with_threads(threads),
+        )
+        .with_obs(Obs::new(metrics.clone()));
+        v.validate(&tree);
+        v.validate_stream(&src).expect("stream parses");
+        let mut live = LiveValidator::new(&v, tree.clone());
+        let node = tree
+            .node(tree.root())
+            .child_nodes()
+            .next()
+            .expect("a t-vertex");
+        live.apply_batch(&[BatchEdit::SetAttr {
+            node,
+            attr: Name::new("a0"),
+            value: AttrValue::single("v0"),
+        }])
+        .expect("edit applies");
+        telemetry_shape(&metrics.snapshot())
+    };
+    let one = shape(1);
+    assert!(one.iter().any(|(n, _)| n == "span parse"), "{one:?}");
+    assert!(one.iter().any(|(n, _)| n == "span edit.batch"), "{one:?}");
+    assert_eq!(shape(4), one);
 }

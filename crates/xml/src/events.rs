@@ -142,13 +142,6 @@ impl<'s> EventParser<'s> {
         Ok(self.dtd.as_ref())
     }
 
-    /// Takes ownership of the internal-subset DTD (consuming the prolog
-    /// first if necessary).
-    pub fn take_dtd(&mut self) -> Result<Option<DtdStructure>, XmlError> {
-        self.ensure_prolog()?;
-        Ok(self.dtd.take())
-    }
-
     /// Current byte offset into the source.
     pub fn offset(&self) -> usize {
         self.cur.pos
