@@ -40,7 +40,7 @@ mod render;
 mod tree;
 
 pub use hash::{FastHashMap, FastHashSet, FastHasher};
-pub use interner::{Interner, Sym};
+pub use interner::{InternStats, Interner, Sym};
 pub use name::Name;
 pub use render::{render_tree, RenderOptions};
 pub use tree::{

@@ -75,6 +75,8 @@
 //! | `violations.raised`, `violations.cleared` | counter | `ReportDiff` totals across edits |
 //! | `implication.rules`, `chase.steps` | counter | proof-rule applications / chase firings |
 //! | `stream.peak_depth` | maximum | peak in-flight element frames (streaming) |
+//! | `intern.values`, `intern.symbols` | counter | values the streaming pass interned / of them new (streaming) |
+//! | `intern.probe_steps`, `intern.growths` | counter | intern-table probe steps past a home slot / table growths (streaming) |
 //! | `alloc.count` | counter | heap acquisitions process-wide (binaries installing the [`alloc`] hooks) |
 //! | `alloc.peak` | maximum | peak live heap bytes process-wide (same condition) |
 //!

@@ -96,26 +96,19 @@ impl SetCol {
             .push(u32::try_from(self.syms.len()).expect("set column fits u32"));
     }
 
-    /// Appends the row of a set-valued attribute's raw text: its
-    /// whitespace-separated tokens in `AttrValue::set` order (sorted by
-    /// string, distinct). The tokens are sorted and deduplicated as byte
-    /// ranges of `raw` in the caller's reusable `tokens` buffer, so a row
-    /// allocates nothing and orders its tokens without reading the pool.
-    pub(crate) fn push_tokens(
-        &mut self,
-        raw: &str,
-        interner: &mut Interner,
-        tokens: &mut Vec<(usize, usize)>,
-    ) {
-        let base = raw.as_ptr() as usize;
-        tokens.clear();
-        tokens.extend(raw.split_whitespace().map(|t| {
-            let start = t.as_ptr() as usize - base;
-            (start, start + t.len())
-        }));
-        tokens.sort_unstable_by(|a, b| raw[a.0..a.1].cmp(&raw[b.0..b.1]));
-        tokens.dedup_by(|a, b| raw[a.0..a.1] == raw[b.0..b.1]);
-        self.push_row(tokens.iter().map(|&(s, e)| interner.intern(&raw[s..e])));
+    /// Appends a row of `n` members still to be interned, each held by a
+    /// placeholder until [`SetCol::fill`] writes it, and returns the index
+    /// of the row's first member slot.
+    pub(crate) fn push_unfilled(&mut self, n: usize) -> usize {
+        let first = self.syms.len();
+        self.push_row(std::iter::repeat_n(Sym::from_index(0), n));
+        first
+    }
+
+    /// Writes the member in slot `slot` (see [`SetCol::push_unfilled`]).
+    #[inline]
+    pub(crate) fn fill(&mut self, slot: usize, sym: Sym) {
+        self.syms[slot] = sym;
     }
 
     /// Row `i`'s members (empty slice for an absent attribute).

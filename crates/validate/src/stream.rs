@@ -17,19 +17,27 @@
 //!   sub-elements), and constraint checking then proceeds on the exact
 //!   engine the tree path uses ([`check_planned`]).
 //!
-//! ## The hot path is allocation- and hash-free (§4.12)
+//! ## The hot path allocates nothing per element (§4.12)
 //!
 //! Everything the event loop needs about an element-name *spelling* —
 //! interned label, matcher, column recipe, declared attributes, the
 //! document DTD's set-splitting rule — is resolved once, on first sight,
 //! into an [`ElemInfo`] fetched by one `FastHashMap` probe per event.
 //! Attribute values ride through the seal as borrowed [`Cow`]s (no
-//! `AttrValue` materialization), set values tokenize straight into their
-//! column through one reused buffer, child words are recorded as `u32`
-//! info ids with repeat marks (rendered only if a `ContentModel` violation
-//! is actually reported), extents accumulate in per-spelling
-//! `Vec<NodeId>` columns, and closed frames return to a pool so
-//! steady-state streaming allocates nothing per element.
+//! `AttrValue` materialization), set values tokenize into sorted byte
+//! ranges in one reused buffer, child words are recorded as `u32` info ids
+//! with repeat marks (rendered only if a `ContentModel` violation is
+//! actually reported), extents accumulate in per-spelling `Vec<NodeId>`
+//! columns, and closed frames return to a pool so steady-state streaming
+//! allocates nothing per element.
+//!
+//! The one hash per value is the interner's, and it is paid in groups: a
+//! planned value is not interned where it is read. Its column entry gets a
+//! placeholder, and its bytes are queued, with that entry as their
+//! destination, in a reused buffer ([`ColumnFill`]). Every
+//! [`Interner::GROUP`] values the queue goes through one
+//! [`Interner::intern_group`] call, whose table loads overlap instead of
+//! each costing a dependent cache miss, and the symbols are written back.
 //!
 //! ## Order preservation
 //!
@@ -134,15 +142,87 @@ struct Frame<'s> {
     /// violation of the same node (the tree path's per-node order).
     attr_viols: Vec<Violation>,
     /// Per [`TauPlan::singles`] entry that is a sub-element field: how
-    /// many children with that label closed, and the first one's interned
-    /// text (the field value iff the count ends at exactly one — §3.4's
-    /// *unique* sub-element). Attribute entries stay at a zero count.
-    subs: Vec<(u32, Option<Sym>)>,
+    /// many children with that label closed. The first one's text is
+    /// queued as the field value, which stands iff the count ends at
+    /// exactly one (§3.4's *unique* sub-element). Attribute entries stay
+    /// at a zero count.
+    subs: Vec<u32>,
     /// The slot in the parent's `subs` this element reports to, if its
     /// label is a planned sub-element field of the parent's type.
     sub_slot: Option<usize>,
     /// Immediate text, collected only when `sub_slot` is set.
     text: String,
+}
+
+/// Where a queued value's symbol goes.
+#[derive(Clone, Copy, Debug)]
+enum Dest {
+    /// Row `row` of single-valued column `col`.
+    Single { col: usize, row: usize },
+    /// Member slot `slot` of set-valued column `col`.
+    Set { col: usize, slot: usize },
+}
+
+/// The planned columns under construction, with the values that still
+/// wait to be interned into them. A queued value's entry holds a
+/// placeholder (`None`, or an unfilled [`SetCol`] slot) until the queue is
+/// flushed: every [`Interner::GROUP`] values, before an entry is
+/// overwritten, and at the end of the pass.
+struct ColumnFill {
+    interner: Interner,
+    /// The plan's columns, in plan order.
+    singles: Vec<Vec<Option<Sym>>>,
+    sets: Vec<SetCol>,
+    /// Queued values' bytes, back to back.
+    bytes: Vec<u8>,
+    /// Each queued value's `(start, end)` in `bytes`.
+    ranges: Vec<(usize, usize)>,
+    /// Each queued value's destination, parallel to `ranges`.
+    dests: Vec<Dest>,
+    /// The symbols of one flush (kept for its capacity).
+    syms: Vec<Sym>,
+}
+
+impl ColumnFill {
+    fn new(plan: &Plan) -> Self {
+        ColumnFill {
+            interner: Interner::new(),
+            singles: vec![Vec::new(); plan.singles.len()],
+            sets: vec![SetCol::default(); plan.sets.len()],
+            bytes: Vec::new(),
+            ranges: Vec::new(),
+            dests: Vec::new(),
+            syms: Vec::new(),
+        }
+    }
+
+    /// Queues `value` for interning into `dest`, flushing a full group.
+    #[inline]
+    fn queue(&mut self, value: &[u8], dest: Dest) {
+        let start = self.bytes.len();
+        self.bytes.extend_from_slice(value);
+        self.ranges.push((start, self.bytes.len()));
+        self.dests.push(dest);
+        if self.dests.len() == Interner::GROUP {
+            self.flush();
+        }
+    }
+
+    /// Interns every queued value and writes its symbol to its entry.
+    fn flush(&mut self) {
+        self.syms.clear();
+        self.interner
+            .intern_group(&self.bytes, &self.ranges, &mut self.syms);
+        for (dest, &sym) in self.dests.iter().zip(&self.syms) {
+            match *dest {
+                Dest::Single { col, row } => self.singles[col][row] = Some(sym),
+                Dest::Set { col, slot } => self.sets[col].fill(slot, sym),
+            }
+        }
+        self.bytes.clear();
+        self.ranges.clear();
+        self.dests.clear();
+    }
 }
 
 /// The single-pass checker: feed [`Event`]s in document order via
@@ -175,11 +255,9 @@ pub(crate) struct StreamChecker<'v, 's> {
     /// `ext(label)` columns parallel to `elems`; assembled into an
     /// [`ExtIndex`] once, at finish.
     exts: Vec<Vec<NodeId>>,
-    interner: Interner,
-    /// The plan's columns, in plan order, filled as elements seal/close.
-    single_cols: Vec<Vec<Option<Sym>>>,
-    set_cols: Vec<SetCol>,
-    /// Reusable buffer for a set value's token ranges ([`SetCol::push_tokens`]).
+    /// The plan's columns, filled as elements seal/close.
+    cols: ColumnFill,
+    /// Reusable buffer for a set value's token ranges ([`set_tokens`]).
     tokens: Vec<(usize, usize)>,
     /// The validator's observability handle (off by default). Per-event
     /// totals below are plain fields — never collector calls on the hot
@@ -207,20 +285,30 @@ fn find_pending<'a, 's>(
 /// The value a single-valued field reads from a pending attribute —
 /// mirrors [`AttrValue::as_single`]: the whole string for a single value,
 /// the sole distinct token for a set, `None` otherwise.
-fn pval_single(v: &PVal<'_>, interner: &mut Interner) -> Option<Sym> {
+fn pval_single<'a>(v: &'a PVal<'_>) -> Option<&'a str> {
     match v {
-        PVal::Single(raw) => Some(interner.intern_bytes(raw.as_bytes())),
+        PVal::Single(raw) => Some(raw),
         PVal::Set(raw) => {
             let mut toks = raw.split_whitespace();
             let first = toks.next()?;
-            for t in toks {
-                if t != first {
-                    return None;
-                }
-            }
-            Some(interner.intern_bytes(first.as_bytes()))
+            toks.all(|t| t == first).then_some(first)
         }
     }
+}
+
+/// Fills `tokens` with the byte ranges of `raw`'s whitespace-separated
+/// tokens in `AttrValue::set` order (sorted by string, distinct). Ordering
+/// byte ranges in a reused buffer allocates nothing per row and reads the
+/// input, not the pool.
+fn set_tokens(raw: &str, tokens: &mut Vec<(usize, usize)>) {
+    let base = raw.as_ptr() as usize;
+    tokens.clear();
+    tokens.extend(raw.split_whitespace().map(|t| {
+        let start = t.as_ptr() as usize - base;
+        (start, start + t.len())
+    }));
+    tokens.sort_unstable_by(|a, b| raw[a.0..a.1].cmp(&raw[b.0..b.1]));
+    tokens.dedup_by(|a, b| raw[a.0..a.1] == raw[b.0..b.1]);
 }
 
 /// Distinct whitespace-separated tokens, mirroring [`AttrValue::set`]'s
@@ -291,9 +379,7 @@ impl<'v, 's> StreamChecker<'v, 's> {
             attr_names: Vec::new(),
             attr_lookup: FastHashMap::default(),
             exts: Vec::new(),
-            interner: Interner::new(),
-            single_cols: vec![Vec::new(); v.plan.singles.len()],
-            set_cols: vec![SetCol::default(); v.plan.sets.len()],
+            cols: ColumnFill::new(&v.plan),
             tokens: Vec::new(),
             obs: v.obs.clone(),
             max_depth: 0,
@@ -425,7 +511,7 @@ impl<'v, 's> StreamChecker<'v, 's> {
         frame.run = run;
         frame.sealed = false;
         frame.sub_slot = sub_slot;
-        frame.subs.resize(n_subs, (0, None));
+        frame.subs.resize(n_subs, 0);
         self.depth += 1;
         if self.depth > self.max_depth {
             self.max_depth = self.depth;
@@ -531,29 +617,41 @@ impl<'v, 's> StreamChecker<'v, 's> {
         // Column fill — by label, declared or not, because `ext(τ)` (and
         // hence the tree path's columns) includes undeclared nodes too.
         if let Some(tp) = info.plan {
-            // Sub-element fields get a placeholder now (keeping the column
-            // ext-aligned) and their value at close, when the children —
-            // and hence uniqueness — are known.
-            for (field, col) in &tp.singles {
-                let sym = match field {
-                    Field::Attr(l) => find_pending(&top.pending_attrs, names, l)
-                        .and_then(|v| pval_single(v, &mut self.interner)),
-                    Field::Sub(_) => None,
-                };
-                debug_assert_eq!(self.single_cols[*col].len(), top.ext_pos as usize);
-                self.single_cols[*col].push(sym);
+            // Every entry starts as a placeholder (keeping the column
+            // ext-aligned); a value is queued for it. Sub-element fields
+            // get their value at close, when the children — and hence
+            // uniqueness — are known.
+            let row = top.ext_pos as usize;
+            for &(ref field, col) in &tp.singles {
+                debug_assert_eq!(self.cols.singles[col].len(), row);
+                self.cols.singles[col].push(None);
+                if let Field::Attr(l) = field {
+                    if let Some(v) =
+                        find_pending(&top.pending_attrs, names, l).and_then(pval_single)
+                    {
+                        self.cols.queue(v.as_bytes(), Dest::Single { col, row });
+                    }
+                }
             }
-            for (l, col) in &tp.sets {
-                let scol = &mut self.set_cols[*col];
-                debug_assert_eq!(scol.len(), top.ext_pos as usize);
+            for &(ref l, col) in &tp.sets {
+                debug_assert_eq!(self.cols.sets[col].len(), row);
                 match find_pending(&top.pending_attrs, names, l) {
                     Some(PVal::Single(raw)) => {
-                        scol.push_row([self.interner.intern_bytes(raw.as_bytes())]);
+                        let slot = self.cols.sets[col].push_unfilled(1);
+                        self.cols.queue(raw.as_bytes(), Dest::Set { col, slot });
                     }
                     Some(PVal::Set(raw)) => {
-                        scol.push_tokens(raw, &mut self.interner, &mut self.tokens);
+                        set_tokens(raw, &mut self.tokens);
+                        let first = self.cols.sets[col].push_unfilled(self.tokens.len());
+                        for (k, &(start, end)) in self.tokens.iter().enumerate() {
+                            let dest = Dest::Set {
+                                col,
+                                slot: first + k,
+                            };
+                            self.cols.queue(&raw.as_bytes()[start..end], dest);
+                        }
                     }
-                    None => scol.push_row([]),
+                    None => self.cols.sets[col].push_row([]),
                 }
             }
         }
@@ -588,26 +686,33 @@ impl<'v, 's> StreamChecker<'v, 's> {
         for v in frame.attr_viols.drain(..) {
             self.tagged.push((frame.node, v));
         }
-        // Patch this element's unique-sub-element column entries (an
-        // attribute entry's count stays 0).
+        // A sub-element field with a second child of its label is
+        // undefined: the first child's queued text must land before the
+        // entry is cleared (an attribute entry's count stays 0).
         if let Some(tp) = info.plan {
-            for (i, (_, col)) in tp.singles.iter().enumerate() {
-                let (count, sym) = frame.subs[i];
-                if count == 1 {
-                    self.single_cols[*col][frame.ext_pos as usize] = sym;
+            for (&count, &(_, col)) in frame.subs.iter().zip(&tp.singles) {
+                if count >= 2 {
+                    self.cols.flush();
+                    self.cols.singles[col][frame.ext_pos as usize] = None;
                 }
             }
         }
-        // Report to the parent's unique-sub-element tracking.
+        // Report to the parent's unique-sub-element tracking: the first
+        // child with this label queues its text as the field value.
         if let Some(slot) = frame.sub_slot {
             if let Some(parent) = parents.last_mut() {
-                let (count, sym) = &mut parent.subs[slot];
+                let count = &mut parent.subs[slot];
                 *count += 1;
-                *sym = if *count == 1 {
-                    Some(self.interner.intern_bytes(frame.text.as_bytes()))
-                } else {
-                    None // a second child with this label: field undefined
-                };
+                if *count == 1 {
+                    let ptp = self.elems[parent.info as usize]
+                        .plan
+                        .expect("a sub slot implies the parent's plan");
+                    let dest = Dest::Single {
+                        col: ptp.singles[slot].1,
+                        row: parent.ext_pos as usize,
+                    };
+                    self.cols.queue(frame.text.as_bytes(), dest);
+                }
             }
         }
         // Clear the buffers (keeping capacity) for the next element that
@@ -623,6 +728,7 @@ impl<'v, 's> StreamChecker<'v, 's> {
     /// constraint checker over the streamed columns.
     pub(crate) fn finish(mut self, threads: usize) -> Report {
         debug_assert!(self.depth == 0, "finish before the root closed");
+        self.cols.flush();
         let obs = self.obs.clone();
         // The deferred node-order sort is streaming's share of the
         // "structure" phase; everything else structural happened inside
@@ -632,6 +738,7 @@ impl<'v, 's> StreamChecker<'v, 's> {
             self.tagged.sort_by_key(|&(n, _)| n); // stable: per-node order kept
             self.tagged.into_iter().map(|(_, v)| v).collect()
         };
+        let interned = self.cols.interner.stats();
         let mut ext = ExtIndex::empty();
         let doc = {
             let _plan = obs.span("plan");
@@ -639,9 +746,9 @@ impl<'v, 's> StreamChecker<'v, 's> {
                 ext.insert_extent(info.label.clone(), ids);
             }
             DocIndex::from_parts(
-                self.interner,
-                self.single_cols,
-                self.set_cols,
+                self.cols.interner,
+                self.cols.singles,
+                self.cols.sets,
                 &ext,
                 self.s,
                 self.plan,
@@ -657,6 +764,10 @@ impl<'v, 's> StreamChecker<'v, 's> {
             &mut violations,
         );
         if obs.enabled() {
+            obs.add("intern.values", interned.values);
+            obs.add("intern.symbols", interned.symbols);
+            obs.add("intern.probe_steps", interned.probe_steps);
+            obs.add("intern.growths", interned.growths);
             obs.add("nodes", u64::from(self.node_count));
             obs.add("attrs", self.attr_count);
             obs.add("violations", violations.len() as u64);
@@ -724,8 +835,21 @@ impl Validator<'_> {
 mod tests {
     use super::*;
     use crate::{MatcherKind, Options};
-    use xic_constraints::examples::book_dtdc;
+    use xic_constraints::examples::{book_dtdc, book_structure};
+    use xic_constraints::{Constraint, Language};
     use xic_xml::parse_document;
+
+    /// The book `DTD^C` plus the §3.4 sub-element key `entry.title ->
+    /// entry`, so streaming plans, queues and checks a sub-element column
+    /// (the book `DTD^C` reads attributes only).
+    fn dtdc() -> DtdC {
+        let mut sigma = book_dtdc().constraints().to_vec();
+        sigma.push(Constraint::Key {
+            tau: "entry".into(),
+            fields: vec![Field::sub("title")],
+        });
+        DtdC::new(book_structure(), Language::Lu, sigma).expect("title is unique in entry")
+    }
 
     const BOOK: &str = r#"<book>
   <entry isbn="1-55860-622-X"><title>Data on the Web</title><publisher>MK</publisher></entry>
@@ -769,6 +893,65 @@ mod tests {
   <ref to="isbn-1234 isbn-1235 isbn-123 isbn-1234 isbn-1235"/>
 </book>"#;
 
+    /// Two entries whose `title` is undefined (two title children each,
+    /// the first one's text still queued when the entry closes) between
+    /// two whose titles clash. Only the clash is a key violation: a lost
+    /// "undefined" would make the doubled titles clash too.
+    const SUB_QUEUED: &str = r#"<book>
+  <entry isbn="a"><title>Same</title><publisher>P</publisher></entry>
+  <entry isbn="b"><title>Same</title><title>Same</title><publisher>P</publisher></entry>
+  <entry isbn="c"><title>Same</title><title>Other</title><publisher>P</publisher></entry>
+  <entry isbn="d"><title>Same</title><publisher>P</publisher></entry>
+  <author>A</author>
+  <ref to="a"/>
+</book>"#;
+
+    /// Entities decode into owned values: keys that are equal only once
+    /// decoded, and a reference that matches one of them only decoded.
+    const ENTITY_KEYS: &str = r#"<book>
+  <entry isbn="a&amp;b"><title>A &lt; B</title><publisher>P</publisher></entry>
+  <entry isbn="a&#38;b"><title>A &#60; B</title><publisher>P</publisher></entry>
+  <entry isbn="a&amp;c"><title>A</title><publisher>P</publisher></entry>
+  <author>A</author>
+  <section sid="&#x73;1"><title>S</title></section>
+  <section sid="s1"><title>S</title></section>
+  <ref to="a&amp;c"/>
+</book>"#;
+
+    /// A set-valued reference with more distinct tokens than one interner
+    /// group, repeated and unsorted, one of them dangling: its row is
+    /// queued across at least two flushes.
+    fn set_across_groups() -> String {
+        let n = 2 * Interner::GROUP;
+        let mut src = String::from(
+            r#"<!DOCTYPE book [
+  <!ELEMENT book (entry|author|ref)*>
+  <!ELEMENT entry (title, publisher)>
+  <!ELEMENT title (#PCDATA)>
+  <!ELEMENT publisher (#PCDATA)>
+  <!ELEMENT author (#PCDATA)>
+  <!ELEMENT ref EMPTY>
+  <!ATTLIST entry isbn CDATA #IMPLIED>
+  <!ATTLIST ref to IDREFS #IMPLIED>
+]>
+<book>
+"#,
+        );
+        for i in 0..n {
+            src += &format!(
+                "<entry isbn=\"e{i}\"><title>T{i}</title><publisher>P</publisher></entry>\n"
+            );
+        }
+        let mut to: Vec<String> = (0..n).rev().map(|i| format!("e{i}")).collect();
+        to.insert(n / 2, "e7 dangling e3".into());
+        to.push("e7".into());
+        src += &format!(
+            "<author>A</author>\n<ref to=\"{}\"/>\n</book>",
+            to.join(" ")
+        );
+        src
+    }
+
     /// Documents exercising every violation kind the stream must order
     /// exactly like the tree engine.
     const DOCS: &[&str] = &[
@@ -795,10 +978,12 @@ mod tests {
         // The same on interleaved children: runs of one and two between
         // changes of label.
         r#"<book><author>A</author><ref to="w"/><author>B</author><ref to="w"/><ref to="w"/><author>C</author>t<author>D</author>u<ref to="w"/><author>E</author></book>"#,
+        SUB_QUEUED,
+        ENTITY_KEYS,
     ];
 
     fn assert_stream_matches_tree(src: &str) {
-        let d = book_dtdc();
+        let d = dtdc();
         for kind in [MatcherKind::Dfa, MatcherKind::Nfa, MatcherKind::Derivative] {
             for strict in [true, false] {
                 for threads in [1, 2, 4] {
@@ -826,6 +1011,7 @@ mod tests {
         for src in DOCS {
             assert_stream_matches_tree(src);
         }
+        assert_stream_matches_tree(&set_across_groups());
     }
 
     #[test]
@@ -845,20 +1031,21 @@ mod tests {
         assert_eq!(word, [5, u32::MAX, 5, REPEAT | 1]);
     }
 
+    /// The key and foreign-key violations the stream reports for `src`.
+    fn constraints(src: &str) -> Vec<String> {
+        let d = dtdc();
+        let r = Validator::new(&d).validate_stream(src).unwrap();
+        r.violations
+            .iter()
+            .map(ToString::to_string)
+            .filter(|l| l.contains("share key") || l.contains("missing"))
+            .collect()
+    }
+
     #[test]
     fn values_at_the_inline_key_boundary_keep_their_verdicts() {
         // Stream = tree cannot catch an interner that merges two values,
         // since both engines intern; these verdicts are absolute.
-        let d = book_dtdc();
-        let v = Validator::new(&d);
-        let constraints = |src| -> Vec<String> {
-            let r = v.validate_stream(src).unwrap();
-            r.violations
-                .iter()
-                .map(ToString::to_string)
-                .filter(|l| l.contains("share key") || l.contains("missing"))
-                .collect()
-        };
         assert_eq!(
             constraints(KEY_BOUNDARY),
             [
@@ -870,6 +1057,33 @@ mod tests {
         assert_eq!(
             constraints(SET_BOUNDARY),
             ["ref.@to <=s entry.@isbn: n8 references missing isbn-1235"]
+        );
+    }
+
+    #[test]
+    fn queued_values_keep_their_verdicts() {
+        // Values wait in the interning queue while the pass moves on;
+        // these verdicts are absolute, like the inline-key ones above.
+        assert_eq!(
+            constraints(SUB_QUEUED),
+            ["entry.title -> entry: n1 and n12 share key Same"]
+        );
+        assert_eq!(
+            constraints(ENTITY_KEYS),
+            [
+                "entry.@isbn -> entry: n1 and n4 share key a&b",
+                "section.@sid -> section: n11 and n13 share key s1",
+                "entry.title -> entry: n1 and n4 share key A < B",
+            ]
+        );
+        let big = set_across_groups();
+        let n = 2 * Interner::GROUP;
+        assert_eq!(
+            constraints(&big),
+            [format!(
+                "ref.@to <=s entry.@isbn: n{} references missing dangling",
+                3 * n + 2
+            )]
         );
     }
 
