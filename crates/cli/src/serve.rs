@@ -910,10 +910,14 @@ fn put_doc(store: &Store, id: &str, src: String) -> Response {
     }
     // Durable replace: stop the old shard (it writes its exit snapshot)
     // *before* the new shard resets the doc's on-disk state — otherwise
-    // the old shard's final snapshot could clobber the new document.
+    // the old shard's final snapshot could clobber the new document. The
+    // registry guard is released first: in an `if let` scrutinee it would
+    // live through the body, stalling every request to every document
+    // while the old shard snapshots and fsyncs.
     let mut replaced = false;
     if store.disk.is_some() {
-        if let Some(prev) = store.docs.write().unwrap().remove(id) {
+        let prev = store.docs.write().unwrap().remove(id);
+        if let Some(prev) = prev {
             prev.stop();
             replaced = true;
         }
@@ -2593,6 +2597,49 @@ ref.to <=s entry.isbn";
         for (_, handle) in std::mem::take(&mut *store.docs.write().unwrap()) {
             handle.stop();
         }
+    }
+
+    /// A durable replace stops the old shard without holding the document
+    /// registry: the old shard's exit (its snapshot and fsync) must not
+    /// block requests to other documents. The hand-built old shard checks,
+    /// as it exits, that the registry is free to read.
+    #[test]
+    fn a_durable_replace_stops_the_old_shard_outside_the_registry_lock() {
+        let state = unique_path("replace-unlocked");
+        let mut flags = book_flags();
+        flags.extend([
+            "--state-dir".to_string(),
+            state.to_str().unwrap().to_string(),
+        ]);
+        let store = Arc::new(
+            Store::new(&parse_opts(&flags).unwrap(), "127.0.0.1:0".parse().unwrap()).unwrap(),
+        );
+        let (tx, rx) = mpsc::channel::<DocRequest>();
+        let (seen_tx, seen_rx) = mpsc::channel();
+        let join = {
+            let store = store.clone();
+            std::thread::spawn(move || {
+                rx.iter().for_each(drop);
+                seen_tx.send(store.docs.try_read().is_ok()).unwrap();
+            })
+        };
+        let handle = DocHandle {
+            tx,
+            collector: MetricsCollector::shared_with_histograms(),
+            join,
+        };
+        store.docs.write().unwrap().insert("doc".into(), handle);
+
+        let resp = put_doc(&store, "doc", GOOD_DOC.to_string());
+        assert_eq!(resp.status, "200 OK", "{}", resp.body);
+        assert!(
+            seen_rx.recv().unwrap(),
+            "the old shard stopped while the registry was write-locked"
+        );
+        for (_, handle) in std::mem::take(&mut *store.docs.write().unwrap()) {
+            handle.stop();
+        }
+        let _ = std::fs::remove_dir_all(&state);
     }
 
     /// `.` and `..` are not document ids, with or without `--state-dir`.

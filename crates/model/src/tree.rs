@@ -74,13 +74,30 @@ impl Child {
 /// hold a singleton set; set-valued (`IDREFS`-style) attributes hold any
 /// finite set. Values are kept sorted and deduplicated so that two equal
 /// sets compare equal structurally.
-#[derive(Clone, PartialEq, Eq, Debug, Hash, PartialOrd, Ord)]
-pub struct AttrValue(Vec<Value>);
+///
+/// A singleton — every attribute Definition 2.4 checks as single-valued —
+/// is stored inline, so it costs the heap block of its one string and no
+/// list around it. Equality, ordering and hashing are those of the sorted
+/// member slice ([`AttrValue::values`]) whatever the representation.
+#[derive(Clone)]
+pub struct AttrValue(Members);
+
+/// [`AttrValue`]'s representation: `One` for exactly one member, `Many`
+/// for every other count (empty included), sorted and deduplicated.
+#[derive(Clone)]
+enum Members {
+    One(Value),
+    Many(Box<[Value]>),
+}
+
+// The enum needs no tag word: `Many` is marked by a `String` capacity no
+// string can have.
+const _: () = assert!(std::mem::size_of::<AttrValue>() == 24);
 
 impl AttrValue {
     /// A singleton attribute value.
     pub fn single(v: impl Into<Value>) -> Self {
-        AttrValue(vec![v.into()])
+        AttrValue(Members::One(v.into()))
     }
 
     /// A set-valued attribute value; duplicates are removed and order is
@@ -93,47 +110,87 @@ impl AttrValue {
         let mut v: Vec<Value> = vs.into_iter().map(Into::into).collect();
         v.sort();
         v.dedup();
-        AttrValue(v)
+        if v.len() == 1 {
+            AttrValue(Members::One(v.pop().expect("one member")))
+        } else {
+            AttrValue(Members::Many(v.into_boxed_slice()))
+        }
     }
 
     /// The members of the value set, in sorted order.
     pub fn values(&self) -> &[Value] {
-        &self.0
+        match &self.0 {
+            Members::One(v) => std::slice::from_ref(v),
+            Members::Many(vs) => vs,
+        }
     }
 
     /// True iff the set is a singleton (as required of single-valued
     /// attributes by Definition 2.4).
     pub fn is_singleton(&self) -> bool {
-        self.0.len() == 1
+        matches!(self.0, Members::One(_))
     }
 
     /// For a singleton set, the unique member.
     pub fn as_single(&self) -> Option<&Value> {
-        if self.0.len() == 1 {
-            self.0.first()
-        } else {
-            None
+        match &self.0 {
+            Members::One(v) => Some(v),
+            Members::Many(_) => None,
         }
     }
 
     /// Set membership test (`s ∈ x.l`).
     pub fn contains(&self, v: &str) -> bool {
-        self.0.binary_search_by(|x| x.as_str().cmp(v)).is_ok()
+        self.values()
+            .binary_search_by(|x| x.as_str().cmp(v))
+            .is_ok()
     }
 
     /// Number of values in the set.
     pub fn len(&self) -> usize {
-        self.0.len()
+        self.values().len()
     }
 
     /// True iff the value set is empty.
     pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
+        self.values().is_empty()
     }
 
     /// Iterates over the members in sorted order.
     pub fn iter(&self) -> impl Iterator<Item = &Value> {
-        self.0.iter()
+        self.values().iter()
+    }
+}
+
+impl PartialEq for AttrValue {
+    fn eq(&self, other: &Self) -> bool {
+        self.values() == other.values()
+    }
+}
+
+impl Eq for AttrValue {}
+
+impl PartialOrd for AttrValue {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for AttrValue {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.values().cmp(other.values())
+    }
+}
+
+impl std::hash::Hash for AttrValue {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.values().hash(state);
+    }
+}
+
+impl fmt::Debug for AttrValue {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("AttrValue").field(&self.values()).finish()
     }
 }
 
@@ -143,7 +200,7 @@ impl fmt::Display for AttrValue {
             write!(f, "{v:?}")
         } else {
             write!(f, "{{")?;
-            for (i, v) in self.0.iter().enumerate() {
+            for (i, v) in self.iter().enumerate() {
                 if i > 0 {
                     write!(f, ", ")?;
                 }
@@ -993,7 +1050,11 @@ impl TreeBuilder {
 
     /// Finishes the tree rooted at `root`, checking that `root` is
     /// parentless and that every created vertex is reachable from it.
-    pub fn finish(self, root: NodeId) -> Result<DataTree, ModelError> {
+    ///
+    /// The finished tree keeps no spare capacity: growth reserved room in
+    /// the node array and in every attribute and child list, which a
+    /// resident document would otherwise carry for its whole life.
+    pub fn finish(mut self, root: NodeId) -> Result<DataTree, ModelError> {
         if root.index() >= self.nodes.len() {
             return Err(ModelError::UnknownNode(root));
         }
@@ -1021,6 +1082,11 @@ impl TreeBuilder {
                 orphans: self.nodes.len() - count,
             });
         }
+        for node in &mut self.nodes {
+            node.attrs.shrink_to_fit();
+            node.children.shrink_to_fit();
+        }
+        self.nodes.shrink_to_fit();
         Ok(DataTree {
             nodes: self.nodes,
             root,

@@ -150,19 +150,24 @@ impl DiffAcc {
 
 /// The ascending vertex set one occurrence-index value maps to. The
 /// overwhelmingly common case — key-like columns where most values have
-/// exactly one holder — stores the vertex inline; a B-tree node is only
+/// exactly one holder — stores the vertex inline; a B-tree is only
 /// allocated once a value is actually shared, so bulk-loading a
-/// unique-valued column allocates nothing for the index payloads.
+/// unique-valued column allocates nothing for the index payloads. The
+/// shared case is boxed so that every map entry, `(Sym, Holders)`, stays
+/// at 24 bytes instead of the 40 an inline `BTreeSet` would make it.
 enum Holders {
     One(u32),
-    Many(BTreeSet<u32>),
+    #[allow(clippy::box_collection)] // boxed for the 24-byte entry
+    Many(Box<BTreeSet<u32>>),
 }
+
+const _: () = assert!(std::mem::size_of::<(Sym, Holders)>() <= 24);
 
 impl Holders {
     fn insert(&mut self, x: u32) {
         match self {
             Holders::One(y) if *y == x => {}
-            Holders::One(y) => *self = Holders::Many(BTreeSet::from([*y, x])),
+            Holders::One(y) => *self = Holders::Many(Box::new(BTreeSet::from([*y, x]))),
             Holders::Many(set) => {
                 set.insert(x);
             }
@@ -196,7 +201,7 @@ impl Holders {
             Some(second) => {
                 let mut set = BTreeSet::from([first, second]);
                 set.extend(it);
-                Holders::Many(set)
+                Holders::Many(Box::new(set))
             }
         }
     }

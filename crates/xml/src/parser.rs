@@ -3,7 +3,7 @@
 use std::fmt;
 
 use xic_constraints::DtdStructure;
-use xic_model::{AttrValue, DataTree, ModelError, NodeId, TreeBuilder};
+use xic_model::{AttrValue, DataTree, FastHashMap, ModelError, Name, NodeId, TreeBuilder};
 
 use crate::dtd::parse_dtd_declarations;
 use crate::events::{Event, EventParser};
@@ -314,13 +314,18 @@ pub fn parse_document(src: &str) -> Result<ParsedDocument, XmlError> {
     let mut events = EventParser::new(src);
     let dtd = events.dtd()?.cloned();
     let mut b = TreeBuilder::new();
+    // One shared `Name` per spelling, keyed by the source slice: a label
+    // or attribute name allocates the first time it appears, and every
+    // later occurrence is a reference-count bump.
+    let mut names: FastHashMap<&str, Name> = FastHashMap::default();
+    let mut name_of = |s| names.entry(s).or_insert_with(|| Name::new(s)).clone();
     // Stack of (node, element name) for the open elements.
     let mut stack: Vec<(NodeId, &str)> = Vec::new();
     let mut root: Option<NodeId> = None;
     for event in &mut events {
         match event? {
             Event::Open { name, .. } => {
-                let node = b.node(name);
+                let node = b.node(name_of(name));
                 match stack.last() {
                     Some(&(parent, _)) => {
                         b.child(parent, node)
@@ -341,7 +346,7 @@ pub fn parse_document(src: &str) -> Result<ParsedDocument, XmlError> {
                 } else {
                     AttrValue::single(value.into_owned())
                 };
-                b.attr(node, name, av).map_err(|e| {
+                b.attr(node, name_of(name), av).map_err(|e| {
                     XmlError::new(format!("attribute error: {e}"), offset).locate(src)
                 })?;
             }
