@@ -1782,12 +1782,15 @@ fn e19_warm_start() {
             );
         }
 
-        // Cold boot: parse the serialized document, then bulk-init the
-        // live validator — the daemon's ingest path. Phases are timed
-        // inside one loop (minimum per phase across reps) rather than as
-        // differences of separately timed closures, which would stack the
-        // noise of two measurements.
+        // Cold boot (parse the serialized document, then bulk-init the
+        // live validator — the daemon's ingest path) and warm start (read
+        // + decode the snapshot, rebuild, replay) alternate inside one
+        // loop, so host drift over the run reaches both sides alike.
+        // Phases are timed inside the loop (minimum per phase across
+        // reps) rather than as differences of separately timed closures,
+        // which would stack the noise of two measurements.
         let (mut t_parse, mut t_init, mut t_cold) = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
+        let (mut t_read, mut t_rebuild, mut t_warm) = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
         for _ in 0..reps {
             let t0 = std::time::Instant::now();
             let doc = parse_document(&src).unwrap();
@@ -1795,14 +1798,11 @@ fn e19_warm_start() {
             let lv = LiveValidator::new(&v, doc.tree);
             let t2 = std::time::Instant::now();
             std::hint::black_box(&lv);
+            drop(lv);
             t_parse = t_parse.min((t1 - t0).as_secs_f64());
             t_init = t_init.min((t2 - t1).as_secs_f64());
             t_cold = t_cold.min((t2 - t0).as_secs_f64());
-        }
 
-        // Warm start: read + decode the snapshot, rebuild, replay.
-        let (mut t_read, mut t_rebuild, mut t_warm) = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
-        for _ in 0..reps {
             let t0 = std::time::Instant::now();
             let (state, _) = read_snapshot(&snap).unwrap();
             let t1 = std::time::Instant::now();

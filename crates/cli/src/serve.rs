@@ -92,7 +92,7 @@ use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, LockResult, Mutex, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -291,6 +291,15 @@ impl Store {
     }
 }
 
+/// Takes a lock even when a thread panicked while holding it. The document
+/// registry and the work queue are only ever changed by single map or
+/// channel operations, which a panic cannot leave half done, so the data
+/// behind a poisoned lock is still sound. Refusing it would turn one
+/// panic into a failure of every later request.
+fn locked<G>(result: LockResult<G>) -> G {
+    result.unwrap_or_else(PoisonError::into_inner)
+}
+
 /// One accepted connection waiting for a worker, stamped so
 /// `serve.queue_wait` can record how long it sat in the queue.
 struct WorkItem {
@@ -327,7 +336,7 @@ fn serve_loop(listener: TcpListener, o: &Opts) -> Result<(), String> {
     // recovered state (which carries every acknowledged edit) wins over
     // re-ingesting the file.
     if let Some(path) = doc_path {
-        if store.docs.read().unwrap().contains_key(DEFAULT_DOC) {
+        if locked(store.docs.read()).contains_key(DEFAULT_DOC) {
             let mut stdout = std::io::stdout();
             let _ = writeln!(
                 stdout,
@@ -364,7 +373,7 @@ fn serve_loop(listener: TcpListener, o: &Opts) -> Result<(), String> {
                 // and the handoff is a tiny fraction of request service
                 // time. recv errors once the accept loop drops the
                 // sender and the queue is drained — the drain contract.
-                let item = match work_rx.lock().unwrap().recv() {
+                let item = match locked(work_rx.lock()).recv() {
                     Ok(item) => item,
                     Err(_) => break,
                 };
@@ -414,7 +423,7 @@ fn serve_loop(listener: TcpListener, o: &Opts) -> Result<(), String> {
         let _ = w.join();
     }
     // Stop the shards: dropping every sender ends each shard's loop.
-    let docs = std::mem::take(&mut *store.docs.write().unwrap());
+    let docs = std::mem::take(&mut *locked(store.docs.write()));
     for (_, handle) in docs {
         handle.stop();
     }
@@ -625,10 +634,7 @@ fn route(store: &Store, req: &Request) -> Response {
     };
     match (req.method.as_str(), path) {
         ("GET", "/docs") => {
-            let ids: String = store
-                .docs
-                .read()
-                .unwrap()
+            let ids: String = locked(store.docs.read())
                 .keys()
                 .map(|id| format!("{id}\n"))
                 .collect();
@@ -752,10 +758,7 @@ fn trace_json(store: &Store) -> Response {
 /// `GET /docs/{id}/metrics`: one document's Prometheus exposition, with
 /// the same `doc` label the merged `/metrics` view applies.
 fn doc_metrics(store: &Store, id: &str) -> Response {
-    let snapshot = store
-        .docs
-        .read()
-        .unwrap()
+    let snapshot = locked(store.docs.read())
         .get(id)
         .map(|handle| handle.collector.snapshot().with_label("doc", id));
     match snapshot {
@@ -784,7 +787,7 @@ fn ask<T>(
     id: &str,
     make: impl FnOnce(u64, Reply<T>) -> DocRequest,
 ) -> Option<Result<T, Fault>> {
-    let tx = store.docs.read().unwrap().get(id)?.tx.clone();
+    let tx = locked(store.docs.read()).get(id)?.tx.clone();
     let (reply_tx, reply_rx) = mpsc::sync_channel(1);
     let span = store.http_obs.span("serve.shard_dispatch");
     let reply = tx
@@ -801,7 +804,7 @@ fn ask<T>(
 /// and `last_seq` from the shard's open handle, snapshot size/age from
 /// disk metadata).
 fn status_json(store: &Store) -> Response {
-    let ids: Vec<String> = store.docs.read().unwrap().keys().cloned().collect();
+    let ids: Vec<String> = locked(store.docs.read()).keys().cloned().collect();
     let mut docs = Vec::new();
     for id in &ids {
         let Some(Ok(st)) = ask(store, id, DocRequest::Status) else {
@@ -871,7 +874,7 @@ fn status_json(store: &Store) -> Response {
 /// occupancy, and per-doc snapshot age from disk metadata.
 fn merged_metrics(store: &Store) -> Metrics {
     let mut m = store.http_collector.snapshot();
-    for (id, handle) in store.docs.read().unwrap().iter() {
+    for (id, handle) in locked(store.docs.read()).iter() {
         m.merge(&handle.collector.snapshot().with_label("doc", id));
     }
     m.maxima.insert(
@@ -887,7 +890,7 @@ fn merged_metrics(store: &Store) -> Metrics {
     m.maxima
         .insert("serve.queue_capacity".into(), store.queue_capacity as u64);
     if let Some(disk) = &store.disk {
-        let ids: Vec<String> = store.docs.read().unwrap().keys().cloned().collect();
+        let ids: Vec<String> = locked(store.docs.read()).keys().cloned().collect();
         for id in ids {
             if let Ok(Some(snap)) = disk.snapshot_stats(&id) {
                 let age = snap.modified.elapsed().unwrap_or_default().as_secs();
@@ -916,7 +919,7 @@ fn put_doc(store: &Store, id: &str, src: String) -> Response {
     // while the old shard snapshots and fsyncs.
     let mut replaced = false;
     if store.disk.is_some() {
-        let prev = store.docs.write().unwrap().remove(id);
+        let prev = locked(store.docs.write()).remove(id);
         if let Some(prev) = prev {
             prev.stop();
             replaced = true;
@@ -926,7 +929,7 @@ fn put_doc(store: &Store, id: &str, src: String) -> Response {
         Ok(handle) => handle,
         Err(fault) => return Response::fault(ROUTE, fault),
     };
-    let prev = store.docs.write().unwrap().insert(id.to_string(), handle);
+    let prev = locked(store.docs.write()).insert(id.to_string(), handle);
     if let Some(prev) = prev {
         prev.stop();
         replaced = true;
@@ -979,13 +982,13 @@ fn start_shard(store: &Store, id: &str, init: ShardInit) -> Result<DocHandle, Fa
 fn recover_doc(store: &Store, id: &str) -> Result<(), String> {
     let handle = start_shard(store, id, ShardInit::Warm)
         .map_err(|(Fault::Client(e) | Fault::Server(e))| e)?;
-    store.docs.write().unwrap().insert(id.to_string(), handle);
+    locked(store.docs.write()).insert(id.to_string(), handle);
     Ok(())
 }
 
 /// Evicts document `id`, joining its shard.
 fn delete_doc(store: &Store, id: &str) -> Response {
-    let handle = store.docs.write().unwrap().remove(id);
+    let handle = locked(store.docs.write()).remove(id);
     let reply = handle.map(|handle| {
         handle.stop();
         Ok(format!("deleted {id}\n"))
@@ -2640,6 +2643,48 @@ ref.to <=s entry.isbn";
             handle.stop();
         }
         let _ = std::fs::remove_dir_all(&state);
+    }
+
+    /// A thread that panics while holding the registry's write guard
+    /// poisons the lock, and the daemon keeps answering: the document list
+    /// and another document's report still come back 200.
+    #[test]
+    fn a_panic_under_the_registry_lock_leaves_other_requests_answered() {
+        let store = Arc::new(
+            Store::new(
+                &parse_opts(&book_flags()).unwrap(),
+                "127.0.0.1:0".parse().unwrap(),
+            )
+            .unwrap(),
+        );
+        let resp = put_doc(&store, "other", GOOD_DOC.to_string());
+        assert_eq!(resp.status, "201 Created", "{}", resp.body);
+        let panicked = {
+            let store = store.clone();
+            std::thread::spawn(move || {
+                let _guard = store.docs.write().unwrap();
+                panic!("injected panic under the registry lock");
+            })
+            .join()
+        };
+        assert!(panicked.is_err());
+        assert!(store.docs.is_poisoned());
+
+        let get = |path: &str| Request {
+            method: "GET".into(),
+            path: path.into(),
+            body: String::new(),
+            keep_alive: true,
+        };
+        let resp = route(&store, &get("/docs"));
+        assert_eq!(resp.status, "200 OK", "{}", resp.body);
+        assert_eq!(resp.body, "other\n");
+        let resp = route(&store, &get("/docs/other/report"));
+        assert_eq!(resp.status, "200 OK", "{}", resp.body);
+        assert!(resp.body.contains("valid"), "{}", resp.body);
+        for (_, handle) in std::mem::take(&mut *locked(store.docs.write())) {
+            handle.stop();
+        }
     }
 
     /// `.` and `..` are not document ids, with or without `--state-dir`.

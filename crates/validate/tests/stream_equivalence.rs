@@ -4,8 +4,9 @@
 //!
 //! Documents are generated as trees (reusing the engine-equivalence
 //! recipe), serialized together with the structure's DTD as an internal
-//! subset (so set-valued attributes re-tokenize on parse), and then fed
-//! to both paths from the same source text:
+//! subset (so set-valued attributes re-tokenize on parse) with each start
+//! tag's attributes in a seeded random order, and then fed to both paths
+//! from the same source text:
 //!
 //! ```text
 //!   src ─ parse_document ─▶ DataTree ─ validate ──▶ report A
@@ -171,13 +172,74 @@ fn build_tree(recipes: &[NodeRecipe]) -> DataTree {
 }
 
 /// Serializes `tree` with `s`'s DTD as an internal subset, so both parse
-/// paths see the same set-splitting rules the tree was built with.
-fn to_source(s: &DtdStructure, tree: &DataTree) -> String {
+/// paths see the same set-splitting rules the tree was built with. Each
+/// start tag lists its attributes in an order drawn from `seed`: the tree
+/// holds them name-sorted whatever the source order, while the stream
+/// reads them as written.
+fn to_source(s: &DtdStructure, tree: &DataTree, seed: u64) -> String {
     format!(
         "<!DOCTYPE db [\n{}]>\n{}",
         serialize_dtd(s),
-        serialize_document(tree)
+        shuffle_attributes(&serialize_document(tree), seed)
     )
+}
+
+/// Rewrites every start tag of `xml`, as `serialize_document` writes it
+/// (escaped values, so no `"`, `<` or `>` inside one), with its
+/// attributes in a seeded random order.
+fn shuffle_attributes(xml: &str, seed: u64) -> String {
+    let mut state = seed | 1;
+    let mut next = move || {
+        // xorshift64
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    let mut out = String::with_capacity(xml.len());
+    let mut rest = xml;
+    while let Some(lt) = rest.find('<') {
+        out.push_str(&rest[..lt]);
+        let gt = lt + rest[lt..].find('>').expect("tags close");
+        let tag = &rest[lt + 1..gt];
+        rest = &rest[gt + 1..];
+        let (body, tail) = match tag.strip_suffix('/') {
+            Some(body) => (body, "/>"),
+            None => (tag, ">"),
+        };
+        let mut parts = body.split_inclusive('"');
+        let Some(first) = parts.next().filter(|_| !body.starts_with('/')) else {
+            out.push('<');
+            out.push_str(tag);
+            out.push('>');
+            continue;
+        };
+        // `first` is `name attr="`; each attribute is then its value and
+        // closing quote plus the next ` attr="`.
+        let (name, first_attr) = first.split_once(' ').unwrap_or((first, ""));
+        let mut attrs: Vec<String> = Vec::new();
+        let mut pending = first_attr.to_string();
+        for (k, piece) in parts.enumerate() {
+            if k % 2 == 0 {
+                pending.push_str(piece);
+                attrs.push(std::mem::take(&mut pending));
+            } else {
+                pending = piece.trim_start().to_string();
+            }
+        }
+        for i in (1..attrs.len()).rev() {
+            attrs.swap(i, (next() % (i as u64 + 1)) as usize);
+        }
+        out.push('<');
+        out.push_str(name);
+        for a in &attrs {
+            out.push(' ');
+            out.push_str(a);
+        }
+        out.push_str(tail);
+    }
+    out.push_str(rest);
+    out
 }
 
 /// Both engines on the same source text, all matcher kinds × strictness ×
@@ -208,6 +270,25 @@ fn assert_equivalent(dtdc: &DtdC, src: &str) -> Result<(), TestCaseError> {
     Ok(())
 }
 
+/// The shuffle moves attributes and changes nothing else: every seed
+/// parses to the tree the sorted source parses to, and some seed writes a
+/// start tag out of name order.
+#[test]
+fn shuffled_sources_parse_to_the_same_tree() {
+    let s = test_structure();
+    let recipe: NodeRecipe = ((0, Some(1), Some(2), Some(3)), (vec![4, 5], vec![], vec![]));
+    let tree = build_tree(&[recipe.clone(), recipe]);
+    let sorted = serialize_document(&tree);
+    let mut reordered = false;
+    for seed in 0..16 {
+        let src = to_source(&s, &tree, seed);
+        let parsed = parse_document(&src).unwrap().tree;
+        assert_eq!(serialize_document(&parsed), sorted);
+        reordered |= !src.ends_with(&sorted);
+    }
+    assert!(reordered, "no seed reordered an attribute list");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -215,10 +296,11 @@ proptest! {
     fn stream_report_is_byte_identical_to_tree_report(
         sigma in prop::collection::vec(constraint(), 0..8),
         nodes in prop::collection::vec(node_recipe(), 0..25),
+        order in any::<u64>(),
     ) {
         let s = test_structure();
         let dtdc = DtdC::new_unchecked(test_structure(), Language::Lid, sigma);
-        let src = to_source(&s, &build_tree(&nodes));
+        let src = to_source(&s, &build_tree(&nodes), order);
         assert_equivalent(&dtdc, &src)?;
     }
 }
@@ -227,7 +309,7 @@ proptest! {
 /// disagrees with the validator's structure: undeclared types, content
 /// model failures, undeclared/missing attributes, and a `NotSingleton`
 /// (the document DTD tokenizes `a0` while the validator requires a
-/// singleton).
+/// singleton), written after the undeclared `x` on the same node.
 #[test]
 fn deterministic_structural_divergences() {
     let s = test_structure();
@@ -239,7 +321,7 @@ fn deterministic_structural_divergences() {
   <!ATTLIST t0 a0 NMTOKENS #IMPLIED x CDATA #IMPLIED>
 ]>
 <db>
-  <t0 a0="v1 v2" x="y">text<e0>v</e0></t0>
+  <t0 x="y" a0="v1 v2">text<e0>v</e0></t0>
   <bogus/>
   <t0 id="k"><e1>v1</e1><e1>v2</e1></t0>
 </db>"#;
@@ -312,7 +394,7 @@ fn large_document_stream_matches_tree() {
         b.attr(it, "r", AttrValue::set(refs)).unwrap();
     }
     let t = b.finish(db).unwrap();
-    let src = to_source(&s, &t);
+    let src = to_source(&s, &t, 7);
     let seq = Validator::with_matcher(&d, MatcherKind::Dfa, Options::default())
         .validate_stream(&src)
         .unwrap();
