@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use xic::prelude::*;
-use xic_bench::{company_workload, publishers_workload};
+use xic_bench::{child_words, company_workload, publishers_workload};
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("e10_validate");
@@ -38,18 +38,26 @@ fn bench(c: &mut Criterion) {
         });
     }
 
-    // Ablation E10b: matcher kinds, structural pass only.
-    let (dtdc, tree) = company_workload(300, 3);
-    for (label, kind) in [
-        ("dfa", MatcherKind::Dfa),
-        ("nfa", MatcherKind::Nfa),
-        ("derivative", MatcherKind::Derivative),
-    ] {
-        let v = Validator::with_matcher(&dtdc, kind, Options::default());
-        group.bench_function(BenchmarkId::new("matcher", label), |b| {
-            b.iter(|| assert!(v.validate_structure(&tree).is_valid()))
-        });
-    }
+    // Ablation E10b: the three content-model matchers of `xic-regex` on
+    // the child words of one document.
+    let (dtdc, tree) = company_workload(2000, 79);
+    let (models, words) = child_words(&dtdc, &tree);
+    let dfas: Vec<Dfa> = models.iter().map(Dfa::from_model).collect();
+    let nfas: Vec<Nfa> = models.iter().map(Nfa::build).collect();
+    let symbols: usize = words.iter().map(|(_, w)| w.len()).sum();
+    group.throughput(Throughput::Elements(symbols as u64));
+    group.bench_function(BenchmarkId::new("matcher", "dfa"), |b| {
+        b.iter(|| assert!(words.iter().all(|(i, w)| dfas[*i].matches(w))))
+    });
+    group.bench_function(BenchmarkId::new("matcher", "nfa"), |b| {
+        b.iter(|| assert!(words.iter().all(|(i, w)| nfas[*i].matches(w))))
+    });
+    // One derivative pass over this document takes seconds.
+    group.sample_size(2);
+    group.bench_function(BenchmarkId::new("matcher", "derivative"), |b| {
+        b.iter(|| assert!(words.iter().all(|(i, w)| models[*i].matches_derivative(w))))
+    });
+    group.sample_size(20);
     // XML parse throughput.
     let (dtdc, tree) = company_workload(2000, 4);
     let xml = format!(

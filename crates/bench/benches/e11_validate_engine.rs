@@ -32,11 +32,7 @@ fn bench(c: &mut Criterion) {
             })
         });
         for threads in [1usize, 2, 4] {
-            let v = Validator::with_matcher(
-                &dtdc,
-                MatcherKind::Dfa,
-                Options::default().with_threads(threads),
-            );
+            let v = Validator::with_options(&dtdc, Options::default().with_threads(threads));
             group.bench_with_input(
                 BenchmarkId::new(format!("engine_t{threads}"), n),
                 &n,

@@ -29,7 +29,7 @@ fn bench(c: &mut Criterion) {
         );
         drop(tree);
         group.throughput(Throughput::Elements(nodes as u64));
-        let v = Validator::with_matcher(&dtdc, MatcherKind::Dfa, Options::default());
+        let v = Validator::with_options(&dtdc, Options::default());
         group.bench_with_input(BenchmarkId::new("tree", n), &n, |b, _| {
             b.iter(|| {
                 let doc = parse_document(&src).unwrap();
@@ -37,11 +37,7 @@ fn bench(c: &mut Criterion) {
             })
         });
         for threads in [1usize, 2] {
-            let v = Validator::with_matcher(
-                &dtdc,
-                MatcherKind::Dfa,
-                Options::default().with_threads(threads),
-            );
+            let v = Validator::with_options(&dtdc, Options::default().with_threads(threads));
             group.bench_with_input(
                 BenchmarkId::new(format!("stream_t{threads}"), n),
                 &n,

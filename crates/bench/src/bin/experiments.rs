@@ -476,7 +476,7 @@ fn e9_fo2_figure1() {
 }
 
 /// E10 — Definition 2.4 validation throughput on the paper's three
-/// document families, with the matcher ablation (E10b).
+/// document families, with the content-model matcher ablation (E10b).
 fn e10_validation() {
     heading(
         "E10 (Fig. 2, §2.4)",
@@ -510,18 +510,29 @@ fn e10_validation() {
             tree.len() as f64 / (t * 1e3)
         );
     }
-    // Ablation E10b: content-model matcher choice.
+    // Ablation E10b: the three content-model matchers of `xic-regex` on
+    // the same child words. The validator compiles only the DFA; the NFA
+    // and derivatives are its test oracles.
     let (dtdc, tree) = company_workload(2000, 79);
-    for kind in [MatcherKind::Dfa, MatcherKind::Nfa, MatcherKind::Derivative] {
-        let v = Validator::with_matcher(&dtdc, kind, Options::default());
+    let (models, words) = child_words(&dtdc, &tree);
+    let dfas: Vec<Dfa> = models.iter().map(Dfa::from_model).collect();
+    let nfas: Vec<Nfa> = models.iter().map(Nfa::build).collect();
+    let symbols: usize = words.iter().map(|(_, w)| w.len()).sum();
+    let time = |name: &str, matches: &dyn Fn(usize, &[Symbol]) -> bool| {
         let t = time_min(3, || {
-            assert!(v.validate_structure(&tree).is_valid());
+            assert!(words.iter().all(|(i, w)| matches(*i, w)));
         });
         println!(
-            "  ablation E10b (structure only, n=2000): {kind:?} matcher {:9.3} ms",
+            "  ablation E10b ({} child words, {symbols} symbols, n=2000): {name:18} {:9.3} ms",
+            words.len(),
             t * 1e3
         );
-    }
+    };
+    time("Dfa::matches", &|i, w| dfas[i].matches(w));
+    time("Nfa::matches", &|i, w| nfas[i].matches(w));
+    time("matches_derivative", &|i, w| {
+        models[i].matches_derivative(w)
+    });
     // XML round trip at scale (parser throughput).
     let (dtdc, tree) = company_workload(5000, 80);
     let xml = format!(
@@ -566,11 +577,7 @@ fn e11_validate_engine() {
         let t_engine: Vec<f64> = thread_counts
             .iter()
             .map(|&threads| {
-                let v = Validator::with_matcher(
-                    &dtdc,
-                    MatcherKind::Dfa,
-                    Options::default().with_threads(threads),
-                );
+                let v = Validator::with_options(&dtdc, Options::default().with_threads(threads));
                 time_min(reps, || assert!(v.validate_constraints(&tree).is_valid()))
             })
             .collect();
@@ -642,7 +649,7 @@ fn e12_stream_pipeline() {
         let reps = if n >= 1_000_000 { 2 } else { 3 };
 
         // Tree path: parse into a DataTree, then validate it.
-        let v = Validator::with_matcher(&dtdc, MatcherKind::Dfa, Options::default());
+        let v = Validator::with_options(&dtdc, Options::default());
         let base = mem::reset_peak();
         let tree_report = {
             let doc = parse_document(&src).unwrap();
@@ -658,11 +665,7 @@ fn e12_stream_pipeline() {
         let mut stream_json: Vec<String> = Vec::new();
         let mut stream_peak_t1 = 0u64;
         for threads in [1usize, 2] {
-            let v = Validator::with_matcher(
-                &dtdc,
-                MatcherKind::Dfa,
-                Options::default().with_threads(threads),
-            );
+            let v = Validator::with_options(&dtdc, Options::default().with_threads(threads));
             let base = mem::reset_peak();
             let stream_report = v.validate_stream(&src).unwrap();
             let peak = mem::peak_above(base);
@@ -762,7 +765,7 @@ fn e13_incremental_revalidate() {
         let nodes = tree.len();
         let rows = (n / 4).max(1);
         let reps = if n >= 1_000_000 { 3 } else { 5 };
-        let v = Validator::with_matcher(&dtdc, MatcherKind::Dfa, Options::default());
+        let v = Validator::with_options(&dtdc, Options::default());
         let t_full = time_min(reps, || assert!(v.validate(&tree).is_valid()));
 
         // Correctness gate at the smallest size (runs under --smoke): a
@@ -925,13 +928,12 @@ fn e14_obs_overhead() {
         let nodes = tree.len();
         let reps = if n >= 1_000_000 { 3 } else { 5 };
         let opts = Options::default().with_threads(1);
-        let off = Validator::with_matcher(&dtdc, MatcherKind::Dfa, opts);
+        let off = Validator::with_options(&dtdc, opts);
         let t_off = time_min(reps, || {
             assert!(off.validate_constraints(&tree).is_valid());
         });
         let collector = MetricsCollector::shared();
-        let on = Validator::with_matcher(&dtdc, MatcherKind::Dfa, opts)
-            .with_obs(Obs::new(collector.clone()));
+        let on = Validator::with_options(&dtdc, opts).with_obs(Obs::new(collector.clone()));
         let t_on = time_min(reps, || {
             assert!(on.validate_constraints(&tree).is_valid());
         });
@@ -1017,21 +1019,19 @@ fn e15_telemetry_overhead() {
         let reps = if n >= 1_000_000 { 3 } else { 5 };
         let opts = Options::default().with_threads(1);
 
-        let off = Validator::with_matcher(&dtdc, MatcherKind::Dfa, opts);
+        let off = Validator::with_options(&dtdc, opts);
         let t_off = time_min(reps, || {
             assert!(off.validate_constraints(&tree).is_valid());
         });
 
         let hist_collector = MetricsCollector::shared_with_histograms();
-        let hist = Validator::with_matcher(&dtdc, MatcherKind::Dfa, opts)
-            .with_obs(Obs::new(hist_collector.clone()));
+        let hist = Validator::with_options(&dtdc, opts).with_obs(Obs::new(hist_collector.clone()));
         let t_hist = time_min(reps, || {
             assert!(hist.validate_constraints(&tree).is_valid());
         });
 
         let ring = std::sync::Arc::new(TraceCollector::new());
-        let trace =
-            Validator::with_matcher(&dtdc, MatcherKind::Dfa, opts).with_obs(Obs::new(ring.clone()));
+        let trace = Validator::with_options(&dtdc, opts).with_obs(Obs::new(ring.clone()));
         let t_trace = time_min(reps, || {
             assert!(trace.validate_constraints(&tree).is_valid());
         });
@@ -1176,7 +1176,7 @@ fn e16_raw_speed() {
         let reps = if n >= 1_000_000 { 2 } else { 3 };
 
         // Reference report from the tree engine (already-parsed input).
-        let vt = Validator::with_matcher(&dtdc, MatcherKind::Dfa, Options::default());
+        let vt = Validator::with_options(&dtdc, Options::default());
         let tree_report = vt.validate(&tree);
         drop(tree);
 
@@ -1195,11 +1195,7 @@ fn e16_raw_speed() {
         // sequential fused pass (count delta via the allocator hooks).
         let mut allocs = 0u64;
         for threads in [1usize, 2, 4] {
-            let v = Validator::with_matcher(
-                &dtdc,
-                MatcherKind::Dfa,
-                Options::default().with_threads(threads),
-            );
+            let v = Validator::with_options(&dtdc, Options::default().with_threads(threads));
             let before = xic::obs::alloc::stats().count;
             let stream_report = v.validate_stream(&src).unwrap();
             if threads == 1 {
@@ -1223,8 +1219,7 @@ fn e16_raw_speed() {
         );
 
         // Sequential throughput: the headline number.
-        let v1 =
-            Validator::with_matcher(&dtdc, MatcherKind::Dfa, Options::default().with_threads(1));
+        let v1 = Validator::with_options(&dtdc, Options::default().with_threads(1));
         let t1 = time_min(reps, || {
             assert!(v1.validate_stream(&src).unwrap().is_valid());
         });
@@ -1311,7 +1306,7 @@ fn e17_batch_propagation() {
         let nodes = tree.len();
         let rows = (n / 4).max(1);
         let reps = if n >= 1_000_000 { 3 } else { 5 };
-        let v = Validator::with_matcher(&dtdc, MatcherKind::Dfa, Options::default());
+        let v = Validator::with_options(&dtdc, Options::default());
         let t_full = time_min(reps, || assert!(v.validate(&tree).is_valid()));
 
         // Warm init, best-of-reps (the clone stays outside the timer).
@@ -1430,8 +1425,8 @@ fn e17_batch_propagation() {
         // coalescing-friendly batch.
         if n == e17_sizes()[0] {
             let collector = MetricsCollector::shared();
-            let vo = Validator::with_matcher(&dtdc, MatcherKind::Dfa, Options::default())
-                .with_obs(Obs::new(collector));
+            let vo =
+                Validator::with_options(&dtdc, Options::default()).with_obs(Obs::new(collector));
             let mut live_m = LiveValidator::new(&vo, live_b.tree().clone());
             let reqs: Vec<BatchEdit> = (0..100)
                 .map(|i| BatchEdit::SetAttr {
@@ -1736,7 +1731,7 @@ fn e19_warm_start() {
             serialize_dtd(dtdc.structure()),
             serialize_document(&tree)
         );
-        let v = Validator::with_matcher(&dtdc, MatcherKind::Dfa, Options::default());
+        let v = Validator::with_options(&dtdc, Options::default());
 
         // The durable artifacts: a snapshot of the freshly ingested
         // document plus 8 logged batches of 64 edits each — a typical

@@ -239,6 +239,36 @@ pub fn company_workload(n: usize, seed: u64) -> (DtdC, DataTree) {
     (dtdc, tree)
 }
 
+/// E10b — the content models of `dtdc`'s element types, in
+/// `element_types()` order, and the child word of every vertex of `tree`
+/// (strings ↦ `S`, element children ↦ their labels) tagged with the index
+/// of its type's model. Vertices of undeclared types are skipped.
+pub fn child_words(dtdc: &DtdC, tree: &DataTree) -> (Vec<ContentModel>, Vec<(usize, Vec<Symbol>)>) {
+    let s = dtdc.structure();
+    let types: Vec<&Name> = s.element_types().collect();
+    let models = types
+        .iter()
+        .map(|tau| s.content_model(tau).expect("declared element type").clone())
+        .collect();
+    let words = tree
+        .node_ids()
+        .filter_map(|id| {
+            let node = tree.node(id);
+            let model = types.iter().position(|tau| **tau == node.label)?;
+            let word = node
+                .children
+                .iter()
+                .map(|c| match c {
+                    xic::model::Child::Text(_) => Symbol::S,
+                    xic::model::Child::Node(n) => Symbol::Elem(tree.label(*n).clone()),
+                })
+                .collect();
+            Some((model, word))
+        })
+        .collect();
+    (models, words)
+}
+
 /// E10 — a generated publishers/editors document of `n` rows per relation.
 pub fn publishers_workload(n: usize, seed: u64) -> (DtdC, DataTree) {
     let schema = RelSchema::publishers_editors();
@@ -411,6 +441,9 @@ mod tests {
 
         let (dtdc, tree) = company_workload(5, 9);
         assert!(validate(&tree, &dtdc).is_valid());
+        let (models, words) = child_words(&dtdc, &tree);
+        assert_eq!(words.len(), tree.len());
+        assert!(words.iter().all(|(i, w)| models[*i].matches_derivative(w)));
         let (dtdc, tree) = publishers_workload(5, 9);
         assert!(validate(&tree, &dtdc).is_valid());
     }

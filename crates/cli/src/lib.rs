@@ -484,8 +484,7 @@ fn cmd_validate(o: &Opts, out: &mut String) -> Result<i32, String> {
             parse_document(&src).map_err(|e| e.to_string())?
         };
         let dtdc = load_dtdc(o, doc.dtd.as_ref(), true)?;
-        let validator =
-            Validator::with_matcher(&dtdc, MatcherKind::Dfa, options).with_obs(obs.clone());
+        let validator = Validator::with_options(&dtdc, options).with_obs(obs.clone());
         validator.validate(&doc.tree)
     } else {
         // Default path: one bounded-memory pass — the document is never
@@ -495,8 +494,7 @@ fn cmd_validate(o: &Opts, out: &mut String) -> Result<i32, String> {
         let mut events = parse_events(&src);
         let doc_dtd = events.dtd().map_err(|e| e.to_string())?.cloned();
         let dtdc = load_dtdc(o, doc_dtd.as_ref(), true)?;
-        let validator =
-            Validator::with_matcher(&dtdc, MatcherKind::Dfa, options).with_obs(obs.clone());
+        let validator = Validator::with_options(&dtdc, options).with_obs(obs.clone());
         validator
             .validate_events(events)
             .map_err(|e| e.to_string())?
@@ -699,8 +697,7 @@ fn cmd_apply_edits(o: &Opts, out: &mut String) -> Result<i32, String> {
         parse_document(&read(doc_path)?).map_err(|e| e.to_string())?
     };
     let dtdc = load_dtdc(o, doc.dtd.as_ref(), true)?;
-    let validator =
-        Validator::with_matcher(&dtdc, MatcherKind::Dfa, live_options(o)).with_obs(obs.clone());
+    let validator = Validator::with_options(&dtdc, live_options(o)).with_obs(obs.clone());
     let mut live = LiveValidator::new(&validator, doc.tree);
     let src = read(script_path)?;
     let script = Script::parse(&src).map_err(|(line, e)| format!("{script_path}:{line}: {e}"))?;
@@ -741,8 +738,7 @@ fn cmd_snapshot(o: &Opts, out: &mut String) -> Result<i32, String> {
         parse_document(&read(doc_path)?).map_err(|e| e.to_string())?
     };
     let dtdc = load_dtdc(o, doc.dtd.as_ref(), true)?;
-    let validator =
-        Validator::with_matcher(&dtdc, MatcherKind::Dfa, live_options(o)).with_obs(obs.clone());
+    let validator = Validator::with_options(&dtdc, live_options(o)).with_obs(obs.clone());
     let live = LiveValidator::new(&validator, doc.tree);
     {
         let _span = obs.span("snapshot.write");
@@ -773,8 +769,7 @@ fn cmd_recover(o: &Opts, out: &mut String) -> Result<i32, String> {
     let setup = obs_setup(o);
     let obs = setup.obs.clone();
     let (dtdc, recovered) = durable::load_doc(o, &store, id)?;
-    let validator =
-        Validator::with_matcher(&dtdc, MatcherKind::Dfa, live_options(o)).with_obs(obs.clone());
+    let validator = Validator::with_options(&dtdc, live_options(o)).with_obs(obs.clone());
     let (live, _, replayed) = durable::replay(&validator, recovered, &obs)?;
     let _ = writeln!(
         out,

@@ -1056,8 +1056,7 @@ fn run_doc_shard(
             return;
         }
     };
-    let validator =
-        Validator::with_matcher(&dtdc, MatcherKind::Dfa, live_options(opts)).with_obs(obs.clone());
+    let validator = Validator::with_options(&dtdc, live_options(opts)).with_obs(obs.clone());
     let started = match start {
         Start::Cold(tree) => {
             let live = LiveValidator::new(&validator, tree);

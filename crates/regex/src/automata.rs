@@ -2,8 +2,8 @@
 //!
 //! Content models are compiled once per element type at DTD-load time; the
 //! validator then runs words (child-label sequences) through the [`Dfa`].
-//! The [`Nfa`] is retained both as an intermediate and for ablation E10b
-//! (NFA- vs DFA-based matching).
+//! The [`Nfa`] is both the DFA's intermediate and, through [`Nfa::matches`],
+//! one of its test oracles (ablation E10b times all three matchers).
 
 use std::collections::{BTreeSet, HashMap};
 
@@ -143,16 +143,16 @@ impl Nfa {
         self.run_accepts(&run)
     }
 
-    /// Streaming interface: the initial simulation state.
-    pub fn start_run(&self) -> NfaRun {
+    /// The initial simulation state.
+    fn start_run(&self) -> NfaRun {
         NfaRun {
             set: BTreeSet::new(),
             at_start: true,
         }
     }
 
-    /// Streaming interface: advances `run` by one symbol.
-    pub fn step_run(&self, run: &mut NfaRun, s: &Symbol) {
+    /// Advances `run` by one symbol.
+    fn step_run(&self, run: &mut NfaRun, s: &Symbol) {
         let mut next = BTreeSet::new();
         let sources: Box<dyn Iterator<Item = usize>> = if run.at_start {
             Box::new(self.first.iter().copied())
@@ -168,8 +168,8 @@ impl Nfa {
         run.at_start = false;
     }
 
-    /// Streaming interface: acceptance of the current state.
-    pub fn run_accepts(&self, run: &NfaRun) -> bool {
+    /// Acceptance of the current state.
+    fn run_accepts(&self, run: &NfaRun) -> bool {
         if run.at_start {
             self.nullable
         } else {
@@ -180,15 +180,14 @@ impl Nfa {
 
 /// Incremental simulation state of an [`Nfa`]: the set of live positions,
 /// plus the distinguished "no symbol read yet" start configuration.
-#[derive(Clone, Debug)]
-pub struct NfaRun {
+struct NfaRun {
     set: BTreeSet<usize>,
     at_start: bool,
 }
 
 impl NfaRun {
     /// True iff no completion of the word read so far can be accepted.
-    pub fn is_dead(&self) -> bool {
+    fn is_dead(&self) -> bool {
         !self.at_start && self.set.is_empty()
     }
 }

@@ -13,11 +13,11 @@
 //!   printer (its `Display`);
 //! * [`Symbol`] — the alphabet `E ∪ {S}` over which words are drawn;
 //! * [`Nfa`] — a Glushkov (position) automaton built from the AST;
-//! * [`Dfa`] — its subset-construction determinization, used for hot-loop
-//!   membership in the validator;
+//! * [`Dfa`] — its subset-construction determinization, the validator's one
+//!   content-model matcher;
 //! * [`ContentModel::matches_derivative`] — a Brzozowski-derivative matcher,
-//!   kept as an independently implemented oracle for testing and as the
-//!   baseline of ablation E10b;
+//!   kept with [`Nfa::matches`] as an independently implemented oracle for
+//!   testing, and timed against both automata by ablation E10b;
 //! * [`occurrences`] / [`ContentModel::is_unique_subelement`] — the
 //!   occurrence-interval analysis behind §3.4's *unique sub-element* test
 //!   ("S occurs exactly once in every word of L(α)");
@@ -38,6 +38,6 @@ mod sample;
 mod simplify;
 
 pub use ast::{ContentModel, Symbol};
-pub use automata::{Dfa, Nfa, NfaRun};
+pub use automata::{Dfa, Nfa};
 pub use occurrence::{occurrences, OccurrenceInterval};
 pub use parser::ParseError;

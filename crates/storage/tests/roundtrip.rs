@@ -14,7 +14,7 @@ use xic_storage::{
     crc32, decode_snapshot, encode_snapshot, write_snapshot, DocStore, FsyncPolicy, StorageError,
     Wal, SNAPSHOT_VERSION, WAL_MAGIC, WAL_VERSION,
 };
-use xic_validate::{BatchEdit, LiveValidator, MatcherKind, Options, Validator, Violation};
+use xic_validate::{BatchEdit, LiveValidator, Options, Validator, Violation};
 
 /// Three element types with an ID attribute, single attributes, set-valued
 /// attributes, and sub-element labels — every column shape the plan can
@@ -200,7 +200,7 @@ fn validator(dtdc: &DtdC) -> Validator<'_> {
         strict_attributes: false,
         threads: 1,
     };
-    Validator::with_matcher(dtdc, MatcherKind::Dfa, opts)
+    Validator::with_options(dtdc, opts)
 }
 
 proptest! {

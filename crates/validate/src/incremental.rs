@@ -56,7 +56,7 @@ pub struct ReportDiff {
     pub cleared: Vec<Violation>,
     /// Cumulative observability snapshot, present iff the owning
     /// validator has a metrics-aggregating collector attached (see
-    /// `Validator::set_obs`). Excluded from equality: two diffs raising
+    /// `Validator::with_obs`). Excluded from equality: two diffs raising
     /// and clearing the same violations are equal whatever was measured.
     pub metrics: Option<Metrics>,
 }

@@ -17,10 +17,10 @@
 //! element type). Every failure is reported as a structured [`Violation`];
 //! [`Report::is_valid`] is emptiness of the violation list.
 //!
-//! For ablation E10b, [`Validator::with_matcher`] selects the content-model
-//! matcher: compiled [`MatcherKind::Dfa`] (default), on-the-fly
-//! [`MatcherKind::Nfa`] simulation, or [`MatcherKind::Derivative`]
-//! (Brzozowski) as the naive baseline.
+//! The DFA is the one content-model matcher, on the tree, streaming and
+//! incremental paths alike. `xic-regex`'s Glushkov [`xic_regex::Nfa`] and
+//! Brzozowski [`xic_regex::ContentModel::matches_derivative`] are its test
+//! oracles; ablation E10b times the three matchers there, not here.
 //!
 //! ## The compiled constraint engine
 //!

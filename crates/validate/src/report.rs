@@ -180,7 +180,7 @@ pub struct Report {
     pub violations: Vec<Violation>,
     /// Per-run observability snapshot, present iff the producing
     /// validator had a metrics-aggregating collector attached (see
-    /// `Validator::set_obs`). Never affects validity or `Display`.
+    /// `Validator::with_obs`). Never affects validity or `Display`.
     pub metrics: Option<Metrics>,
 }
 

@@ -5,10 +5,10 @@
 //! to [`Validator::validate`] on the parsed tree, while keeping only
 //! O(depth) structural state plus the planned constraint columns:
 //!
-//! * each open element holds one in-flight [`MatcherRun`] — a DFA state, a
-//!   Glushkov position set, or a Brzozowski derivative — stepped on every
-//!   child symbol, so content models are checked without ever storing a
-//!   child list;
+//! * each open element of a declared type holds one DFA state, stepped
+//!   on every child symbol, so content models are checked as the children
+//!   arrive; the child word itself is recorded compactly (see [`Frame`])
+//!   and rendered only if the content model rejects it;
 //! * attribute clauses run when an element's start tag completes ("seal"),
 //!   over the attributes in document order, and report in the name order
 //!   the tree's attribute view has;
@@ -65,12 +65,12 @@ use std::collections::HashMap;
 use xic_constraints::{AttrType, DtdC, DtdStructure, Field};
 use xic_model::{ExtIndex, FastHashMap, Interner, Name, NodeId, Sym};
 use xic_obs::Obs;
-use xic_regex::Symbol;
+use xic_regex::{Dfa, Symbol};
 use xic_xml::{parse_events, Event, EventParser, XmlError};
 
 use crate::plan::{check_planned, DocIndex, Plan, SetCol, TauPlan};
 use crate::report::{Report, Violation};
-use crate::structure::{CompiledMatcher, MatcherRun, Validator};
+use crate::structure::Validator;
 
 #[cfg(doc)]
 use xic_model::DataTree;
@@ -83,9 +83,9 @@ struct ElemInfo<'v> {
     label: Name,
     /// `Symbol::Elem(label)`, for stepping parent matchers.
     sym: Symbol,
-    /// Content-model matcher; `None` for element types the `DTD^C` does
-    /// not declare (which skip structural checks, as in the tree path).
-    matcher: Option<&'v CompiledMatcher>,
+    /// Content-model DFA; `None` for element types the `DTD^C` does not
+    /// declare (which skip structural checks, as in the tree path).
+    matcher: Option<&'v Dfa>,
     /// The plan's columns of this type, when Σ reads it.
     plan: Option<&'v TauPlan>,
     /// `|Att(τ)|` in the `DTD^C`: a seal that saw fewer declared
@@ -134,16 +134,18 @@ struct Frame<'s> {
     ext_pos: u32,
     /// Id of this element's [`ElemInfo`].
     info: u32,
-    /// In-flight matcher run; `None` for undeclared element types.
-    run: Option<MatcherRun>,
+    /// The content-model DFA's state after the children read so far;
+    /// `None` is the dead state. Unused for undeclared element types
+    /// (their `ElemInfo::matcher` is `None`).
+    state: Option<usize>,
     /// Whether the start tag is complete (attributes checked, columns
     /// filled). Sealing happens on the first non-`Attr` event.
     sealed: bool,
     /// The child word: one entry per child (`ElemInfo` id, or [`WORD_S`]
     /// for text), except that a run of equal children is its first entry
-    /// and one [`REPEAT`] mark (see [`push_word`]). Recorded only while a
-    /// matcher runs; rendered only if its `ContentModel` violation is
-    /// actually reported.
+    /// and one [`REPEAT`] mark (see [`push_word`]). Recorded only for a
+    /// declared element type; rendered only if its `ContentModel`
+    /// violation is actually reported.
     word: Vec<u32>,
     /// Attributes collected until the seal, in document order:
     /// `(role index in the type's ElemInfo, raw entity-decoded value)`.
@@ -241,7 +243,7 @@ impl ColumnFill {
 pub(crate) struct StreamChecker<'v, 's> {
     dtdc: &'v DtdC,
     s: &'v DtdStructure,
-    matchers: &'v HashMap<Name, CompiledMatcher>,
+    matchers: &'v HashMap<Name, Dfa>,
     plan: &'v Plan,
     strict: bool,
     /// The *document's* internal-subset DTD, deciding which attribute
@@ -447,10 +449,8 @@ impl<'v, 's> StreamChecker<'v, 's> {
         let mut sub_slot = None;
         match self.stack[..self.depth].last_mut() {
             Some(parent) => {
-                if let Some(run) = parent.run.as_mut() {
-                    let pinfo = &self.elems[parent.info as usize];
-                    let m = pinfo.matcher.expect("a run implies a matcher");
-                    m.step(run, &info.sym);
+                if let Some(dfa) = self.elems[parent.info as usize].matcher {
+                    parent.state = parent.state.and_then(|q| dfa.step(q, &info.sym));
                     push_word(&mut parent.word, iid);
                 }
                 if let Some(tp) = self.elems[parent.info as usize].plan {
@@ -472,19 +472,15 @@ impl<'v, 's> StreamChecker<'v, 's> {
                 }
             }
         }
-        let run = match info.matcher {
-            Some(m) => Some(m.start()),
-            None => {
-                self.tagged.push((
-                    node,
-                    Violation::UnknownElementType {
-                        node: node_id,
-                        label: info.label.clone(),
-                    },
-                ));
-                None
-            }
-        };
+        if info.matcher.is_none() {
+            self.tagged.push((
+                node,
+                Violation::UnknownElementType {
+                    node: node_id,
+                    label: info.label.clone(),
+                },
+            ));
+        }
         let n_subs = info.plan.map_or(0, |tp| tp.singles.len());
         let ext = &mut self.exts[iid as usize];
         let ext_pos = u32::try_from(ext.len()).expect("extent fits u32");
@@ -496,7 +492,7 @@ impl<'v, 's> StreamChecker<'v, 's> {
         frame.node = node;
         frame.ext_pos = ext_pos;
         frame.info = iid;
-        frame.run = run;
+        frame.state = info.matcher.map(Dfa::start);
         frame.sealed = false;
         frame.sub_slot = sub_slot;
         frame.subs.resize(n_subs, 0);
@@ -520,11 +516,8 @@ impl<'v, 's> StreamChecker<'v, 's> {
         let top = self.stack[..self.depth]
             .last_mut()
             .expect("Text occurs inside the root");
-        if let Some(run) = top.run.as_mut() {
-            let m = self.elems[top.info as usize]
-                .matcher
-                .expect("a run implies a matcher");
-            m.step(run, &Symbol::S);
+        if let Some(dfa) = self.elems[top.info as usize].matcher {
+            top.state = top.state.and_then(|q| dfa.step(q, &Symbol::S));
             push_word(&mut top.word, WORD_S);
         }
         if top.sub_slot.is_some() {
@@ -651,9 +644,8 @@ impl<'v, 's> StreamChecker<'v, 's> {
         let frame = &mut rest[0];
         let info = &self.elems[frame.info as usize];
         let node_id = NodeId::from_index(frame.node as usize);
-        if let Some(run) = &frame.run {
-            let m = info.matcher.expect("a run implies a matcher");
-            if !m.accepts(run) {
+        if let Some(dfa) = info.matcher {
+            if !frame.state.is_some_and(|q| dfa.is_accepting(q)) {
                 self.tagged.push((
                     frame.node,
                     Violation::ContentModel {
@@ -703,7 +695,6 @@ impl<'v, 's> StreamChecker<'v, 's> {
         }
         // Clear the buffers (keeping capacity) for the next element that
         // opens at this depth; the frame itself never moves.
-        frame.run = None;
         frame.word.clear();
         frame.pending_attrs.clear();
         frame.subs.clear();
@@ -820,7 +811,7 @@ impl Validator<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{MatcherKind, Options};
+    use crate::Options;
     use xic_constraints::examples::{book_dtdc, book_structure};
     use xic_constraints::{Constraint, Language};
     use xic_xml::parse_document;
@@ -1016,24 +1007,22 @@ mod tests {
 
     fn assert_stream_matches_tree(src: &str) {
         let d = dtdc();
-        for kind in [MatcherKind::Dfa, MatcherKind::Nfa, MatcherKind::Derivative] {
-            for strict in [true, false] {
-                for threads in [1, 2, 4] {
-                    let opts = Options {
-                        strict_attributes: strict,
-                        threads,
-                    };
-                    let v = Validator::with_matcher(&d, kind, opts);
-                    let tree = parse_document(src).unwrap().tree;
-                    let want = v.validate(&tree);
-                    let got = v.validate_stream(src).unwrap();
-                    assert_eq!(
-                        format!("{want}"),
-                        format!("{got}"),
-                        "kind={kind:?} strict={strict} threads={threads}\n{src}"
-                    );
-                    assert_eq!(want.violations, got.violations);
-                }
+        for strict in [true, false] {
+            for threads in [1, 2, 4] {
+                let opts = Options {
+                    strict_attributes: strict,
+                    threads,
+                };
+                let v = Validator::with_options(&d, opts);
+                let tree = parse_document(src).unwrap().tree;
+                let want = v.validate(&tree);
+                let got = v.validate_stream(src).unwrap();
+                assert_eq!(
+                    format!("{want}"),
+                    format!("{got}"),
+                    "strict={strict} threads={threads}\n{src}"
+                );
+                assert_eq!(want.violations, got.violations);
             }
         }
     }

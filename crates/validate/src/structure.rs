@@ -5,21 +5,19 @@ use std::collections::HashMap;
 use xic_constraints::{AttrType, DtdC};
 use xic_model::{Child, DataTree, ExtIndex, Name, NodeId};
 use xic_obs::Obs;
-use xic_regex::{ContentModel, Dfa, Nfa, NfaRun, Symbol};
+use xic_regex::{Dfa, Symbol};
 
 use crate::plan::{check_all_planned, Plan};
 use crate::report::{Report, Violation};
 
-/// Which content-model matcher the validator uses (ablation E10b).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+/// The content-model matcher: the one variant left is the DFA that
+/// [`Validator::with_options`] always compiles. Kept only for
+/// [`Validator::with_matcher`]'s remaining callers.
+#[doc(hidden)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum MatcherKind {
-    /// Subset-construction DFA, compiled once per element type (default).
-    #[default]
+    /// Subset-construction DFA, compiled once per element type.
     Dfa,
-    /// On-the-fly Glushkov NFA simulation.
-    Nfa,
-    /// Brzozowski derivatives computed per word (naive baseline).
-    Derivative,
 }
 
 /// Validation options.
@@ -67,100 +65,33 @@ impl Options {
     }
 }
 
-pub(crate) enum CompiledMatcher {
-    Dfa(Dfa),
-    Nfa(Nfa),
-    Derivative(ContentModel),
-}
-
-/// In-flight state of one [`CompiledMatcher`] run (one per open element in
-/// the streaming checker).
-pub(crate) enum MatcherRun {
-    /// Current DFA state; `None` is the dead state.
-    Dfa(Option<usize>),
-    /// Live Glushkov position set.
-    Nfa(NfaRun),
-    /// Current Brzozowski derivative of the content model.
-    Derivative(ContentModel),
-}
-
-impl CompiledMatcher {
-    fn matches(&self, word: &[Symbol]) -> bool {
-        match self {
-            CompiledMatcher::Dfa(d) => d.matches(word),
-            CompiledMatcher::Nfa(n) => n.matches(word),
-            CompiledMatcher::Derivative(m) => m.matches_derivative(word),
-        }
-    }
-
-    /// Streaming interface: the run state before any child symbol.
-    pub(crate) fn start(&self) -> MatcherRun {
-        match self {
-            CompiledMatcher::Dfa(d) => MatcherRun::Dfa(Some(d.start())),
-            CompiledMatcher::Nfa(n) => MatcherRun::Nfa(n.start_run()),
-            CompiledMatcher::Derivative(m) => MatcherRun::Derivative(m.clone()),
-        }
-    }
-
-    /// Streaming interface: advances `run` by one child symbol.
-    pub(crate) fn step(&self, run: &mut MatcherRun, sym: &Symbol) {
-        match (self, run) {
-            (CompiledMatcher::Dfa(d), MatcherRun::Dfa(state)) => {
-                *state = state.and_then(|s| d.step(s, sym));
-            }
-            (CompiledMatcher::Nfa(n), MatcherRun::Nfa(r)) => n.step_run(r, sym),
-            (CompiledMatcher::Derivative(_), MatcherRun::Derivative(m)) => {
-                *m = m.derivative(sym);
-            }
-            _ => unreachable!("matcher run paired with a different matcher"),
-        }
-    }
-
-    /// Streaming interface: acceptance of the word read so far.
-    pub(crate) fn accepts(&self, run: &MatcherRun) -> bool {
-        match (self, run) {
-            (CompiledMatcher::Dfa(d), MatcherRun::Dfa(state)) => {
-                state.is_some_and(|s| d.is_accepting(s))
-            }
-            (CompiledMatcher::Nfa(n), MatcherRun::Nfa(r)) => n.run_accepts(r),
-            (CompiledMatcher::Derivative(_), MatcherRun::Derivative(m)) => m.nullable(),
-            _ => unreachable!("matcher run paired with a different matcher"),
-        }
-    }
-}
-
 /// Compile-once validator for a `DTD^C`.
 ///
-/// Construction compiles every element type's content model (per the chosen
-/// [`MatcherKind`]); [`Validator::validate`] then checks any number of data
-/// trees against the same `DTD^C`.
+/// Construction compiles every element type's content model to a [`Dfa`];
+/// [`Validator::validate`] then checks any number of data trees against the
+/// same `DTD^C`.
 pub struct Validator<'a> {
     pub(crate) dtdc: &'a DtdC,
-    pub(crate) matchers: HashMap<Name, CompiledMatcher>,
+    pub(crate) matchers: HashMap<Name, Dfa>,
     pub(crate) plan: Plan,
     pub(crate) options: Options,
     pub(crate) obs: Obs,
 }
 
 impl<'a> Validator<'a> {
-    /// A validator with default options and the DFA matcher.
+    /// A validator with default options.
     pub fn new(dtdc: &'a DtdC) -> Self {
-        Validator::with_matcher(dtdc, MatcherKind::default(), Options::default())
+        Validator::with_options(dtdc, Options::default())
     }
 
-    /// A validator with explicit matcher kind and options.
-    pub fn with_matcher(dtdc: &'a DtdC, kind: MatcherKind, options: Options) -> Self {
+    /// A validator with explicit options.
+    pub fn with_options(dtdc: &'a DtdC, options: Options) -> Self {
         let s = dtdc.structure();
         let matchers = s
             .element_types()
             .map(|tau| {
                 let m = s.content_model(tau).expect("declared element type");
-                let compiled = match kind {
-                    MatcherKind::Dfa => CompiledMatcher::Dfa(Dfa::from_model(m)),
-                    MatcherKind::Nfa => CompiledMatcher::Nfa(Nfa::build(m)),
-                    MatcherKind::Derivative => CompiledMatcher::Derivative(m.clone()),
-                };
-                (tau.clone(), compiled)
+                (tau.clone(), Dfa::from_model(m))
             })
             .collect();
         Validator {
@@ -172,20 +103,21 @@ impl<'a> Validator<'a> {
         }
     }
 
-    /// Attaches an observability handle: every subsequent validation run
-    /// (tree, streaming, or incremental through a [`LiveValidator`])
-    /// records its phase spans and counters there, and reports embed a
-    /// [`Metrics`](xic_obs::Metrics) snapshot when the collector
-    /// aggregates one. Validation *results* are byte-identical with or
-    /// without a collector (enforced by the `obs_equivalence` proptest).
-    ///
-    /// [`LiveValidator`]: crate::LiveValidator
-    pub fn set_obs(&mut self, obs: Obs) {
-        self.obs = obs;
+    /// [`Validator::with_options`]; the matcher is always the DFA.
+    #[doc(hidden)]
+    pub fn with_matcher(dtdc: &'a DtdC, _kind: MatcherKind, options: Options) -> Self {
+        Validator::with_options(dtdc, options)
     }
 
-    /// This validator with an observability handle attached
-    /// (builder-style [`Validator::set_obs`]).
+    /// This validator with an observability handle attached: every
+    /// subsequent validation run (tree, streaming, or incremental through a
+    /// [`LiveValidator`]) records its phase spans and counters there, and
+    /// reports embed a [`Metrics`](xic_obs::Metrics) snapshot when the
+    /// collector aggregates one. Validation *results* are byte-identical
+    /// with or without a collector (enforced by the `obs_equivalence`
+    /// proptest).
+    ///
+    /// [`LiveValidator`]: crate::LiveValidator
     pub fn with_obs(mut self, obs: Obs) -> Self {
         self.obs = obs;
         self
@@ -399,14 +331,9 @@ mod tests {
     }
 
     #[test]
-    fn valid_book_passes_all_matchers() {
-        let d = book_dtdc();
-        let t = valid_book();
-        for kind in [MatcherKind::Dfa, MatcherKind::Nfa, MatcherKind::Derivative] {
-            let v = Validator::with_matcher(&d, kind, Options::default());
-            let r = v.validate(&t);
-            assert!(r.is_valid(), "{kind:?}: {r}");
-        }
+    fn valid_book_passes() {
+        let r = Validator::new(&book_dtdc()).validate(&valid_book());
+        assert!(r.is_valid(), "{r}");
     }
 
     #[test]
@@ -482,8 +409,7 @@ mod tests {
             .iter()
             .any(|v| matches!(v, Violation::MissingAttribute { .. })));
 
-        let lenient = Validator::with_matcher(&d, MatcherKind::Dfa, Options::lenient())
-            .validate_structure(&t);
+        let lenient = Validator::with_options(&d, Options::lenient()).validate_structure(&t);
         assert!(!lenient
             .violations
             .iter()
@@ -516,55 +442,99 @@ mod tests {
         );
     }
 
+    /// The validator's DFAs against the Brzozowski-derivative oracle: on
+    /// random trees over the book alphabet, a vertex gets a
+    /// `ContentModel` violation exactly when its child word is outside
+    /// its content model's language. Child words are sampled from the
+    /// vertex's content model and then kept, or mutated by one inserted
+    /// or deleted symbol, so both answers occur and the walks reach deep
+    /// DFA states.
     #[test]
     fn matchers_agree_on_random_documents() {
         use rand::rngs::SmallRng;
         use rand::{Rng, SeedableRng};
+        use std::collections::HashSet;
         let d = structure_only_dtdc();
-        let validators: Vec<Validator<'_>> =
-            [MatcherKind::Dfa, MatcherKind::Nfa, MatcherKind::Derivative]
-                .into_iter()
-                .map(|k| Validator::with_matcher(&d, k, Options::lenient()))
-                .collect();
+        let s = d.structure();
+        let v = Validator::with_options(&d, Options::lenient());
         let mut rng = SmallRng::seed_from_u64(99);
-        // Random (often invalid) trees over the book alphabet.
-        let labels = [
-            "book",
-            "entry",
-            "title",
-            "publisher",
-            "author",
-            "section",
-            "text",
-            "ref",
-        ];
+        let labels: Vec<Name> = s.element_types().cloned().collect();
+        let (mut accepted, mut rejected) = (0, 0);
         for _ in 0..60 {
             let mut b = TreeBuilder::new();
-            let root = b.node(labels[rng.gen_range(0..labels.len())]);
-            let mut frontier = vec![root];
-            for _ in 0..rng.gen_range(0..12) {
-                let parent = frontier[rng.gen_range(0..frontier.len())];
-                if rng.gen_bool(0.3) {
-                    b.text(parent, "t").unwrap();
-                } else {
-                    let c = b
-                        .child_node(parent, labels[rng.gen_range(0..labels.len())])
-                        .unwrap();
-                    frontier.push(c);
+            let label = labels[rng.gen_range(0..labels.len())].clone();
+            let root = b.node(label.as_str());
+            let mut open = vec![(root, label)];
+            let mut budget = 40;
+            while let Some((id, label)) = open.pop() {
+                let model = s.content_model(&label).expect("book alphabet");
+                let mut word = model.sample(&mut rng, 0.5);
+                match rng.gen_range(0..3) {
+                    0 => {}
+                    1 => {
+                        let k = rng.gen_range(0..=labels.len());
+                        let sym = labels.get(k).map_or(Symbol::S, |l| Symbol::Elem(l.clone()));
+                        word.insert(rng.gen_range(0..=word.len()), sym);
+                    }
+                    _ if !word.is_empty() => {
+                        word.remove(rng.gen_range(0..word.len()));
+                    }
+                    _ => {}
+                }
+                for sym in word {
+                    match sym {
+                        Symbol::S => b.text(id, "t").unwrap(),
+                        Symbol::Elem(l) if budget > 0 => {
+                            budget -= 1;
+                            open.push((b.child_node(id, l.as_str()).unwrap(), l));
+                        }
+                        Symbol::Elem(_) => {}
+                    }
                 }
             }
             let t = b.finish(root).unwrap();
-            let reports: Vec<Report> = validators
+            let rejected_by_validator: HashSet<NodeId> = v
+                .validate_structure(&t)
+                .violations
                 .iter()
-                .map(|v| v.validate_structure(&t))
+                .filter_map(|viol| match viol {
+                    Violation::ContentModel { node, .. } => Some(*node),
+                    _ => None,
+                })
                 .collect();
-            for r in &reports[1..] {
+            for id in t.node_ids() {
+                let node = t.node(id);
+                let model = s.content_model(&node.label).expect("book alphabet");
+                let word: Vec<Symbol> = node
+                    .children
+                    .iter()
+                    .map(|c| match c {
+                        Child::Text(_) => Symbol::S,
+                        Child::Node(n) => Symbol::Elem(t.label(*n).clone()),
+                    })
+                    .collect();
+                let in_language = model.matches_derivative(&word);
                 assert_eq!(
-                    r.violations.len(),
-                    reports[0].violations.len(),
-                    "matchers disagree"
+                    rejected_by_validator.contains(&id),
+                    !in_language,
+                    "{}: ({}) against {model}",
+                    node.label,
+                    word.iter()
+                        .map(ToString::to_string)
+                        .collect::<Vec<_>>()
+                        .join(", ")
                 );
+                if in_language {
+                    accepted += 1;
+                } else {
+                    rejected += 1;
+                }
             }
         }
+        // The trees exercise both answers, not just one.
+        assert!(
+            accepted > 0 && rejected > 0,
+            "{accepted} in, {rejected} out"
+        );
     }
 }

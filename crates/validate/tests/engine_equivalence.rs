@@ -17,7 +17,7 @@
 use proptest::prelude::*;
 use xic_constraints::{Constraint, DtdC, DtdStructure, Field, Language};
 use xic_model::{AttrValue, DataTree, TreeBuilder};
-use xic_validate::{check_constraint, MatcherKind, Options, Validator, Violation};
+use xic_validate::{check_constraint, Options, Validator, Violation};
 
 /// Three element types sharing the same attribute/sub-element alphabet:
 /// an ID attribute `id`, single attributes `a0`/`a1`, set-valued `r0`
@@ -194,10 +194,7 @@ proptest! {
         let reports: Vec<Vec<Violation>> = [1usize, 2, 4]
             .iter()
             .map(|&threads| {
-                Validator::with_matcher(
-                    &dtdc,
-                    MatcherKind::Dfa,
-                    Options::lenient().with_threads(threads),
+                Validator::with_options(&dtdc, Options::lenient().with_threads(threads),
                 )
                 .validate(&tree)
                 .violations
@@ -260,9 +257,8 @@ fn chunk_merge_is_byte_identical_on_large_extents() {
         b.attr(it, "r", AttrValue::set(refs)).unwrap();
     }
     let t = b.finish(db).unwrap();
-    let seq = Validator::with_matcher(&d, MatcherKind::Dfa, Options::default()).validate(&t);
-    let par = Validator::with_matcher(&d, MatcherKind::Dfa, Options::default().with_threads(4))
-        .validate(&t);
+    let seq = Validator::with_options(&d, Options::default()).validate(&t);
+    let par = Validator::with_options(&d, Options::default().with_threads(4)).validate(&t);
     assert_eq!(seq.violations, par.violations);
     assert!(
         seq.violations.len() > 2_000,

@@ -14,9 +14,7 @@
 use proptest::prelude::*;
 use xic_constraints::{Constraint, DtdC, DtdStructure, Field, Language};
 use xic_model::{AttrValue, Child, DataTree, NodeId, TreeBuilder};
-use xic_validate::{
-    BatchEdit, LiveValidator, MatcherKind, Options, ReportDiff, Validator, Violation,
-};
+use xic_validate::{BatchEdit, LiveValidator, Options, ReportDiff, Validator, Violation};
 
 /// Same universe as the stream-equivalence test: three element types with
 /// an ID attribute, two single attributes, two set-valued attributes, and
@@ -302,7 +300,7 @@ proptest! {
         let dtdc = DtdC::new_unchecked(test_structure(), Language::Lid, sigma);
         for strict in [true, false] {
             let opts = Options { strict_attributes: strict, threads: 1 };
-            let v = Validator::with_matcher(&dtdc, MatcherKind::Dfa, opts);
+            let v = Validator::with_options(&dtdc, opts);
             let mut live = LiveValidator::new(&v, build_tree(&nodes));
             prop_assert_eq!(
                 &live.report().violations,
@@ -346,7 +344,7 @@ proptest! {
     ) {
         let dtdc = DtdC::new_unchecked(test_structure(), Language::Lid, sigma);
         let opts = Options { strict_attributes: true, threads: 1 };
-        let v = Validator::with_matcher(&dtdc, MatcherKind::Dfa, opts);
+        let v = Validator::with_options(&dtdc, opts);
         let tree = build_tree(&nodes);
         let mut seq = LiveValidator::new(&v, tree.clone());
         let mut bat = LiveValidator::new(&v, tree);
@@ -419,7 +417,7 @@ fn delete_then_reinsert_in_one_batch_matches_sequential() {
         strict_attributes: false,
         threads: 1,
     };
-    let v = Validator::with_matcher(&dtdc, MatcherKind::Dfa, opts);
+    let v = Validator::with_options(&dtdc, opts);
     // db > t0[id=v1], t1[a0=v1]: the t1 references the t0's ID.
     let recipes: Vec<NodeRecipe> = vec![
         ((0, Some(1), None, None), (vec![], vec![], vec![])),

@@ -15,7 +15,7 @@ use proptest::prelude::*;
 use xic_constraints::{Constraint, DtdC, DtdStructure, Field, Language};
 use xic_model::{AttrValue, DataTree, Name, TreeBuilder};
 use xic_obs::{Fanout, Metrics, MetricsCollector, Obs, TraceCollector};
-use xic_validate::{BatchEdit, LiveValidator, MatcherKind, Options, Validator};
+use xic_validate::{BatchEdit, LiveValidator, Options, Validator};
 use xic_xml::{parse_document, serialize_document, serialize_dtd};
 
 /// Same universe as the stream-equivalence test: three element types with
@@ -187,10 +187,9 @@ fn assert_observation_is_inert(dtdc: &DtdC, src: &str) -> Result<(), TestCaseErr
         .tree;
     for threads in [1usize, 4] {
         let opts = Options::default().with_threads(threads);
-        let plain = Validator::with_matcher(dtdc, MatcherKind::Dfa, opts);
+        let plain = Validator::with_options(dtdc, opts);
         let collector = Arc::new(MetricsCollector::new());
-        let observed = Validator::with_matcher(dtdc, MatcherKind::Dfa, opts)
-            .with_obs(Obs::new(collector.clone()));
+        let observed = Validator::with_options(dtdc, opts).with_obs(Obs::new(collector.clone()));
 
         let want_tree = plain.validate(&tree);
         let got_tree = observed.validate(&tree);
@@ -222,9 +221,11 @@ fn assert_observation_is_inert(dtdc: &DtdC, src: &str) -> Result<(), TestCaseErr
         // trace-event ring under one Fanout — is just as inert.
         let metrics = Arc::new(MetricsCollector::with_histograms());
         let ring = Arc::new(TraceCollector::new());
-        let full = Validator::with_matcher(dtdc, MatcherKind::Dfa, opts).with_obs(Obs::new(
-            Arc::new(Fanout::new(vec![metrics.clone(), ring.clone()])),
-        ));
+        let full =
+            Validator::with_options(dtdc, opts).with_obs(Obs::new(Arc::new(Fanout::new(vec![
+                metrics.clone(),
+                ring.clone(),
+            ]))));
         let got_full_tree = full.validate(&tree);
         prop_assert_eq!(
             &want_tree.violations,
@@ -301,12 +302,8 @@ fn small_document_telemetry_is_thread_budget_independent() {
     let src = to_source(&s, &tree);
     let shape = |threads: usize| {
         let metrics = Arc::new(MetricsCollector::with_histograms());
-        let v = Validator::with_matcher(
-            &dtdc,
-            MatcherKind::Dfa,
-            Options::default().with_threads(threads),
-        )
-        .with_obs(Obs::new(metrics.clone()));
+        let v = Validator::with_options(&dtdc, Options::default().with_threads(threads))
+            .with_obs(Obs::new(metrics.clone()));
         v.validate(&tree);
         v.validate_stream(&src).expect("stream parses");
         let mut live = LiveValidator::new(&v, tree.clone());

@@ -18,7 +18,7 @@
 use proptest::prelude::*;
 use xic_constraints::{Constraint, DtdC, DtdStructure, Field, Language};
 use xic_model::{AttrValue, DataTree, TreeBuilder};
-use xic_validate::{MatcherKind, Options, Validator, Violation};
+use xic_validate::{Options, Validator, Violation};
 use xic_xml::{parse_document, serialize_document, serialize_dtd};
 
 /// Same universe as the engine-equivalence test: three element types with
@@ -254,7 +254,7 @@ fn assert_equivalent(dtdc: &DtdC, src: &str) -> Result<(), TestCaseError> {
                 strict_attributes: strict,
                 threads,
             };
-            let v = Validator::with_matcher(dtdc, MatcherKind::Dfa, opts);
+            let v = Validator::with_options(dtdc, opts);
             let want = v.validate(&tree).violations;
             let got = v.validate_stream(src).expect("stream parses").violations;
             prop_assert_eq!(
@@ -332,7 +332,7 @@ fn deterministic_structural_divergences() {
                 strict_attributes: strict,
                 threads,
             };
-            let v = Validator::with_matcher(&dtdc, MatcherKind::Dfa, opts);
+            let v = Validator::with_options(&dtdc, opts);
             let want = v.validate(&tree).violations;
             let got = v.validate_stream(src).unwrap().violations;
             assert_eq!(want, got, "strict={strict} threads={threads}");
@@ -395,13 +395,12 @@ fn large_document_stream_matches_tree() {
     }
     let t = b.finish(db).unwrap();
     let src = to_source(&s, &t, 7);
-    let seq = Validator::with_matcher(&d, MatcherKind::Dfa, Options::default())
+    let seq = Validator::with_options(&d, Options::default())
         .validate_stream(&src)
         .unwrap();
-    let tree_report =
-        Validator::with_matcher(&d, MatcherKind::Dfa, Options::default()).validate(&t);
+    let tree_report = Validator::with_options(&d, Options::default()).validate(&t);
     assert_eq!(tree_report.violations, seq.violations);
-    let par = Validator::with_matcher(&d, MatcherKind::Dfa, Options::default().with_threads(4))
+    let par = Validator::with_options(&d, Options::default().with_threads(4))
         .validate_stream(&src)
         .unwrap();
     assert_eq!(seq.violations, par.violations);
