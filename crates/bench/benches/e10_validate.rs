@@ -30,6 +30,7 @@ fn bench(c: &mut Criterion) {
     {
         let (dtdc, tree) = company_workload(1000, 5);
         let reused = Validator::new(&dtdc);
+        group.throughput(Throughput::Elements(tree.len() as u64));
         group.bench_function(BenchmarkId::new("validator", "reused"), |b| {
             b.iter(|| assert!(reused.validate(&tree).is_valid()))
         });

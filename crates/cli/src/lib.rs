@@ -828,7 +828,8 @@ fn cmd_implies(o: &Opts, out: &mut String) -> Result<i32, String> {
     );
     out.push_str(&detail.text);
     if let (Some(path), Some(model)) = (&o.emit_countermodel, &detail.countermodel) {
-        let (structure, tree) = xic::implication::semantics::instance_to_tree(model);
+        let (structure, tree) =
+            xic::implication::semantics::instance_to_tree(model, dtdc.constraints());
         let xml = format!(
             "<!DOCTYPE {} [\n{}]>\n{}",
             structure.root(),

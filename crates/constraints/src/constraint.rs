@@ -314,23 +314,6 @@ impl Constraint {
             ) => false,
         }
     }
-
-    /// Size of the constraint (field count), the `|φ|` measure.
-    pub fn size(&self) -> usize {
-        match self {
-            Constraint::Key { fields, .. } => 1 + fields.len(),
-            Constraint::ForeignKey {
-                fields,
-                target_fields,
-                ..
-            } => 2 + fields.len() + target_fields.len(),
-            Constraint::SetForeignKey { .. } => 4,
-            Constraint::InverseU { .. } => 6,
-            Constraint::Id { .. } => 2,
-            Constraint::FkToId { .. } | Constraint::SetFkToId { .. } => 4,
-            Constraint::InverseId { .. } => 4,
-        }
-    }
 }
 
 fn fmt_fields(f: &mut fmt::Formatter<'_>, tau: &Name, fields: &[Field]) -> fmt::Result {
@@ -524,7 +507,6 @@ mod tests {
         assert_eq!(fk.tau().as_str(), "a");
         assert_eq!(fk.target().unwrap().as_str(), "b");
         assert!(Constraint::unary_key("a", "x").target().is_none());
-        assert!(fk.size() >= 4);
         assert_eq!(Field::attr("x").name().as_str(), "x");
         assert_eq!(Field::sub("x").name().as_str(), "x");
     }

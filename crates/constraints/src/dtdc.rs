@@ -241,11 +241,6 @@ impl DtdC {
     pub fn language(&self) -> Language {
         self.language
     }
-
-    /// Total size `|Σ|` (sum of constraint sizes).
-    pub fn sigma_size(&self) -> usize {
-        self.constraints.iter().map(Constraint::size).sum()
-    }
 }
 
 impl fmt::Display for DtdC {
@@ -593,7 +588,6 @@ mod tests {
         let p = examples::publishers_dtdc();
         assert_eq!(p.language(), Language::L);
         assert_eq!(p.constraints().len(), 3);
-        assert!(b.sigma_size() > 0);
     }
 
     #[test]

@@ -119,7 +119,7 @@ pub fn company_dtdc() -> DtdC {
 /// database), with the relational key columns represented both as
 /// sub-elements (as in the paper's DTD) and as attributes so that `L`'s
 /// attribute-based keys and foreign keys apply directly.
-pub fn publishers_structure() -> DtdStructure {
+pub(crate) fn publishers_structure() -> DtdStructure {
     DtdStructure::builder("db")
         .elem("db", "(publishers, editors)")
         .elem("publishers", "publisher*")

@@ -240,47 +240,6 @@ impl DtdStructure {
         self.content_model(tau)
             .is_some_and(|m| m.is_unique_subelement(e))
     }
-
-    /// The total size `|P|` of the element type definitions (the measure in
-    /// the paper's complexity statements for path-constraint implication).
-    pub fn definitions_size(&self) -> usize {
-        self.elems.values().map(|e| e.content.size()).sum()
-    }
-
-    /// Lint: element types declared in `E` but not reachable from the root
-    /// through content models. Such types can never occur in a valid
-    /// document (Definition 2.4 types every vertex from the root down), so
-    /// constraints on them hold vacuously.
-    ///
-    /// ```
-    /// use xic_constraints::DtdStructure;
-    /// let s = DtdStructure::builder("a")
-    ///     .elem("a", "b*").elem("b", "S").elem("orphan", "S")
-    ///     .build().unwrap();
-    /// let u: Vec<_> = s.unreachable_types().collect();
-    /// assert_eq!(u.len(), 1);
-    /// assert_eq!(u[0].as_str(), "orphan");
-    /// ```
-    pub fn unreachable_types(&self) -> impl Iterator<Item = &Name> {
-        let mut reachable: std::collections::BTreeSet<&Name> = std::collections::BTreeSet::new();
-        let mut stack = vec![&self.root];
-        while let Some(tau) = stack.pop() {
-            if !reachable.insert(tau) {
-                continue;
-            }
-            if let Some(decl) = self.elems.get(tau) {
-                for t in decl.content.element_types() {
-                    if let Some((name, _)) = self.elems.get_key_value(&t) {
-                        if !reachable.contains(name) {
-                            stack.push(name);
-                        }
-                    }
-                }
-            }
-        }
-        let reachable: std::collections::BTreeSet<Name> = reachable.into_iter().cloned().collect();
-        self.elems.keys().filter(move |t| !reachable.contains(*t))
-    }
 }
 
 /// Builder for [`DtdStructure`].
@@ -465,7 +424,6 @@ mod tests {
         assert!(!s.is_set_valued("entry", "isbn"));
         assert_eq!(s.attr_kind("entry", "isbn"), None);
         assert_eq!(s.id_attr("entry"), None);
-        assert!(s.definitions_size() > 0);
     }
 
     #[test]

@@ -284,9 +284,19 @@ impl fmt::Display for Instance {
 /// Rebuilds a real data tree (plus a generated DTD structure) realizing an
 /// instance: a fresh root whose content model is `(τ₁*, …, τₙ*)`, one child
 /// per element, attributes/sub-elements per the instance's fields. The
-/// `id` pseudo-attribute becomes an `ID`-kind attribute named `id`.
-pub fn instance_to_tree(inst: &Instance) -> (DtdStructure, DataTree) {
+/// `id` pseudo-attribute becomes an `ID`-kind attribute named `id`, and
+/// each single attribute that an `L_id` constraint of `sigma` uses as a
+/// reference (`τ.l ⊆ τ'.id`) is declared `IDREF`, so the generated
+/// structure accepts the Σ the instance was built for.
+pub fn instance_to_tree(inst: &Instance, sigma: &[Constraint]) -> (DtdStructure, DataTree) {
     let root_name = "_root";
+    let idrefs: BTreeSet<(&Name, &Name)> = sigma
+        .iter()
+        .filter_map(|c| match c {
+            Constraint::FkToId { tau, attr, .. } => Some((tau, attr)),
+            _ => None,
+        })
+        .collect();
     let mut builder = DtdStructure::builder(root_name);
     let mut sub_types: BTreeSet<Name> = BTreeSet::new();
     type Shape = (BTreeSet<Field>, BTreeSet<Name>);
@@ -329,6 +339,8 @@ pub fn instance_to_tree(inst: &Instance) -> (DtdStructure, DataTree) {
             if let Field::Attr(l) = f {
                 if l.as_str() == "id" {
                     builder = builder.id_attr(tau.clone(), l.clone());
+                } else if idrefs.contains(&(tau, l)) {
+                    builder = builder.idref_attr(tau.clone(), l.clone());
                 } else {
                     builder = builder.attr(tau.clone(), l.clone(), "S");
                 }
@@ -526,7 +538,7 @@ mod tests {
         p.sets.insert(Name::new("in_dept"), BTreeSet::from([10]));
         i.push("person", p);
         i.push("dept", with_id(10));
-        let (s, t) = instance_to_tree(&i);
+        let (s, t) = instance_to_tree(&i, &[]);
         assert!(s.has_element("person"));
         assert_eq!(s.id_attr("person").unwrap().as_str(), "id");
         assert_eq!(t.ext("person").count(), 1);

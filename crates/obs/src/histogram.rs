@@ -73,14 +73,14 @@ impl std::fmt::Debug for Histogram {
 /// The bucket index of sample `v`: `⌊log₂ v⌋`, with 0 and 1 sharing
 /// bucket 0.
 #[inline]
-pub fn bucket_of(v: u64) -> usize {
+pub(crate) fn bucket_of(v: u64) -> usize {
     (63 - (v | 1).leading_zeros()) as usize
 }
 
 /// The inclusive upper bound of bucket `i` (`2^(i+1) - 1`; `u64::MAX` for
 /// the last bucket).
 #[inline]
-pub fn bucket_upper(i: usize) -> u64 {
+pub(crate) fn bucket_upper(i: usize) -> u64 {
     if i >= BUCKETS - 1 {
         u64::MAX
     } else {
@@ -136,7 +136,7 @@ impl Histogram {
 
     /// The index of the highest non-empty bucket, if any sample was
     /// recorded (used to trim rendered bucket arrays).
-    pub fn last_bucket(&self) -> Option<usize> {
+    pub(crate) fn last_bucket(&self) -> Option<usize> {
         self.buckets.iter().rposition(|&c| c > 0)
     }
 }

@@ -127,7 +127,7 @@ mod prom;
 mod trace;
 
 pub use access::{AccessLog, AccessRecord};
-pub use histogram::{bucket_of, bucket_upper, Histogram, BUCKETS};
+pub use histogram::{Histogram, BUCKETS};
 pub use metrics::{Metrics, SpanStat};
 pub use trace::{
     current_request, request_scope, Fanout, RequestScope, TraceCollector, TraceEvent,
@@ -315,13 +315,8 @@ impl MetricsCollector {
     /// [`DEFAULT_HIST_FAMILIES`].
     pub fn with_histograms() -> Self {
         let mut c = MetricsCollector::new();
-        c.enable_default_histograms();
+        c.set_histogram_families(DEFAULT_HIST_FAMILIES);
         c
-    }
-
-    /// Enables histogram recording for the [`DEFAULT_HIST_FAMILIES`].
-    pub fn enable_default_histograms(&mut self) {
-        self.set_histogram_families(DEFAULT_HIST_FAMILIES);
     }
 
     /// Enables histogram recording for exactly `families` (a family

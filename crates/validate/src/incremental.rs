@@ -355,31 +355,23 @@ impl SetCol {
 }
 
 /// The live counterpart of the one-shot `DocIndex`: every planned column,
-/// mutable and in plan order, sharing one interner. Interning order is
-/// irrelevant for report equality — symbols are only compared for
-/// equality/membership, and violations carry resolved strings.
-struct Store<'p> {
-    plan: &'p Plan,
+/// mutable and in plan order, sharing one interner. `singles[c]` and
+/// `sets[c]` are the plan's single- and set-valued column `c`; parts hold
+/// those ids, resolved once by [`build_parts`], and never name a column.
+/// Interning order is irrelevant for report equality — symbols are only
+/// compared for equality/membership, and violations carry resolved
+/// strings.
+struct Store {
     interner: Interner,
     singles: Vec<SingleCol>,
     sets: Vec<SetCol>,
 }
 
-impl Store<'_> {
-    fn single(&self, tau: &Name, f: &Field) -> &SingleCol {
-        let c = self
-            .plan
-            .single_col(tau, f)
-            .expect("plan covers every single field a constraint reads");
-        &self.singles[c]
-    }
-
-    fn set_col(&self, tau: &Name, a: &Name) -> &SetCol {
-        let c = self
-            .plan
-            .set_col(tau, a)
-            .expect("plan covers every set attribute a constraint reads");
-        &self.sets[c]
+impl Store {
+    /// A field tuple over single-valued columns `cols` (`None` while any
+    /// field is undefined).
+    fn tuple(&self, cols: &[usize], x: u32) -> Option<Vec<Sym>> {
+        cols.iter().map(|&c| self.singles[c].get(x)).collect()
     }
 
     fn resolve(&self, s: Sym) -> &str {
@@ -399,10 +391,12 @@ impl Store<'_> {
 /// `element_types() × extent` carrier order.
 #[derive(Default)]
 struct IdTable {
-    /// Element type ↦ its rank in `element_types()` order.
-    ranks: FastHashMap<Name, u32>,
-    /// Element type ↦ its ID attribute as a field (types with one only).
-    id_field_of: HashMap<Name, Field>,
+    /// Element type ↦ its ID column (types with an ID attribute, and only
+    /// when Σ has an ID constraint).
+    col_of: FastHashMap<Name, usize>,
+    /// Single-valued column ↦ `Some(rank in element_types() order)` of the
+    /// type whose ID column it is, `None` for every other column.
+    rank_of: Vec<Option<u32>>,
     carriers: FastHashMap<Sym, BTreeSet<(u32, u32)>>,
 }
 
@@ -411,54 +405,46 @@ impl IdTable {
         self.carriers.get(&v).into_iter().flatten().copied()
     }
 
+    /// Whether single-valued column `c` is some type's ID column.
+    fn is_id_col(&self, c: usize) -> bool {
+        self.rank_of.get(c).is_some_and(Option::is_some)
+    }
+
+    /// Moves carrier `(rank of c, x)` from value `old` to value `new`.
+    fn recarry(&mut self, c: usize, x: u32, old: Option<Sym>, new: Option<Sym>) {
+        let Some(rank) = self.rank_of.get(c).copied().flatten() else {
+            return;
+        };
+        if let Some(o) = old {
+            if let Some(set) = self.carriers.get_mut(&o) {
+                set.remove(&(rank, x));
+                if set.is_empty() {
+                    self.carriers.remove(&o);
+                }
+            }
+        }
+        if let Some(n) = new {
+            self.carriers.entry(n).or_default().insert((rank, x));
+        }
+    }
+
     /// Core carrier maintenance, run before parts see the change.
     fn apply(&mut self, change: &Change, store: &Store) {
-        let IdTable {
-            ranks,
-            id_field_of,
-            carriers,
-        } = self;
         match change {
             Change::Single {
-                tau,
-                field,
+                col,
                 node,
                 old,
                 new,
-            } => {
-                if id_field_of.get(tau) == Some(field) {
-                    let rank = ranks[tau];
-                    if let Some(o) = *old {
-                        if let Some(set) = carriers.get_mut(&o) {
-                            set.remove(&(rank, *node));
-                            if set.is_empty() {
-                                carriers.remove(&o);
-                            }
-                        }
-                    }
-                    if let Some(n) = *new {
-                        carriers.entry(n).or_default().insert((rank, *node));
-                    }
-                }
-            }
+            } => self.recarry(*col, *node, *old, *new),
             Change::NodeAdded { tau, node } => {
-                if let Some(f) = id_field_of.get(tau) {
-                    if let Some(v) = store.single(tau, f).get(*node) {
-                        carriers.entry(v).or_default().insert((ranks[tau], *node));
-                    }
+                if let Some(&c) = self.col_of.get(tau) {
+                    self.recarry(c, *node, None, store.singles[c].get(*node));
                 }
             }
             Change::NodeRemoved { tau, node, singles } => {
-                if let Some(f) = id_field_of.get(tau) {
-                    if let Some(v) = snapshot_single(singles, f) {
-                        let rank = ranks[tau];
-                        if let Some(set) = carriers.get_mut(&v) {
-                            set.remove(&(rank, *node));
-                            if set.is_empty() {
-                                carriers.remove(&v);
-                            }
-                        }
-                    }
+                if let Some(&c) = self.col_of.get(tau) {
+                    self.recarry(c, *node, snapshot_single(singles, c), None);
                 }
             }
             Change::Set { .. } => {}
@@ -466,34 +452,36 @@ impl IdTable {
     }
 }
 
-/// One column-level delta, dispatched to every constraint part. The store
-/// (and ID table) already reflect the *post*-change state when parts run;
-/// the change carries the old values parts need for retraction.
+/// One delta dispatched to the constraint parts. The store (and ID table)
+/// already reflect the *post*-change state when parts run; the change
+/// carries the old values parts need for retraction. Cell deltas name
+/// their column by plan id; vertex events carry the vertex's label, which
+/// parts compare against the types they read.
 enum Change {
     /// A vertex entered the document with all its columns already filled.
     NodeAdded { tau: Name, node: u32 },
     /// A vertex left the document; `singles` snapshots its single-valued
-    /// column values at removal time.
+    /// cells at removal time, by column id.
     NodeRemoved {
         tau: Name,
         node: u32,
-        singles: Vec<(Field, Option<Sym>)>,
+        singles: Vec<(usize, Option<Sym>)>,
     },
-    /// One single-valued column cell changed.
+    /// One cell of single-valued column `col` changed.
     Single {
-        tau: Name,
-        field: Field,
+        col: usize,
         node: u32,
         old: Option<Sym>,
         new: Option<Sym>,
     },
-    /// One set-valued column cell changed (members after the change are in
-    /// the store; parts recompute affected slots from scratch).
-    Set { tau: Name, attr: Name, node: u32 },
+    /// One cell of set-valued column `col` changed (members after the
+    /// change are in the store; parts recompute affected slots from
+    /// scratch).
+    Set { col: usize, node: u32 },
 }
 
-fn snapshot_single(singles: &[(Field, Option<Sym>)], f: &Field) -> Option<Sym> {
-    singles.iter().find(|(g, _)| g == f).and_then(|(_, v)| *v)
+fn snapshot_single(singles: &[(usize, Option<Sym>)], c: usize) -> Option<Sym> {
+    singles.iter().find(|(d, _)| *d == c).and_then(|(_, v)| *v)
 }
 
 fn nid(x: u32) -> NodeId {
@@ -646,17 +634,11 @@ fn build_occ<'c>(
     occ
 }
 
-/// A field tuple read through pre-resolved columns (`None` while any field
-/// is undefined).
-fn tuple_in(cols: &[&SingleCol], x: u32) -> Option<Vec<Sym>> {
-    cols.iter().map(|c| c.get(x)).collect()
-}
-
 /// Shared mutable context for one part while it processes one change:
 /// read access to the store and ID table, write access to the part's
 /// violation table, all writes funneled through the diff accumulator.
 struct Ctx<'a> {
-    store: &'a Store<'a>,
+    store: &'a Store,
     ids: &'a IdTable,
     name: &'a str,
     pi: u32,
@@ -704,6 +686,11 @@ impl Ctx<'_> {
 /// directions of an inverse, the four passes of `InverseId`) become several
 /// consecutive parts, so concatenating all parts' tables in order
 /// reproduces the Σ-order report.
+///
+/// A part reads its columns by plan id, resolved once by [`build_parts`]:
+/// single-valued ids index `Store::singles`, set-valued ids
+/// `Store::sets`. Each part also keeps the element types it reads, to
+/// match vertex events by label.
 struct Part {
     /// The rendered constraint name (every entry carries a clone).
     name: String,
@@ -723,6 +710,14 @@ enum PartKind {
 }
 
 impl Part {
+    fn new(name: String, kind: PartKind) -> Self {
+        Part {
+            name,
+            entries: BTreeMap::new(),
+            kind,
+        }
+    }
+
     fn apply(&mut self, change: &Change, store: &Store, ids: &IdTable, pi: u32, acc: &mut DiffAcc) {
         let mut cx = Ctx {
             store,
@@ -762,6 +757,23 @@ impl Part {
             PartKind::Inverse(k) => k.init(idx, &mut cx),
         }
     }
+
+    /// The columns whose cell deltas this part reacts to, in the plan's
+    /// one numbering (see [`Plan::set_id`]); [`Subs`] reads them.
+    fn columns(&self, plan: &Plan, ids: &IdTable) -> Vec<usize> {
+        let set = |c: usize| plan.set_id(c);
+        match &self.kind {
+            PartKind::KeyUnary(k) => vec![k.col],
+            PartKind::Key(k) => k.cols.clone(),
+            PartKind::FkSingle(k) => [k.col].into_iter().chain(k.target_col).collect(),
+            PartKind::FkNary(k) => [&k.cols[..], &k.target_cols].concat(),
+            PartKind::SetFk(k) => [set(k.col)].into_iter().chain(k.target_col).collect(),
+            // A carrier change in any type's ID column shifts the
+            // duplicate lists; the part's own column is one of them.
+            PartKind::Id(_) => ids.col_of.values().copied().collect(),
+            PartKind::Inverse(k) => vec![k.key, k.target_key, set(k.attr), set(k.target_attr)],
+        }
+    }
 }
 
 /// A *unary* key constraint. The store column's occurrence index is
@@ -773,19 +785,15 @@ impl Part {
 /// free on documents whose keys actually hold.
 struct KeyUnaryPart {
     tau: Name,
-    field: Field,
+    col: usize,
 }
 
 impl KeyUnaryPart {
-    fn refresh_group(&self, v: Sym, cx: &mut Ctx) {
-        let store = cx.store;
-        self.refresh_group_in(store.single(&self.tau, &self.field), v, cx);
-    }
-
     /// Recomputes every current holder's entry for one value group (see
     /// [`KeyPart::refresh_group`] for the emission-order contract).
-    fn refresh_group_in(&self, col: &SingleCol, v: Sym, cx: &mut Ctx) {
-        let Some(holders) = col.occ.get(&v) else {
+    fn refresh_group(&self, v: Sym, cx: &mut Ctx) {
+        let store = cx.store;
+        let Some(holders) = store.singles[self.col].occ.get(&v) else {
             return;
         };
         let mut iter = holders.iter();
@@ -797,7 +805,7 @@ impl KeyUnaryPart {
         if rest.is_empty() {
             return;
         }
-        let value = cx.store.resolve(v).to_string();
+        let value = store.resolve(v).to_string();
         for h in rest {
             cx.set(
                 (h, 0, 0, 0),
@@ -814,12 +822,11 @@ impl KeyUnaryPart {
     fn apply(&mut self, change: &Change, cx: &mut Ctx) {
         match change {
             Change::Single {
-                tau,
-                field,
+                col,
                 node,
                 old,
                 new,
-            } if *tau == self.tau && *field == self.field => {
+            } if *col == self.col => {
                 cx.set((*node, 0, 0, 0), None);
                 if let Some(o) = *old {
                     self.refresh_group(o, cx);
@@ -829,13 +836,13 @@ impl KeyUnaryPart {
                 }
             }
             Change::NodeAdded { tau, node } if *tau == self.tau => {
-                if let Some(v) = cx.store.single(&self.tau, &self.field).get(*node) {
+                if let Some(v) = cx.store.singles[self.col].get(*node) {
                     self.refresh_group(v, cx);
                 }
             }
             Change::NodeRemoved { tau, node, singles } if *tau == self.tau => {
                 cx.set((*node, 0, 0, 0), None);
-                if let Some(v) = snapshot_single(singles, &self.field) {
+                if let Some(v) = snapshot_single(singles, self.col) {
                     self.refresh_group(v, cx);
                 }
             }
@@ -844,13 +851,12 @@ impl KeyUnaryPart {
     }
 
     fn init(&mut self, _idx: &ExtIndex, cx: &mut Ctx) {
-        let store = cx.store;
-        let col = store.single(&self.tau, &self.field);
         // Group iteration order is irrelevant: groups write disjoint
         // entry slots of a `BTreeMap`, and init carries no diff.
-        for (&v, holders) in &col.occ {
+        let store = cx.store;
+        for (&v, holders) in &store.singles[self.col].occ {
             if holders.len() > 1 {
-                self.refresh_group_in(col, v, cx);
+                self.refresh_group(v, cx);
             }
         }
     }
@@ -863,7 +869,7 @@ impl KeyUnaryPart {
 /// in extent order, against the group's minimum vertex.
 struct KeyPart {
     tau: Name,
-    fields: Vec<Field>,
+    cols: Vec<usize>,
     /// Vertex ↦ its complete tuple (absent while any field is undefined).
     tuples: FastHashMap<u32, Vec<Sym>>,
     /// Tuple ↦ holders, ascending (first = the group's witness `a`).
@@ -871,18 +877,11 @@ struct KeyPart {
 }
 
 impl KeyPart {
-    fn tuple_of(&self, store: &Store, x: u32) -> Option<Vec<Sym>> {
-        self.fields
-            .iter()
-            .map(|f| store.single(&self.tau, f).get(x))
-            .collect()
-    }
-
     fn update_node(&mut self, x: u32, cx: &mut Ctx, removed: bool) {
         let new = if removed {
             None
         } else {
-            self.tuple_of(cx.store, x)
+            cx.store.tuple(&self.cols, x)
         };
         let old = self.tuples.get(&x).cloned();
         if old == new {
@@ -940,9 +939,7 @@ impl KeyPart {
 
     fn apply(&mut self, change: &Change, cx: &mut Ctx) {
         match change {
-            Change::Single {
-                tau, field, node, ..
-            } if *tau == self.tau && self.fields.contains(field) => {
+            Change::Single { col, node, .. } if self.cols.contains(col) => {
                 self.update_node(*node, cx, false);
             }
             Change::NodeAdded { tau, node } if *tau == self.tau => {
@@ -957,15 +954,10 @@ impl KeyPart {
 
     fn init(&mut self, idx: &ExtIndex, cx: &mut Ctx) {
         let ext = idx.ext(&self.tau);
-        let cols: Vec<&SingleCol> = self
-            .fields
-            .iter()
-            .map(|f| cx.store.single(&self.tau, f))
-            .collect();
         self.tuples.reserve(ext.len());
         for &x in ext {
             let x = x.index() as u32;
-            if let Some(t) = tuple_in(&cols, x) {
+            if let Some(t) = cx.store.tuple(&self.cols, x) {
                 self.occ.entry(t.clone()).or_default().insert(x);
                 self.tuples.insert(x, t);
             }
@@ -988,11 +980,11 @@ impl KeyPart {
 /// order.
 struct FkSinglePart {
     tau: Name,
-    field: Field,
+    col: usize,
     target: Name,
     /// The referenced column; `None` (an `FkToId` whose target type has no
     /// ID attribute) leaves the target set permanently empty.
-    target_field: Option<Field>,
+    target_col: Option<usize>,
     /// `Some(field string)` emits `MissingField` for an undefined source
     /// value (`ForeignKey` semantics); `None` skips it (`FkToId`).
     missing_field: Option<String>,
@@ -1001,14 +993,7 @@ struct FkSinglePart {
 
 impl FkSinglePart {
     fn refresh_source(&self, x: u32, cx: &mut Ctx) {
-        let col = cx.store.single(&self.tau, &self.field);
-        self.refresh_source_in(col, x, cx);
-    }
-
-    /// [`Self::refresh_source`] with the source column pre-resolved, so
-    /// bulk loops pay the `(τ, field)` hash once instead of per vertex.
-    fn refresh_source_in(&self, col: &SingleCol, x: u32, cx: &mut Ctx) {
-        let entry = match col.get(x) {
+        let entry = match cx.store.singles[self.col].get(x) {
             None => self
                 .missing_field
                 .as_ref()
@@ -1046,7 +1031,7 @@ impl FkSinglePart {
         }
         let store = cx.store;
         for v in transitions {
-            let deps: Vec<u32> = store.single(&self.tau, &self.field).nodes_with(v).collect();
+            let deps: Vec<u32> = store.singles[self.col].nodes_with(v).collect();
             for x in deps {
                 self.refresh_source(x, cx);
             }
@@ -1055,35 +1040,22 @@ impl FkSinglePart {
 
     fn apply(&mut self, change: &Change, cx: &mut Ctx) {
         // Target role: keep the refcounted membership set current.
-        match change {
-            Change::Single {
-                tau,
-                field,
-                old,
-                new,
-                ..
-            } if *tau == self.target && Some(field) == self.target_field.as_ref() => {
+        match (change, self.target_col) {
+            (Change::Single { col, old, new, .. }, Some(tc)) if *col == tc => {
                 self.retarget(*old, *new, cx);
             }
-            Change::NodeAdded { tau, node } if *tau == self.target => {
-                if let Some(tf) = self.target_field.clone() {
-                    let v = cx.store.single(&self.target, &tf).get(*node);
-                    self.retarget(None, v, cx);
-                }
+            (Change::NodeAdded { tau, node }, Some(tc)) if *tau == self.target => {
+                let v = cx.store.singles[tc].get(*node);
+                self.retarget(None, v, cx);
             }
-            Change::NodeRemoved { tau, singles, .. } if *tau == self.target => {
-                if let Some(tf) = &self.target_field {
-                    let old = snapshot_single(singles, tf);
-                    self.retarget(old, None, cx);
-                }
+            (Change::NodeRemoved { tau, singles, .. }, Some(tc)) if *tau == self.target => {
+                self.retarget(snapshot_single(singles, tc), None, cx);
             }
             _ => {}
         }
         // Source role: re-derive the edited vertex's own entry.
         match change {
-            Change::Single {
-                tau, field, node, ..
-            } if *tau == self.tau && *field == self.field => {
+            Change::Single { col, node, .. } if *col == self.col => {
                 self.refresh_source(*node, cx);
             }
             Change::NodeAdded { tau, node } if *tau == self.tau => {
@@ -1097,17 +1069,15 @@ impl FkSinglePart {
     }
 
     fn init(&mut self, idx: &ExtIndex, cx: &mut Ctx) {
-        if let Some(tf) = &self.target_field {
-            let col = cx.store.single(&self.target, tf);
+        if let Some(tc) = self.target_col {
             for &y in idx.ext(&self.target) {
-                if let Some(v) = col.get(y.index() as u32) {
+                if let Some(v) = cx.store.singles[tc].get(y.index() as u32) {
                     self.targets.insert(v);
                 }
             }
         }
-        let col = cx.store.single(&self.tau, &self.field);
         for &x in idx.ext(&self.tau) {
-            self.refresh_source_in(col, x.index() as u32, cx);
+            self.refresh_source(x.index() as u32, cx);
         }
     }
 }
@@ -1115,9 +1085,9 @@ impl FkSinglePart {
 /// An n-ary foreign key: source tuples against refcounted target tuples.
 struct FkNaryPart {
     tau: Name,
-    fields: Vec<Field>,
+    cols: Vec<usize>,
     target: Name,
-    target_fields: Vec<Field>,
+    target_cols: Vec<usize>,
     /// The pre-joined field list for `MissingField` reports.
     missing: String,
     src_tuples: FastHashMap<u32, Vec<Sym>>,
@@ -1127,10 +1097,6 @@ struct FkNaryPart {
 }
 
 impl FkNaryPart {
-    fn tuple(store: &Store, tau: &Name, fields: &[Field], x: u32) -> Option<Vec<Sym>> {
-        fields.iter().map(|f| store.single(tau, f).get(x)).collect()
-    }
-
     fn refresh_source(&self, x: u32, cx: &mut Ctx) {
         let entry = match self.src_tuples.get(&x) {
             None => Some(Violation::MissingField {
@@ -1152,7 +1118,7 @@ impl FkNaryPart {
         let new = if removed {
             None
         } else {
-            Self::tuple(cx.store, &self.tau, &self.fields, x)
+            cx.store.tuple(&self.cols, x)
         };
         let old = self.src_tuples.get(&x).cloned();
         if old != new {
@@ -1181,7 +1147,7 @@ impl FkNaryPart {
         let new = if removed {
             None
         } else {
-            Self::tuple(cx.store, &self.target, &self.target_fields, y)
+            cx.store.tuple(&self.target_cols, y)
         };
         let old = self.tgt_tuples.get(&y).cloned();
         if old == new {
@@ -1221,13 +1187,11 @@ impl FkNaryPart {
 
     fn apply(&mut self, change: &Change, cx: &mut Ctx) {
         match change {
-            Change::Single {
-                tau, field, node, ..
-            } => {
-                if *tau == self.target && self.target_fields.contains(field) {
+            Change::Single { col, node, .. } => {
+                if self.target_cols.contains(col) {
                     self.update_target(*node, cx, false);
                 }
-                if *tau == self.tau && self.fields.contains(field) {
+                if self.cols.contains(col) {
                     self.update_source(*node, cx, false);
                 }
             }
@@ -1252,30 +1216,20 @@ impl FkNaryPart {
     }
 
     fn init(&mut self, idx: &ExtIndex, cx: &mut Ctx) {
-        let tcols: Vec<&SingleCol> = self
-            .target_fields
-            .iter()
-            .map(|f| cx.store.single(&self.target, f))
-            .collect();
         let text = idx.ext(&self.target);
         self.tgt_tuples.reserve(text.len());
         for &y in text {
             let y = y.index() as u32;
-            if let Some(t) = tuple_in(&tcols, y) {
+            if let Some(t) = cx.store.tuple(&self.target_cols, y) {
                 *self.tgt_counts.entry(t.clone()).or_insert(0) += 1;
                 self.tgt_tuples.insert(y, t);
             }
         }
-        let cols: Vec<&SingleCol> = self
-            .fields
-            .iter()
-            .map(|f| cx.store.single(&self.tau, f))
-            .collect();
         let ext = idx.ext(&self.tau);
         self.src_tuples.reserve(ext.len());
         for &x in ext {
             let x = x.index() as u32;
-            if let Some(t) = tuple_in(&cols, x) {
+            if let Some(t) = cx.store.tuple(&self.cols, x) {
                 self.src_occ.entry(t.clone()).or_default().insert(x);
                 self.src_tuples.insert(x, t);
             }
@@ -1287,36 +1241,30 @@ impl FkNaryPart {
 }
 
 /// A set-valued foreign key (`SetForeignKey`, `SetFkToId`, and the
-/// reference-typing passes of `InverseId`): every member of `(τ, attr)`
-/// must be in the target set. Entries are keyed `(x, member index, 0, 0)`,
-/// matching the sequential per-vertex, per-member scan order.
+/// reference-typing passes of `InverseId`): every member of set-valued
+/// column `col` must be in the target set. Entries are keyed
+/// `(x, member index, 0, 0)`, matching the sequential per-vertex,
+/// per-member scan order.
 struct SetFkPart {
     tau: Name,
-    attr: Name,
+    col: usize,
     target: Name,
-    target_field: Option<Field>,
+    target_col: Option<usize>,
     targets: CountedSymSet,
 }
 
 impl SetFkPart {
     fn refresh_source(&self, x: u32, cx: &mut Ctx) {
-        let col = cx.store.set_col(&self.tau, &self.attr);
-        self.refresh_source_in(col, x, cx);
-    }
-
-    /// [`Self::refresh_source`] with the member column pre-resolved, so
-    /// bulk loops pay the `(τ, attr)` hash once instead of per vertex.
-    fn refresh_source_in(&self, col: &SetCol, x: u32, cx: &mut Ctx) {
         cx.clear_node(x);
-        let members = col.get(x);
-        for (i, &m) in members.iter().enumerate() {
+        let store = cx.store;
+        for (i, &m) in store.sets[self.col].get(x).iter().enumerate() {
             if !self.targets.contains(m) {
                 cx.set(
                     (x, i as u32, 0, 0),
                     Some(Violation::ForeignKey {
                         constraint: cx.cname(),
                         node: nid(x),
-                        value: cx.store.resolve(m).to_string(),
+                        value: store.resolve(m).to_string(),
                     }),
                 );
             }
@@ -1340,7 +1288,7 @@ impl SetFkPart {
         }
         let store = cx.store;
         for v in transitions {
-            let deps: Vec<u32> = store.set_col(&self.tau, &self.attr).nodes_with(v).collect();
+            let deps: Vec<u32> = store.sets[self.col].nodes_with(v).collect();
             for x in deps {
                 self.refresh_source(x, cx);
             }
@@ -1349,35 +1297,22 @@ impl SetFkPart {
 
     fn apply(&mut self, change: &Change, cx: &mut Ctx) {
         // Target role.
-        match change {
-            Change::Single {
-                tau,
-                field,
-                old,
-                new,
-                ..
-            } if *tau == self.target && Some(field) == self.target_field.as_ref() => {
+        match (change, self.target_col) {
+            (Change::Single { col, old, new, .. }, Some(tc)) if *col == tc => {
                 self.retarget(*old, *new, cx);
             }
-            Change::NodeAdded { tau, node } if *tau == self.target => {
-                if let Some(tf) = self.target_field.clone() {
-                    let v = cx.store.single(&self.target, &tf).get(*node);
-                    self.retarget(None, v, cx);
-                }
+            (Change::NodeAdded { tau, node }, Some(tc)) if *tau == self.target => {
+                let v = cx.store.singles[tc].get(*node);
+                self.retarget(None, v, cx);
             }
-            Change::NodeRemoved { tau, singles, .. } if *tau == self.target => {
-                if let Some(tf) = &self.target_field {
-                    let old = snapshot_single(singles, tf);
-                    self.retarget(old, None, cx);
-                }
+            (Change::NodeRemoved { tau, singles, .. }, Some(tc)) if *tau == self.target => {
+                self.retarget(snapshot_single(singles, tc), None, cx);
             }
             _ => {}
         }
         // Source role.
         match change {
-            Change::Set {
-                tau, attr, node, ..
-            } if *tau == self.tau && *attr == self.attr => {
+            Change::Set { col, node } if *col == self.col => {
                 self.refresh_source(*node, cx);
             }
             Change::NodeAdded { tau, node } if *tau == self.tau => {
@@ -1391,17 +1326,15 @@ impl SetFkPart {
     }
 
     fn init(&mut self, idx: &ExtIndex, cx: &mut Ctx) {
-        if let Some(tf) = &self.target_field {
-            let col = cx.store.single(&self.target, tf);
+        if let Some(tc) = self.target_col {
             for &y in idx.ext(&self.target) {
-                if let Some(v) = col.get(y.index() as u32) {
+                if let Some(v) = cx.store.singles[tc].get(y.index() as u32) {
                     self.targets.insert(v);
                 }
             }
         }
-        let col = cx.store.set_col(&self.tau, &self.attr);
         for &x in idx.ext(&self.tau) {
-            self.refresh_source_in(col, x.index() as u32, cx);
+            self.refresh_source(x.index() as u32, cx);
         }
     }
 }
@@ -1413,23 +1346,17 @@ impl SetFkPart {
 /// sequential global-ID-table order.
 struct IdPart {
     tau: Name,
-    id_field: Field,
+    /// τ's ID column.
+    col: usize,
     /// Pre-rendered `@id_attr` for `MissingField` reports.
     missing: String,
 }
 
 impl IdPart {
     fn refresh_entity(&self, x: u32, cx: &mut Ctx) {
-        let col = cx.store.single(&self.tau, &self.id_field);
-        self.refresh_entity_in(col, x, cx);
-    }
-
-    /// [`Self::refresh_entity`] with the ID column pre-resolved, so bulk
-    /// loops pay the `(τ, field)` hash once instead of per vertex.
-    fn refresh_entity_in(&self, col: &SingleCol, x: u32, cx: &mut Ctx) {
         cx.clear_node(x);
         let store = cx.store;
-        match col.get(x) {
+        match store.singles[self.col].get(x) {
             None => cx.set(
                 (x, 0, 0, 0),
                 Some(Violation::MissingField {
@@ -1459,11 +1386,7 @@ impl IdPart {
 
     /// Re-derives every `ext(τ)` vertex holding ID value `v`.
     fn refresh_holders(&self, v: Sym, cx: &mut Ctx) {
-        let store = cx.store;
-        let deps: Vec<u32> = store
-            .single(&self.tau, &self.id_field)
-            .nodes_with(v)
-            .collect();
+        let deps: Vec<u32> = cx.store.singles[self.col].nodes_with(v).collect();
         for x in deps {
             self.refresh_entity(x, cx);
         }
@@ -1472,26 +1395,25 @@ impl IdPart {
     fn apply(&mut self, change: &Change, cx: &mut Ctx) {
         match change {
             Change::Single {
-                tau,
-                field,
+                col,
                 node,
                 old,
                 new,
             } => {
                 // A carrier change anywhere (any type's ID column) shifts
                 // the duplicate lists of this type's holders of the value.
-                if cx.ids.id_field_of.get(tau) == Some(field) {
+                if cx.ids.is_id_col(*col) {
                     for v in old.iter().chain(new.iter()).copied() {
                         self.refresh_holders(v, cx);
                     }
                 }
-                if *tau == self.tau && *field == self.id_field {
+                if *col == self.col {
                     self.refresh_entity(*node, cx);
                 }
             }
             Change::NodeAdded { tau, node } => {
-                if let Some(f) = cx.ids.id_field_of.get(tau).cloned() {
-                    if let Some(v) = cx.store.single(tau, &f).get(*node) {
+                if let Some(&c) = cx.ids.col_of.get(tau) {
+                    if let Some(v) = cx.store.singles[c].get(*node) {
                         self.refresh_holders(v, cx);
                     }
                 }
@@ -1500,8 +1422,8 @@ impl IdPart {
                 }
             }
             Change::NodeRemoved { tau, node, singles } => {
-                if let Some(f) = cx.ids.id_field_of.get(tau) {
-                    if let Some(v) = snapshot_single(singles, f) {
+                if let Some(&c) = cx.ids.col_of.get(tau) {
+                    if let Some(v) = snapshot_single(singles, c) {
                         self.refresh_holders(v, cx);
                     }
                 }
@@ -1514,9 +1436,8 @@ impl IdPart {
     }
 
     fn init(&mut self, idx: &ExtIndex, cx: &mut Ctx) {
-        let col = cx.store.single(&self.tau, &self.id_field);
         for &x in idx.ext(&self.tau) {
-            self.refresh_entity_in(col, x.index() as u32, cx);
+            self.refresh_entity(x.index() as u32, cx);
         }
     }
 }
@@ -1525,42 +1446,26 @@ impl IdPart {
 /// defined key, each member `m` of `y.attr'` and each `x ∈ ext(τ)` with
 /// `x.key = m` must have `y.key' ∈ x.attr`. Entries are keyed
 /// `(y, member index, x, 0)` — the sequential scan's loop nesting order.
+/// `key`/`target_key` are single-valued column ids, `attr`/`target_attr`
+/// set-valued ones.
 struct InversePart {
     tau: Name,
-    key: Field,
-    attr: Name,
+    key: usize,
+    attr: usize,
     target: Name,
-    target_key: Field,
-    target_attr: Name,
+    target_key: usize,
+    target_attr: usize,
 }
 
 impl InversePart {
     fn refresh_y(&self, y: u32, cx: &mut Ctx) {
-        let store = cx.store;
-        let cols = (
-            store.single(&self.target, &self.target_key),
-            store.set_col(&self.target, &self.target_attr),
-            store.single(&self.tau, &self.key),
-            store.set_col(&self.tau, &self.attr),
-        );
-        self.refresh_y_in(cols, y, cx);
-    }
-
-    /// [`Self::refresh_y`] with all four columns pre-resolved (target key,
-    /// target members, source key, source echo), so bulk loops pay the
-    /// column hashes once instead of per vertex.
-    fn refresh_y_in(
-        &self,
-        (yk_col, mem_col, key_col, echo_col): (&SingleCol, &SetCol, &SingleCol, &SetCol),
-        y: u32,
-        cx: &mut Ctx,
-    ) {
         cx.clear_node(y);
-        let Some(yk) = yk_col.get(y) else {
+        let store = cx.store;
+        let Some(yk) = store.singles[self.target_key].get(y) else {
             return;
         };
-        let members = mem_col.get(y);
-        for (i, &m) in members.iter().enumerate() {
+        let (key_col, echo_col) = (&store.singles[self.key], &store.sets[self.attr]);
+        for (i, &m) in store.sets[self.target_attr].get(y).iter().enumerate() {
             for x in key_col.nodes_with(m) {
                 if !echo_col.get(x).contains(&yk) {
                     cx.set(
@@ -1576,38 +1481,37 @@ impl InversePart {
         }
     }
 
+    /// The `ext(τ')` vertices referencing key value `v`.
+    fn referrers(&self, store: &Store, v: Sym, ys: &mut BTreeSet<u32>) {
+        ys.extend(store.sets[self.target_attr].nodes_with(v));
+    }
+
     fn apply(&mut self, change: &Change, cx: &mut Ctx) {
         let mut ys: BTreeSet<u32> = BTreeSet::new();
         let store = cx.store;
         match change {
             Change::Single {
-                tau,
-                field,
+                col,
                 node,
                 old,
                 new,
             } => {
-                if *tau == self.target && *field == self.target_key {
+                if *col == self.target_key {
                     ys.insert(*node);
                 }
-                if *tau == self.tau && *field == self.key {
-                    let refs = store.set_col(&self.target, &self.target_attr);
+                if *col == self.key {
                     for v in old.iter().chain(new.iter()).copied() {
-                        ys.extend(refs.nodes_with(v));
+                        self.referrers(store, v, &mut ys);
                     }
                 }
             }
-            Change::Set { tau, attr, node } => {
-                if *tau == self.target && *attr == self.target_attr {
+            Change::Set { col, node } => {
+                if *col == self.target_attr {
                     ys.insert(*node);
                 }
-                if *tau == self.tau && *attr == self.attr {
-                    if let Some(xk) = store.single(&self.tau, &self.key).get(*node) {
-                        ys.extend(
-                            store
-                                .set_col(&self.target, &self.target_attr)
-                                .nodes_with(xk),
-                        );
+                if *col == self.attr {
+                    if let Some(xk) = store.singles[self.key].get(*node) {
+                        self.referrers(store, xk, &mut ys);
                     }
                 }
             }
@@ -1616,12 +1520,8 @@ impl InversePart {
                     ys.insert(*node);
                 }
                 if *tau == self.tau {
-                    if let Some(xk) = store.single(&self.tau, &self.key).get(*node) {
-                        ys.extend(
-                            store
-                                .set_col(&self.target, &self.target_attr)
-                                .nodes_with(xk),
-                        );
+                    if let Some(xk) = store.singles[self.key].get(*node) {
+                        self.referrers(store, xk, &mut ys);
                     }
                 }
             }
@@ -1630,12 +1530,8 @@ impl InversePart {
                     cx.clear_node(*node);
                 }
                 if *tau == self.tau {
-                    if let Some(xk) = snapshot_single(singles, &self.key) {
-                        ys.extend(
-                            store
-                                .set_col(&self.target, &self.target_attr)
-                                .nodes_with(xk),
-                        );
+                    if let Some(xk) = snapshot_single(singles, self.key) {
+                        self.referrers(store, xk, &mut ys);
                     }
                 }
             }
@@ -1646,56 +1542,46 @@ impl InversePart {
     }
 
     fn init(&mut self, idx: &ExtIndex, cx: &mut Ctx) {
-        let store = cx.store;
-        let cols = (
-            store.single(&self.target, &self.target_key),
-            store.set_col(&self.target, &self.target_attr),
-            store.single(&self.tau, &self.key),
-            store.set_col(&self.tau, &self.attr),
-        );
         for &y in idx.ext(&self.target) {
-            self.refresh_y_in(cols, y.index() as u32, cx);
+            self.refresh_y(y.index() as u32, cx);
         }
     }
 }
 
 /// Decomposes Σ into parts, in Σ order, mirroring the sequential engine's
-/// per-constraint pass structure (see `check_one_planned`).
-fn build_parts(dtdc: &DtdC) -> Vec<Part> {
+/// per-constraint pass structure (see `check_one_planned`). This is where
+/// every column a part reads is resolved to its plan id, once.
+fn build_parts(dtdc: &DtdC, plan: &Plan) -> Vec<Part> {
     let s = dtdc.structure();
-    let mut parts = Vec::new();
-    let push = |name: String, kind: PartKind, parts: &mut Vec<Part>| {
-        parts.push(Part {
-            name,
-            entries: BTreeMap::new(),
-            kind,
-        });
+    let single = |tau: &Name, f: &Field| {
+        plan.single_col(tau, f)
+            .expect("plan covers every single field a constraint reads")
     };
+    let cols = |tau: &Name, fs: &[Field]| fs.iter().map(|f| single(tau, f)).collect();
+    let set = |tau: &Name, a: &Name| {
+        plan.set_col(tau, a)
+            .expect("plan covers every set attribute a constraint reads")
+    };
+    let id_col = |tau: &Name| s.id_attr(tau).map(|i| single(tau, &Field::Attr(i.clone())));
+    let mut parts = Vec::new();
     for c in dtdc.constraints() {
         let name = c.to_string();
         match c {
             Constraint::Key { tau, fields } => {
-                if let [f] = fields.as_slice() {
-                    push(
-                        name,
-                        PartKind::KeyUnary(KeyUnaryPart {
-                            tau: tau.clone(),
-                            field: f.clone(),
-                        }),
-                        &mut parts,
-                    );
+                let kind = if let [f] = fields.as_slice() {
+                    PartKind::KeyUnary(KeyUnaryPart {
+                        tau: tau.clone(),
+                        col: single(tau, f),
+                    })
                 } else {
-                    push(
-                        name,
-                        PartKind::Key(KeyPart {
-                            tau: tau.clone(),
-                            fields: fields.clone(),
-                            tuples: FastHashMap::default(),
-                            occ: FastHashMap::default(),
-                        }),
-                        &mut parts,
-                    );
-                }
+                    PartKind::Key(KeyPart {
+                        tau: tau.clone(),
+                        cols: cols(tau, fields),
+                        tuples: FastHashMap::default(),
+                        occ: FastHashMap::default(),
+                    })
+                };
+                parts.push(Part::new(name, kind));
             }
             Constraint::ForeignKey {
                 tau,
@@ -1703,57 +1589,49 @@ fn build_parts(dtdc: &DtdC) -> Vec<Part> {
                 target,
                 target_fields,
             } => {
-                if let ([f], [tf]) = (fields.as_slice(), target_fields.as_slice()) {
-                    push(
-                        name,
-                        PartKind::FkSingle(FkSinglePart {
-                            tau: tau.clone(),
-                            field: f.clone(),
-                            target: target.clone(),
-                            target_field: Some(tf.clone()),
-                            missing_field: Some(f.to_string()),
-                            targets: CountedSymSet::default(),
-                        }),
-                        &mut parts,
-                    );
+                let kind = if let ([f], [tf]) = (fields.as_slice(), target_fields.as_slice()) {
+                    PartKind::FkSingle(FkSinglePart {
+                        tau: tau.clone(),
+                        col: single(tau, f),
+                        target: target.clone(),
+                        target_col: Some(single(target, tf)),
+                        missing_field: Some(f.to_string()),
+                        targets: CountedSymSet::default(),
+                    })
                 } else {
-                    push(
-                        name,
-                        PartKind::FkNary(FkNaryPart {
-                            tau: tau.clone(),
-                            fields: fields.clone(),
-                            target: target.clone(),
-                            target_fields: target_fields.clone(),
-                            missing: fields
-                                .iter()
-                                .map(ToString::to_string)
-                                .collect::<Vec<_>>()
-                                .join(", "),
-                            src_tuples: FastHashMap::default(),
-                            src_occ: FastHashMap::default(),
-                            tgt_tuples: FastHashMap::default(),
-                            tgt_counts: FastHashMap::default(),
-                        }),
-                        &mut parts,
-                    );
-                }
+                    PartKind::FkNary(FkNaryPart {
+                        tau: tau.clone(),
+                        cols: cols(tau, fields),
+                        target: target.clone(),
+                        target_cols: cols(target, target_fields),
+                        missing: fields
+                            .iter()
+                            .map(ToString::to_string)
+                            .collect::<Vec<_>>()
+                            .join(", "),
+                        src_tuples: FastHashMap::default(),
+                        src_occ: FastHashMap::default(),
+                        tgt_tuples: FastHashMap::default(),
+                        tgt_counts: FastHashMap::default(),
+                    })
+                };
+                parts.push(Part::new(name, kind));
             }
             Constraint::SetForeignKey {
                 tau,
                 attr,
                 target,
                 target_field,
-            } => push(
+            } => parts.push(Part::new(
                 name,
                 PartKind::SetFk(SetFkPart {
                     tau: tau.clone(),
-                    attr: attr.clone(),
+                    col: set(tau, attr),
                     target: target.clone(),
-                    target_field: Some(target_field.clone()),
+                    target_col: Some(single(target, target_field)),
                     targets: CountedSymSet::default(),
                 }),
-                &mut parts,
-            ),
+            )),
             Constraint::InverseU {
                 tau,
                 key,
@@ -1766,63 +1644,59 @@ fn build_parts(dtdc: &DtdC) -> Vec<Part> {
                     (tau, key, attr, target, target_key, target_attr),
                     (target, target_key, target_attr, tau, key, attr),
                 ] {
-                    push(
+                    parts.push(Part::new(
                         name.clone(),
                         PartKind::Inverse(InversePart {
                             tau: t.clone(),
-                            key: k.clone(),
-                            attr: a.clone(),
+                            key: single(t, k),
+                            attr: set(t, a),
                             target: u.clone(),
-                            target_key: uk.clone(),
-                            target_attr: ua.clone(),
+                            target_key: single(u, uk),
+                            target_attr: set(u, ua),
                         }),
-                        &mut parts,
-                    );
+                    ));
                 }
             }
             Constraint::Id { tau } => {
-                if let Some(id) = s.id_attr(tau) {
-                    push(
+                if let (Some(id), Some(col)) = (s.id_attr(tau), id_col(tau)) {
+                    parts.push(Part::new(
                         name,
                         PartKind::Id(IdPart {
                             tau: tau.clone(),
-                            id_field: Field::Attr(id.clone()),
+                            col,
                             missing: format!("@{id}"),
                         }),
-                        &mut parts,
-                    );
+                    ));
                 }
             }
-            Constraint::FkToId { tau, attr, target } => push(
+            Constraint::FkToId { tau, attr, target } => parts.push(Part::new(
                 name,
                 PartKind::FkSingle(FkSinglePart {
                     tau: tau.clone(),
-                    field: Field::Attr(attr.clone()),
+                    col: single(tau, &Field::Attr(attr.clone())),
                     target: target.clone(),
-                    target_field: s.id_attr(target).map(|i| Field::Attr(i.clone())),
+                    target_col: id_col(target),
                     missing_field: None,
                     targets: CountedSymSet::default(),
                 }),
-                &mut parts,
-            ),
-            Constraint::SetFkToId { tau, attr, target } => push(
+            )),
+            Constraint::SetFkToId { tau, attr, target } => parts.push(Part::new(
                 name,
                 PartKind::SetFk(SetFkPart {
                     tau: tau.clone(),
-                    attr: attr.clone(),
+                    col: set(tau, attr),
                     target: target.clone(),
-                    target_field: s.id_attr(target).map(|i| Field::Attr(i.clone())),
+                    target_col: id_col(target),
                     targets: CountedSymSet::default(),
                 }),
-                &mut parts,
-            ),
+            )),
             Constraint::InverseId {
                 tau,
                 attr,
                 target,
                 target_attr,
             } => {
-                let (Some(id_tau), Some(id_target)) = (s.id_attr(tau), s.id_attr(target)) else {
+                let (Some(id_tau), Some(id_target)) = (id_col(tau), id_col(target)) else {
                     continue; // rejected at well-formedness; nothing to check
                 };
                 // Reference typing first, then both inverse directions —
@@ -1831,34 +1705,32 @@ fn build_parts(dtdc: &DtdC) -> Vec<Part> {
                     (tau, attr, target, id_target),
                     (target, target_attr, tau, id_tau),
                 ] {
-                    push(
+                    parts.push(Part::new(
                         name.clone(),
                         PartKind::SetFk(SetFkPart {
                             tau: src.clone(),
-                            attr: src_attr.clone(),
+                            col: set(src, src_attr),
                             target: dst.clone(),
-                            target_field: Some(Field::Attr(dst_id.clone())),
+                            target_col: Some(dst_id),
                             targets: CountedSymSet::default(),
                         }),
-                        &mut parts,
-                    );
+                    ));
                 }
                 for (t, k, a, u, uk, ua) in [
                     (tau, id_tau, attr, target, id_target, target_attr),
                     (target, id_target, target_attr, tau, id_tau, attr),
                 ] {
-                    push(
+                    parts.push(Part::new(
                         name.clone(),
                         PartKind::Inverse(InversePart {
                             tau: t.clone(),
-                            key: Field::Attr(k.clone()),
-                            attr: a.clone(),
+                            key: k,
+                            attr: set(t, a),
                             target: u.clone(),
-                            target_key: Field::Attr(uk.clone()),
-                            target_attr: ua.clone(),
+                            target_key: uk,
+                            target_attr: set(u, ua),
                         }),
-                        &mut parts,
-                    );
+                    ));
                 }
             }
         }
@@ -1869,12 +1741,11 @@ fn build_parts(dtdc: &DtdC) -> Vec<Part> {
 /// Per-column part subscriptions for the batch path, built once at
 /// construction over the plan's column ids.
 ///
-/// Each part's `apply` drops changes outside its `(τ, field)` interest set
-/// via name comparisons. A batch dispatches thousands of cell deltas, so
-/// that scan is hoisted into this index: dispatching a delta only to the
-/// parts subscribed to its column is behavior-preserving because the
-/// skipped `apply` calls would be no-ops by those same match arms. Vertex
-/// announcements (`NodeAdded`/`NodeRemoved`) still reach every part.
+/// A batch dispatches thousands of cell deltas, so each goes only to the
+/// parts whose [`Part::columns`] list its column. That is
+/// behavior-preserving: a part's `apply` ignores every cell delta of any
+/// other column. Vertex announcements (`NodeAdded`/`NodeRemoved`) still
+/// reach every part.
 struct Subs {
     /// Column id ↦ subscribed part indices, ascending and deduped.
     parts_of: Vec<Vec<u32>>,
@@ -1883,69 +1754,14 @@ struct Subs {
 impl Subs {
     fn build(plan: &Plan, parts: &[Part], ids: &IdTable) -> Self {
         let mut parts_of = vec![Vec::new(); plan.column_count()];
-        for (pi, p) in parts.iter().enumerate() {
-            let pi = pi as u32;
-            let mut singles: Vec<(&Name, &Field)> = Vec::new();
-            let mut sets: Vec<(&Name, &Name)> = Vec::new();
-            match &p.kind {
-                PartKind::KeyUnary(k) => {
-                    singles.push((&k.tau, &k.field));
-                }
-                PartKind::Key(k) => {
-                    for f in &k.fields {
-                        singles.push((&k.tau, f));
-                    }
-                }
-                PartKind::FkSingle(k) => {
-                    singles.push((&k.tau, &k.field));
-                    if let Some(tf) = &k.target_field {
-                        singles.push((&k.target, tf));
-                    }
-                }
-                PartKind::FkNary(k) => {
-                    for f in &k.fields {
-                        singles.push((&k.tau, f));
-                    }
-                    for f in &k.target_fields {
-                        singles.push((&k.target, f));
-                    }
-                }
-                PartKind::SetFk(k) => {
-                    sets.push((&k.tau, &k.attr));
-                    if let Some(tf) = &k.target_field {
-                        singles.push((&k.target, tf));
-                    }
-                }
-                PartKind::Id(k) => {
-                    // An ID part reacts to *any* type's ID column (a
-                    // carrier change anywhere shifts its duplicate
-                    // lists), not just its own type's.
-                    singles.push((&k.tau, &k.id_field));
-                    singles.extend(&ids.id_field_of);
-                }
-                PartKind::Inverse(k) => {
-                    singles.push((&k.tau, &k.key));
-                    singles.push((&k.target, &k.target_key));
-                    sets.push((&k.tau, &k.attr));
-                    sets.push((&k.target, &k.target_attr));
-                }
-            }
-            // An interest column missing from the plan cannot exist in
-            // any delta (the plan covers every column a constraint
-            // reads), so skipping it drops nothing.
-            for (tau, f) in singles {
-                if let Some(c) = plan.single_col(tau, f) {
-                    parts_of[c].push(pi);
-                }
-            }
-            for (tau, a) in sets {
-                if let Some(c) = plan.set_col(tau, a) {
-                    parts_of[plan.set_id(c)].push(pi);
-                }
+        // Parts are visited in ascending order, so each list is ascending
+        // and a part listing a column twice pushes it twice in a row.
+        for (pi, p) in (0u32..).zip(parts) {
+            for c in p.columns(plan, ids) {
+                parts_of[c].push(pi);
             }
         }
         for l in &mut parts_of {
-            l.sort_unstable();
             l.dedup();
         }
         Subs { parts_of }
@@ -2223,7 +2039,7 @@ impl std::error::Error for StateError {}
 pub struct LiveValidator<'v, 'd> {
     v: &'v Validator<'d>,
     tree: DataTree,
-    store: Store<'v>,
+    store: Store,
     ids: IdTable,
     parts: Vec<Part>,
     subs: Subs,
@@ -2402,7 +2218,6 @@ impl<'v, 'd> LiveValidator<'v, 'd> {
         // out over the same thread budget the one-shot engine's check
         // phase uses.
         let store = Store {
-            plan: &v.plan,
             interner,
             singles: crate::par::fan_out(threads, singles, &v.obs, "init.col", |vals| SingleCol {
                 occ: build_occ(vals.iter().map(Option::as_slice), nsym),
@@ -2415,25 +2230,22 @@ impl<'v, 'd> LiveValidator<'v, 'd> {
         };
 
         let mut ids = IdTable::default();
-        for (rank, tau) in s.element_types().enumerate() {
-            ids.ranks.insert(tau.clone(), rank as u32);
-        }
         if v.plan.needs_ids {
-            for tau in s.element_types() {
-                let Some(a) = s.id_attr(tau) else {
+            ids.rank_of = vec![None; v.plan.singles.len()];
+            for (rank, tau) in (0u32..).zip(s.element_types()) {
+                let Some(c) =
+                    (s.id_attr(tau)).and_then(|a| v.plan.single_col(tau, &Field::Attr(a.clone())))
+                else {
                     continue;
                 };
-                let f = Field::Attr(a.clone());
-                if let Some(c) = v.plan.single_col(tau, &f) {
-                    let rank = ids.ranks[tau];
-                    for &x in idx.ext(tau) {
-                        let xi = x.index() as u32;
-                        if let Some(val) = store.singles[c].get(xi) {
-                            ids.carriers.entry(val).or_default().insert((rank, xi));
-                        }
+                for &x in idx.ext(tau) {
+                    let xi = x.index() as u32;
+                    if let Some(val) = store.singles[c].get(xi) {
+                        ids.carriers.entry(val).or_default().insert((rank, xi));
                     }
                 }
-                ids.id_field_of.insert(tau.clone(), f);
+                ids.col_of.insert(tau.clone(), c);
+                ids.rank_of[c] = Some(rank);
             }
         }
 
@@ -2445,7 +2257,7 @@ impl<'v, 'd> LiveValidator<'v, 'd> {
             found: root_label.clone(),
         });
 
-        let mut parts = build_parts(v.dtdc());
+        let mut parts = build_parts(v.dtdc(), &v.plan);
         let items: Vec<(u32, &mut Part)> = (0u32..).zip(parts.iter_mut()).collect();
         crate::par::fan_out(threads, items, &v.obs, "init.part", |(pi, p)| {
             p.init(idx, &store, &ids, pi);
@@ -2823,7 +2635,7 @@ impl<'v, 'd> LiveValidator<'v, 'd> {
             let mut j = i;
             match (col as usize).checked_sub(plan.singles.len()) {
                 None => {
-                    let (tau, field) = &plan.singles[col as usize];
+                    let field = &plan.singles[col as usize].1;
                     let mut changes: Vec<(u32, Option<Sym>, Option<Sym>)> = Vec::new();
                     {
                         let Self { tree, store, .. } = &mut *self;
@@ -2842,21 +2654,17 @@ impl<'v, 'd> LiveValidator<'v, 'd> {
                         }
                     }
                     for (node, old, new) in changes {
-                        self.dispatch_to(
-                            col,
-                            Change::Single {
-                                tau: tau.clone(),
-                                field: field.clone(),
-                                node,
-                                old,
-                                new,
-                            },
-                            &mut acc,
-                        );
+                        let change = Change::Single {
+                            col: col as usize,
+                            node,
+                            old,
+                            new,
+                        };
+                        self.dispatch_to(col, change, &mut acc);
                     }
                 }
                 Some(c) => {
-                    let (tau, attr) = &plan.sets[c];
+                    let attr = &plan.sets[c].1;
                     let mut changes: Vec<u32> = Vec::new();
                     {
                         let Self { tree, store, .. } = &mut *self;
@@ -2876,15 +2684,7 @@ impl<'v, 'd> LiveValidator<'v, 'd> {
                         }
                     }
                     for node in changes {
-                        self.dispatch_to(
-                            col,
-                            Change::Set {
-                                tau: tau.clone(),
-                                attr: attr.clone(),
-                                node,
-                            },
-                            &mut acc,
-                        );
+                        self.dispatch_to(col, Change::Set { col: c, node }, &mut acc);
                     }
                 }
             }
@@ -2955,10 +2755,10 @@ impl<'v, 'd> LiveValidator<'v, 'd> {
         let v = self.v;
         let tau = self.tree.label(x).clone();
         let xi = x.index() as u32;
-        let mut singles: Vec<(Field, Option<Sym>)> = Vec::new();
+        let mut singles: Vec<(usize, Option<Sym>)> = Vec::new();
         if let Some(tp) = v.plan.taus.get(&tau) {
-            for (f, c) in &tp.singles {
-                singles.push((f.clone(), self.store.singles[*c].remove(xi)));
+            for &(_, c) in &tp.singles {
+                singles.push((c, self.store.singles[c].remove(xi)));
             }
             for (_, c) in &tp.sets {
                 self.store.sets[*c].remove(xi);

@@ -72,7 +72,8 @@ fn constraint_syntax_round_trips_for_all_forms() {
 #[test]
 fn countermodels_become_real_validated_documents() {
     // Take L_id countermodels from the solver, materialize them as data
-    // trees, and check the structural half of Definition 2.4 accepts them.
+    // trees, and check that the generated structure accepts Σ and the
+    // structural half of Definition 2.4 accepts the trees.
     let sigma = xic::constraints::examples::company_dtdc()
         .constraints()
         .to_vec();
@@ -85,8 +86,9 @@ fn countermodels_become_real_validated_documents() {
     for phi in non_implied {
         let v = solver.implies_with(&phi, Some(&structure));
         let m = v.countermodel().expect("countermodel");
-        let (gen_structure, tree) = xic::implication::semantics::instance_to_tree(m);
-        let dtdc = DtdC::new(gen_structure, Language::Lid, vec![]).unwrap();
+        let (gen_structure, tree) = xic::implication::semantics::instance_to_tree(m, &sigma);
+        let dtdc = DtdC::new(gen_structure, Language::Lid, sigma.clone())
+            .unwrap_or_else(|e| panic!("{phi}: Σ does not load: {e:?}"));
         let report = Validator::new(&dtdc).validate_structure(&tree);
         assert!(report.is_valid(), "{phi}: {report}");
     }
