@@ -9,7 +9,7 @@
 //! framing is what lets a worker serve many requests per connection
 //! without ever guessing where a body ends.
 //!
-//! The server side is [`read_request`] + [`write_response`]; the client
+//! The server side is `read_request` + `write_response`; the client
 //! side is [`HttpClient`], a keep-alive connection that frames requests
 //! the same way and parses the response status and body back out.
 
@@ -21,7 +21,7 @@ use std::time::{Duration, Instant};
 /// its full `Content-Length`), and whether the client asked to keep the
 /// connection open.
 #[derive(Debug)]
-pub struct Request {
+pub(crate) struct Request {
     /// The HTTP method, as sent (`GET`, `POST`, `PUT`, `DELETE`, …).
     pub method: String,
     /// The request target (path plus optional query string).
@@ -35,7 +35,7 @@ pub struct Request {
 
 /// Why [`read_request`] failed, split by what the server should do next.
 #[derive(Debug)]
-pub enum HttpError {
+pub(crate) enum HttpError {
     /// Clean end of stream before any request byte: the client is done
     /// with this keep-alive connection. Not an error to report.
     Closed,
@@ -85,7 +85,10 @@ fn io_error(e: std::io::Error) -> HttpError {
 /// skipped), then exactly `Content-Length` body bytes. Bodies above
 /// `max_body` are rejected *before* being read, so an oversized upload
 /// costs the server nothing but the header scan.
-pub fn read_request<R: BufRead>(reader: &mut R, max_body: usize) -> Result<Request, HttpError> {
+pub(crate) fn read_request<R: BufRead>(
+    reader: &mut R,
+    max_body: usize,
+) -> Result<Request, HttpError> {
     let mut line = String::new();
     let n = reader.read_line(&mut line).map_err(io_error)?;
     if n == 0 {
@@ -157,7 +160,7 @@ pub fn read_request<R: BufRead>(reader: &mut R, max_body: usize) -> Result<Reque
 /// Writes one complete `Content-Length`-framed response. With
 /// `keep_alive` the connection header invites reuse; otherwise it
 /// announces the close the caller is about to perform.
-pub fn write_response<W: Write>(
+pub(crate) fn write_response<W: Write>(
     w: &mut W,
     status: &str,
     content_type: &str,
@@ -188,7 +191,7 @@ const LINGER_MAX_BYTES: usize = 1 << 20;
 /// So: half-close the write side (the client sees the response, then
 /// EOF), read and discard what the client still sends until it closes,
 /// `LINGER_TIMEOUT` passes or 1 MiB is drained, and only then close.
-pub fn linger_close(stream: &TcpStream) {
+pub(crate) fn linger_close(stream: &TcpStream) {
     if stream.shutdown(Shutdown::Write).is_err() {
         return;
     }
@@ -210,7 +213,7 @@ pub fn linger_close(stream: &TcpStream) {
 /// A keep-alive HTTP/1.1 client connection: one TCP stream reused across
 /// any number of [`HttpClient::request`] calls, with responses parsed by
 /// their `Content-Length`. This is the client the serve tests and the
-/// e18 load generator drive — the framing mirror of [`read_request`].
+/// e18 load generator drive — the framing mirror of `read_request`.
 pub struct HttpClient {
     writer: TcpStream,
     reader: BufReader<TcpStream>,

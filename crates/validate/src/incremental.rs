@@ -32,7 +32,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use xic_constraints::{Constraint, DtdC, Field};
+use xic_constraints::{DtdC, Field};
 use xic_model::{
     AttrValue, DataTree, Edit, ExtIndex, FastHashMap, Interner, ModelError, Name, NodeId, Sym,
     Value,
@@ -40,7 +40,10 @@ use xic_model::{
 use xic_obs::{Metrics, Obs};
 use xic_regex::Symbol;
 
-use crate::plan::{extract_set, extract_single, CountedSymSet, Plan};
+use crate::plan::{
+    extract_set, extract_single, CheckKind, CountedSymSet, FkNary, FkSingle, IdCheck, Inverse, Key,
+    KeyUnary, Plan, SetFk,
+};
 use crate::report::{Report, Violation};
 use crate::structure::Validator;
 
@@ -357,7 +360,7 @@ impl SetCol {
 /// The live counterpart of the one-shot `DocIndex`: every planned column,
 /// mutable and in plan order, sharing one interner. `singles[c]` and
 /// `sets[c]` are the plan's single- and set-valued column `c`; parts hold
-/// those ids, resolved once by [`build_parts`], and never name a column.
+/// those ids, resolved once by [`Plan::build`], and never name a column.
 /// Interning order is irrelevant for report equality — symbols are only
 /// compared for equality/membership, and violations carry resolved
 /// strings.
@@ -681,16 +684,14 @@ impl Ctx<'_> {
     }
 }
 
-/// One independently-refreshable slice of a constraint's check. Constraints
-/// that the sequential engine checks in several sequential passes (the two
-/// directions of an inverse, the four passes of `InverseId`) become several
-/// consecutive parts, so concatenating all parts' tables in order
-/// reproduces the Σ-order report.
+/// The live form of one [`Check`](crate::plan::Check) of the plan: the check, its incremental
+/// state, and its current violations. Parts are the plan's checks in
+/// order, one each, so concatenating all parts' tables reproduces the
+/// Σ-order report.
 ///
-/// A part reads its columns by plan id, resolved once by [`build_parts`]:
-/// single-valued ids index `Store::singles`, set-valued ids
-/// `Store::sets`. Each part also keeps the element types it reads, to
-/// match vertex events by label.
+/// A part reads its columns by the ids its check carries: single-valued
+/// ids index `Store::singles`, set-valued ids `Store::sets`. The check's
+/// element types match vertex events by label.
 struct Part {
     /// The rendered constraint name (every entry carries a clone).
     name: String,
@@ -757,23 +758,6 @@ impl Part {
             PartKind::Inverse(k) => k.init(idx, &mut cx),
         }
     }
-
-    /// The columns whose cell deltas this part reacts to, in the plan's
-    /// one numbering (see [`Plan::set_id`]); [`Subs`] reads them.
-    fn columns(&self, plan: &Plan, ids: &IdTable) -> Vec<usize> {
-        let set = |c: usize| plan.set_id(c);
-        match &self.kind {
-            PartKind::KeyUnary(k) => vec![k.col],
-            PartKind::Key(k) => k.cols.clone(),
-            PartKind::FkSingle(k) => [k.col].into_iter().chain(k.target_col).collect(),
-            PartKind::FkNary(k) => [&k.cols[..], &k.target_cols].concat(),
-            PartKind::SetFk(k) => [set(k.col)].into_iter().chain(k.target_col).collect(),
-            // A carrier change in any type's ID column shifts the
-            // duplicate lists; the part's own column is one of them.
-            PartKind::Id(_) => ids.col_of.values().copied().collect(),
-            PartKind::Inverse(k) => vec![k.key, k.target_key, set(k.attr), set(k.target_attr)],
-        }
-    }
 }
 
 /// A *unary* key constraint. The store column's occurrence index is
@@ -784,8 +768,7 @@ impl Part {
 /// per-vertex copy of the column into tuple tables, and stays allocation-
 /// free on documents whose keys actually hold.
 struct KeyUnaryPart {
-    tau: Name,
-    col: usize,
+    c: KeyUnary,
 }
 
 impl KeyUnaryPart {
@@ -793,7 +776,7 @@ impl KeyUnaryPart {
     /// [`KeyPart::refresh_group`] for the emission-order contract).
     fn refresh_group(&self, v: Sym, cx: &mut Ctx) {
         let store = cx.store;
-        let Some(holders) = store.singles[self.col].occ.get(&v) else {
+        let Some(holders) = store.singles[self.c.col].occ.get(&v) else {
             return;
         };
         let mut iter = holders.iter();
@@ -826,7 +809,7 @@ impl KeyUnaryPart {
                 node,
                 old,
                 new,
-            } if *col == self.col => {
+            } if *col == self.c.col => {
                 cx.set((*node, 0, 0, 0), None);
                 if let Some(o) = *old {
                     self.refresh_group(o, cx);
@@ -835,14 +818,14 @@ impl KeyUnaryPart {
                     self.refresh_group(n, cx);
                 }
             }
-            Change::NodeAdded { tau, node } if *tau == self.tau => {
-                if let Some(v) = cx.store.singles[self.col].get(*node) {
+            Change::NodeAdded { tau, node } if *tau == self.c.tau => {
+                if let Some(v) = cx.store.singles[self.c.col].get(*node) {
                     self.refresh_group(v, cx);
                 }
             }
-            Change::NodeRemoved { tau, node, singles } if *tau == self.tau => {
+            Change::NodeRemoved { tau, node, singles } if *tau == self.c.tau => {
                 cx.set((*node, 0, 0, 0), None);
-                if let Some(v) = snapshot_single(singles, self.col) {
+                if let Some(v) = snapshot_single(singles, self.c.col) {
                     self.refresh_group(v, cx);
                 }
             }
@@ -854,7 +837,7 @@ impl KeyUnaryPart {
         // Group iteration order is irrelevant: groups write disjoint
         // entry slots of a `BTreeMap`, and init carries no diff.
         let store = cx.store;
-        for (&v, holders) in &store.singles[self.col].occ {
+        for (&v, holders) in &store.singles[self.c.col].occ {
             if holders.len() > 1 {
                 self.refresh_group(v, cx);
             }
@@ -868,8 +851,7 @@ impl KeyUnaryPart {
 /// the sequential first-seen scan emits one violation per non-first holder,
 /// in extent order, against the group's minimum vertex.
 struct KeyPart {
-    tau: Name,
-    cols: Vec<usize>,
+    c: Key,
     /// Vertex ↦ its complete tuple (absent while any field is undefined).
     tuples: FastHashMap<u32, Vec<Sym>>,
     /// Tuple ↦ holders, ascending (first = the group's witness `a`).
@@ -881,7 +863,7 @@ impl KeyPart {
         let new = if removed {
             None
         } else {
-            cx.store.tuple(&self.cols, x)
+            cx.store.tuple(&self.c.cols, x)
         };
         let old = self.tuples.get(&x).cloned();
         if old == new {
@@ -939,13 +921,13 @@ impl KeyPart {
 
     fn apply(&mut self, change: &Change, cx: &mut Ctx) {
         match change {
-            Change::Single { col, node, .. } if self.cols.contains(col) => {
+            Change::Single { col, node, .. } if self.c.cols.contains(col) => {
                 self.update_node(*node, cx, false);
             }
-            Change::NodeAdded { tau, node } if *tau == self.tau => {
+            Change::NodeAdded { tau, node } if *tau == self.c.tau => {
                 self.update_node(*node, cx, false);
             }
-            Change::NodeRemoved { tau, node, .. } if *tau == self.tau => {
+            Change::NodeRemoved { tau, node, .. } if *tau == self.c.tau => {
                 self.update_node(*node, cx, true);
             }
             _ => {}
@@ -953,11 +935,11 @@ impl KeyPart {
     }
 
     fn init(&mut self, idx: &ExtIndex, cx: &mut Ctx) {
-        let ext = idx.ext(&self.tau);
+        let ext = idx.ext(&self.c.tau);
         self.tuples.reserve(ext.len());
         for &x in ext {
             let x = x.index() as u32;
-            if let Some(t) = cx.store.tuple(&self.cols, x) {
+            if let Some(t) = cx.store.tuple(&self.c.cols, x) {
                 self.occ.entry(t.clone()).or_default().insert(x);
                 self.tuples.insert(x, t);
             }
@@ -977,31 +959,20 @@ impl KeyPart {
 /// A unary foreign key over single-valued columns (`ForeignKey` with one
 /// field, and `FkToId`). Entries are keyed `(x, 0, 0, 0)`: the sequential
 /// scan emits at most one violation per referencing vertex, in extent
-/// order.
+/// order. Without a target column the target set stays empty.
 struct FkSinglePart {
-    tau: Name,
-    col: usize,
-    target: Name,
-    /// The referenced column; `None` (an `FkToId` whose target type has no
-    /// ID attribute) leaves the target set permanently empty.
-    target_col: Option<usize>,
-    /// `Some(field string)` emits `MissingField` for an undefined source
-    /// value (`ForeignKey` semantics); `None` skips it (`FkToId`).
-    missing_field: Option<String>,
+    c: FkSingle,
     targets: CountedSymSet,
 }
 
 impl FkSinglePart {
     fn refresh_source(&self, x: u32, cx: &mut Ctx) {
-        let entry = match cx.store.singles[self.col].get(x) {
-            None => self
-                .missing_field
-                .as_ref()
-                .map(|mf| Violation::MissingField {
-                    constraint: cx.cname(),
-                    node: nid(x),
-                    field: mf.clone(),
-                }),
+        let entry = match cx.store.singles[self.c.col].get(x) {
+            None => (self.c.missing.as_ref()).map(|mf| Violation::MissingField {
+                constraint: cx.cname(),
+                node: nid(x),
+                field: mf.clone(),
+            }),
             Some(sym) if self.targets.contains(sym) => None,
             Some(sym) => Some(Violation::ForeignKey {
                 constraint: cx.cname(),
@@ -1031,7 +1002,7 @@ impl FkSinglePart {
         }
         let store = cx.store;
         for v in transitions {
-            let deps: Vec<u32> = store.singles[self.col].nodes_with(v).collect();
+            let deps: Vec<u32> = store.singles[self.c.col].nodes_with(v).collect();
             for x in deps {
                 self.refresh_source(x, cx);
             }
@@ -1040,28 +1011,28 @@ impl FkSinglePart {
 
     fn apply(&mut self, change: &Change, cx: &mut Ctx) {
         // Target role: keep the refcounted membership set current.
-        match (change, self.target_col) {
+        match (change, self.c.target_col) {
             (Change::Single { col, old, new, .. }, Some(tc)) if *col == tc => {
                 self.retarget(*old, *new, cx);
             }
-            (Change::NodeAdded { tau, node }, Some(tc)) if *tau == self.target => {
+            (Change::NodeAdded { tau, node }, Some(tc)) if *tau == self.c.target => {
                 let v = cx.store.singles[tc].get(*node);
                 self.retarget(None, v, cx);
             }
-            (Change::NodeRemoved { tau, singles, .. }, Some(tc)) if *tau == self.target => {
+            (Change::NodeRemoved { tau, singles, .. }, Some(tc)) if *tau == self.c.target => {
                 self.retarget(snapshot_single(singles, tc), None, cx);
             }
             _ => {}
         }
         // Source role: re-derive the edited vertex's own entry.
         match change {
-            Change::Single { col, node, .. } if *col == self.col => {
+            Change::Single { col, node, .. } if *col == self.c.col => {
                 self.refresh_source(*node, cx);
             }
-            Change::NodeAdded { tau, node } if *tau == self.tau => {
+            Change::NodeAdded { tau, node } if *tau == self.c.tau => {
                 self.refresh_source(*node, cx);
             }
-            Change::NodeRemoved { tau, node, .. } if *tau == self.tau => {
+            Change::NodeRemoved { tau, node, .. } if *tau == self.c.tau => {
                 cx.set((*node, 0, 0, 0), None);
             }
             _ => {}
@@ -1069,14 +1040,14 @@ impl FkSinglePart {
     }
 
     fn init(&mut self, idx: &ExtIndex, cx: &mut Ctx) {
-        if let Some(tc) = self.target_col {
-            for &y in idx.ext(&self.target) {
+        if let Some(tc) = self.c.target_col {
+            for &y in idx.ext(&self.c.target) {
                 if let Some(v) = cx.store.singles[tc].get(y.index() as u32) {
                     self.targets.insert(v);
                 }
             }
         }
-        for &x in idx.ext(&self.tau) {
+        for &x in idx.ext(&self.c.tau) {
             self.refresh_source(x.index() as u32, cx);
         }
     }
@@ -1084,12 +1055,7 @@ impl FkSinglePart {
 
 /// An n-ary foreign key: source tuples against refcounted target tuples.
 struct FkNaryPart {
-    tau: Name,
-    cols: Vec<usize>,
-    target: Name,
-    target_cols: Vec<usize>,
-    /// The pre-joined field list for `MissingField` reports.
-    missing: String,
+    c: FkNary,
     src_tuples: FastHashMap<u32, Vec<Sym>>,
     src_occ: FastHashMap<Vec<Sym>, BTreeSet<u32>>,
     tgt_tuples: FastHashMap<u32, Vec<Sym>>,
@@ -1102,7 +1068,7 @@ impl FkNaryPart {
             None => Some(Violation::MissingField {
                 constraint: cx.cname(),
                 node: nid(x),
-                field: self.missing.clone(),
+                field: self.c.missing.clone(),
             }),
             Some(t) if self.tgt_counts.contains_key(t) => None,
             Some(t) => Some(Violation::ForeignKey {
@@ -1118,7 +1084,7 @@ impl FkNaryPart {
         let new = if removed {
             None
         } else {
-            cx.store.tuple(&self.cols, x)
+            cx.store.tuple(&self.c.cols, x)
         };
         let old = self.src_tuples.get(&x).cloned();
         if old != new {
@@ -1147,7 +1113,7 @@ impl FkNaryPart {
         let new = if removed {
             None
         } else {
-            cx.store.tuple(&self.target_cols, y)
+            cx.store.tuple(&self.c.target_cols, y)
         };
         let old = self.tgt_tuples.get(&y).cloned();
         if old == new {
@@ -1188,26 +1154,26 @@ impl FkNaryPart {
     fn apply(&mut self, change: &Change, cx: &mut Ctx) {
         match change {
             Change::Single { col, node, .. } => {
-                if self.target_cols.contains(col) {
+                if self.c.target_cols.contains(col) {
                     self.update_target(*node, cx, false);
                 }
-                if self.cols.contains(col) {
+                if self.c.cols.contains(col) {
                     self.update_source(*node, cx, false);
                 }
             }
             Change::NodeAdded { tau, node } => {
-                if *tau == self.target {
+                if *tau == self.c.target {
                     self.update_target(*node, cx, false);
                 }
-                if *tau == self.tau {
+                if *tau == self.c.tau {
                     self.update_source(*node, cx, false);
                 }
             }
             Change::NodeRemoved { tau, node, .. } => {
-                if *tau == self.target {
+                if *tau == self.c.target {
                     self.update_target(*node, cx, true);
                 }
-                if *tau == self.tau {
+                if *tau == self.c.tau {
                     self.update_source(*node, cx, true);
                 }
             }
@@ -1216,20 +1182,20 @@ impl FkNaryPart {
     }
 
     fn init(&mut self, idx: &ExtIndex, cx: &mut Ctx) {
-        let text = idx.ext(&self.target);
+        let text = idx.ext(&self.c.target);
         self.tgt_tuples.reserve(text.len());
         for &y in text {
             let y = y.index() as u32;
-            if let Some(t) = cx.store.tuple(&self.target_cols, y) {
+            if let Some(t) = cx.store.tuple(&self.c.target_cols, y) {
                 *self.tgt_counts.entry(t.clone()).or_insert(0) += 1;
                 self.tgt_tuples.insert(y, t);
             }
         }
-        let ext = idx.ext(&self.tau);
+        let ext = idx.ext(&self.c.tau);
         self.src_tuples.reserve(ext.len());
         for &x in ext {
             let x = x.index() as u32;
-            if let Some(t) = cx.store.tuple(&self.cols, x) {
+            if let Some(t) = cx.store.tuple(&self.c.cols, x) {
                 self.src_occ.entry(t.clone()).or_default().insert(x);
                 self.src_tuples.insert(x, t);
             }
@@ -1246,10 +1212,7 @@ impl FkNaryPart {
 /// `(x, member index, 0, 0)`, matching the sequential per-vertex,
 /// per-member scan order.
 struct SetFkPart {
-    tau: Name,
-    col: usize,
-    target: Name,
-    target_col: Option<usize>,
+    c: SetFk,
     targets: CountedSymSet,
 }
 
@@ -1257,7 +1220,7 @@ impl SetFkPart {
     fn refresh_source(&self, x: u32, cx: &mut Ctx) {
         cx.clear_node(x);
         let store = cx.store;
-        for (i, &m) in store.sets[self.col].get(x).iter().enumerate() {
+        for (i, &m) in store.sets[self.c.col].get(x).iter().enumerate() {
             if !self.targets.contains(m) {
                 cx.set(
                     (x, i as u32, 0, 0),
@@ -1288,7 +1251,7 @@ impl SetFkPart {
         }
         let store = cx.store;
         for v in transitions {
-            let deps: Vec<u32> = store.sets[self.col].nodes_with(v).collect();
+            let deps: Vec<u32> = store.sets[self.c.col].nodes_with(v).collect();
             for x in deps {
                 self.refresh_source(x, cx);
             }
@@ -1297,28 +1260,28 @@ impl SetFkPart {
 
     fn apply(&mut self, change: &Change, cx: &mut Ctx) {
         // Target role.
-        match (change, self.target_col) {
+        match (change, self.c.target_col) {
             (Change::Single { col, old, new, .. }, Some(tc)) if *col == tc => {
                 self.retarget(*old, *new, cx);
             }
-            (Change::NodeAdded { tau, node }, Some(tc)) if *tau == self.target => {
+            (Change::NodeAdded { tau, node }, Some(tc)) if *tau == self.c.target => {
                 let v = cx.store.singles[tc].get(*node);
                 self.retarget(None, v, cx);
             }
-            (Change::NodeRemoved { tau, singles, .. }, Some(tc)) if *tau == self.target => {
+            (Change::NodeRemoved { tau, singles, .. }, Some(tc)) if *tau == self.c.target => {
                 self.retarget(snapshot_single(singles, tc), None, cx);
             }
             _ => {}
         }
         // Source role.
         match change {
-            Change::Set { col, node } if *col == self.col => {
+            Change::Set { col, node } if *col == self.c.col => {
                 self.refresh_source(*node, cx);
             }
-            Change::NodeAdded { tau, node } if *tau == self.tau => {
+            Change::NodeAdded { tau, node } if *tau == self.c.tau => {
                 self.refresh_source(*node, cx);
             }
-            Change::NodeRemoved { tau, node, .. } if *tau == self.tau => {
+            Change::NodeRemoved { tau, node, .. } if *tau == self.c.tau => {
                 cx.clear_node(*node);
             }
             _ => {}
@@ -1326,14 +1289,14 @@ impl SetFkPart {
     }
 
     fn init(&mut self, idx: &ExtIndex, cx: &mut Ctx) {
-        if let Some(tc) = self.target_col {
-            for &y in idx.ext(&self.target) {
+        if let Some(tc) = self.c.target_col {
+            for &y in idx.ext(&self.c.target) {
                 if let Some(v) = cx.store.singles[tc].get(y.index() as u32) {
                     self.targets.insert(v);
                 }
             }
         }
-        for &x in idx.ext(&self.tau) {
+        for &x in idx.ext(&self.c.tau) {
             self.refresh_source(x.index() as u32, cx);
         }
     }
@@ -1345,24 +1308,20 @@ impl SetFkPart {
 /// duplicate carrier `y` — the carrier set's `(rank, vertex)` order is the
 /// sequential global-ID-table order.
 struct IdPart {
-    tau: Name,
-    /// τ's ID column.
-    col: usize,
-    /// Pre-rendered `@id_attr` for `MissingField` reports.
-    missing: String,
+    c: IdCheck,
 }
 
 impl IdPart {
     fn refresh_entity(&self, x: u32, cx: &mut Ctx) {
         cx.clear_node(x);
         let store = cx.store;
-        match store.singles[self.col].get(x) {
+        match store.singles[self.c.col].get(x) {
             None => cx.set(
                 (x, 0, 0, 0),
                 Some(Violation::MissingField {
                     constraint: cx.cname(),
                     node: nid(x),
-                    field: self.missing.clone(),
+                    field: self.c.missing.clone(),
                 }),
             ),
             Some(v) => {
@@ -1386,7 +1345,7 @@ impl IdPart {
 
     /// Re-derives every `ext(τ)` vertex holding ID value `v`.
     fn refresh_holders(&self, v: Sym, cx: &mut Ctx) {
-        let deps: Vec<u32> = cx.store.singles[self.col].nodes_with(v).collect();
+        let deps: Vec<u32> = cx.store.singles[self.c.col].nodes_with(v).collect();
         for x in deps {
             self.refresh_entity(x, cx);
         }
@@ -1407,7 +1366,7 @@ impl IdPart {
                         self.refresh_holders(v, cx);
                     }
                 }
-                if *col == self.col {
+                if *col == self.c.col {
                     self.refresh_entity(*node, cx);
                 }
             }
@@ -1417,7 +1376,7 @@ impl IdPart {
                         self.refresh_holders(v, cx);
                     }
                 }
-                if *tau == self.tau {
+                if *tau == self.c.tau {
                     self.refresh_entity(*node, cx);
                 }
             }
@@ -1427,7 +1386,7 @@ impl IdPart {
                         self.refresh_holders(v, cx);
                     }
                 }
-                if *tau == self.tau {
+                if *tau == self.c.tau {
                     cx.clear_node(*node);
                 }
             }
@@ -1436,7 +1395,7 @@ impl IdPart {
     }
 
     fn init(&mut self, idx: &ExtIndex, cx: &mut Ctx) {
-        for &x in idx.ext(&self.tau) {
+        for &x in idx.ext(&self.c.tau) {
             self.refresh_entity(x.index() as u32, cx);
         }
     }
@@ -1446,26 +1405,19 @@ impl IdPart {
 /// defined key, each member `m` of `y.attr'` and each `x ∈ ext(τ)` with
 /// `x.key = m` must have `y.key' ∈ x.attr`. Entries are keyed
 /// `(y, member index, x, 0)` — the sequential scan's loop nesting order.
-/// `key`/`target_key` are single-valued column ids, `attr`/`target_attr`
-/// set-valued ones.
 struct InversePart {
-    tau: Name,
-    key: usize,
-    attr: usize,
-    target: Name,
-    target_key: usize,
-    target_attr: usize,
+    c: Inverse,
 }
 
 impl InversePart {
     fn refresh_y(&self, y: u32, cx: &mut Ctx) {
         cx.clear_node(y);
         let store = cx.store;
-        let Some(yk) = store.singles[self.target_key].get(y) else {
+        let Some(yk) = store.singles[self.c.target_key].get(y) else {
             return;
         };
-        let (key_col, echo_col) = (&store.singles[self.key], &store.sets[self.attr]);
-        for (i, &m) in store.sets[self.target_attr].get(y).iter().enumerate() {
+        let (key_col, echo_col) = (&store.singles[self.c.key], &store.sets[self.c.attr]);
+        for (i, &m) in store.sets[self.c.target_attr].get(y).iter().enumerate() {
             for x in key_col.nodes_with(m) {
                 if !echo_col.get(x).contains(&yk) {
                     cx.set(
@@ -1483,7 +1435,7 @@ impl InversePart {
 
     /// The `ext(τ')` vertices referencing key value `v`.
     fn referrers(&self, store: &Store, v: Sym, ys: &mut BTreeSet<u32>) {
-        ys.extend(store.sets[self.target_attr].nodes_with(v));
+        ys.extend(store.sets[self.c.target_attr].nodes_with(v));
     }
 
     fn apply(&mut self, change: &Change, cx: &mut Ctx) {
@@ -1496,41 +1448,41 @@ impl InversePart {
                 old,
                 new,
             } => {
-                if *col == self.target_key {
+                if *col == self.c.target_key {
                     ys.insert(*node);
                 }
-                if *col == self.key {
+                if *col == self.c.key {
                     for v in old.iter().chain(new.iter()).copied() {
                         self.referrers(store, v, &mut ys);
                     }
                 }
             }
             Change::Set { col, node } => {
-                if *col == self.target_attr {
+                if *col == self.c.target_attr {
                     ys.insert(*node);
                 }
-                if *col == self.attr {
-                    if let Some(xk) = store.singles[self.key].get(*node) {
+                if *col == self.c.attr {
+                    if let Some(xk) = store.singles[self.c.key].get(*node) {
                         self.referrers(store, xk, &mut ys);
                     }
                 }
             }
             Change::NodeAdded { tau, node } => {
-                if *tau == self.target {
+                if *tau == self.c.target {
                     ys.insert(*node);
                 }
-                if *tau == self.tau {
-                    if let Some(xk) = store.singles[self.key].get(*node) {
+                if *tau == self.c.tau {
+                    if let Some(xk) = store.singles[self.c.key].get(*node) {
                         self.referrers(store, xk, &mut ys);
                     }
                 }
             }
             Change::NodeRemoved { tau, node, singles } => {
-                if *tau == self.target {
+                if *tau == self.c.target {
                     cx.clear_node(*node);
                 }
-                if *tau == self.tau {
-                    if let Some(xk) = snapshot_single(singles, self.key) {
+                if *tau == self.c.tau {
+                    if let Some(xk) = snapshot_single(singles, self.c.key) {
                         self.referrers(store, xk, &mut ys);
                     }
                 }
@@ -1542,207 +1494,51 @@ impl InversePart {
     }
 
     fn init(&mut self, idx: &ExtIndex, cx: &mut Ctx) {
-        for &y in idx.ext(&self.target) {
+        for &y in idx.ext(&self.c.target) {
             self.refresh_y(y.index() as u32, cx);
         }
     }
 }
 
-/// Decomposes Σ into parts, in Σ order, mirroring the sequential engine's
-/// per-constraint pass structure (see `check_one_planned`). This is where
-/// every column a part reads is resolved to its plan id, once.
+/// One part per check of the plan, in order, each with empty state.
 fn build_parts(dtdc: &DtdC, plan: &Plan) -> Vec<Part> {
-    let s = dtdc.structure();
-    let single = |tau: &Name, f: &Field| {
-        plan.single_col(tau, f)
-            .expect("plan covers every single field a constraint reads")
-    };
-    let cols = |tau: &Name, fs: &[Field]| fs.iter().map(|f| single(tau, f)).collect();
-    let set = |tau: &Name, a: &Name| {
-        plan.set_col(tau, a)
-            .expect("plan covers every set attribute a constraint reads")
-    };
-    let id_col = |tau: &Name| s.id_attr(tau).map(|i| single(tau, &Field::Attr(i.clone())));
-    let mut parts = Vec::new();
-    for c in dtdc.constraints() {
-        let name = c.to_string();
-        match c {
-            Constraint::Key { tau, fields } => {
-                let kind = if let [f] = fields.as_slice() {
-                    PartKind::KeyUnary(KeyUnaryPart {
-                        tau: tau.clone(),
-                        col: single(tau, f),
-                    })
-                } else {
-                    PartKind::Key(KeyPart {
-                        tau: tau.clone(),
-                        cols: cols(tau, fields),
-                        tuples: FastHashMap::default(),
-                        occ: FastHashMap::default(),
-                    })
-                };
-                parts.push(Part::new(name, kind));
-            }
-            Constraint::ForeignKey {
-                tau,
-                fields,
-                target,
-                target_fields,
-            } => {
-                let kind = if let ([f], [tf]) = (fields.as_slice(), target_fields.as_slice()) {
-                    PartKind::FkSingle(FkSinglePart {
-                        tau: tau.clone(),
-                        col: single(tau, f),
-                        target: target.clone(),
-                        target_col: Some(single(target, tf)),
-                        missing_field: Some(f.to_string()),
-                        targets: CountedSymSet::default(),
-                    })
-                } else {
-                    PartKind::FkNary(FkNaryPart {
-                        tau: tau.clone(),
-                        cols: cols(tau, fields),
-                        target: target.clone(),
-                        target_cols: cols(target, target_fields),
-                        missing: fields
-                            .iter()
-                            .map(ToString::to_string)
-                            .collect::<Vec<_>>()
-                            .join(", "),
-                        src_tuples: FastHashMap::default(),
-                        src_occ: FastHashMap::default(),
-                        tgt_tuples: FastHashMap::default(),
-                        tgt_counts: FastHashMap::default(),
-                    })
-                };
-                parts.push(Part::new(name, kind));
-            }
-            Constraint::SetForeignKey {
-                tau,
-                attr,
-                target,
-                target_field,
-            } => parts.push(Part::new(
-                name,
-                PartKind::SetFk(SetFkPart {
-                    tau: tau.clone(),
-                    col: set(tau, attr),
-                    target: target.clone(),
-                    target_col: Some(single(target, target_field)),
-                    targets: CountedSymSet::default(),
-                }),
-            )),
-            Constraint::InverseU {
-                tau,
-                key,
-                attr,
-                target,
-                target_key,
-                target_attr,
-            } => {
-                for (t, k, a, u, uk, ua) in [
-                    (tau, key, attr, target, target_key, target_attr),
-                    (target, target_key, target_attr, tau, key, attr),
-                ] {
-                    parts.push(Part::new(
-                        name.clone(),
-                        PartKind::Inverse(InversePart {
-                            tau: t.clone(),
-                            key: single(t, k),
-                            attr: set(t, a),
-                            target: u.clone(),
-                            target_key: single(u, uk),
-                            target_attr: set(u, ua),
-                        }),
-                    ));
-                }
-            }
-            Constraint::Id { tau } => {
-                if let (Some(id), Some(col)) = (s.id_attr(tau), id_col(tau)) {
-                    parts.push(Part::new(
-                        name,
-                        PartKind::Id(IdPart {
-                            tau: tau.clone(),
-                            col,
-                            missing: format!("@{id}"),
-                        }),
-                    ));
-                }
-            }
-            Constraint::FkToId { tau, attr, target } => parts.push(Part::new(
-                name,
-                PartKind::FkSingle(FkSinglePart {
-                    tau: tau.clone(),
-                    col: single(tau, &Field::Attr(attr.clone())),
-                    target: target.clone(),
-                    target_col: id_col(target),
-                    missing_field: None,
-                    targets: CountedSymSet::default(),
-                }),
-            )),
-            Constraint::SetFkToId { tau, attr, target } => parts.push(Part::new(
-                name,
-                PartKind::SetFk(SetFkPart {
-                    tau: tau.clone(),
-                    col: set(tau, attr),
-                    target: target.clone(),
-                    target_col: id_col(target),
-                    targets: CountedSymSet::default(),
-                }),
-            )),
-            Constraint::InverseId {
-                tau,
-                attr,
-                target,
-                target_attr,
-            } => {
-                let (Some(id_tau), Some(id_target)) = (id_col(tau), id_col(target)) else {
-                    continue; // rejected at well-formedness; nothing to check
-                };
-                // Reference typing first, then both inverse directions —
-                // the exact sequential pass order.
-                for (src, src_attr, dst, dst_id) in [
-                    (tau, attr, target, id_target),
-                    (target, target_attr, tau, id_tau),
-                ] {
-                    parts.push(Part::new(
-                        name.clone(),
-                        PartKind::SetFk(SetFkPart {
-                            tau: src.clone(),
-                            col: set(src, src_attr),
-                            target: dst.clone(),
-                            target_col: Some(dst_id),
-                            targets: CountedSymSet::default(),
-                        }),
-                    ));
-                }
-                for (t, k, a, u, uk, ua) in [
-                    (tau, id_tau, attr, target, id_target, target_attr),
-                    (target, id_target, target_attr, tau, id_tau, attr),
-                ] {
-                    parts.push(Part::new(
-                        name.clone(),
-                        PartKind::Inverse(InversePart {
-                            tau: t.clone(),
-                            key: k,
-                            attr: set(t, a),
-                            target: u.clone(),
-                            target_key: uk,
-                            target_attr: set(u, ua),
-                        }),
-                    ));
-                }
-            }
-        }
-    }
-    parts
+    let sigma = dtdc.constraints();
+    let parts = plan.checks.iter().map(|check| {
+        let kind = match &check.kind {
+            CheckKind::KeyUnary(c) => PartKind::KeyUnary(KeyUnaryPart { c: c.clone() }),
+            CheckKind::Key(c) => PartKind::Key(KeyPart {
+                c: c.clone(),
+                tuples: FastHashMap::default(),
+                occ: FastHashMap::default(),
+            }),
+            CheckKind::FkSingle(c) => PartKind::FkSingle(FkSinglePart {
+                c: c.clone(),
+                targets: CountedSymSet::default(),
+            }),
+            CheckKind::FkNary(c) => PartKind::FkNary(FkNaryPart {
+                c: c.clone(),
+                src_tuples: FastHashMap::default(),
+                src_occ: FastHashMap::default(),
+                tgt_tuples: FastHashMap::default(),
+                tgt_counts: FastHashMap::default(),
+            }),
+            CheckKind::SetFk(c) => PartKind::SetFk(SetFkPart {
+                c: c.clone(),
+                targets: CountedSymSet::default(),
+            }),
+            CheckKind::Id(c) => PartKind::Id(IdPart { c: c.clone() }),
+            CheckKind::Inverse(c) => PartKind::Inverse(InversePart { c: c.clone() }),
+        };
+        Part::new(sigma[check.sigma].to_string(), kind)
+    });
+    parts.collect()
 }
 
 /// Per-column part subscriptions for the batch path, built once at
 /// construction over the plan's column ids.
 ///
 /// A batch dispatches thousands of cell deltas, so each goes only to the
-/// parts whose [`Part::columns`] list its column. That is
+/// parts whose check reads its column ([`Check::columns`](crate::plan::Check::columns)). That is
 /// behavior-preserving: a part's `apply` ignores every cell delta of any
 /// other column. Vertex announcements (`NodeAdded`/`NodeRemoved`) still
 /// reach every part.
@@ -1752,12 +1548,13 @@ struct Subs {
 }
 
 impl Subs {
-    fn build(plan: &Plan, parts: &[Part], ids: &IdTable) -> Self {
+    fn build(plan: &Plan) -> Self {
         let mut parts_of = vec![Vec::new(); plan.column_count()];
-        // Parts are visited in ascending order, so each list is ascending
-        // and a part listing a column twice pushes it twice in a row.
-        for (pi, p) in (0u32..).zip(parts) {
-            for c in p.columns(plan, ids) {
+        // Parts (the plan's checks) are visited in ascending order, so each
+        // list is ascending and a part listing a column twice pushes it
+        // twice in a row.
+        for (pi, check) in (0u32..).zip(&plan.checks) {
+            for c in check.columns(plan) {
                 parts_of[c].push(pi);
             }
         }
@@ -2229,24 +2026,19 @@ impl<'v, 'd> LiveValidator<'v, 'd> {
             }),
         };
 
-        let mut ids = IdTable::default();
-        if v.plan.needs_ids {
-            ids.rank_of = vec![None; v.plan.singles.len()];
-            for (rank, tau) in (0u32..).zip(s.element_types()) {
-                let Some(c) =
-                    (s.id_attr(tau)).and_then(|a| v.plan.single_col(tau, &Field::Attr(a.clone())))
-                else {
-                    continue;
-                };
-                for &x in idx.ext(tau) {
-                    let xi = x.index() as u32;
-                    if let Some(val) = store.singles[c].get(xi) {
-                        ids.carriers.entry(val).or_default().insert((rank, xi));
-                    }
+        let mut ids = IdTable {
+            rank_of: vec![None; v.plan.singles.len()],
+            ..IdTable::default()
+        };
+        for (rank, (tau, c)) in (0u32..).zip(&v.plan.id_cols) {
+            for &x in idx.ext(tau) {
+                let xi = x.index() as u32;
+                if let Some(val) = store.singles[*c].get(xi) {
+                    ids.carriers.entry(val).or_default().insert((rank, xi));
                 }
-                ids.col_of.insert(tau.clone(), c);
-                ids.rank_of[c] = Some(rank);
             }
+            ids.col_of.insert(tau.clone(), *c);
+            ids.rank_of[*c] = Some(rank);
         }
 
         // The root check is two label compares — recomputing it beats
@@ -2262,7 +2054,7 @@ impl<'v, 'd> LiveValidator<'v, 'd> {
         crate::par::fan_out(threads, items, &v.obs, "init.part", |(pi, p)| {
             p.init(idx, &store, &ids, pi);
         });
-        let subs = Subs::build(&v.plan, &parts, &ids);
+        let subs = Subs::build(&v.plan);
 
         LiveValidator {
             v,

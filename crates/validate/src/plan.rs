@@ -4,16 +4,20 @@
 //! from the tree for every constraint. On realistic schemas many
 //! constraints share element types and fields (a key and three foreign keys
 //! all touching `person.@oid`), so the [`Validator`] instead compiles Σ
-//! once into a [`Plan`]: the set of `(element type, field)` columns any
-//! constraint will read. Validating a document then proceeds in two stages:
+//! once into a [`Plan`]. [`decompose`] turns each constraint into its
+//! primitive [`Check`]s, in Σ order; the plan's columns are the
+//! `(element type, field)` pairs those checks read, and each check carries
+//! its columns' ids. Three consumers read that one list: the column cover,
+//! the batch checker below, and the live engine's parts
+//! (`crate::incremental`). Validating a document proceeds in two stages:
 //!
 //! 1. **Extraction** — one pass over each needed extent builds a columnar
 //!    [`DocIndex`]: per `(τ, field)` a `Vec<Option<Sym>>` aligned with
 //!    `ext(τ)`, with every value interned to a `u32` [`Sym`]. Each field is
 //!    extracted once, no matter how many constraints read it, and all
 //!    subsequent equality/hash/set operations are integer operations.
-//! 2. **Checking** — every constraint is checked against the shared
-//!    columns. With `threads > 1` the checks fan out across constraints,
+//! 2. **Checking** — each constraint's checks run against the shared
+//!    columns. With `threads > 1` the constraints fan out, one task each,
 //!    and large extents additionally split into chunks whose violation
 //!    lists are concatenated in document order.
 //!
@@ -26,6 +30,7 @@
 
 use std::cell::OnceCell;
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
 
 use xic_constraints::{Constraint, DtdC, DtdStructure, Field};
 use xic_model::{DataTree, ExtIndex, FastHashMap, FastHashSet, Interner, Name, NodeId, Sym};
@@ -187,14 +192,138 @@ impl<'c> CName<'c> {
     }
 }
 
-/// The columns a constraint set will read, compiled once per `DTD^C`.
+/// One primitive check of Σ: the unit the batch checker runs and the live
+/// engine keeps current.
+///
+/// The paper's three languages reduce to seven primitive checks. An `L_id`
+/// reference `τ.l ⊆ τ'.id` is a unary foreign key into the ID column of τ',
+/// `τ.l ⊆_S τ'.id` a set-valued one, and an `L_id` inverse is two
+/// reference-typing passes followed by an `L_u` inverse keyed on the IDs.
+/// [`Plan::build`] decomposes Σ once, in Σ order, and every check carries
+/// its columns as plan ids.
+#[derive(Clone, Debug)]
+pub(crate) struct Check {
+    /// The index in Σ of the constraint this check belongs to. A
+    /// constraint's checks are consecutive and run in list order.
+    pub(crate) sigma: usize,
+    pub(crate) kind: CheckKind,
+}
+
+#[derive(Clone, Debug)]
+pub(crate) enum CheckKind {
+    KeyUnary(KeyUnary),
+    Key(Key),
+    FkSingle(FkSingle),
+    FkNary(FkNary),
+    SetFk(SetFk),
+    Id(IdCheck),
+    Inverse(Inverse),
+}
+
+/// A one-field key: no two vertices of `ext(τ)` share a defined value of
+/// single-valued column `col`.
+#[derive(Clone, Debug)]
+pub(crate) struct KeyUnary {
+    pub(crate) tau: Name,
+    pub(crate) col: usize,
+}
+
+/// A key over two or more fields, one single-valued column each.
+#[derive(Clone, Debug)]
+pub(crate) struct Key {
+    pub(crate) tau: Name,
+    pub(crate) cols: Vec<usize>,
+}
+
+/// A unary foreign key: every defined value of `ext(τ).col` is a value of
+/// `ext(target).target_col`. An `L_id` reference has no target column when
+/// the target type has no ID attribute, and then no target value exists.
+#[derive(Clone, Debug)]
+pub(crate) struct FkSingle {
+    pub(crate) tau: Name,
+    pub(crate) col: usize,
+    pub(crate) target: Name,
+    pub(crate) target_col: Option<usize>,
+    /// The field an undefined source value reports as `MissingField`
+    /// (`L`/`L_u` foreign keys); `None` skips undefined values (`L_id`).
+    pub(crate) missing: Option<String>,
+}
+
+/// An n-ary foreign key: every complete source tuple is a target tuple,
+/// and an incomplete one reports its fields, joined, as `MissingField`.
+#[derive(Clone, Debug)]
+pub(crate) struct FkNary {
+    pub(crate) tau: Name,
+    pub(crate) cols: Vec<usize>,
+    pub(crate) target: Name,
+    pub(crate) target_cols: Vec<usize>,
+    pub(crate) missing: String,
+}
+
+/// A set-valued foreign key: every member of set-valued column `col` of
+/// `ext(τ)` is a value of single-valued column `target_col` of
+/// `ext(target)` (`None` as in [`FkSingle`]).
+#[derive(Clone, Debug)]
+pub(crate) struct SetFk {
+    pub(crate) tau: Name,
+    pub(crate) col: usize,
+    pub(crate) target: Name,
+    pub(crate) target_col: Option<usize>,
+}
+
+/// An `L_id` ID constraint: every vertex of `ext(τ)` has a value in τ's ID
+/// column `col` that no other vertex of the document carries.
+#[derive(Clone, Debug)]
+pub(crate) struct IdCheck {
+    pub(crate) tau: Name,
+    pub(crate) col: usize,
+    /// `@id_attr`, as `MissingField` reports it.
+    pub(crate) missing: String,
+}
+
+/// One direction of an inverse constraint:
+/// `∀x ∈ ext(τ) ∀y ∈ ext(τ') (x.key ∈ y.attr' → y.key' ∈ x.attr)`. `key`
+/// and `target_key` are single-valued column ids, `attr` and `target_attr`
+/// set-valued ones.
+#[derive(Clone, Debug)]
+pub(crate) struct Inverse {
+    pub(crate) tau: Name,
+    pub(crate) key: usize,
+    pub(crate) attr: usize,
+    pub(crate) target: Name,
+    pub(crate) target_key: usize,
+    pub(crate) target_attr: usize,
+}
+
+impl Check {
+    /// The columns this check reads, in the plan's one numbering (see
+    /// [`Plan::set_id`]).
+    pub(crate) fn columns(&self, plan: &Plan) -> Vec<usize> {
+        let set = |c: usize| plan.set_id(c);
+        match &self.kind {
+            CheckKind::KeyUnary(k) => vec![k.col],
+            CheckKind::Key(k) => k.cols.clone(),
+            CheckKind::FkSingle(k) => [k.col].into_iter().chain(k.target_col).collect(),
+            CheckKind::FkNary(k) => [&k.cols[..], &k.target_cols].concat(),
+            CheckKind::SetFk(k) => [set(k.col)].into_iter().chain(k.target_col).collect(),
+            // Any type's ID carriers shift the duplicate lists; τ's own ID
+            // column is one of them.
+            CheckKind::Id(_) => plan.id_cols.iter().map(|&(_, c)| c).collect(),
+            CheckKind::Inverse(k) => vec![k.key, k.target_key, set(k.attr), set(k.target_attr)],
+        }
+    }
+}
+
+/// The columns a constraint set will read, and its checks, compiled once
+/// per `DTD^C`.
 ///
 /// The plan is the one owner of the column layout. It numbers the planned
 /// columns once: the single-valued columns ascending by `(τ, field)`, then
 /// the set-valued columns ascending by `(τ, attr)`. Every column store —
 /// the one-shot [`DocIndex`], the stream fill, and the live validator's
-/// mutable store and snapshots — is a vector in that order, and every
-/// reader finds a column through [`Plan::single_col`] / [`Plan::set_col`].
+/// mutable store and snapshots — is a vector in that order. Every
+/// constraint check reads its columns through the ids its [`Check`]
+/// carries; only the fill paths look a column up by name.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct Plan {
     /// Single-valued column `i` reads field `singles[i].1` of `ext(singles[i].0)`.
@@ -203,8 +332,12 @@ pub(crate) struct Plan {
     pub(crate) sets: Vec<(Name, Name)>,
     /// Per element type some constraint reads: its columns.
     pub(crate) taus: BTreeMap<Name, TauPlan>,
-    /// Whether any `L_id` ID constraint needs the document-wide ID table.
-    pub(crate) needs_ids: bool,
+    /// Σ decomposed into checks, in Σ order.
+    pub(crate) checks: Vec<Check>,
+    /// The document-wide ID table's columns when Σ has an `L_id` ID
+    /// constraint: every type with an ID attribute, in `element_types()`
+    /// order, with its ID column. Empty otherwise.
+    pub(crate) id_cols: Vec<(Name, usize)>,
 }
 
 /// The columns of one element type τ, so a pass over a vertex of τ fills
@@ -218,6 +351,24 @@ pub(crate) struct TauPlan {
     pub(crate) sets: Vec<(Name, usize)>,
 }
 
+/// How [`decompose`] names a column: the [`Cover`] records it before the
+/// plan numbers it, and the [`Plan`] resolves it to its id.
+trait Columns {
+    fn single(&mut self, tau: &Name, field: &Field) -> usize;
+
+    fn set(&mut self, tau: &Name, attr: &Name) -> usize;
+
+    fn singles(&mut self, tau: &Name, fields: &[Field]) -> Vec<usize> {
+        fields.iter().map(|f| self.single(tau, f)).collect()
+    }
+
+    /// τ's ID column, if τ declares an ID attribute.
+    fn id(&mut self, s: &DtdStructure, tau: &Name) -> Option<usize> {
+        let id = s.id_attr(tau)?;
+        Some(self.single(tau, &Field::Attr(id.clone())))
+    }
+}
+
 /// The `(τ, field)` pairs Σ reads, collected before [`Plan::build`]
 /// numbers them.
 #[derive(Default)]
@@ -226,78 +377,183 @@ struct Cover {
     sets: BTreeSet<(Name, Name)>,
 }
 
-impl Plan {
-    /// Compiles the column set for `dtdc`'s Σ.
-    pub(crate) fn build(dtdc: &DtdC) -> Self {
-        let s = dtdc.structure();
-        let mut cover = Cover::default();
-        let mut needs_ids = false;
-        for c in dtdc.constraints() {
-            match c {
-                Constraint::Key { tau, fields } => {
-                    cover.add_singles(tau, fields);
-                }
-                Constraint::ForeignKey {
-                    tau,
-                    fields,
-                    target,
-                    target_fields,
-                } => {
-                    cover.add_singles(tau, fields);
-                    cover.add_singles(target, target_fields);
-                }
-                Constraint::SetForeignKey {
-                    tau,
-                    attr,
-                    target,
-                    target_field,
-                } => {
-                    cover.add_set(tau, attr);
-                    cover.add_single(target, target_field.clone());
-                }
-                Constraint::InverseU {
-                    tau,
-                    key,
-                    attr,
-                    target,
-                    target_key,
-                    target_attr,
-                } => {
-                    cover.add_single(tau, key.clone());
-                    cover.add_set(tau, attr);
-                    cover.add_single(target, target_key.clone());
-                    cover.add_set(target, target_attr);
-                }
-                Constraint::Id { tau } => {
-                    needs_ids = true;
-                    cover.add_id_column(s, tau);
-                }
-                Constraint::FkToId { tau, attr, target } => {
-                    cover.add_single(tau, Field::Attr(attr.clone()));
-                    cover.add_id_column(s, target);
-                }
-                Constraint::SetFkToId { tau, attr, target } => {
-                    cover.add_set(tau, attr);
-                    cover.add_id_column(s, target);
-                }
-                Constraint::InverseId {
-                    tau,
-                    attr,
-                    target,
-                    target_attr,
-                } => {
-                    cover.add_set(tau, attr);
-                    cover.add_set(target, target_attr);
-                    cover.add_id_column(s, tau);
-                    cover.add_id_column(s, target);
+impl Columns for Cover {
+    /// Records the column; its id is not known until the cover is
+    /// complete, so the returned 0 is a placeholder.
+    fn single(&mut self, tau: &Name, field: &Field) -> usize {
+        self.singles.insert((tau.clone(), field.clone()));
+        0
+    }
+
+    fn set(&mut self, tau: &Name, attr: &Name) -> usize {
+        self.sets.insert((tau.clone(), attr.clone()));
+        0
+    }
+}
+
+impl Columns for Plan {
+    fn single(&mut self, tau: &Name, field: &Field) -> usize {
+        self.single_col(tau, field)
+            .expect("the cover holds every single field a check reads")
+    }
+
+    fn set(&mut self, tau: &Name, attr: &Name) -> usize {
+        self.set_col(tau, attr)
+            .expect("the cover holds every set attribute a check reads")
+    }
+}
+
+/// Decomposes Σ into its checks, in Σ order: the one place a constraint
+/// becomes columns and kernels. [`Plan::build`] runs it twice, first
+/// against the [`Cover`] to collect the columns, then against the numbered
+/// plan to resolve them.
+fn decompose(s: &DtdStructure, sigma: &[Constraint], cols: &mut impl Columns) -> Vec<Check> {
+    let mut checks = Vec::new();
+    for (i, c) in sigma.iter().enumerate() {
+        let mut push = |kind| checks.push(Check { sigma: i, kind });
+        match c {
+            Constraint::Key { tau, fields } => push(match fields.as_slice() {
+                [f] => CheckKind::KeyUnary(KeyUnary {
+                    tau: tau.clone(),
+                    col: cols.single(tau, f),
+                }),
+                _ => CheckKind::Key(Key {
+                    tau: tau.clone(),
+                    cols: cols.singles(tau, fields),
+                }),
+            }),
+            Constraint::ForeignKey {
+                tau,
+                fields,
+                target,
+                target_fields,
+            } => push(match (fields.as_slice(), target_fields.as_slice()) {
+                ([f], [tf]) => CheckKind::FkSingle(FkSingle {
+                    tau: tau.clone(),
+                    col: cols.single(tau, f),
+                    target: target.clone(),
+                    target_col: Some(cols.single(target, tf)),
+                    missing: Some(f.to_string()),
+                }),
+                _ => CheckKind::FkNary(FkNary {
+                    tau: tau.clone(),
+                    cols: cols.singles(tau, fields),
+                    target: target.clone(),
+                    target_cols: cols.singles(target, target_fields),
+                    missing: (fields.iter().map(ToString::to_string))
+                        .collect::<Vec<_>>()
+                        .join(", "),
+                }),
+            }),
+            Constraint::SetForeignKey {
+                tau,
+                attr,
+                target,
+                target_field,
+            } => push(CheckKind::SetFk(SetFk {
+                tau: tau.clone(),
+                col: cols.set(tau, attr),
+                target: target.clone(),
+                target_col: Some(cols.single(target, target_field)),
+            })),
+            Constraint::InverseU {
+                tau,
+                key,
+                attr,
+                target,
+                target_key,
+                target_attr,
+            } => {
+                let (key, attr) = (cols.single(tau, key), cols.set(tau, attr));
+                let (tkey, tattr) = (
+                    cols.single(target, target_key),
+                    cols.set(target, target_attr),
+                );
+                push(inverse(tau, key, attr, target, tkey, tattr));
+                push(inverse(target, tkey, tattr, tau, key, attr));
+            }
+            Constraint::Id { tau } => {
+                if let (Some(id), Some(col)) = (s.id_attr(tau), cols.id(s, tau)) {
+                    push(CheckKind::Id(IdCheck {
+                        tau: tau.clone(),
+                        col,
+                        missing: format!("@{id}"),
+                    }));
                 }
             }
+            Constraint::FkToId { tau, attr, target } => push(CheckKind::FkSingle(FkSingle {
+                tau: tau.clone(),
+                col: cols.single(tau, &Field::Attr(attr.clone())),
+                target: target.clone(),
+                target_col: cols.id(s, target),
+                missing: None,
+            })),
+            Constraint::SetFkToId { tau, attr, target } => push(CheckKind::SetFk(SetFk {
+                tau: tau.clone(),
+                col: cols.set(tau, attr),
+                target: target.clone(),
+                target_col: cols.id(s, target),
+            })),
+            Constraint::InverseId {
+                tau,
+                attr,
+                target,
+                target_attr,
+            } => {
+                let (attr, tattr) = (cols.set(tau, attr), cols.set(target, target_attr));
+                let (Some(id), Some(tid)) = (cols.id(s, tau), cols.id(s, target)) else {
+                    continue; // rejected at well-formedness; nothing to check
+                };
+                // Reference typing first (τ.l ⊆_S τ'.id, τ'.l' ⊆_S τ.id),
+                // then both inverse directions keyed on the IDs.
+                for (src, col, dst, target_col) in
+                    [(tau, attr, target, tid), (target, tattr, tau, id)]
+                {
+                    push(CheckKind::SetFk(SetFk {
+                        tau: src.clone(),
+                        col,
+                        target: dst.clone(),
+                        target_col: Some(target_col),
+                    }));
+                }
+                push(inverse(tau, id, attr, target, tid, tattr));
+                push(inverse(target, tid, tattr, tau, id, attr));
+            }
         }
+    }
+    checks
+}
+
+fn inverse(
+    tau: &Name,
+    key: usize,
+    attr: usize,
+    target: &Name,
+    tkey: usize,
+    tattr: usize,
+) -> CheckKind {
+    CheckKind::Inverse(Inverse {
+        tau: tau.clone(),
+        key,
+        attr,
+        target: target.clone(),
+        target_key: tkey,
+        target_attr: tattr,
+    })
+}
+
+impl Plan {
+    /// Compiles the column set and the checks of `dtdc`'s Σ.
+    pub(crate) fn build(dtdc: &DtdC) -> Self {
+        let (s, sigma) = (dtdc.structure(), dtdc.constraints());
+        let mut cover = Cover::default();
+        let needs_ids =
+            (decompose(s, sigma, &mut cover).iter()).any(|k| matches!(k.kind, CheckKind::Id(_)));
         if needs_ids {
             // The document-wide ID table spans every type with an ID
             // attribute, not just the types named in Σ.
             for tau in s.element_types() {
-                cover.add_id_column(s, tau);
+                cover.id(s, tau);
             }
         }
         let mut taus: BTreeMap<Name, TauPlan> = BTreeMap::new();
@@ -313,12 +569,26 @@ impl Plan {
                 .sets
                 .push((attr.clone(), i));
         }
-        Plan {
+        let mut plan = Plan {
             singles: cover.singles.into_iter().collect(),
             sets: cover.sets.into_iter().collect(),
             taus,
-            needs_ids,
+            ..Plan::default()
+        };
+        if needs_ids {
+            plan.id_cols = (s.element_types())
+                .filter_map(|tau| Some((tau.clone(), plan.id(s, tau)?)))
+                .collect();
         }
+        plan.checks = decompose(s, sigma, &mut plan);
+        plan
+    }
+
+    /// The checks of Σ's `i`-th constraint, in the order they run.
+    fn checks_of(&self, i: usize) -> &[Check] {
+        let lo = self.checks.partition_point(|k| k.sigma < i);
+        let hi = self.checks.partition_point(|k| k.sigma <= i);
+        &self.checks[lo..hi]
     }
 
     /// The index of single-valued column `(τ, field)`, if planned.
@@ -345,28 +615,6 @@ impl Plan {
     }
 }
 
-impl Cover {
-    fn add_single(&mut self, tau: &Name, field: Field) {
-        self.singles.insert((tau.clone(), field));
-    }
-
-    fn add_singles(&mut self, tau: &Name, fields: &[Field]) {
-        for f in fields {
-            self.add_single(tau, f.clone());
-        }
-    }
-
-    fn add_set(&mut self, tau: &Name, attr: &Name) {
-        self.sets.insert((tau.clone(), attr.clone()));
-    }
-
-    fn add_id_column(&mut self, s: &DtdStructure, tau: &Name) {
-        if let Some(id_attr) = s.id_attr(tau) {
-            self.add_single(tau, Field::Attr(id_attr.clone()));
-        }
-    }
-}
-
 /// The per-document columnar index: one interned column per planned
 /// `(τ, field)`, aligned with `ext(τ)` and stored in plan order, plus the
 /// document-wide ID table.
@@ -386,7 +634,7 @@ pub(crate) struct DocIndex<'p> {
 
 impl<'p> DocIndex<'p> {
     /// One pass over each planned extent extracts every column of τ.
-    pub(crate) fn build(tree: &DataTree, idx: &ExtIndex, s: &DtdStructure, plan: &'p Plan) -> Self {
+    pub(crate) fn build(tree: &DataTree, idx: &ExtIndex, plan: &'p Plan) -> Self {
         let mut interner = Interner::new();
         let mut singles = vec![Vec::new(); plan.singles.len()];
         let mut sets = vec![SetCol::default(); plan.sets.len()];
@@ -400,7 +648,7 @@ impl<'p> DocIndex<'p> {
                 }
             }
         }
-        DocIndex::from_parts(interner, singles, sets, idx, s, plan)
+        DocIndex::from_parts(interner, singles, sets, idx, plan)
     }
 
     /// Assembles an index from already-extracted columns (the streaming
@@ -417,24 +665,15 @@ impl<'p> DocIndex<'p> {
         singles: Vec<Vec<Option<Sym>>>,
         sets: Vec<SetCol>,
         idx: &ExtIndex,
-        s: &DtdStructure,
         plan: &'p Plan,
     ) -> Self {
         interner.release_table();
         let mut global_ids: FastHashMap<Sym, Vec<NodeId>> = FastHashMap::default();
-        if plan.needs_ids {
-            for tau in s.element_types() {
-                let Some(id_attr) = s.id_attr(tau) else {
-                    continue;
-                };
-                let Some(c) = plan.single_col(tau, &Field::Attr(id_attr.clone())) else {
-                    continue;
-                };
-                let ext = idx.ext(tau);
-                for (pos, sym) in singles[c].iter().enumerate() {
-                    if let Some(sym) = sym {
-                        global_ids.entry(*sym).or_default().push(ext[pos]);
-                    }
+        for (tau, c) in &plan.id_cols {
+            let ext = idx.ext(tau);
+            for (pos, sym) in singles[*c].iter().enumerate() {
+                if let Some(sym) = sym {
+                    global_ids.entry(*sym).or_default().push(ext[pos]);
                 }
             }
         }
@@ -447,24 +686,14 @@ impl<'p> DocIndex<'p> {
         }
     }
 
-    fn single(&self, tau: &Name, field: &Field) -> &[Option<Sym>] {
-        let c = self
-            .plan
-            .single_col(tau, field)
-            .expect("plan covers every single field a constraint reads");
-        &self.singles[c]
-    }
-
-    fn set(&self, tau: &Name, attr: &Name) -> &SetCol {
-        let c = self
-            .plan
-            .set_col(tau, attr)
-            .expect("plan covers every set attribute a constraint reads");
-        &self.sets[c]
-    }
-
     fn resolve(&self, sym: Sym) -> &str {
         self.interner.resolve(sym)
+    }
+
+    /// Row `pos`'s tuple over single-valued columns `cols` (`None` while
+    /// any field is undefined).
+    fn tuple(&self, cols: &[usize], pos: usize) -> Option<Vec<Sym>> {
+        cols.iter().map(|&c| self.singles[c][pos]).collect()
     }
 
     fn join(&self, syms: &[Sym]) -> String {
@@ -479,20 +708,13 @@ impl<'p> DocIndex<'p> {
         self.interner.len()
     }
 
-    /// Distinct ID values of `ext(τ)` (empty when τ has no ID attribute).
-    fn ids_of(&self, s: &DtdStructure, tau: &Name) -> SymSet {
-        let mut ids = SymSet::new(self.sym_count());
-        let Some(id_attr) = s.id_attr(tau) else {
-            return ids;
-        };
-        for sym in self
-            .single(tau, &Field::Attr(id_attr.clone()))
-            .iter()
-            .flatten()
-        {
-            ids.insert(*sym);
+    /// The distinct values of single-valued column `col` (empty for none).
+    fn values_of(&self, col: Option<usize>) -> SymSet {
+        let mut set = SymSet::new(self.sym_count());
+        for sym in col.map_or(&[][..], |c| &self.singles[c]).iter().flatten() {
+            set.insert(*sym);
         }
-        ids
+        set
     }
 }
 
@@ -540,7 +762,7 @@ pub(crate) fn check_all_planned(
 ) {
     let doc = {
         let _plan = obs.span("plan");
-        DocIndex::build(tree, idx, dtdc.structure(), plan)
+        DocIndex::build(tree, idx, plan)
     };
     check_planned(idx, dtdc, &doc, threads, tree.len(), obs, out);
 }
@@ -560,7 +782,8 @@ fn kind_span(c: &Constraint) -> &'static str {
 }
 
 /// Checks all of Σ against a pre-built [`DocIndex`] (shared by the tree
-/// and streaming paths), appending violations in Σ order.
+/// and streaming paths), appending violations in Σ order. One task per
+/// constraint runs that constraint's checks in order.
 ///
 /// `doc_nodes` (the document's vertex count) gates the thread budget: below
 /// [`crate::par::MIN_NODES_PER_THREAD`] vertices per worker, spawn/merge
@@ -576,19 +799,26 @@ pub(crate) fn check_planned(
     obs: &Obs,
     out: &mut Vec<Violation>,
 ) {
-    let s = dtdc.structure();
     let cs = dtdc.constraints();
     let affordable = (doc_nodes / crate::par::MIN_NODES_PER_THREAD).max(1);
     let outer = threads.max(1).min(affordable);
     let inner = (outer / cs.len().max(1)).max(1);
     let per_constraint = {
         let _check = obs.span("check");
-        fan_out(outer, cs.iter().collect(), obs, "par.constraint", |c| {
-            let _kind = obs.span(kind_span(c));
-            let mut v = Vec::new();
-            check_one_planned(idx, s, doc, c, inner, obs, &mut v);
-            v
-        })
+        fan_out(
+            outer,
+            cs.iter().enumerate().collect(),
+            obs,
+            "par.constraint",
+            |(i, c)| {
+                let _kind = obs.span(kind_span(c));
+                let mut v = Vec::new();
+                for check in doc.plan.checks_of(i) {
+                    check_one_planned(idx, doc, c, &check.kind, inner, obs, &mut v);
+                }
+                v
+            },
+        )
     };
     let _merge = obs.span("merge");
     for v in per_constraint {
@@ -596,53 +826,67 @@ pub(crate) fn check_planned(
     }
 }
 
+/// Splits `0..len` into chunks (see [`chunked`]) and appends what `scan`
+/// reports for each, in order.
+fn scan_chunks(
+    inner: usize,
+    len: usize,
+    obs: &Obs,
+    c: &Constraint,
+    out: &mut Vec<Violation>,
+    scan: impl Fn(Range<usize>, &CName, &mut Vec<Violation>) + Sync,
+) {
+    for chunk in chunked(inner, len, obs, "par.chunk", |range| {
+        let mut v = Vec::new();
+        scan(range, &CName::new(c), &mut v);
+        v
+    }) {
+        out.extend(chunk);
+    }
+}
+
+/// Runs one check of constraint `c` against the columns, appending its
+/// violations in the sequential scan's order.
 fn check_one_planned(
     idx: &ExtIndex,
-    s: &DtdStructure,
     doc: &DocIndex,
     c: &Constraint,
+    check: &CheckKind,
     inner: usize,
     obs: &Obs,
     out: &mut Vec<Violation>,
 ) {
-    match c {
-        Constraint::Key { tau, fields } => {
-            // First-seen dedup is order-dependent, so the scan itself stays
-            // sequential; with shared columns it is a pure Sym-tuple pass.
+    match check {
+        CheckKind::KeyUnary(k) => {
+            // First-seen dedup is order-dependent, so the scan stays
+            // sequential: a dense first-seen table indexed by symbol, with
+            // no per-element tuple allocation and no hashing.
             let cname = CName::new(c);
-            let ext = idx.ext(tau);
-            if let [field] = fields.as_slice() {
-                // Unary key: dedup on a dense first-seen table indexed by
-                // symbol — no per-element tuple allocation, no hashing.
-                let col = doc.single(tau, field);
-                const UNSEEN: u32 = u32::MAX;
-                let mut first = vec![UNSEEN; doc.sym_count()];
-                for (pos, &x) in ext.iter().enumerate() {
-                    let Some(sym) = col[pos] else {
-                        continue; // undefined fields cannot witness equality
-                    };
-                    let slot = &mut first[sym.index()];
-                    if *slot == UNSEEN {
-                        *slot = u32::try_from(pos).expect("extent fits u32");
-                    } else {
-                        out.push(Violation::Key {
-                            constraint: cname.get(),
-                            a: ext[*slot as usize],
-                            b: x,
-                            value: doc.resolve(sym).to_string(),
-                        });
-                    }
-                }
-                return;
-            }
-            let cols: Vec<&[Option<Sym>]> = fields.iter().map(|f| doc.single(tau, f)).collect();
-            let mut seen: FastHashMap<Vec<Sym>, NodeId> = FastHashMap::default();
+            let (ext, col) = (idx.ext(&k.tau), &doc.singles[k.col]);
+            const UNSEEN: u32 = u32::MAX;
+            let mut first = vec![UNSEEN; doc.sym_count()];
             for (pos, &x) in ext.iter().enumerate() {
-                let Some(t) = cols
-                    .iter()
-                    .map(|col| col[pos])
-                    .collect::<Option<Vec<Sym>>>()
-                else {
+                let Some(sym) = col[pos] else {
+                    continue; // undefined fields cannot witness equality
+                };
+                let slot = &mut first[sym.index()];
+                if *slot == UNSEEN {
+                    *slot = u32::try_from(pos).expect("extent fits u32");
+                } else {
+                    out.push(Violation::Key {
+                        constraint: cname.get(),
+                        a: ext[*slot as usize],
+                        b: x,
+                        value: doc.resolve(sym).to_string(),
+                    });
+                }
+            }
+        }
+        CheckKind::Key(k) => {
+            let cname = CName::new(c);
+            let mut seen: FastHashMap<Vec<Sym>, NodeId> = FastHashMap::default();
+            for (pos, &x) in idx.ext(&k.tau).iter().enumerate() {
+                let Some(t) = doc.tuple(&k.cols, pos) else {
                     continue; // undefined tuples cannot witness equality
                 };
                 match seen.get(&t) {
@@ -658,315 +902,115 @@ fn check_one_planned(
                 }
             }
         }
-        Constraint::ForeignKey {
-            tau,
-            fields,
-            target,
-            target_fields,
-        } => {
-            let ext = idx.ext(tau);
-            if let ([field], [target_field]) = (fields.as_slice(), target_fields.as_slice()) {
-                // Unary FK: target membership is a symbol bitset probe.
-                let mut targets = SymSet::new(doc.sym_count());
-                for sym in doc.single(target, target_field).iter().flatten() {
-                    targets.insert(*sym);
+        CheckKind::FkSingle(k) => {
+            // Target membership is a symbol bitset probe.
+            let targets = doc.values_of(k.target_col);
+            let (ext, col) = (idx.ext(&k.tau), &doc.singles[k.col]);
+            scan_chunks(inner, ext.len(), obs, c, out, |range, cname, v| {
+                for pos in range {
+                    match (col[pos], &k.missing) {
+                        (Some(sym), _) if !targets.contains(sym) => v.push(Violation::ForeignKey {
+                            constraint: cname.get(),
+                            node: ext[pos],
+                            value: doc.resolve(sym).to_string(),
+                        }),
+                        (None, Some(field)) => v.push(Violation::MissingField {
+                            constraint: cname.get(),
+                            node: ext[pos],
+                            field: field.clone(),
+                        }),
+                        _ => {}
+                    }
                 }
-                let col = doc.single(tau, field);
-                for chunk in chunked(inner, ext.len(), obs, "par.chunk", |range| {
-                    let cname = CName::new(c);
-                    let mut v = Vec::new();
-                    for pos in range {
-                        match col[pos] {
-                            Some(sym) => {
-                                if !targets.contains(sym) {
-                                    v.push(Violation::ForeignKey {
-                                        constraint: cname.get(),
-                                        node: ext[pos],
-                                        value: doc.resolve(sym).to_string(),
-                                    });
-                                }
-                            }
-                            None => v.push(Violation::MissingField {
+            });
+        }
+        CheckKind::FkNary(k) => {
+            let targets: FastHashSet<Vec<Sym>> = (0..idx.ext(&k.target).len())
+                .filter_map(|pos| doc.tuple(&k.target_cols, pos))
+                .collect();
+            let ext = idx.ext(&k.tau);
+            scan_chunks(inner, ext.len(), obs, c, out, |range, cname, v| {
+                for pos in range {
+                    match doc.tuple(&k.cols, pos) {
+                        Some(t) if targets.contains(&t) => {}
+                        Some(t) => v.push(Violation::ForeignKey {
+                            constraint: cname.get(),
+                            node: ext[pos],
+                            value: doc.join(&t),
+                        }),
+                        None => v.push(Violation::MissingField {
+                            constraint: cname.get(),
+                            node: ext[pos],
+                            field: k.missing.clone(),
+                        }),
+                    }
+                }
+            });
+        }
+        CheckKind::SetFk(k) => {
+            let targets = doc.values_of(k.target_col);
+            let (ext, col) = (idx.ext(&k.tau), &doc.sets[k.col]);
+            scan_chunks(inner, ext.len(), obs, c, out, |range, cname, v| {
+                for pos in range {
+                    for &value in col.row(pos) {
+                        if !targets.contains(value) {
+                            v.push(Violation::ForeignKey {
                                 constraint: cname.get(),
                                 node: ext[pos],
-                                field: field.to_string(),
-                            }),
+                                value: doc.resolve(value).to_string(),
+                            });
                         }
                     }
-                    v
-                }) {
-                    out.extend(chunk);
                 }
-                return;
-            }
-            let target_cols: Vec<&[Option<Sym>]> = target_fields
-                .iter()
-                .map(|f| doc.single(target, f))
-                .collect();
-            let targets: FastHashSet<Vec<Sym>> = (0..idx.ext(target).len())
-                .filter_map(|pos| {
-                    target_cols
-                        .iter()
-                        .map(|col| col[pos])
-                        .collect::<Option<Vec<Sym>>>()
-                })
-                .collect();
-            let cols: Vec<&[Option<Sym>]> = fields.iter().map(|f| doc.single(tau, f)).collect();
-            for chunk in chunked(inner, ext.len(), obs, "par.chunk", |range| {
-                let cname = CName::new(c);
-                let mut v = Vec::new();
-                for pos in range {
-                    match cols
-                        .iter()
-                        .map(|col| col[pos])
-                        .collect::<Option<Vec<Sym>>>()
-                    {
-                        Some(t) => {
-                            if !targets.contains(&t) {
-                                v.push(Violation::ForeignKey {
-                                    constraint: cname.get(),
-                                    node: ext[pos],
-                                    value: doc.join(&t),
-                                });
-                            }
-                        }
-                        None => v.push(Violation::MissingField {
-                            constraint: cname.get(),
-                            node: ext[pos],
-                            field: fields
-                                .iter()
-                                .map(ToString::to_string)
-                                .collect::<Vec<_>>()
-                                .join(", "),
-                        }),
-                    }
-                }
-                v
-            }) {
-                out.extend(chunk);
-            }
+            });
         }
-        Constraint::SetForeignKey {
-            tau,
-            attr,
-            target,
-            target_field,
-        } => {
-            let mut targets = SymSet::new(doc.sym_count());
-            for sym in doc.single(target, target_field).iter().flatten() {
-                targets.insert(*sym);
-            }
-            scan_set_fk(idx, doc, c, tau, attr, &targets, inner, obs, out);
-        }
-        Constraint::InverseU {
-            tau,
-            key,
-            attr,
-            target,
-            target_key,
-            target_attr,
-        } => {
-            check_inverse_planned(
-                idx,
-                doc,
-                c,
-                tau,
-                key,
-                attr,
-                target,
-                target_key,
-                target_attr,
-                inner,
-                obs,
-                out,
-            );
-            check_inverse_planned(
-                idx,
-                doc,
-                c,
-                target,
-                target_key,
-                target_attr,
-                tau,
-                key,
-                attr,
-                inner,
-                obs,
-                out,
-            );
-        }
-        Constraint::Id { tau } => {
-            let Some(id_attr) = s.id_attr(tau) else {
-                return; // rejected at well-formedness; nothing to check
-            };
-            let col = doc.single(tau, &Field::Attr(id_attr.clone()));
-            let ext = idx.ext(tau);
-            for chunk in chunked(inner, ext.len(), obs, "par.chunk", |range| {
-                let cname = CName::new(c);
-                let mut v = Vec::new();
+        CheckKind::Id(k) => {
+            let (ext, col) = (idx.ext(&k.tau), &doc.singles[k.col]);
+            scan_chunks(inner, ext.len(), obs, c, out, |range, cname, v| {
                 for pos in range {
                     let x = ext[pos];
-                    match col[pos] {
-                        None => v.push(Violation::MissingField {
+                    let Some(value) = col[pos] else {
+                        v.push(Violation::MissingField {
                             constraint: cname.get(),
                             node: x,
-                            field: format!("@{id_attr}"),
-                        }),
-                        Some(value) => {
-                            for &y in doc.global_ids.get(&value).into_iter().flatten() {
-                                if y != x {
-                                    v.push(Violation::DuplicateId {
-                                        constraint: cname.get(),
-                                        a: x,
-                                        b: y,
-                                        value: doc.resolve(value).to_string(),
-                                    });
-                                }
-                            }
+                            field: k.missing.clone(),
+                        });
+                        continue;
+                    };
+                    for &y in doc.global_ids.get(&value).into_iter().flatten() {
+                        if y != x {
+                            v.push(Violation::DuplicateId {
+                                constraint: cname.get(),
+                                a: x,
+                                b: y,
+                                value: doc.resolve(value).to_string(),
+                            });
                         }
                     }
                 }
-                v
-            }) {
-                out.extend(chunk);
-            }
+            });
         }
-        Constraint::FkToId { tau, attr, target } => {
-            let targets = doc.ids_of(s, target);
-            let col = doc.single(tau, &Field::Attr(attr.clone()));
-            let ext = idx.ext(tau);
-            for chunk in chunked(inner, ext.len(), obs, "par.chunk", |range| {
-                let cname = CName::new(c);
-                let mut v = Vec::new();
-                for pos in range {
-                    let Some(value) = col[pos] else {
-                        continue;
-                    };
-                    if !targets.contains(value) {
-                        v.push(Violation::ForeignKey {
-                            constraint: cname.get(),
-                            node: ext[pos],
-                            value: doc.resolve(value).to_string(),
-                        });
-                    }
-                }
-                v
-            }) {
-                out.extend(chunk);
-            }
-        }
-        Constraint::SetFkToId { tau, attr, target } => {
-            let targets = doc.ids_of(s, target);
-            scan_set_fk(idx, doc, c, tau, attr, &targets, inner, obs, out);
-        }
-        Constraint::InverseId {
-            tau,
-            attr,
-            target,
-            target_attr,
-        } => {
-            let (Some(id_tau), Some(id_target)) = (s.id_attr(tau), s.id_attr(target)) else {
-                return; // rejected at well-formedness
-            };
-            // Reference typing first (τ.l ⊆_S τ'.id and τ'.l' ⊆_S τ.id),
-            // then both inverse directions — the exact sequential order.
-            for (src, src_attr, dst) in [(tau, attr, target), (target, target_attr, tau)] {
-                let targets = doc.ids_of(s, dst);
-                scan_set_fk(idx, doc, c, src, src_attr, &targets, inner, obs, out);
-            }
-            let key_tau = Field::Attr(id_tau.clone());
-            let key_target = Field::Attr(id_target.clone());
-            check_inverse_planned(
-                idx,
-                doc,
-                c,
-                tau,
-                &key_tau,
-                attr,
-                target,
-                &key_target,
-                target_attr,
-                inner,
-                obs,
-                out,
-            );
-            check_inverse_planned(
-                idx,
-                doc,
-                c,
-                target,
-                &key_target,
-                target_attr,
-                tau,
-                &key_tau,
-                attr,
-                inner,
-                obs,
-                out,
-            );
-        }
+        CheckKind::Inverse(k) => check_inverse_planned(idx, doc, c, k, inner, obs, out),
     }
 }
 
-/// The shared scan of set-valued FK variants: every member of `ext(τ).attr`
-/// must appear in `targets`.
-#[allow(clippy::too_many_arguments)]
-fn scan_set_fk(
-    idx: &ExtIndex,
-    doc: &DocIndex,
-    c: &Constraint,
-    tau: &Name,
-    attr: &Name,
-    targets: &SymSet,
-    inner: usize,
-    obs: &Obs,
-    out: &mut Vec<Violation>,
-) {
-    let col = doc.set(tau, attr);
-    let ext = idx.ext(tau);
-    for chunk in chunked(inner, ext.len(), obs, "par.chunk", |range| {
-        let cname = CName::new(c);
-        let mut v = Vec::new();
-        for pos in range {
-            for &value in col.row(pos) {
-                if !targets.contains(value) {
-                    v.push(Violation::ForeignKey {
-                        constraint: cname.get(),
-                        node: ext[pos],
-                        value: doc.resolve(value).to_string(),
-                    });
-                }
-            }
-        }
-        v
-    }) {
-        out.extend(chunk);
-    }
-}
-
-/// One direction of an inverse constraint over the columns:
-/// `∀x ∈ ext(τ) ∀y ∈ ext(τ') (x.key ∈ y.attr' → y.key' ∈ x.attr)`.
+/// One direction of an inverse constraint over the columns (see
+/// [`Inverse`]).
 ///
 /// `ext(τ)` is indexed on the key sequentially (doc order matters for the
 /// violation sequence); the `ext(τ')` scan is per-`y` independent and
 /// splits across chunks.
-#[allow(clippy::too_many_arguments)]
 fn check_inverse_planned(
     idx: &ExtIndex,
     doc: &DocIndex,
     c: &Constraint,
-    tau: &Name,
-    key: &Field,
-    attr: &Name,
-    target: &Name,
-    target_key: &Field,
-    target_attr: &Name,
+    k: &Inverse,
     inner: usize,
     obs: &Obs,
     out: &mut Vec<Violation>,
 ) {
-    let key_col = doc.single(tau, key);
-    let ext_tau = idx.ext(tau);
+    let key_col = &doc.singles[k.key];
+    let ext_tau = idx.ext(&k.tau);
     // Group `ext(τ)` positions by key symbol with a counting sort over the
     // dense symbol space (a CSR layout: `grouped[starts[s]..starts[s+1]]`
     // holds the positions carrying key `s`, in document order). Probing a
@@ -989,13 +1033,11 @@ fn check_inverse_planned(
             *c += 1;
         }
     }
-    let echo_col = doc.set(tau, attr);
-    let target_key_col = doc.single(target, target_key);
-    let target_attr_col = doc.set(target, target_attr);
-    let ext_target = idx.ext(target);
-    for chunk in chunked(inner, ext_target.len(), obs, "par.chunk", |range| {
-        let cname = CName::new(c);
-        let mut v = Vec::new();
+    let echo_col = &doc.sets[k.attr];
+    let target_key_col = &doc.singles[k.target_key];
+    let target_attr_col = &doc.sets[k.target_attr];
+    let ext_target = idx.ext(&k.target);
+    scan_chunks(inner, ext_target.len(), obs, c, out, |range, cname, v| {
         for ypos in range {
             let Some(yk) = target_key_col[ypos] else {
                 continue;
@@ -1015,10 +1057,7 @@ fn check_inverse_planned(
                 }
             }
         }
-        v
-    }) {
-        out.extend(chunk);
-    }
+    });
 }
 
 #[cfg(test)]
@@ -1075,7 +1114,7 @@ mod tests {
         let (dtdc, tree) = dense_doc();
         let idx = ExtIndex::build(&tree);
         let plan = Plan::build(&dtdc);
-        let doc = DocIndex::build(&tree, &idx, dtdc.structure(), &plan);
+        let doc = DocIndex::build(&tree, &idx, &plan);
         let run = |threads: usize, obs: &Obs| {
             let mut out = Vec::new();
             let doc_nodes = threads * MIN_NODES_PER_THREAD;

@@ -727,7 +727,6 @@ impl<'v, 's> StreamChecker<'v, 's> {
                 self.cols.singles,
                 self.cols.sets,
                 &ext,
-                self.s,
                 self.plan,
             )
         };

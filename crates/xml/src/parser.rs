@@ -98,16 +98,16 @@ pub struct ParsedDocument {
 }
 
 pub(crate) struct Cursor<'a> {
-    pub src: &'a str,
-    pub pos: usize,
+    pub(crate) src: &'a str,
+    pub(crate) pos: usize,
 }
 
 impl<'a> Cursor<'a> {
-    pub fn new(src: &'a str) -> Self {
+    pub(crate) fn new(src: &'a str) -> Self {
         Cursor { src, pos: 0 }
     }
 
-    pub fn rest(&self) -> &'a str {
+    pub(crate) fn rest(&self) -> &'a str {
         &self.src[self.pos..]
     }
 
@@ -116,26 +116,26 @@ impl<'a> Cursor<'a> {
     /// ASCII and ASCII bytes never occur inside multi-byte UTF-8 sequences,
     /// byte positions are always character boundaries.
     #[inline]
-    pub fn bytes(&self) -> &'a [u8] {
+    pub(crate) fn bytes(&self) -> &'a [u8] {
         &self.src.as_bytes()[self.pos..]
     }
 
     #[inline]
-    pub fn peek_byte(&self) -> Option<u8> {
+    pub(crate) fn peek_byte(&self) -> Option<u8> {
         self.src.as_bytes().get(self.pos).copied()
     }
 
-    pub fn peek(&self) -> Option<char> {
+    pub(crate) fn peek(&self) -> Option<char> {
         self.rest().chars().next()
     }
 
-    pub fn bump(&mut self) -> Option<char> {
+    pub(crate) fn bump(&mut self) -> Option<char> {
         let c = self.peek()?;
         self.pos += c.len_utf8();
         Some(c)
     }
 
-    pub fn eat(&mut self, s: &str) -> bool {
+    pub(crate) fn eat(&mut self, s: &str) -> bool {
         if self.rest().starts_with(s) {
             self.pos += s.len();
             true
@@ -144,7 +144,7 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    pub fn skip_ws(&mut self) {
+    pub(crate) fn skip_ws(&mut self) {
         let bytes = self.src.as_bytes();
         while let Some(&b) = bytes.get(self.pos) {
             if scan::is_ascii_ws(b) {
@@ -162,11 +162,11 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    pub fn err<T>(&self, msg: impl Into<String>) -> Result<T, XmlError> {
+    pub(crate) fn err<T>(&self, msg: impl Into<String>) -> Result<T, XmlError> {
         Err(XmlError::new(msg, self.pos))
     }
 
-    pub fn name(&mut self) -> Result<&'a str, XmlError> {
+    pub(crate) fn name(&mut self) -> Result<&'a str, XmlError> {
         let bytes = self.src.as_bytes();
         let start = self.pos;
         match bytes.get(self.pos) {
@@ -191,7 +191,7 @@ impl<'a> Cursor<'a> {
     }
 
     /// Skips `<!-- … -->`, returning true if a comment was consumed.
-    pub fn skip_comment(&mut self) -> Result<bool, XmlError> {
+    pub(crate) fn skip_comment(&mut self) -> Result<bool, XmlError> {
         if !self.eat("<!--") {
             return Ok(false);
         }
@@ -205,7 +205,7 @@ impl<'a> Cursor<'a> {
     }
 
     /// Skips `<? … ?>` processing instructions / the XML declaration.
-    pub fn skip_pi(&mut self) -> Result<bool, XmlError> {
+    pub(crate) fn skip_pi(&mut self) -> Result<bool, XmlError> {
         if !self.eat("<?") {
             return Ok(false);
         }

@@ -26,7 +26,7 @@ fn splat(b: u8) -> u64 {
 
 /// Index of the first occurrence of `needle` in `haystack`.
 #[inline]
-pub fn find_byte(haystack: &[u8], needle: u8) -> Option<usize> {
+pub(crate) fn find_byte(haystack: &[u8], needle: u8) -> Option<usize> {
     let splatted = splat(needle);
     let mut chunks = haystack.chunks_exact(8);
     let mut base = 0;
@@ -47,7 +47,7 @@ pub fn find_byte(haystack: &[u8], needle: u8) -> Option<usize> {
 
 /// Index of the first occurrence of `a` or `b` in `haystack`.
 #[inline]
-pub fn find_byte2(haystack: &[u8], a: u8, b: u8) -> Option<usize> {
+pub(crate) fn find_byte2(haystack: &[u8], a: u8, b: u8) -> Option<usize> {
     let sa = splat(a);
     let sb = splat(b);
     let mut chunks = haystack.chunks_exact(8);
@@ -70,7 +70,7 @@ pub fn find_byte2(haystack: &[u8], a: u8, b: u8) -> Option<usize> {
 /// Index of the first occurrence of the two-byte sequence `ab` (e.g. the
 /// `]]` of `]]>` or the `--` of `-->`), for terminator scans.
 #[inline]
-pub fn find_seq2(haystack: &[u8], a: u8, b: u8) -> Option<usize> {
+pub(crate) fn find_seq2(haystack: &[u8], a: u8, b: u8) -> Option<usize> {
     let mut from = 0;
     while let Some(i) = find_byte(&haystack[from..], a) {
         let at = from + i;
@@ -115,20 +115,20 @@ static CLASS: [u8; 256] = class_table();
 /// Whether `b` is ASCII whitespace (matches `char::is_whitespace` on the
 /// ASCII range: space, tab, CR, LF, VT, FF).
 #[inline(always)]
-pub fn is_ascii_ws(b: u8) -> bool {
+pub(crate) fn is_ascii_ws(b: u8) -> bool {
     CLASS[b as usize] & WS != 0
 }
 
 /// Whether `b` can start a name on the ASCII fast path (`A-Za-z_`).
 #[inline(always)]
-pub fn is_ascii_name_start(b: u8) -> bool {
+pub(crate) fn is_ascii_name_start(b: u8) -> bool {
     CLASS[b as usize] & NAME_START != 0
 }
 
 /// Whether `b` can continue a name on the ASCII fast path
 /// (`A-Za-z0-9_-.:`).
 #[inline(always)]
-pub fn is_ascii_name_cont(b: u8) -> bool {
+pub(crate) fn is_ascii_name_cont(b: u8) -> bool {
     CLASS[b as usize] & NAME_CONT != 0
 }
 

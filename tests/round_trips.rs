@@ -73,7 +73,9 @@ fn constraint_syntax_round_trips_for_all_forms() {
 fn countermodels_become_real_validated_documents() {
     // Take L_id countermodels from the solver, materialize them as data
     // trees, and check that the generated structure accepts Σ and the
-    // structural half of Definition 2.4 accepts the trees.
+    // structural half of Definition 2.4 accepts the trees. Then load each
+    // under Σ ∪ {φ}: the tree, stream and live validators must agree byte
+    // for byte, find no violation of Σ, and find φ violated.
     let sigma = xic::constraints::examples::company_dtdc()
         .constraints()
         .to_vec();
@@ -87,10 +89,52 @@ fn countermodels_become_real_validated_documents() {
         let v = solver.implies_with(&phi, Some(&structure));
         let m = v.countermodel().expect("countermodel");
         let (gen_structure, tree) = xic::implication::semantics::instance_to_tree(m, &sigma);
-        let dtdc = DtdC::new(gen_structure, Language::Lid, sigma.clone())
+        let dtdc = DtdC::new(gen_structure.clone(), Language::Lid, sigma.clone())
             .unwrap_or_else(|e| panic!("{phi}: Σ does not load: {e:?}"));
         let report = Validator::new(&dtdc).validate_structure(&tree);
         assert!(report.is_valid(), "{phi}: {report}");
+
+        let with_phi = [sigma.clone(), vec![phi.clone()]].concat();
+        let dtdc = DtdC::new(gen_structure.clone(), Language::Lid, with_phi)
+            .unwrap_or_else(|e| panic!("{phi}: Σ ∪ {{φ}} does not load: {e:?}"));
+        let validator = Validator::new(&dtdc);
+        // Serialized the way `xic implies --emit-countermodel` writes it.
+        let xml = format!(
+            "<!DOCTYPE {} [\n{}]>\n{}",
+            gen_structure.root(),
+            serialize_dtd(&gen_structure),
+            serialize_document(&tree)
+        );
+        let tree_report = validator.validate(&tree).to_string();
+        let stream_report = validator.validate_stream(&xml).unwrap().to_string();
+        let live_report = LiveValidator::new(&validator, tree).report().to_string();
+        assert_eq!(stream_report, tree_report, "{phi}: stream ≠ tree");
+        assert_eq!(live_report, tree_report, "{phi}: live ≠ tree");
+        let violations = validator.validate_stream(&xml).unwrap().violations;
+        let phi_name = phi.to_string();
+        for violation in &violations {
+            assert_eq!(
+                violated_constraint(violation),
+                Some(phi_name.as_str()),
+                "{phi}: the countermodel violates more than φ: {violation}"
+            );
+        }
+        assert!(
+            !violations.is_empty(),
+            "{phi}: the countermodel satisfies φ"
+        );
+    }
+}
+
+/// The printed constraint a violation names (`None` for a structural one).
+fn violated_constraint(v: &Violation) -> Option<&str> {
+    match v {
+        Violation::Key { constraint, .. }
+        | Violation::ForeignKey { constraint, .. }
+        | Violation::MissingField { constraint, .. }
+        | Violation::DuplicateId { constraint, .. }
+        | Violation::Inverse { constraint, .. } => Some(constraint),
+        _ => None,
     }
 }
 
