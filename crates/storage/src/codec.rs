@@ -21,30 +21,152 @@
 //! past u64 (or past u32 where the value is a u32) is corrupt too.
 
 use std::collections::hash_map::{Entry, HashMap};
+use std::fs::File;
+use std::io::{self, Seek, SeekFrom, Write};
 
 use xic_constraints::Field;
 use xic_model::{AttrValue, Child, DataTree, Name, NodeId, RawNode, Sym};
-use xic_validate::{BatchEdit, LiveStateRef, Violation};
+use xic_validate::{BatchEdit, ColumnRows, LiveStateRef, Violation};
 
+use crate::crc::crc32_extend;
 use crate::StorageError;
 
-/// An append-only encode buffer.
+/// The buffer size at which a streaming [`Enc`] writes its bytes out.
+const FLUSH_AT: usize = 64 << 10;
+
+/// An encode buffer. `Enc::default()` keeps every byte in `buf`; an
+/// encoder over a file ([`Enc::to`]) writes `buf` out whenever it reaches
+/// [`FLUSH_AT`] bytes, so encoding a snapshot of any size holds one
+/// bounded buffer. Both run the same writers, so they emit the same bytes.
 #[derive(Default)]
-pub(crate) struct Enc {
+pub(crate) struct Enc<'f> {
+    /// The bytes not yet written out (all of them in memory).
     pub(crate) buf: Vec<u8>,
+    file: Option<&'f mut File>,
+    /// Bytes already written out.
+    sent: u64,
+    /// The open section, if any (see [`Enc::section`]).
+    open: Option<Open>,
+    /// The first write error; later writes are dropped.
+    error: Option<io::Error>,
 }
 
-impl Enc {
+/// A section whose payload is being written: its checksum over the
+/// payload bytes already written out, and where the rest of its payload
+/// starts in `buf`.
+struct Open {
+    crc: u32,
+    from: usize,
+}
+
+impl<'f> Enc<'f> {
+    /// An encoder streaming into `file` through one bounded buffer.
+    pub(crate) fn to(file: &'f mut File) -> Self {
+        Enc {
+            buf: Vec::with_capacity(FLUSH_AT),
+            file: Some(file),
+            ..Enc::default()
+        }
+    }
+
+    /// Writes out what is buffered and returns the first write error.
+    pub(crate) fn finish(mut self) -> io::Result<()> {
+        self.flush();
+        self.error.map_or(Ok(()), Err)
+    }
+
+    /// The stream offset of the next byte.
+    fn pos(&self) -> u64 {
+        self.sent + self.buf.len() as u64
+    }
+
+    /// Writes `buf` out, folding the open section's share of it into the
+    /// section's checksum first.
+    fn flush(&mut self) {
+        let Some(file) = self.file.as_deref_mut() else {
+            return;
+        };
+        if let Some(open) = &mut self.open {
+            open.crc = crc32_extend(open.crc, &self.buf[open.from..]);
+            open.from = 0;
+        }
+        if self.error.is_none() {
+            self.error = file.write_all(&self.buf).err();
+        }
+        self.sent += self.buf.len() as u64;
+        self.buf.clear();
+    }
+
+    /// Makes room for `n ≤ FLUSH_AT` more bytes in a streaming buffer.
+    #[inline]
+    fn room(&mut self, n: usize) {
+        if self.file.is_some() && self.buf.len() + n > FLUSH_AT {
+            self.flush();
+        }
+    }
+
+    /// Appends `v` as is.
+    pub(crate) fn raw(&mut self, v: &[u8]) {
+        for chunk in v.chunks(FLUSH_AT) {
+            self.room(chunk.len());
+            self.buf.extend_from_slice(chunk);
+        }
+    }
+
+    /// Appends `n` zero bytes.
+    pub(crate) fn zeros(&mut self, mut n: usize) {
+        while n > 0 {
+            let k = n.min(FLUSH_AT);
+            self.room(k);
+            self.buf.resize(self.buf.len() + k, 0);
+            n -= k;
+        }
+    }
+
+    /// Writes one section: its tag, then a length and CRC-32 placeholder
+    /// patched once `payload` has written the bytes they cover, and
+    /// returns what `payload` returns. The checksum is folded in as the
+    /// payload goes out; a header already written out is patched by
+    /// seeking back.
+    pub(crate) fn section<R>(&mut self, tag: u32, payload: impl FnOnce(&mut Self) -> R) -> R {
+        self.u32(tag);
+        let header = self.pos();
+        // One 12-byte write, so the header is wholly written out or
+        // wholly buffered.
+        self.raw(&[0; 12]);
+        self.open = Some(Open {
+            crc: 0,
+            from: self.buf.len(),
+        });
+        let out = payload(self);
+        let open = self.open.take().expect("the section is open");
+        let crc = crc32_extend(open.crc, &self.buf[open.from..]);
+        let mut fields = [0; 12];
+        fields[..8].copy_from_slice(&(self.pos() - header - 12).to_le_bytes());
+        fields[8..].copy_from_slice(&crc.to_le_bytes());
+        match header.checked_sub(self.sent) {
+            Some(at) => self.buf[at as usize..at as usize + 12].copy_from_slice(&fields),
+            None => {
+                let file = self.file.as_deref_mut().expect("only a file takes bytes");
+                if self.error.is_none() {
+                    self.error = patch(file, header, &fields).err();
+                }
+            }
+        }
+        out
+    }
+
     pub(crate) fn u8(&mut self, v: u8) {
+        self.room(1);
         self.buf.push(v);
     }
 
     pub(crate) fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.raw(&v.to_le_bytes());
     }
 
     pub(crate) fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.raw(&v.to_le_bytes());
     }
 
     pub(crate) fn len(&mut self, v: usize) {
@@ -53,7 +175,7 @@ impl Enc {
 
     pub(crate) fn bytes(&mut self, v: &[u8]) {
         self.len(v.len());
-        self.buf.extend_from_slice(v);
+        self.raw(v);
     }
 
     pub(crate) fn str(&mut self, v: &str) {
@@ -62,7 +184,9 @@ impl Enc {
 
     /// An unsigned LEB128 varint: seven bits per byte, low bits first,
     /// the high bit set on every byte but the last.
+    #[inline]
     pub(crate) fn var(&mut self, mut v: u64) {
+        self.room(10);
         while v >= 0x80 {
             self.buf.push(v as u8 | 0x80);
             v >>= 7;
@@ -72,8 +196,17 @@ impl Enc {
 
     pub(crate) fn var_str(&mut self, v: &str) {
         self.var(v.len() as u64);
-        self.buf.extend_from_slice(v.as_bytes());
+        self.raw(v.as_bytes());
     }
+}
+
+/// Overwrites `bytes` at offset `at` of `file`, then seeks back to where
+/// the stream left off.
+fn patch(file: &mut File, at: u64, bytes: &[u8]) -> io::Result<()> {
+    let end = file.stream_position()?;
+    file.seek(SeekFrom::Start(at))?;
+    file.write_all(bytes)?;
+    file.seek(SeekFrom::Start(end)).map(drop)
 }
 
 /// A bounds-checked decode cursor over one buffer.
@@ -288,10 +421,11 @@ fn enc_dead(e: &mut Enc, t: &DataTree) {
     let has_dead = t.len() < slots;
     e.u8(u8::from(has_dead));
     if has_dead {
-        let start = e.buf.len();
-        e.buf.resize(start + slots.div_ceil(8), 0);
-        for i in (0..slots).filter(|&i| !t.is_alive(NodeId::from_index(i))) {
-            e.buf[start + i / 8] |= 1 << (i % 8);
+        for first in (0..slots).step_by(8) {
+            let dead = (first..slots.min(first + 8))
+                .filter(|&i| !t.is_alive(NodeId::from_index(i)))
+                .fold(0, |byte, i| byte | 1 << (i % 8));
+            e.u8(dead);
         }
     }
 }
@@ -400,14 +534,18 @@ pub(crate) fn dec_tree_v2(d: &mut Dec<'_>) -> Result<DataTree, StorageError> {
 
 /// Writes `name` as its dictionary id, assigning the next id (followed by
 /// the spelling) on first use.
-fn enc_name<'t>(e: &mut Enc, ids: &mut HashMap<&'t str, u64>, name: &'t str) {
+fn enc_name<'t>(e: &mut Enc, ids: &mut HashMap<&'t str, u64>, name: &'t str) -> u64 {
     let next = ids.len() as u64;
     match ids.entry(name) {
-        Entry::Occupied(id) => e.var(*id.get()),
+        Entry::Occupied(id) => {
+            e.var(*id.get());
+            *id.get()
+        }
         Entry::Vacant(slot) => {
             slot.insert(next);
             e.var(next);
             e.var_str(name);
+            next
         }
     }
 }
@@ -430,23 +568,29 @@ fn dec_name(d: &mut Dec<'_>, names: &mut Vec<Name>) -> Result<Name, StorageError
 /// Encodes every arena slot of `t` in format v3, tombstones included, so
 /// node ids stay stable across a round trip. The tree is read in place
 /// through its public accessors; [`dec_tree_v3`] rebuilds it with
-/// [`DataTree::from_raw_parts`].
-pub(crate) fn enc_tree_v3(e: &mut Enc, t: &DataTree) {
+/// [`DataTree::from_raw_parts`]. Returns each label's slots, listed on
+/// the way, for the columns section.
+pub(crate) fn enc_tree_v3<'t>(e: &mut Enc, t: &'t DataTree) -> LabelSlots<'t> {
     let slots = t.id_bound();
     e.var(slots as u64);
     e.var(t.root().index() as u64);
     enc_dead(e, t);
     let mut names = HashMap::new();
+    let mut slots_of_name: Vec<Vec<u32>> = Vec::new();
     for i in 0..slots {
         let node = t.node(NodeId::from_index(i));
-        enc_name(e, &mut names, &node.label);
+        let id = enc_name(e, &mut names, &node.label) as usize;
+        if slots_of_name.len() <= id {
+            slots_of_name.resize_with(id + 1, Vec::new);
+        }
+        slots_of_name[id].push(i as u32);
         e.var(node.parent().map_or(0, |p| p.index() as u64 + 1));
         e.var(node.children.len() as u64);
         for c in &node.children {
             match c {
                 Child::Text(text) => {
                     e.var((text.len() as u64) << 1);
-                    e.buf.extend_from_slice(text.as_bytes());
+                    e.raw(text.as_bytes());
                 }
                 Child::Node(child) => e.var((child.index() as u64) << 1 | 1),
             }
@@ -459,6 +603,16 @@ pub(crate) fn enc_tree_v3(e: &mut Enc, t: &DataTree) {
                 e.var_str(m);
             }
         }
+    }
+    let mut by_label = HashMap::new();
+    for (name, id) in names {
+        if let Some(slots) = slots_of_name.get_mut(id as usize).filter(|s| !s.is_empty()) {
+            by_label.insert(name, std::mem::take(slots));
+        }
+    }
+    LabelSlots {
+        tree: t,
+        slots: by_label,
     }
 }
 
@@ -712,9 +866,122 @@ pub(crate) type InternerParts = (Vec<u8>, Vec<(u32, u32)>);
 
 /// The decoded columns: single-valued, then set-valued, in stored order.
 pub(crate) type Columns = (
-    Vec<((Name, Field), Vec<Option<Sym>>)>,
-    Vec<((Name, Name), Vec<Vec<Sym>>)>,
+    Vec<((Name, Field), ColumnRows<Option<Sym>>)>,
+    Vec<((Name, Name), ColumnRows<Vec<Sym>>)>,
 );
+
+/// A cell of a decoded column: `Option<Sym>` or a set row.
+trait Cell: Clone + Default {
+    fn is_empty(&self) -> bool;
+}
+
+impl Cell for Option<Sym> {
+    fn is_empty(&self) -> bool {
+        self.is_none()
+    }
+}
+
+impl Cell for Vec<Sym> {
+    fn is_empty(&self) -> bool {
+        self.is_empty()
+    }
+}
+
+/// Each label's arena slots in a tree, dead ones included, in id order:
+/// row `r` of a column over τ holds the cell of τ's `r`-th slot (see
+/// [`ColumnRows`]). Through it the column codecs map rows to the format's
+/// per-vertex cells and back.
+pub(crate) struct LabelSlots<'t> {
+    tree: &'t DataTree,
+    /// Keyed with std's hasher, which resists crafted collisions: a
+    /// decoded tree's labels come from the file.
+    slots: HashMap<&'t str, Vec<u32>>,
+}
+
+impl<'t> LabelSlots<'t> {
+    fn new(tree: &'t DataTree) -> Self {
+        let mut slots: HashMap<&str, Vec<u32>> = HashMap::new();
+        for x in 0..tree.id_bound() {
+            let label = tree.label(NodeId::from_index(x)).as_str();
+            slots.entry(label).or_default().push(x as u32);
+        }
+        LabelSlots { tree, slots }
+    }
+
+    fn of(&self, tau: &str) -> &[u32] {
+        self.slots.get(tau).map_or(&[], Vec::as_slice)
+    }
+
+    /// Reads `ncells` per-vertex cells of `column`, `(τ, field)`, into
+    /// rows over τ's slots. A cell count past the tree's id bound, or a
+    /// value at a vertex of another label or at a dead one, is corrupt:
+    /// the live store has no row for it.
+    fn dec_rows<T: Cell>(
+        &self,
+        d: &mut Dec<'_>,
+        column: (&Name, &dyn std::fmt::Display),
+        ncells: usize,
+        mut cell: impl FnMut(&mut Dec<'_>) -> Result<T, StorageError>,
+    ) -> Result<ColumnRows<T>, StorageError> {
+        let (tau, field) = column;
+        let bound = self.tree.id_bound();
+        if ncells > bound {
+            return d.corrupt(&format!(
+                "column ({tau}, {field}) spans {ncells} cells past the tree's id bound {bound}"
+            ));
+        }
+        let slots = self.of(tau);
+        let mut rows = vec![T::default(); slots.len()];
+        let mut r = 0;
+        for x in 0..ncells {
+            let value = cell(d)?;
+            let at = NodeId::from_index(x);
+            if slots.get(r) == Some(&(x as u32)) {
+                if !value.is_empty() && !self.tree.is_alive(at) {
+                    return d.corrupt(&format!(
+                        "column ({tau}, {field}) has a value at dead vertex n{x}"
+                    ));
+                }
+                rows[r] = value;
+                r += 1;
+            } else if !value.is_empty() {
+                return d.corrupt(&format!(
+                    "column ({tau}, {field}) has a value at n{x}, a {} vertex outside ext({tau})",
+                    self.tree.label(at)
+                ));
+            }
+        }
+        Ok(ColumnRows {
+            rows,
+            cells: ncells,
+        })
+    }
+}
+
+/// Writes a column as the format's per-vertex cells: its cell count,
+/// then one cell per vertex id below it — a slot of the column's type
+/// writes its row's cell, any other vertex an empty one. An empty cell is
+/// the single byte 0 in both kinds of column (`sym + 1` = 0, or a member
+/// count of 0), so the gaps between slots go out as runs of zeros.
+fn enc_cells<T>(
+    e: &mut Enc,
+    slots: &[u32],
+    col: &ColumnRows<T>,
+    mut cell: impl FnMut(&mut Enc, &T),
+) {
+    e.var(col.cells as u64);
+    let mut next = 0;
+    for (&slot, row) in slots.iter().zip(&col.rows) {
+        let slot = slot as usize;
+        if slot >= col.cells {
+            break;
+        }
+        e.zeros(slot - next);
+        cell(e, row);
+        next = slot + 1;
+    }
+    e.zeros(col.cells.saturating_sub(next));
+}
 
 /// Encodes the arena, then each span as one varint `len << 1 | moved`. A
 /// span that starts where the previous one ended — the layout the intern
@@ -722,7 +989,7 @@ pub(crate) type Columns = (
 /// zigzag gap from that end, so any span list round-trips.
 pub(crate) fn enc_interner_v3(e: &mut Enc, arena: &[u8], spans: &[(u32, u32)]) {
     e.var(arena.len() as u64);
-    e.buf.extend_from_slice(arena);
+    e.raw(arena);
     e.var(spans.len() as u64);
     let mut end = 0i64;
     for &(start, len) in spans {
@@ -771,31 +1038,33 @@ pub(crate) fn dec_interner_v2(d: &mut Dec<'_>) -> Result<InternerParts, StorageE
     Ok((arena, spans))
 }
 
-pub(crate) fn enc_columns_v3(e: &mut Enc, state: &LiveStateRef<'_>) {
+/// Encodes the columns, mapping rows to cells through `slots`, the
+/// label slots [`enc_tree_v3`] listed.
+pub(crate) fn enc_columns_v3(e: &mut Enc, state: &LiveStateRef<'_>, slots: &LabelSlots<'_>) {
     e.var(state.singles.len() as u64);
-    for ((tau, field), vals) in &state.singles {
+    for ((tau, field), col) in &state.singles {
         e.var_str(tau);
         enc_field_v3(e, field);
-        e.var(vals.len() as u64);
-        for cell in *vals {
+        enc_cells(e, slots.of(tau), col, |e, cell| {
             e.var(cell.map_or(0, |s| s.index() as u64 + 1));
-        }
+        });
     }
     e.var(state.sets.len() as u64);
-    for ((tau, attr), rows) in &state.sets {
+    for ((tau, attr), col) in &state.sets {
         e.var_str(tau);
         e.var_str(attr);
-        e.var(rows.len() as u64);
-        for row in *rows {
+        enc_cells(e, slots.of(tau), col, |e, row| {
             e.var(row.len() as u64);
             for &m in row {
                 e.var(m.index() as u64);
             }
-        }
+        });
     }
 }
 
-pub(crate) fn dec_columns_v3(d: &mut Dec<'_>) -> Result<Columns, StorageError> {
+/// Decodes a v3 columns section against the already-decoded `tree`.
+pub(crate) fn dec_columns_v3(d: &mut Dec<'_>, tree: &DataTree) -> Result<Columns, StorageError> {
+    let slots = LabelSlots::new(tree);
     // A single-valued column is at least τ, the field's tag and name, and
     // its cell count; a set-valued one τ, the attribute and its row count.
     let nsingles = d.var_len(4)?;
@@ -804,11 +1073,8 @@ pub(crate) fn dec_columns_v3(d: &mut Dec<'_>) -> Result<Columns, StorageError> {
         let tau = Name::new(d.var_str()?);
         let field = dec_field_v3(d)?;
         let ncells = d.var_len(1)?;
-        let mut vals = Vec::with_capacity(ncells);
-        for _ in 0..ncells {
-            vals.push(dec_cell_v3(d)?);
-        }
-        singles.push(((tau, field), vals));
+        let rows = slots.dec_rows(d, (&tau, &field), ncells, dec_cell_v3)?;
+        singles.push(((tau, field), rows));
     }
     let nsets = d.var_len(3)?;
     let mut sets = Vec::with_capacity(nsets);
@@ -816,34 +1082,33 @@ pub(crate) fn dec_columns_v3(d: &mut Dec<'_>) -> Result<Columns, StorageError> {
         let tau = Name::new(d.var_str()?);
         let attr = Name::new(d.var_str()?);
         let nrows = d.var_len(1)?;
-        let mut rows = Vec::with_capacity(nrows);
-        for _ in 0..nrows {
+        let rows = slots.dec_rows(d, (&tau, &attr), nrows, |d| {
             let nmembers = d.var_len(1)?;
             let mut row = Vec::with_capacity(nmembers);
             for _ in 0..nmembers {
                 let m = d.var()?;
                 row.push(sym_of(d, m)?);
             }
-            rows.push(row);
-        }
+            Ok(row)
+        })?;
         sets.push(((tau, attr), rows));
     }
     Ok((singles, sets))
 }
 
-/// Format v2's columns section: read-only.
-pub(crate) fn dec_columns_v2(d: &mut Dec<'_>) -> Result<Columns, StorageError> {
+/// Format v2's columns section: read-only, decoded like v3's.
+pub(crate) fn dec_columns_v2(d: &mut Dec<'_>, tree: &DataTree) -> Result<Columns, StorageError> {
+    let slots = LabelSlots::new(tree);
     let nsingles = d.len(8)?;
     let mut singles = Vec::with_capacity(nsingles);
     for _ in 0..nsingles {
         let tau = Name::new(d.str()?);
         let field = dec_field_v2(d)?;
         let ncells = d.len(4)?;
-        let mut vals = Vec::with_capacity(ncells);
-        for _ in 0..ncells {
-            vals.push(dec_opt_u32(d)?.map(Sym::from_index));
-        }
-        singles.push(((tau, field), vals));
+        let rows = slots.dec_rows(d, (&tau, &field), ncells, |d| {
+            Ok(dec_opt_u32(d)?.map(Sym::from_index))
+        })?;
+        singles.push(((tau, field), rows));
     }
     let nsets = d.len(8)?;
     let mut sets = Vec::with_capacity(nsets);
@@ -851,15 +1116,14 @@ pub(crate) fn dec_columns_v2(d: &mut Dec<'_>) -> Result<Columns, StorageError> {
         let tau = Name::new(d.str()?);
         let attr = Name::new(d.str()?);
         let nrows = d.len(8)?;
-        let mut rows = Vec::with_capacity(nrows);
-        for _ in 0..nrows {
+        let rows = slots.dec_rows(d, (&tau, &attr), nrows, |d| {
             let nmembers = d.len(4)?;
             let mut row = Vec::with_capacity(nmembers);
             for _ in 0..nmembers {
                 row.push(dec_sym_v2(d)?);
             }
-            rows.push(row);
-        }
+            Ok(row)
+        })?;
         sets.push(((tau, attr), rows));
     }
     Ok((singles, sets))

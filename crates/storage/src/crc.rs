@@ -46,7 +46,14 @@ const fn build_tables() -> [[u32; 256]; 8] {
 /// checksumming a multi-megabyte snapshot section costs milliseconds, not
 /// tens of them.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = !0u32;
+    crc32_extend(0, bytes)
+}
+
+/// The CRC-32 of `a ++ bytes`, given `crc` = the CRC-32 of `a`: a
+/// checksum folded in as bytes stream past, `crc32_extend(0, b)` being
+/// `crc32(b)`.
+pub(crate) fn crc32_extend(crc: u32, bytes: &[u8]) -> u32 {
+    let mut c = !crc;
     let mut chunks = bytes.chunks_exact(8);
     for chunk in &mut chunks {
         let lo = u32::from_le_bytes(chunk[..4].try_into().unwrap()) ^ c;
@@ -100,6 +107,15 @@ mod tests {
                 c = TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
             }
             assert_eq!(crc32(&data[..end]), !c, "divergence at len {end}");
+        }
+    }
+
+    #[test]
+    fn extending_equals_checksumming_the_concatenation() {
+        let data = b"a checksum folded in as the bytes go out";
+        for cut in 0..=data.len() {
+            let (a, b) = data.split_at(cut);
+            assert_eq!(crc32_extend(crc32(a), b), crc32(data), "cut at {cut}");
         }
     }
 

@@ -34,7 +34,6 @@
 //! replay a batch twice.
 
 use std::fs::{self, File};
-use std::io::Write;
 use std::path::Path;
 
 use xic_model::DataTree;
@@ -66,44 +65,32 @@ const SEC_META: u32 = 5;
 /// `state` is anything that views as a [`LiveStateRef`]: a
 /// `&LiveValidator` is encoded in place, with no intermediate copy of the
 /// document, and a `&LiveState` encodes to the same bytes.
+/// [`write_snapshot`] runs the same writer into a file.
 pub fn encode_snapshot<'a>(state: impl Into<LiveStateRef<'a>>, last_seq: u64) -> Vec<u8> {
-    let state = state.into();
     let mut out = Enc::default();
-    out.buf.extend_from_slice(&SNAPSHOT_MAGIC);
-    out.u32(SNAPSHOT_VERSION);
-    section(&mut out, SEC_META, |e| e.u64(last_seq));
-    section(&mut out, SEC_TREE, |e| enc_tree_v3(e, state.tree));
-    section(&mut out, SEC_INTERNER, |e| {
-        enc_interner_v3(e, state.interner_arena, state.interner_spans)
-    });
-    section(&mut out, SEC_COLUMNS, |e| enc_columns_v3(e, &state));
-    section(&mut out, SEC_STRUCT, |e| {
-        enc_struct_viols(e, &state.struct_viols)
-    });
+    encode(&mut out, &state.into(), last_seq);
     out.buf
 }
 
-/// Appends one section to `out` without staging its payload: reserves the
-/// header, lets `payload` encode straight into `out`, then patches the
-/// header's length and CRC over the bytes just written.
-fn section(out: &mut Enc, tag: u32, payload: impl FnOnce(&mut Enc)) {
-    out.u32(tag);
-    let header = out.buf.len();
-    out.u64(0);
-    out.u32(0);
-    let start = out.buf.len();
-    payload(out);
-    let len = (out.buf.len() - start) as u64;
-    let crc = crc32(&out.buf[start..]);
-    out.buf[header..header + 8].copy_from_slice(&len.to_le_bytes());
-    out.buf[header + 8..start].copy_from_slice(&crc.to_le_bytes());
+/// The one snapshot writer: the header, then each section with its
+/// length and CRC patched in once its payload is out.
+fn encode(out: &mut Enc, state: &LiveStateRef<'_>, last_seq: u64) {
+    out.raw(&SNAPSHOT_MAGIC);
+    out.u32(SNAPSHOT_VERSION);
+    out.section(SEC_META, |e| e.u64(last_seq));
+    let slots = out.section(SEC_TREE, |e| enc_tree_v3(e, state.tree));
+    out.section(SEC_INTERNER, |e| {
+        enc_interner_v3(e, state.interner_arena, state.interner_spans)
+    });
+    out.section(SEC_COLUMNS, |e| enc_columns_v3(e, state, &slots));
+    out.section(SEC_STRUCT, |e| enc_struct_viols(e, &state.struct_viols));
 }
 
 /// The readers of one format version's bulk sections.
 type SectionReaders = (
     fn(&mut Dec<'_>) -> Result<DataTree, StorageError>,
     fn(&mut Dec<'_>) -> Result<InternerParts, StorageError>,
-    fn(&mut Dec<'_>) -> Result<Columns, StorageError>,
+    fn(&mut Dec<'_>, &DataTree) -> Result<Columns, StorageError>,
 );
 
 /// Deserializes a snapshot produced by [`encode_snapshot`] (format v3) or
@@ -138,8 +125,10 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<(LiveState, u64), StorageError> {
     let mut last_seq = None;
     let mut tree = None;
     let mut interner = None;
-    let mut columns = None;
     let mut struct_viols = None;
+    // The columns map their cells onto the tree's slots, so they decode
+    // once the whole file has been read.
+    let mut columns_payload = None;
     while !d.is_empty() {
         let tag = d.u32()?;
         let len = d.u64()?;
@@ -171,7 +160,10 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<(LiveState, u64), StorageError> {
             SEC_META => last_seq = Some(pd.u64()?),
             SEC_TREE => tree = Some(dec_tree(&mut pd)?),
             SEC_INTERNER => interner = Some(dec_interner(&mut pd)?),
-            SEC_COLUMNS => columns = Some(dec_columns(&mut pd)?),
+            SEC_COLUMNS => {
+                columns_payload = Some(payload);
+                continue;
+            }
             // SEC_STRUCT, the one tag left.
             _ => struct_viols = Some(dec_struct_viols(&mut pd)?),
         }
@@ -186,10 +178,18 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<(LiveState, u64), StorageError> {
         detail: format!("snapshot: missing {what} section"),
     };
     let (interner_arena, interner_spans) = interner.ok_or_else(|| missing("interner"))?;
-    let (singles, sets) = columns.ok_or_else(|| missing("columns"))?;
+    let payload = columns_payload.ok_or_else(|| missing("columns"))?;
+    let tree = tree.ok_or_else(|| missing("tree"))?;
+    let mut pd = Dec::new(payload, "snapshot");
+    let (singles, sets) = dec_columns(&mut pd, &tree)?;
+    if !pd.is_empty() {
+        return Err(StorageError::Corrupt {
+            detail: format!("snapshot: section {SEC_COLUMNS} has trailing bytes"),
+        });
+    }
     Ok((
         LiveState {
-            tree: tree.ok_or_else(|| missing("tree"))?,
+            tree,
             interner_arena,
             interner_spans,
             singles,
@@ -201,23 +201,29 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<(LiveState, u64), StorageError> {
 }
 
 /// Writes `state` (with its last applied WAL sequence, see
-/// [`encode_snapshot`]) to `path` atomically: encode, write a `.tmp`
-/// sibling, fsync it, rename over `path`, fsync the directory. A crash at
-/// any point leaves either the old snapshot or the new one — never a torn
-/// file.
+/// [`encode_snapshot`]) to `path` atomically: stream the encoding into a
+/// `.tmp` sibling, fsync it, rename over `path`, fsync the directory. A
+/// crash at any point leaves either the old snapshot or the new one —
+/// never a torn file.
+///
+/// The encoding never exists whole in memory: each section goes out
+/// through one bounded buffer with its CRC folded in as the bytes pass,
+/// and its length and CRC are patched in by seeking back. The file holds
+/// exactly [`encode_snapshot`]'s bytes.
 pub fn write_snapshot<'a>(
     path: &Path,
     state: impl Into<LiveStateRef<'a>>,
     last_seq: u64,
 ) -> Result<(), StorageError> {
-    let bytes = encode_snapshot(state, last_seq);
     let tmp = path.with_extension("tmp");
     let io = |context: &str| {
         let context = context.to_string();
         move |source: std::io::Error| StorageError::Io { context, source }
     };
     let mut f = File::create(&tmp).map_err(io(&format!("create {}", tmp.display())))?;
-    f.write_all(&bytes)
+    let mut out = Enc::to(&mut f);
+    encode(&mut out, &state.into(), last_seq);
+    out.finish()
         .map_err(io(&format!("write {}", tmp.display())))?;
     f.sync_all()
         .map_err(io(&format!("sync {}", tmp.display())))?;

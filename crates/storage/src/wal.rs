@@ -36,7 +36,7 @@ use std::path::{Path, PathBuf};
 use xic_validate::BatchEdit;
 
 use crate::codec::{dec_batch, enc_batch, Dec, Enc};
-use crate::crc::crc32;
+use crate::crc::{crc32, crc32_extend};
 use crate::StorageError;
 
 /// The WAL file magic.
@@ -320,8 +320,5 @@ impl Wal {
 /// so a flipped sequence is caught by the CRC before the monotonicity
 /// check ever sees it.
 fn record_crc(seq_bytes: &[u8; 8], payload: &[u8]) -> u32 {
-    let mut buf = Vec::with_capacity(8 + payload.len());
-    buf.extend_from_slice(seq_bytes);
-    buf.extend_from_slice(payload);
-    crc32(&buf)
+    crc32_extend(crc32(seq_bytes), payload)
 }

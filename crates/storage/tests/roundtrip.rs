@@ -290,6 +290,7 @@ proptest! {
         }
         let bytes = encode_snapshot(&live, last_seq);
         prop_assert!(bytes == encode_snapshot(&live.export_state(), last_seq));
+        prop_assert!(streamed(&live, last_seq) == bytes);
         let (state, seq) = decode_snapshot(&bytes).unwrap();
         prop_assert_eq!(seq, last_seq);
         prop_assert!(bytes == encode_snapshot(&state, last_seq));
@@ -426,6 +427,69 @@ proptest! {
         }
         std::fs::remove_dir_all(&dir).ok();
     }
+}
+
+/// The bytes [`write_snapshot`] streams to a file for `live`.
+fn streamed(live: &LiveValidator<'_, '_>, last_seq: u64) -> Vec<u8> {
+    let dir = tempdir("streamed");
+    let path = dir.join("snapshot.bin");
+    write_snapshot(&path, live, last_seq).unwrap();
+    let bytes = std::fs::read(&path).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    bytes
+}
+
+/// A snapshot whose tree section spans many of the writer's 64 KiB
+/// buffers, taken after a delete (tombstoned rows) and an insert (rows
+/// appended at the arena end): the streamed file equals the in-memory
+/// encoding, and it loads back to the same report.
+#[test]
+fn a_large_snapshot_streams_the_bytes_it_encodes() {
+    let dtdc = DtdC::new_unchecked(test_structure(), Language::Lid, test_sigma());
+    let v = validator(&dtdc);
+    // Values repeat across a few vertices at most, so the report stays
+    // linear in the document.
+    let mut b = TreeBuilder::new();
+    let db = b.node("db");
+    for i in 0..15_000u32 {
+        let t = b.child_node(db, format!("t{}", i % 3)).unwrap();
+        let single = |v: String| AttrValue::single(v);
+        b.attr(t, "id", single(format!("i{i}"))).unwrap();
+        b.attr(t, "a0", single(format!("a{}", i / 3))).unwrap();
+        b.attr(t, "a1", single(format!("a{}", i / 4))).unwrap();
+        b.attr(t, "r0", AttrValue::set([format!("i{}", i ^ 1)]))
+            .unwrap();
+        let r1 = [format!("s{}", i / 2), format!("s{}", i / 2 + 7)];
+        b.attr(t, "r1", AttrValue::set(r1)).unwrap();
+        b.leaf(t, format!("e{}", i % 2), format!("s{i}")).unwrap();
+    }
+    let fragment = (
+        (1, Some(2), Some(3), None),
+        (vec![1], vec![4, 5], vec![(1, 0)]),
+    );
+    let mut live = LiveValidator::new(&v, b.finish(db).unwrap());
+    assert_eq!(live.tree().len(), 30_001);
+    let root = live.tree().root();
+    let doomed = live.tree().node(root).child_nodes().nth(4).unwrap();
+    live.apply_batch(&[
+        BatchEdit::DeleteSubtree { node: doomed },
+        BatchEdit::InsertSubtree {
+            parent: root,
+            position: 0,
+            fragment: build_fragment(&fragment),
+        },
+    ])
+    .unwrap();
+
+    let bytes = encode_snapshot(&live, 3);
+    let (_, sections) = split_sections(&bytes);
+    let tree_bytes = sections.iter().find(|s| s.0 == 1).unwrap().1.len();
+    assert!(tree_bytes > 8 * (64 << 10), "a {tree_bytes} B tree section");
+    assert!(streamed(&live, 3) == bytes, "the streamed file differs");
+    let (state, last_seq) = decode_snapshot(&bytes).unwrap();
+    assert_eq!(last_seq, 3);
+    let warm = LiveValidator::from_state(&v, state).unwrap();
+    assert_eq!(warm.report().violations, live.report().violations);
 }
 
 /// A fresh per-test scratch directory under the target dir.
@@ -932,6 +996,74 @@ fn hostile_v3_tree_payloads_are_corrupt() {
         match decode_snapshot(&join_sections(&header, &hostile)) {
             Err(StorageError::Corrupt { detail }) => assert!(detail.contains(want), "{detail}"),
             other => panic!("{want}: got {other:?}"),
+        }
+    }
+}
+
+/// The single-valued columns of a v3 columns payload whose varints all
+/// fit one byte, as `(column name, offset of its first cell, cell
+/// count)`: cell `x` is then the byte at offset `first + x`.
+fn single_columns(payload: &[u8]) -> Vec<(String, usize, usize)> {
+    let byte = |at: &mut usize| {
+        let b = payload[*at];
+        assert!(b < 0x80, "a varint longer than one byte");
+        *at += 1;
+        b as usize
+    };
+    let text = |at: &mut usize| {
+        let len = byte(at);
+        *at += len;
+        String::from_utf8_lossy(&payload[*at - len..*at]).into_owned()
+    };
+    let mut at = 0;
+    let mut columns = Vec::new();
+    for _ in 0..byte(&mut at) {
+        let tau = text(&mut at);
+        let attr = if byte(&mut at) == 0 { "@" } else { "" };
+        let field = text(&mut at);
+        let cells = byte(&mut at);
+        columns.push((format!("({tau}, {attr}{field})"), at, cells));
+        for _ in 0..cells {
+            byte(&mut at);
+        }
+    }
+    columns
+}
+
+/// A value among a column's per-vertex cells at a vertex outside the
+/// column's extent — a live vertex of another label, or a dead one — has
+/// no row to sit in. A v3 file carrying one, with a valid CRC, decodes as
+/// `Corrupt`, naming the column and the vertex. Before columns became
+/// extent rows, such a file decoded and `from_state` rejected the state.
+#[test]
+fn cells_outside_a_columns_extent_are_corrupt() {
+    let (header, sections) = split_sections(&unhex(PINNED_SNAPSHOT_HEX));
+    let at = sections.iter().position(|s| s.0 == 3).unwrap();
+    let columns = single_columns(&sections[at].1);
+    // In the pinned tree n4 is a live t1, and n7, a t2, was deleted.
+    let cases = [
+        (
+            "(t0, @a1)",
+            4,
+            "has a value at n4, a t1 vertex outside ext(t0)",
+        ),
+        ("(t2, @a1)", 7, "has a value at dead vertex n7"),
+    ];
+    for (column, x, want) in cases {
+        let (_, first, cells) = (columns.iter().find(|c| c.0 == column))
+            .unwrap_or_else(|| panic!("no column {column} in {columns:?}"));
+        assert!(x < *cells);
+        let mut hostile = sections.clone();
+        assert_eq!(hostile[at].1[first + x], 0, "{column} is empty at n{x}");
+        hostile[at].1[first + x] = 1;
+        match decode_snapshot(&join_sections(&header, &hostile)) {
+            Err(StorageError::Corrupt { detail }) => {
+                assert!(
+                    detail.contains(&format!("column {column} {want}")),
+                    "{detail}"
+                )
+            }
+            other => panic!("{column} at n{x}: {other:?}"),
         }
     }
 }

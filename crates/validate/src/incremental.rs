@@ -6,10 +6,9 @@
 //! and maintains, across edits, exactly the state a from-scratch run would
 //! compute:
 //!
-//! * a **mutable columnar store** — per planned `(τ, field)` a map from
-//!   vertex to interned value plus a reverse occurrence index (value ↦
-//!   vertices), replacing the extent-aligned one-shot columns of
-//!   [`crate::plan`]'s `DocIndex`;
+//! * a **mutable columnar store** — per planned `(τ, field)` one row per
+//!   vertex of τ, laid out like the one-shot columns of [`crate::plan`]'s
+//!   `DocIndex`, plus a reverse occurrence index (value ↦ vertices);
 //! * **refcounted membership sets** ([`CountedSymSet`], and tuple refcounts
 //!   for n-ary foreign keys) in place of the one-shot first-seen tables and
 //!   bitsets, so target values can be retracted one occurrence at a time;
@@ -34,15 +33,14 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use xic_constraints::{DtdC, Field};
 use xic_model::{
-    AttrValue, DataTree, Edit, ExtIndex, FastHashMap, Interner, ModelError, Name, NodeId, Sym,
-    Value,
+    AttrValue, DataTree, Edit, FastHashMap, Interner, ModelError, Name, NodeId, Sym, Value,
 };
 use xic_obs::{Metrics, Obs};
 use xic_regex::Symbol;
 
 use crate::plan::{
     extract_set, extract_single, CheckKind, CountedSymSet, FkNary, FkSingle, IdCheck, Inverse, Key,
-    KeyUnary, Plan, SetFk,
+    KeyUnary, Plan, SetFk, TauPlan,
 };
 use crate::report::{Report, Violation};
 use crate::structure::Validator;
@@ -233,41 +231,89 @@ impl Iterator for HoldersIter<'_> {
     }
 }
 
-/// One planned single-valued column: vertex ↦ value, plus the reverse
-/// occurrence index the refresh paths probe.
+/// One planned column in extent-row layout: one row per arena slot
+/// labelled with the column's element type τ, in id order, so row `r`
+/// holds the cell of the `r`-th τ slot. Def. 2.4 reads a field `(τ, l)`
+/// only at vertices of `ext(τ)`, so no other vertex has a cell. A
+/// deleted vertex keeps its (empty) row, and a vertex inserted at the
+/// arena end appends one.
 ///
-/// Values live in a dense vector indexed by vertex id (`Option<Sym>` is 4
-/// bytes via the `NonZeroU32` niche): cell reads and writes on the edit
-/// hot path are one indexed load instead of a hash probe, and bulk init
-/// fills cells by plain stores. Vertices outside the column's extent just
-/// hold `None`, indistinguishable from an undefined field — exactly the
-/// semantics every reader already assumed.
-#[derive(Default)]
-struct SingleCol {
-    vals: Vec<Option<Sym>>,
+/// This is the layout the one-shot `DocIndex` and the streaming fill use;
+/// the live store, [`LiveState`] and [`LiveStateRef`] all hold columns in
+/// it. The snapshot codec is the one place that maps rows to the format's
+/// per-vertex cells.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct ColumnRows<T> {
+    /// The cells, one per τ slot in id order; a dead slot's cell is empty.
+    pub rows: Vec<T>,
+    /// How many vertex ids the column spans as per-vertex cells: the
+    /// snapshot format writes a cell for each id below it. It starts at
+    /// the id bound the column was built at and grows past every vertex
+    /// written since, so a snapshot's bytes do not depend on the layout.
+    /// No row at or past it holds a value.
+    pub cells: usize,
+}
+
+/// A cell of a [`ColumnRows`]: `Option<Sym>` for a single-valued column,
+/// the sorted members for a set-valued one.
+trait Cell: Clone + Default + PartialEq {
+    fn members(&self) -> &[Sym];
+}
+
+impl Cell for Option<Sym> {
+    fn members(&self) -> &[Sym] {
+        self.as_slice()
+    }
+}
+
+impl Cell for Vec<Sym> {
+    fn members(&self) -> &[Sym] {
+        self
+    }
+}
+
+/// One live column: its rows, the index of its element type in
+/// [`Plan::taus`] (which names its slot list in the [`RowMap`]), and the
+/// reverse occurrence index (member ↦ holding vertices) the refresh paths
+/// probe.
+struct Col<T> {
+    t: usize,
+    vals: ColumnRows<T>,
     occ: FastHashMap<Sym, Holders>,
 }
 
-impl SingleCol {
-    /// Sets `x`'s value (growing the column if needed), returning the
-    /// previous one.
-    fn set(&mut self, x: u32, new: Option<Sym>) -> Option<Sym> {
-        let xi = x as usize;
-        if xi >= self.vals.len() {
-            self.vals.resize(xi + 1, None);
-        }
-        let old = std::mem::replace(&mut self.vals[xi], new);
-        if old != new {
-            if let Some(o) = old {
-                if let Some(h) = self.occ.get_mut(&o) {
+impl<T: Cell> Col<T> {
+    /// `x`'s cell, if `x` is a slot of the column's type.
+    fn get(&self, rows: &RowMap, x: u32) -> Option<&T> {
+        rows.row(self.t, x).map(|r| &self.vals.rows[r])
+    }
+
+    /// Writes `x`'s cell, returning the old one. The column's cell count
+    /// grows past `x`, as the per-vertex vector it stands for grew.
+    fn write(&mut self, rows: &RowMap, x: u32, new: T) -> T {
+        self.vals.cells = self.vals.cells.max(x as usize + 1);
+        self.replace(rows, x, new)
+    }
+
+    /// Clears `x`'s cell, returning its last value.
+    fn clear(&mut self, rows: &RowMap, x: u32) -> T {
+        self.replace(rows, x, T::default())
+    }
+
+    fn replace(&mut self, rows: &RowMap, x: u32, new: T) -> T {
+        let r = (rows.row(self.t, x)).expect("a column is written only at vertices of its type");
+        let old = std::mem::replace(&mut self.vals.rows[r], new);
+        if old != self.vals.rows[r] {
+            for &m in old.members() {
+                if let Some(h) = self.occ.get_mut(&m) {
                     if h.remove(x) {
-                        self.occ.remove(&o);
+                        self.occ.remove(&m);
                     }
                 }
             }
-            if let Some(n) = new {
+            for &m in self.vals.rows[r].members() {
                 self.occ
-                    .entry(n)
+                    .entry(m)
                     .and_modify(|h| h.insert(x))
                     .or_insert(Holders::One(x));
             }
@@ -275,85 +321,55 @@ impl SingleCol {
         old
     }
 
-    /// Clears `x`'s cell, returning its last value.
-    fn remove(&mut self, x: u32) -> Option<Sym> {
-        let old = self.vals.get_mut(x as usize).and_then(Option::take);
-        if let Some(o) = old {
-            if let Some(h) = self.occ.get_mut(&o) {
-                if h.remove(x) {
-                    self.occ.remove(&o);
-                }
-            }
-        }
-        old
-    }
-
-    /// `x`'s value (`None` for an undefined field or an out-of-extent
-    /// vertex).
-    fn get(&self, x: u32) -> Option<Sym> {
-        self.vals.get(x as usize).copied().flatten()
-    }
-
-    /// The tracked vertices holding value `v`, ascending.
+    /// The tracked vertices holding member `v`, ascending.
     fn nodes_with(&self, v: Sym) -> impl Iterator<Item = u32> + '_ {
         self.occ.get(&v).into_iter().flat_map(Holders::iter)
     }
 }
 
-/// One planned set-valued column: vertex ↦ members (in `AttrValue`'s sorted
-/// order), plus member ↦ vertices. Rows are dense by vertex id like
-/// [`SingleCol`]; an empty row allocates nothing.
-#[derive(Default)]
-struct SetCol {
-    vals: Vec<Vec<Sym>>,
-    occ: FastHashMap<Sym, Holders>,
+/// Where each vertex's cells sit in the [`ColumnRows`] of its type: the
+/// vertex's row among its own label's slots, and each planned type's
+/// slots ([`Plan::taus`] order) in row order, for every arena slot, dead
+/// ones included. A vertex's row counts in a type only if that type's
+/// slot there is the vertex, so a read at a vertex of another type finds
+/// nothing.
+struct RowMap {
+    row_of: Vec<u32>,
+    slots: Vec<Vec<u32>>,
 }
 
-impl SetCol {
-    fn set(&mut self, x: u32, new: Vec<Sym>) -> Vec<Sym> {
-        let xi = x as usize;
-        if xi >= self.vals.len() {
-            self.vals.resize_with(xi + 1, Vec::new);
+/// `row_of` of a vertex whose label has no planned column.
+const NO_ROW: u32 = u32::MAX;
+
+impl RowMap {
+    fn build(plan: &Plan, tree: &DataTree) -> Self {
+        let mut rows = RowMap {
+            row_of: Vec::with_capacity(tree.id_bound()),
+            slots: vec![Vec::new(); plan.taus.len()],
+        };
+        for x in 0..tree.id_bound() as u32 {
+            rows.push(plan, tree.label(nid(x)), x);
         }
-        let old = std::mem::replace(&mut self.vals[xi], new);
-        for &m in &old {
-            if let Some(h) = self.occ.get_mut(&m) {
-                if h.remove(x) {
-                    self.occ.remove(&m);
-                }
-            }
-        }
-        for &m in &self.vals[xi] {
-            self.occ
-                .entry(m)
-                .and_modify(|h| h.insert(x))
-                .or_insert(Holders::One(x));
-        }
-        old
+        rows
     }
 
-    fn remove(&mut self, x: u32) -> Vec<Sym> {
-        let old = self
-            .vals
-            .get_mut(x as usize)
-            .map(std::mem::take)
-            .unwrap_or_default();
-        for &m in &old {
-            if let Some(h) = self.occ.get_mut(&m) {
-                if h.remove(x) {
-                    self.occ.remove(&m);
-                }
-            }
-        }
-        old
+    /// Gives slot `x`, the next at the arena end, labelled `tau`, its row;
+    /// returns τ's plan if τ has columns.
+    fn push<'p>(&mut self, plan: &'p Plan, tau: &Name, x: u32) -> Option<&'p TauPlan> {
+        debug_assert_eq!(self.row_of.len(), x as usize);
+        let Some(tp) = plan.taus.get(tau) else {
+            self.row_of.push(NO_ROW);
+            return None;
+        };
+        self.row_of.push(self.slots[tp.rank].len() as u32);
+        self.slots[tp.rank].push(x);
+        Some(tp)
     }
 
-    fn get(&self, x: u32) -> &[Sym] {
-        self.vals.get(x as usize).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    fn nodes_with(&self, v: Sym) -> impl Iterator<Item = u32> + '_ {
-        self.occ.get(&v).into_iter().flat_map(Holders::iter)
+    /// Vertex `x`'s row in type `t`'s columns, if `x` is a slot of `t`.
+    fn row(&self, t: usize, x: u32) -> Option<usize> {
+        let r = *self.row_of.get(x as usize)?;
+        (self.slots[t].get(r as usize) == Some(&x)).then_some(r as usize)
     }
 }
 
@@ -366,15 +382,41 @@ impl SetCol {
 /// strings.
 struct Store {
     interner: Interner,
-    singles: Vec<SingleCol>,
-    sets: Vec<SetCol>,
+    rows: RowMap,
+    singles: Vec<Col<Option<Sym>>>,
+    sets: Vec<Col<Vec<Sym>>>,
 }
 
 impl Store {
+    /// `x`'s value in single-valued column `c` (`None` for an undefined
+    /// field or a vertex of another type).
+    fn single(&self, c: usize, x: u32) -> Option<Sym> {
+        self.singles[c].get(&self.rows, x).copied().flatten()
+    }
+
+    /// `x`'s members in set-valued column `c`.
+    fn members(&self, c: usize, x: u32) -> &[Sym] {
+        self.sets[c].get(&self.rows, x).map_or(&[], Vec::as_slice)
+    }
+
+    /// Gives vertex `x`, just added at the arena end with label `tau`, its
+    /// row: an empty one appended to each of its type's columns.
+    fn push_slot(&mut self, plan: &Plan, tau: &Name, x: u32) {
+        let Some(tp) = self.rows.push(plan, tau, x) else {
+            return;
+        };
+        for &(_, c) in &tp.singles {
+            self.singles[c].vals.rows.push(None);
+        }
+        for &(_, c) in &tp.sets {
+            self.sets[c].vals.rows.push(Vec::new());
+        }
+    }
+
     /// A field tuple over single-valued columns `cols` (`None` while any
     /// field is undefined).
     fn tuple(&self, cols: &[usize], x: u32) -> Option<Vec<Sym>> {
-        cols.iter().map(|&c| self.singles[c].get(x)).collect()
+        cols.iter().map(|&c| self.single(c, x)).collect()
     }
 
     fn resolve(&self, s: Sym) -> &str {
@@ -386,6 +428,24 @@ impl Store {
             .map(|&s| self.resolve(s))
             .collect::<Vec<_>>()
             .join(", ")
+    }
+}
+
+/// `ext(τ)` for the planned types, read off the row map's slot lists: the
+/// live slots of τ, ascending. Part and ID-table construction iterate it.
+struct Extents<'a> {
+    plan: &'a Plan,
+    tree: &'a DataTree,
+    rows: &'a RowMap,
+}
+
+impl Extents<'_> {
+    fn ext(&self, tau: &Name) -> impl Iterator<Item = u32> + '_ {
+        let slots = (self.plan.taus.get(tau)).map_or(&[][..], |tp| &self.rows.slots[tp.rank]);
+        slots
+            .iter()
+            .copied()
+            .filter(|&x| self.tree.is_alive(nid(x)))
     }
 }
 
@@ -442,7 +502,7 @@ impl IdTable {
             } => self.recarry(*col, *node, *old, *new),
             Change::NodeAdded { tau, node } => {
                 if let Some(&c) = self.col_of.get(tau) {
-                    self.recarry(c, *node, None, store.singles[c].get(*node));
+                    self.recarry(c, *node, None, store.single(c, *node));
                 }
             }
             Change::NodeRemoved { tau, node, singles } => {
@@ -499,64 +559,58 @@ fn init_threads(v: &Validator<'_>, tree: &DataTree) -> usize {
         .min(v.effective_threads())
 }
 
-/// Checks one imported column `(τ, field)` of a [`LiveState`]: no more
-/// cells than the tree's id bound, every symbol inside the intern pool, and
-/// values only at vertices of `ext(τ)` — live and labelled τ. The extent
-/// check counts instead of looking up each holder's label: the values
-/// inside `ext(τ)` must be all of the column's values.
-fn check_column<T>(
+/// Checks one imported column `(τ, field)` of a [`LiveState`] against
+/// τ's slots in the tree: one row per slot, no more cells than the tree's
+/// id bound, every symbol inside the intern pool, and values only at live
+/// slots below the column's cell count. One pass over |ext(τ)| rows.
+fn check_rows<T: Cell>(
     tree: &DataTree,
-    idx: &ExtIndex,
+    slots: &[u32],
     nsym: usize,
     tau: &Name,
     field: &dyn std::fmt::Display,
-    vals: &[T],
-    members: fn(&T) -> &[Sym],
+    col: &ColumnRows<T>,
 ) -> Result<(), StateError> {
     let bound = tree.id_bound();
     let err = |detail: String| Err(StateError { detail });
-    if vals.len() > bound {
+    if col.cells > bound {
         return err(format!(
-            "column ({tau}, {field}) holds {} cells but the tree's id bound is {bound}",
-            vals.len()
+            "column ({tau}, {field}) spans {} cells but the tree's id bound is {bound}",
+            col.cells
         ));
     }
-    let mut held = 0;
-    for (xi, cell) in vals.iter().enumerate() {
-        let cell = members(cell);
+    if col.rows.len() != slots.len() {
+        return err(format!(
+            "column ({tau}, {field}) holds {} rows but the tree has {} {tau} slots",
+            col.rows.len(),
+            slots.len()
+        ));
+    }
+    for (&x, cell) in slots.iter().zip(&col.rows) {
+        let cell = cell.members();
+        if cell.is_empty() {
+            continue;
+        }
         if let Some(sym) = cell.iter().find(|s| s.index() >= nsym) {
             return err(format!(
-                "column ({tau}, {field}) cell n{xi} references symbol {} of an \
+                "column ({tau}, {field}) cell n{x} references symbol {} of an \
                  intern pool holding {nsym}",
                 sym.index()
             ));
         }
-        held += usize::from(!cell.is_empty());
+        if !tree.is_alive(nid(x)) {
+            return err(format!(
+                "column ({tau}, {field}) has a value at dead vertex n{x}"
+            ));
+        }
+        if x as usize >= col.cells {
+            return err(format!(
+                "column ({tau}, {field}) has a value at n{x}, past its {} cells",
+                col.cells
+            ));
+        }
     }
-    let held_in_ext = (idx.ext(tau).iter())
-        .filter(|x| vals.get(x.index()).is_some_and(|c| !members(c).is_empty()))
-        .count();
-    if held_in_ext == held {
-        return Ok(());
-    }
-    let xi = (0..vals.len())
-        .find(|&xi| {
-            let x = NodeId::from_index(xi);
-            let outside = !tree.is_alive(x) || tree.label(x) != tau;
-            outside && !members(&vals[xi]).is_empty()
-        })
-        .expect("a value outside ext(τ) exists when the counts differ");
-    let x = NodeId::from_index(xi);
-    if tree.is_alive(x) {
-        err(format!(
-            "column ({tau}, {field}) has a value at n{xi}, a {} vertex outside ext({tau})",
-            tree.label(x)
-        ))
-    } else {
-        err(format!(
-            "column ({tau}, {field}) has a value at dead vertex n{xi}"
-        ))
-    }
+    Ok(())
 }
 
 /// Stable counting sort of `(sym, payload)` pairs by dense symbol index:
@@ -616,18 +670,16 @@ fn sym_run_count<V: Copy>(sorted: &[(Sym, V)]) -> usize {
     runs
 }
 
-/// Groups a column's dense cells (vertex `i` holds `cells[i]`) into its
+/// Groups a column's rows (row `r` is slot `slots[r]`'s cell) into its
 /// reverse occurrence index: one counting sort over the ascending
 /// `(value, vertex)` pairs, one reserve-exact map fill, no singleton
 /// B-tree allocations. Independent across columns, so bulk init fans it
 /// out over the validator's thread budget.
-fn build_occ<'c>(
-    cells: impl Iterator<Item = &'c [Sym]> + Clone,
-    sym_count: usize,
-) -> FastHashMap<Sym, Holders> {
-    let mut pairs: Vec<(Sym, u32)> = Vec::with_capacity(cells.clone().map(<[Sym]>::len).sum());
-    for (xi, members) in cells.enumerate() {
-        pairs.extend(members.iter().map(|&m| (m, xi as u32)));
+fn build_occ<T: Cell>(slots: &[u32], rows: &[T], sym_count: usize) -> FastHashMap<Sym, Holders> {
+    let mut pairs: Vec<(Sym, u32)> =
+        Vec::with_capacity(rows.iter().map(|r| r.members().len()).sum());
+    for (&x, row) in slots.iter().zip(rows) {
+        pairs.extend(row.members().iter().map(|&m| (m, x)));
     }
     let sorted = counting_sort_by_sym(&pairs, sym_count);
     let mut occ = FastHashMap::with_capacity_and_hasher(sym_run_count(&sorted), Default::default());
@@ -635,6 +687,29 @@ fn build_occ<'c>(
         occ.insert(sym, Holders::from_run(run.iter().map(|&(_, x)| x)));
     });
     occ
+}
+
+/// Turns one kind's columns (plan order, `keys[c].0` the element type of
+/// column `c`) into live columns: each learns its type's rank and gets its
+/// occurrence index. The indexes are independent, so they fan out over the
+/// same thread budget the one-shot engine's check phase uses.
+fn live_columns<K: Sync, T: Cell + Send + Sync>(
+    v: &Validator<'_>,
+    threads: usize,
+    keys: &[(Name, K)],
+    cols: Vec<ColumnRows<T>>,
+    rows: &RowMap,
+    nsym: usize,
+) -> Vec<Col<T>> {
+    let items: Vec<_> = (keys.iter())
+        .map(|(tau, _)| v.plan.taus[tau].rank)
+        .zip(cols)
+        .collect();
+    crate::par::fan_out(threads, items, &v.obs, "init.col", |(t, vals)| Col {
+        occ: build_occ(&rows.slots[t], &vals.rows, nsym),
+        t,
+        vals,
+    })
 }
 
 /// Shared mutable context for one part while it processes one change:
@@ -739,7 +814,7 @@ impl Part {
         }
     }
 
-    fn init(&mut self, idx: &ExtIndex, store: &Store, ids: &IdTable, pi: u32) {
+    fn init(&mut self, idx: &Extents, store: &Store, ids: &IdTable, pi: u32) {
         let mut cx = Ctx {
             store,
             ids,
@@ -763,7 +838,7 @@ impl Part {
 /// A *unary* key constraint. The store column's occurrence index is
 /// exactly the grouping a one-field key needs — value ↦ holders,
 /// ascending — so this part keeps **no state of its own**: refreshes read
-/// `SingleCol.occ` directly and retracted values ride in on the change.
+/// ``Col::occ` directly and retracted values ride in on the change.
 /// Init therefore costs one scan for non-singleton groups instead of a
 /// per-vertex copy of the column into tuple tables, and stays allocation-
 /// free on documents whose keys actually hold.
@@ -819,7 +894,7 @@ impl KeyUnaryPart {
                 }
             }
             Change::NodeAdded { tau, node } if *tau == self.c.tau => {
-                if let Some(v) = cx.store.singles[self.c.col].get(*node) {
+                if let Some(v) = cx.store.single(self.c.col, *node) {
                     self.refresh_group(v, cx);
                 }
             }
@@ -833,7 +908,7 @@ impl KeyUnaryPart {
         }
     }
 
-    fn init(&mut self, _idx: &ExtIndex, cx: &mut Ctx) {
+    fn init(&mut self, _idx: &Extents, cx: &mut Ctx) {
         // Group iteration order is irrelevant: groups write disjoint
         // entry slots of a `BTreeMap`, and init carries no diff.
         let store = cx.store;
@@ -934,11 +1009,10 @@ impl KeyPart {
         }
     }
 
-    fn init(&mut self, idx: &ExtIndex, cx: &mut Ctx) {
+    fn init(&mut self, idx: &Extents, cx: &mut Ctx) {
         let ext = idx.ext(&self.c.tau);
-        self.tuples.reserve(ext.len());
-        for &x in ext {
-            let x = x.index() as u32;
+        self.tuples.reserve(ext.size_hint().1.unwrap_or(0));
+        for x in ext {
             if let Some(t) = cx.store.tuple(&self.c.cols, x) {
                 self.occ.entry(t.clone()).or_default().insert(x);
                 self.tuples.insert(x, t);
@@ -967,7 +1041,7 @@ struct FkSinglePart {
 
 impl FkSinglePart {
     fn refresh_source(&self, x: u32, cx: &mut Ctx) {
-        let entry = match cx.store.singles[self.c.col].get(x) {
+        let entry = match cx.store.single(self.c.col, x) {
             None => (self.c.missing.as_ref()).map(|mf| Violation::MissingField {
                 constraint: cx.cname(),
                 node: nid(x),
@@ -1016,7 +1090,7 @@ impl FkSinglePart {
                 self.retarget(*old, *new, cx);
             }
             (Change::NodeAdded { tau, node }, Some(tc)) if *tau == self.c.target => {
-                let v = cx.store.singles[tc].get(*node);
+                let v = cx.store.single(tc, *node);
                 self.retarget(None, v, cx);
             }
             (Change::NodeRemoved { tau, singles, .. }, Some(tc)) if *tau == self.c.target => {
@@ -1039,16 +1113,16 @@ impl FkSinglePart {
         }
     }
 
-    fn init(&mut self, idx: &ExtIndex, cx: &mut Ctx) {
+    fn init(&mut self, idx: &Extents, cx: &mut Ctx) {
         if let Some(tc) = self.c.target_col {
-            for &y in idx.ext(&self.c.target) {
-                if let Some(v) = cx.store.singles[tc].get(y.index() as u32) {
+            for y in idx.ext(&self.c.target) {
+                if let Some(v) = cx.store.single(tc, y) {
                     self.targets.insert(v);
                 }
             }
         }
-        for &x in idx.ext(&self.c.tau) {
-            self.refresh_source(x.index() as u32, cx);
+        for x in idx.ext(&self.c.tau) {
+            self.refresh_source(x, cx);
         }
     }
 }
@@ -1181,27 +1255,25 @@ impl FkNaryPart {
         }
     }
 
-    fn init(&mut self, idx: &ExtIndex, cx: &mut Ctx) {
+    fn init(&mut self, idx: &Extents, cx: &mut Ctx) {
         let text = idx.ext(&self.c.target);
-        self.tgt_tuples.reserve(text.len());
-        for &y in text {
-            let y = y.index() as u32;
+        self.tgt_tuples.reserve(text.size_hint().1.unwrap_or(0));
+        for y in text {
             if let Some(t) = cx.store.tuple(&self.c.target_cols, y) {
                 *self.tgt_counts.entry(t.clone()).or_insert(0) += 1;
                 self.tgt_tuples.insert(y, t);
             }
         }
         let ext = idx.ext(&self.c.tau);
-        self.src_tuples.reserve(ext.len());
-        for &x in ext {
-            let x = x.index() as u32;
+        self.src_tuples.reserve(ext.size_hint().1.unwrap_or(0));
+        for x in ext {
             if let Some(t) = cx.store.tuple(&self.c.cols, x) {
                 self.src_occ.entry(t.clone()).or_default().insert(x);
                 self.src_tuples.insert(x, t);
             }
         }
-        for &x in ext {
-            self.refresh_source(x.index() as u32, cx);
+        for x in idx.ext(&self.c.tau) {
+            self.refresh_source(x, cx);
         }
     }
 }
@@ -1220,7 +1292,7 @@ impl SetFkPart {
     fn refresh_source(&self, x: u32, cx: &mut Ctx) {
         cx.clear_node(x);
         let store = cx.store;
-        for (i, &m) in store.sets[self.c.col].get(x).iter().enumerate() {
+        for (i, &m) in store.members(self.c.col, x).iter().enumerate() {
             if !self.targets.contains(m) {
                 cx.set(
                     (x, i as u32, 0, 0),
@@ -1265,7 +1337,7 @@ impl SetFkPart {
                 self.retarget(*old, *new, cx);
             }
             (Change::NodeAdded { tau, node }, Some(tc)) if *tau == self.c.target => {
-                let v = cx.store.singles[tc].get(*node);
+                let v = cx.store.single(tc, *node);
                 self.retarget(None, v, cx);
             }
             (Change::NodeRemoved { tau, singles, .. }, Some(tc)) if *tau == self.c.target => {
@@ -1288,16 +1360,16 @@ impl SetFkPart {
         }
     }
 
-    fn init(&mut self, idx: &ExtIndex, cx: &mut Ctx) {
+    fn init(&mut self, idx: &Extents, cx: &mut Ctx) {
         if let Some(tc) = self.c.target_col {
-            for &y in idx.ext(&self.c.target) {
-                if let Some(v) = cx.store.singles[tc].get(y.index() as u32) {
+            for y in idx.ext(&self.c.target) {
+                if let Some(v) = cx.store.single(tc, y) {
                     self.targets.insert(v);
                 }
             }
         }
-        for &x in idx.ext(&self.c.tau) {
-            self.refresh_source(x.index() as u32, cx);
+        for x in idx.ext(&self.c.tau) {
+            self.refresh_source(x, cx);
         }
     }
 }
@@ -1315,7 +1387,7 @@ impl IdPart {
     fn refresh_entity(&self, x: u32, cx: &mut Ctx) {
         cx.clear_node(x);
         let store = cx.store;
-        match store.singles[self.c.col].get(x) {
+        match store.single(self.c.col, x) {
             None => cx.set(
                 (x, 0, 0, 0),
                 Some(Violation::MissingField {
@@ -1372,7 +1444,7 @@ impl IdPart {
             }
             Change::NodeAdded { tau, node } => {
                 if let Some(&c) = cx.ids.col_of.get(tau) {
-                    if let Some(v) = cx.store.singles[c].get(*node) {
+                    if let Some(v) = cx.store.single(c, *node) {
                         self.refresh_holders(v, cx);
                     }
                 }
@@ -1394,9 +1466,9 @@ impl IdPart {
         }
     }
 
-    fn init(&mut self, idx: &ExtIndex, cx: &mut Ctx) {
-        for &x in idx.ext(&self.c.tau) {
-            self.refresh_entity(x.index() as u32, cx);
+    fn init(&mut self, idx: &Extents, cx: &mut Ctx) {
+        for x in idx.ext(&self.c.tau) {
+            self.refresh_entity(x, cx);
         }
     }
 }
@@ -1413,13 +1485,12 @@ impl InversePart {
     fn refresh_y(&self, y: u32, cx: &mut Ctx) {
         cx.clear_node(y);
         let store = cx.store;
-        let Some(yk) = store.singles[self.c.target_key].get(y) else {
+        let Some(yk) = store.single(self.c.target_key, y) else {
             return;
         };
-        let (key_col, echo_col) = (&store.singles[self.c.key], &store.sets[self.c.attr]);
-        for (i, &m) in store.sets[self.c.target_attr].get(y).iter().enumerate() {
-            for x in key_col.nodes_with(m) {
-                if !echo_col.get(x).contains(&yk) {
+        for (i, &m) in store.members(self.c.target_attr, y).iter().enumerate() {
+            for x in store.singles[self.c.key].nodes_with(m) {
+                if !store.members(self.c.attr, x).contains(&yk) {
                     cx.set(
                         (y, i as u32, x, 0),
                         Some(Violation::Inverse {
@@ -1462,7 +1533,7 @@ impl InversePart {
                     ys.insert(*node);
                 }
                 if *col == self.c.attr {
-                    if let Some(xk) = store.singles[self.c.key].get(*node) {
+                    if let Some(xk) = store.single(self.c.key, *node) {
                         self.referrers(store, xk, &mut ys);
                     }
                 }
@@ -1472,7 +1543,7 @@ impl InversePart {
                     ys.insert(*node);
                 }
                 if *tau == self.c.tau {
-                    if let Some(xk) = store.singles[self.c.key].get(*node) {
+                    if let Some(xk) = store.single(self.c.key, *node) {
                         self.referrers(store, xk, &mut ys);
                     }
                 }
@@ -1493,9 +1564,9 @@ impl InversePart {
         }
     }
 
-    fn init(&mut self, idx: &ExtIndex, cx: &mut Ctx) {
-        for &y in idx.ext(&self.c.target) {
-            self.refresh_y(y.index() as u32, cx);
+    fn init(&mut self, idx: &Extents, cx: &mut Ctx) {
+        for y in idx.ext(&self.c.target) {
+            self.refresh_y(y, cx);
         }
     }
 }
@@ -1668,26 +1739,26 @@ struct BatchState {
 }
 
 /// One single-valued column of a [`LiveState`]: the `(element type,
-/// field)` key plus the column's dense per-vertex value vector.
-pub type SingleColumnState = ((Name, Field), Vec<Option<Sym>>);
+/// field)` key plus the column's rows.
+pub type SingleColumnState = ((Name, Field), ColumnRows<Option<Sym>>);
 
 /// One set-valued column of a [`LiveState`]: the `(element type,
-/// attribute)` key plus the column's dense per-vertex member vectors.
-pub type SetColumnState = ((Name, Name), Vec<Vec<Sym>>);
+/// attribute)` key plus the column's rows of members.
+pub type SetColumnState = ((Name, Name), ColumnRows<Vec<Sym>>);
 
 /// One single-valued column of a [`LiveStateRef`]: a borrowed
 /// [`SingleColumnState`].
-pub type SingleColumnRef<'a> = (&'a (Name, Field), &'a [Option<Sym>]);
+pub type SingleColumnRef<'a> = (&'a (Name, Field), &'a ColumnRows<Option<Sym>>);
 
 /// One set-valued column of a [`LiveStateRef`]: a borrowed
 /// [`SetColumnState`].
-pub type SetColumnRef<'a> = (&'a (Name, Name), &'a [Vec<Sym>]);
+pub type SetColumnRef<'a> = (&'a (Name, Name), &'a ColumnRows<Vec<Sym>>);
 
 /// A serialisable snapshot of a [`LiveValidator`]'s owned state.
 ///
 /// The state captures exactly what a warm start cannot cheaply recompute:
 /// the document tree, the intern pool's backing storage, every planned
-/// column's dense value vector, and the structural violation table (the
+/// column's rows ([`ColumnRows`]), and the structural violation table (the
 /// output of the content-model scan). Everything else — occurrence maps,
 /// the ID table, per-constraint violation tables, subscription indexes,
 /// and the root-label check — is re-derived deterministically by
@@ -1705,11 +1776,11 @@ pub struct LiveState {
     pub interner_arena: Vec<u8>,
     /// The intern pool's `(start, len)` spans (see [`Interner::spans`]).
     pub interner_spans: Vec<(u32, u32)>,
-    /// Every planned single-valued column's dense value vector, ascending
-    /// by `(element type, field)` key.
+    /// Every planned single-valued column's rows, ascending by `(element
+    /// type, field)` key.
     pub singles: Vec<SingleColumnState>,
-    /// Every planned set-valued column's dense member vectors, ascending
-    /// by `(element type, attribute)` key.
+    /// Every planned set-valued column's rows, ascending by `(element
+    /// type, attribute)` key.
     pub sets: Vec<SetColumnState>,
     /// Vertex ↦ its structural violations, ascending by vertex.
     pub struct_viols: Vec<(u32, Vec<Violation>)>,
@@ -1723,12 +1794,8 @@ impl LiveState {
             tree: &self.tree,
             interner_arena: &self.interner_arena,
             interner_spans: &self.interner_spans,
-            singles: self
-                .singles
-                .iter()
-                .map(|(k, v)| (k, v.as_slice()))
-                .collect(),
-            sets: self.sets.iter().map(|(k, v)| (k, v.as_slice())).collect(),
+            singles: self.singles.iter().map(|(k, v)| (k, v)).collect(),
+            sets: self.sets.iter().map(|(k, v)| (k, v)).collect(),
             struct_viols: self
                 .struct_viols
                 .iter()
@@ -1772,15 +1839,11 @@ impl LiveStateRef<'_> {
             tree: self.tree.clone(),
             interner_arena: self.interner_arena.to_vec(),
             interner_spans: self.interner_spans.to_vec(),
-            singles: self
-                .singles
-                .into_iter()
-                .map(|(k, v)| (k.clone(), v.to_vec()))
+            singles: (self.singles.into_iter())
+                .map(|(k, v)| (k.clone(), v.clone()))
                 .collect(),
-            sets: self
-                .sets
-                .into_iter()
-                .map(|(k, v)| (k.clone(), v.to_vec()))
+            sets: (self.sets.into_iter())
+                .map(|(k, v)| (k.clone(), v.clone()))
                 .collect(),
             struct_viols: self
                 .struct_viols
@@ -1851,34 +1914,51 @@ impl<'v, 'd> LiveValidator<'v, 'd> {
     /// Builds the live state for `tree` (one full-validation-cost pass).
     ///
     /// Columns, occurrence maps, and constraint tables are bulk-loaded:
-    /// each planned cell is extracted exactly once into a dense
-    /// per-vertex column, and the content-model scan runs once per
-    /// vertex; [`LiveValidator::from_state`] shares everything after that
-    /// (see `assemble`).
+    /// each planned cell is extracted exactly once into its column's row,
+    /// and the content-model scan runs once per vertex;
+    /// [`LiveValidator::from_state`] shares everything after that (see
+    /// `assemble`).
     pub fn new(v: &'v Validator<'d>, tree: DataTree) -> Self {
         let _init = v.obs.span("live.init");
         let plan = &v.plan;
-        let idx = ExtIndex::build(&tree);
         let threads = init_threads(v, &tree);
         let bound = tree.id_bound();
+        let rows = RowMap::build(plan, &tree);
+        let rows_of = |tau: &Name| rows.slots[plan.taus[tau].rank].len();
 
         // Extraction interns through the one shared interner and stays
         // sequential: one extent walk per τ fills every single-valued
         // column of τ (the vertex's node record and attribute list stay
         // hot across fields), then each set-valued column in plan order.
         let mut interner = Interner::new();
-        let mut singles: Vec<Vec<Option<Sym>>> = vec![vec![None; bound]; plan.singles.len()];
-        for (tau, tp) in &plan.taus {
-            for &x in idx.ext(tau) {
+        let mut singles: Vec<ColumnRows<Option<Sym>>> = (plan.singles.iter())
+            .map(|(tau, _)| ColumnRows {
+                rows: vec![None; rows_of(tau)],
+                cells: bound,
+            })
+            .collect();
+        let live = |x: &u32| tree.is_alive(nid(*x));
+        for tp in plan.taus.values() {
+            for (r, x) in rows.slots[tp.rank]
+                .iter()
+                .enumerate()
+                .filter(|(_, x)| live(x))
+            {
                 for (field, c) in &tp.singles {
-                    singles[*c][x.index()] = extract_single(&tree, x, field, &mut interner);
+                    singles[*c].rows[r] = extract_single(&tree, nid(*x), field, &mut interner);
                 }
             }
         }
-        let mut sets: Vec<Vec<Vec<Sym>>> = vec![vec![Vec::new(); bound]; plan.sets.len()];
+        let mut sets: Vec<ColumnRows<Vec<Sym>>> = (plan.sets.iter())
+            .map(|(tau, _)| ColumnRows {
+                rows: vec![Vec::new(); rows_of(tau)],
+                cells: bound,
+            })
+            .collect();
         for ((tau, attr), col) in plan.sets.iter().zip(&mut sets) {
-            for &x in idx.ext(tau) {
-                col[x.index()] = extract_set(&tree, x, attr, &mut interner).collect();
+            let ext = rows.slots[plan.taus[tau].rank].iter().enumerate();
+            for (r, x) in ext.filter(|(_, x)| live(x)) {
+                col.rows[r] = extract_set(&tree, nid(*x), attr, &mut interner).collect();
             }
         }
 
@@ -1900,7 +1980,7 @@ impl<'v, 'd> LiveValidator<'v, 'd> {
         });
         let struct_viols = chunks.into_iter().flatten().collect();
 
-        Self::assemble(v, tree, &idx, interner, singles, sets, struct_viols)
+        Self::assemble(v, tree, interner, rows, singles, sets, struct_viols)
     }
 
     /// Rebuilds a live validator from an exported [`LiveState`] without
@@ -1919,9 +1999,10 @@ impl<'v, 'd> LiveValidator<'v, 'd> {
     /// Returns [`StateError`] — never panics — when the state is
     /// internally inconsistent or does not match `v`'s constraint plan:
     /// malformed intern-pool parts, columns other than the plan's (in the
-    /// plan's order), symbols outside the pool, or vectors extending past
-    /// the tree's id bound. A column may hold values only at live vertices
-    /// of its own element type.
+    /// plan's order), a column whose rows do not match its type's slots in
+    /// the tree, symbols outside the pool, or cell counts past the tree's
+    /// id bound. A column may hold values only at live vertices below its
+    /// cell count.
     pub fn from_state(v: &'v Validator<'d>, state: LiveState) -> Result<Self, StateError> {
         let _warm = v.obs.span("live.warm");
         let plan = &v.plan;
@@ -1963,12 +2044,13 @@ impl<'v, 'd> LiveValidator<'v, 'd> {
             });
         }
 
-        let idx = ExtIndex::build(&tree);
-        for ((tau, f), vals) in &singles {
-            check_column(&tree, &idx, nsym, tau, &f, vals, Option::as_slice)?;
+        let rows = RowMap::build(plan, &tree);
+        let slots_of = |tau: &Name| &rows.slots[plan.taus[tau].rank][..];
+        for ((tau, f), col) in &singles {
+            check_rows(&tree, slots_of(tau), nsym, tau, &f, col)?;
         }
-        for ((tau, a), vals) in &sets {
-            check_column(&tree, &idx, nsym, tau, &a, vals, Vec::as_slice)?;
+        for ((tau, a), col) in &sets {
+            check_rows(&tree, slots_of(tau), nsym, tau, &a, col)?;
         }
         for (xi, viols) in &struct_viols {
             if *xi as usize >= bound || viols.is_empty() {
@@ -1984,56 +2066,52 @@ impl<'v, 'd> LiveValidator<'v, 'd> {
         Ok(Self::assemble(
             v,
             tree,
-            &idx,
             interner,
-            singles.into_iter().map(|(_, vals)| vals).collect(),
-            sets.into_iter().map(|(_, vals)| vals).collect(),
+            rows,
+            singles.into_iter().map(|(_, col)| col).collect(),
+            sets.into_iter().map(|(_, col)| col).collect(),
             struct_viols.into_iter().collect(),
         ))
     }
 
     /// The shared tail of [`LiveValidator::new`] and
-    /// [`LiveValidator::from_state`]: from the document, its columns as
-    /// dense per-vertex vectors in plan order, and its structural table,
-    /// derives everything else — occurrence maps, the ID table, the root
-    /// check, the per-constraint tables and the subscription index — in
-    /// one deterministic order, so both constructors build the same
-    /// validator from the same cells.
+    /// [`LiveValidator::from_state`]: from the document, its interner and
+    /// row map, its columns' rows in plan order, and its structural table,
+    /// derives everything else — occurrence maps, the ID
+    /// table, the root check, the per-constraint tables and the
+    /// subscription index — in one deterministic order, so both
+    /// constructors build the same validator from the same cells.
     fn assemble(
         v: &'v Validator<'d>,
         tree: DataTree,
-        idx: &ExtIndex,
         interner: Interner,
-        singles: Vec<Vec<Option<Sym>>>,
-        sets: Vec<Vec<Vec<Sym>>>,
+        rows: RowMap,
+        singles: Vec<ColumnRows<Option<Sym>>>,
+        sets: Vec<ColumnRows<Vec<Sym>>>,
         struct_viols: BTreeMap<u32, Vec<Violation>>,
     ) -> Self {
         let s = v.dtdc().structure();
+        let plan = &v.plan;
         let threads = init_threads(v, &tree);
         let nsym = interner.len();
-        // Reverse occurrence maps are per-column independent, so they fan
-        // out over the same thread budget the one-shot engine's check
-        // phase uses.
         let store = Store {
+            singles: live_columns(v, threads, &plan.singles, singles, &rows, nsym),
+            sets: live_columns(v, threads, &plan.sets, sets, &rows, nsym),
             interner,
-            singles: crate::par::fan_out(threads, singles, &v.obs, "init.col", |vals| SingleCol {
-                occ: build_occ(vals.iter().map(Option::as_slice), nsym),
-                vals,
-            }),
-            sets: crate::par::fan_out(threads, sets, &v.obs, "init.col", |vals| SetCol {
-                occ: build_occ(vals.iter().map(Vec::as_slice), nsym),
-                vals,
-            }),
+            rows,
         };
-
+        let idx = Extents {
+            plan,
+            tree: &tree,
+            rows: &store.rows,
+        };
         let mut ids = IdTable {
-            rank_of: vec![None; v.plan.singles.len()],
+            rank_of: vec![None; plan.singles.len()],
             ..IdTable::default()
         };
-        for (rank, (tau, c)) in (0u32..).zip(&v.plan.id_cols) {
-            for &x in idx.ext(tau) {
-                let xi = x.index() as u32;
-                if let Some(val) = store.singles[*c].get(xi) {
+        for (rank, (tau, c)) in (0u32..).zip(&plan.id_cols) {
+            for xi in idx.ext(tau) {
+                if let Some(val) = store.single(*c, xi) {
                     ids.carriers.entry(val).or_default().insert((rank, xi));
                 }
             }
@@ -2049,12 +2127,12 @@ impl<'v, 'd> LiveValidator<'v, 'd> {
             found: root_label.clone(),
         });
 
-        let mut parts = build_parts(v.dtdc(), &v.plan);
+        let mut parts = build_parts(v.dtdc(), plan);
         let items: Vec<(u32, &mut Part)> = (0u32..).zip(parts.iter_mut()).collect();
         crate::par::fan_out(threads, items, &v.obs, "init.part", |(pi, p)| {
-            p.init(idx, &store, &ids, pi);
+            p.init(&idx, &store, &ids, pi);
         });
-        let subs = Subs::build(&v.plan);
+        let subs = Subs::build(plan);
 
         LiveValidator {
             v,
@@ -2084,11 +2162,11 @@ impl<'v, 'd> LiveValidator<'v, 'd> {
             interner_spans: self.store.interner.spans(),
             singles: (plan.singles.iter())
                 .zip(&self.store.singles)
-                .map(|(k, col)| (k, col.vals.as_slice()))
+                .map(|(k, col)| (k, &col.vals))
                 .collect(),
             sets: (plan.sets.iter())
                 .zip(&self.store.sets)
-                .map(|(k, col)| (k, col.vals.as_slice()))
+                .map(|(k, col)| (k, &col.vals))
                 .collect(),
             struct_viols: self
                 .struct_viols
@@ -2338,6 +2416,15 @@ impl<'v, 'd> LiveValidator<'v, 'd> {
         let mut acc = DiffAcc::default();
         let mut coalesced = structural;
 
+        // 0. Every slot this batch added to the arena gets its rows, dead
+        // or alive, so the row map covers the id bound again.
+        {
+            let Self { v, tree, store, .. } = &mut *self;
+            for xi in pre_bound..tree.id_bound() as u32 {
+                store.push_slot(&v.plan, tree.label(nid(xi)), xi);
+            }
+        }
+
         // 1. Surviving attribute writes, in (vertex, attribute) order.
         let mut writes: Vec<((u32, Name), Option<AttrValue>)> = pend_attr.into_iter().collect();
         writes.sort_unstable_by(|a, b| a.0.cmp(&b.0));
@@ -2431,7 +2518,6 @@ impl<'v, 'd> LiveValidator<'v, 'd> {
                     let mut changes: Vec<(u32, Option<Sym>, Option<Sym>)> = Vec::new();
                     {
                         let Self { tree, store, .. } = &mut *self;
-                        let cmap = &mut store.singles[col as usize];
                         while j < touched.len() && touched[j].0 == col {
                             let xi = touched[j].1;
                             j += 1;
@@ -2439,7 +2525,7 @@ impl<'v, 'd> LiveValidator<'v, 'd> {
                                 continue;
                             }
                             let new = extract_single(tree, nid(xi), field, &mut store.interner);
-                            let old = cmap.set(xi, new);
+                            let old = store.singles[col as usize].write(&store.rows, xi, new);
                             if old != new {
                                 changes.push((xi, old, new));
                             }
@@ -2460,7 +2546,6 @@ impl<'v, 'd> LiveValidator<'v, 'd> {
                     let mut changes: Vec<u32> = Vec::new();
                     {
                         let Self { tree, store, .. } = &mut *self;
-                        let cmap = &mut store.sets[c];
                         while j < touched.len() && touched[j].0 == col {
                             let xi = touched[j].1;
                             j += 1;
@@ -2469,7 +2554,7 @@ impl<'v, 'd> LiveValidator<'v, 'd> {
                             }
                             let new: Vec<Sym> =
                                 extract_set(tree, nid(xi), attr, &mut store.interner).collect();
-                            let old = cmap.set(xi, new.clone());
+                            let old = store.sets[c].write(&store.rows, xi, new.clone());
                             if old != new {
                                 changes.push(xi);
                             }
@@ -2533,11 +2618,11 @@ impl<'v, 'd> LiveValidator<'v, 'd> {
         let Self { tree, store, .. } = self;
         for (f, c) in &tp.singles {
             let val = extract_single(tree, x, f, &mut store.interner);
-            store.singles[*c].set(xi, val);
+            store.singles[*c].write(&store.rows, xi, val);
         }
         for (a, c) in &tp.sets {
             let members = extract_set(tree, x, a, &mut store.interner).collect();
-            store.sets[*c].set(xi, members);
+            store.sets[*c].write(&store.rows, xi, members);
         }
     }
 
@@ -2550,10 +2635,10 @@ impl<'v, 'd> LiveValidator<'v, 'd> {
         let mut singles: Vec<(usize, Option<Sym>)> = Vec::new();
         if let Some(tp) = v.plan.taus.get(&tau) {
             for &(_, c) in &tp.singles {
-                singles.push((c, self.store.singles[c].remove(xi)));
+                singles.push((c, self.store.singles[c].clear(&self.store.rows, xi)));
             }
             for (_, c) in &tp.sets {
-                self.store.sets[*c].remove(xi);
+                self.store.sets[*c].clear(&self.store.rows, xi);
             }
         }
         self.dispatch(
@@ -2870,19 +2955,31 @@ mod tests {
         // A symbol beyond the intern pool.
         let mut bad = good.clone();
         let huge = Sym::from_index(1_000_000);
-        for (_, vals) in &mut bad.singles {
-            if let Some(cell) = vals.iter_mut().find(|c| c.is_some()) {
+        for (_, col) in &mut bad.singles {
+            if let Some(cell) = col.rows.iter_mut().find(|c| c.is_some()) {
                 *cell = Some(huge);
             }
         }
         let err = reject(&v, bad);
         assert!(err.detail.contains("intern pool"), "{err}");
 
-        // A column longer than the tree's id bound.
+        // A column spanning more cells than the tree's id bound.
         let mut bad = good.clone();
-        bad.singles[0].1.resize(bad.tree.id_bound() + 5, None);
+        bad.singles[0].1.cells = bad.tree.id_bound() + 5;
         let err = reject(&v, bad);
         assert!(err.detail.contains("id bound"), "{err}");
+
+        // A column with a row more than its type has slots.
+        let mut bad = good.clone();
+        bad.singles[0].1.rows.push(None);
+        let err = reject(&v, bad);
+        assert!(err.detail.contains("slots"), "{err}");
+
+        // A value at a vertex past the column's cell count.
+        let mut bad = good.clone();
+        bad.singles[0].1.cells = 0;
+        let err = reject(&v, bad);
+        assert!(err.detail.contains("past its 0 cells"), "{err}");
 
         // Malformed intern-pool parts surface the interner's error.
         let mut bad = good.clone();
@@ -2902,23 +2999,9 @@ mod tests {
         let err = reject(&v, bad);
         assert!(err.detail.contains("out of bounds"), "{err}");
 
-        // A value copied onto a live vertex outside the column's extent:
-        // every `(entry, @isbn)` / `(section, @sid)` value, onto every
-        // vertex of another label.
-        let tree = &good.tree;
-        for (ci, ((tau, _), vals)) in good.singles.iter().enumerate() {
-            let Some(sym) = vals.iter().flatten().next() else {
-                continue;
-            };
-            for x in tree.node_ids().filter(|&x| tree.label(x) != tau) {
-                let mut bad = good.clone();
-                let col = &mut bad.singles[ci].1;
-                col.resize(col.len().max(x.index() + 1), None);
-                col[x.index()] = Some(*sym);
-                let err = reject(&v, bad);
-                assert!(err.detail.contains("outside ext"), "{err}");
-            }
-        }
+        // A value outside the column's extent has no row to sit in: the
+        // snapshot decoder rejects it where the bytes arrive
+        // (`crates/storage/tests/roundtrip.rs`).
 
         // The untampered export still loads.
         assert!(LiveValidator::from_state(&v, good).is_ok());
@@ -2933,13 +3016,17 @@ mod tests {
         let dead = section.index();
         edit(&mut live, BatchEdit::DeleteSubtree { node: section });
 
+        // The dead section keeps its row in every `section` column: its
+        // rank among the `section` slots below it.
         let mut bad = live.export_state();
-        let sym = Sym::from_index(0);
-        let (_, vals) = &mut bad.singles[0];
-        if vals.len() <= dead {
-            vals.resize(dead + 1, None);
-        }
-        vals[dead] = Some(sym);
+        let tree = &bad.tree;
+        let row = (0..dead)
+            .filter(|&i| tree.label(NodeId::from_index(i)) == "section")
+            .count();
+        let (_, col) = (bad.singles.iter_mut())
+            .find(|((tau, _), _)| tau == "section")
+            .expect("book's Σ keys sections");
+        col.rows[row] = Some(Sym::from_index(0));
         let err = reject(&v, bad);
         assert!(err.detail.contains("dead vertex"), "{err}");
     }

@@ -67,7 +67,8 @@ mod structure;
 
 pub use constraints::check_constraint;
 pub use incremental::{
-    BatchEdit, BatchError, LiveState, LiveStateRef, LiveValidator, ReportDiff, StateError,
+    BatchEdit, BatchError, ColumnRows, LiveState, LiveStateRef, LiveValidator, ReportDiff,
+    StateError,
 };
 pub use report::{Report, Violation};
 pub use structure::{MatcherKind, Options, Validator};

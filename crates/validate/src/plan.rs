@@ -344,6 +344,9 @@ pub(crate) struct Plan {
 /// its cells without touching the rest of the plan.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct TauPlan {
+    /// τ's position in [`Plan::taus`], which indexes per-type tables such
+    /// as the live store's slot lists.
+    pub(crate) rank: usize,
     /// `(field, single-column index)`, ascending by field (attributes
     /// before unique sub-elements).
     pub(crate) singles: Vec<(Field, usize)>,
@@ -568,6 +571,9 @@ impl Plan {
                 .or_default()
                 .sets
                 .push((attr.clone(), i));
+        }
+        for (rank, tp) in taus.values_mut().enumerate() {
+            tp.rank = rank;
         }
         let mut plan = Plan {
             singles: cover.singles.into_iter().collect(),
