@@ -1,6 +1,6 @@
-//! The heap a live validator holds beyond its document, and the heap a
-//! snapshot write takes on top of that, counted by the counting
-//! allocator.
+//! The heap a live validator holds beyond its document, the two
+//! together, and the heap a snapshot write takes on top of that, counted
+//! by the counting allocator.
 //!
 //! The allocator's totals are process-wide, so this binary holds exactly
 //! one test: nothing else allocates while it measures.
@@ -16,12 +16,18 @@ use xic_bench::constraint_heavy_workload;
 const VERTICES: usize = 30_000;
 
 /// Heap bytes `LiveValidator::new` may add per vertex beyond the tree:
-/// columns, row map, interner, occurrence maps and constraint state. It
-/// adds 249 B here. Columns kept as one cell per vertex id, as they were
-/// before they became extent rows, took it to 317 B: on this Σ the dense
-/// cells alone are 100 B per vertex (7 single columns of 4 B and 3 set
-/// columns of 24 B).
-const MAX_LIVE_BYTES_PER_VERTEX: u64 = 275;
+/// columns, row map, occurrence maps and constraint state. It adds 191 B
+/// here. With an intern pool of its own, as before the columns held the
+/// tree's symbols, it added 249 B; with columns kept as one cell per
+/// vertex id, as before they became extent rows, 317 B (on this Σ the
+/// dense cells alone are 100 B per vertex: 7 single columns of 4 B and 3
+/// set columns of 24 B).
+const MAX_LIVE_BYTES_PER_VERTEX: u64 = 210;
+
+/// Heap bytes per vertex of a live document, tree and live state
+/// together. They take 335 B here. A tree holding each value as a string
+/// of its own beside a live index with its own pool took 470 B.
+const MAX_RESIDENT_BYTES_PER_VERTEX: u64 = 368;
 
 /// Heap bytes `write_snapshot` may take above the live state: one 64 KiB
 /// buffer, each label's slot list and the tree encoder's name dictionary.
@@ -35,6 +41,13 @@ fn live_state_and_snapshot_writes_stay_lean() {
     let v = Validator::new(&dtdc);
     let vertices = tree.len() as u64;
 
+    // The tree's own heap, measured on a copy: a clone allocates what the
+    // tree holds.
+    let before = stats().live;
+    let copy = tree.clone();
+    let tree_bytes = stats().live - before;
+    drop(copy);
+
     let before = stats().live;
     let live = LiveValidator::new(&v, tree);
     let held = stats().live - before;
@@ -42,6 +55,12 @@ fn live_state_and_snapshot_writes_stay_lean() {
         held / vertices <= MAX_LIVE_BYTES_PER_VERTEX,
         "the live state holds {} B per vertex beyond the tree ({held} B over {vertices} vertices)",
         held / vertices
+    );
+    let resident = tree_bytes + held;
+    assert!(
+        resident / vertices <= MAX_RESIDENT_BYTES_PER_VERTEX,
+        "tree and live state hold {} B per vertex ({tree_bytes} + {held} B over {vertices} vertices)",
+        resident / vertices
     );
 
     let dir = std::env::temp_dir().join(format!("xic-live-footprint-{}", std::process::id()));

@@ -14,11 +14,14 @@ use xic_bench::constraint_heavy_workload;
 const VERTICES: usize = 10_000;
 
 /// Heap bytes a parsed vertex may hold, everything it owns included:
-/// its node record, its attribute and child lists, its values and its
-/// share of the names. The tree holds about 221 B; an allocation per
-/// name occurrence, a list around each single value or spare slots left
-/// by growth would each take it past the bound (together: 495 B).
-const MAX_BYTES_PER_VERTEX: usize = 250;
+/// its node record, its child list, its attribute slots, its share of the
+/// names and of the value pool (each distinct value once, with the pool's
+/// lookup table). The tree holds 160 B here. Keeping every value as a
+/// string of its own, as trees did before they held symbols of one pool,
+/// took 221 B; an allocation per name occurrence, a list around each
+/// single value or spare slots left by growth would each take it further
+/// (together: 495 B).
+const MAX_BYTES_PER_VERTEX: usize = 176;
 
 #[test]
 fn a_parsed_document_is_lean_and_shares_its_names() {
@@ -51,18 +54,14 @@ fn a_parsed_document_is_lean_and_shares_its_names() {
         tree.label(b).as_str().as_ptr(),
         "two `part` vertices hold separate label allocations"
     );
-    let names_of = |x: NodeId| -> Vec<*const u8> {
-        tree.node(x)
-            .attrs()
-            .map(|(n, _)| n.as_str().as_ptr())
-            .collect()
-    };
+    let names_of =
+        |x: NodeId| -> Vec<*const u8> { tree.attrs(x).map(|(n, _)| n.as_str().as_ptr()).collect() };
     assert_eq!(
         names_of(a),
         names_of(b),
         "two `part` vertices hold separate attribute names"
     );
-    assert!(tree.attr(a, "pid").is_some_and(AttrValue::is_singleton));
+    assert!(tree.attr(a, "pid").is_some_and(|v| v.is_singleton()));
 
     // A singleton value allocates its string and nothing around it,
     // whether it is built as one value or as a one-member set.

@@ -457,7 +457,7 @@ fn serve_connection(store: &Store, item: WorkItem) {
     };
     let mut reader = BufReader::new(stream);
     loop {
-        let req = match http::read_request(&mut reader, store.max_body) {
+        let mut req = match http::read_request(&mut reader, store.max_body) {
             Ok(req) => req,
             Err(HttpError::Closed) | Err(HttpError::Timeout) | Err(HttpError::Io(_)) => return,
             Err(HttpError::Malformed(m)) => {
@@ -496,7 +496,8 @@ fn serve_connection(store: &Store, item: WorkItem) {
         let span = store.http_obs.span("http.request");
         store.http_obs.add("http.requests", 1);
         let handled = Instant::now();
-        let resp = route(store, &req);
+        let bytes_in = req.body.len() as u64;
+        let resp = route(store, &mut req);
         let handler_nanos = u64::try_from(handled.elapsed().as_nanos()).unwrap_or(u64::MAX);
         // The route is only known after dispatch, so the per-route family
         // is recorded as an elapsed duration rather than a live span.
@@ -511,7 +512,7 @@ fn serve_connection(store: &Store, item: WorkItem) {
                 path: req.path.clone(),
                 route: resp.route.to_string(),
                 status: status_code(resp.status),
-                bytes_in: req.body.len() as u64,
+                bytes_in,
                 bytes_out: resp.body.len() as u64,
                 queue_wait_nanos: qw.unwrap_or(0),
                 handler_nanos,
@@ -624,8 +625,11 @@ enum Fault {
     Server(String),
 }
 
-/// Dispatches one parsed request against the store.
-fn route(store: &Store, req: &Request) -> Response {
+/// Dispatches one parsed request against the store. A request that
+/// hands its body on (a document upload, an edit script) moves it out of
+/// `req`: an uploaded document is parsed and indexed while it is alive,
+/// so a copy would stay resident through the whole ingest.
+fn route(store: &Store, req: &mut Request) -> Response {
     // The legacy un-prefixed routes are doc `default`'s.
     let path = match req.path.as_str() {
         "/report" => "/docs/default/report",
@@ -677,9 +681,9 @@ fn route(store: &Store, req: &Request) -> Response {
                         return Response::doc("http.route.report", id, ok, reply);
                     }
                     ("POST", Some("edits")) => {
-                        let reply = ask(store, id, |rid, reply| {
-                            DocRequest::Edits(rid, req.body.clone(), reply)
-                        });
+                        let body = std::mem::take(&mut req.body);
+                        let reply =
+                            ask(store, id, |rid, reply| DocRequest::Edits(rid, body, reply));
                         return Response::doc("http.route.edits", id, ok, reply);
                     }
                     ("POST", Some("snapshot")) => {
@@ -687,7 +691,7 @@ fn route(store: &Store, req: &Request) -> Response {
                         return Response::doc("http.route.snapshot", id, ok, reply);
                     }
                     ("GET", Some("metrics")) => return doc_metrics(store, id),
-                    ("PUT", None) => return put_doc(store, id, req.body.clone()),
+                    ("PUT", None) => return put_doc(store, id, std::mem::take(&mut req.body)),
                     ("DELETE", None) => return delete_doc(store, id),
                     _ => {}
                 }
@@ -1025,7 +1029,7 @@ fn run_doc_shard(
     // state for the validator borrowing it.
     enum Start {
         Cold(DataTree),
-        Warm(Box<Recovered>),
+        Warm(Recovered),
     }
     let loaded = (|| -> Result<(DtdC, Start), Fault> {
         match init {
@@ -1045,7 +1049,7 @@ fn run_doc_shard(
                     .ok_or_else(|| Fault::Server("warm start requires --state-dir".into()))?;
                 let (dtdc, recovered) =
                     durable::load_doc(opts, store, &id).map_err(Fault::Server)?;
-                Ok((dtdc, Start::Warm(Box::new(recovered))))
+                Ok((dtdc, Start::Warm(recovered)))
             }
         }
     })();
@@ -1086,7 +1090,7 @@ fn run_doc_shard(
         }
         Start::Warm(recovered) => {
             let (store, snapshot_every) = disk.expect("warm start checked --state-dir above");
-            durable::replay(&validator, *recovered, &obs)
+            durable::replay(&validator, recovered, &obs)
                 .map(|(live, wal, since_snapshot)| {
                     let d = ShardDisk {
                         store,
@@ -2589,12 +2593,12 @@ ref.to <=s entry.isbn";
         };
         for id in ["gone", "mute"] {
             for (method, action) in [("GET", "report"), ("POST", "edits"), ("POST", "snapshot")] {
-                let resp = route(&store, &request(method, format!("/docs/{id}/{action}")));
+                let resp = route(&store, &mut request(method, format!("/docs/{id}/{action}")));
                 assert_eq!(resp.status, "500 Internal Server Error", "{id} {action}");
                 assert_eq!(resp.body, "error: document shard died\n", "{id} {action}");
             }
         }
-        let resp = route(&store, &request("GET", "/docs/ghost/report".into()));
+        let resp = route(&store, &mut request("GET", "/docs/ghost/report".into()));
         assert_eq!(resp.status, "404 Not Found", "{}", resp.body);
         for (_, handle) in std::mem::take(&mut *store.docs.write().unwrap()) {
             handle.stop();
@@ -2675,10 +2679,10 @@ ref.to <=s entry.isbn";
             body: String::new(),
             keep_alive: true,
         };
-        let resp = route(&store, &get("/docs"));
+        let resp = route(&store, &mut get("/docs"));
         assert_eq!(resp.status, "200 OK", "{}", resp.body);
         assert_eq!(resp.body, "other\n");
-        let resp = route(&store, &get("/docs/other/report"));
+        let resp = route(&store, &mut get("/docs/other/report"));
         assert_eq!(resp.status, "200 OK", "{}", resp.body);
         assert!(resp.body.contains("valid"), "{}", resp.body);
         for (_, handle) in std::mem::take(&mut *locked(store.docs.write())) {

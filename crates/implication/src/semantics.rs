@@ -551,7 +551,7 @@ mod tests {
             .child_nodes()
             .find(|&c| t.label(c).as_str() == "name")
             .unwrap();
-        assert_eq!(t.node(name_child).text(), "v7");
+        assert_eq!(t.text(name_child), "v7");
     }
 
     #[test]

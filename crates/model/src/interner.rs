@@ -283,6 +283,13 @@ impl Interner {
         self.stats
     }
 
+    /// Drops the arena's and the span list's spare capacity, for a pool
+    /// that is done growing for now (a finished document's).
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.arena.shrink_to_fit();
+        self.spans.shrink_to_fit();
+    }
+
     /// Frees the lookup table, the largest part of a big pool, for a
     /// holder that from now on only resolves symbols. Symbols, arena and
     /// spans are untouched; the next [`Interner::intern`] rebuilds the

@@ -21,7 +21,9 @@
 //! * [`DataTree::tuple`] — `x[X]` for a sequence `X` of attributes;
 //! * [`ExtIndex`] — a precomputed `τ ↦ ext(τ)` index for hot paths;
 //! * [`Interner`]/[`Sym`] — a string intern pool turning attribute-value
-//!   comparisons into `u32` operations in hot validation paths.
+//!   comparisons into `u32` operations. A tree holds its values as
+//!   symbols of one pool ([`DataTree::pool`]) and reads them out through
+//!   [`AttrRef`] views and [`DataTree::text`].
 //!
 //! Trees are built through [`TreeBuilder`], which enforces the single-parent
 //! invariant of Definition 2.1 by construction. Finished trees can be
@@ -44,6 +46,6 @@ pub use interner::{InternStats, Interner, Sym};
 pub use name::Name;
 pub use render::{render_tree, RenderOptions};
 pub use tree::{
-    AttrValue, Child, DataTree, Edit, ExtIndex, ModelError, Node, NodeId, RawNode, TreeBuilder,
-    Value,
+    AttrRef, AttrValue, Child, DataTree, Edit, ExtIndex, ModelError, Node, NodeId, RawAttr,
+    RawNode, RawTree, TreeBuilder, Value,
 };

@@ -60,7 +60,7 @@ fn render_node(tree: &DataTree, id: NodeId, depth: usize, opts: &RenderOptions, 
         let _ = write!(out, "{pad}{}", node.label);
     }
     if opts.show_attrs {
-        for (name, value) in node.attrs() {
+        for (name, value) in tree.attrs(id) {
             let _ = write!(out, "  @{name} = {value}");
         }
     }
@@ -73,7 +73,7 @@ fn render_node(tree: &DataTree, id: NodeId, depth: usize, opts: &RenderOptions, 
             Child::Node(n) => render_node(tree, *n, depth + 1, opts, out),
             Child::Text(t) => {
                 if opts.show_text {
-                    let _ = writeln!(out, "{pad}  {t:?}");
+                    let _ = writeln!(out, "{pad}  {:?}", tree.pool().resolve(*t));
                 }
             }
         }

@@ -1,9 +1,21 @@
 //! Data trees (Definition 2.1) and their construction.
+//!
+//! Def. 2.1 reads a data tree as the functions `elem`, `att` and `val`, and
+//! Def. 2.4's constraints compare values only for equality. A tree stores
+//! every attribute value and every text child as a [`Sym`] of one
+//! [`Interner`], its *value pool*: each distinct string once, compared as
+//! a `u32`. A vertex's attributes are a range of one tree-wide slot arena,
+//! each slot a dictionary id for the attribute's name and its value — a
+//! symbol, or a range of a member arena for any set of other than one
+//! member. Readers see values through the tree ([`DataTree::attr`],
+//! [`DataTree::attrs`], [`DataTree::text`]); writers hand in owned
+//! [`AttrValue`]s and strings, interned on entry.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 
-use crate::Name;
+use crate::{Interner, Name, Sym};
 
 /// An atomic value, i.e. an element of the paper's set **S** of string
 /// values. All atomic values are of the single type `S`.
@@ -42,13 +54,16 @@ impl fmt::Debug for NodeId {
 
 /// One entry of a vertex's ordered child list: `elem` maps a vertex to
 /// `E × F(S ∪ V)`, so a child is either a string value or a sub-tree vertex.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Child {
-    /// A string child (a member of **S**).
-    Text(Value),
+    /// A string child (a member of **S**): a symbol of the tree's value
+    /// pool ([`DataTree::pool`]).
+    Text(Sym),
     /// An element child (a member of `V`).
     Node(NodeId),
 }
+
+const _: () = assert!(std::mem::size_of::<Child>() == 8);
 
 impl Child {
     /// The node id if this child is an element, else `None`.
@@ -59,10 +74,10 @@ impl Child {
         }
     }
 
-    /// The text if this child is a string value, else `None`.
-    pub fn as_text(&self) -> Option<&str> {
+    /// The text's symbol if this child is a string value, else `None`.
+    pub fn as_text(&self) -> Option<Sym> {
         match self {
-            Child::Text(t) => Some(t),
+            Child::Text(t) => Some(*t),
             Child::Node(_) => None,
         }
     }
@@ -211,32 +226,168 @@ impl fmt::Display for AttrValue {
     }
 }
 
-/// One vertex of a data tree: its label, ordered children, attributes and
-/// parent link.
+/// A borrowed view of one attribute's value set in a [`DataTree`]: what
+/// `att(x, l)` holds, read through the tree's value pool.
+///
+/// It answers the queries [`AttrValue`] answers, with members as `&str`
+/// borrowed from the pool, and hands out the members' symbols
+/// ([`AttrRef::sym`], [`AttrRef::syms`]) for readers that compare values
+/// by symbol. Members come out in sorted string order, as
+/// [`AttrValue::values`] lists them; [`AttrRef::to_owned`] copies the set
+/// out of the tree.
+#[derive(Clone, Copy)]
+pub struct AttrRef<'t> {
+    pool: &'t Interner,
+    /// The member of a singleton; `None` for every other set.
+    one: Option<Sym>,
+    /// The members of every other set, in sorted string order.
+    many: &'t [Sym],
+}
+
+impl<'t> AttrRef<'t> {
+    /// For a singleton set, the unique member.
+    pub fn as_single(&self) -> Option<&'t str> {
+        self.one.map(|s| self.pool.resolve(s))
+    }
+
+    /// For a singleton set, the unique member's symbol.
+    pub fn sym(&self) -> Option<Sym> {
+        self.one
+    }
+
+    /// The members' symbols, in sorted string order.
+    pub fn syms(&self) -> impl ExactSizeIterator<Item = Sym> + 't {
+        Syms {
+            one: self.one,
+            many: self.many.iter(),
+        }
+    }
+
+    /// The members, in sorted order.
+    pub fn values(&self) -> impl ExactSizeIterator<Item = &'t str> + 't {
+        let pool = self.pool;
+        self.syms().map(move |s| pool.resolve(s))
+    }
+
+    /// Number of values in the set.
+    pub fn len(&self) -> usize {
+        if self.one.is_some() {
+            1
+        } else {
+            self.many.len()
+        }
+    }
+
+    /// True iff the value set is empty.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// True iff the set is a singleton (as required of single-valued
+    /// attributes by Definition 2.4).
+    pub fn is_singleton(&self) -> bool {
+        self.one.is_some()
+    }
+
+    /// Set membership test (`s ∈ x.l`).
+    pub fn contains(&self, v: &str) -> bool {
+        match self.one {
+            Some(s) => self.pool.resolve(s) == v,
+            None => (self.many)
+                .binary_search_by(|&m| self.pool.resolve(m).cmp(v))
+                .is_ok(),
+        }
+    }
+
+    /// Copies the value set out of the tree.
+    pub fn to_owned(&self) -> AttrValue {
+        match self.as_single() {
+            Some(v) => AttrValue::single(v),
+            None => AttrValue(Members::Many(self.values().map(String::from).collect())),
+        }
+    }
+}
+
+/// [`AttrRef::syms`]: a singleton's member, or a slice of the member arena.
+struct Syms<'t> {
+    one: Option<Sym>,
+    many: std::slice::Iter<'t, Sym>,
+}
+
+impl Iterator for Syms<'_> {
+    type Item = Sym;
+
+    fn next(&mut self) -> Option<Sym> {
+        self.one.take().or_else(|| self.many.next().copied())
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = usize::from(self.one.is_some()) + self.many.len();
+        (n, Some(n))
+    }
+}
+
+impl ExactSizeIterator for Syms<'_> {}
+
+impl PartialEq for AttrRef<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.values().eq(other.values())
+    }
+}
+
+impl PartialEq<AttrValue> for AttrRef<'_> {
+    fn eq(&self, other: &AttrValue) -> bool {
+        self.len() == other.len() && self.values().eq(other.iter().map(String::as_str))
+    }
+}
+
+impl fmt::Debug for AttrRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let values: Vec<&str> = self.values().collect();
+        f.debug_tuple("AttrRef").field(&values).finish()
+    }
+}
+
+impl fmt::Display for AttrRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if let Some(v) = self.as_single() {
+            write!(f, "{v:?}")
+        } else {
+            write!(f, "{{")?;
+            for (i, v) in self.values().enumerate() {
+                if i > 0 {
+                    write!(f, ", ")?;
+                }
+                write!(f, "{v:?}")?;
+            }
+            write!(f, "}}")
+        }
+    }
+}
+
+/// One vertex of a data tree: its label, ordered children, attribute range
+/// and parent link.
 #[derive(Clone, Debug)]
 pub struct Node {
     /// The element name labelling this vertex (first component of `elem`).
     pub label: Name,
     /// The ordered child list (second component of `elem`).
     pub children: Vec<Child>,
-    /// The attributes of this vertex (`att(v, ·)`), name-sorted.
-    attrs: Vec<(Name, AttrValue)>,
+    /// The vertex's attributes (`att(v, ·)`): `(start, len)` in the tree's
+    /// slot arena, name-sorted.
+    attrs: (u32, u32),
     /// Parent vertex; `None` only for the root.
     parent: Option<NodeId>,
 }
 
 impl Node {
-    /// Attribute lookup by name.
-    pub fn attr(&self, l: &str) -> Option<&AttrValue> {
-        self.attrs
-            .binary_search_by(|(n, _)| n.as_str().cmp(l))
-            .ok()
-            .map(|i| &self.attrs[i].1)
-    }
-
-    /// Iterates over `(name, value)` attribute pairs in name order.
-    pub fn attrs(&self) -> impl ExactSizeIterator<Item = (&Name, &AttrValue)> {
-        self.attrs.iter().map(|(n, v)| (n, v))
+    fn new(label: Name, children: Vec<Child>, parent: Option<NodeId>) -> Node {
+        Node {
+            label,
+            children,
+            attrs: (0, 0),
+            parent,
+        }
     }
 
     /// The parent vertex, or `None` for the root.
@@ -248,17 +399,198 @@ impl Node {
     pub fn child_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.children.iter().filter_map(Child::as_node)
     }
+}
 
-    /// Concatenation of the immediate text children (useful for `PCDATA`
-    /// content such as `<title>Some title</title>`).
-    pub fn text(&self) -> String {
-        let mut s = String::new();
-        for c in &self.children {
-            if let Child::Text(t) = c {
-                s.push_str(t);
-            }
+/// One attribute slot: the attribute's dictionary id and its value. A
+/// singleton (`len == 1`) holds its member's symbol index in `val`; any
+/// other set holds its members at `members[val..val + len]`.
+#[derive(Clone, Copy, Debug)]
+struct Slot {
+    name: u32,
+    len: u32,
+    val: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<Slot>() == 12);
+
+/// Stale arena entries tolerated, on top of as many as there are live
+/// ones, before `Values::compact` rewrites the arenas: edits that grow a
+/// vertex's range or a set move it to the arena end and leave the old
+/// entries behind.
+const STALE_MIN: usize = 1024;
+
+/// A tree's values: the pool, the attribute-name dictionary, and the slot
+/// and member arenas that vertices' attribute ranges point into. Shared by
+/// [`TreeBuilder`] and [`DataTree`].
+#[derive(Clone, Debug, Default)]
+struct Values {
+    pool: Interner,
+    /// Attribute names by dictionary id, and back. The names come from
+    /// uploaded documents, so the map keeps std's keyed hasher.
+    names: Vec<Name>,
+    ids: HashMap<Name, u32>,
+    slots: Vec<Slot>,
+    members: Vec<Sym>,
+    /// Arena entries no range covers any more (see [`STALE_MIN`]).
+    stale_slots: usize,
+    stale_members: usize,
+}
+
+/// An arena range as indices. An empty range's start is meaningless: the
+/// arena may have shrunk below it since.
+fn range(r: (u32, u32)) -> std::ops::Range<usize> {
+    if r.1 == 0 {
+        return 0..0;
+    }
+    r.0 as usize..(r.0 + r.1) as usize
+}
+
+impl Values {
+    fn name_id(&mut self, l: &str) -> u32 {
+        if let Some(&id) = self.ids.get(l) {
+            return id;
         }
-        s
+        let id = self.names.len() as u32;
+        let name = Name::new(l);
+        self.names.push(name.clone());
+        self.ids.insert(name, id);
+        id
+    }
+
+    /// The slot of attribute `l` in range `r` (`Ok`, an arena index) or
+    /// where it would go (`Err`, an offset into the range).
+    fn find(&self, r: (u32, u32), l: &str) -> Result<usize, usize> {
+        let slots = &self.slots[range(r)];
+        slots
+            .binary_search_by(|s| self.names[s.name as usize].as_str().cmp(l))
+            .map(|i| r.0 as usize + i)
+    }
+
+    fn view(&self, s: Slot) -> AttrRef<'_> {
+        let (one, many) = if s.len == 1 {
+            (Some(Sym::from_index(s.val)), &[][..])
+        } else {
+            (None, &self.members[range((s.val, s.len))])
+        };
+        AttrRef {
+            pool: &self.pool,
+            one,
+            many,
+        }
+    }
+
+    /// Stores a value set given as its sorted, distinct members, each
+    /// taking the symbol `sym_of` gives it: a singleton's symbol, or any
+    /// other set appended to the member arena. Returns the slot's
+    /// `(len, val)`.
+    fn intern<'a>(
+        &mut self,
+        members: impl ExactSizeIterator<Item = &'a str>,
+        mut sym_of: impl FnMut(&mut Interner, &str) -> Sym,
+    ) -> (u32, u32) {
+        let len = members.len() as u32;
+        let start = self.members.len() as u32;
+        for m in members {
+            let sym = sym_of(&mut self.pool, m);
+            if len == 1 {
+                return (1, sym.index() as u32);
+            }
+            self.members.push(sym);
+        }
+        (len, start)
+    }
+
+    /// Inserts `slot` at offset `at` of range `r`, moving the range to the
+    /// arena end unless it already ends there.
+    fn insert(&mut self, r: &mut (u32, u32), at: usize, slot: Slot) {
+        if r.1 == 0 || (r.0 + r.1) as usize != self.slots.len() {
+            let start = self.slots.len();
+            self.slots.extend_from_within(range(*r));
+            self.stale_slots += r.1 as usize;
+            r.0 = start as u32;
+        }
+        self.slots.insert(r.0 as usize + at, slot);
+        r.1 += 1;
+    }
+
+    /// Removes arena slot `i` of range `r`, returning it.
+    fn remove(&mut self, r: &mut (u32, u32), i: usize) -> Slot {
+        let slot = self.slots[i];
+        let end = (r.0 + r.1) as usize;
+        self.slots.copy_within(i + 1..end, i);
+        if end == self.slots.len() {
+            self.slots.pop();
+        } else {
+            self.stale_slots += 1;
+        }
+        r.1 -= 1;
+        self.drop_members(slot);
+        slot
+    }
+
+    /// Counts a slot's members stale once the slot no longer holds them.
+    fn drop_members(&mut self, s: Slot) {
+        if s.len != 1 {
+            self.stale_members += s.len as usize;
+        }
+    }
+
+    /// Overwrites the value of arena slot `i` with `value`, reusing its
+    /// member range when the new set fits.
+    fn replace(&mut self, i: usize, value: &AttrValue) {
+        let old = self.slots[i];
+        let members = value.values().iter().map(String::as_str);
+        let (len, val) = if old.len >= 2 && value.len() >= 2 && value.len() <= old.len as usize {
+            for (at, m) in (old.val as usize..).zip(members) {
+                self.members[at] = self.pool.intern(m);
+            }
+            self.stale_members += (old.len as usize) - value.len();
+            (value.len() as u32, old.val)
+        } else {
+            self.drop_members(old);
+            self.intern(members, Interner::intern)
+        };
+        self.slots[i] = Slot {
+            name: old.name,
+            len,
+            val,
+        };
+    }
+
+    fn needs_compaction(&self) -> bool {
+        let stale = self.stale_slots + self.stale_members;
+        stale > STALE_MIN && stale > (self.slots.len() + self.members.len()) / 2
+    }
+
+    /// Rewrites the arenas to hold exactly the nodes' ranges, in node
+    /// order.
+    fn compact(&mut self, nodes: &mut [Node]) {
+        let mut slots = Vec::with_capacity(self.slots.len() - self.stale_slots);
+        let mut members = Vec::with_capacity(self.members.len() - self.stale_members);
+        for node in nodes {
+            let start = slots.len() as u32;
+            for &s in &self.slots[range(node.attrs)] {
+                let mut s = s;
+                if s.len != 1 {
+                    let at = members.len() as u32;
+                    members.extend_from_slice(&self.members[range((s.val, s.len))]);
+                    s.val = at;
+                }
+                slots.push(s);
+            }
+            node.attrs.0 = start;
+        }
+        self.slots = slots;
+        self.members = members;
+        self.stale_slots = 0;
+        self.stale_members = 0;
+    }
+
+    fn shrink_to_fit(&mut self) {
+        self.pool.shrink_to_fit();
+        self.names.shrink_to_fit();
+        self.slots.shrink_to_fit();
+        self.members.shrink_to_fit();
     }
 }
 
@@ -438,7 +770,11 @@ impl fmt::Display for Edit {
 /// still resolves them (so consumers of deltas can read the removed
 /// content), but they are excluded from `len`, `node_ids`, `ext` and
 /// every derived view.
-#[derive(Clone, Debug)]
+///
+/// Values live in the tree's pool ([`DataTree::pool`]): every string a
+/// writer hands in is interned on entry, so a value the document holds
+/// many times is stored once.
+#[derive(Clone)]
 pub struct DataTree {
     nodes: Vec<Node>,
     root: NodeId,
@@ -448,6 +784,7 @@ pub struct DataTree {
     dead: Vec<bool>,
     /// Count of tombstoned vertices.
     dead_count: usize,
+    values: Values,
 }
 
 impl DataTree {
@@ -491,18 +828,68 @@ impl DataTree {
         &self.node(id).label
     }
 
+    /// The value pool: every attribute value and text child of the tree is
+    /// one of its symbols (it may hold more strings than the tree uses).
+    pub fn pool(&self) -> &Interner {
+        &self.values.pool
+    }
+
     /// `x.l` — the value of attribute `l` at vertex `x` (`att(x, l)`).
-    pub fn attr(&self, x: NodeId, l: &str) -> Option<&AttrValue> {
-        self.node(x).attr(l)
+    pub fn attr(&self, x: NodeId, l: &str) -> Option<AttrRef<'_>> {
+        let v = &self.values;
+        v.find(self.node(x).attrs, l)
+            .ok()
+            .map(|i| v.view(v.slots[i]))
+    }
+
+    /// Iterates over `x`'s `(name, value)` attribute pairs in name order.
+    pub fn attrs(&self, x: NodeId) -> impl ExactSizeIterator<Item = (&Name, AttrRef<'_>)> {
+        let v = &self.values;
+        v.slots[range(self.node(x).attrs)]
+            .iter()
+            .map(move |s| (&v.names[s.name as usize], v.view(*s)))
+    }
+
+    /// Concatenation of `x`'s immediate text children (useful for `PCDATA`
+    /// content such as `<title>Some title</title>`); borrowed from the
+    /// pool unless there are several.
+    pub fn text(&self, x: NodeId) -> Cow<'_, str> {
+        let pool = &self.values.pool;
+        let mut texts = self.node(x).children.iter().filter_map(Child::as_text);
+        let Some(first) = texts.next() else {
+            return Cow::Borrowed("");
+        };
+        let first = pool.resolve(first);
+        match texts.next() {
+            None => Cow::Borrowed(first),
+            Some(second) => {
+                let mut s = String::from(first);
+                s.push_str(pool.resolve(second));
+                texts.for_each(|t| s.push_str(pool.resolve(t)));
+                Cow::Owned(s)
+            }
+        }
+    }
+
+    /// [`DataTree::text`] as a symbol of the pool: the one text child's
+    /// own symbol, else the concatenation, interned.
+    pub fn text_sym(&mut self, x: NodeId) -> Sym {
+        let children = &self.nodes[x.index()].children;
+        let mut texts = children.iter().filter_map(Child::as_text);
+        if let (Some(t), None) = (texts.next(), texts.next()) {
+            return t;
+        }
+        let text = self.text(x).into_owned();
+        self.values.pool.intern(&text)
     }
 
     /// `x[X]` — the tuple of attribute values for the sequence `X`.
     ///
     /// Returns `None` if any attribute in the sequence is missing or not
     /// single-valued at `x`.
-    pub fn tuple(&self, x: NodeId, xs: &[Name]) -> Option<Vec<&Value>> {
+    pub fn tuple(&self, x: NodeId, xs: &[Name]) -> Option<Vec<&str>> {
         xs.iter()
-            .map(|l| self.attr(x, l).and_then(AttrValue::as_single))
+            .map(|l| self.attr(x, l).and_then(|v| v.as_single()))
             .collect()
     }
 
@@ -554,6 +941,14 @@ impl DataTree {
         }
     }
 
+    /// Reclaims the arena entries edits left behind once they outnumber
+    /// the live ones (and [`STALE_MIN`]).
+    fn compact_if_stale(&mut self) {
+        if self.values.needs_compaction() {
+            self.values.compact(&mut self.nodes);
+        }
+    }
+
     /// Sets attribute `l` on `node`, creating or replacing it, and returns
     /// the displaced value, if any.
     pub fn set_attr(
@@ -564,14 +959,24 @@ impl DataTree {
     ) -> Result<Option<AttrValue>, ModelError> {
         self.check_alive(node)?;
         let l = l.into();
-        let attrs = &mut self.nodes[node.index()].attrs;
-        Ok(match attrs.binary_search_by(|(n, _)| n.cmp(&l)) {
-            Ok(i) => Some(std::mem::replace(&mut attrs[i].1, value)),
-            Err(pos) => {
-                attrs.insert(pos, (l, value));
+        let v = &mut self.values;
+        let r = &mut self.nodes[node.index()].attrs;
+        let old = match v.find(*r, &l) {
+            Ok(i) => {
+                let old = v.view(v.slots[i]).to_owned();
+                v.replace(i, &value);
+                Some(old)
+            }
+            Err(at) => {
+                let name = v.name_id(&l);
+                let (len, val) =
+                    v.intern(value.values().iter().map(String::as_str), Interner::intern);
+                v.insert(r, at, Slot { name, len, val });
                 None
             }
-        })
+        };
+        self.compact_if_stale();
+        Ok(old)
     }
 
     /// Removes attribute `l` from `node`, returning the removed value.
@@ -580,11 +985,15 @@ impl DataTree {
     /// created it).
     pub fn remove_attr(&mut self, node: NodeId, l: &str) -> Result<Option<AttrValue>, ModelError> {
         self.check_alive(node)?;
-        let attrs = &mut self.nodes[node.index()].attrs;
-        Ok(match attrs.binary_search_by(|(n, _)| n.as_str().cmp(l)) {
-            Ok(i) => Some(attrs.remove(i).1),
-            Err(_) => None,
-        })
+        let v = &mut self.values;
+        let r = &mut self.nodes[node.index()].attrs;
+        let Ok(i) = v.find(*r, l) else {
+            return Ok(None);
+        };
+        let old = v.view(v.slots[i]).to_owned();
+        v.remove(r, i);
+        self.compact_if_stale();
+        Ok(Some(old))
     }
 
     /// Replaces the `index`-th *text* child of `node` (element children do
@@ -599,16 +1008,18 @@ impl DataTree {
         text: Value,
     ) -> Result<Value, ModelError> {
         self.check_alive(node)?;
-        let mut k = 0usize;
-        for c in &mut self.nodes[node.index()].children {
-            if let Child::Text(t) = c {
-                if k == index {
-                    return Ok(std::mem::replace(t, text));
-                }
-                k += 1;
-            }
-        }
-        Err(ModelError::NoSuchText { node, index })
+        let pool = &mut self.values.pool;
+        let children = &mut self.nodes[node.index()].children;
+        let Some(Child::Text(t)) = children
+            .iter_mut()
+            .filter(|c| c.as_text().is_some())
+            .nth(index)
+        else {
+            return Err(ModelError::NoSuchText { node, index });
+        };
+        let old = pool.resolve(*t).to_string();
+        *t = pool.intern(&text);
+        Ok(old)
     }
 
     /// Grafts a copy of `fragment` (its live vertices) under `parent` at
@@ -616,7 +1027,8 @@ impl DataTree {
     ///
     /// The copied vertices receive fresh ids at the end of this tree's
     /// arena, assigned in `fragment` creation order, so existing ids are
-    /// undisturbed and `ext(τ)` views only ever *append*.
+    /// undisturbed and `ext(τ)` views only ever *append*. Their values
+    /// are interned into this tree's pool.
     pub fn insert_subtree(
         &mut self,
         parent: NodeId,
@@ -637,13 +1049,14 @@ impl DataTree {
             .zip(fragment.node_ids())
             .map(|(next, id)| (id.0, next))
             .collect();
+        let v = &mut self.values;
         for id in fragment.node_ids() {
             let src = fragment.node(id);
             let children = src
                 .children
                 .iter()
                 .map(|c| match c {
-                    Child::Text(t) => Child::Text(t.clone()),
+                    Child::Text(t) => Child::Text(v.pool.intern(fragment.pool().resolve(*t))),
                     Child::Node(n) => Child::Node(NodeId(map[&n.0])),
                 })
                 .collect();
@@ -652,12 +1065,15 @@ impl DataTree {
             } else {
                 src.parent().map(|p| NodeId(map[&p.0]))
             };
-            self.nodes.push(Node {
-                label: src.label.clone(),
-                children,
-                attrs: src.attrs.clone(),
-                parent: parent_link,
-            });
+            let mut node = Node::new(src.label.clone(), children, parent_link);
+            node.attrs = (v.slots.len() as u32, 0);
+            for (name, value) in fragment.attrs(id) {
+                let name = v.name_id(name);
+                let (len, val) = v.intern(value.values(), Interner::intern);
+                v.slots.push(Slot { name, len, val });
+                node.attrs.1 += 1;
+            }
+            self.nodes.push(node);
         }
         if !self.dead.is_empty() {
             self.dead.resize(self.nodes.len(), false);
@@ -720,66 +1136,206 @@ impl DataTree {
     }
 }
 
-/// One vertex description for [`DataTree::from_raw_parts`]: the complete
-/// per-slot state a serializer must capture (the public views
-/// [`Node::attrs`] and [`Node::parent`] expose the same data for encoding).
+/// Shows the tree's content, not its layout: two trees holding the same
+/// vertices, values and tombstones print alike whatever their pools'
+/// numbering.
+impl fmt::Debug for DataTree {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct Vertex<'t>(&'t DataTree, NodeId);
+        impl fmt::Debug for Vertex<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                let Vertex(t, id) = *self;
+                let node = t.node(id);
+                let children: Vec<Result<&str, NodeId>> = (node.children.iter())
+                    .map(|c| match c {
+                        Child::Text(s) => Ok(t.pool().resolve(*s)),
+                        Child::Node(n) => Err(*n),
+                    })
+                    .collect();
+                let attrs: Vec<_> = t.attrs(id).collect();
+                f.debug_struct("Node")
+                    .field("label", &node.label)
+                    .field("children", &children)
+                    .field("attrs", &attrs)
+                    .field("parent", &node.parent)
+                    .finish()
+            }
+        }
+        let nodes: Vec<Vertex<'_>> = (0..self.nodes.len())
+            .map(|i| Vertex(self, NodeId(i as u32)))
+            .collect();
+        f.debug_struct("DataTree")
+            .field("nodes", &nodes)
+            .field("root", &self.root)
+            .field("dead", &self.dead)
+            .finish()
+    }
+}
+
+/// One vertex description of a [`RawTree`]: the per-slot state a
+/// serializer captures (the public views [`DataTree::attrs`] and
+/// [`Node::parent`] expose the same data for encoding).
 #[derive(Clone, Debug)]
 pub struct RawNode {
     /// The element name labelling this vertex.
     pub label: Name,
-    /// The ordered child list.
+    /// The ordered child list; text children are symbols of
+    /// [`RawTree::pool`].
     pub children: Vec<Child>,
-    /// The attributes of the vertex; any order, duplicates rejected.
-    pub attrs: Vec<(Name, AttrValue)>,
+    /// How many entries of [`RawTree::attrs`] are this vertex's: they
+    /// follow those of the slots before it.
+    pub attrs: u32,
     /// Parent vertex; `None` for the root (and for tombstoned subtree
     /// roots, whose parent link was severed by the delete).
     pub parent: Option<NodeId>,
 }
 
+/// One attribute of a [`RawTree`]: its name, as an index into
+/// [`RawTree::names`], and how many entries of [`RawTree::members`] are
+/// its value's (they follow those of the attributes before it).
+#[derive(Clone, Copy, Debug)]
+pub struct RawAttr {
+    /// The attribute's name.
+    pub name: u32,
+    /// The member count.
+    pub members: u32,
+}
+
+/// A tree's complete state for [`DataTree::from_raw_parts`], in flat
+/// lists, so that a decoder builds it without a list per vertex or per
+/// value: the value pool, then one description per arena slot.
+#[derive(Clone, Debug, Default)]
+pub struct RawTree {
+    /// The value pool every symbol below belongs to.
+    pub pool: Interner,
+    /// The attribute names [`RawAttr::name`] indexes. A spelling may
+    /// appear more than once.
+    pub names: Vec<Name>,
+    /// One description per arena slot, tombstones included.
+    pub nodes: Vec<RawNode>,
+    /// Every slot's attributes, slot by slot; within a slot any order,
+    /// duplicates rejected.
+    pub attrs: Vec<RawAttr>,
+    /// Every attribute's members, attribute by attribute; any order and
+    /// repeats allowed (the value is their set, as [`AttrValue::set`]
+    /// forms it).
+    pub members: Vec<Sym>,
+}
+
 impl DataTree {
-    /// Reassembles a tree from per-slot vertex descriptions, the root id,
-    /// and tombstone flags (`dead` may be empty when no vertex is
-    /// tombstoned; otherwise it must cover every slot).
+    /// Reassembles a tree from its raw state, the root id, and tombstone
+    /// flags (`dead` may be empty when no vertex is tombstoned; otherwise
+    /// it must cover every slot).
     ///
     /// This is the decode path for persisted trees. Unlike
     /// [`TreeBuilder`], the input may contain tombstones, so the full
-    /// invariant set is re-checked in O(n): ids in bounds, the root alive
-    /// and parentless, attributes duplicate-free (they are re-sorted, so
+    /// invariant set is re-checked in O(n): ids and symbols in bounds, the
+    /// attribute and member counts adding up, the root alive and
+    /// parentless, attributes duplicate-free (they are re-sorted, so
     /// encoders need not preserve order), every live element child alive
     /// with a matching parent link (single-parent condition), and every
     /// live vertex reachable from the root. Returns a [`ModelError`] —
     /// never panics — when any check fails, so corrupted input is
     /// reported, not propagated.
     pub fn from_raw_parts(
-        nodes: Vec<RawNode>,
+        raw: RawTree,
         root: NodeId,
         dead: Vec<bool>,
     ) -> Result<DataTree, ModelError> {
-        let n = nodes.len();
+        let RawTree {
+            pool,
+            names,
+            nodes: raw_nodes,
+            attrs: raw_attrs,
+            members: raw_members,
+        } = raw;
+        let n = raw_nodes.len();
+        let invalid = |detail: String| Err(ModelError::InvalidParts { detail });
         if root.index() >= n {
             return Err(ModelError::UnknownNode(root));
         }
         if !dead.is_empty() && dead.len() != n {
-            return Err(ModelError::InvalidParts {
-                detail: format!("tombstone flags cover {} of {} slots", dead.len(), n),
-            });
+            return invalid(format!(
+                "tombstone flags cover {} of {} slots",
+                dead.len(),
+                n
+            ));
         }
         let is_dead = |i: usize| dead.get(i).copied().unwrap_or(false);
         if is_dead(root.index()) {
             return Err(ModelError::DeadNode(root));
         }
-        if nodes[root.index()].parent.is_some() {
+        if raw_nodes[root.index()].parent.is_some() {
             return Err(ModelError::RootHasParent(root));
         }
+        let attr_total: u64 = raw_nodes.iter().map(|r| u64::from(r.attrs)).sum();
+        let member_total: u64 = raw_attrs.iter().map(|a| u64::from(a.members)).sum();
+        if attr_total != raw_attrs.len() as u64 || member_total != raw_members.len() as u64 {
+            return invalid(format!(
+                "vertices claim {attr_total} attributes of {} and attributes {member_total} \
+                 members of {}",
+                raw_attrs.len(),
+                raw_members.len()
+            ));
+        }
+        let nsym = pool.len();
+        let texts = raw_nodes
+            .iter()
+            .flat_map(|r| r.children.iter().filter_map(Child::as_text));
+        if let Some(s) = raw_members
+            .iter()
+            .copied()
+            .chain(texts)
+            .find(|s| s.index() >= nsym)
+        {
+            return invalid(format!("symbol {} outside a pool of {nsym}", s.index()));
+        }
+        if let Some(a) = raw_attrs.iter().find(|a| a.name as usize >= names.len()) {
+            return invalid(format!(
+                "attribute name {} past {} names",
+                a.name,
+                names.len()
+            ));
+        }
+
+        // One dictionary id per spelling, whatever the raw names repeat.
+        let mut values = Values {
+            pool,
+            ..Values::default()
+        };
+        let canon: Vec<u32> = names.iter().map(|l| values.name_id(l)).collect();
         let mut built: Vec<Node> = Vec::with_capacity(n);
-        for (i, raw) in nodes.into_iter().enumerate() {
+        let (mut next_attr, mut next_member) = (0usize, 0usize);
+        let mut set: Vec<Sym> = Vec::new();
+        for (i, raw) in raw_nodes.into_iter().enumerate() {
             let id = NodeId(i as u32);
-            let mut attrs = raw.attrs;
-            attrs.sort_by(|(a, _), (b, _)| a.cmp(b));
-            if let Some(w) = attrs.windows(2).find(|w| w[0].0 == w[1].0) {
+            let start = values.slots.len();
+            for a in &raw_attrs[next_attr..next_attr + raw.attrs as usize] {
+                let end = next_member + a.members as usize;
+                set.clear();
+                set.extend_from_slice(&raw_members[next_member..end]);
+                next_member = end;
+                let pool = &values.pool;
+                set.sort_unstable_by(|x, y| pool.resolve(*x).cmp(pool.resolve(*y)));
+                set.dedup();
+                let (len, val) = if let [one] = set[..] {
+                    (1, one.index() as u32)
+                } else {
+                    let at = values.members.len() as u32;
+                    values.members.extend_from_slice(&set);
+                    (set.len() as u32, at)
+                };
+                let name = canon[a.name as usize];
+                values.slots.push(Slot { name, len, val });
+            }
+            next_attr += raw.attrs as usize;
+            let Values { names, slots, .. } = &mut values;
+            let own = &mut slots[start..];
+            own.sort_unstable_by(|x, y| names[x.name as usize].cmp(&names[y.name as usize]));
+            if let Some(w) = own.windows(2).find(|w| w[0].name == w[1].name) {
                 return Err(ModelError::DuplicateAttribute {
                     node: id,
-                    attr: w[0].0.clone(),
+                    attr: names[w[0].name as usize].clone(),
                 });
             }
             for c in &raw.children {
@@ -794,12 +1350,9 @@ impl DataTree {
                     return Err(ModelError::UnknownNode(p));
                 }
             }
-            built.push(Node {
-                label: raw.label,
-                children: raw.children,
-                attrs,
-                parent: raw.parent,
-            });
+            let mut node = Node::new(raw.label, raw.children, raw.parent);
+            node.attrs = (start as u32, raw.attrs);
+            built.push(node);
         }
         for (i, node) in built.iter().enumerate() {
             if is_dead(i) {
@@ -809,9 +1362,9 @@ impl DataTree {
             for c in &node.children {
                 if let Child::Node(cn) = c {
                     if is_dead(cn.index()) {
-                        return Err(ModelError::InvalidParts {
-                            detail: format!("live vertex {id:?} lists tombstoned child {cn:?}"),
-                        });
+                        return invalid(format!(
+                            "live vertex {id:?} lists tombstoned child {cn:?}"
+                        ));
                     }
                     if built[cn.index()].parent != Some(id) {
                         return Err(ModelError::SecondParent { node: *cn });
@@ -845,11 +1398,13 @@ impl DataTree {
         let dead_count = n - live;
         // Normalize: an all-false flag vector is the empty one.
         let dead = if dead_count == 0 { Vec::new() } else { dead };
+        values.shrink_to_fit();
         Ok(DataTree {
             nodes: built,
             root,
             dead,
             dead_count,
+            values,
         })
     }
 }
@@ -952,6 +1507,66 @@ impl ExtIndex {
 #[derive(Default, Debug)]
 pub struct TreeBuilder {
     nodes: Vec<Node>,
+    values: Values,
+    pending: Pending,
+}
+
+/// Values a [`TreeBuilder`] has taken but not yet interned. Until
+/// [`TreeBuilder::finish`], a slot, member or text child holds its value's
+/// *number* (order of arrival) in place of a symbol; values are interned
+/// [`Pending::CHUNK`] at a time through [`Interner::intern_group`], whose
+/// table loads overlap, and `finish` maps every number to its symbol.
+/// Interning in arrival order numbers the pool in document order, as
+/// interning each value on arrival would.
+#[derive(Default, Debug)]
+struct Pending {
+    bytes: Vec<u8>,
+    ranges: Vec<(usize, usize)>,
+    /// Value number ↦ symbol, for the values interned so far.
+    syms: Vec<Sym>,
+}
+
+impl Pending {
+    /// Values buffered between two group interns: a few KiB of bytes.
+    const CHUNK: usize = 1024;
+
+    /// Takes `s`, returning its number as a placeholder symbol.
+    fn push(&mut self, pool: &mut Interner, s: &str) -> Sym {
+        let number = self.syms.len() + self.ranges.len();
+        let start = self.bytes.len();
+        self.bytes.extend_from_slice(s.as_bytes());
+        self.ranges.push((start, self.bytes.len()));
+        if self.ranges.len() == Self::CHUNK {
+            self.flush(pool);
+        }
+        Sym::from_index(u32::try_from(number).expect("value numbers fit u32"))
+    }
+
+    fn flush(&mut self, pool: &mut Interner) {
+        pool.intern_group(&self.bytes, &self.ranges, &mut self.syms);
+        self.bytes.clear();
+        self.ranges.clear();
+    }
+
+    /// Interns what is left and replaces every placeholder with its
+    /// symbol.
+    fn resolve(mut self, nodes: &mut [Node], values: &mut Values) {
+        self.flush(&mut values.pool);
+        let sym = |placeholder: Sym| self.syms[placeholder.index()];
+        for s in values.slots.iter_mut().filter(|s| s.len == 1) {
+            s.val = sym(Sym::from_index(s.val)).index() as u32;
+        }
+        for m in &mut values.members {
+            *m = sym(*m);
+        }
+        for node in nodes {
+            for c in &mut node.children {
+                if let Child::Text(t) = c {
+                    *t = sym(*t);
+                }
+            }
+        }
+    }
 }
 
 impl TreeBuilder {
@@ -963,12 +1578,7 @@ impl TreeBuilder {
     /// Creates a fresh, unattached vertex labelled `label`.
     pub fn node(&mut self, label: impl Into<Name>) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
-        self.nodes.push(Node {
-            label: label.into(),
-            children: Vec::new(),
-            attrs: Vec::new(),
-            parent: None,
-        });
+        self.nodes.push(Node::new(label.into(), Vec::new(), None));
         id
     }
 
@@ -994,11 +1604,12 @@ impl TreeBuilder {
     }
 
     /// Appends a string child to `parent`.
-    pub fn text(&mut self, parent: NodeId, text: impl Into<Value>) -> Result<(), ModelError> {
+    pub fn text(&mut self, parent: NodeId, text: impl AsRef<str>) -> Result<(), ModelError> {
         self.check(parent)?;
+        let number = self.pending.push(&mut self.values.pool, text.as_ref());
         self.nodes[parent.index()]
             .children
-            .push(Child::Text(text.into()));
+            .push(Child::Text(number));
         Ok(())
     }
 
@@ -1008,19 +1619,43 @@ impl TreeBuilder {
     pub fn attr(
         &mut self,
         node: NodeId,
-        l: impl Into<Name>,
+        l: impl AsRef<str>,
         value: AttrValue,
     ) -> Result<(), ModelError> {
+        self.add_attr(node, l.as_ref(), value.values().iter().map(String::as_str))
+    }
+
+    /// [`TreeBuilder::attr`] of the singleton `{value}`, from a borrowed
+    /// string: a parser's path, which then copies the value only into the
+    /// pool, and only the first time it occurs.
+    pub fn attr_str(
+        &mut self,
+        node: NodeId,
+        l: impl AsRef<str>,
+        value: &str,
+    ) -> Result<(), ModelError> {
+        self.add_attr(node, l.as_ref(), std::iter::once(value))
+    }
+
+    /// Adds attribute `l` with the given sorted, distinct members.
+    fn add_attr<'a>(
+        &mut self,
+        node: NodeId,
+        l: &str,
+        members: impl ExactSizeIterator<Item = &'a str>,
+    ) -> Result<(), ModelError> {
         self.check(node)?;
-        let l = l.into();
-        let attrs = &mut self.nodes[node.index()].attrs;
-        match attrs.binary_search_by(|(n, _)| n.cmp(&l)) {
-            Ok(_) => Err(ModelError::DuplicateAttribute { node, attr: l }),
-            Err(pos) => {
-                attrs.insert(pos, (l, value));
-                Ok(())
-            }
-        }
+        let v = &mut self.values;
+        let r = &mut self.nodes[node.index()].attrs;
+        let Err(at) = v.find(*r, l) else {
+            let attr = Name::new(l);
+            return Err(ModelError::DuplicateAttribute { node, attr });
+        };
+        let name = v.name_id(l);
+        let pending = &mut self.pending;
+        let (len, val) = v.intern(members, |pool, m| pending.push(pool, m));
+        v.insert(r, at, Slot { name, len, val });
+        Ok(())
     }
 
     /// Convenience: creates a node, attaches it under `parent`, and returns
@@ -1041,7 +1676,7 @@ impl TreeBuilder {
         &mut self,
         parent: NodeId,
         label: impl Into<Name>,
-        text: impl Into<Value>,
+        text: impl AsRef<str>,
     ) -> Result<NodeId, ModelError> {
         let id = self.child_node(parent, label)?;
         self.text(id, text)?;
@@ -1052,9 +1687,9 @@ impl TreeBuilder {
     /// parentless and that every created vertex is reachable from it.
     ///
     /// The finished tree keeps no spare capacity: growth reserved room in
-    /// the node array and in every attribute and child list, which a
+    /// the node array, every child list, the arenas and the pool, which a
     /// resident document would otherwise carry for its whole life.
-    pub fn finish(mut self, root: NodeId) -> Result<DataTree, ModelError> {
+    pub fn finish(self, root: NodeId) -> Result<DataTree, ModelError> {
         if root.index() >= self.nodes.len() {
             return Err(ModelError::UnknownNode(root));
         }
@@ -1082,16 +1717,26 @@ impl TreeBuilder {
                 orphans: self.nodes.len() - count,
             });
         }
-        for node in &mut self.nodes {
-            node.attrs.shrink_to_fit();
+        let Self {
+            mut nodes,
+            mut values,
+            pending,
+        } = self;
+        pending.resolve(&mut nodes, &mut values);
+        for node in &mut nodes {
             node.children.shrink_to_fit();
         }
-        self.nodes.shrink_to_fit();
+        nodes.shrink_to_fit();
+        if values.stale_slots + values.stale_members > 0 {
+            values.compact(&mut nodes);
+        }
+        values.shrink_to_fit();
         Ok(DataTree {
-            nodes: self.nodes,
+            nodes,
             root,
             dead: Vec::new(),
             dead_count: 0,
+            values,
         })
     }
 }
@@ -1169,7 +1814,7 @@ mod tests {
         let t = b.finish(p).unwrap();
         let xs = [Name::new("pname"), Name::new("country")];
         let tup = t.tuple(p, &xs).unwrap();
-        assert_eq!(tup, [&"MK".to_string(), &"USA".to_string()]);
+        assert_eq!(tup, ["MK", "USA"]);
         assert!(t.tuple(p, &[Name::new("missing")]).is_none());
     }
 
@@ -1245,7 +1890,7 @@ mod tests {
         b.text(r, "Data ").unwrap();
         b.text(r, "on the Web").unwrap();
         let t = b.finish(r).unwrap();
-        assert_eq!(t.node(r).text(), "Data on the Web");
+        assert_eq!(t.text(r), "Data on the Web");
     }
 
     #[test]
@@ -1285,7 +1930,7 @@ mod tests {
         let title = t.ext("title").next().unwrap();
         let old = t.set_text(title, 0, "Web Data".into()).unwrap();
         assert_eq!(old, Value::from("Data on the Web"));
-        assert_eq!(t.node(title).text(), "Web Data");
+        assert_eq!(t.text(title), "Web Data");
         assert_eq!(
             t.set_text(title, 1, "x".into()),
             Err(ModelError::NoSuchText {
@@ -1373,27 +2018,37 @@ mod tests {
 
     /// Captures a tree's complete raw state through its public accessors,
     /// the way a serializer does: one description per slot (tombstones
-    /// included) and tombstone flags, empty when no vertex is dead.
-    fn raw_parts_of(t: &DataTree) -> (Vec<RawNode>, NodeId, Vec<bool>) {
+    /// included), a name per attribute, and tombstone flags, empty when no
+    /// vertex is dead.
+    fn raw_parts_of(t: &DataTree) -> (RawTree, NodeId, Vec<bool>) {
         let ids = (0..t.id_bound()).map(NodeId::from_index);
-        let nodes = ids
-            .clone()
-            .map(|id| {
-                let node = t.node(id);
-                RawNode {
-                    label: node.label.clone(),
-                    children: node.children.clone(),
-                    attrs: node.attrs().map(|(n, v)| (n.clone(), v.clone())).collect(),
-                    parent: node.parent(),
-                }
-            })
-            .collect();
+        let mut raw = RawTree {
+            pool: t.pool().clone(),
+            ..RawTree::default()
+        };
+        for id in ids.clone() {
+            let node = t.node(id);
+            for (name, value) in t.attrs(id) {
+                raw.attrs.push(RawAttr {
+                    name: raw.names.len() as u32,
+                    members: value.len() as u32,
+                });
+                raw.names.push(name.clone());
+                raw.members.extend(value.syms());
+            }
+            raw.nodes.push(RawNode {
+                label: node.label.clone(),
+                children: node.children.clone(),
+                attrs: t.attrs(id).len() as u32,
+                parent: node.parent(),
+            });
+        }
         let dead = if t.len() < t.id_bound() {
             ids.map(|id| !t.is_alive(id)).collect()
         } else {
             Vec::new()
         };
-        (nodes, t.root(), dead)
+        (raw, t.root(), dead)
     }
 
     #[test]
@@ -1413,7 +2068,8 @@ mod tests {
             assert_eq!(rebuilt.label(id), t.label(id));
             assert_eq!(rebuilt.node(id).children, t.node(id).children);
             assert_eq!(rebuilt.node(id).parent(), t.node(id).parent());
-            assert!(rebuilt.node(id).attrs().eq(t.node(id).attrs()));
+            assert!(rebuilt.attrs(id).eq(t.attrs(id)));
+            assert_eq!(rebuilt.text(id), t.text(id));
         }
         assert!(!rebuilt.is_alive(s1));
         // A pristine tree round-trips with an empty tombstone vector.
@@ -1429,7 +2085,7 @@ mod tests {
         let (nodes, root, dead) = raw_parts_of(&t);
 
         // Root out of bounds.
-        let bad = NodeId::from_index(nodes.len());
+        let bad = NodeId::from_index(nodes.nodes.len());
         assert!(matches!(
             DataTree::from_raw_parts(nodes.clone(), bad, dead.clone()),
             Err(ModelError::UnknownNode(_))
@@ -1440,7 +2096,7 @@ mod tests {
             Err(ModelError::InvalidParts { .. })
         ));
         // Dead root.
-        let mut all_dead_root = vec![false; nodes.len()];
+        let mut all_dead_root = vec![false; nodes.nodes.len()];
         all_dead_root[root.index()] = true;
         assert!(matches!(
             DataTree::from_raw_parts(nodes.clone(), root, all_dead_root),
@@ -1448,13 +2104,13 @@ mod tests {
         ));
         // A child whose parent link points elsewhere (second parent).
         let mut torn = nodes.clone();
-        torn[1].parent = Some(NodeId::from_index(2));
+        torn.nodes[1].parent = Some(NodeId::from_index(2));
         assert!(matches!(
             DataTree::from_raw_parts(torn, root, dead.clone()),
             Err(ModelError::SecondParent { .. })
         ));
         // A live vertex listing a tombstoned child.
-        let mut flags = vec![false; nodes.len()];
+        let mut flags = vec![false; nodes.nodes.len()];
         flags[2] = true; // entry's title leaf
         assert!(matches!(
             DataTree::from_raw_parts(nodes.clone(), root, flags),
@@ -1462,21 +2118,102 @@ mod tests {
         ));
         // An unreachable live vertex.
         let mut cut = nodes.clone();
-        cut[0]
+        cut.nodes[0]
             .children
             .retain(|c| c.as_node() != Some(NodeId::from_index(1)));
         assert!(matches!(
             DataTree::from_raw_parts(cut, root, dead.clone()),
             Err(ModelError::Unreachable { .. })
         ));
-        // Duplicate attributes on one vertex.
-        let mut dup = nodes;
-        let repeat = dup[1].attrs[0].clone();
-        dup[1].attrs.push(repeat);
+        // Duplicate attributes on one vertex: entry's isbn twice, its
+        // second copy under a repeated spelling of the name.
+        let mut dup = nodes.clone();
+        dup.nodes[1].attrs += 1;
+        let first = dup.attrs[0];
+        dup.attrs.insert(
+            1,
+            RawAttr {
+                name: dup.names.len() as u32,
+                ..first
+            },
+        );
+        dup.names.push(dup.names[first.name as usize].clone());
+        let members = dup.members[..first.members as usize].to_vec();
+        dup.members.splice(0..0, members);
         assert!(matches!(
-            DataTree::from_raw_parts(dup, root, dead),
+            DataTree::from_raw_parts(dup, root, dead.clone()),
             Err(ModelError::DuplicateAttribute { .. })
         ));
+        // A symbol outside the pool, as a member and as a text child.
+        let mut outside = nodes.clone();
+        outside.members[0] = Sym::from_index(outside.pool.len() as u32);
+        assert!(matches!(
+            DataTree::from_raw_parts(outside, root, dead.clone()),
+            Err(ModelError::InvalidParts { .. })
+        ));
+        let mut outside = nodes.clone();
+        outside.nodes[2].children[0] = Child::Text(Sym::from_index(1 << 20));
+        assert!(matches!(
+            DataTree::from_raw_parts(outside, root, dead.clone()),
+            Err(ModelError::InvalidParts { .. })
+        ));
+        // Counts that do not add up, and a name past the list.
+        let mut short = nodes.clone();
+        short.members.pop();
+        assert!(matches!(
+            DataTree::from_raw_parts(short, root, dead.clone()),
+            Err(ModelError::InvalidParts { .. })
+        ));
+        let mut unnamed = nodes;
+        unnamed.attrs[0].name = 99;
+        assert!(matches!(
+            DataTree::from_raw_parts(unnamed, root, dead),
+            Err(ModelError::InvalidParts { .. })
+        ));
+    }
+
+    /// Edits that grow a vertex's attribute range or a set move it to the
+    /// arena end; once the entries left behind outnumber the live ones
+    /// (and `STALE_MIN`), the arenas are rewritten, and every value reads
+    /// as written throughout.
+    #[test]
+    fn churned_attributes_compact_and_keep_their_values() {
+        let mut b = TreeBuilder::new();
+        let root = b.node("r");
+        let kids: Vec<NodeId> = (0..20).map(|_| b.child_node(root, "k").unwrap()).collect();
+        let mut t = b.finish(root).unwrap();
+        let mut want: HashMap<(usize, &str), Vec<String>> = HashMap::new();
+        let names = ["a", "b", "c"];
+        let mut peak = 0;
+        for step in 0..6000usize {
+            let k = step % kids.len();
+            let name = names[step / kids.len() % names.len()];
+            if step % 7 == 0 {
+                let old = t.remove_attr(kids[k], name).unwrap();
+                assert_eq!(old.map(|v| v.values().to_vec()), want.remove(&(k, name)));
+            } else {
+                let n = step % 5;
+                let members: Vec<String> =
+                    (0..n).map(|i| format!("m{}", (step + i) % 11)).collect();
+                let value = AttrValue::set(members);
+                want.insert((k, name), value.values().to_vec());
+                t.set_attr(kids[k], name, value).unwrap();
+            }
+            let v = &t.values;
+            peak = peak.max(v.slots.len() + v.members.len());
+            assert!(
+                v.stale_slots + v.stale_members <= STALE_MIN.max(v.slots.len() + v.members.len())
+            );
+        }
+        assert!(peak < 4 * STALE_MIN, "the arenas grew to {peak} entries");
+        for (k, &x) in kids.iter().enumerate() {
+            for name in names {
+                let got = t
+                    .attr(x, name)
+                    .map(|v| v.values().map(String::from).collect::<Vec<_>>());
+                assert_eq!(got.as_ref(), want.get(&(k, name)), "{x:?}.{name}");
+            }
+        }
     }
 
     #[test]

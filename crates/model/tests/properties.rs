@@ -156,10 +156,369 @@ proptest! {
                 let id = t.node_ids().nth(i + 1).unwrap();
                 let expected = format!("v{i}");
                 prop_assert_eq!(
-                    t.attr(id, "x").and_then(AttrValue::as_single),
-                    Some(&expected)
+                    t.attr(id, "x").and_then(|v| v.as_single()),
+                    Some(expected.as_str())
                 );
             }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Edits against a `String`-based reference model.
+
+use std::collections::BTreeMap;
+
+use xic_model::{Child, NodeId, RawAttr, RawNode, RawTree, Sym};
+
+/// The reference: one entry per arena slot, values as owned strings.
+#[derive(Clone, Debug, Default)]
+struct RefNode {
+    label: String,
+    children: Vec<RefChild>,
+    attrs: BTreeMap<String, Vec<String>>,
+    parent: Option<usize>,
+    alive: bool,
+}
+
+#[derive(Clone, Debug)]
+enum RefChild {
+    Text(String),
+    Node(usize),
+}
+
+/// Attribute names and member spellings the edits draw from. `fresh`
+/// members are new to every tree the recipes build.
+const NAMES: [&str; 4] = ["a", "b", "id", "z"];
+
+fn member(i: u8) -> String {
+    match i % 8 {
+        0 => String::new(),
+        k @ 1..=5 => format!("v{k}"),
+        k => format!("fresh{k}{}", i / 8),
+    }
+}
+
+/// A random tree and its reference: each node a parent index, a label,
+/// attribute member lists and a text child.
+/// One generated vertex: its parent's index among those before it, a
+/// label, `(name, member list)` attributes and an optional text child.
+type NodeSpec = (usize, u8, Vec<(u8, Vec<u8>)>, Option<u8>);
+
+fn build_pair(spec: &[NodeSpec]) -> (DataTree, Vec<RefNode>) {
+    let mut b = TreeBuilder::new();
+    let mut model = vec![RefNode {
+        label: "root".into(),
+        alive: true,
+        ..RefNode::default()
+    }];
+    let mut ids = vec![b.node("root")];
+    for (parent, label, attrs, text) in spec {
+        let p = parent % ids.len();
+        let label = format!("e{}", label % 3);
+        let n = b.child_node(ids[p], label.as_str()).unwrap();
+        let mut node = RefNode {
+            label,
+            parent: Some(p),
+            alive: true,
+            ..RefNode::default()
+        };
+        for (name, members) in attrs {
+            let name = NAMES[*name as usize % NAMES.len()];
+            if node.attrs.contains_key(name) {
+                continue;
+            }
+            let members: Vec<String> = members.iter().map(|&m| member(m)).collect();
+            b.attr(n, name, AttrValue::set(members.clone())).unwrap();
+            node.attrs.insert(name.to_string(), normalized(&members));
+        }
+        if let Some(t) = text {
+            b.text(n, member(*t)).unwrap();
+            node.children.push(RefChild::Text(member(*t)));
+        }
+        let at = model.len();
+        model[p].children.push(RefChild::Node(at));
+        model.push(node);
+        ids.push(n);
+    }
+    (b.finish(ids[0]).unwrap(), model)
+}
+
+fn node_spec() -> impl Strategy<Value = NodeSpec> {
+    (
+        0usize..64,
+        any::<u8>(),
+        prop::collection::vec(
+            (any::<u8>(), prop::collection::vec(any::<u8>(), 0..4)),
+            0..3,
+        ),
+        prop::option::of(any::<u8>()),
+    )
+}
+
+#[derive(Clone, Debug)]
+enum EditSpec {
+    /// `set_attr` with a member list: unsorted, repeated, empty or new.
+    SetAttr(usize, u8, Vec<u8>),
+    RemoveAttr(usize, u8),
+    SetText(usize, u8),
+    Insert(usize, usize, Vec<NodeSpec>),
+    Delete(usize),
+}
+
+fn edit_spec() -> impl Strategy<Value = EditSpec> {
+    let set = (
+        any::<usize>(),
+        any::<u8>(),
+        prop::collection::vec(any::<u8>(), 0..5),
+    )
+        .prop_map(|(x, n, m)| EditSpec::SetAttr(x, n, m));
+    prop_oneof![
+        set.clone(),
+        set,
+        (any::<usize>(), any::<u8>()).prop_map(|(x, n)| EditSpec::RemoveAttr(x, n)),
+        (any::<usize>(), any::<u8>()).prop_map(|(x, t)| EditSpec::SetText(x, t)),
+        (
+            any::<usize>(),
+            any::<usize>(),
+            prop::collection::vec(node_spec(), 0..4)
+        )
+            .prop_map(|(x, at, f)| EditSpec::Insert(x, at, f)),
+        any::<usize>().prop_map(EditSpec::Delete),
+    ]
+}
+
+/// Live slots of the reference, in id order.
+fn live(model: &[RefNode]) -> Vec<usize> {
+    (0..model.len()).filter(|&i| model[i].alive).collect()
+}
+
+fn values_of(v: &AttrValue) -> Vec<String> {
+    v.values().to_vec()
+}
+
+/// Applies one edit to both sides, checking what the tree returns.
+fn apply(t: &mut DataTree, model: &mut Vec<RefNode>, e: &EditSpec) -> Result<(), TestCaseError> {
+    let alive = live(model);
+    let pick = |i: usize| alive[i % alive.len()];
+    match e {
+        EditSpec::SetAttr(x, name, members) => {
+            let x = pick(*x);
+            let name = NAMES[*name as usize % NAMES.len()];
+            let members: Vec<String> = members.iter().map(|&m| member(m)).collect();
+            let old = t
+                .set_attr(NodeId::from_index(x), name, AttrValue::set(members.clone()))
+                .unwrap();
+            let want = model[x]
+                .attrs
+                .insert(name.to_string(), normalized(&members));
+            prop_assert_eq!(old.as_ref().map(values_of), want);
+        }
+        EditSpec::RemoveAttr(x, name) => {
+            let x = pick(*x);
+            let name = NAMES[*name as usize % NAMES.len()];
+            let old = t.remove_attr(NodeId::from_index(x), name).unwrap();
+            prop_assert_eq!(old.as_ref().map(values_of), model[x].attrs.remove(name));
+        }
+        EditSpec::SetText(x, text) => {
+            let x = pick(*x);
+            let texts: Vec<usize> = (0..model[x].children.len())
+                .filter(|&i| matches!(model[x].children[i], RefChild::Text(_)))
+                .collect();
+            let got = t.set_text(NodeId::from_index(x), 0, member(*text));
+            match texts.first() {
+                None => prop_assert!(got.is_err()),
+                Some(&i) => {
+                    let old =
+                        std::mem::replace(&mut model[x].children[i], RefChild::Text(member(*text)));
+                    let RefChild::Text(old) = old else {
+                        unreachable!()
+                    };
+                    prop_assert_eq!(got.unwrap(), old);
+                }
+            }
+        }
+        EditSpec::Insert(x, at, spec) => {
+            let x = pick(*x);
+            let (frag, frag_model) = build_pair(spec);
+            let at = at % (model[x].children.len() + 1);
+            t.insert_subtree(NodeId::from_index(x), at, &frag).unwrap();
+            // Fresh ids in fragment creation order (a built fragment has
+            // no tombstones).
+            let base = model.len();
+            for (i, mut node) in frag_model.into_iter().enumerate() {
+                node.parent = Some(node.parent.map_or(x, |p| base + p));
+                for c in &mut node.children {
+                    if let RefChild::Node(n) = c {
+                        *n += base;
+                    }
+                }
+                if i == 0 {
+                    model[x].children.insert(at, RefChild::Node(base));
+                }
+                model.push(node);
+            }
+        }
+        EditSpec::Delete(x) => {
+            let x = pick(*x);
+            if x == 0 {
+                prop_assert!(t.delete_subtree(NodeId::from_index(0)).is_err());
+                return Ok(());
+            }
+            t.delete_subtree(NodeId::from_index(x)).unwrap();
+            let p = model[x].parent.take().unwrap();
+            model[p]
+                .children
+                .retain(|c| !matches!(c, RefChild::Node(n) if *n == x));
+            let mut stack = vec![x];
+            while let Some(y) = stack.pop() {
+                model[y].alive = false;
+                for c in &model[y].children {
+                    if let RefChild::Node(n) = c {
+                        stack.push(*n);
+                    }
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Every view of `t` against the reference: labels, children, text, each
+/// attribute present and absent, and the queries of each view.
+fn check(t: &DataTree, model: &[RefNode]) -> Result<(), TestCaseError> {
+    prop_assert_eq!(t.id_bound(), model.len());
+    prop_assert_eq!(t.len(), live(model).len());
+    for (i, want) in model.iter().enumerate() {
+        let x = NodeId::from_index(i);
+        prop_assert_eq!(t.is_alive(x), want.alive);
+        prop_assert_eq!(t.label(x).as_str(), want.label.as_str());
+        let node = t.node(x);
+        prop_assert_eq!(node.children.len(), want.children.len());
+        let mut text = String::new();
+        for (c, w) in node.children.iter().zip(&want.children) {
+            match (c, w) {
+                (Child::Text(s), RefChild::Text(w)) => {
+                    prop_assert_eq!(t.pool().resolve(*s), w.as_str());
+                    text.push_str(w);
+                }
+                (Child::Node(n), RefChild::Node(w)) => prop_assert_eq!(n.index(), *w),
+                _ => prop_assert!(false, "child kinds differ at {:?}", x),
+            }
+        }
+        prop_assert_eq!(t.text(x), text.as_str());
+        let names: Vec<&str> = t.attrs(x).map(|(n, _)| n.as_str()).collect();
+        let want_names: Vec<&str> = want.attrs.keys().map(String::as_str).collect();
+        prop_assert_eq!(names, want_names);
+        for name in NAMES {
+            let got = t.attr(x, name);
+            let Some(w) = want.attrs.get(name) else {
+                prop_assert!(got.is_none());
+                continue;
+            };
+            let v = got.expect("the reference holds the attribute");
+            let owned = AttrValue::set(w.clone());
+            prop_assert_eq!(
+                v.values().collect::<Vec<_>>(),
+                w.iter().map(String::as_str).collect::<Vec<_>>()
+            );
+            prop_assert_eq!(v.len(), w.len());
+            prop_assert_eq!(v.is_empty(), w.is_empty());
+            prop_assert_eq!(v.is_singleton(), w.len() == 1);
+            prop_assert_eq!(v.as_single(), (w.len() == 1).then(|| w[0].as_str()));
+            prop_assert_eq!(v.sym().is_some(), w.len() == 1);
+            prop_assert_eq!(
+                v.syms().map(|s| t.pool().resolve(s)).collect::<Vec<_>>(),
+                v.values().collect::<Vec<_>>()
+            );
+            for k in 0..16u8 {
+                prop_assert_eq!(v.contains(&member(k)), w.contains(&member(k)));
+            }
+            prop_assert_eq!(v.to_owned(), owned.clone());
+            prop_assert!(v == owned);
+            prop_assert_eq!(v.to_string(), owned.to_string());
+        }
+    }
+    Ok(())
+}
+
+/// The tree's raw state read through its public views, as an encoder
+/// reads it.
+fn raw_of(t: &DataTree) -> (RawTree, Vec<bool>) {
+    let mut raw = RawTree {
+        pool: t.pool().clone(),
+        ..RawTree::default()
+    };
+    for i in 0..t.id_bound() {
+        let x = NodeId::from_index(i);
+        for (name, v) in t.attrs(x) {
+            raw.attrs.push(RawAttr {
+                name: raw.names.len() as u32,
+                members: v.len() as u32,
+            });
+            raw.names.push(name.clone());
+            raw.members.extend(v.syms());
+        }
+        raw.nodes.push(RawNode {
+            label: t.label(x).clone(),
+            children: t.node(x).children.clone(),
+            attrs: t.attrs(x).len() as u32,
+            parent: t.node(x).parent(),
+        });
+    }
+    let dead = if t.len() < t.id_bound() {
+        (0..t.id_bound())
+            .map(|i| !t.is_alive(NodeId::from_index(i)))
+            .collect()
+    } else {
+        Vec::new()
+    };
+    (raw, dead)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// After every edit — `set_attr` with values new to the tree and with
+    /// unsorted, repeated or empty member lists, `remove_attr`,
+    /// `set_text`, `insert_subtree` of a fragment with its own pool, and
+    /// `delete_subtree` — every `attr`/`attrs`/`text` view of the tree
+    /// equals what a `String`-based reference holds, and the tree's raw
+    /// state reassembles into the same tree. A symbol outside the pool,
+    /// anywhere in that raw state, is an error and never a panic.
+    #[test]
+    fn edited_trees_read_as_the_string_reference(
+        spec in prop::collection::vec(node_spec(), 0..12),
+        edits in prop::collection::vec(edit_spec(), 0..16),
+        poison in any::<usize>(),
+    ) {
+        let (mut t, mut model) = build_pair(&spec);
+        check(&t, &model)?;
+        for e in &edits {
+            apply(&mut t, &mut model, e)?;
+            check(&t, &model)?;
+        }
+        let (raw, dead) = raw_of(&t);
+        let rebuilt = DataTree::from_raw_parts(raw.clone(), t.root(), dead.clone()).unwrap();
+        check(&rebuilt, &model)?;
+
+        // Poison one symbol: a member or a text child.
+        let outside = Sym::from_index(raw.pool.len() as u32 + (poison % 3) as u32);
+        let mut bad = raw;
+        let texts: Vec<(usize, usize)> = (0..bad.nodes.len())
+            .flat_map(|i| (0..bad.nodes[i].children.len()).map(move |j| (i, j)))
+            .filter(|&(i, j)| matches!(bad.nodes[i].children[j], Child::Text(_)))
+            .collect();
+        let slots = bad.members.len() + texts.len();
+        if slots > 0 {
+            let k = poison % slots;
+            if k < bad.members.len() {
+                bad.members[k] = outside;
+            } else {
+                let (i, j) = texts[k - bad.members.len()];
+                bad.nodes[i].children[j] = Child::Text(outside);
+            }
+            prop_assert!(DataTree::from_raw_parts(bad, t.root(), dead).is_err());
         }
     }
 }

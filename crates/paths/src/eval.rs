@@ -53,7 +53,7 @@ fn build_id_index(
     if let Some(id_attr) = s.id_attr(tau2) {
         for &z in idx.ext(tau2) {
             if let Some(v) = tree.attr(z, id_attr).and_then(|v| v.as_single()) {
-                map.entry(v.clone()).or_default().push(z);
+                map.entry(v.to_string()).or_default().push(z);
             }
         }
     }
@@ -84,7 +84,7 @@ pub fn nodes_of(
                     let ids = build_id_index(tree, idx, solver, tau2);
                     for &y in &cur.nodes {
                         if let Some(av) = tree.attr(y, label) {
-                            for v in av.iter() {
+                            for v in av.values() {
                                 if let Some(zs) = ids.get(v) {
                                     next.nodes.extend(zs.iter().copied());
                                 }
@@ -95,7 +95,7 @@ pub fn nodes_of(
                 StepType::S => {
                     for &y in &cur.nodes {
                         if let Some(av) = tree.attr(y, label) {
-                            next.values.extend(av.iter().cloned());
+                            next.values.extend(av.values().map(str::to_string));
                         }
                     }
                 }

@@ -25,7 +25,9 @@ use std::fs::File;
 use std::io::{self, Seek, SeekFrom, Write};
 
 use xic_constraints::Field;
-use xic_model::{AttrValue, Child, DataTree, Name, NodeId, RawNode, Sym};
+use xic_model::{
+    AttrValue, Child, DataTree, Interner, Name, NodeId, RawAttr, RawNode, RawTree, Sym,
+};
 use xic_validate::{BatchEdit, ColumnRows, LiveStateRef, Violation};
 
 use crate::crc::crc32_extend;
@@ -226,6 +228,11 @@ impl<'a> Dec<'a> {
         self.pos == self.buf.len()
     }
 
+    /// The bytes `s`, the string just read, occupies in the buffer.
+    fn just_read(&self, s: &str) -> (usize, usize) {
+        (self.pos - s.len(), self.pos)
+    }
+
     pub(crate) fn corrupt<T>(&self, detail: &str) -> Result<T, StorageError> {
         Err(StorageError::Corrupt {
             detail: format!("{}: {} at byte {}", self.what, detail, self.pos),
@@ -395,9 +402,10 @@ fn node_of(d: &Dec<'_>, index: u64) -> Result<NodeId, StorageError> {
     }
 }
 
-fn enc_attr_value(e: &mut Enc, v: &AttrValue) {
-    e.len(v.values().len());
-    for m in v.values() {
+/// A value set in format v2: its member count, then each member.
+fn enc_members<'a>(e: &mut Enc, members: impl ExactSizeIterator<Item = &'a str>) {
+    e.len(members.len());
+    for m in members {
         e.str(m);
     }
 }
@@ -439,10 +447,120 @@ fn dec_dead(d: &mut Dec<'_>, n: usize) -> Result<Vec<bool>, StorageError> {
     })
 }
 
-fn tree_of(nodes: Vec<RawNode>, root: NodeId, dead: Vec<bool>) -> Result<DataTree, StorageError> {
-    DataTree::from_raw_parts(nodes, root, dead).map_err(|e| StorageError::Corrupt {
-        detail: format!("tree: decoded parts are inconsistent: {e}"),
-    })
+/// A tree decoder's output before validation: the raw tree, and the
+/// arena slots of each dictionary id used as a label (its slot list
+/// empty for an id only attributes use).
+///
+/// Values are interned [`TreeSink::CHUNK`] at a time through
+/// [`Interner::intern_group`], straight from the payload's bytes, so that
+/// the pool's table loads overlap. Until [`TreeSink::finish`] a member or
+/// text child holds its value's number (order of arrival) in place of a
+/// symbol.
+struct TreeSink<'a> {
+    raw: RawTree,
+    slots_of: Vec<Vec<u32>>,
+    /// The payload the values are read from, and the byte ranges of
+    /// those not yet interned.
+    buf: &'a [u8],
+    ranges: Vec<(usize, usize)>,
+    /// Value number ↦ symbol, for the values interned so far.
+    syms: Vec<Sym>,
+}
+
+impl<'a> TreeSink<'a> {
+    const CHUNK: usize = 1024;
+
+    fn new(pool: Interner, n: usize, d: &Dec<'a>) -> Self {
+        TreeSink {
+            raw: RawTree {
+                pool,
+                nodes: Vec::with_capacity(n),
+                ..RawTree::default()
+            },
+            slots_of: Vec::new(),
+            buf: d.buf,
+            ranges: Vec::with_capacity(Self::CHUNK),
+            syms: Vec::new(),
+        }
+    }
+
+    /// Takes value `s`, just read from `d`, returning its number.
+    fn value(&mut self, d: &Dec<'a>, s: &str) -> Sym {
+        let number = self.syms.len() + self.ranges.len();
+        self.ranges.push(d.just_read(s));
+        if self.ranges.len() == Self::CHUNK {
+            self.flush();
+        }
+        Sym::from_index(number as u32)
+    }
+
+    fn flush(&mut self) {
+        (self.raw.pool).intern_group(self.buf, &self.ranges, &mut self.syms);
+        self.ranges.clear();
+    }
+
+    /// Starts the next slot, labelled with dictionary id `label`.
+    fn node(&mut self, label: u32, parent: Option<NodeId>, children: Vec<Child>) {
+        let at = self.raw.nodes.len() as u32;
+        let label = label as usize;
+        if self.slots_of.len() <= label {
+            self.slots_of.resize_with(label + 1, Vec::new);
+        }
+        self.slots_of[label].push(at);
+        self.raw.nodes.push(RawNode {
+            label: self.raw.names[label].clone(),
+            children,
+            attrs: 0,
+            parent,
+        });
+    }
+
+    /// Adds an attribute named by dictionary id `name` to the last slot,
+    /// with `members` read from `d` by `member`.
+    fn attr(
+        &mut self,
+        d: &mut Dec<'a>,
+        name: u32,
+        members: usize,
+        mut member: impl FnMut(&mut Dec<'a>) -> Result<&'a str, StorageError>,
+    ) -> Result<(), StorageError> {
+        for _ in 0..members {
+            let m = member(d)?;
+            let number = self.value(d, m);
+            self.raw.members.push(number);
+        }
+        let members = members as u32;
+        self.raw.attrs.push(RawAttr { name, members });
+        if let Some(node) = self.raw.nodes.last_mut() {
+            node.attrs += 1;
+        }
+        Ok(())
+    }
+
+    fn finish(
+        mut self,
+        root: NodeId,
+        dead: Vec<bool>,
+    ) -> Result<(DataTree, LabelSlots), StorageError> {
+        self.flush();
+        let sym = |number: Sym| self.syms[number.index()];
+        for m in &mut self.raw.members {
+            *m = sym(*m);
+        }
+        for node in &mut self.raw.nodes {
+            for c in &mut node.children {
+                if let Child::Text(t) = c {
+                    *t = sym(*t);
+                }
+            }
+        }
+        let slots = LabelSlots::from_walk(&self.raw.names, self.slots_of);
+        let tree =
+            DataTree::from_raw_parts(self.raw, root, dead).map_err(|e| StorageError::Corrupt {
+                detail: format!("tree: decoded parts are inconsistent: {e}"),
+            })?;
+        Ok((tree, slots))
+    }
 }
 
 /// Encodes every arena slot of `t` in format v2, tombstones included, so
@@ -454,7 +572,8 @@ pub(crate) fn enc_tree_v2(e: &mut Enc, t: &DataTree) {
     e.u32(t.root().index() as u32);
     enc_dead(e, t);
     for i in 0..slots {
-        let node = t.node(NodeId::from_index(i));
+        let id = NodeId::from_index(i);
+        let node = t.node(id);
         e.str(&node.label);
         e.u32(node.parent().map_or(0, |p| p.index() as u32 + 1));
         e.len(node.children.len());
@@ -462,7 +581,7 @@ pub(crate) fn enc_tree_v2(e: &mut Enc, t: &DataTree) {
             match c {
                 Child::Text(text) => {
                     e.u8(0);
-                    e.str(text);
+                    e.str(t.pool().resolve(*text));
                 }
                 Child::Node(child) => {
                     e.u8(1);
@@ -470,44 +589,54 @@ pub(crate) fn enc_tree_v2(e: &mut Enc, t: &DataTree) {
                 }
             }
         }
-        e.len(node.attrs().len());
-        for (name, val) in node.attrs() {
+        e.len(t.attrs(id).len());
+        for (name, val) in t.attrs(id) {
             e.str(name);
-            enc_attr_value(e, val);
+            enc_members(e, val.values());
         }
     }
 }
 
-/// Reuses one [`Name`] per distinct spelling while decoding a v2 tree,
-/// which spells out every label and attribute name: a refcount bump is
-/// far cheaper than a fresh `Arc<str>` for each of a million nodes, and
-/// a tree loaded from a v2 file stays as small in memory as one loaded
-/// from v3.
+/// Gives each distinct spelling one dictionary id while decoding a v2
+/// tree, which spells out every label and attribute name: a refcount bump
+/// is far cheaper than a fresh `Arc<str>` for each of a million nodes,
+/// and a tree loaded from a v2 file stays as small in memory as one
+/// loaded from v3.
 #[derive(Default)]
 struct NameCache<'a> {
-    seen: HashMap<&'a str, Name>,
+    seen: HashMap<&'a str, u32>,
 }
 
 impl<'a> NameCache<'a> {
-    fn get(&mut self, s: &'a str) -> Name {
-        self.seen.entry(s).or_insert_with(|| Name::new(s)).clone()
+    fn get(&mut self, s: &'a str, names: &mut Vec<Name>) -> u32 {
+        *self.seen.entry(s).or_insert_with(|| {
+            names.push(Name::new(s));
+            names.len() as u32 - 1
+        })
     }
 }
 
-pub(crate) fn dec_tree_v2(d: &mut Dec<'_>) -> Result<DataTree, StorageError> {
+/// Decodes a v2 tree, interning its values into `pool`.
+pub(crate) fn dec_tree_v2(
+    d: &mut Dec<'_>,
+    pool: Interner,
+) -> Result<(DataTree, LabelSlots), StorageError> {
     let n = d.len(1)?;
     let root = NodeId::from_index(d.u32()? as usize);
     let dead = dec_dead(d, n)?;
     let mut names = NameCache::default();
-    let mut nodes = Vec::with_capacity(n);
+    let mut sink = TreeSink::new(pool, n, d);
     for _ in 0..n {
-        let label = names.get(d.str()?);
+        let label = names.get(d.str()?, &mut sink.raw.names);
         let parent = dec_opt_u32(d)?.map(|p| NodeId::from_index(p as usize));
         let nchildren = d.len(1)?;
         let mut children = Vec::with_capacity(nchildren);
         for _ in 0..nchildren {
             children.push(match d.u8()? {
-                0 => Child::Text(d.str()?.to_string()),
+                0 => {
+                    let text = d.str()?;
+                    Child::Text(sink.value(d, text))
+                }
                 1 => Child::Node(dec_node_id(d)?),
                 t => {
                     return Err(StorageError::Corrupt {
@@ -516,53 +645,58 @@ pub(crate) fn dec_tree_v2(d: &mut Dec<'_>) -> Result<DataTree, StorageError> {
                 }
             });
         }
+        sink.node(label, parent, children);
         let nattrs = d.len(8)?;
-        let mut attrs = Vec::with_capacity(nattrs);
         for _ in 0..nattrs {
-            let name = names.get(d.str()?);
-            attrs.push((name, dec_attr_value(d)?));
-        }
-        nodes.push(RawNode {
-            label,
-            children,
-            attrs,
-            parent,
-        });
-    }
-    tree_of(nodes, root, dead)
-}
-
-/// Writes `name` as its dictionary id, assigning the next id (followed by
-/// the spelling) on first use.
-fn enc_name<'t>(e: &mut Enc, ids: &mut HashMap<&'t str, u64>, name: &'t str) -> u64 {
-    let next = ids.len() as u64;
-    match ids.entry(name) {
-        Entry::Occupied(id) => {
-            e.var(*id.get());
-            *id.get()
-        }
-        Entry::Vacant(slot) => {
-            slot.insert(next);
-            e.var(next);
-            e.var_str(name);
-            next
+            let name = names.get(d.str()?, &mut sink.raw.names);
+            let nmembers = d.len(8)?;
+            sink.attr(d, name, nmembers, Dec::str)?;
         }
     }
+    sink.finish(root, dead)
 }
 
-/// Reads a dictionary id: a known one clones its [`Name`], the next one
-/// brings its spelling, and any other is corrupt.
-fn dec_name(d: &mut Dec<'_>, names: &mut Vec<Name>) -> Result<Name, StorageError> {
+/// The v3 tree encoder's name dictionary: each spelling's id, in order
+/// of first use.
+#[derive(Default)]
+struct Dict<'t> {
+    ids: HashMap<&'t str, usize>,
+    names: Vec<Name>,
+}
+
+impl<'t> Dict<'t> {
+    /// Writes `name` as its dictionary id, assigning the next id (followed
+    /// by the spelling) on first use.
+    fn id(&mut self, e: &mut Enc, name: &'t Name) -> usize {
+        let next = self.names.len();
+        match self.ids.entry(name) {
+            Entry::Occupied(id) => {
+                e.var(*id.get() as u64);
+                *id.get()
+            }
+            Entry::Vacant(slot) => {
+                slot.insert(next);
+                self.names.push(name.clone());
+                e.var(next as u64);
+                e.var_str(name);
+                next
+            }
+        }
+    }
+}
+
+/// Reads a dictionary id: a known one is returned, the next one brings
+/// its spelling, and any other is corrupt.
+fn dec_name(d: &mut Dec<'_>, names: &mut Vec<Name>) -> Result<u32, StorageError> {
     let id = d.var()?;
-    if let Some(name) = usize::try_from(id).ok().and_then(|i| names.get(i)) {
-        return Ok(name.clone());
+    if id < names.len() as u64 {
+        return Ok(id as u32);
     }
     if id != names.len() as u64 {
         return d.corrupt("name id past the dictionary");
     }
-    let name = Name::new(d.var_str()?);
-    names.push(name.clone());
-    Ok(name)
+    names.push(Name::new(d.var_str()?));
+    Ok(id as u32)
 }
 
 /// Encodes every arena slot of `t` in format v3, tombstones included, so
@@ -570,62 +704,59 @@ fn dec_name(d: &mut Dec<'_>, names: &mut Vec<Name>) -> Result<Name, StorageError
 /// through its public accessors; [`dec_tree_v3`] rebuilds it with
 /// [`DataTree::from_raw_parts`]. Returns each label's slots, listed on
 /// the way, for the columns section.
-pub(crate) fn enc_tree_v3<'t>(e: &mut Enc, t: &'t DataTree) -> LabelSlots<'t> {
+pub(crate) fn enc_tree_v3(e: &mut Enc, t: &DataTree) -> LabelSlots {
     let slots = t.id_bound();
     e.var(slots as u64);
     e.var(t.root().index() as u64);
     enc_dead(e, t);
-    let mut names = HashMap::new();
-    let mut slots_of_name: Vec<Vec<u32>> = Vec::new();
+    let mut dict = Dict::default();
+    let mut slots_of: Vec<Vec<u32>> = Vec::new();
     for i in 0..slots {
-        let node = t.node(NodeId::from_index(i));
-        let id = enc_name(e, &mut names, &node.label) as usize;
-        if slots_of_name.len() <= id {
-            slots_of_name.resize_with(id + 1, Vec::new);
+        let id = NodeId::from_index(i);
+        let node = t.node(id);
+        let label = dict.id(e, &node.label);
+        if slots_of.len() <= label {
+            slots_of.resize_with(label + 1, Vec::new);
         }
-        slots_of_name[id].push(i as u32);
+        slots_of[label].push(i as u32);
         e.var(node.parent().map_or(0, |p| p.index() as u64 + 1));
         e.var(node.children.len() as u64);
         for c in &node.children {
             match c {
                 Child::Text(text) => {
+                    let text = t.pool().resolve(*text);
                     e.var((text.len() as u64) << 1);
                     e.raw(text.as_bytes());
                 }
                 Child::Node(child) => e.var((child.index() as u64) << 1 | 1),
             }
         }
-        e.var(node.attrs().len() as u64);
-        for (name, val) in node.attrs() {
-            enc_name(e, &mut names, name);
-            e.var(val.values().len() as u64);
+        e.var(t.attrs(id).len() as u64);
+        for (n, val) in t.attrs(id) {
+            dict.id(e, n);
+            e.var(val.len() as u64);
             for m in val.values() {
                 e.var_str(m);
             }
         }
     }
-    let mut by_label = HashMap::new();
-    for (name, id) in names {
-        if let Some(slots) = slots_of_name.get_mut(id as usize).filter(|s| !s.is_empty()) {
-            by_label.insert(name, std::mem::take(slots));
-        }
-    }
-    LabelSlots {
-        tree: t,
-        slots: by_label,
-    }
+    LabelSlots::from_walk(&dict.names, slots_of)
 }
 
-pub(crate) fn dec_tree_v3(d: &mut Dec<'_>) -> Result<DataTree, StorageError> {
+/// Decodes a v3 tree, interning its values into `pool`, and lists each
+/// label's slots on the way.
+pub(crate) fn dec_tree_v3(
+    d: &mut Dec<'_>,
+    pool: Interner,
+) -> Result<(DataTree, LabelSlots), StorageError> {
     // A slot is at least four one-byte varints: label, parent, and the
     // child and attribute counts.
     let n = d.var_len(4)?;
     let root = NodeId::from_index(d.var_u32()? as usize);
     let dead = dec_dead(d, n)?;
-    let mut names = Vec::new();
-    let mut nodes = Vec::with_capacity(n);
+    let mut sink = TreeSink::new(pool, n, d);
     for _ in 0..n {
-        let label = dec_name(d, &mut names)?;
+        let label = dec_name(d, &mut sink.raw.names)?;
         let parent = match d.var()? {
             0 => None,
             p => Some(node_of(d, p - 1)?),
@@ -638,29 +769,20 @@ pub(crate) fn dec_tree_v3(d: &mut Dec<'_>) -> Result<DataTree, StorageError> {
                 Child::Node(node_of(d, c >> 1)?)
             } else {
                 let len = d.fit(c >> 1, 1)?;
-                Child::Text(d.str_of(len)?.to_string())
+                let text = d.str_of(len)?;
+                Child::Text(sink.value(d, text))
             });
         }
+        sink.node(label, parent, children);
         // An attribute is at least its name id and its member count.
         let nattrs = d.var_len(2)?;
-        let mut attrs = Vec::with_capacity(nattrs);
         for _ in 0..nattrs {
-            let name = dec_name(d, &mut names)?;
+            let name = dec_name(d, &mut sink.raw.names)?;
             let nmembers = d.var_len(1)?;
-            let mut members = Vec::with_capacity(nmembers);
-            for _ in 0..nmembers {
-                members.push(d.var_str()?.to_string());
-            }
-            attrs.push((name, AttrValue::set(members)));
+            sink.attr(d, name, nmembers, Dec::var_str)?;
         }
-        nodes.push(RawNode {
-            label,
-            children,
-            attrs,
-            parent,
-        });
     }
-    tree_of(nodes, root, dead)
+    sink.finish(root, dead)
 }
 
 // ---------------------------------------------------------------------------
@@ -864,6 +986,12 @@ fn dec_violation(d: &mut Dec<'_>) -> Result<Violation, StorageError> {
 /// spans, in the shape `Interner::from_parts` consumes.
 pub(crate) type InternerParts = (Vec<u8>, Vec<(u32, u32)>);
 
+/// The document's value pool from its decoded parts; parts that do not
+/// form a pool are corrupt.
+pub(crate) fn pool_of((arena, spans): InternerParts) -> Result<Interner, StorageError> {
+    Interner::from_parts(arena, spans).map_err(|detail| StorageError::Corrupt { detail })
+}
+
 /// The decoded columns: single-valued, then set-valued, in stored order.
 pub(crate) type Columns = (
     Vec<((Name, Field), ColumnRows<Option<Sym>>)>,
@@ -872,40 +1000,50 @@ pub(crate) type Columns = (
 
 /// A cell of a decoded column: `Option<Sym>` or a set row.
 trait Cell: Clone + Default {
-    fn is_empty(&self) -> bool;
+    fn syms(&self) -> &[Sym];
 }
 
 impl Cell for Option<Sym> {
-    fn is_empty(&self) -> bool {
-        self.is_none()
+    fn syms(&self) -> &[Sym] {
+        self.as_slice()
     }
 }
 
 impl Cell for Vec<Sym> {
-    fn is_empty(&self) -> bool {
-        self.is_empty()
+    fn syms(&self) -> &[Sym] {
+        self
     }
 }
 
 /// Each label's arena slots in a tree, dead ones included, in id order:
 /// row `r` of a column over τ holds the cell of τ's `r`-th slot (see
-/// [`ColumnRows`]). Through it the column codecs map rows to the format's
-/// per-vertex cells and back.
-pub(crate) struct LabelSlots<'t> {
-    tree: &'t DataTree,
+/// [`ColumnRows`]). The tree codecs list them as they walk the slots;
+/// through them the column codecs map rows to the format's per-vertex
+/// cells and back.
+pub(crate) struct LabelSlots {
     /// Keyed with std's hasher, which resists crafted collisions: a
     /// decoded tree's labels come from the file.
-    slots: HashMap<&'t str, Vec<u32>>,
+    slots: HashMap<Name, Vec<u32>>,
 }
 
-impl<'t> LabelSlots<'t> {
-    fn new(tree: &'t DataTree) -> Self {
-        let mut slots: HashMap<&str, Vec<u32>> = HashMap::new();
-        for x in 0..tree.id_bound() {
-            let label = tree.label(NodeId::from_index(x)).as_str();
-            slots.entry(label).or_default().push(x as u32);
+impl LabelSlots {
+    /// From a tree walk: `slots_of[id]` lists the slots labelled with
+    /// dictionary id `id`, spelled `names[id]`. A corrupt file may spell
+    /// one label under two ids; their slots merge in id order.
+    fn from_walk(names: &[Name], slots_of: Vec<Vec<u32>>) -> Self {
+        let mut slots: HashMap<Name, Vec<u32>> = HashMap::new();
+        for (name, of) in names.iter().zip(slots_of).filter(|(_, of)| !of.is_empty()) {
+            match slots.entry(name.clone()) {
+                Entry::Vacant(e) => {
+                    e.insert(of);
+                }
+                Entry::Occupied(mut e) => {
+                    e.get_mut().extend(of);
+                    e.get_mut().sort_unstable();
+                }
+            }
         }
-        LabelSlots { tree, slots }
+        LabelSlots { slots }
     }
 
     fn of(&self, tau: &str) -> &[u32] {
@@ -915,39 +1053,48 @@ impl<'t> LabelSlots<'t> {
     /// Reads `ncells` per-vertex cells of `column`, `(τ, field)`, into
     /// rows over τ's slots. A cell count past the tree's id bound, or a
     /// value at a vertex of another label or at a dead one, is corrupt:
-    /// the live store has no row for it.
+    /// the live store has no row for it. So is a symbol outside the
+    /// tree's pool.
     fn dec_rows<T: Cell>(
         &self,
+        tree: &DataTree,
         d: &mut Dec<'_>,
         column: (&Name, &dyn std::fmt::Display),
         ncells: usize,
         mut cell: impl FnMut(&mut Dec<'_>) -> Result<T, StorageError>,
     ) -> Result<ColumnRows<T>, StorageError> {
         let (tau, field) = column;
-        let bound = self.tree.id_bound();
+        let bound = tree.id_bound();
         if ncells > bound {
             return d.corrupt(&format!(
                 "column ({tau}, {field}) spans {ncells} cells past the tree's id bound {bound}"
             ));
         }
         let slots = self.of(tau);
+        let nsym = tree.pool().len();
         let mut rows = vec![T::default(); slots.len()];
         let mut r = 0;
         for x in 0..ncells {
             let value = cell(d)?;
+            if let Some(s) = value.syms().iter().find(|s| s.index() >= nsym) {
+                return d.corrupt(&format!(
+                    "column ({tau}, {field}) cell n{x} references symbol {} of a pool holding {nsym}",
+                    s.index()
+                ));
+            }
             let at = NodeId::from_index(x);
             if slots.get(r) == Some(&(x as u32)) {
-                if !value.is_empty() && !self.tree.is_alive(at) {
+                if !value.syms().is_empty() && !tree.is_alive(at) {
                     return d.corrupt(&format!(
                         "column ({tau}, {field}) has a value at dead vertex n{x}"
                     ));
                 }
                 rows[r] = value;
                 r += 1;
-            } else if !value.is_empty() {
+            } else if !value.syms().is_empty() {
                 return d.corrupt(&format!(
                     "column ({tau}, {field}) has a value at n{x}, a {} vertex outside ext({tau})",
-                    self.tree.label(at)
+                    tree.label(at)
                 ));
             }
         }
@@ -1040,7 +1187,7 @@ pub(crate) fn dec_interner_v2(d: &mut Dec<'_>) -> Result<InternerParts, StorageE
 
 /// Encodes the columns, mapping rows to cells through `slots`, the
 /// label slots [`enc_tree_v3`] listed.
-pub(crate) fn enc_columns_v3(e: &mut Enc, state: &LiveStateRef<'_>, slots: &LabelSlots<'_>) {
+pub(crate) fn enc_columns_v3(e: &mut Enc, state: &LiveStateRef<'_>, slots: &LabelSlots) {
     e.var(state.singles.len() as u64);
     for ((tau, field), col) in &state.singles {
         e.var_str(tau);
@@ -1062,9 +1209,13 @@ pub(crate) fn enc_columns_v3(e: &mut Enc, state: &LiveStateRef<'_>, slots: &Labe
     }
 }
 
-/// Decodes a v3 columns section against the already-decoded `tree`.
-pub(crate) fn dec_columns_v3(d: &mut Dec<'_>, tree: &DataTree) -> Result<Columns, StorageError> {
-    let slots = LabelSlots::new(tree);
+/// Decodes a v3 columns section against the already-decoded `tree` and
+/// the label slots its decoder listed.
+pub(crate) fn dec_columns_v3(
+    d: &mut Dec<'_>,
+    tree: &DataTree,
+    slots: &LabelSlots,
+) -> Result<Columns, StorageError> {
     // A single-valued column is at least τ, the field's tag and name, and
     // its cell count; a set-valued one τ, the attribute and its row count.
     let nsingles = d.var_len(4)?;
@@ -1073,7 +1224,7 @@ pub(crate) fn dec_columns_v3(d: &mut Dec<'_>, tree: &DataTree) -> Result<Columns
         let tau = Name::new(d.var_str()?);
         let field = dec_field_v3(d)?;
         let ncells = d.var_len(1)?;
-        let rows = slots.dec_rows(d, (&tau, &field), ncells, dec_cell_v3)?;
+        let rows = slots.dec_rows(tree, d, (&tau, &field), ncells, dec_cell_v3)?;
         singles.push(((tau, field), rows));
     }
     let nsets = d.var_len(3)?;
@@ -1082,7 +1233,7 @@ pub(crate) fn dec_columns_v3(d: &mut Dec<'_>, tree: &DataTree) -> Result<Columns
         let tau = Name::new(d.var_str()?);
         let attr = Name::new(d.var_str()?);
         let nrows = d.var_len(1)?;
-        let rows = slots.dec_rows(d, (&tau, &attr), nrows, |d| {
+        let rows = slots.dec_rows(tree, d, (&tau, &attr), nrows, |d| {
             let nmembers = d.var_len(1)?;
             let mut row = Vec::with_capacity(nmembers);
             for _ in 0..nmembers {
@@ -1097,15 +1248,18 @@ pub(crate) fn dec_columns_v3(d: &mut Dec<'_>, tree: &DataTree) -> Result<Columns
 }
 
 /// Format v2's columns section: read-only, decoded like v3's.
-pub(crate) fn dec_columns_v2(d: &mut Dec<'_>, tree: &DataTree) -> Result<Columns, StorageError> {
-    let slots = LabelSlots::new(tree);
+pub(crate) fn dec_columns_v2(
+    d: &mut Dec<'_>,
+    tree: &DataTree,
+    slots: &LabelSlots,
+) -> Result<Columns, StorageError> {
     let nsingles = d.len(8)?;
     let mut singles = Vec::with_capacity(nsingles);
     for _ in 0..nsingles {
         let tau = Name::new(d.str()?);
         let field = dec_field_v2(d)?;
         let ncells = d.len(4)?;
-        let rows = slots.dec_rows(d, (&tau, &field), ncells, |d| {
+        let rows = slots.dec_rows(tree, d, (&tau, &field), ncells, |d| {
             Ok(dec_opt_u32(d)?.map(Sym::from_index))
         })?;
         singles.push(((tau, field), rows));
@@ -1116,7 +1270,7 @@ pub(crate) fn dec_columns_v2(d: &mut Dec<'_>, tree: &DataTree) -> Result<Columns
         let tau = Name::new(d.str()?);
         let attr = Name::new(d.str()?);
         let nrows = d.len(8)?;
-        let rows = slots.dec_rows(d, (&tau, &attr), nrows, |d| {
+        let rows = slots.dec_rows(tree, d, (&tau, &attr), nrows, |d| {
             let nmembers = d.len(4)?;
             let mut row = Vec::with_capacity(nmembers);
             for _ in 0..nmembers {
@@ -1168,7 +1322,7 @@ pub(crate) fn enc_batch(e: &mut Enc, batch: &[BatchEdit]) {
                 e.u8(0);
                 enc_node_id(e, *node);
                 e.str(attr);
-                enc_attr_value(e, value);
+                enc_members(e, value.values().iter().map(String::as_str));
             }
             BatchEdit::RemoveAttr { node, attr } => {
                 e.u8(1);
@@ -1221,7 +1375,7 @@ pub(crate) fn dec_batch(d: &mut Dec<'_>) -> Result<Vec<BatchEdit>, StorageError>
             3 => BatchEdit::InsertSubtree {
                 parent: dec_node_id(d)?,
                 position: d.len(0)?,
-                fragment: dec_tree_v2(d)?,
+                fragment: dec_tree_v2(d, Interner::new())?.0,
             },
             4 => BatchEdit::DeleteSubtree {
                 node: dec_node_id(d)?,
@@ -1379,15 +1533,17 @@ mod tests {
     #[test]
     fn name_ids_past_the_dictionary_are_corrupt() {
         let mut e = Enc::default();
-        let mut ids = HashMap::new();
-        enc_name(&mut e, &mut ids, "a");
-        enc_name(&mut e, &mut ids, "b");
-        enc_name(&mut e, &mut ids, "a");
+        let mut dict = Dict::default();
+        let (a, b) = (Name::new("a"), Name::new("b"));
+        for name in [&a, &b, &a] {
+            dict.id(&mut e, name);
+        }
         assert_eq!(e.buf, [0, 1, b'a', 1, 1, b'b', 0]);
         let mut d = Dec::new(&e.buf, "test");
         let mut names = Vec::new();
         for want in ["a", "b", "a"] {
-            assert_eq!(dec_name(&mut d, &mut names).unwrap().as_str(), want);
+            let id = dec_name(&mut d, &mut names).unwrap();
+            assert_eq!(names[id as usize].as_str(), want);
         }
         // Id 3 skips id 2; u64::MAX is far past any dictionary.
         for id in [3, u64::MAX] {

@@ -16,8 +16,12 @@
 //! is an error. In version 3 the tree, interner and columns payloads are
 //! varint-encoded, and the tree names labels and attribute names through
 //! an inline dictionary (see `codec`); the structural-violation and meta
-//! payloads are as in version 2. [`decode_snapshot`] picks its section
-//! readers by the version word. Writers emit only version 3, so a
+//! payloads are as in version 2. The interner section holds the
+//! document's value pool (`DataTree::pool`); the tree section still spells
+//! every value out, and the decoder interns those strings into the pool
+//! it read first, so older files, whose pools held only the planned
+//! values, load too. [`decode_snapshot`] picks its section readers by
+//! the version word. Writers emit only version 3, so a
 //! version 2 file is rewritten as version 3 the next time its document
 //! is snapshotted.
 //!
@@ -36,13 +40,13 @@
 use std::fs::{self, File};
 use std::path::Path;
 
-use xic_model::DataTree;
+use xic_model::{DataTree, Interner};
 use xic_validate::{LiveState, LiveStateRef};
 
 use crate::codec::{
     dec_columns_v2, dec_columns_v3, dec_interner_v2, dec_interner_v3, dec_struct_viols,
     dec_tree_v2, dec_tree_v3, enc_columns_v3, enc_interner_v3, enc_struct_viols, enc_tree_v3,
-    Columns, Dec, Enc, InternerParts,
+    pool_of, Columns, Dec, Enc, InternerParts, LabelSlots,
 };
 use crate::crc::crc32;
 use crate::StorageError;
@@ -79,8 +83,9 @@ fn encode(out: &mut Enc, state: &LiveStateRef<'_>, last_seq: u64) {
     out.u32(SNAPSHOT_VERSION);
     out.section(SEC_META, |e| e.u64(last_seq));
     let slots = out.section(SEC_TREE, |e| enc_tree_v3(e, state.tree));
+    let pool = state.tree.pool();
     out.section(SEC_INTERNER, |e| {
-        enc_interner_v3(e, state.interner_arena, state.interner_spans)
+        enc_interner_v3(e, pool.arena(), pool.spans())
     });
     out.section(SEC_COLUMNS, |e| enc_columns_v3(e, state, &slots));
     out.section(SEC_STRUCT, |e| enc_struct_viols(e, &state.struct_viols));
@@ -88,9 +93,9 @@ fn encode(out: &mut Enc, state: &LiveStateRef<'_>, last_seq: u64) {
 
 /// The readers of one format version's bulk sections.
 type SectionReaders = (
-    fn(&mut Dec<'_>) -> Result<DataTree, StorageError>,
+    fn(&mut Dec<'_>, Interner) -> Result<(DataTree, LabelSlots), StorageError>,
     fn(&mut Dec<'_>) -> Result<InternerParts, StorageError>,
-    fn(&mut Dec<'_>, &DataTree) -> Result<Columns, StorageError>,
+    fn(&mut Dec<'_>, &DataTree, &LabelSlots) -> Result<Columns, StorageError>,
 );
 
 /// Deserializes a snapshot produced by [`encode_snapshot`] (format v3) or
@@ -123,11 +128,12 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<(LiveState, u64), StorageError> {
 
     let mut seen = 0u32;
     let mut last_seq = None;
-    let mut tree = None;
     let mut interner = None;
     let mut struct_viols = None;
-    // The columns map their cells onto the tree's slots, so they decode
-    // once the whole file has been read.
+    // The tree interns its values into the pool, and the columns map
+    // their cells onto the tree's slots, so both decode once the whole
+    // file has been read: pool, then tree, then columns.
+    let mut tree_payload = None;
     let mut columns_payload = None;
     while !d.is_empty() {
         let tag = d.u32()?;
@@ -158,7 +164,10 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<(LiveState, u64), StorageError> {
         let mut pd = Dec::new(payload, "snapshot");
         match tag {
             SEC_META => last_seq = Some(pd.u64()?),
-            SEC_TREE => tree = Some(dec_tree(&mut pd)?),
+            SEC_TREE => {
+                tree_payload = Some(payload);
+                continue;
+            }
             SEC_INTERNER => interner = Some(dec_interner(&mut pd)?),
             SEC_COLUMNS => {
                 columns_payload = Some(payload);
@@ -177,21 +186,26 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<(LiveState, u64), StorageError> {
     let missing = |what: &str| StorageError::Corrupt {
         detail: format!("snapshot: missing {what} section"),
     };
-    let (interner_arena, interner_spans) = interner.ok_or_else(|| missing("interner"))?;
-    let payload = columns_payload.ok_or_else(|| missing("columns"))?;
-    let tree = tree.ok_or_else(|| missing("tree"))?;
-    let mut pd = Dec::new(payload, "snapshot");
-    let (singles, sets) = dec_columns(&mut pd, &tree)?;
+    let pool = pool_of(interner.ok_or_else(|| missing("interner"))?)?;
+    let trailing = |tag: u32| StorageError::Corrupt {
+        detail: format!("snapshot: section {tag} has trailing bytes"),
+    };
+    let mut pd = Dec::new(tree_payload.ok_or_else(|| missing("tree"))?, "snapshot");
+    let (tree, slots) = dec_tree(&mut pd, pool)?;
     if !pd.is_empty() {
-        return Err(StorageError::Corrupt {
-            detail: format!("snapshot: section {SEC_COLUMNS} has trailing bytes"),
-        });
+        return Err(trailing(SEC_TREE));
+    }
+    let mut pd = Dec::new(
+        columns_payload.ok_or_else(|| missing("columns"))?,
+        "snapshot",
+    );
+    let (singles, sets) = dec_columns(&mut pd, &tree, &slots)?;
+    if !pd.is_empty() {
+        return Err(trailing(SEC_COLUMNS));
     }
     Ok((
         LiveState {
             tree,
-            interner_arena,
-            interner_spans,
             singles,
             sets,
             struct_viols: struct_viols.ok_or_else(|| missing("structural violation"))?,

@@ -739,10 +739,36 @@ fn pinned_tree() -> (DataTree, NodeId) {
 }
 
 /// [`pinned_tree`]'s snapshot at WAL sequence 7, in the current format
-/// (v3). Any change to these bytes is a format change: it needs a new
-/// `SNAPSHOT_VERSION`, and files written in the old format must still
-/// load.
+/// (v3). A change to the layout these bytes follow is a format change:
+/// it needs a new `SNAPSHOT_VERSION`, and files written in the old
+/// format must still load. The interner section is the document's value
+/// pool, numbered in the order the tree was built; a change that only
+/// renumbers symbols keeps the version, and the files written before it
+/// must still load ([`PINNED_PLANNED_POOL_HEX`]).
 const PINNED_SNAPSHOT_HEX: &str = concat!(
+    "584943530300000005000000080000000000000070d6e76f0700000000000000",
+    "010000008a0000000000000026d7c40a090001800100026462000303090d0001",
+    "0274300102050703020261310102763203026964010276310402723001027634",
+    "050265300201047630000602743102000107026130010276320601010b020701",
+    "0276390401027631080265310501047633000902743201000202010276310a02",
+    "72310202763302763509000111010a0102763608080104763700020000001d00",
+    "000000000000a99c4e2012763176327634763076397633763576367637090404",
+    "0404040404040403000000be00000000000000fb38a114080274300002613109",
+    "0002000000000000000274300002696409000100000000000000027430010265",
+    "3009000400000000000000027431000261300900000002050000000002743100",
+    "0269640900000000000000000002743101026531090000000006000000000274",
+    "3200026131090000000000000100000274320002696409000000000000000000",
+    "0302743002723009000102000000000000000274310272300900000000010000",
+    "0000000274320272310900000000000002050600000400000047000000000000",
+    "006b07ae5d010000000000000001000000010000000000000002010000000200",
+    "00000000000074300e00000000000000286530202b206531202b2053292a0600",
+    "00000000000065302c207431",
+);
+
+/// The same snapshot as builds whose intern pool held only the planned
+/// values, in live-extraction order, wrote it (format v3). It must keep
+/// loading: [`pinned_planned_pool_snapshot_loads_and_rewrites`].
+const PINNED_PLANNED_POOL_HEX: &str = concat!(
     "584943530300000005000000080000000000000070d6e76f0700000000000000",
     "010000008a0000000000000026d7c40a090001800100026462000303090d0001",
     "0274300102050703020261310102763203026964010276310402723001027634",
@@ -760,6 +786,29 @@ const PINNED_SNAPSHOT_HEX: &str = concat!(
     "ae5d010000000000000001000000010000000000000002010000000200000000",
     "00000074300e00000000000000286530202b206531202b2053292a0600000000",
     "00000065302c207431",
+);
+
+/// What [`PINNED_PLANNED_POOL_HEX`] and [`PINNED_V2_SNAPSHOT_HEX`]
+/// re-encode to: their pool, then the tree values it lacked (the deleted
+/// `t2`'s text `v7`), appended as the tree section decodes.
+const PINNED_REWRITE_HEX: &str = concat!(
+    "584943530300000005000000080000000000000070d6e76f0700000000000000",
+    "010000008a0000000000000026d7c40a090001800100026462000303090d0001",
+    "0274300102050703020261310102763203026964010276310402723001027634",
+    "050265300201047630000602743102000107026130010276320601010b020701",
+    "0276390401027631080265310501047633000902743201000202010276310a02",
+    "72310202763302763509000111010a0102763608080104763700020000001d00",
+    "0000000000007d4bc44112763276317630763976337634763576367637090404",
+    "0404040404040403000000be000000000000007360bade080274300002613109",
+    "0001000000000000000274300002696409000200000000000000027430010265",
+    "3009000300000000000000027431000261300900000001040000000002743100",
+    "0269640900000000000000000002743101026531090000000005000000000274",
+    "3200026131090000000000000200000274320002696409000000000000000000",
+    "0302743002723009000105000000000000000274310272300900000000010100",
+    "0000000274320272310900000000000002040600000400000047000000000000",
+    "006b07ae5d010000000000000001000000010000000000000002010000000200",
+    "00000000000074300e00000000000000286530202b206531202b2053292a0600",
+    "00000000000065302c207431",
 );
 
 /// The same snapshot in format v2, as builds before v3 wrote it. It must
@@ -874,7 +923,7 @@ fn snapshot_bytes_match_the_pinned_format() {
 
 /// A snapshot written in format v2 still loads: the state it decodes to
 /// rebuilds a validator with the fixture's report, and writing it again
-/// gives the v3 pin's bytes.
+/// gives the pinned v3 re-encoding.
 #[test]
 fn pinned_v2_snapshot_loads_and_rewrites_as_v3() {
     let dtdc = DtdC::new_unchecked(test_structure(), Language::Lid, test_sigma());
@@ -884,10 +933,30 @@ fn pinned_v2_snapshot_loads_and_rewrites_as_v3() {
     assert_eq!(&v2[4..8], &2u32.to_le_bytes());
     let (state, last_seq) = decode_snapshot(&v2).unwrap();
     assert_eq!(last_seq, 7);
-    assert_eq!(hex(&encode_snapshot(&state, 7)), PINNED_SNAPSHOT_HEX);
+    assert_eq!(hex(&encode_snapshot(&state, 7)), PINNED_REWRITE_HEX);
     let warm = LiveValidator::from_state(&v, state).unwrap();
     assert_eq!(warm.report().to_string(), live.report().to_string());
-    assert_eq!(hex(&encode_snapshot(&warm, 7)), PINNED_SNAPSHOT_HEX);
+    assert_eq!(hex(&encode_snapshot(&warm, 7)), PINNED_REWRITE_HEX);
+}
+
+/// A v3 snapshot whose pool held only the planned values still loads:
+/// its symbols keep their numbers, the tree's other values join the pool
+/// behind them, the validator it rebuilds has the fixture's report, and
+/// writing it again gives the pinned re-encoding, which itself decodes
+/// and re-encodes to the same bytes.
+#[test]
+fn pinned_planned_pool_snapshot_loads_and_rewrites() {
+    let dtdc = DtdC::new_unchecked(test_structure(), Language::Lid, test_sigma());
+    let v = validator(&dtdc);
+    let live = pinned_live(&v);
+    let (state, last_seq) = decode_snapshot(&unhex(PINNED_PLANNED_POOL_HEX)).unwrap();
+    assert_eq!(last_seq, 7);
+    assert_eq!(hex(&encode_snapshot(&state, 7)), PINNED_REWRITE_HEX);
+    let warm = LiveValidator::from_state(&v, state).unwrap();
+    assert_eq!(warm.report().to_string(), live.report().to_string());
+    assert_eq!(hex(&encode_snapshot(&warm, 7)), PINNED_REWRITE_HEX);
+    let (again, _) = decode_snapshot(&unhex(PINNED_REWRITE_HEX)).unwrap();
+    assert_eq!(hex(&encode_snapshot(&again, 7)), PINNED_REWRITE_HEX);
 }
 
 /// A snapshot's 8-byte header (magic, version) and its `(tag, payload)`
@@ -1065,6 +1134,40 @@ fn cells_outside_a_columns_extent_are_corrupt() {
             }
             other => panic!("{column} at n{x}: {other:?}"),
         }
+    }
+}
+
+/// A column cell naming a symbol the document's pool does not hold, with
+/// a valid CRC, decodes as `Corrupt`, naming the column, the vertex and
+/// the pool's size; so does a pool section whose spans break the pool.
+#[test]
+fn symbols_outside_the_pool_are_corrupt() {
+    let (header, sections) = split_sections(&unhex(PINNED_SNAPSHOT_HEX));
+    let at = sections.iter().position(|s| s.0 == 3).unwrap();
+    let columns = single_columns(&sections[at].1);
+    // n1 is the pinned tree's one t0; its `a1` cell holds a symbol.
+    let (_, first, _) = columns.iter().find(|c| c.0 == "(t0, @a1)").unwrap();
+    let mut hostile = sections.clone();
+    assert_ne!(hostile[at].1[first + 1], 0, "(t0, @a1) holds a value at n1");
+    hostile[at].1[first + 1] = 0x7f;
+    match decode_snapshot(&join_sections(&header, &hostile)) {
+        Err(StorageError::Corrupt { detail }) => assert!(
+            detail.contains("column (t0, @a1) cell n1 references symbol 126 of a pool holding 9"),
+            "{detail}"
+        ),
+        other => panic!("a symbol outside the pool: {other:?}"),
+    }
+    // A pool whose two spans spell one string is no pool: the last span,
+    // one byte `len << 1` (len 2), becomes `len << 1 | 1` and a zigzag gap
+    // of -2, so it starts where the one before it did.
+    let pool = sections.iter().position(|s| s.0 == 2).unwrap();
+    let mut hostile = sections.clone();
+    let payload = &mut hostile[pool].1;
+    assert_eq!(payload.pop(), Some(0x04));
+    payload.extend([0x05, 0x03]);
+    match decode_snapshot(&join_sections(&header, &hostile)) {
+        Err(StorageError::Corrupt { detail }) => assert!(detail.contains("interner"), "{detail}"),
+        other => panic!("a broken pool: {other:?}"),
     }
 }
 

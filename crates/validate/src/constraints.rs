@@ -35,8 +35,8 @@ pub(crate) fn unique_sub(tree: &DataTree, x: NodeId, e: &str) -> Option<NodeId> 
 /// sub-element is absent / non-unique.
 pub(crate) fn field_value(tree: &DataTree, x: NodeId, field: &Field) -> Option<String> {
     match field {
-        Field::Attr(l) => tree.attr(x, l)?.as_single().cloned(),
-        Field::Sub(e) => Some(tree.node(unique_sub(tree, x, e)?).text()),
+        Field::Attr(l) => tree.attr(x, l)?.as_single().map(str::to_string),
+        Field::Sub(e) => Some(tree.text(unique_sub(tree, x, e)?).into_owned()),
     }
 }
 
@@ -46,8 +46,8 @@ fn tuple(tree: &DataTree, x: NodeId, fields: &[Field]) -> Option<Vec<String>> {
 }
 
 /// The set value `x.l` of a set-valued attribute (empty if absent).
-fn set_value<'t>(tree: &'t DataTree, x: NodeId, l: &str) -> &'t [String] {
-    tree.attr(x, l).map(|v| v.values()).unwrap_or(&[])
+fn set_value<'t>(tree: &'t DataTree, x: NodeId, l: &str) -> impl Iterator<Item = &'t str> {
+    tree.attr(x, l).into_iter().flat_map(|v| v.values())
 }
 
 /// Checks a single constraint against a data tree.
@@ -79,7 +79,7 @@ fn build_global_ids(
         };
         for &x in idx.ext(tau) {
             if let Some(v) = tree.attr(x, id_attr).and_then(|v| v.as_single()) {
-                map.entry(v.clone()).or_default().push(x);
+                map.entry(v.to_string()).or_default().push(x);
             }
         }
     }
@@ -168,7 +168,7 @@ fn check_one(
                         out.push(Violation::ForeignKey {
                             constraint: cname.get(),
                             node: x,
-                            value: v.clone(),
+                            value: v.to_string(),
                         });
                     }
                 }
@@ -225,7 +225,7 @@ fn check_one(
                                     constraint: cname.get(),
                                     a: x,
                                     b: y,
-                                    value: v.clone(),
+                                    value: v.to_string(),
                                 });
                             }
                         }
@@ -243,7 +243,7 @@ fn check_one(
                     out.push(Violation::ForeignKey {
                         constraint: cname.get(),
                         node: x,
-                        value: v.clone(),
+                        value: v.to_string(),
                     });
                 }
             }
@@ -256,7 +256,7 @@ fn check_one(
                         out.push(Violation::ForeignKey {
                             constraint: cname.get(),
                             node: x,
-                            value: v.clone(),
+                            value: v.to_string(),
                         });
                     }
                 }
@@ -282,7 +282,7 @@ fn check_one(
                             out.push(Violation::ForeignKey {
                                 constraint: cname.get(),
                                 node: x,
-                                value: v.clone(),
+                                value: v.to_string(),
                             });
                         }
                     }
@@ -329,7 +329,8 @@ fn id_values(
     };
     idx.ext(tau)
         .iter()
-        .filter_map(|&y| tree.attr(y, id_attr).and_then(|v| v.as_single()).cloned())
+        .filter_map(|&y| tree.attr(y, id_attr).and_then(|v| v.as_single()))
+        .map(str::to_string)
         .collect()
 }
 

@@ -38,9 +38,10 @@ use xic_model::{
 use xic_obs::{Metrics, Obs};
 use xic_regex::Symbol;
 
+use crate::constraints::unique_sub;
 use crate::plan::{
-    extract_set, extract_single, CheckKind, CountedSymSet, FkNary, FkSingle, IdCheck, Inverse, Key,
-    KeyUnary, Plan, SetFk, TauPlan,
+    CheckKind, CountedSymSet, FkNary, FkSingle, IdCheck, Inverse, Key, KeyUnary, Plan, SetFk,
+    TauPlan,
 };
 use crate::report::{Report, Violation};
 use crate::structure::Validator;
@@ -374,14 +375,13 @@ impl RowMap {
 }
 
 /// The live counterpart of the one-shot `DocIndex`: every planned column,
-/// mutable and in plan order, sharing one interner. `singles[c]` and
-/// `sets[c]` are the plan's single- and set-valued column `c`; parts hold
-/// those ids, resolved once by [`Plan::build`], and never name a column.
-/// Interning order is irrelevant for report equality — symbols are only
-/// compared for equality/membership, and violations carry resolved
-/// strings.
+/// mutable and in plan order, holding symbols of the tree's value pool.
+/// `singles[c]` and `sets[c]` are the plan's single- and set-valued column
+/// `c`; parts hold those ids, resolved once by [`Plan::build`], and never
+/// name a column. Symbol numbering is irrelevant for report equality —
+/// symbols are only compared for equality/membership, and violations
+/// carry resolved strings.
 struct Store {
-    interner: Interner,
     rows: RowMap,
     singles: Vec<Col<Option<Sym>>>,
     sets: Vec<Col<Vec<Sym>>>,
@@ -418,17 +418,34 @@ impl Store {
     fn tuple(&self, cols: &[usize], x: u32) -> Option<Vec<Sym>> {
         cols.iter().map(|&c| self.single(c, x)).collect()
     }
+}
 
-    fn resolve(&self, s: Sym) -> &str {
-        self.interner.resolve(s)
-    }
+/// A tuple's values as a report spells them.
+fn join(pool: &Interner, t: &[Sym]) -> String {
+    t.iter()
+        .map(|&s| pool.resolve(s))
+        .collect::<Vec<_>>()
+        .join(", ")
+}
 
-    fn join(&self, t: &[Sym]) -> String {
-        t.iter()
-            .map(|&s| self.resolve(s))
-            .collect::<Vec<_>>()
-            .join(", ")
+/// `x`'s cell in a single-valued column of `field`: the symbol the tree
+/// holds (a sub-element's text interned when it is not one text child).
+/// Must agree with `crate::constraints::field_value`.
+fn cell_single(tree: &mut DataTree, x: NodeId, field: &Field) -> Option<Sym> {
+    match field {
+        Field::Attr(l) => tree.attr(x, l)?.sym(),
+        Field::Sub(e) => {
+            let child = unique_sub(tree, x, e)?;
+            Some(tree.text_sym(child))
+        }
     }
+}
+
+/// `x`'s cell in a set-valued column of `attr`: the members' symbols in
+/// sorted string order (none when the attribute is absent).
+fn cell_set(tree: &DataTree, x: NodeId, attr: &Name) -> Vec<Sym> {
+    tree.attr(x, attr)
+        .map_or_else(Vec::new, |v| v.syms().collect())
 }
 
 /// `ext(τ)` for the planned types, read off the row map's slot lists: the
@@ -712,11 +729,22 @@ fn live_columns<K: Sync, T: Cell + Send + Sync>(
     })
 }
 
+/// What every part reads while it processes a change: the store, the
+/// tree's value pool and the ID table.
+#[derive(Clone, Copy)]
+struct Shared<'a> {
+    store: &'a Store,
+    pool: &'a Interner,
+    ids: &'a IdTable,
+}
+
 /// Shared mutable context for one part while it processes one change:
 /// read access to the store and ID table, write access to the part's
 /// violation table, all writes funneled through the diff accumulator.
 struct Ctx<'a> {
     store: &'a Store,
+    /// The tree's value pool, which violations resolve symbols through.
+    pool: &'a Interner,
     ids: &'a IdTable,
     name: &'a str,
     pi: u32,
@@ -794,9 +822,11 @@ impl Part {
         }
     }
 
-    fn apply(&mut self, change: &Change, store: &Store, ids: &IdTable, pi: u32, acc: &mut DiffAcc) {
+    fn apply(&mut self, change: &Change, cx: Shared<'_>, pi: u32, acc: &mut DiffAcc) {
+        let Shared { store, pool, ids } = cx;
         let mut cx = Ctx {
             store,
+            pool,
             ids,
             name: &self.name,
             pi,
@@ -814,9 +844,11 @@ impl Part {
         }
     }
 
-    fn init(&mut self, idx: &Extents, store: &Store, ids: &IdTable, pi: u32) {
+    fn init(&mut self, idx: &Extents, cx: Shared<'_>, pi: u32) {
+        let Shared { store, pool, ids } = cx;
         let mut cx = Ctx {
             store,
+            pool,
             ids,
             name: &self.name,
             pi,
@@ -863,7 +895,7 @@ impl KeyUnaryPart {
         if rest.is_empty() {
             return;
         }
-        let value = store.resolve(v).to_string();
+        let value = cx.pool.resolve(v).to_string();
         for h in rest {
             cx.set(
                 (h, 0, 0, 0),
@@ -980,7 +1012,7 @@ impl KeyPart {
         if rest.is_empty() {
             return;
         }
-        let value = cx.store.join(t);
+        let value = join(cx.pool, t);
         for h in rest {
             cx.set(
                 (h, 0, 0, 0),
@@ -1051,7 +1083,7 @@ impl FkSinglePart {
             Some(sym) => Some(Violation::ForeignKey {
                 constraint: cx.cname(),
                 node: nid(x),
-                value: cx.store.resolve(sym).to_string(),
+                value: cx.pool.resolve(sym).to_string(),
             }),
         };
         cx.set((x, 0, 0, 0), entry);
@@ -1148,7 +1180,7 @@ impl FkNaryPart {
             Some(t) => Some(Violation::ForeignKey {
                 constraint: cx.cname(),
                 node: nid(x),
-                value: cx.store.join(t),
+                value: join(cx.pool, t),
             }),
         };
         cx.set((x, 0, 0, 0), entry);
@@ -1299,7 +1331,7 @@ impl SetFkPart {
                     Some(Violation::ForeignKey {
                         constraint: cx.cname(),
                         node: nid(x),
-                        value: store.resolve(m).to_string(),
+                        value: cx.pool.resolve(m).to_string(),
                     }),
                 );
             }
@@ -1406,7 +1438,7 @@ impl IdPart {
                                 constraint: cx.cname(),
                                 a: nid(x),
                                 b: nid(y),
-                                value: store.resolve(v).to_string(),
+                                value: cx.pool.resolve(v).to_string(),
                             }),
                         );
                     }
@@ -1642,6 +1674,7 @@ impl Subs {
 /// values, assigned ids) — a `BatchEdit` describes what *to do*, so a
 /// subtree insertion carries its fragment.
 #[derive(Clone, Debug)]
+#[allow(clippy::large_enum_variant)] // a tree with its pool; batches are short-lived
 pub enum BatchEdit {
     /// Set attribute `attr` of `node`, creating or replacing it.
     SetAttr {
@@ -1757,11 +1790,12 @@ pub type SetColumnRef<'a> = (&'a (Name, Name), &'a ColumnRows<Vec<Sym>>);
 /// A serialisable snapshot of a [`LiveValidator`]'s owned state.
 ///
 /// The state captures exactly what a warm start cannot cheaply recompute:
-/// the document tree, the intern pool's backing storage, every planned
-/// column's rows ([`ColumnRows`]), and the structural violation table (the
-/// output of the content-model scan). Everything else — occurrence maps,
-/// the ID table, per-constraint violation tables, subscription indexes,
-/// and the root-label check — is re-derived deterministically by
+/// the document tree (with its value pool, whose symbols the columns
+/// hold), every planned column's rows ([`ColumnRows`]), and the
+/// structural violation table (the output of the content-model scan).
+/// Everything else — occurrence maps, the ID table, per-constraint
+/// violation tables, subscription indexes, and the root-label check — is
+/// re-derived deterministically by
 /// [`LiveValidator::from_state`], so a report after a round trip is
 /// byte-identical to scratch validation of the same tree.
 ///
@@ -1770,12 +1804,9 @@ pub type SetColumnRef<'a> = (&'a (Name, Name), &'a ColumnRows<Vec<Sym>>);
 /// concerns; encoders read the borrowed [`LiveStateRef`] instead.
 #[derive(Clone, Debug)]
 pub struct LiveState {
-    /// The document.
+    /// The document, whose pool ([`DataTree::pool`]) the columns' symbols
+    /// belong to.
     pub tree: DataTree,
-    /// The intern pool's byte arena (see [`Interner::arena`]).
-    pub interner_arena: Vec<u8>,
-    /// The intern pool's `(start, len)` spans (see [`Interner::spans`]).
-    pub interner_spans: Vec<(u32, u32)>,
     /// Every planned single-valued column's rows, ascending by `(element
     /// type, field)` key.
     pub singles: Vec<SingleColumnState>,
@@ -1792,8 +1823,6 @@ impl LiveState {
     pub fn view(&self) -> LiveStateRef<'_> {
         LiveStateRef {
             tree: &self.tree,
-            interner_arena: &self.interner_arena,
-            interner_spans: &self.interner_spans,
             singles: self.singles.iter().map(|(k, v)| (k, v)).collect(),
             sets: self.sets.iter().map(|(k, v)| (k, v)).collect(),
             struct_viols: self
@@ -1816,12 +1845,8 @@ impl LiveState {
 /// ([`LiveValidator::export_state`]).
 #[derive(Debug)]
 pub struct LiveStateRef<'a> {
-    /// The document.
+    /// The document, whose pool the columns' symbols belong to.
     pub tree: &'a DataTree,
-    /// The intern pool's byte arena (see [`Interner::arena`]).
-    pub interner_arena: &'a [u8],
-    /// The intern pool's `(start, len)` spans (see [`Interner::spans`]).
-    pub interner_spans: &'a [(u32, u32)],
     /// Every planned single-valued column, ascending by `(element type,
     /// field)` key.
     pub singles: Vec<SingleColumnRef<'a>>,
@@ -1837,8 +1862,6 @@ impl LiveStateRef<'_> {
     pub fn into_owned(self) -> LiveState {
         LiveState {
             tree: self.tree.clone(),
-            interner_arena: self.interner_arena.to_vec(),
-            interner_spans: self.interner_spans.to_vec(),
             singles: (self.singles.into_iter())
                 .map(|(k, v)| (k.clone(), v.clone()))
                 .collect(),
@@ -1918,7 +1941,7 @@ impl<'v, 'd> LiveValidator<'v, 'd> {
     /// and the content-model scan runs once per vertex;
     /// [`LiveValidator::from_state`] shares everything after that (see
     /// `assemble`).
-    pub fn new(v: &'v Validator<'d>, tree: DataTree) -> Self {
+    pub fn new(v: &'v Validator<'d>, mut tree: DataTree) -> Self {
         let _init = v.obs.span("live.init");
         let plan = &v.plan;
         let threads = init_threads(v, &tree);
@@ -1926,26 +1949,24 @@ impl<'v, 'd> LiveValidator<'v, 'd> {
         let rows = RowMap::build(plan, &tree);
         let rows_of = |tau: &Name| rows.slots[plan.taus[tau].rank].len();
 
-        // Extraction interns through the one shared interner and stays
-        // sequential: one extent walk per τ fills every single-valued
-        // column of τ (the vertex's node record and attribute list stay
-        // hot across fields), then each set-valued column in plan order.
-        let mut interner = Interner::new();
+        // Extraction copies the tree's symbols into the rows: one extent
+        // walk per τ fills every single-valued column of τ (the vertex's
+        // node record and attribute slots stay hot across fields), then
+        // each set-valued column in plan order. Only a sub-element text
+        // other than one text child interns anything.
         let mut singles: Vec<ColumnRows<Option<Sym>>> = (plan.singles.iter())
             .map(|(tau, _)| ColumnRows {
                 rows: vec![None; rows_of(tau)],
                 cells: bound,
             })
             .collect();
-        let live = |x: &u32| tree.is_alive(nid(*x));
         for tp in plan.taus.values() {
-            for (r, x) in rows.slots[tp.rank]
-                .iter()
-                .enumerate()
-                .filter(|(_, x)| live(x))
-            {
+            for (r, &x) in rows.slots[tp.rank].iter().enumerate() {
+                if !tree.is_alive(nid(x)) {
+                    continue;
+                }
                 for (field, c) in &tp.singles {
-                    singles[*c].rows[r] = extract_single(&tree, nid(*x), field, &mut interner);
+                    singles[*c].rows[r] = cell_single(&mut tree, nid(x), field);
                 }
             }
         }
@@ -1955,10 +1976,11 @@ impl<'v, 'd> LiveValidator<'v, 'd> {
                 cells: bound,
             })
             .collect();
+        let live = |x: &u32| tree.is_alive(nid(*x));
         for ((tau, attr), col) in plan.sets.iter().zip(&mut sets) {
             let ext = rows.slots[plan.taus[tau].rank].iter().enumerate();
             for (r, x) in ext.filter(|(_, x)| live(x)) {
-                col.rows[r] = extract_set(&tree, nid(*x), attr, &mut interner).collect();
+                col.rows[r] = cell_set(&tree, nid(*x), attr);
             }
         }
 
@@ -1980,14 +2002,14 @@ impl<'v, 'd> LiveValidator<'v, 'd> {
         });
         let struct_viols = chunks.into_iter().flatten().collect();
 
-        Self::assemble(v, tree, interner, rows, singles, sets, struct_viols)
+        Self::assemble(v, tree, rows, singles, sets, struct_viols)
     }
 
     /// Rebuilds a live validator from an exported [`LiveState`] without
     /// re-parsing, re-extracting, or re-running the content-model scan.
     ///
-    /// The expensive phases of [`LiveValidator::new`] — per-cell attribute
-    /// extraction and interning, and the structural DFA scan — are replaced
+    /// The expensive phases of [`LiveValidator::new`] — per-cell
+    /// extraction and the structural DFA scan — are replaced
     /// by the snapshot's stored columns and violation table; the derived
     /// indexes (occurrence maps, the ID table, per-constraint tables,
     /// subscriptions) are then built by the same assembly `new` ends in.
@@ -1998,26 +2020,21 @@ impl<'v, 'd> LiveValidator<'v, 'd> {
     ///
     /// Returns [`StateError`] — never panics — when the state is
     /// internally inconsistent or does not match `v`'s constraint plan:
-    /// malformed intern-pool parts, columns other than the plan's (in the
-    /// plan's order), a column whose rows do not match its type's slots in
-    /// the tree, symbols outside the pool, or cell counts past the tree's
-    /// id bound. A column may hold values only at live vertices below its
-    /// cell count.
+    /// columns other than the plan's (in the plan's order), a column whose
+    /// rows do not match its type's slots in the tree, symbols outside the
+    /// tree's pool, or cell counts past the tree's id bound. A column may
+    /// hold values only at live vertices below its cell count.
     pub fn from_state(v: &'v Validator<'d>, state: LiveState) -> Result<Self, StateError> {
         let _warm = v.obs.span("live.warm");
         let plan = &v.plan;
         let LiveState {
             tree,
-            interner_arena,
-            interner_spans,
             singles,
             sets,
             struct_viols,
         } = state;
 
-        let interner = Interner::from_parts(interner_arena, interner_spans)
-            .map_err(|detail| StateError { detail })?;
-        let nsym = interner.len();
+        let nsym = tree.pool().len();
         let bound = tree.id_bound();
 
         // The snapshot must hold exactly the plan's columns: a missing
@@ -2066,7 +2083,6 @@ impl<'v, 'd> LiveValidator<'v, 'd> {
         Ok(Self::assemble(
             v,
             tree,
-            interner,
             rows,
             singles.into_iter().map(|(_, col)| col).collect(),
             sets.into_iter().map(|(_, col)| col).collect(),
@@ -2075,7 +2091,7 @@ impl<'v, 'd> LiveValidator<'v, 'd> {
     }
 
     /// The shared tail of [`LiveValidator::new`] and
-    /// [`LiveValidator::from_state`]: from the document, its interner and
+    /// [`LiveValidator::from_state`]: from the document (with its pool) and
     /// row map, its columns' rows in plan order, and its structural table,
     /// derives everything else — occurrence maps, the ID
     /// table, the root check, the per-constraint tables and the
@@ -2084,7 +2100,6 @@ impl<'v, 'd> LiveValidator<'v, 'd> {
     fn assemble(
         v: &'v Validator<'d>,
         tree: DataTree,
-        interner: Interner,
         rows: RowMap,
         singles: Vec<ColumnRows<Option<Sym>>>,
         sets: Vec<ColumnRows<Vec<Sym>>>,
@@ -2093,11 +2108,10 @@ impl<'v, 'd> LiveValidator<'v, 'd> {
         let s = v.dtdc().structure();
         let plan = &v.plan;
         let threads = init_threads(v, &tree);
-        let nsym = interner.len();
+        let nsym = tree.pool().len();
         let store = Store {
             singles: live_columns(v, threads, &plan.singles, singles, &rows, nsym),
             sets: live_columns(v, threads, &plan.sets, sets, &rows, nsym),
-            interner,
             rows,
         };
         let idx = Extents {
@@ -2129,8 +2143,13 @@ impl<'v, 'd> LiveValidator<'v, 'd> {
 
         let mut parts = build_parts(v.dtdc(), plan);
         let items: Vec<(u32, &mut Part)> = (0u32..).zip(parts.iter_mut()).collect();
+        let shared = Shared {
+            store: &store,
+            pool: tree.pool(),
+            ids: &ids,
+        };
         crate::par::fan_out(threads, items, &v.obs, "init.part", |(pi, p)| {
-            p.init(&idx, &store, &ids, pi);
+            p.init(&idx, shared, pi);
         });
         let subs = Subs::build(plan);
 
@@ -2158,8 +2177,6 @@ impl<'v, 'd> LiveValidator<'v, 'd> {
         let plan = &self.v.plan;
         LiveStateRef {
             tree: &self.tree,
-            interner_arena: self.store.interner.arena(),
-            interner_spans: self.store.interner.spans(),
             singles: (plan.singles.iter())
                 .zip(&self.store.singles)
                 .map(|(k, col)| (k, &col.vals))
@@ -2524,7 +2541,7 @@ impl<'v, 'd> LiveValidator<'v, 'd> {
                             if xi >= pre_bound || !tree.is_alive(nid(xi)) {
                                 continue;
                             }
-                            let new = extract_single(tree, nid(xi), field, &mut store.interner);
+                            let new = cell_single(tree, nid(xi), field);
                             let old = store.singles[col as usize].write(&store.rows, xi, new);
                             if old != new {
                                 changes.push((xi, old, new));
@@ -2552,8 +2569,7 @@ impl<'v, 'd> LiveValidator<'v, 'd> {
                             if xi >= pre_bound || !tree.is_alive(nid(xi)) {
                                 continue;
                             }
-                            let new: Vec<Sym> =
-                                extract_set(tree, nid(xi), attr, &mut store.interner).collect();
+                            let new = cell_set(tree, nid(xi), attr);
                             let old = store.sets[c].write(&store.rows, xi, new.clone());
                             if old != new {
                                 changes.push(xi);
@@ -2584,6 +2600,7 @@ impl<'v, 'd> LiveValidator<'v, 'd> {
     /// subscribed to column `col`.
     fn dispatch_to(&mut self, col: u32, change: Change, acc: &mut DiffAcc) {
         let Self {
+            tree,
             parts,
             store,
             ids,
@@ -2591,19 +2608,33 @@ impl<'v, 'd> LiveValidator<'v, 'd> {
             ..
         } = self;
         ids.apply(&change, store);
+        let shared = Shared {
+            store,
+            pool: tree.pool(),
+            ids,
+        };
         for &pi in &subs.parts_of[col as usize] {
-            parts[pi as usize].apply(&change, store, ids, pi, acc);
+            parts[pi as usize].apply(&change, shared, pi, acc);
         }
     }
 
     /// Runs core ID-table maintenance, then every part, on one change.
     fn dispatch(&mut self, change: Change, acc: &mut DiffAcc) {
         let Self {
-            parts, store, ids, ..
+            tree,
+            parts,
+            store,
+            ids,
+            ..
         } = self;
         ids.apply(&change, store);
+        let shared = Shared {
+            store,
+            pool: tree.pool(),
+            ids,
+        };
         for (pi, p) in parts.iter_mut().enumerate() {
-            p.apply(&change, store, ids, pi as u32, acc);
+            p.apply(&change, shared, pi as u32, acc);
         }
     }
 
@@ -2617,11 +2648,11 @@ impl<'v, 'd> LiveValidator<'v, 'd> {
         let xi = x.index() as u32;
         let Self { tree, store, .. } = self;
         for (f, c) in &tp.singles {
-            let val = extract_single(tree, x, f, &mut store.interner);
+            let val = cell_single(tree, x, f);
             store.singles[*c].write(&store.rows, xi, val);
         }
         for (a, c) in &tp.sets {
-            let members = extract_set(tree, x, a, &mut store.interner).collect();
+            let members = cell_set(tree, x, a);
             store.sets[*c].write(&store.rows, xi, members);
         }
     }
@@ -2858,7 +2889,7 @@ mod tests {
             },
         );
         assert_matches_scratch(&live, &v);
-        assert_eq!(live.tree().node(title).text(), "New Title");
+        assert_eq!(live.tree().text(title), "New Title");
     }
 
     #[test]
@@ -2980,12 +3011,6 @@ mod tests {
         bad.singles[0].1.cells = 0;
         let err = reject(&v, bad);
         assert!(err.detail.contains("past its 0 cells"), "{err}");
-
-        // Malformed intern-pool parts surface the interner's error.
-        let mut bad = good.clone();
-        bad.interner_spans.push((u32::MAX, 4));
-        let err = reject(&v, bad);
-        assert!(err.detail.contains("interner"), "{err}");
 
         // An out-of-bounds structural entry.
         let mut bad = good.clone();

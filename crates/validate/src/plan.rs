@@ -736,7 +736,7 @@ pub(crate) fn extract_single(
         Field::Attr(l) => tree.attr(x, l)?.as_single().map(|v| interner.intern(v)),
         Field::Sub(e) => {
             let child = unique_sub(tree, x, e)?;
-            Some(interner.intern(&tree.node(child).text()))
+            Some(interner.intern(&tree.text(child)))
         }
     }
 }
@@ -749,9 +749,9 @@ pub(crate) fn extract_set<'a>(
     x: NodeId,
     attr: &Name,
     interner: &'a mut Interner,
-) -> impl ExactSizeIterator<Item = Sym> + 'a {
-    let members = tree.attr(x, attr).map_or(&[][..], |v| v.values());
-    members.iter().map(|s| interner.intern(s))
+) -> impl Iterator<Item = Sym> + 'a {
+    let members = tree.attr(x, attr).into_iter().flat_map(|v| v.values());
+    members.map(|s| interner.intern(s))
 }
 
 /// Checks all of Σ against the planned columns, appending violations in Σ

@@ -172,10 +172,7 @@ impl<'a> Validator<'a> {
             return;
         }
         self.obs.add("nodes", tree.len() as u64);
-        let attrs: usize = tree
-            .node_ids()
-            .map(|id| tree.node(id).attrs().count())
-            .sum();
+        let attrs: usize = tree.node_ids().map(|id| tree.attrs(id).len()).sum();
         self.obs.add("attrs", attrs as u64);
         self.obs.add("violations", violations.len() as u64);
     }
@@ -270,7 +267,7 @@ impl<'a> Validator<'a> {
             });
         }
         // Attributes: att(v, l) defined iff R(τ, l) defined.
-        for (l, value) in node.attrs() {
+        for (l, value) in tree.attrs(id) {
             match s.attr_type(tau, l) {
                 None => out.push(Violation::UndeclaredAttribute {
                     node: id,
@@ -290,7 +287,7 @@ impl<'a> Validator<'a> {
         }
         if self.options.strict_attributes {
             for (l, _) in s.attributes(tau) {
-                if node.attr(l).is_none() {
+                if tree.attr(id, l).is_none() {
                     out.push(Violation::MissingAttribute {
                         node: id,
                         attr: l.clone(),

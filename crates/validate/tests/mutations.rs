@@ -43,12 +43,13 @@ where
         if let Some(p) = tree.node(id).parent() {
             b.child(map[&p], n).unwrap();
         }
-        for (l, v) in tree.node(id).attrs() {
-            b.attr(n, l.clone(), edit(id, l.as_str(), v)).unwrap();
+        for (l, v) in tree.attrs(id) {
+            b.attr(n, l.clone(), edit(id, l.as_str(), &v.to_owned()))
+                .unwrap();
         }
         for c in &tree.node(id).children {
             if let Child::Text(t) = c {
-                b.text(n, t.clone()).unwrap();
+                b.text(n, tree.pool().resolve(*t)).unwrap();
             }
         }
     }

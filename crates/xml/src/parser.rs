@@ -341,18 +341,19 @@ pub fn parse_document(src: &str) -> Result<ParsedDocument, XmlError> {
                 offset,
             } => {
                 let &(node, elem) = stack.last().expect("Attr implies an open element");
-                let av = if dtd.as_ref().is_some_and(|d| d.is_set_valued(elem, name)) {
-                    AttrValue::set(value.split_whitespace().map(str::to_string))
+                let added = if dtd.as_ref().is_some_and(|d| d.is_set_valued(elem, name)) {
+                    let av = AttrValue::set(value.split_whitespace().map(str::to_string));
+                    b.attr(node, name_of(name), av)
                 } else {
-                    AttrValue::single(value.into_owned())
+                    b.attr_str(node, name_of(name), &value)
                 };
-                b.attr(node, name_of(name), av).map_err(|e| {
+                added.map_err(|e| {
                     XmlError::new(format!("attribute error: {e}"), offset).locate(src)
                 })?;
             }
             Event::Text { value, .. } => {
                 let &(node, _) = stack.last().expect("Text implies an open element");
-                b.text(node, value.into_owned())
+                b.text(node, &value)
                     .map_err(|e| XmlError::from(e).locate(src))?;
             }
             Event::Close { .. } => {
@@ -430,7 +431,7 @@ mod tests {
         let r = t.ext("ref").next().unwrap();
         assert_eq!(t.attr(r, "to").unwrap().len(), 1);
         let title = t.ext("title").next().unwrap();
-        assert_eq!(t.node(title).text(), "Data on the Web");
+        assert_eq!(t.text(title), "Data on the Web");
     }
 
     #[test]
@@ -460,13 +461,13 @@ mod tests {
         let t = &doc.tree;
         let a = t.root();
         assert_eq!(t.attr(a, "x").unwrap().as_single().unwrap(), "<&\"AB");
-        assert_eq!(t.node(a).text(), ">text'");
+        assert_eq!(t.text(a), ">text'");
     }
 
     #[test]
     fn cdata_sections() {
         let doc = parse_document("<a><![CDATA[<not & markup>]]></a>").unwrap();
-        assert_eq!(doc.tree.node(doc.tree.root()).text(), "<not & markup>");
+        assert_eq!(doc.tree.text(doc.tree.root()), "<not & markup>");
     }
 
     #[test]
@@ -475,7 +476,7 @@ mod tests {
         let t = &doc.tree;
         let a = t.root();
         assert_eq!(t.node(a).children.len(), 3); // b, text, b
-        assert!(t.node(a).text().contains("mixed"));
+        assert!(t.text(a).contains("mixed"));
     }
 
     #[test]

@@ -55,10 +55,10 @@ fn write_node(tree: &DataTree, id: NodeId, depth: usize, out: &mut String) {
     let node = tree.node(id);
     let pad = "  ".repeat(depth);
     let _ = write!(out, "{pad}<{}", node.label);
-    for (name, value) in node.attrs() {
+    for (name, value) in tree.attrs(id) {
         let _ = write!(out, " {name}=\"");
         let mut first = true;
-        for v in value.iter() {
+        for v in value.values() {
             if !first {
                 out.push(' ');
             }
@@ -76,7 +76,7 @@ fn write_node(tree: &DataTree, id: NodeId, depth: usize, out: &mut String) {
         // Mixed / text content: no pretty-printing inside.
         for c in &node.children {
             match c {
-                Child::Text(t) => escape(t, out),
+                Child::Text(t) => escape(tree.pool().resolve(*t), out),
                 Child::Node(n) => {
                     let mut inner = String::new();
                     write_node(tree, *n, 0, &mut inner);
@@ -302,7 +302,7 @@ mod tests {
             back.attr(back.root(), "x").unwrap().as_single().unwrap(),
             "a<b>&\"c"
         );
-        assert_eq!(back.node(back.root()).text(), "1 < 2 & 3 > 2 \"q\"");
+        assert_eq!(back.text(back.root()), "1 < 2 & 3 > 2 \"q\"");
     }
 
     #[test]

@@ -167,22 +167,23 @@ pub fn xsd_to_constraints(
     let parse_decl =
         |id: xic_model::NodeId| -> Result<(String, Option<String>, Name, Vec<Field>), XmlError> {
             let node = tree.node(id);
-            let name = node
-                .attr("name")
+            let name = tree
+                .attr(id, "name")
                 .and_then(|v| v.as_single())
-                .cloned()
+                .map(str::to_string)
                 .ok_or_else(|| XmlError::new("identity constraint without name", 0))?;
-            let refer = node.attr("refer").and_then(|v| v.as_single()).cloned();
+            let refer = (tree.attr(id, "refer"))
+                .and_then(|v| v.as_single())
+                .map(str::to_string);
             let mut tau: Option<Name> = None;
             let mut fields = Vec::new();
             for c in node.child_nodes() {
                 let child = tree.node(c);
                 match child.label.as_str() {
                     "xs:selector" => {
-                        let xpath = child
-                            .attr("xpath")
+                        let xpath = tree
+                            .attr(c, "xpath")
                             .and_then(|v| v.as_single())
-                            .cloned()
                             .unwrap_or_default();
                         let t = xpath
                             .trim_start_matches('.')
@@ -191,14 +192,13 @@ pub fn xsd_to_constraints(
                         tau = Some(Name::new(t));
                     }
                     "xs:field" => {
-                        let xpath = child
-                            .attr("xpath")
+                        let xpath = tree
+                            .attr(c, "xpath")
                             .and_then(|v| v.as_single())
-                            .cloned()
                             .unwrap_or_default();
                         fields.push(match xpath.strip_prefix('@') {
                             Some(a) => Field::attr(a),
-                            None => Field::sub(xpath.as_str()),
+                            None => Field::sub(xpath),
                         });
                     }
                     _ => {}

@@ -57,16 +57,16 @@ fn trees_equal(a: &DataTree, b: &DataTree) -> bool {
         }
         let na = a.node(x);
         let nb = b.node(y);
-        if na.attrs().count() != nb.attrs().count() {
+        if a.attrs(x).count() != b.attrs(y).count() {
             return false;
         }
-        for ((la, va), (lb, vb)) in na.attrs().zip(nb.attrs()) {
+        for ((la, va), (lb, vb)) in a.attrs(x).zip(b.attrs(y)) {
             if la != lb || va != vb {
                 return false;
             }
         }
         // Text may be re-chunked by parsing: compare concatenation.
-        if na.text() != nb.text() {
+        if a.text(x) != b.text(y) {
             return false;
         }
         let ca: Vec<_> = na.child_nodes().collect();
@@ -226,7 +226,7 @@ fn render_encoded(t: &DataTree, id: NodeId, encs: &[u8], i: &mut usize, out: &mu
     let label = t.label(id).as_str();
     out.push('<');
     out.push_str(label);
-    for (name, v) in node.attrs() {
+    for (name, v) in t.attrs(id) {
         let v = v.as_single().expect("generated attrs are single-valued");
         out.push(' ');
         out.push_str(name.as_str());
@@ -245,15 +245,15 @@ fn render_encoded(t: &DataTree, id: NodeId, encs: &[u8], i: &mut usize, out: &mu
     out.push('>');
     for c in &node.children {
         match c {
-            Child::Text(s) => match pick(encs, i) % 4 {
-                0 => escape_text(s, out),
-                1 => {
+            Child::Text(s) => match (pick(encs, i) % 4, t.pool().resolve(*s)) {
+                (0, s) => escape_text(s, out),
+                (1, s) => {
                     out.push_str("<![CDATA[");
                     out.push_str(s);
                     out.push_str("]]>");
                 }
-                2 => char_refs(s, false, out),
-                _ => char_refs(s, true, out),
+                (2, s) => char_refs(s, false, out),
+                (_, s) => char_refs(s, true, out),
             },
             Child::Node(n) => render_encoded(t, *n, encs, i, out),
         }
@@ -290,7 +290,7 @@ fn tree_from_events(src: &str) -> Result<DataTree, XmlError> {
                 .unwrap();
             }
             Event::Text { value, .. } => {
-                b.text(*stack.last().unwrap(), value.into_owned()).unwrap();
+                b.text(*stack.last().unwrap(), &value).unwrap();
             }
             Event::Close { .. } => {
                 stack.pop();
