@@ -16,18 +16,21 @@ use xic_bench::constraint_heavy_workload;
 const VERTICES: usize = 30_000;
 
 /// Heap bytes `LiveValidator::new` may add per vertex beyond the tree:
-/// columns, row map, occurrence maps and constraint state. It adds 191 B
-/// here. With an intern pool of its own, as before the columns held the
-/// tree's symbols, it added 249 B; with columns kept as one cell per
-/// vertex id, as before they became extent rows, 317 B (on this Σ the
-/// dense cells alone are 100 B per vertex: 7 single columns of 4 B and 3
-/// set columns of 24 B).
-const MAX_LIVE_BYTES_PER_VERTEX: u64 = 210;
+/// columns, row map, occurrence indexes and constraint state. It adds
+/// 105 B here. With one 24-byte map entry per value, a boxed B-tree per
+/// shared value and a per-symbol count array per foreign key, it added
+/// 191 B; with an intern pool of its own, as before the columns held the
+/// tree's symbols, 249 B; with columns kept as one cell per vertex id, as
+/// before they became extent rows, 317 B (on this Σ the dense cells alone
+/// are 100 B per vertex: 7 single columns of 4 B and 3 set columns of
+/// 24 B).
+const MAX_LIVE_BYTES_PER_VERTEX: u64 = 116;
 
 /// Heap bytes per vertex of a live document, tree and live state
-/// together. They take 335 B here. A tree holding each value as a string
-/// of its own beside a live index with its own pool took 470 B.
-const MAX_RESIDENT_BYTES_PER_VERTEX: u64 = 368;
+/// together. They take 248 B here, 335 B with the occurrence maps above.
+/// A tree holding each value as a string of its own beside a live index
+/// with its own pool took 470 B.
+const MAX_RESIDENT_BYTES_PER_VERTEX: u64 = 273;
 
 /// Heap bytes `write_snapshot` may take above the live state: one 64 KiB
 /// buffer, each label's slot list and the tree encoder's name dictionary.

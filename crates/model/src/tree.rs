@@ -949,51 +949,46 @@ impl DataTree {
         }
     }
 
-    /// Sets attribute `l` on `node`, creating or replacing it, and returns
-    /// the displaced value, if any.
+    /// Sets attribute `l` on `node`, creating or replacing it. The
+    /// displaced value is not copied out: a caller that needs it reads it
+    /// first through [`DataTree::attr`].
     pub fn set_attr(
         &mut self,
         node: NodeId,
         l: impl Into<Name>,
         value: AttrValue,
-    ) -> Result<Option<AttrValue>, ModelError> {
+    ) -> Result<(), ModelError> {
         self.check_alive(node)?;
         let l = l.into();
         let v = &mut self.values;
         let r = &mut self.nodes[node.index()].attrs;
-        let old = match v.find(*r, &l) {
-            Ok(i) => {
-                let old = v.view(v.slots[i]).to_owned();
-                v.replace(i, &value);
-                Some(old)
-            }
+        match v.find(*r, &l) {
+            Ok(i) => v.replace(i, &value),
             Err(at) => {
                 let name = v.name_id(&l);
                 let (len, val) =
                     v.intern(value.values().iter().map(String::as_str), Interner::intern);
                 v.insert(r, at, Slot { name, len, val });
-                None
             }
-        };
+        }
         self.compact_if_stale();
-        Ok(old)
+        Ok(())
     }
 
-    /// Removes attribute `l` from `node`, returning the removed value.
-    /// Removing an absent attribute is a no-op returning `Ok(None)` (a
+    /// Removes attribute `l` from `node`, returning whether it was set.
+    /// Removing an absent attribute is a no-op returning `Ok(false)` (a
     /// batch applier may have coalesced away the write that would have
     /// created it).
-    pub fn remove_attr(&mut self, node: NodeId, l: &str) -> Result<Option<AttrValue>, ModelError> {
+    pub fn remove_attr(&mut self, node: NodeId, l: &str) -> Result<bool, ModelError> {
         self.check_alive(node)?;
         let v = &mut self.values;
         let r = &mut self.nodes[node.index()].attrs;
         let Ok(i) = v.find(*r, l) else {
-            return Ok(None);
+            return Ok(false);
         };
-        let old = v.view(v.slots[i]).to_owned();
         v.remove(r, i);
         self.compact_if_stale();
-        Ok(Some(old))
+        Ok(true)
     }
 
     /// Replaces the `index`-th *text* child of `node` (element children do
@@ -1190,6 +1185,13 @@ pub struct RawNode {
     pub parent: Option<NodeId>,
 }
 
+// `DataTree::from_raw_parts` builds its node array in the `RawNode`
+// list's allocation, which needs the two layouts to match.
+const _: () = assert!(
+    std::mem::size_of::<RawNode>() == std::mem::size_of::<Node>()
+        && std::mem::align_of::<RawNode>() == std::mem::align_of::<Node>()
+);
+
 /// One attribute of a [`RawTree`]: its name, as an index into
 /// [`RawTree::names`], and how many entries of [`RawTree::members`] are
 /// its value's (they follow those of the attributes before it).
@@ -1304,10 +1306,12 @@ impl DataTree {
             ..Values::default()
         };
         let canon: Vec<u32> = names.iter().map(|l| values.name_id(l)).collect();
-        let mut built: Vec<Node> = Vec::with_capacity(n);
         let (mut next_attr, mut next_member) = (0usize, 0usize);
         let mut set: Vec<Sym> = Vec::new();
-        for (i, raw) in raw_nodes.into_iter().enumerate() {
+        // `RawNode` and `Node` have one size and alignment, so collecting
+        // the map of the consumed list reuses its allocation: the node
+        // array is never held twice.
+        let convert = |(i, raw): (usize, RawNode)| -> Result<Node, ModelError> {
             let id = NodeId(i as u32);
             let start = values.slots.len();
             for a in &raw_attrs[next_attr..next_attr + raw.attrs as usize] {
@@ -1352,8 +1356,11 @@ impl DataTree {
             }
             let mut node = Node::new(raw.label, raw.children, raw.parent);
             node.attrs = (start as u32, raw.attrs);
-            built.push(node);
-        }
+            Ok(node)
+        };
+        let built: Vec<Node> = (raw_nodes.into_iter().enumerate())
+            .map(convert)
+            .collect::<Result<_, _>>()?;
         for (i, node) in built.iter().enumerate() {
             if is_dead(i) {
                 continue;
@@ -1897,16 +1904,18 @@ mod tests {
     fn set_attr_replaces_and_creates() {
         let mut t = book_tree();
         let entry = t.ext("entry").next().unwrap();
-        let old = t
-            .set_attr(entry, "isbn", AttrValue::single("0-201-53771-0"))
+        assert_eq!(
+            t.attr(entry, "isbn").unwrap().as_single().unwrap(),
+            "1-55860-622-X"
+        );
+        t.set_attr(entry, "isbn", AttrValue::single("0-201-53771-0"))
             .unwrap();
-        assert_eq!(old, Some(AttrValue::single("1-55860-622-X")));
         assert_eq!(
             t.attr(entry, "isbn").unwrap().as_single().unwrap(),
             "0-201-53771-0"
         );
-        let old = t.set_attr(entry, "lang", AttrValue::single("en")).unwrap();
-        assert_eq!(old, None);
+        assert!(t.attr(entry, "lang").is_none());
+        t.set_attr(entry, "lang", AttrValue::single("en")).unwrap();
         assert_eq!(t.attr(entry, "lang").unwrap().as_single().unwrap(), "en");
     }
 
@@ -1914,11 +1923,10 @@ mod tests {
     fn remove_attr_and_errors() {
         let mut t = book_tree();
         let entry = t.ext("entry").next().unwrap();
-        let old = t.remove_attr(entry, "isbn").unwrap();
-        assert_eq!(old, Some(AttrValue::single("1-55860-622-X")));
+        assert_eq!(t.remove_attr(entry, "isbn"), Ok(true));
         assert!(t.attr(entry, "isbn").is_none());
         // Removing it again is a no-op; a dead vertex is an error.
-        assert_eq!(t.remove_attr(entry, "isbn"), Ok(None));
+        assert_eq!(t.remove_attr(entry, "isbn"), Ok(false));
         let s1 = t.ext("section").next().unwrap();
         t.delete_subtree(s1).unwrap();
         assert_eq!(t.remove_attr(s1, "sid"), Err(ModelError::DeadNode(s1)));
@@ -2189,8 +2197,11 @@ mod tests {
             let k = step % kids.len();
             let name = names[step / kids.len() % names.len()];
             if step % 7 == 0 {
-                let old = t.remove_attr(kids[k], name).unwrap();
-                assert_eq!(old.map(|v| v.values().to_vec()), want.remove(&(k, name)));
+                let old = t
+                    .attr(kids[k], name)
+                    .map(|v| v.to_owned().values().to_vec());
+                assert_eq!(old, want.remove(&(k, name)));
+                assert_eq!(t.remove_attr(kids[k], name), Ok(old.is_some()));
             } else {
                 let n = step % 5;
                 let members: Vec<String> =

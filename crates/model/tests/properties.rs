@@ -306,8 +306,8 @@ fn apply(t: &mut DataTree, model: &mut Vec<RefNode>, e: &EditSpec) -> Result<(),
             let x = pick(*x);
             let name = NAMES[*name as usize % NAMES.len()];
             let members: Vec<String> = members.iter().map(|&m| member(m)).collect();
-            let old = t
-                .set_attr(NodeId::from_index(x), name, AttrValue::set(members.clone()))
+            let old = t.attr(NodeId::from_index(x), name).map(|v| v.to_owned());
+            t.set_attr(NodeId::from_index(x), name, AttrValue::set(members.clone()))
                 .unwrap();
             let want = model[x]
                 .attrs
@@ -317,7 +317,9 @@ fn apply(t: &mut DataTree, model: &mut Vec<RefNode>, e: &EditSpec) -> Result<(),
         EditSpec::RemoveAttr(x, name) => {
             let x = pick(*x);
             let name = NAMES[*name as usize % NAMES.len()];
-            let old = t.remove_attr(NodeId::from_index(x), name).unwrap();
+            let old = t.attr(NodeId::from_index(x), name).map(|v| v.to_owned());
+            let removed = t.remove_attr(NodeId::from_index(x), name).unwrap();
+            prop_assert_eq!(removed, old.is_some());
             prop_assert_eq!(old.as_ref().map(values_of), model[x].attrs.remove(name));
         }
         EditSpec::SetText(x, text) => {

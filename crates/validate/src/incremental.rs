@@ -8,10 +8,12 @@
 //!
 //! * a **mutable columnar store** — per planned `(τ, field)` one row per
 //!   vertex of τ, laid out like the one-shot columns of [`crate::plan`]'s
-//!   `DocIndex`, plus a reverse occurrence index (value ↦ vertices);
-//! * **refcounted membership sets** ([`CountedSymSet`], and tuple refcounts
-//!   for n-ary foreign keys) in place of the one-shot first-seen tables and
-//!   bitsets, so target values can be retracted one occurrence at a time;
+//!   `DocIndex`, plus a reverse occurrence index (value ↦ vertices) that
+//!   also answers a unary foreign key's target membership;
+//! * **tuple indexes** for multi-field keys and foreign keys (tuple ↦
+//!   holders, and refcounted target tuples) in place of the one-shot
+//!   first-seen tables, so tuples can be retracted one occurrence at a
+//!   time;
 //! * a **per-vertex structural map**: the content-model and attribute
 //!   violations of each vertex, recomputed only for vertices whose own
 //!   child word or attributes an edit touched;
@@ -29,6 +31,7 @@
 //! status can actually change — the edited vertex, its parent, and the
 //! vertices sharing a key/reference value with it — never by document size.
 
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use xic_constraints::{DtdC, Field};
@@ -40,8 +43,7 @@ use xic_regex::Symbol;
 
 use crate::constraints::unique_sub;
 use crate::plan::{
-    CheckKind, CountedSymSet, FkNary, FkSingle, IdCheck, Inverse, Key, KeyUnary, Plan, SetFk,
-    TauPlan,
+    CheckKind, FkNary, FkSingle, IdCheck, Inverse, Key, KeyUnary, Plan, SetFk, TauPlan,
 };
 use crate::report::{Report, Violation};
 use crate::structure::Validator;
@@ -150,85 +152,71 @@ impl DiffAcc {
     }
 }
 
-/// The ascending vertex set one occurrence-index value maps to. The
-/// overwhelmingly common case — key-like columns where most values have
-/// exactly one holder — stores the vertex inline; a B-tree is only
-/// allocated once a value is actually shared, so bulk-loading a
-/// unique-valued column allocates nothing for the index payloads. The
-/// shared case is boxed so that every map entry, `(Sym, Holders)`, stays
-/// at 24 bytes instead of the 40 an inline `BTreeSet` would make it.
-enum Holders {
-    One(u32),
-    #[allow(clippy::box_collection)] // boxed for the 24-byte entry
-    Many(Box<BTreeSet<u32>>),
+/// A column's reverse occurrence index: member ↦ the vertices holding it,
+/// ascending. Def. 2.4 compares values only for equality, and most values
+/// of a key-like column have one holder, so the index is split in two: a
+/// value with a single holder is an 8-byte entry of `one`, and only a
+/// shared value's holders take a list, sorted, in `many`. A value lives in
+/// at most one of the two maps, and every `many` list holds two or more
+/// vertices.
+#[derive(Default)]
+struct Occ {
+    one: FastHashMap<Sym, u32>,
+    many: FastHashMap<Sym, Vec<u32>>,
 }
 
-const _: () = assert!(std::mem::size_of::<(Sym, Holders)>() <= 24);
+impl Occ {
+    /// Records that `x` holds `v`.
+    fn insert(&mut self, v: Sym, x: u32) {
+        if let Some(list) = self.many.get_mut(&v) {
+            if let Err(i) = list.binary_search(&x) {
+                list.insert(i, x);
+            }
+            return;
+        }
+        match self.one.entry(v) {
+            Entry::Vacant(e) => {
+                e.insert(x);
+            }
+            Entry::Occupied(e) if *e.get() != x => {
+                let y = e.remove();
+                self.many.insert(v, vec![y.min(x), y.max(x)]);
+            }
+            Entry::Occupied(_) => {}
+        }
+    }
 
-impl Holders {
-    fn insert(&mut self, x: u32) {
-        match self {
-            Holders::One(y) if *y == x => {}
-            Holders::One(y) => *self = Holders::Many(Box::new(BTreeSet::from([*y, x]))),
-            Holders::Many(set) => {
-                set.insert(x);
+    /// Records that `x` no longer holds `v`.
+    fn remove(&mut self, v: Sym, x: u32) {
+        if let Entry::Occupied(e) = self.one.entry(v) {
+            if *e.get() == x {
+                e.remove();
+            }
+            return;
+        }
+        let Some(list) = self.many.get_mut(&v) else {
+            return;
+        };
+        if let Ok(i) = list.binary_search(&x) {
+            list.remove(i);
+            if let [y] = list[..] {
+                self.many.remove(&v);
+                self.one.insert(v, y);
             }
         }
     }
 
-    /// Removes `x`; returns `true` when the set became empty (the caller
-    /// drops the map entry — `Holders` has no empty state).
-    fn remove(&mut self, x: u32) -> bool {
-        match self {
-            Holders::One(y) => *y == x,
-            Holders::Many(set) => {
-                set.remove(&x);
-                set.is_empty()
-            }
+    /// The vertices holding `v`, ascending.
+    fn holders(&self, v: Sym) -> &[u32] {
+        match self.one.get(&v) {
+            Some(x) => std::slice::from_ref(x),
+            None => self.many.get(&v).map_or(&[], Vec::as_slice),
         }
     }
 
-    fn len(&self) -> usize {
-        match self {
-            Holders::One(_) => 1,
-            Holders::Many(set) => set.len(),
-        }
-    }
-
-    /// Builds a set from a non-empty counting-sort run of holders.
-    fn from_run(mut it: impl Iterator<Item = u32>) -> Self {
-        let first = it.next().expect("occurrence runs are non-empty");
-        match it.next() {
-            None => Holders::One(first),
-            Some(second) => {
-                let mut set = BTreeSet::from([first, second]);
-                set.extend(it);
-                Holders::Many(Box::new(set))
-            }
-        }
-    }
-
-    /// The holders, ascending.
-    fn iter(&self) -> HoldersIter<'_> {
-        match self {
-            Holders::One(x) => HoldersIter::One(Some(*x)),
-            Holders::Many(set) => HoldersIter::Many(set.iter()),
-        }
-    }
-}
-
-enum HoldersIter<'a> {
-    One(Option<u32>),
-    Many(std::collections::btree_set::Iter<'a, u32>),
-}
-
-impl Iterator for HoldersIter<'_> {
-    type Item = u32;
-    fn next(&mut self) -> Option<u32> {
-        match self {
-            HoldersIter::One(x) => x.take(),
-            HoldersIter::Many(it) => it.next().copied(),
-        }
+    /// Whether any vertex holds `v`.
+    fn contains(&self, v: Sym) -> bool {
+        self.one.contains_key(&v) || self.many.contains_key(&v)
     }
 }
 
@@ -275,12 +263,11 @@ impl Cell for Vec<Sym> {
 
 /// One live column: its rows, the index of its element type in
 /// [`Plan::taus`] (which names its slot list in the [`RowMap`]), and the
-/// reverse occurrence index (member ↦ holding vertices) the refresh paths
-/// probe.
+/// reverse occurrence index the refresh paths probe.
 struct Col<T> {
     t: usize,
     vals: ColumnRows<T>,
-    occ: FastHashMap<Sym, Holders>,
+    occ: Occ,
 }
 
 impl<T: Cell> Col<T> {
@@ -306,25 +293,13 @@ impl<T: Cell> Col<T> {
         let old = std::mem::replace(&mut self.vals.rows[r], new);
         if old != self.vals.rows[r] {
             for &m in old.members() {
-                if let Some(h) = self.occ.get_mut(&m) {
-                    if h.remove(x) {
-                        self.occ.remove(&m);
-                    }
-                }
+                self.occ.remove(m, x);
             }
             for &m in self.vals.rows[r].members() {
-                self.occ
-                    .entry(m)
-                    .and_modify(|h| h.insert(x))
-                    .or_insert(Holders::One(x));
+                self.occ.insert(m, x);
             }
         }
         old
-    }
-
-    /// The tracked vertices holding member `v`, ascending.
-    fn nodes_with(&self, v: Sym) -> impl Iterator<Item = u32> + '_ {
-        self.occ.get(&v).into_iter().flat_map(Holders::iter)
     }
 }
 
@@ -411,6 +386,12 @@ impl Store {
         for &(_, c) in &tp.sets {
             self.sets[c].vals.rows.push(Vec::new());
         }
+    }
+
+    /// Whether `v` is a value of single-valued column `c` at some vertex
+    /// (never, without a column): a foreign key's target presence.
+    fn is_value(&self, c: Option<usize>, v: Sym) -> bool {
+        c.is_some_and(|c| self.singles[c].occ.contains(v))
     }
 
     /// A field tuple over single-valued columns `cols` (`None` while any
@@ -672,36 +653,44 @@ fn for_each_sym_run<V: Copy>(sorted: &[(Sym, V)], mut f: impl FnMut(Sym, &[(Sym,
     }
 }
 
-/// Number of distinct symbols in a [`counting_sort_by_sym`] result (for
-/// reserve-exact occurrence-map allocation).
-fn sym_run_count<V: Copy>(sorted: &[(Sym, V)]) -> usize {
-    let mut runs = 0;
-    let mut i = 0;
-    while i < sorted.len() {
-        let s = sorted[i].0;
-        while i < sorted.len() && sorted[i].0 == s {
-            i += 1;
-        }
-        runs += 1;
-    }
-    runs
-}
-
 /// Groups a column's rows (row `r` is slot `slots[r]`'s cell) into its
 /// reverse occurrence index: one counting sort over the ascending
-/// `(value, vertex)` pairs, one reserve-exact map fill, no singleton
-/// B-tree allocations. Independent across columns, so bulk init fans it
+/// `(value, vertex)` pairs, then each run into `one` or `many`, both maps
+/// sized from the runs. Independent across columns, so bulk init fans it
 /// out over the validator's thread budget.
-fn build_occ<T: Cell>(slots: &[u32], rows: &[T], sym_count: usize) -> FastHashMap<Sym, Holders> {
+fn build_occ<T: Cell>(slots: &[u32], rows: &[T], sym_count: usize) -> Occ {
     let mut pairs: Vec<(Sym, u32)> =
         Vec::with_capacity(rows.iter().map(|r| r.members().len()).sum());
     for (&x, row) in slots.iter().zip(rows) {
         pairs.extend(row.members().iter().map(|&m| (m, x)));
     }
     let sorted = counting_sort_by_sym(&pairs, sym_count);
-    let mut occ = FastHashMap::with_capacity_and_hasher(sym_run_count(&sorted), Default::default());
+    drop(pairs);
+    let (mut ones, mut shared) = (0, 0);
+    for_each_sym_run(&sorted, |_, run| match run {
+        [_] => ones += 1,
+        _ => shared += 1,
+    });
+    let mut occ = Occ {
+        one: FastHashMap::with_capacity_and_hasher(ones, Default::default()),
+        many: FastHashMap::with_capacity_and_hasher(shared, Default::default()),
+    };
     for_each_sym_run(&sorted, |sym, run| {
-        occ.insert(sym, Holders::from_run(run.iter().map(|&(_, x)| x)));
+        if let [(_, x)] = run {
+            occ.one.insert(sym, *x);
+            return;
+        }
+        let mut list: Vec<u32> = run.iter().map(|&(_, x)| x).collect();
+        // A row repeats no member, but a stored one is not trusted to.
+        list.dedup();
+        match list[..] {
+            [x] => {
+                occ.one.insert(sym, x);
+            }
+            _ => {
+                occ.many.insert(sym, list);
+            }
+        }
     });
     occ
 }
@@ -870,8 +859,8 @@ impl Part {
 /// A *unary* key constraint. The store column's occurrence index is
 /// exactly the grouping a one-field key needs — value ↦ holders,
 /// ascending — so this part keeps **no state of its own**: refreshes read
-/// ``Col::occ` directly and retracted values ride in on the change.
-/// Init therefore costs one scan for non-singleton groups instead of a
+/// `Col::occ` directly and retracted values ride in on the change.
+/// Init therefore walks only the index's shared values instead of a
 /// per-vertex copy of the column into tuple tables, and stays allocation-
 /// free on documents whose keys actually hold.
 struct KeyUnaryPart {
@@ -883,20 +872,15 @@ impl KeyUnaryPart {
     /// [`KeyPart::refresh_group`] for the emission-order contract).
     fn refresh_group(&self, v: Sym, cx: &mut Ctx) {
         let store = cx.store;
-        let Some(holders) = store.singles[self.c.col].occ.get(&v) else {
-            return;
-        };
-        let mut iter = holders.iter();
-        let Some(first) = iter.next() else {
+        let Some((&first, rest)) = store.singles[self.c.col].occ.holders(v).split_first() else {
             return;
         };
         cx.set((first, 0, 0, 0), None);
-        let rest: Vec<u32> = iter.collect();
         if rest.is_empty() {
             return;
         }
         let value = cx.pool.resolve(v).to_string();
-        for h in rest {
+        for &h in rest {
             cx.set(
                 (h, 0, 0, 0),
                 Some(Violation::Key {
@@ -944,10 +928,8 @@ impl KeyUnaryPart {
         // Group iteration order is irrelevant: groups write disjoint
         // entry slots of a `BTreeMap`, and init carries no diff.
         let store = cx.store;
-        for (&v, holders) in &store.singles[self.c.col].occ {
-            if holders.len() > 1 {
-                self.refresh_group(v, cx);
-            }
+        for &v in store.singles[self.c.col].occ.many.keys() {
+            self.refresh_group(v, cx);
         }
     }
 }
@@ -1065,10 +1047,10 @@ impl KeyPart {
 /// A unary foreign key over single-valued columns (`ForeignKey` with one
 /// field, and `FkToId`). Entries are keyed `(x, 0, 0, 0)`: the sequential
 /// scan emits at most one violation per referencing vertex, in extent
-/// order. Without a target column the target set stays empty.
+/// order. A value is a target value while the target column's occurrence
+/// index holds it; without a target column no value is.
 struct FkSinglePart {
     c: FkSingle,
-    targets: CountedSymSet,
 }
 
 impl FkSinglePart {
@@ -1079,7 +1061,7 @@ impl FkSinglePart {
                 node: nid(x),
                 field: mf.clone(),
             }),
-            Some(sym) if self.targets.contains(sym) => None,
+            Some(sym) if cx.store.is_value(self.c.target_col, sym) => None,
             Some(sym) => Some(Violation::ForeignKey {
                 constraint: cx.cname(),
                 node: nid(x),
@@ -1089,34 +1071,22 @@ impl FkSinglePart {
         cx.set((x, 0, 0, 0), entry);
     }
 
-    /// Applies one target-column value change; on a presence transition,
-    /// re-derives every source holding the transitioned value.
-    fn retarget(&mut self, old: Option<Sym>, new: Option<Sym>, cx: &mut Ctx) {
+    /// Applies one target-column value change: re-derives every source
+    /// holding the old or the new value against the post-write index.
+    fn retarget(&self, old: Option<Sym>, new: Option<Sym>, cx: &mut Ctx) {
         if old == new {
             return;
         }
-        let mut transitions: Vec<Sym> = Vec::new();
-        if let Some(o) = old {
-            if self.targets.remove(o) {
-                transitions.push(o);
-            }
-        }
-        if let Some(n) = new {
-            if self.targets.insert(n) {
-                transitions.push(n);
-            }
-        }
         let store = cx.store;
-        for v in transitions {
-            let deps: Vec<u32> = store.singles[self.c.col].nodes_with(v).collect();
-            for x in deps {
+        for v in old.into_iter().chain(new) {
+            for &x in store.singles[self.c.col].occ.holders(v) {
                 self.refresh_source(x, cx);
             }
         }
     }
 
     fn apply(&mut self, change: &Change, cx: &mut Ctx) {
-        // Target role: keep the refcounted membership set current.
+        // Target role: re-derive the sources of a changed target value.
         match (change, self.c.target_col) {
             (Change::Single { col, old, new, .. }, Some(tc)) if *col == tc => {
                 self.retarget(*old, *new, cx);
@@ -1146,13 +1116,6 @@ impl FkSinglePart {
     }
 
     fn init(&mut self, idx: &Extents, cx: &mut Ctx) {
-        if let Some(tc) = self.c.target_col {
-            for y in idx.ext(&self.c.target) {
-                if let Some(v) = cx.store.single(tc, y) {
-                    self.targets.insert(v);
-                }
-            }
-        }
         for x in idx.ext(&self.c.tau) {
             self.refresh_source(x, cx);
         }
@@ -1314,10 +1277,10 @@ impl FkNaryPart {
 /// reference-typing passes of `InverseId`): every member of set-valued
 /// column `col` must be in the target set. Entries are keyed
 /// `(x, member index, 0, 0)`, matching the sequential per-vertex,
-/// per-member scan order.
+/// per-member scan order. Target presence is read from the target
+/// column's occurrence index, as for [`FkSinglePart`].
 struct SetFkPart {
     c: SetFk,
-    targets: CountedSymSet,
 }
 
 impl SetFkPart {
@@ -1325,7 +1288,7 @@ impl SetFkPart {
         cx.clear_node(x);
         let store = cx.store;
         for (i, &m) in store.members(self.c.col, x).iter().enumerate() {
-            if !self.targets.contains(m) {
+            if !store.is_value(self.c.target_col, m) {
                 cx.set(
                     (x, i as u32, 0, 0),
                     Some(Violation::ForeignKey {
@@ -1338,25 +1301,14 @@ impl SetFkPart {
         }
     }
 
-    fn retarget(&mut self, old: Option<Sym>, new: Option<Sym>, cx: &mut Ctx) {
+    /// See [`FkSinglePart::retarget`].
+    fn retarget(&self, old: Option<Sym>, new: Option<Sym>, cx: &mut Ctx) {
         if old == new {
             return;
         }
-        let mut transitions: Vec<Sym> = Vec::new();
-        if let Some(o) = old {
-            if self.targets.remove(o) {
-                transitions.push(o);
-            }
-        }
-        if let Some(n) = new {
-            if self.targets.insert(n) {
-                transitions.push(n);
-            }
-        }
         let store = cx.store;
-        for v in transitions {
-            let deps: Vec<u32> = store.sets[self.c.col].nodes_with(v).collect();
-            for x in deps {
+        for v in old.into_iter().chain(new) {
+            for &x in store.sets[self.c.col].occ.holders(v) {
                 self.refresh_source(x, cx);
             }
         }
@@ -1393,13 +1345,6 @@ impl SetFkPart {
     }
 
     fn init(&mut self, idx: &Extents, cx: &mut Ctx) {
-        if let Some(tc) = self.c.target_col {
-            for y in idx.ext(&self.c.target) {
-                if let Some(v) = cx.store.single(tc, y) {
-                    self.targets.insert(v);
-                }
-            }
-        }
         for x in idx.ext(&self.c.tau) {
             self.refresh_source(x, cx);
         }
@@ -1449,8 +1394,8 @@ impl IdPart {
 
     /// Re-derives every `ext(τ)` vertex holding ID value `v`.
     fn refresh_holders(&self, v: Sym, cx: &mut Ctx) {
-        let deps: Vec<u32> = cx.store.singles[self.c.col].nodes_with(v).collect();
-        for x in deps {
+        let store = cx.store;
+        for &x in store.singles[self.c.col].occ.holders(v) {
             self.refresh_entity(x, cx);
         }
     }
@@ -1521,7 +1466,7 @@ impl InversePart {
             return;
         };
         for (i, &m) in store.members(self.c.target_attr, y).iter().enumerate() {
-            for x in store.singles[self.c.key].nodes_with(m) {
+            for &x in store.singles[self.c.key].occ.holders(m) {
                 if !store.members(self.c.attr, x).contains(&yk) {
                     cx.set(
                         (y, i as u32, x, 0),
@@ -1538,7 +1483,7 @@ impl InversePart {
 
     /// The `ext(τ')` vertices referencing key value `v`.
     fn referrers(&self, store: &Store, v: Sym, ys: &mut BTreeSet<u32>) {
-        ys.extend(store.sets[self.c.target_attr].nodes_with(v));
+        ys.extend(store.sets[self.c.target_attr].occ.holders(v));
     }
 
     fn apply(&mut self, change: &Change, cx: &mut Ctx) {
@@ -1614,10 +1559,7 @@ fn build_parts(dtdc: &DtdC, plan: &Plan) -> Vec<Part> {
                 tuples: FastHashMap::default(),
                 occ: FastHashMap::default(),
             }),
-            CheckKind::FkSingle(c) => PartKind::FkSingle(FkSinglePart {
-                c: c.clone(),
-                targets: CountedSymSet::default(),
-            }),
+            CheckKind::FkSingle(c) => PartKind::FkSingle(FkSinglePart { c: c.clone() }),
             CheckKind::FkNary(c) => PartKind::FkNary(FkNaryPart {
                 c: c.clone(),
                 src_tuples: FastHashMap::default(),
@@ -1625,10 +1567,7 @@ fn build_parts(dtdc: &DtdC, plan: &Plan) -> Vec<Part> {
                 tgt_tuples: FastHashMap::default(),
                 tgt_counts: FastHashMap::default(),
             }),
-            CheckKind::SetFk(c) => PartKind::SetFk(SetFkPart {
-                c: c.clone(),
-                targets: CountedSymSet::default(),
-            }),
+            CheckKind::SetFk(c) => PartKind::SetFk(SetFkPart { c: c.clone() }),
             CheckKind::Id(c) => PartKind::Id(IdPart { c: c.clone() }),
             CheckKind::Inverse(c) => PartKind::Inverse(InversePart { c: c.clone() }),
         };
@@ -2456,18 +2395,17 @@ impl<'v, 'd> LiveValidator<'v, 'd> {
             // change the structural verdict.
             let reshaped = match w {
                 Some(value) => {
-                    let single = value.is_singleton();
-                    let old = self
-                        .tree
+                    let was_single = self.tree.attr(x, &l).map(|o| o.is_singleton());
+                    let reshaped = was_single != Some(value.is_singleton());
+                    self.tree
                         .set_attr(x, l, value)
                         .expect("liveness checked above");
-                    old.is_none_or(|o| o.is_singleton() != single)
+                    reshaped
                 }
                 None => self
                     .tree
                     .remove_attr(x, &l)
-                    .expect("liveness checked above")
-                    .is_some(),
+                    .expect("liveness checked above"),
             };
             if reshaped {
                 struct_touch.push(xi);
@@ -2710,6 +2648,7 @@ impl<'v, 'd> LiveValidator<'v, 'd> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use xic_constraints::examples::book_dtdc;
     use xic_model::TreeBuilder;
 
@@ -3054,5 +2993,75 @@ mod tests {
         col.rows[row] = Some(Sym::from_index(0));
         let err = reject(&v, bad);
         assert!(err.detail.contains("dead vertex"), "{err}");
+    }
+
+    /// Values and vertices the split-index proptest draws from: few
+    /// enough that values gain and lose holders often.
+    const OCC_VALUES: u32 = 6;
+    const OCC_VERTICES: u32 = 12;
+
+    /// Checks the split index against its reference after one step.
+    fn check_occ(occ: &Occ, want: &BTreeMap<Sym, BTreeSet<u32>>) -> Result<(), TestCaseError> {
+        for (v, list) in &occ.many {
+            prop_assert!(!occ.one.contains_key(v), "{v:?} is in both maps");
+            prop_assert!(list.len() >= 2, "{v:?} has a shared list of {list:?}");
+            prop_assert!(
+                list.windows(2).all(|w| w[0] < w[1]),
+                "{v:?}'s list {list:?} is not strictly ascending"
+            );
+        }
+        for i in 0..OCC_VALUES {
+            let v = Sym::from_index(i);
+            let holders: Vec<u32> = want.get(&v).into_iter().flatten().copied().collect();
+            prop_assert_eq!(occ.holders(v), &holders[..]);
+            prop_assert_eq!(occ.contains(v), !holders.is_empty());
+        }
+        prop_assert_eq!(occ.one.len() + occ.many.len(), want.len());
+        Ok(())
+    }
+
+    proptest! {
+        /// Random `insert`/`remove` sequences on a column's split
+        /// occurrence index agree, after every step, with a
+        /// `BTreeMap<Sym, BTreeSet<u32>>` doing the same: holders ascend,
+        /// a value sits in at most one map, and every shared list is
+        /// sorted, deduplicated and at least two long. `build_occ` over
+        /// the final state's rows agrees too.
+        #[test]
+        fn split_occurrence_index_matches_a_btree_reference(
+            steps in prop::collection::vec(
+                (any::<bool>(), 0..OCC_VALUES, 0..OCC_VERTICES),
+                0..200,
+            )
+        ) {
+            let mut occ = Occ::default();
+            let mut want: BTreeMap<Sym, BTreeSet<u32>> = BTreeMap::new();
+            for (insert, v, x) in steps {
+                let v = Sym::from_index(v);
+                if insert {
+                    occ.insert(v, x);
+                    want.entry(v).or_default().insert(x);
+                } else {
+                    occ.remove(v, x);
+                    if let Some(set) = want.get_mut(&v) {
+                        set.remove(&x);
+                        if set.is_empty() {
+                            want.remove(&v);
+                        }
+                    }
+                }
+                check_occ(&occ, &want)?;
+            }
+            // Bulk init builds the same index from the rows the final
+            // state stands for: vertex `x`'s row holds the values it holds.
+            let slots: Vec<u32> = (0..OCC_VERTICES).collect();
+            let mut rows: Vec<Vec<Sym>> = vec![Vec::new(); OCC_VERTICES as usize];
+            for (&v, holders) in &want {
+                for &x in holders {
+                    rows[x as usize].push(v);
+                }
+            }
+            check_occ(&build_occ(&slots, &rows, OCC_VALUES as usize), &want)?;
+        }
     }
 }

@@ -48,9 +48,9 @@
 //! ## Incremental revalidation
 //!
 //! [`LiveValidator`] owns a document and keeps its validation state alive
-//! across edits: [`xic_model::Edit`] deltas and displaced values update
-//! refcounted key/reference indexes and a per-vertex structural map
-//! instead of re-running the whole pipeline, and each edit returns the
+//! across edits: each edit updates the columns' occurrence indexes, the
+//! constraint tables reading them and a per-vertex structural map instead
+//! of re-running the whole pipeline, and each edit returns the
 //! violations it raised and cleared as a [`ReportDiff`]. [`LiveValidator::report`] stays
 //! byte-identical to [`Validator::validate`] on the current tree.
 

@@ -128,48 +128,6 @@ impl SetCol {
     }
 }
 
-/// A [`SymSet`] with *removal*: each symbol carries an occurrence count, so
-/// membership survives duplicates and can be retracted one occurrence at a
-/// time. Incremental revalidation uses this for foreign-key target sets,
-/// where edits add and remove target values in any order; the dense layout
-/// keeps probes a single index like the bitset, and the table grows on
-/// demand as the live document interns new values.
-#[derive(Default)]
-pub(crate) struct CountedSymSet {
-    counts: Vec<u32>,
-}
-
-impl CountedSymSet {
-    /// Adds one occurrence of `sym`. Returns `true` iff the symbol was
-    /// absent before (a 0 → 1 presence transition).
-    pub(crate) fn insert(&mut self, sym: Sym) -> bool {
-        if sym.index() >= self.counts.len() {
-            self.counts.resize(sym.index() + 1, 0);
-        }
-        self.counts[sym.index()] += 1;
-        self.counts[sym.index()] == 1
-    }
-
-    /// Removes one occurrence of `sym`. Returns `true` iff this was the
-    /// last occurrence (a 1 → 0 presence transition).
-    ///
-    /// # Panics
-    /// Panics if `sym` has no recorded occurrence (an accounting bug in
-    /// the caller).
-    pub(crate) fn remove(&mut self, sym: Sym) -> bool {
-        let slot = &mut self.counts[sym.index()];
-        assert!(*slot > 0, "removing an absent symbol from a counted set");
-        *slot -= 1;
-        *slot == 0
-    }
-
-    /// Membership test: at least one occurrence recorded.
-    #[inline]
-    pub(crate) fn contains(&self, sym: Sym) -> bool {
-        self.counts.get(sym.index()).copied().unwrap_or(0) > 0
-    }
-}
-
 /// A constraint name rendered lazily: `Display` on `Constraint` is only
 /// paid when a violation is actually reported, so clean documents never
 /// format Σ.
