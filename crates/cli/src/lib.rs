@@ -46,6 +46,9 @@
 //!   or revalidating from scratch.
 //! * `implies` — decides `Σ ⊨ φ` / `Σ ⊨_f φ` with the solver matching
 //!   `--lang`, printing the derivation or a countermodel when available.
+//!   Derivations are re-checked before printing; a countermodel written
+//!   with `--emit-countermodel` is first validated under Σ ∪ {φ}, and the
+//!   command fails without writing it unless φ, and only φ, is violated.
 //! * `path` — decides a Section-4 path constraint
 //!   (`a.b.c -> a.d`, `a.b <= c.d`, `a.b <=> c.d`) against `Σ` in `L_id`.
 //! * `render` — prints the Figure-2 style outline of a document.
@@ -830,6 +833,12 @@ fn cmd_implies(o: &Opts, out: &mut String) -> Result<i32, String> {
     if let (Some(path), Some(model)) = (&o.emit_countermodel, &detail.countermodel) {
         let (structure, tree) =
             xic::implication::semantics::instance_to_tree(model, dtdc.constraints());
+        let n = check_countermodel(&structure, &tree, dtdc.constraints(), lang, &phi)?;
+        let _ = writeln!(
+            out,
+            "countermodel verified: it violates {phi} and nothing else ({n} violation{})",
+            if n == 1 { "" } else { "s" }
+        );
         let xml = format!(
             "<!DOCTYPE {} [\n{}]>\n{}",
             structure.root(),
@@ -840,6 +849,38 @@ fn cmd_implies(o: &Opts, out: &mut String) -> Result<i32, String> {
         let _ = writeln!(out, "countermodel written to {path}");
     }
     Ok(if implied { 0 } else { 1 })
+}
+
+/// Validates a countermodel's tree under Σ ∪ {φ} on its generated
+/// structure before it is written, returning its number of violations:
+/// the structure must be clean and φ violated, and nothing but φ.
+fn check_countermodel(
+    structure: &DtdStructure,
+    tree: &DataTree,
+    sigma: &[Constraint],
+    lang: Language,
+    phi: &Constraint,
+) -> Result<usize, String> {
+    let with_phi = [sigma, std::slice::from_ref(phi)].concat();
+    let dtdc = DtdC::new(structure.clone(), lang, with_phi)
+        .map_err(|e| format!("countermodel check: Σ ∪ {{{phi}}} does not load: {e:?}"))?;
+    let report = Validator::new(&dtdc).validate(tree);
+    let phi_name = phi.to_string();
+    let names_phi = |v: &Violation| match v {
+        Violation::Key { constraint, .. }
+        | Violation::ForeignKey { constraint, .. }
+        | Violation::MissingField { constraint, .. }
+        | Violation::DuplicateId { constraint, .. }
+        | Violation::Inverse { constraint, .. } => *constraint == phi_name,
+        _ => false,
+    };
+    if report.is_valid() || !report.violations.iter().all(names_phi) {
+        return Err(format!(
+            "countermodel check failed: it must violate {phi} and nothing else, \
+             but validating it under Σ ∪ {{{phi}}} reports:\n{report}"
+        ));
+    }
+    Ok(report.len())
 }
 
 /// Human-readable detail of a verdict plus the raw countermodel, if any.
@@ -1350,10 +1391,37 @@ ref.to <=s entry.isbn";
             "author.text -> author",
         ]);
         assert_eq!(code, 1, "{out}");
+        assert!(out.contains("countermodel verified: "), "{out}");
         assert!(out.contains("countermodel written"), "{out}");
         let xml = std::fs::read_to_string(&model_path).unwrap();
         let doc = parse_document(&xml).unwrap();
         assert!(doc.tree.len() > 1, "{xml}");
+    }
+
+    #[test]
+    fn a_countermodel_satisfying_phi_is_rejected() {
+        let structure = DtdStructure::builder("db")
+            .elem("db", "a*")
+            .elem("a", "EMPTY")
+            .attr("a", "k", "S")
+            .build()
+            .unwrap();
+        let tree_with = |keys: [&str; 2]| {
+            let mut b = TreeBuilder::new();
+            let db = b.node("db");
+            for k in keys {
+                let a = b.child_node(db, "a").unwrap();
+                b.attr_str(a, "k", k).unwrap();
+            }
+            b.finish(db).unwrap()
+        };
+        let phi = Constraint::unary_key("a", "k");
+        let check =
+            |keys| check_countermodel(&structure, &tree_with(keys), &[], Language::Lu, &phi);
+        let err = check(["k1", "k2"]).unwrap_err();
+        assert!(err.starts_with("countermodel check failed"), "{err}");
+        // A second `k1` violates φ and nothing else.
+        assert_eq!(check(["k1", "k1"]), Ok(1));
     }
 
     #[test]

@@ -281,6 +281,63 @@ impl fmt::Display for Instance {
     }
 }
 
+/// `(type, single-valued field)` and `(type, set-valued attribute)` pairs.
+type FieldsRead<'c> = (Vec<(&'c Name, Field)>, Vec<(&'c Name, &'c Name)>);
+
+/// The single-valued fields and the set-valued attributes `c` reads, with
+/// their types; an ID is the `id` pseudo-attribute.
+fn fields_read(c: &Constraint) -> FieldsRead<'_> {
+    fn on<'c>(tau: &'c Name, fields: &'c [Field]) -> impl Iterator<Item = (&'c Name, Field)> {
+        fields.iter().map(move |f| (tau, f.clone()))
+    }
+    match c {
+        Constraint::Key { tau, fields } => (on(tau, fields).collect(), vec![]),
+        Constraint::ForeignKey {
+            tau,
+            fields,
+            target,
+            target_fields,
+        } => (
+            on(tau, fields).chain(on(target, target_fields)).collect(),
+            vec![],
+        ),
+        Constraint::SetForeignKey {
+            tau,
+            attr,
+            target,
+            target_field,
+        } => (vec![(target, target_field.clone())], vec![(tau, attr)]),
+        Constraint::InverseU {
+            tau,
+            key,
+            attr,
+            target,
+            target_key,
+            target_attr,
+        } => (
+            vec![(tau, key.clone()), (target, target_key.clone())],
+            vec![(tau, attr), (target, target_attr)],
+        ),
+        Constraint::Id { tau } => (vec![(tau, id_field())], vec![]),
+        Constraint::FkToId { tau, attr, target } => (
+            vec![(tau, Field::Attr(attr.clone())), (target, id_field())],
+            vec![],
+        ),
+        Constraint::SetFkToId { tau, attr, target } => {
+            (vec![(target, id_field())], vec![(tau, attr)])
+        }
+        Constraint::InverseId {
+            tau,
+            attr,
+            target,
+            target_attr,
+        } => (
+            vec![(tau, id_field()), (target, id_field())],
+            vec![(tau, attr), (target, target_attr)],
+        ),
+    }
+}
+
 /// Rebuilds a real data tree (plus a generated DTD structure) realizing an
 /// instance: a fresh root whose content model is `(τ₁*, …, τₙ*)`, one child
 /// per element, attributes/sub-elements per the instance's fields. The
@@ -306,6 +363,17 @@ pub fn instance_to_tree(inst: &Instance, sigma: &[Constraint]) -> (DtdStructure,
         for e in ext {
             entry.0.extend(e.single.keys().cloned());
             entry.1.extend(e.sets.keys().cloned());
+        }
+    }
+    // Every type and field Σ reads is declared too, populated or not, so
+    // that Σ loads on the generated structure.
+    for c in sigma {
+        let (singles, sets) = fields_read(c);
+        for (tau, f) in singles {
+            shapes.entry(tau.clone()).or_default().0.insert(f);
+        }
+        for (tau, l) in sets {
+            shapes.entry(tau.clone()).or_default().1.insert(l.clone());
         }
     }
     for (singles, _) in shapes.values() {
@@ -552,6 +620,31 @@ mod tests {
             .find(|&c| t.label(c).as_str() == "name")
             .unwrap();
         assert_eq!(t.text(name_child), "v7");
+    }
+
+    #[test]
+    fn instance_to_tree_declares_what_sigma_reads() {
+        // Σ reads `dept` and `person.@name`, which the instance leaves
+        // empty and undefined: the structure still declares them, so that
+        // Σ loads on it.
+        let mut i = Instance::new();
+        i.push("person", with_id(1));
+        let sigma = [
+            Constraint::unary_key("person", "name"),
+            Constraint::SetFkToId {
+                tau: "person".into(),
+                attr: "in_dept".into(),
+                target: "dept".into(),
+            },
+        ];
+        let (s, t) = instance_to_tree(&i, &sigma);
+        assert!(s.has_element("dept"));
+        assert_eq!(s.id_attr("dept").unwrap().as_str(), "id");
+        assert!(s.attr_type("person", "name").is_some());
+        let pn = t.ext("person").next().unwrap();
+        assert!(t.attr(pn, "name").is_some_and(|v| v.is_singleton()));
+        assert!(t.attr(pn, "in_dept").is_some_and(|v| v.is_empty()));
+        assert_eq!(t.ext("dept").count(), 0);
     }
 
     #[test]

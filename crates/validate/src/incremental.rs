@@ -41,9 +41,9 @@ use xic_model::{
 use xic_obs::{Metrics, Obs};
 use xic_regex::Symbol;
 
-use crate::constraints::unique_sub;
 use crate::plan::{
-    CheckKind, FkNary, FkSingle, IdCheck, Inverse, Key, KeyUnary, Plan, SetFk, TauPlan,
+    cell_set, cell_single, CheckKind, FkNary, FkSingle, IdCheck, Inverse, Key, KeyUnary, Plan,
+    SetFk, TauPlan,
 };
 use crate::report::{Report, Violation};
 use crate::structure::Validator;
@@ -409,24 +409,10 @@ fn join(pool: &Interner, t: &[Sym]) -> String {
         .join(", ")
 }
 
-/// `x`'s cell in a single-valued column of `field`: the symbol the tree
-/// holds (a sub-element's text interned when it is not one text child).
-/// Must agree with `crate::constraints::field_value`.
-fn cell_single(tree: &mut DataTree, x: NodeId, field: &Field) -> Option<Sym> {
-    match field {
-        Field::Attr(l) => tree.attr(x, l)?.sym(),
-        Field::Sub(e) => {
-            let child = unique_sub(tree, x, e)?;
-            Some(tree.text_sym(child))
-        }
-    }
-}
-
-/// `x`'s cell in a set-valued column of `attr`: the members' symbols in
-/// sorted string order (none when the attribute is absent).
-fn cell_set(tree: &DataTree, x: NodeId, attr: &Name) -> Vec<Sym> {
-    tree.attr(x, attr)
-        .map_or_else(Vec::new, |v| v.syms().collect())
+/// `x`'s cell in a single-valued column of `field` ([`cell_single`]), a
+/// sub-element text the tree holds no symbol for interned into its pool.
+fn live_single(tree: &mut DataTree, x: NodeId, field: &Field) -> Option<Sym> {
+    Some(cell_single(tree, x, field)?.unwrap_or_else(|child| tree.text_sym(child)))
 }
 
 /// `ext(τ)` for the planned types, read off the row map's slot lists: the
@@ -1905,7 +1891,7 @@ impl<'v, 'd> LiveValidator<'v, 'd> {
                     continue;
                 }
                 for (field, c) in &tp.singles {
-                    singles[*c].rows[r] = cell_single(&mut tree, nid(x), field);
+                    singles[*c].rows[r] = live_single(&mut tree, nid(x), field);
                 }
             }
         }
@@ -1919,7 +1905,7 @@ impl<'v, 'd> LiveValidator<'v, 'd> {
         for ((tau, attr), col) in plan.sets.iter().zip(&mut sets) {
             let ext = rows.slots[plan.taus[tau].rank].iter().enumerate();
             for (r, x) in ext.filter(|(_, x)| live(x)) {
-                col.rows[r] = cell_set(&tree, nid(*x), attr);
+                col.rows[r] = cell_set(&tree, nid(*x), attr).collect();
             }
         }
 
@@ -2479,7 +2465,7 @@ impl<'v, 'd> LiveValidator<'v, 'd> {
                             if xi >= pre_bound || !tree.is_alive(nid(xi)) {
                                 continue;
                             }
-                            let new = cell_single(tree, nid(xi), field);
+                            let new = live_single(tree, nid(xi), field);
                             let old = store.singles[col as usize].write(&store.rows, xi, new);
                             if old != new {
                                 changes.push((xi, old, new));
@@ -2507,7 +2493,7 @@ impl<'v, 'd> LiveValidator<'v, 'd> {
                             if xi >= pre_bound || !tree.is_alive(nid(xi)) {
                                 continue;
                             }
-                            let new = cell_set(tree, nid(xi), attr);
+                            let new: Vec<Sym> = cell_set(tree, nid(xi), attr).collect();
                             let old = store.sets[c].write(&store.rows, xi, new.clone());
                             if old != new {
                                 changes.push(xi);
@@ -2586,11 +2572,11 @@ impl<'v, 'd> LiveValidator<'v, 'd> {
         let xi = x.index() as u32;
         let Self { tree, store, .. } = self;
         for (f, c) in &tp.singles {
-            let val = cell_single(tree, x, f);
+            let val = live_single(tree, x, f);
             store.singles[*c].write(&store.rows, xi, val);
         }
         for (a, c) in &tp.sets {
-            let members = cell_set(tree, x, a);
+            let members = cell_set(tree, x, a).collect();
             store.sets[*c].write(&store.rows, xi, members);
         }
     }

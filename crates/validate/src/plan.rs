@@ -13,9 +13,13 @@
 //!
 //! 1. **Extraction** — one pass over each needed extent builds a columnar
 //!    [`DocIndex`]: per `(τ, field)` a `Vec<Option<Sym>>` aligned with
-//!    `ext(τ)`, with every value interned to a `u32` [`Sym`]. Each field is
-//!    extracted once, no matter how many constraints read it, and all
-//!    subsequent equality/hash/set operations are integer operations.
+//!    `ext(τ)`, holding the `u32` [`Sym`]s of the tree's value pool.
+//!    [`cell_single`] and [`cell_set`] read a vertex's cells for both this
+//!    index and the live store; they copy the tree's symbols, so only a
+//!    sub-element text the pool does not hold is interned (into the
+//!    index's side pool). Each field is extracted once, no matter how many
+//!    constraints read it, and all subsequent equality/hash/set operations
+//!    are integer operations.
 //! 2. **Checking** — each constraint's checks run against the shared
 //!    columns. With `threads > 1` the constraints fan out, one task each,
 //!    and large extents additionally split into chunks whose violation
@@ -23,7 +27,7 @@
 //!
 //! Both stages are engineered to reproduce the sequential checker's
 //! violation reports **byte for byte**: constraints report in Σ order,
-//! chunks merge in extent order, and interning is a bijection on the value
+//! chunks merge in extent order, and symbols are a bijection on the value
 //! strings so every probe/dedup decision matches the string-based path.
 //!
 //! [`Validator`]: crate::Validator
@@ -33,7 +37,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 
 use xic_constraints::{Constraint, DtdC, DtdStructure, Field};
-use xic_model::{DataTree, ExtIndex, FastHashMap, FastHashSet, Interner, Name, NodeId, Sym};
+use xic_model::{Child, DataTree, ExtIndex, FastHashMap, FastHashSet, Interner, Name, NodeId, Sym};
 use xic_obs::Obs;
 
 use crate::constraints::unique_sub;
@@ -579,12 +583,17 @@ impl Plan {
     }
 }
 
-/// The per-document columnar index: one interned column per planned
+/// The per-document columnar index: one column of symbols per planned
 /// `(τ, field)`, aligned with `ext(τ)` and stored in plan order, plus the
 /// document-wide ID table.
 pub(crate) struct DocIndex<'p> {
     plan: &'p Plan,
-    interner: Interner,
+    /// The value pool the columns' symbols come from: the tree's, or the
+    /// streaming pass's own.
+    pool: &'p Interner,
+    /// The sub-element texts `pool` does not hold, numbered past
+    /// `pool.len()`.
+    side: Interner,
     /// Single-valued column `i` of the plan: `ext(τ)`-aligned values.
     singles: Vec<Vec<Option<Sym>>>,
     /// Set-valued column `i` of the plan: `ext(τ)`-aligned rows, each in
@@ -597,41 +606,58 @@ pub(crate) struct DocIndex<'p> {
 }
 
 impl<'p> DocIndex<'p> {
-    /// One pass over each planned extent extracts every column of τ.
-    pub(crate) fn build(tree: &DataTree, idx: &ExtIndex, plan: &'p Plan) -> Self {
-        let mut interner = Interner::new();
-        let mut singles = vec![Vec::new(); plan.singles.len()];
+    /// One pass over each planned extent copies the tree's symbols into
+    /// every column of τ. Only a sub-element text the tree's pool does not
+    /// hold is interned, into the side pool.
+    pub(crate) fn build(tree: &'p DataTree, idx: &ExtIndex, plan: &'p Plan) -> Self {
+        let pool = tree.pool();
+        let mut side = Interner::new();
+        let mut singles: Vec<Vec<Option<Sym>>> = (plan.singles.iter())
+            .map(|(tau, _)| Vec::with_capacity(idx.ext(tau).len()))
+            .collect();
         let mut sets = vec![SetCol::default(); plan.sets.len()];
         for (tau, tp) in &plan.taus {
             for &x in idx.ext(tau) {
                 for (field, c) in &tp.singles {
-                    singles[*c].push(extract_single(tree, x, field, &mut interner));
+                    let cell = cell_single(tree, x, field).map(|cell| {
+                        cell.unwrap_or_else(|child| {
+                            // A concatenated text the pool holds keeps the
+                            // pool's symbol, so it equals an attribute value
+                            // spelling the same string.
+                            let text = tree.text(child);
+                            pool.get(&text).unwrap_or_else(|| {
+                                let i = pool.len() + side.intern(&text).index();
+                                Sym::from_index(u32::try_from(i).expect("symbols fit u32"))
+                            })
+                        })
+                    });
+                    singles[*c].push(cell);
                 }
                 for (attr, c) in &tp.sets {
-                    sets[*c].push_row(extract_set(tree, x, attr, &mut interner));
+                    sets[*c].push_row(cell_set(tree, x, attr));
                 }
             }
         }
-        DocIndex::from_parts(interner, singles, sets, idx, plan)
+        DocIndex {
+            side,
+            ..DocIndex::from_parts(pool, singles, sets, idx, plan)
+        }
     }
 
-    /// Assembles an index from already-extracted columns (the streaming
-    /// builder fills them without a tree) and derives the document-wide ID
-    /// table. Interning order does not matter for report equality: symbols
-    /// are only compared for equality/membership, never for order, and
-    /// every violation sequence follows extent order, so any bijective
-    /// interning yields byte-identical reports.
-    ///
-    /// Checking only resolves symbols, never interns, so the pool's lookup
-    /// table (its largest part) is freed here, before checking allocates.
+    /// Assembles an index from already-extracted columns of `pool`'s
+    /// symbols (the streaming builder fills them without a tree) and
+    /// derives the document-wide ID table. Symbol numbering does not
+    /// matter for report equality: symbols are only compared for
+    /// equality/membership, never for order, and every violation sequence
+    /// follows extent order, so any bijective numbering yields
+    /// byte-identical reports.
     pub(crate) fn from_parts(
-        mut interner: Interner,
+        pool: &'p Interner,
         singles: Vec<Vec<Option<Sym>>>,
         sets: Vec<SetCol>,
         idx: &ExtIndex,
         plan: &'p Plan,
     ) -> Self {
-        interner.release_table();
         let mut global_ids: FastHashMap<Sym, Vec<NodeId>> = FastHashMap::default();
         for (tau, c) in &plan.id_cols {
             let ext = idx.ext(tau);
@@ -643,7 +669,8 @@ impl<'p> DocIndex<'p> {
         }
         DocIndex {
             plan,
-            interner,
+            pool,
+            side: Interner::new(),
             singles,
             sets,
             global_ids,
@@ -651,7 +678,10 @@ impl<'p> DocIndex<'p> {
     }
 
     fn resolve(&self, sym: Sym) -> &str {
-        self.interner.resolve(sym)
+        match sym.index().checked_sub(self.pool.len()) {
+            None => self.pool.resolve(sym),
+            Some(i) => self.side.resolve(Sym::from_index(i as u32)),
+        }
     }
 
     /// Row `pos`'s tuple over single-valued columns `cols` (`None` while
@@ -667,9 +697,9 @@ impl<'p> DocIndex<'p> {
             .join(", ")
     }
 
-    /// Number of distinct symbols interned (the [`SymSet`] capacity).
+    /// Number of symbols of both pools (the [`SymSet`] capacity).
     fn sym_count(&self) -> usize {
-        self.interner.len()
+        self.pool.len() + self.side.len()
     }
 
     /// The distinct values of single-valued column `col` (empty for none).
@@ -682,53 +712,37 @@ impl<'p> DocIndex<'p> {
     }
 }
 
-/// Single-valued field extraction; must agree with
+/// `x`'s cell in a single-valued column of `field`: the symbol the tree
+/// holds, or `Err(child)` for a sub-element `child` whose text is not one
+/// text child, which the tree holds no symbol for. Must agree with
 /// [`crate::constraints::field_value`].
-pub(crate) fn extract_single(
+pub(crate) fn cell_single(
     tree: &DataTree,
     x: NodeId,
     field: &Field,
-    interner: &mut Interner,
-) -> Option<Sym> {
+) -> Option<Result<Sym, NodeId>> {
     match field {
-        Field::Attr(l) => tree.attr(x, l)?.as_single().map(|v| interner.intern(v)),
+        Field::Attr(l) => tree.attr(x, l)?.sym().map(Ok),
         Field::Sub(e) => {
             let child = unique_sub(tree, x, e)?;
-            Some(interner.intern(&tree.text(child)))
+            let mut texts = (tree.node(child).children.iter()).filter_map(Child::as_text);
+            Some(match (texts.next(), texts.next()) {
+                (Some(t), None) => Ok(t),
+                _ => Err(child),
+            })
         }
     }
 }
 
-/// Set-valued attribute extraction: `x`'s members of `attr` interned in
-/// `AttrValue`'s sorted order (nothing when the attribute is absent); must
-/// agree with `set_value` in `constraints.rs`.
-pub(crate) fn extract_set<'a>(
-    tree: &'a DataTree,
+/// `x`'s cell in a set-valued column of `attr`: the members' symbols in
+/// sorted string order (none when the attribute is absent). Must agree
+/// with `set_value` in `constraints.rs`.
+pub(crate) fn cell_set<'t>(
+    tree: &'t DataTree,
     x: NodeId,
     attr: &Name,
-    interner: &'a mut Interner,
-) -> impl Iterator<Item = Sym> + 'a {
-    let members = tree.attr(x, attr).into_iter().flat_map(|v| v.values());
-    members.map(|s| interner.intern(s))
-}
-
-/// Checks all of Σ against the planned columns, appending violations in Σ
-/// order. `threads` is the total worker budget: constraints fan out first,
-/// and whatever budget remains per constraint splits large extents.
-pub(crate) fn check_all_planned(
-    tree: &DataTree,
-    idx: &ExtIndex,
-    dtdc: &DtdC,
-    plan: &Plan,
-    threads: usize,
-    obs: &Obs,
-    out: &mut Vec<Violation>,
-) {
-    let doc = {
-        let _plan = obs.span("plan");
-        DocIndex::build(tree, idx, plan)
-    };
-    check_planned(idx, dtdc, &doc, threads, tree.len(), obs, out);
+) -> impl Iterator<Item = Sym> + 't {
+    tree.attr(x, attr).into_iter().flat_map(|v| v.syms())
 }
 
 /// The span name of one constraint kind's share of the `check` phase.

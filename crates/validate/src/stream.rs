@@ -716,19 +716,18 @@ impl<'v, 's> StreamChecker<'v, 's> {
             self.tagged.into_iter().map(|(_, v)| v).collect()
         };
         let interned = self.cols.interner.stats();
+        let mut pool = self.cols.interner;
         let mut ext = ExtIndex::empty();
         let doc = {
             let _plan = obs.span("plan");
+            // Checking only resolves symbols, never interns, so the pool's
+            // lookup table (its largest part) is freed before checking
+            // allocates.
+            pool.release_table();
             for (info, ids) in self.elems.iter().zip(self.exts) {
                 ext.insert_extent(info.label.clone(), ids);
             }
-            DocIndex::from_parts(
-                self.cols.interner,
-                self.cols.singles,
-                self.cols.sets,
-                &ext,
-                self.plan,
-            )
+            DocIndex::from_parts(&pool, self.cols.singles, self.cols.sets, &ext, self.plan)
         };
         check_planned(
             &ext,

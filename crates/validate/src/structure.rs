@@ -7,7 +7,7 @@ use xic_model::{Child, DataTree, ExtIndex, Name, NodeId};
 use xic_obs::Obs;
 use xic_regex::{Dfa, Symbol};
 
-use crate::plan::{check_all_planned, Plan};
+use crate::plan::{check_planned, DocIndex, Plan};
 use crate::report::{Report, Violation};
 
 /// The content-model matcher: the one variant left is the DFA that
@@ -148,16 +148,7 @@ impl<'a> Validator<'a> {
             let _structure = self.obs.span("structure");
             self.check_structure(tree, &mut violations);
         }
-        let idx = ExtIndex::build(tree);
-        check_all_planned(
-            tree,
-            &idx,
-            self.dtdc,
-            &self.plan,
-            self.effective_threads(),
-            &self.obs,
-            &mut violations,
-        );
+        self.check_constraints(tree, &mut violations);
         self.record_doc_totals(tree, &violations);
         Report {
             violations,
@@ -183,20 +174,23 @@ impl<'a> Validator<'a> {
     /// order — and the entry point E11 benchmarks.
     pub fn validate_constraints(&self, tree: &DataTree) -> Report {
         let mut violations = Vec::new();
-        let idx = ExtIndex::build(tree);
-        check_all_planned(
-            tree,
-            &idx,
-            self.dtdc,
-            &self.plan,
-            self.effective_threads(),
-            &self.obs,
-            &mut violations,
-        );
+        self.check_constraints(tree, &mut violations);
         Report {
             violations,
             metrics: self.obs.snapshot(),
         }
+    }
+
+    /// Appends the constraint half's violations, in Σ order: the columns
+    /// copied from the tree (the `plan` span), then the checks.
+    fn check_constraints(&self, tree: &DataTree, out: &mut Vec<Violation>) {
+        let idx = ExtIndex::build(tree);
+        let doc = {
+            let _plan = self.obs.span("plan");
+            DocIndex::build(tree, &idx, &self.plan)
+        };
+        let threads = self.effective_threads();
+        check_planned(&idx, self.dtdc, &doc, threads, tree.len(), &self.obs, out);
     }
 
     /// Runs only the structural half (clauses 1–3 of Definition 2.4).

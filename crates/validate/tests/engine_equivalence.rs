@@ -17,7 +17,8 @@
 use proptest::prelude::*;
 use xic_constraints::{Constraint, DtdC, DtdStructure, Field, Language};
 use xic_model::{AttrValue, DataTree, TreeBuilder};
-use xic_validate::{check_constraint, Options, Validator, Violation};
+use xic_validate::{check_constraint, LiveValidator, Options, Validator, Violation};
+use xic_xml::{serialize_document, serialize_dtd};
 
 /// Three element types sharing the same attribute/sub-element alphabet:
 /// an ID attribute `id`, single attributes `a0`/`a1`, set-valued `r0`
@@ -216,6 +217,129 @@ proptest! {
             .cloned()
             .collect();
         prop_assert_eq!(engine, ground);
+    }
+}
+
+/// Two types `t0`/`t1` with a single attribute `k` and any number of `s`
+/// sub-elements, each holding any number of text children: the one shape
+/// whose field value (the concatenated text) the tree holds no symbol for.
+fn split_text_structure() -> DtdStructure {
+    let mut b = DtdStructure::builder("db").elem("db", "(t0 + t1)*");
+    for t in ["t0", "t1"] {
+        b = b.elem(t, "s*").attr(t, "k", "S");
+    }
+    b.elem("s", "S*")
+        .build()
+        .expect("split-text structure is well-formed")
+}
+
+fn split_text_field() -> BoxedStrategy<Field> {
+    prop_oneof![Just(Field::sub("s")), Just(Field::attr("k"))].boxed()
+}
+
+/// Keys and foreign keys over `s` and `@k` in every combination:
+/// sub→attr, attr→sub and sub→sub among them.
+fn split_text_constraint() -> BoxedStrategy<Constraint> {
+    let t = || prop_oneof![Just("t0"), Just("t1")];
+    prop_oneof![
+        (t(), prop::collection::vec(split_text_field(), 1..3)).prop_map(|(t, fs)| {
+            Constraint::Key {
+                tau: t.into(),
+                fields: fs,
+            }
+        }),
+        (
+            t(),
+            t(),
+            prop::collection::vec((split_text_field(), split_text_field()), 1..3)
+        )
+            .prop_map(|(t, u, pairs)| {
+                let (xs, ys): (Vec<Field>, Vec<Field>) = pairs.into_iter().unzip();
+                Constraint::ForeignKey {
+                    tau: t.into(),
+                    fields: xs,
+                    target: u.into(),
+                    target_fields: ys,
+                }
+            }),
+    ]
+    .boxed()
+}
+
+/// The pieces every value is spelled from. An attribute value is one or
+/// two pieces written as one string; a sub-element's text is zero to two
+/// pieces, each its own text child, so `"v"` + `"3"` can spell `@k="v3"`,
+/// and two split texts can be equal.
+const PIECES: [&str; 2] = ["v", "3"];
+
+fn spell(pieces: &[u8]) -> impl Iterator<Item = &'static str> + '_ {
+    pieces.iter().map(|&p| PIECES[p as usize])
+}
+
+/// One element: `(type, @k, [the text pieces of each s child])`.
+type SplitRecipe = (u8, Option<Vec<u8>>, Vec<Vec<u8>>);
+
+fn split_recipe() -> BoxedStrategy<SplitRecipe> {
+    (
+        0u8..2,
+        prop::option::of(prop::collection::vec(0u8..2, 1..3)),
+        prop::collection::vec(prop::collection::vec(0u8..2, 0..3), 0..3),
+    )
+        .boxed()
+}
+
+fn build_split_tree(recipes: &[SplitRecipe]) -> DataTree {
+    let mut b = TreeBuilder::new();
+    let db = b.node("db");
+    for (ty, k, subs) in recipes {
+        let p = b.child_node(db, format!("t{ty}")).unwrap();
+        if let Some(k) = k {
+            b.attr_str(p, "k", &spell(k).collect::<String>()).unwrap();
+        }
+        for pieces in subs {
+            let s = b.child_node(p, "s").unwrap();
+            for piece in spell(pieces) {
+                b.text(s, piece).unwrap();
+            }
+        }
+    }
+    b.finish(db).unwrap()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// A sub-element with zero or several text children compares by its
+    /// concatenated text in every engine: the tree engine equals the
+    /// naive checker, and the live and streaming engines equal the tree
+    /// engine.
+    #[test]
+    fn split_sub_element_texts_compare_as_strings(
+        sigma in prop::collection::vec(split_text_constraint(), 1..6),
+        nodes in prop::collection::vec(split_recipe(), 0..24),
+    ) {
+        let s = split_text_structure();
+        let dtdc = DtdC::new_unchecked(s.clone(), Language::L, sigma);
+        let tree = build_split_tree(&nodes);
+        let validator = Validator::with_options(&dtdc, Options::lenient());
+        let want = validator.validate(&tree).violations;
+        let ground: Vec<Violation> = dtdc
+            .constraints()
+            .iter()
+            .flat_map(|c| check_constraint(&tree, &dtdc, c))
+            .collect();
+        let engine: Vec<Violation> =
+            want.iter().filter(|v| constraint_level(v)).cloned().collect();
+        prop_assert_eq!(engine, ground);
+        let src = format!(
+            "<!DOCTYPE db [\n{}]>\n{}",
+            serialize_dtd(&s),
+            serialize_document(&tree)
+        );
+        let streamed = validator.validate_stream(&src).expect("stream parses");
+        prop_assert_eq!(&streamed.violations, &want);
+        let live = LiveValidator::new(&validator, tree).report();
+        prop_assert_eq!(&live.violations, &want);
     }
 }
 
