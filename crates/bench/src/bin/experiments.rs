@@ -757,7 +757,6 @@ fn e13_incremental_revalidate() {
         "incremental revalidation under edits: per-edit cost vs full revalidate, violation diffs",
     );
     use rand::Rng;
-    use xic::model::Child;
     let batch_sizes = [1usize, 10, 100];
     let mut json_rows: Vec<String> = Vec::new();
     for &n in scaling_sizes() {
@@ -790,13 +789,8 @@ fn e13_incremental_revalidate() {
                     _ => {
                         let memo = live
                             .tree()
-                            .node(o)
-                            .children
-                            .iter()
-                            .find_map(|c| match c {
-                                Child::Node(m) => Some(*m),
-                                Child::Text(_) => None,
-                            })
+                            .child_nodes(o)
+                            .next()
                             .expect("order has a memo child");
                         BatchEdit::SetText {
                             node: memo,
@@ -1020,21 +1014,22 @@ fn e15_telemetry_overhead() {
         let opts = Options::default().with_threads(1);
 
         let off = Validator::with_options(&dtdc, opts);
-        let t_off = time_min(reps, || {
-            assert!(off.validate_constraints(&tree).is_valid());
-        });
-
         let hist_collector = MetricsCollector::shared_with_histograms();
         let hist = Validator::with_options(&dtdc, opts).with_obs(Obs::new(hist_collector.clone()));
-        let t_hist = time_min(reps, || {
-            assert!(hist.validate_constraints(&tree).is_valid());
-        });
-
         let ring = std::sync::Arc::new(TraceCollector::new());
         let trace = Validator::with_options(&dtdc, opts).with_obs(Obs::new(ring.clone()));
-        let t_trace = time_min(reps, || {
-            assert!(trace.validate_constraints(&tree).is_valid());
-        });
+        // The three arms take turns within each rep, and each timing runs
+        // its arm for at least 100 ms: a single run at the smoke size
+        // lasts 1–2 ms, where timer and scheduler noise decide a ratio.
+        let [t_off, t_hist, t_trace] = time_min_interleaved(
+            reps,
+            0.1,
+            [
+                &mut || assert!(off.validate_constraints(&tree).is_valid()),
+                &mut || assert!(hist.validate_constraints(&tree).is_valid()),
+                &mut || assert!(trace.validate_constraints(&tree).is_valid()),
+            ],
+        );
 
         // The collectors observed the runs they were attached to: the
         // check family carries a latency distribution (one sample per

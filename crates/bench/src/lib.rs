@@ -253,10 +253,9 @@ pub fn child_words(dtdc: &DtdC, tree: &DataTree) -> (Vec<ContentModel>, Vec<(usi
     let words = tree
         .node_ids()
         .filter_map(|id| {
-            let node = tree.node(id);
-            let model = types.iter().position(|tau| **tau == node.label)?;
-            let word = node
-                .children
+            let model = types.iter().position(|tau| *tau == tree.label(id))?;
+            let word = tree
+                .children(id)
                 .iter()
                 .map(|c| match c {
                     xic::model::Child::Text(_) => Symbol::S,
@@ -390,6 +389,35 @@ pub fn time_min<F: FnMut()>(reps: usize, mut f: F) -> f64 {
         let start = std::time::Instant::now();
         f();
         best = best.min(start.elapsed().as_secs_f64());
+    }
+    best
+}
+
+/// The fastest time per run of each of `arms` over `reps` rounds. A
+/// round times every arm once, in turn, so a drift in the machine's speed
+/// falls on all arms alike; a timing repeats its arm until `min_s`
+/// seconds have passed and divides by the runs, so that a run shorter
+/// than the timer's and the scheduler's noise is not judged alone.
+pub fn time_min_interleaved<const N: usize>(
+    reps: usize,
+    min_s: f64,
+    mut arms: [&mut dyn FnMut(); N],
+) -> [f64; N] {
+    let mut best = [f64::INFINITY; N];
+    for _ in 0..reps {
+        for (arm, best) in arms.iter_mut().zip(&mut best) {
+            let start = std::time::Instant::now();
+            let mut runs = 0u32;
+            let elapsed = loop {
+                arm();
+                runs += 1;
+                let t = start.elapsed().as_secs_f64();
+                if t >= min_s {
+                    break t;
+                }
+            };
+            *best = best.min(elapsed / f64::from(runs));
+        }
     }
     best
 }

@@ -27,10 +27,11 @@ const VERTICES: usize = 30_000;
 const MAX_LIVE_BYTES_PER_VERTEX: u64 = 116;
 
 /// Heap bytes per vertex of a live document, tree and live state
-/// together. They take 248 B here, 335 B with the occurrence maps above.
-/// A tree holding each value as a string of its own beside a live index
-/// with its own pool took 470 B.
-const MAX_RESIDENT_BYTES_PER_VERTEX: u64 = 273;
+/// together. They take 216 B here; with a 56-byte node and a child `Vec`
+/// per parent they took 248 B, and 335 B with the occurrence maps above
+/// as well. A tree holding each value as a string of its own beside a
+/// live index with its own pool took 470 B.
+const MAX_RESIDENT_BYTES_PER_VERTEX: u64 = 238;
 
 /// Heap bytes `write_snapshot` may take above the live state: one 64 KiB
 /// buffer, each label's slot list and the tree encoder's name dictionary.

@@ -6,7 +6,7 @@
 
 xic::obs::install_counting_alloc!();
 
-use xic::obs::alloc::stats;
+use xic::obs::alloc::{peak_above, reset_peak, stats};
 use xic::prelude::*;
 use xic_bench::constraint_heavy_workload;
 
@@ -14,14 +14,22 @@ use xic_bench::constraint_heavy_workload;
 const VERTICES: usize = 10_000;
 
 /// Heap bytes a parsed vertex may hold, everything it owns included:
-/// its node record, its child list, its attribute slots, its share of the
-/// names and of the value pool (each distinct value once, with the pool's
-/// lookup table). The tree holds 160 B here. Keeping every value as a
-/// string of its own, as trees did before they held symbols of one pool,
-/// took 221 B; an allocation per name occurrence, a list around each
-/// single value or spare slots left by growth would each take it further
+/// its 24-byte node record, its entries in the child arena, its attribute
+/// slots, its share of the names and of the value pool (each distinct
+/// value once, with the pool's lookup table). The tree holds 128 B here.
+/// A 56-byte node holding its label as a `Name` and its children in a
+/// `Vec` of its own took 160 B; keeping every value as a string of its
+/// own as well, as trees did before they held symbols of one pool, took
+/// 221 B; an allocation per name occurrence, a list around each single
+/// value or spare slots left by growth would each take it further
 /// (together: 495 B).
-const MAX_BYTES_PER_VERTEX: usize = 176;
+const MAX_BYTES_PER_VERTEX: usize = 140;
+
+/// Heap bytes per vertex `parse_document` may take at its peak above its
+/// input: the tree, the builder's growth room and its pending values. It
+/// peaks at 199 B here; with a 56-byte node and a child `Vec` per parent
+/// it peaked at 259 B.
+const MAX_PARSE_PEAK_BYTES_PER_VERTEX: usize = 219;
 
 #[test]
 fn a_parsed_document_is_lean_and_shares_its_names() {
@@ -33,14 +41,21 @@ fn a_parsed_document_is_lean_and_shares_its_names() {
     );
     drop(tree);
 
-    let before = stats().live;
+    let before = reset_peak();
     let doc = parse_document(&src).expect("the generated document parses");
     let held = (stats().live - before) as usize;
+    let peak = peak_above(before) as usize;
     let tree = &doc.tree;
     let per_vertex = held / tree.len();
     assert!(
         per_vertex <= MAX_BYTES_PER_VERTEX,
         "a parsed vertex holds {per_vertex} B of heap ({held} B over {} vertices)",
+        tree.len()
+    );
+    assert!(
+        peak / tree.len() <= MAX_PARSE_PEAK_BYTES_PER_VERTEX,
+        "parsing peaked at {} B per vertex above its input ({peak} B over {} vertices)",
+        peak / tree.len(),
         tree.len()
     );
 

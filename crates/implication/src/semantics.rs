@@ -615,8 +615,7 @@ mod tests {
         assert_eq!(t.attr(pn, "id").unwrap().as_single().unwrap(), "v1");
         assert!(t.attr(pn, "in_dept").unwrap().contains("v10"));
         let name_child = t
-            .node(pn)
-            .child_nodes()
+            .child_nodes(pn)
             .find(|&c| t.label(c).as_str() == "name")
             .unwrap();
         assert_eq!(t.text(name_child), "v7");

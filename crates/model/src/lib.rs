@@ -35,6 +35,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod arena;
 mod hash;
 mod interner;
 mod name;

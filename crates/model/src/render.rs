@@ -53,11 +53,11 @@ pub fn render_tree(tree: &DataTree, opts: &RenderOptions) -> String {
 
 fn render_node(tree: &DataTree, id: NodeId, depth: usize, opts: &RenderOptions, out: &mut String) {
     let pad = "  ".repeat(depth);
-    let node = tree.node(id);
+    let label = tree.label(id);
     if opts.show_ids {
-        let _ = write!(out, "{pad}#{} {}", id.index(), node.label);
+        let _ = write!(out, "{pad}#{} {label}", id.index());
     } else {
-        let _ = write!(out, "{pad}{}", node.label);
+        let _ = write!(out, "{pad}{label}");
     }
     if opts.show_attrs {
         for (name, value) in tree.attrs(id) {
@@ -68,7 +68,7 @@ fn render_node(tree: &DataTree, id: NodeId, depth: usize, opts: &RenderOptions, 
     if depth >= opts.max_depth {
         return;
     }
-    for c in &node.children {
+    for c in tree.children(id) {
         match c {
             Child::Node(n) => render_node(tree, *n, depth + 1, opts, out),
             Child::Text(t) => {

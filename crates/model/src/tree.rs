@@ -15,6 +15,7 @@ use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 
+use crate::arena::{Arena, Span};
 use crate::{Interner, Name, Sym};
 
 /// An atomic value, i.e. an element of the paper's set **S** of string
@@ -365,84 +366,74 @@ impl fmt::Display for AttrRef<'_> {
     }
 }
 
-/// One vertex of a data tree: its label, ordered children, attribute range
-/// and parent link.
-#[derive(Clone, Debug)]
+/// The parent link of a vertex without one: the root, and the root of a
+/// deleted subtree.
+const NO_PARENT: u32 = u32::MAX;
+
+/// One vertex of a data tree: its label, where its children and
+/// attributes lie in the tree's arenas, and its parent link. It owns no
+/// heap block; [`DataTree::label`], [`DataTree::children`] and
+/// [`DataTree::attrs`] read what it points to.
+// Aligned to 8 like `RawNode`, so that `DataTree::from_raw_parts` can
+// build the node array in the raw list's allocation.
+#[derive(Clone, Copy, Debug)]
+#[repr(align(8))]
 pub struct Node {
-    /// The element name labelling this vertex (first component of `elem`).
-    pub label: Name,
-    /// The ordered child list (second component of `elem`).
-    pub children: Vec<Child>,
-    /// The vertex's attributes (`att(v, ·)`): `(start, len)` in the tree's
-    /// slot arena, name-sorted.
-    attrs: (u32, u32),
-    /// Parent vertex; `None` only for the root.
-    parent: Option<NodeId>,
+    /// The element name labelling this vertex (first component of
+    /// `elem`), as an id of the tree's name dictionary.
+    label: u32,
+    /// Parent vertex index; [`NO_PARENT`] for none.
+    parent: u32,
+    /// The ordered child list (second component of `elem`): a span of the
+    /// tree's child arena.
+    children: Span,
+    /// The vertex's attributes (`att(v, ·)`): a span of the tree's slot
+    /// arena, name-sorted.
+    attrs: Span,
 }
 
+const _: () = assert!(std::mem::size_of::<Node>() <= 24);
+
 impl Node {
-    fn new(label: Name, children: Vec<Child>, parent: Option<NodeId>) -> Node {
+    fn new(label: u32) -> Node {
         Node {
             label,
-            children,
+            parent: NO_PARENT,
+            children: (0, 0),
             attrs: (0, 0),
-            parent,
         }
     }
 
     /// The parent vertex, or `None` for the root.
     pub fn parent(&self) -> Option<NodeId> {
-        self.parent
-    }
-
-    /// Iterates over the element children in document order.
-    pub fn child_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.children.iter().filter_map(Child::as_node)
+        (self.parent != NO_PARENT).then_some(NodeId(self.parent))
     }
 }
 
 /// One attribute slot: the attribute's dictionary id and its value. A
-/// singleton (`len == 1`) holds its member's symbol index in `val`; any
-/// other set holds its members at `members[val..val + len]`.
+/// singleton holds `(symbol index, 1)` in `val`; any other set holds the
+/// span of its members in the member arena.
 #[derive(Clone, Copy, Debug)]
 struct Slot {
     name: u32,
-    len: u32,
-    val: u32,
+    val: Span,
 }
 
 const _: () = assert!(std::mem::size_of::<Slot>() == 12);
 
-/// Stale arena entries tolerated, on top of as many as there are live
-/// ones, before `Values::compact` rewrites the arenas: edits that grow a
-/// vertex's range or a set move it to the arena end and leave the old
-/// entries behind.
-const STALE_MIN: usize = 1024;
-
-/// A tree's values: the pool, the attribute-name dictionary, and the slot
-/// and member arenas that vertices' attribute ranges point into. Shared by
-/// [`TreeBuilder`] and [`DataTree`].
+/// A tree's values and names: the pool, the name dictionary its labels
+/// and attribute slots use, and the slot and member arenas that vertices'
+/// attribute spans point into. Shared by [`TreeBuilder`] and
+/// [`DataTree`].
 #[derive(Clone, Debug, Default)]
 struct Values {
     pool: Interner,
-    /// Attribute names by dictionary id, and back. The names come from
-    /// uploaded documents, so the map keeps std's keyed hasher.
+    /// Element and attribute names by dictionary id, and back. The names
+    /// come from uploaded documents, so the map keeps std's keyed hasher.
     names: Vec<Name>,
     ids: HashMap<Name, u32>,
-    slots: Vec<Slot>,
-    members: Vec<Sym>,
-    /// Arena entries no range covers any more (see [`STALE_MIN`]).
-    stale_slots: usize,
-    stale_members: usize,
-}
-
-/// An arena range as indices. An empty range's start is meaningless: the
-/// arena may have shrunk below it since.
-fn range(r: (u32, u32)) -> std::ops::Range<usize> {
-    if r.1 == 0 {
-        return 0..0;
-    }
-    r.0 as usize..(r.0 + r.1) as usize
+    slots: Arena<Slot>,
+    members: Arena<Sym>,
 }
 
 impl Values {
@@ -457,20 +448,17 @@ impl Values {
         id
     }
 
-    /// The slot of attribute `l` in range `r` (`Ok`, an arena index) or
-    /// where it would go (`Err`, an offset into the range).
-    fn find(&self, r: (u32, u32), l: &str) -> Result<usize, usize> {
-        let slots = &self.slots[range(r)];
-        slots
-            .binary_search_by(|s| self.names[s.name as usize].as_str().cmp(l))
-            .map(|i| r.0 as usize + i)
+    /// The offset of attribute `l` in span `r` (`Ok`), or where it would
+    /// go (`Err`).
+    fn find(&self, r: Span, l: &str) -> Result<usize, usize> {
+        (self.slots.get(r)).binary_search_by(|s| self.names[s.name as usize].as_str().cmp(l))
     }
 
     fn view(&self, s: Slot) -> AttrRef<'_> {
-        let (one, many) = if s.len == 1 {
-            (Some(Sym::from_index(s.val)), &[][..])
+        let (one, many) = if s.val.1 == 1 {
+            (Some(Sym::from_index(s.val.0)), &[][..])
         } else {
-            (None, &self.members[range((s.val, s.len))])
+            (None, self.members.get(s.val))
         };
         AttrRef {
             pool: &self.pool,
@@ -481,109 +469,67 @@ impl Values {
 
     /// Stores a value set given as its sorted, distinct members, each
     /// taking the symbol `sym_of` gives it: a singleton's symbol, or any
-    /// other set appended to the member arena. Returns the slot's
-    /// `(len, val)`.
+    /// other set appended to the member arena. Returns the slot's `val`.
     fn intern<'a>(
         &mut self,
-        members: impl ExactSizeIterator<Item = &'a str>,
+        mut members: impl ExactSizeIterator<Item = &'a str>,
         mut sym_of: impl FnMut(&mut Interner, &str) -> Sym,
-    ) -> (u32, u32) {
-        let len = members.len() as u32;
-        let start = self.members.len() as u32;
-        for m in members {
-            let sym = sym_of(&mut self.pool, m);
-            if len == 1 {
-                return (1, sym.index() as u32);
-            }
-            self.members.push(sym);
+    ) -> Span {
+        if members.len() == 1 {
+            let m = members.next().expect("one member");
+            return (sym_of(&mut self.pool, m).index() as u32, 1);
         }
-        (len, start)
-    }
-
-    /// Inserts `slot` at offset `at` of range `r`, moving the range to the
-    /// arena end unless it already ends there.
-    fn insert(&mut self, r: &mut (u32, u32), at: usize, slot: Slot) {
-        if r.1 == 0 || (r.0 + r.1) as usize != self.slots.len() {
-            let start = self.slots.len();
-            self.slots.extend_from_within(range(*r));
-            self.stale_slots += r.1 as usize;
-            r.0 = start as u32;
-        }
-        self.slots.insert(r.0 as usize + at, slot);
-        r.1 += 1;
-    }
-
-    /// Removes arena slot `i` of range `r`, returning it.
-    fn remove(&mut self, r: &mut (u32, u32), i: usize) -> Slot {
-        let slot = self.slots[i];
-        let end = (r.0 + r.1) as usize;
-        self.slots.copy_within(i + 1..end, i);
-        if end == self.slots.len() {
-            self.slots.pop();
-        } else {
-            self.stale_slots += 1;
-        }
-        r.1 -= 1;
-        self.drop_members(slot);
-        slot
+        let pool = &mut self.pool;
+        self.members.push(members.map(|m| sym_of(pool, m)))
     }
 
     /// Counts a slot's members stale once the slot no longer holds them.
     fn drop_members(&mut self, s: Slot) {
-        if s.len != 1 {
-            self.stale_members += s.len as usize;
+        if s.val.1 != 1 {
+            self.members.release(s.val.1 as usize);
         }
     }
 
-    /// Overwrites the value of arena slot `i` with `value`, reusing its
-    /// member range when the new set fits.
-    fn replace(&mut self, i: usize, value: &AttrValue) {
-        let old = self.slots[i];
+    /// Removes the slot at offset `at` of span `r`.
+    fn remove(&mut self, r: &mut Span, at: usize) {
+        let slot = self.slots.remove(r, at);
+        self.drop_members(slot);
+    }
+
+    /// Overwrites the value of the slot at offset `at` of span `r` with
+    /// `value`, reusing its member span when the new set fits.
+    fn replace(&mut self, r: Span, at: usize, value: &AttrValue) {
+        let old = self.slots.get(r)[at];
         let members = value.values().iter().map(String::as_str);
-        let (len, val) = if old.len >= 2 && value.len() >= 2 && value.len() <= old.len as usize {
-            for (at, m) in (old.val as usize..).zip(members) {
-                self.members[at] = self.pool.intern(m);
+        let (start, len) = old.val;
+        let val = if len >= 2 && value.len() >= 2 && value.len() <= len as usize {
+            let new = value.len() as u32;
+            for (to, m) in self.members.get_mut((start, new)).iter_mut().zip(members) {
+                *to = self.pool.intern(m);
             }
-            self.stale_members += (old.len as usize) - value.len();
-            (value.len() as u32, old.val)
+            self.members.release((len - new) as usize);
+            (start, new)
         } else {
             self.drop_members(old);
             self.intern(members, Interner::intern)
         };
-        self.slots[i] = Slot {
-            name: old.name,
-            len,
-            val,
-        };
+        self.slots.get_mut(r)[at].val = val;
     }
 
-    fn needs_compaction(&self) -> bool {
-        let stale = self.stale_slots + self.stale_members;
-        stale > STALE_MIN && stale > (self.slots.len() + self.members.len()) / 2
+    /// Rewrites the slot and member arenas once either holds more stale
+    /// entries than its compaction rule allows.
+    fn compact_if_stale(&mut self, nodes: &mut [Node]) {
+        if self.slots.needs_compaction() || self.members.needs_compaction() {
+            self.compact(nodes);
+        }
     }
 
-    /// Rewrites the arenas to hold exactly the nodes' ranges, in node
+    /// Rewrites the arenas to hold exactly the nodes' spans, in node
     /// order.
     fn compact(&mut self, nodes: &mut [Node]) {
-        let mut slots = Vec::with_capacity(self.slots.len() - self.stale_slots);
-        let mut members = Vec::with_capacity(self.members.len() - self.stale_members);
-        for node in nodes {
-            let start = slots.len() as u32;
-            for &s in &self.slots[range(node.attrs)] {
-                let mut s = s;
-                if s.len != 1 {
-                    let at = members.len() as u32;
-                    members.extend_from_slice(&self.members[range((s.val, s.len))]);
-                    s.val = at;
-                }
-                slots.push(s);
-            }
-            node.attrs.0 = start;
-        }
-        self.slots = slots;
-        self.members = members;
-        self.stale_slots = 0;
-        self.stale_members = 0;
+        self.slots.compact(nodes.iter_mut().map(|n| &mut n.attrs));
+        let sets = self.slots.items.iter_mut().filter(|s| s.val.1 != 1);
+        self.members.compact(sets.map(|s| &mut s.val));
     }
 
     fn shrink_to_fit(&mut self) {
@@ -777,6 +723,8 @@ impl fmt::Display for Edit {
 #[derive(Clone)]
 pub struct DataTree {
     nodes: Vec<Node>,
+    /// Every vertex's child list, as a span of one arena.
+    children: Arena<Child>,
     root: NodeId,
     /// Tombstone flags; empty means "no vertex was ever deleted" (the
     /// common case for freshly built trees), otherwise one flag per arena
@@ -825,7 +773,17 @@ impl DataTree {
 
     /// The element label of a vertex.
     pub fn label(&self, id: NodeId) -> &Name {
-        &self.node(id).label
+        &self.values.names[self.node(id).label as usize]
+    }
+
+    /// The ordered child list of a vertex (second component of `elem`).
+    pub fn children(&self, id: NodeId) -> &[Child] {
+        self.children.get(self.node(id).children)
+    }
+
+    /// Iterates over the element children of a vertex in document order.
+    pub fn child_nodes(&self, id: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        self.children(id).iter().filter_map(Child::as_node)
     }
 
     /// The value pool: every attribute value and text child of the tree is
@@ -837,15 +795,14 @@ impl DataTree {
     /// `x.l` — the value of attribute `l` at vertex `x` (`att(x, l)`).
     pub fn attr(&self, x: NodeId, l: &str) -> Option<AttrRef<'_>> {
         let v = &self.values;
-        v.find(self.node(x).attrs, l)
-            .ok()
-            .map(|i| v.view(v.slots[i]))
+        let r = self.node(x).attrs;
+        v.find(r, l).ok().map(|at| v.view(v.slots.get(r)[at]))
     }
 
     /// Iterates over `x`'s `(name, value)` attribute pairs in name order.
     pub fn attrs(&self, x: NodeId) -> impl ExactSizeIterator<Item = (&Name, AttrRef<'_>)> {
         let v = &self.values;
-        v.slots[range(self.node(x).attrs)]
+        (v.slots.get(self.node(x).attrs))
             .iter()
             .map(move |s| (&v.names[s.name as usize], v.view(*s)))
     }
@@ -855,7 +812,7 @@ impl DataTree {
     /// pool unless there are several.
     pub fn text(&self, x: NodeId) -> Cow<'_, str> {
         let pool = &self.values.pool;
-        let mut texts = self.node(x).children.iter().filter_map(Child::as_text);
+        let mut texts = self.children(x).iter().filter_map(Child::as_text);
         let Some(first) = texts.next() else {
             return Cow::Borrowed("");
         };
@@ -874,8 +831,7 @@ impl DataTree {
     /// [`DataTree::text`] as a symbol of the pool: the one text child's
     /// own symbol, else the concatenation, interned.
     pub fn text_sym(&mut self, x: NodeId) -> Sym {
-        let children = &self.nodes[x.index()].children;
-        let mut texts = children.iter().filter_map(Child::as_text);
+        let mut texts = self.children(x).iter().filter_map(Child::as_text);
         if let (Some(t), None) = (texts.next(), texts.next()) {
             return t;
         }
@@ -907,10 +863,15 @@ impl DataTree {
 
     /// `ext(τ)` — the vertices labelled `τ`, in document order.
     ///
-    /// This is a linear scan; use [`ExtIndex`] when querying repeatedly.
+    /// `τ` is looked up in the name dictionary once, and the scan compares
+    /// label ids; a spelling the tree does not hold yields nothing. This
+    /// is a linear scan; use [`ExtIndex`] when querying repeatedly.
     pub fn ext<'a>(&'a self, tau: &'a str) -> impl Iterator<Item = NodeId> + 'a {
-        self.node_ids()
-            .filter(move |&id| self.label(id).as_str() == tau)
+        let label = self.values.ids.get(tau).copied();
+        let bound = if label.is_some() { self.nodes.len() } else { 0 };
+        (0..bound as u32)
+            .map(NodeId)
+            .filter(move |&id| Some(self.node(id).label) == label && self.is_alive(id))
     }
 
     /// Pre-order (document order) traversal from the root.
@@ -942,10 +903,11 @@ impl DataTree {
     }
 
     /// Reclaims the arena entries edits left behind once they outnumber
-    /// the live ones (and [`STALE_MIN`]).
+    /// the live ones (and [`STALE_MIN`](crate::arena::STALE_MIN)).
     fn compact_if_stale(&mut self) {
-        if self.values.needs_compaction() {
-            self.values.compact(&mut self.nodes);
+        self.values.compact_if_stale(&mut self.nodes);
+        if self.children.needs_compaction() {
+            (self.children).compact(self.nodes.iter_mut().map(|n| &mut n.children));
         }
     }
 
@@ -963,12 +925,11 @@ impl DataTree {
         let v = &mut self.values;
         let r = &mut self.nodes[node.index()].attrs;
         match v.find(*r, &l) {
-            Ok(i) => v.replace(i, &value),
+            Ok(at) => v.replace(*r, at, &value),
             Err(at) => {
                 let name = v.name_id(&l);
-                let (len, val) =
-                    v.intern(value.values().iter().map(String::as_str), Interner::intern);
-                v.insert(r, at, Slot { name, len, val });
+                let val = v.intern(value.values().iter().map(String::as_str), Interner::intern);
+                v.slots.insert(r, at, Slot { name, val });
             }
         }
         self.compact_if_stale();
@@ -983,10 +944,10 @@ impl DataTree {
         self.check_alive(node)?;
         let v = &mut self.values;
         let r = &mut self.nodes[node.index()].attrs;
-        let Ok(i) = v.find(*r, l) else {
+        let Ok(at) = v.find(*r, l) else {
             return Ok(false);
         };
-        v.remove(r, i);
+        v.remove(r, at);
         self.compact_if_stale();
         Ok(true)
     }
@@ -1004,8 +965,7 @@ impl DataTree {
     ) -> Result<Value, ModelError> {
         self.check_alive(node)?;
         let pool = &mut self.values.pool;
-        let children = &mut self.nodes[node.index()].children;
-        let Some(Child::Text(t)) = children
+        let Some(Child::Text(t)) = (self.children.get_mut(self.nodes[node.index()].children))
             .iter_mut()
             .filter(|c| c.as_text().is_some())
             .nth(index)
@@ -1031,7 +991,7 @@ impl DataTree {
         fragment: &DataTree,
     ) -> Result<Edit, ModelError> {
         self.check_alive(parent)?;
-        let len = self.nodes[parent.index()].children.len();
+        let len = self.children(parent).len();
         if position > len {
             return Err(ModelError::BadPosition {
                 node: parent,
@@ -1046,26 +1006,23 @@ impl DataTree {
             .collect();
         let v = &mut self.values;
         for id in fragment.node_ids() {
-            let src = fragment.node(id);
-            let children = src
+            let mut node = Node::new(v.name_id(fragment.label(id)));
+            node.children = self
                 .children
-                .iter()
-                .map(|c| match c {
+                .push(fragment.children(id).iter().map(|c| match c {
                     Child::Text(t) => Child::Text(v.pool.intern(fragment.pool().resolve(*t))),
                     Child::Node(n) => Child::Node(NodeId(map[&n.0])),
-                })
-                .collect();
-            let parent_link = if id == fragment.root() {
-                Some(parent)
+                }));
+            node.parent = if id == fragment.root() {
+                parent.0
             } else {
-                src.parent().map(|p| NodeId(map[&p.0]))
+                fragment.node(id).parent().map_or(NO_PARENT, |p| map[&p.0])
             };
-            let mut node = Node::new(src.label.clone(), children, parent_link);
-            node.attrs = (v.slots.len() as u32, 0);
+            node.attrs = (v.slots.items.len() as u32, 0);
             for (name, value) in fragment.attrs(id) {
                 let name = v.name_id(name);
-                let (len, val) = v.intern(value.values(), Interner::intern);
-                v.slots.push(Slot { name, len, val });
+                let val = v.intern(value.values(), Interner::intern);
+                v.slots.items.push(Slot { name, val });
                 node.attrs.1 += 1;
             }
             self.nodes.push(node);
@@ -1074,9 +1031,9 @@ impl DataTree {
             self.dead.resize(self.nodes.len(), false);
         }
         let root = NodeId(map[&fragment.root().0]);
-        self.nodes[parent.index()]
-            .children
-            .insert(position, Child::Node(root));
+        let r = &mut self.nodes[parent.index()].children;
+        self.children.insert(r, position, Child::Node(root));
+        self.compact_if_stale();
         Ok(Edit::InsertSubtree {
             parent,
             position,
@@ -1094,16 +1051,13 @@ impl DataTree {
         if node == self.root {
             return Err(ModelError::RootDelete(node));
         }
-        let parent = self.nodes[node.index()]
-            .parent
-            .expect("non-root vertex has a parent");
-        let position = self.nodes[parent.index()]
-            .children
-            .iter()
+        let parent = (self.node(node).parent()).expect("non-root vertex has a parent");
+        let position = (self.children(parent).iter())
             .position(|c| c.as_node() == Some(node))
             .expect("parent lists the vertex as a child");
-        self.nodes[parent.index()].children.remove(position);
-        self.nodes[node.index()].parent = None;
+        let r = &mut self.nodes[parent.index()].children;
+        self.children.remove(r, position);
+        self.nodes[node.index()].parent = NO_PARENT;
         if self.dead.is_empty() {
             self.dead = vec![false; self.nodes.len()];
         }
@@ -1115,13 +1069,10 @@ impl DataTree {
             }
             self.dead[id.index()] = true;
             count += 1;
-            for c in &self.nodes[id.index()].children {
-                if let Child::Node(n) = c {
-                    stack.push(*n);
-                }
-            }
+            stack.extend(self.child_nodes(id));
         }
         self.dead_count += count;
+        self.compact_if_stale();
         Ok(Edit::DeleteSubtree {
             parent,
             position,
@@ -1140,8 +1091,7 @@ impl fmt::Debug for DataTree {
         impl fmt::Debug for Vertex<'_> {
             fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
                 let Vertex(t, id) = *self;
-                let node = t.node(id);
-                let children: Vec<Result<&str, NodeId>> = (node.children.iter())
+                let children: Vec<Result<&str, NodeId>> = (t.children(id).iter())
                     .map(|c| match c {
                         Child::Text(s) => Ok(t.pool().resolve(*s)),
                         Child::Node(n) => Err(*n),
@@ -1149,10 +1099,10 @@ impl fmt::Debug for DataTree {
                     .collect();
                 let attrs: Vec<_> = t.attrs(id).collect();
                 f.debug_struct("Node")
-                    .field("label", &node.label)
+                    .field("label", t.label(id))
                     .field("children", &children)
                     .field("attrs", &attrs)
-                    .field("parent", &node.parent)
+                    .field("parent", &t.node(id).parent())
                     .finish()
             }
         }
@@ -1168,15 +1118,20 @@ impl fmt::Debug for DataTree {
 }
 
 /// One vertex description of a [`RawTree`]: the per-slot state a
-/// serializer captures (the public views [`DataTree::attrs`] and
-/// [`Node::parent`] expose the same data for encoding).
-#[derive(Clone, Debug)]
+/// serializer captures (the public views [`DataTree::label`],
+/// [`DataTree::children`], [`DataTree::attrs`] and [`Node::parent`]
+/// expose the same data for encoding).
+// Its fields take 20 bytes; aligned to 8 like `Node`, it rounds up to
+// `Node`'s 24.
+#[derive(Clone, Copy, Debug)]
+#[repr(align(8))]
 pub struct RawNode {
-    /// The element name labelling this vertex.
-    pub label: Name,
-    /// The ordered child list; text children are symbols of
-    /// [`RawTree::pool`].
-    pub children: Vec<Child>,
+    /// The element name labelling this vertex, as an index into
+    /// [`RawTree::names`].
+    pub label: u32,
+    /// How many entries of [`RawTree::children`] are this vertex's child
+    /// list: they follow those of the slots before it.
+    pub children: u32,
     /// How many entries of [`RawTree::attrs`] are this vertex's: they
     /// follow those of the slots before it.
     pub attrs: u32,
@@ -1210,11 +1165,14 @@ pub struct RawAttr {
 pub struct RawTree {
     /// The value pool every symbol below belongs to.
     pub pool: Interner,
-    /// The attribute names [`RawAttr::name`] indexes. A spelling may
-    /// appear more than once.
+    /// The element and attribute names [`RawNode::label`] and
+    /// [`RawAttr::name`] index. A spelling may appear more than once.
     pub names: Vec<Name>,
     /// One description per arena slot, tombstones included.
     pub nodes: Vec<RawNode>,
+    /// Every slot's child list, slot by slot; text children are symbols
+    /// of [`RawTree::pool`].
+    pub children: Vec<Child>,
     /// Every slot's attributes, slot by slot; within a slot any order,
     /// duplicates rejected.
     pub attrs: Vec<RawAttr>,
@@ -1231,14 +1189,14 @@ impl DataTree {
     ///
     /// This is the decode path for persisted trees. Unlike
     /// [`TreeBuilder`], the input may contain tombstones, so the full
-    /// invariant set is re-checked in O(n): ids and symbols in bounds, the
-    /// attribute and member counts adding up, the root alive and
-    /// parentless, attributes duplicate-free (they are re-sorted, so
-    /// encoders need not preserve order), every live element child alive
-    /// with a matching parent link (single-parent condition), and every
-    /// live vertex reachable from the root. Returns a [`ModelError`] —
-    /// never panics — when any check fails, so corrupted input is
-    /// reported, not propagated.
+    /// invariant set is re-checked in O(n): ids, names and symbols in
+    /// bounds, the child, attribute and member counts adding up, the root
+    /// alive and parentless, attributes duplicate-free (they are
+    /// re-sorted, so encoders need not preserve order), every live element
+    /// child alive with a matching parent link (single-parent condition),
+    /// and every live vertex reachable from the root. Returns a
+    /// [`ModelError`] — never panics — when any check fails, so corrupted
+    /// input is reported, not propagated.
     pub fn from_raw_parts(
         raw: RawTree,
         root: NodeId,
@@ -1248,6 +1206,7 @@ impl DataTree {
             pool,
             names,
             nodes: raw_nodes,
+            mut children,
             attrs: raw_attrs,
             members: raw_members,
         } = raw;
@@ -1270,20 +1229,23 @@ impl DataTree {
         if raw_nodes[root.index()].parent.is_some() {
             return Err(ModelError::RootHasParent(root));
         }
+        let child_total: u64 = raw_nodes.iter().map(|r| u64::from(r.children)).sum();
         let attr_total: u64 = raw_nodes.iter().map(|r| u64::from(r.attrs)).sum();
         let member_total: u64 = raw_attrs.iter().map(|a| u64::from(a.members)).sum();
-        if attr_total != raw_attrs.len() as u64 || member_total != raw_members.len() as u64 {
+        if child_total != children.len() as u64
+            || attr_total != raw_attrs.len() as u64
+            || member_total != raw_members.len() as u64
+        {
             return invalid(format!(
-                "vertices claim {attr_total} attributes of {} and attributes {member_total} \
-                 members of {}",
+                "vertices claim {child_total} children of {} and {attr_total} attributes of \
+                 {}, and attributes {member_total} members of {}",
+                children.len(),
                 raw_attrs.len(),
                 raw_members.len()
             ));
         }
         let nsym = pool.len();
-        let texts = raw_nodes
-            .iter()
-            .flat_map(|r| r.children.iter().filter_map(Child::as_text));
+        let texts = children.iter().filter_map(Child::as_text);
         if let Some(s) = raw_members
             .iter()
             .copied()
@@ -1292,12 +1254,17 @@ impl DataTree {
         {
             return invalid(format!("symbol {} outside a pool of {nsym}", s.index()));
         }
-        if let Some(a) = raw_attrs.iter().find(|a| a.name as usize >= names.len()) {
-            return invalid(format!(
-                "attribute name {} past {} names",
-                a.name,
-                names.len()
-            ));
+        let ids = children.iter().filter_map(Child::as_node);
+        let parents = raw_nodes.iter().filter_map(|r| r.parent);
+        if let Some(x) = ids.chain(parents).find(|x| x.index() >= n) {
+            return Err(ModelError::UnknownNode(x));
+        }
+        let labels = raw_nodes.iter().map(|r| r.label);
+        if let Some(l) = labels
+            .chain(raw_attrs.iter().map(|a| a.name))
+            .find(|&l| l as usize >= names.len())
+        {
+            return invalid(format!("name {l} past {} names", names.len()));
         }
 
         // One dictionary id per spelling, whatever the raw names repeat.
@@ -1306,14 +1273,14 @@ impl DataTree {
             ..Values::default()
         };
         let canon: Vec<u32> = names.iter().map(|l| values.name_id(l)).collect();
-        let (mut next_attr, mut next_member) = (0usize, 0usize);
+        let (mut next_child, mut next_attr, mut next_member) = (0u32, 0usize, 0usize);
         let mut set: Vec<Sym> = Vec::new();
         // `RawNode` and `Node` have one size and alignment, so collecting
         // the map of the consumed list reuses its allocation: the node
         // array is never held twice.
         let convert = |(i, raw): (usize, RawNode)| -> Result<Node, ModelError> {
             let id = NodeId(i as u32);
-            let start = values.slots.len();
+            let start = values.slots.items.len();
             for a in &raw_attrs[next_attr..next_attr + raw.attrs as usize] {
                 let end = next_member + a.members as usize;
                 set.clear();
@@ -1322,19 +1289,17 @@ impl DataTree {
                 let pool = &values.pool;
                 set.sort_unstable_by(|x, y| pool.resolve(*x).cmp(pool.resolve(*y)));
                 set.dedup();
-                let (len, val) = if let [one] = set[..] {
-                    (1, one.index() as u32)
+                let val = if let [one] = set[..] {
+                    (one.index() as u32, 1)
                 } else {
-                    let at = values.members.len() as u32;
-                    values.members.extend_from_slice(&set);
-                    (set.len() as u32, at)
+                    values.members.push(set.iter().copied())
                 };
                 let name = canon[a.name as usize];
-                values.slots.push(Slot { name, len, val });
+                values.slots.items.push(Slot { name, val });
             }
             next_attr += raw.attrs as usize;
             let Values { names, slots, .. } = &mut values;
-            let own = &mut slots[start..];
+            let own = &mut slots.items[start..];
             own.sort_unstable_by(|x, y| names[x.name as usize].cmp(&names[y.name as usize]));
             if let Some(w) = own.windows(2).find(|w| w[0].name == w[1].name) {
                 return Err(ModelError::DuplicateAttribute {
@@ -1342,40 +1307,38 @@ impl DataTree {
                     attr: names[w[0].name as usize].clone(),
                 });
             }
-            for c in &raw.children {
-                if let Child::Node(cn) = c {
-                    if cn.index() >= n {
-                        return Err(ModelError::UnknownNode(*cn));
-                    }
-                }
-            }
-            if let Some(p) = raw.parent {
-                if p.index() >= n {
-                    return Err(ModelError::UnknownNode(p));
-                }
-            }
-            let mut node = Node::new(raw.label, raw.children, raw.parent);
-            node.attrs = (start as u32, raw.attrs);
-            Ok(node)
+            let kids = (next_child, raw.children);
+            next_child += raw.children;
+            Ok(Node {
+                label: canon[raw.label as usize],
+                parent: raw.parent.map_or(NO_PARENT, |p| p.0),
+                children: kids,
+                attrs: (start as u32, raw.attrs),
+            })
         };
         let built: Vec<Node> = (raw_nodes.into_iter().enumerate())
             .map(convert)
             .collect::<Result<_, _>>()?;
+        children.shrink_to_fit();
+        let children = Arena {
+            items: children,
+            stale: 0,
+        };
         for (i, node) in built.iter().enumerate() {
             if is_dead(i) {
                 continue;
             }
             let id = NodeId(i as u32);
-            for c in &node.children {
-                if let Child::Node(cn) = c {
-                    if is_dead(cn.index()) {
-                        return invalid(format!(
-                            "live vertex {id:?} lists tombstoned child {cn:?}"
-                        ));
-                    }
-                    if built[cn.index()].parent != Some(id) {
-                        return Err(ModelError::SecondParent { node: *cn });
-                    }
+            for cn in children
+                .get(node.children)
+                .iter()
+                .filter_map(Child::as_node)
+            {
+                if is_dead(cn.index()) {
+                    return invalid(format!("live vertex {id:?} lists tombstoned child {cn:?}"));
+                }
+                if built[cn.index()].parent != id.0 {
+                    return Err(ModelError::SecondParent { node: cn });
                 }
             }
         }
@@ -1391,11 +1354,8 @@ impl DataTree {
             }
             seen[id.index()] = true;
             count += 1;
-            for c in &built[id.index()].children {
-                if let Child::Node(cn) = c {
-                    stack.push(*cn);
-                }
-            }
+            let kids = children.get(built[id.index()].children);
+            stack.extend(kids.iter().filter_map(Child::as_node));
         }
         if count != live {
             return Err(ModelError::Unreachable {
@@ -1408,6 +1368,7 @@ impl DataTree {
         values.shrink_to_fit();
         Ok(DataTree {
             nodes: built,
+            children,
             root,
             dead,
             dead_count,
@@ -1426,13 +1387,9 @@ impl Iterator for Preorder<'_> {
     type Item = NodeId;
     fn next(&mut self) -> Option<NodeId> {
         let id = self.stack.pop()?;
-        let node = self.tree.node(id);
         // Push children reversed so they pop in document order.
-        for c in node.children.iter().rev() {
-            if let Child::Node(n) = c {
-                self.stack.push(*n);
-            }
-        }
+        let kids = self.tree.children(id).iter().rev();
+        self.stack.extend(kids.filter_map(Child::as_node));
         Some(id)
     }
 }
@@ -1460,10 +1417,14 @@ pub struct ExtIndex {
 impl ExtIndex {
     /// Builds the index in one pass over the tree.
     pub fn build(tree: &DataTree) -> Self {
-        let mut by_label: HashMap<Name, Vec<NodeId>> = HashMap::new();
+        let names = &tree.values.names;
+        let mut by_id: Vec<Vec<NodeId>> = vec![Vec::new(); names.len()];
         for id in tree.node_ids() {
-            by_label.entry(tree.label(id).clone()).or_default().push(id);
+            by_id[tree.node(id).label as usize].push(id);
         }
+        let by_label = (names.iter().cloned().zip(by_id))
+            .filter(|(_, ids)| !ids.is_empty())
+            .collect();
         ExtIndex { by_label }
     }
 
@@ -1514,8 +1475,32 @@ impl ExtIndex {
 #[derive(Default, Debug)]
 pub struct TreeBuilder {
     nodes: Vec<Node>,
+    children: Arena<Child>,
+    open: Open,
     values: Values,
     pending: Pending,
+}
+
+/// The child lists a [`TreeBuilder`] is still growing. Its *open*
+/// vertices form a stack, each one's children so far sitting above those
+/// of the vertex below it. Appending to an open vertex first *closes*
+/// every vertex above it, moving each one's list to the end of the child
+/// arena whole; appending to a closed vertex reopens it on top, leaving
+/// its old list in the arena stale. An open vertex's child span is
+/// `(OPEN, its stack depth)`.
+///
+/// A document built in order, each vertex's children appended before its
+/// next sibling's, opens and closes each vertex once: every child is
+/// copied once and the arena ends up holding nothing stale.
+#[derive(Default, Debug)]
+struct Open {
+    stack: Vec<(NodeId, usize)>,
+    children: Vec<Child>,
+}
+
+impl Open {
+    /// The child-span start marking an open vertex.
+    const OPEN: u32 = u32::MAX;
 }
 
 /// Values a [`TreeBuilder`] has taken but not yet interned. Until
@@ -1557,20 +1542,18 @@ impl Pending {
 
     /// Interns what is left and replaces every placeholder with its
     /// symbol.
-    fn resolve(mut self, nodes: &mut [Node], values: &mut Values) {
+    fn resolve(mut self, children: &mut [Child], values: &mut Values) {
         self.flush(&mut values.pool);
         let sym = |placeholder: Sym| self.syms[placeholder.index()];
-        for s in values.slots.iter_mut().filter(|s| s.len == 1) {
-            s.val = sym(Sym::from_index(s.val)).index() as u32;
+        for s in values.slots.items.iter_mut().filter(|s| s.val.1 == 1) {
+            s.val.0 = sym(Sym::from_index(s.val.0)).index() as u32;
         }
-        for m in &mut values.members {
+        for m in &mut values.members.items {
             *m = sym(*m);
         }
-        for node in nodes {
-            for c in &mut node.children {
-                if let Child::Text(t) = c {
-                    *t = sym(*t);
-                }
+        for c in children {
+            if let Child::Text(t) = c {
+                *t = sym(*t);
             }
         }
     }
@@ -1583,9 +1566,10 @@ impl TreeBuilder {
     }
 
     /// Creates a fresh, unattached vertex labelled `label`.
-    pub fn node(&mut self, label: impl Into<Name>) -> NodeId {
+    pub fn node(&mut self, label: impl AsRef<str>) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
-        self.nodes.push(Node::new(label.into(), Vec::new(), None));
+        let label = self.values.name_id(label.as_ref());
+        self.nodes.push(Node::new(label));
         id
     }
 
@@ -1597,16 +1581,40 @@ impl TreeBuilder {
         }
     }
 
+    /// Appends `c` to `parent`'s child list (see [`Open`]).
+    fn push_child(&mut self, parent: NodeId, c: Child) {
+        let r = self.nodes[parent.index()].children;
+        if r.0 == Open::OPEN {
+            self.close_above(r.1 as usize + 1);
+        } else {
+            let depth = self.open.stack.len() as u32;
+            self.open.stack.push((parent, self.open.children.len()));
+            self.open.children.extend_from_slice(self.children.get(r));
+            self.children.release(r.1 as usize);
+            self.nodes[parent.index()].children = (Open::OPEN, depth);
+        }
+        self.open.children.push(c);
+    }
+
+    /// Closes the open vertices at stack depth `depth` and above.
+    fn close_above(&mut self, depth: usize) {
+        while self.open.stack.len() > depth {
+            let (id, from) = self.open.stack.pop().expect("an open vertex");
+            let list = self.open.children.drain(from..);
+            self.nodes[id.index()].children = self.children.push(list);
+        }
+    }
+
     /// Appends `child` to `parent`'s child list. Errors if `child` already
     /// has a parent (the tree condition).
     pub fn child(&mut self, parent: NodeId, child: NodeId) -> Result<(), ModelError> {
         self.check(parent)?;
         self.check(child)?;
-        if self.nodes[child.index()].parent.is_some() {
+        if self.nodes[child.index()].parent != NO_PARENT {
             return Err(ModelError::SecondParent { node: child });
         }
-        self.nodes[child.index()].parent = Some(parent);
-        self.nodes[parent.index()].children.push(Child::Node(child));
+        self.nodes[child.index()].parent = parent.0;
+        self.push_child(parent, Child::Node(child));
         Ok(())
     }
 
@@ -1614,9 +1622,7 @@ impl TreeBuilder {
     pub fn text(&mut self, parent: NodeId, text: impl AsRef<str>) -> Result<(), ModelError> {
         self.check(parent)?;
         let number = self.pending.push(&mut self.values.pool, text.as_ref());
-        self.nodes[parent.index()]
-            .children
-            .push(Child::Text(number));
+        self.push_child(parent, Child::Text(number));
         Ok(())
     }
 
@@ -1660,8 +1666,8 @@ impl TreeBuilder {
         };
         let name = v.name_id(l);
         let pending = &mut self.pending;
-        let (len, val) = v.intern(members, |pool, m| pending.push(pool, m));
-        v.insert(r, at, Slot { name, len, val });
+        let val = v.intern(members, |pool, m| pending.push(pool, m));
+        v.slots.insert(r, at, Slot { name, val });
         Ok(())
     }
 
@@ -1670,7 +1676,7 @@ impl TreeBuilder {
     pub fn child_node(
         &mut self,
         parent: NodeId,
-        label: impl Into<Name>,
+        label: impl AsRef<str>,
     ) -> Result<NodeId, ModelError> {
         let id = self.node(label);
         self.child(parent, id)?;
@@ -1682,7 +1688,7 @@ impl TreeBuilder {
     pub fn leaf(
         &mut self,
         parent: NodeId,
-        label: impl Into<Name>,
+        label: impl AsRef<str>,
         text: impl AsRef<str>,
     ) -> Result<NodeId, ModelError> {
         let id = self.child_node(parent, label)?;
@@ -1694,17 +1700,28 @@ impl TreeBuilder {
     /// parentless and that every created vertex is reachable from it.
     ///
     /// The finished tree keeps no spare capacity: growth reserved room in
-    /// the node array, every child list, the arenas and the pool, which a
-    /// resident document would otherwise carry for its whole life.
-    pub fn finish(self, root: NodeId) -> Result<DataTree, ModelError> {
+    /// the node array, the arenas and the pool, which a resident document
+    /// would otherwise carry for its whole life.
+    pub fn finish(mut self, root: NodeId) -> Result<DataTree, ModelError> {
         if root.index() >= self.nodes.len() {
             return Err(ModelError::UnknownNode(root));
         }
-        if self.nodes[root.index()].parent.is_some() {
+        if self.nodes[root.index()].parent != NO_PARENT {
             return Err(ModelError::RootHasParent(root));
         }
+        // The lists still open (the root's, at least) go to the arena
+        // last; room for exactly them spares a doubling.
+        (self.children.items).reserve_exact(self.open.children.len());
+        self.close_above(0);
+        let Self {
+            mut nodes,
+            mut children,
+            open: _,
+            mut values,
+            pending,
+        } = self;
         // Reachability check.
-        let mut seen = vec![false; self.nodes.len()];
+        let mut seen = vec![false; nodes.len()];
         let mut stack = vec![root];
         let mut count = 0usize;
         while let Some(id) = stack.pop() {
@@ -1713,33 +1730,28 @@ impl TreeBuilder {
             }
             seen[id.index()] = true;
             count += 1;
-            for c in &self.nodes[id.index()].children {
-                if let Child::Node(n) = c {
-                    stack.push(*n);
-                }
-            }
+            let kids = children.get(nodes[id.index()].children);
+            stack.extend(kids.iter().filter_map(Child::as_node));
         }
-        if count != self.nodes.len() {
+        if count != nodes.len() {
             return Err(ModelError::Unreachable {
-                orphans: self.nodes.len() - count,
+                orphans: nodes.len() - count,
             });
         }
-        let Self {
-            mut nodes,
-            mut values,
-            pending,
-        } = self;
-        pending.resolve(&mut nodes, &mut values);
-        for node in &mut nodes {
-            node.children.shrink_to_fit();
+        drop(seen);
+        if children.stale > 0 {
+            children.compact(nodes.iter_mut().map(|n| &mut n.children));
         }
+        pending.resolve(&mut children.items, &mut values);
+        children.shrink_to_fit();
         nodes.shrink_to_fit();
-        if values.stale_slots + values.stale_members > 0 {
+        if values.slots.stale + values.members.stale > 0 {
             values.compact(&mut nodes);
         }
         values.shrink_to_fit();
         Ok(DataTree {
             nodes,
+            children,
             root,
             dead: Vec::new(),
             dead_count: 0,
@@ -1751,6 +1763,7 @@ impl TreeBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arena::STALE_MIN;
 
     fn book_tree() -> DataTree {
         // The paper's Figure 2 book document, abbreviated.
@@ -1971,7 +1984,7 @@ mod tests {
         assert_eq!(t.ext("section").count(), 0);
         assert!(t.node_ids().all(|id| t.is_alive(id)));
         // Tombstones stay readable (delta consumers need the content)...
-        assert_eq!(t.node(s1).label.as_str(), "section");
+        assert_eq!(t.label(s1).as_str(), "section");
         // ...but cannot be edited or deleted again.
         assert_eq!(t.delete_subtree(s1), Err(ModelError::DeadNode(s1)));
         assert_eq!(
@@ -2009,11 +2022,11 @@ mod tests {
         assert_eq!(root.index(), bound, "fresh ids start at the old bound");
         assert_eq!(t.len(), before + 2);
         assert_eq!(t.node(root).parent(), Some(t.root()));
-        assert_eq!(t.node(t.root()).children[0].as_node(), Some(root));
+        assert_eq!(t.children(t.root())[0].as_node(), Some(root));
         assert_eq!(t.attr(root, "sid").unwrap().as_single().unwrap(), "new");
         assert_eq!(t.ext("section").count(), 3);
         // Position past the end is rejected.
-        let n = t.node(t.root()).children.len();
+        let n = t.children(t.root()).len();
         assert_eq!(
             t.insert_subtree(t.root(), n + 1, &frag),
             Err(ModelError::BadPosition {
@@ -2035,7 +2048,6 @@ mod tests {
             ..RawTree::default()
         };
         for id in ids.clone() {
-            let node = t.node(id);
             for (name, value) in t.attrs(id) {
                 raw.attrs.push(RawAttr {
                     name: raw.names.len() as u32,
@@ -2045,11 +2057,13 @@ mod tests {
                 raw.members.extend(value.syms());
             }
             raw.nodes.push(RawNode {
-                label: node.label.clone(),
-                children: node.children.clone(),
+                label: raw.names.len() as u32,
+                children: t.children(id).len() as u32,
                 attrs: t.attrs(id).len() as u32,
-                parent: node.parent(),
+                parent: t.node(id).parent(),
             });
+            raw.names.push(t.label(id).clone());
+            raw.children.extend_from_slice(t.children(id));
         }
         let dead = if t.len() < t.id_bound() {
             ids.map(|id| !t.is_alive(id)).collect()
@@ -2074,7 +2088,7 @@ mod tests {
         for id in t.node_ids() {
             assert!(rebuilt.is_alive(id));
             assert_eq!(rebuilt.label(id), t.label(id));
-            assert_eq!(rebuilt.node(id).children, t.node(id).children);
+            assert_eq!(rebuilt.children(id), t.children(id));
             assert_eq!(rebuilt.node(id).parent(), t.node(id).parent());
             assert!(rebuilt.attrs(id).eq(t.attrs(id)));
             assert_eq!(rebuilt.text(id), t.text(id));
@@ -2126,9 +2140,12 @@ mod tests {
         ));
         // An unreachable live vertex.
         let mut cut = nodes.clone();
-        cut.nodes[0]
+        let entry = cut
             .children
-            .retain(|c| c.as_node() != Some(NodeId::from_index(1)));
+            .iter()
+            .position(|c| c.as_node() == Some(NodeId::from_index(1)));
+        cut.children.remove(entry.unwrap());
+        cut.nodes[0].children -= 1;
         assert!(matches!(
             DataTree::from_raw_parts(cut, root, dead.clone()),
             Err(ModelError::Unreachable { .. })
@@ -2160,7 +2177,8 @@ mod tests {
             Err(ModelError::InvalidParts { .. })
         ));
         let mut outside = nodes.clone();
-        outside.nodes[2].children[0] = Child::Text(Sym::from_index(1 << 20));
+        let text = outside.children.iter().position(|c| c.as_text().is_some());
+        outside.children[text.unwrap()] = Child::Text(Sym::from_index(1 << 20));
         assert!(matches!(
             DataTree::from_raw_parts(outside, root, dead.clone()),
             Err(ModelError::InvalidParts { .. })
@@ -2172,12 +2190,79 @@ mod tests {
             DataTree::from_raw_parts(short, root, dead.clone()),
             Err(ModelError::InvalidParts { .. })
         ));
-        let mut unnamed = nodes;
+        let mut unnamed = nodes.clone();
         unnamed.attrs[0].name = 99;
         assert!(matches!(
-            DataTree::from_raw_parts(unnamed, root, dead),
+            DataTree::from_raw_parts(unnamed, root, dead.clone()),
             Err(ModelError::InvalidParts { .. })
         ));
+        // Child counts that do not add up, a label past the names, and a
+        // child id past the slots.
+        let mut miscounted = nodes.clone();
+        miscounted.nodes[0].children += 1;
+        assert!(matches!(
+            DataTree::from_raw_parts(miscounted, root, dead.clone()),
+            Err(ModelError::InvalidParts { .. })
+        ));
+        let mut unlabelled = nodes.clone();
+        unlabelled.nodes[3].label = unlabelled.names.len() as u32;
+        assert!(matches!(
+            DataTree::from_raw_parts(unlabelled, root, dead.clone()),
+            Err(ModelError::InvalidParts { .. })
+        ));
+        let mut stray = nodes;
+        let at = stray.children.iter().position(|c| c.as_node().is_some());
+        stray.children[at.unwrap()] = Child::Node(NodeId::from_index(stray.nodes.len()));
+        assert!(matches!(
+            DataTree::from_raw_parts(stray, root, dead),
+            Err(ModelError::UnknownNode(_))
+        ));
+    }
+
+    /// Inserts move the grown child list to the arena end and deletes
+    /// leave gaps; once the stale entries outnumber the live ones (and
+    /// `STALE_MIN`), the arena is rewritten, and every list reads as
+    /// edited throughout.
+    #[test]
+    fn churned_children_compact_and_keep_their_order() {
+        let mut b = TreeBuilder::new();
+        let root = b.node("r");
+        let parents: Vec<NodeId> = (0..4).map(|_| b.child_node(root, "p").unwrap()).collect();
+        let mut t = b.finish(root).unwrap();
+        let mut fb = TreeBuilder::new();
+        let k = fb.node("k");
+        let leaf = fb.finish(k).unwrap();
+        let mut want: Vec<Vec<Child>> = vec![Vec::new(); parents.len()];
+        let mut peak = 0;
+        for step in 0..6000usize {
+            let p = step % parents.len();
+            let list = &mut want[p];
+            if list.len() >= 8 {
+                let Child::Node(x) = list.remove(step % list.len()) else {
+                    unreachable!()
+                };
+                t.delete_subtree(x).unwrap();
+            } else {
+                let at = step % (list.len() + 1);
+                let e = t.insert_subtree(parents[p], at, &leaf).unwrap();
+                let Edit::InsertSubtree { root: x, .. } = e else {
+                    unreachable!()
+                };
+                list.insert(at, Child::Node(x));
+            }
+            for (p, list) in parents.iter().zip(&want) {
+                assert_eq!(t.children(*p), &list[..], "step {step}");
+            }
+            let arena = &t.children;
+            peak = peak.max(arena.items.len());
+            assert!(arena.stale <= STALE_MIN.max(arena.items.len() / 2));
+        }
+        assert!(
+            peak < 2 * STALE_MIN,
+            "the child arena grew to {peak} entries"
+        );
+        let kids: Vec<Child> = parents.iter().map(|&p| Child::Node(p)).collect();
+        assert_eq!(t.children(root), &kids[..]);
     }
 
     /// Edits that grow a vertex's attribute range or a set move it to the
@@ -2211,10 +2296,10 @@ mod tests {
                 t.set_attr(kids[k], name, value).unwrap();
             }
             let v = &t.values;
-            peak = peak.max(v.slots.len() + v.members.len());
-            assert!(
-                v.stale_slots + v.stale_members <= STALE_MIN.max(v.slots.len() + v.members.len())
-            );
+            let (slots, members) = (&v.slots, &v.members);
+            peak = peak.max(slots.items.len() + members.items.len());
+            assert!(slots.stale <= STALE_MIN.max(slots.items.len() / 2));
+            assert!(members.stale <= STALE_MIN.max(members.items.len() / 2));
         }
         assert!(peak < 4 * STALE_MIN, "the arenas grew to {peak} entries");
         for (k, &x) in kids.iter().enumerate() {
@@ -2244,10 +2329,10 @@ mod tests {
             panic!()
         };
         assert_eq!(count, 2, "only live fragment vertices are copied");
-        assert_eq!(t.node(root).label.as_str(), "db");
-        let kids: Vec<_> = t.node(root).child_nodes().collect();
+        assert_eq!(t.label(root).as_str(), "db");
+        let kids: Vec<_> = t.child_nodes(root).collect();
         assert_eq!(kids.len(), 1);
-        assert_eq!(t.node(kids[0]).label.as_str(), "keep");
+        assert_eq!(t.label(kids[0]).as_str(), "keep");
         let _ = keep;
     }
 }

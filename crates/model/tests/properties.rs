@@ -141,7 +141,7 @@ proptest! {
     fn children_point_back_to_parent(r in recipe_strategy()) {
         let t = build(&r);
         for id in t.node_ids() {
-            for c in t.node(id).child_nodes() {
+            for c in t.child_nodes(id) {
                 prop_assert_eq!(t.node(c).parent(), Some(id));
             }
         }
@@ -395,10 +395,10 @@ fn check(t: &DataTree, model: &[RefNode]) -> Result<(), TestCaseError> {
         let x = NodeId::from_index(i);
         prop_assert_eq!(t.is_alive(x), want.alive);
         prop_assert_eq!(t.label(x).as_str(), want.label.as_str());
-        let node = t.node(x);
-        prop_assert_eq!(node.children.len(), want.children.len());
+        let children = t.children(x);
+        prop_assert_eq!(children.len(), want.children.len());
         let mut text = String::new();
-        for (c, w) in node.children.iter().zip(&want.children) {
+        for (c, w) in children.iter().zip(&want.children) {
             match (c, w) {
                 (Child::Text(s), RefChild::Text(w)) => {
                     prop_assert_eq!(t.pool().resolve(*s), w.as_str());
@@ -462,11 +462,13 @@ fn raw_of(t: &DataTree) -> (RawTree, Vec<bool>) {
             raw.members.extend(v.syms());
         }
         raw.nodes.push(RawNode {
-            label: t.label(x).clone(),
-            children: t.node(x).children.clone(),
+            label: raw.names.len() as u32,
+            children: t.children(x).len() as u32,
             attrs: t.attrs(x).len() as u32,
             parent: t.node(x).parent(),
         });
+        raw.names.push(t.label(x).clone());
+        raw.children.extend_from_slice(t.children(x));
     }
     let dead = if t.len() < t.id_bound() {
         (0..t.id_bound())
@@ -478,6 +480,45 @@ fn raw_of(t: &DataTree) -> (RawTree, Vec<bool>) {
     (raw, dead)
 }
 
+/// Grows and shrinks the child lists of two live vertices in turn,
+/// checking against the reference as it goes. Each insert appends a leaf
+/// holding a text child and moves the list it grows to the child arena's
+/// end, so a few hundred steps leave more stale entries than live ones
+/// and make the arena compact; `set_text` rewrites a leaf's text in
+/// place, and deletes drop leaves from the middle of a list.
+fn churn(
+    t: &mut DataTree,
+    model: &mut Vec<RefNode>,
+    picks: (usize, usize),
+    steps: usize,
+) -> Result<(), TestCaseError> {
+    let alive = live(model);
+    let targets = [alive[picks.0 % alive.len()], alive[picks.1 % alive.len()]];
+    let mut leaves: [Vec<usize>; 2] = [Vec::new(), Vec::new()];
+    // `apply` picks a vertex by its position among the live ones.
+    let pick = |model: &[RefNode], x: usize| live(model).iter().position(|&y| y == x).unwrap();
+    for step in 0..steps {
+        let k = step % 2;
+        let e = match (step / 2 % 4, leaves[k].len()) {
+            (2, n) if n > 0 => {
+                let leaf = leaves[k][step % n];
+                EditSpec::SetText(pick(model, leaf + 1), step as u8)
+            }
+            (3, n) if n > 0 => EditSpec::Delete(pick(model, leaves[k].remove(step % n))),
+            _ => {
+                leaves[k].push(model.len());
+                let leaf = (0, step as u8, Vec::new(), Some(step as u8));
+                EditSpec::Insert(pick(model, targets[k]), step * 7, vec![leaf])
+            }
+        };
+        apply(t, model, &e)?;
+        if step % 32 == 0 {
+            check(t, model)?;
+        }
+    }
+    check(t, model)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -486,12 +527,17 @@ proptest! {
     /// `set_text`, `insert_subtree` of a fragment with its own pool, and
     /// `delete_subtree` — every `attr`/`attrs`/`text` view of the tree
     /// equals what a `String`-based reference holds, and the tree's raw
-    /// state reassembles into the same tree. A symbol outside the pool,
-    /// anywhere in that raw state, is an error and never a panic.
+    /// state reassembles into the same tree. Labels and ordered child
+    /// lists follow the reference through enough inserts and deletes to
+    /// compact the child arena. A symbol outside the pool, anywhere in
+    /// that raw state, a child count that does not add up, a label past
+    /// the names and a child id past the slots are errors, never panics.
     #[test]
     fn edited_trees_read_as_the_string_reference(
         spec in prop::collection::vec(node_spec(), 0..12),
         edits in prop::collection::vec(edit_spec(), 0..16),
+        picks in (any::<usize>(), any::<usize>()),
+        steps in 0usize..400,
         poison in any::<usize>(),
     ) {
         let (mut t, mut model) = build_pair(&spec);
@@ -500,16 +546,34 @@ proptest! {
             apply(&mut t, &mut model, e)?;
             check(&t, &model)?;
         }
+        churn(&mut t, &mut model, picks, steps)?;
         let (raw, dead) = raw_of(&t);
         let rebuilt = DataTree::from_raw_parts(raw.clone(), t.root(), dead.clone()).unwrap();
         check(&rebuilt, &model)?;
 
+        let slot = poison % raw.nodes.len();
+        let mut miscounted = raw.clone();
+        let count = &mut miscounted.nodes[slot].children;
+        *count = if *count > 0 && poison % 2 == 0 { *count - 1 } else { *count + 1 };
+        prop_assert!(DataTree::from_raw_parts(miscounted, t.root(), dead.clone()).is_err());
+        let mut unlabelled = raw.clone();
+        unlabelled.nodes[slot].label = (raw.names.len() + poison % 3) as u32;
+        prop_assert!(DataTree::from_raw_parts(unlabelled, t.root(), dead.clone()).is_err());
+        let elements: Vec<usize> = (0..raw.children.len())
+            .filter(|&i| matches!(raw.children[i], Child::Node(_)))
+            .collect();
+        if !elements.is_empty() {
+            let mut stray = raw.clone();
+            let past = NodeId::from_index(raw.nodes.len() + poison % 3);
+            stray.children[elements[poison % elements.len()]] = Child::Node(past);
+            prop_assert!(DataTree::from_raw_parts(stray, t.root(), dead.clone()).is_err());
+        }
+
         // Poison one symbol: a member or a text child.
         let outside = Sym::from_index(raw.pool.len() as u32 + (poison % 3) as u32);
         let mut bad = raw;
-        let texts: Vec<(usize, usize)> = (0..bad.nodes.len())
-            .flat_map(|i| (0..bad.nodes[i].children.len()).map(move |j| (i, j)))
-            .filter(|&(i, j)| matches!(bad.nodes[i].children[j], Child::Text(_)))
+        let texts: Vec<usize> = (0..bad.children.len())
+            .filter(|&i| matches!(bad.children[i], Child::Text(_)))
             .collect();
         let slots = bad.members.len() + texts.len();
         if slots > 0 {
@@ -517,8 +581,7 @@ proptest! {
             if k < bad.members.len() {
                 bad.members[k] = outside;
             } else {
-                let (i, j) = texts[k - bad.members.len()];
-                bad.nodes[i].children[j] = Child::Text(outside);
+                bad.children[texts[k - bad.members.len()]] = Child::Text(outside);
             }
             prop_assert!(DataTree::from_raw_parts(bad, t.root(), dead).is_err());
         }

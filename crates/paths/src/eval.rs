@@ -103,7 +103,7 @@ pub fn nodes_of(
         } else {
             // Element step: children labelled `label`.
             for &y in &cur.nodes {
-                for c in tree.node(y).child_nodes() {
+                for c in tree.child_nodes(y) {
                     if tree.label(c) == label {
                         next.nodes.insert(c);
                     }

@@ -248,11 +248,6 @@ impl<'a> Dec<'a> {
         Ok(s)
     }
 
-    /// A raw sub-slice of exactly `n` bytes (a section payload).
-    pub(crate) fn section(&mut self, n: usize) -> Result<&'a [u8], StorageError> {
-        self.take(n)
-    }
-
     pub(crate) fn u8(&mut self) -> Result<u8, StorageError> {
         Ok(self.take(1)?[0])
     }
@@ -500,19 +495,26 @@ impl<'a> TreeSink<'a> {
     }
 
     /// Starts the next slot, labelled with dictionary id `label`.
-    fn node(&mut self, label: u32, parent: Option<NodeId>, children: Vec<Child>) {
+    fn node(&mut self, label: u32, parent: Option<NodeId>) {
         let at = self.raw.nodes.len() as u32;
-        let label = label as usize;
-        if self.slots_of.len() <= label {
-            self.slots_of.resize_with(label + 1, Vec::new);
+        if self.slots_of.len() <= label as usize {
+            self.slots_of.resize_with(label as usize + 1, Vec::new);
         }
-        self.slots_of[label].push(at);
+        self.slots_of[label as usize].push(at);
         self.raw.nodes.push(RawNode {
-            label: self.raw.names[label].clone(),
-            children,
+            label,
+            children: 0,
             attrs: 0,
             parent,
         });
+    }
+
+    /// Appends `c` to the last slot's child list.
+    fn child(&mut self, c: Child) {
+        self.raw.children.push(c);
+        if let Some(node) = self.raw.nodes.last_mut() {
+            node.children += 1;
+        }
     }
 
     /// Adds an attribute named by dictionary id `name` to the last slot,
@@ -547,11 +549,9 @@ impl<'a> TreeSink<'a> {
         for m in &mut self.raw.members {
             *m = sym(*m);
         }
-        for node in &mut self.raw.nodes {
-            for c in &mut node.children {
-                if let Child::Text(t) = c {
-                    *t = sym(*t);
-                }
+        for c in &mut self.raw.children {
+            if let Child::Text(t) = c {
+                *t = sym(*t);
             }
         }
         let slots = LabelSlots::from_walk(&self.raw.names, self.slots_of);
@@ -573,19 +573,18 @@ pub(crate) fn enc_tree_v2(e: &mut Enc, t: &DataTree) {
     enc_dead(e, t);
     for i in 0..slots {
         let id = NodeId::from_index(i);
-        let node = t.node(id);
-        e.str(&node.label);
-        e.u32(node.parent().map_or(0, |p| p.index() as u32 + 1));
-        e.len(node.children.len());
-        for c in &node.children {
+        e.str(t.label(id));
+        e.u32(t.node(id).parent().map_or(0, |p| p.index() as u32 + 1));
+        e.len(t.children(id).len());
+        for &c in t.children(id) {
             match c {
                 Child::Text(text) => {
                     e.u8(0);
-                    e.str(t.pool().resolve(*text));
+                    e.str(t.pool().resolve(text));
                 }
                 Child::Node(child) => {
                     e.u8(1);
-                    enc_node_id(e, *child);
+                    enc_node_id(e, child);
                 }
             }
         }
@@ -630,9 +629,9 @@ pub(crate) fn dec_tree_v2(
         let label = names.get(d.str()?, &mut sink.raw.names);
         let parent = dec_opt_u32(d)?.map(|p| NodeId::from_index(p as usize));
         let nchildren = d.len(1)?;
-        let mut children = Vec::with_capacity(nchildren);
+        sink.node(label, parent);
         for _ in 0..nchildren {
-            children.push(match d.u8()? {
+            let c = match d.u8()? {
                 0 => {
                     let text = d.str()?;
                     Child::Text(sink.value(d, text))
@@ -643,9 +642,9 @@ pub(crate) fn dec_tree_v2(
                         detail: format!("tree: unknown child tag {t}"),
                     })
                 }
-            });
+            };
+            sink.child(c);
         }
-        sink.node(label, parent, children);
         let nattrs = d.len(8)?;
         for _ in 0..nattrs {
             let name = names.get(d.str()?, &mut sink.raw.names);
@@ -713,18 +712,17 @@ pub(crate) fn enc_tree_v3(e: &mut Enc, t: &DataTree) -> LabelSlots {
     let mut slots_of: Vec<Vec<u32>> = Vec::new();
     for i in 0..slots {
         let id = NodeId::from_index(i);
-        let node = t.node(id);
-        let label = dict.id(e, &node.label);
+        let label = dict.id(e, t.label(id));
         if slots_of.len() <= label {
             slots_of.resize_with(label + 1, Vec::new);
         }
         slots_of[label].push(i as u32);
-        e.var(node.parent().map_or(0, |p| p.index() as u64 + 1));
-        e.var(node.children.len() as u64);
-        for c in &node.children {
+        e.var(t.node(id).parent().map_or(0, |p| p.index() as u64 + 1));
+        e.var(t.children(id).len() as u64);
+        for &c in t.children(id) {
             match c {
                 Child::Text(text) => {
-                    let text = t.pool().resolve(*text);
+                    let text = t.pool().resolve(text);
                     e.var((text.len() as u64) << 1);
                     e.raw(text.as_bytes());
                 }
@@ -762,18 +760,18 @@ pub(crate) fn dec_tree_v3(
             p => Some(node_of(d, p - 1)?),
         };
         let nchildren = d.var_len(1)?;
-        let mut children = Vec::with_capacity(nchildren);
+        sink.node(label, parent);
         for _ in 0..nchildren {
             let c = d.var()?;
-            children.push(if c & 1 == 1 {
+            let c = if c & 1 == 1 {
                 Child::Node(node_of(d, c >> 1)?)
             } else {
                 let len = d.fit(c >> 1, 1)?;
                 let text = d.str_of(len)?;
                 Child::Text(sink.value(d, text))
-            });
+            };
+            sink.child(c);
         }
-        sink.node(label, parent, children);
         // An attribute is at least its name id and its member count.
         let nattrs = d.var_len(2)?;
         for _ in 0..nattrs {

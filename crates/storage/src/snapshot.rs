@@ -37,7 +37,9 @@
 //! publishing a snapshot and emptying the log it subsumes can never
 //! replay a batch twice.
 
+use std::borrow::Cow;
 use std::fs::{self, File};
+use std::io::{Read, Seek, SeekFrom};
 use std::path::Path;
 
 use xic_model::{DataTree, Interner};
@@ -107,7 +109,33 @@ type SectionReaders = (
 /// inconsistent payloads (the decoded tree and intern pool are
 /// re-validated by the model layer).
 pub fn decode_snapshot(bytes: &[u8]) -> Result<(LiveState, u64), StorageError> {
-    let mut d = Dec::new(bytes, "snapshot");
+    decode_image(bytes.len() as u64, |at, len| {
+        let at = at as usize;
+        Ok(Cow::Borrowed(&bytes[at..at + len]))
+    })
+}
+
+/// Where one section's payload lies in a snapshot image, and its CRC.
+#[derive(Clone, Copy)]
+struct Section {
+    at: u64,
+    len: usize,
+    crc: u32,
+}
+
+/// The one snapshot reader, over an image of `size` bytes that `read`
+/// hands out a piece at a time (`read(at, len)` is only asked for bytes
+/// inside the image). It lists the sections from their headers first,
+/// then reads each payload as its decoder needs it, so that a reader of a
+/// file holds one section's bytes at a time: the interner before the tree
+/// that interns into its pool, the tree before the columns that map onto
+/// its slots.
+fn decode_image<'a>(
+    size: u64,
+    mut read: impl FnMut(u64, usize) -> Result<Cow<'a, [u8]>, StorageError>,
+) -> Result<(LiveState, u64), StorageError> {
+    let head = read(0, size.min(8) as usize)?;
+    let mut d = Dec::new(&head, "snapshot");
     let magic = d.u32()?;
     if magic.to_le_bytes() != SNAPSHOT_MAGIC {
         return Err(StorageError::Format {
@@ -126,16 +154,12 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<(LiveState, u64), StorageError> {
         }
     };
 
-    let mut seen = 0u32;
-    let mut last_seq = None;
-    let mut interner = None;
-    let mut struct_viols = None;
-    // The tree interns its values into the pool, and the columns map
-    // their cells onto the tree's slots, so both decode once the whole
-    // file has been read: pool, then tree, then columns.
-    let mut tree_payload = None;
-    let mut columns_payload = None;
-    while !d.is_empty() {
+    // The section table, by tag.
+    let mut sections: [Option<Section>; SEC_META as usize + 1] = [None; SEC_META as usize + 1];
+    let mut at = 8;
+    while at < size {
+        let head = read(at, (size - at).min(16) as usize)?;
+        let mut d = Dec::new(&head, "snapshot");
         let tag = d.u32()?;
         let len = d.u64()?;
         let crc = d.u32()?;
@@ -144,74 +168,95 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<(LiveState, u64), StorageError> {
                 detail: "snapshot: section length does not fit this platform".into(),
             });
         };
-        let payload = d.section(len)?;
-        if crc32(payload) != crc {
+        at += 16;
+        if size - at < len as u64 {
             return Err(StorageError::Corrupt {
-                detail: format!("snapshot: section {tag} fails its checksum"),
+                detail: format!("snapshot: input ends early at byte {at}"),
             });
         }
-        if !(SEC_TREE..=SEC_META).contains(&tag) {
-            return Err(StorageError::Format {
-                detail: format!("snapshot: unknown section {tag} (newer format?)"),
-            });
+        let section = Section { at, len, crc };
+        at += len as u64;
+        let known = (SEC_TREE..=SEC_META).contains(&tag);
+        if known && sections[tag as usize].is_none() {
+            sections[tag as usize] = Some(section);
+            continue;
         }
-        if seen & (1 << tag) != 0 {
-            return Err(StorageError::Corrupt {
+        // A section the reader refuses still fails its checksum first.
+        checked(&mut read, tag, section)?;
+        return Err(if known {
+            StorageError::Corrupt {
                 detail: format!("snapshot: section {tag} appears twice"),
-            });
-        }
-        seen |= 1 << tag;
-        let mut pd = Dec::new(payload, "snapshot");
-        match tag {
-            SEC_META => last_seq = Some(pd.u64()?),
-            SEC_TREE => {
-                tree_payload = Some(payload);
-                continue;
             }
-            SEC_INTERNER => interner = Some(dec_interner(&mut pd)?),
-            SEC_COLUMNS => {
-                columns_payload = Some(payload);
-                continue;
+        } else {
+            StorageError::Format {
+                detail: format!("snapshot: unknown section {tag} (newer format?)"),
             }
-            // SEC_STRUCT, the one tag left.
-            _ => struct_viols = Some(dec_struct_viols(&mut pd)?),
-        }
-        if !pd.is_empty() {
-            return Err(StorageError::Corrupt {
-                detail: format!("snapshot: section {tag} has trailing bytes"),
-            });
-        }
+        });
     }
 
-    let missing = |what: &str| StorageError::Corrupt {
-        detail: format!("snapshot: missing {what} section"),
+    let mut payload = |tag: u32, what: &str| {
+        let section = sections[tag as usize].ok_or_else(|| StorageError::Corrupt {
+            detail: format!("snapshot: missing {what} section"),
+        })?;
+        checked(&mut read, tag, section)
     };
-    let pool = pool_of(interner.ok_or_else(|| missing("interner"))?)?;
-    let trailing = |tag: u32| StorageError::Corrupt {
-        detail: format!("snapshot: section {tag} has trailing bytes"),
-    };
-    let mut pd = Dec::new(tree_payload.ok_or_else(|| missing("tree"))?, "snapshot");
-    let (tree, slots) = dec_tree(&mut pd, pool)?;
-    if !pd.is_empty() {
-        return Err(trailing(SEC_TREE));
-    }
-    let mut pd = Dec::new(
-        columns_payload.ok_or_else(|| missing("columns"))?,
-        "snapshot",
-    );
-    let (singles, sets) = dec_columns(&mut pd, &tree, &slots)?;
-    if !pd.is_empty() {
-        return Err(trailing(SEC_COLUMNS));
-    }
+    let last_seq = whole(SEC_META, &payload(SEC_META, "meta")?, |d| d.u64())?;
+    let interner = whole(
+        SEC_INTERNER,
+        &payload(SEC_INTERNER, "interner")?,
+        dec_interner,
+    )?;
+    let pool = pool_of(interner)?;
+    let (tree, slots) = whole(SEC_TREE, &payload(SEC_TREE, "tree")?, |d| dec_tree(d, pool))?;
+    let (singles, sets) = whole(SEC_COLUMNS, &payload(SEC_COLUMNS, "columns")?, |d| {
+        dec_columns(d, &tree, &slots)
+    })?;
+    let struct_viols = whole(
+        SEC_STRUCT,
+        &payload(SEC_STRUCT, "structural violation")?,
+        dec_struct_viols,
+    )?;
     Ok((
         LiveState {
             tree,
             singles,
             sets,
-            struct_viols: struct_viols.ok_or_else(|| missing("structural violation"))?,
+            struct_viols,
         },
-        last_seq.ok_or_else(|| missing("meta"))?,
+        last_seq,
     ))
+}
+
+/// Reads section `tag`'s payload and checks its CRC.
+fn checked<'a>(
+    read: &mut impl FnMut(u64, usize) -> Result<Cow<'a, [u8]>, StorageError>,
+    tag: u32,
+    s: Section,
+) -> Result<Cow<'a, [u8]>, StorageError> {
+    let payload = read(s.at, s.len)?;
+    if crc32(&payload) != s.crc {
+        return Err(StorageError::Corrupt {
+            detail: format!("snapshot: section {tag} fails its checksum"),
+        });
+    }
+    Ok(payload)
+}
+
+/// Decodes section `tag` from `payload`, which `decode` must consume
+/// whole.
+fn whole<T>(
+    tag: u32,
+    payload: &[u8],
+    decode: impl FnOnce(&mut Dec<'_>) -> Result<T, StorageError>,
+) -> Result<T, StorageError> {
+    let mut d = Dec::new(payload, "snapshot");
+    let value = decode(&mut d)?;
+    if !d.is_empty() {
+        return Err(StorageError::Corrupt {
+            detail: format!("snapshot: section {tag} has trailing bytes"),
+        });
+    }
+    Ok(value)
 }
 
 /// Writes `state` (with its last applied WAL sequence, see
@@ -257,11 +302,89 @@ pub fn write_snapshot<'a>(
 }
 
 /// Reads and decodes the snapshot at `path`; see [`decode_snapshot`] for
-/// the returned pair.
+/// the returned pair. The file is read one section at a time, each
+/// section's bytes dropped once it is decoded, so the whole image is
+/// never held.
 pub fn read_snapshot(path: &Path) -> Result<(LiveState, u64), StorageError> {
-    let bytes = fs::read(path).map_err(|source| StorageError::Io {
+    let io = |source| StorageError::Io {
         context: format!("read {}", path.display()),
         source,
-    })?;
-    decode_snapshot(&bytes)
+    };
+    let mut file = File::open(path).map_err(io)?;
+    let size = file.metadata().map_err(io)?.len();
+    decode_image(size, |at, len| {
+        let mut buf = vec![0; len];
+        file.seek(SeekFrom::Start(at))
+            .and_then(|_| file.read_exact(&mut buf))
+            .map_err(io)?;
+        Ok(Cow::Owned(buf))
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use std::mem::discriminant;
+
+    use xic_constraints::{Constraint, DtdC, DtdStructure, Field, Language};
+    use xic_model::{AttrValue, TreeBuilder};
+    use xic_validate::{LiveValidator, Validator};
+
+    use super::*;
+
+    /// `read_snapshot` takes a file's sections one read at a time and
+    /// `decode_snapshot` slices one buffer; the two must agree on every
+    /// truncation and every flipped bit of a snapshot, error class
+    /// included.
+    #[test]
+    fn a_file_reads_as_its_bytes_decode() {
+        let s = DtdStructure::builder("db")
+            .elem("db", "t*")
+            .elem("t", "S")
+            .attr("t", "a", "S")
+            .build()
+            .expect("a well-formed structure");
+        let key = Constraint::Key {
+            tau: "t".into(),
+            fields: vec![Field::attr("a")],
+        };
+        let dtdc = DtdC::new_unchecked(s, Language::Lu, vec![key]);
+        let mut b = TreeBuilder::new();
+        let root = b.node("db");
+        for i in 0..5 {
+            let t = b.leaf(root, "t", format!("text {i}")).unwrap();
+            b.attr(t, "a", AttrValue::single(format!("k{}", i % 3)))
+                .unwrap();
+        }
+        let v = Validator::new(&dtdc);
+        let live = LiveValidator::new(&v, b.finish(root).unwrap());
+        let bytes = encode_snapshot(&live, 3);
+
+        let dir = std::env::temp_dir().join(format!("xic-snapshot-read-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("snapshot.bin");
+        let outcome = |r: Result<(LiveState, u64), StorageError>| {
+            r.map(|(state, seq)| encode_snapshot(&state, seq))
+                .map_err(|e| discriminant(&e))
+        };
+        let mut images = vec![bytes.clone()];
+        images.extend((0..bytes.len()).map(|cut| bytes[..cut].to_vec()));
+        images.extend((0..bytes.len() * 8).map(|bit| {
+            let mut flipped = bytes.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            flipped
+        }));
+        for image in &images {
+            fs::write(&path, image).unwrap();
+            assert_eq!(
+                outcome(read_snapshot(&path)),
+                outcome(decode_snapshot(image)),
+                "an image of {} bytes",
+                image.len()
+            );
+        }
+        fs::write(&path, &bytes).unwrap();
+        assert_eq!(outcome(read_snapshot(&path)), Ok(bytes));
+        fs::remove_dir_all(&dir).ok();
+        assert!(matches!(read_snapshot(&path), Err(StorageError::Io { .. })));
+    }
 }

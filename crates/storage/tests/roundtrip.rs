@@ -185,7 +185,7 @@ fn resolve_edit(live: &LiveValidator<'_, '_>, e: &EditRecipe) -> Option<BatchEdi
         }
         EditRecipe::Insert(n, p, recipe) => {
             let parent = pick(*n);
-            let len = live.tree().node(parent).children.len();
+            let len = live.tree().children(parent).len();
             Some(BatchEdit::InsertSubtree {
                 parent,
                 position: *p as usize % (len + 1),
@@ -470,7 +470,7 @@ fn a_large_snapshot_streams_the_bytes_it_encodes() {
     let mut live = LiveValidator::new(&v, b.finish(db).unwrap());
     assert_eq!(live.tree().len(), 30_001);
     let root = live.tree().root();
-    let doomed = live.tree().node(root).child_nodes().nth(4).unwrap();
+    let doomed = live.tree().child_nodes(root).nth(4).unwrap();
     live.apply_batch(&[
         BatchEdit::DeleteSubtree { node: doomed },
         BatchEdit::InsertSubtree {

@@ -17,7 +17,7 @@ use crate::report::Violation;
 /// of an arbitrary first match.
 pub(crate) fn unique_sub(tree: &DataTree, x: NodeId, e: &str) -> Option<NodeId> {
     let mut found = None;
-    for c in tree.node(x).child_nodes() {
+    for c in tree.child_nodes(x) {
         if tree.label(c) == e {
             if found.is_some() {
                 return None;

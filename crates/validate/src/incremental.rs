@@ -2282,11 +2282,11 @@ impl<'v, 'd> LiveValidator<'v, 'd> {
             }
             BatchEdit::SetText { node, index, text } => {
                 self.check_live(*node)?;
-                let n = self.tree.node(*node);
                 // The text-child count of a live vertex is batch-invariant
                 // (no edit adds or removes text children), so a slot valid
                 // now is valid at flush.
-                let texts = n.children.iter().filter(|c| c.as_text().is_some()).count();
+                let children = self.tree.children(*node);
+                let texts = children.iter().filter(|c| c.as_text().is_some()).count();
                 if *index >= texts {
                     return Err(ModelError::NoSuchText {
                         node: *node,
@@ -2298,7 +2298,7 @@ impl<'v, 'd> LiveValidator<'v, 'd> {
                     .insert((node.index() as u32, *index), text.clone())
                     .is_none()
                 {
-                    if let Some(p) = n.parent() {
+                    if let Some(p) = self.tree.node(*node).parent() {
                         let e = self.tree.label(*node).clone();
                         self.touch_sub_cell(p, &e, st);
                     }
@@ -2329,7 +2329,7 @@ impl<'v, 'd> LiveValidator<'v, 'd> {
                 let mut stack = vec![root];
                 while let Some(x) = stack.pop() {
                     st.removed.push(x.index() as u32);
-                    stack.extend(self.tree.node(x).child_nodes());
+                    stack.extend(self.tree.child_nodes(x));
                 }
                 st.structural += 1;
                 let e = self.tree.label(root).clone();

@@ -725,7 +725,7 @@ pub(crate) fn cell_single(
         Field::Attr(l) => tree.attr(x, l)?.sym().map(Ok),
         Field::Sub(e) => {
             let child = unique_sub(tree, x, e)?;
-            let mut texts = (tree.node(child).children.iter()).filter_map(Child::as_text);
+            let mut texts = tree.children(child).iter().filter_map(Child::as_text);
             Some(match (texts.next(), texts.next()) {
                 (Some(t), None) => Ok(t),
                 _ => Err(child),

@@ -228,8 +228,7 @@ impl<'a> Validator<'a> {
         out: &mut Vec<Violation>,
     ) {
         let s = self.dtdc.structure();
-        let node = tree.node(id);
-        let tau = &node.label;
+        let tau = tree.label(id);
         let Some(matcher) = self.matchers.get(tau) else {
             out.push(Violation::UnknownElementType {
                 node: id,
@@ -239,7 +238,7 @@ impl<'a> Validator<'a> {
         };
         // Child word.
         word.clear();
-        for c in &node.children {
+        for c in tree.children(id) {
             word.push(match c {
                 Child::Text(_) => Symbol::S,
                 Child::Node(n) => Symbol::Elem(tree.label(*n).clone()),
@@ -494,10 +493,10 @@ mod tests {
                 })
                 .collect();
             for id in t.node_ids() {
-                let node = t.node(id);
-                let model = s.content_model(&node.label).expect("book alphabet");
-                let word: Vec<Symbol> = node
-                    .children
+                let label = t.label(id);
+                let model = s.content_model(label).expect("book alphabet");
+                let word: Vec<Symbol> = t
+                    .children(id)
                     .iter()
                     .map(|c| match c {
                         Child::Text(_) => Symbol::S,
@@ -509,7 +508,7 @@ mod tests {
                     rejected_by_validator.contains(&id),
                     !in_language,
                     "{}: ({}) against {model}",
-                    node.label,
+                    label,
                     word.iter()
                         .map(ToString::to_string)
                         .collect::<Vec<_>>()

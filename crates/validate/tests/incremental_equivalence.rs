@@ -239,8 +239,7 @@ fn resolve_edit(live: &LiveValidator<'_, '_>, e: &EditRecipe) -> Option<BatchEdi
             let node = pick(*n);
             let texts = live
                 .tree()
-                .node(node)
-                .children
+                .children(node)
                 .iter()
                 .filter(|c| matches!(c, Child::Text(_)))
                 .count();
@@ -256,7 +255,7 @@ fn resolve_edit(live: &LiveValidator<'_, '_>, e: &EditRecipe) -> Option<BatchEdi
         }
         EditRecipe::Insert(n, p, recipe) => {
             let parent = pick(*n);
-            let len = live.tree().node(parent).children.len();
+            let len = live.tree().children(parent).len();
             Some(BatchEdit::InsertSubtree {
                 parent,
                 position: *p as usize % (len + 1),

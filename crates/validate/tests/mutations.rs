@@ -47,7 +47,7 @@ where
             b.attr(n, l.clone(), edit(id, l.as_str(), &v.to_owned()))
                 .unwrap();
         }
-        for c in &tree.node(id).children {
+        for c in tree.children(id) {
             if let Child::Text(t) = c {
                 b.text(n, tree.pool().resolve(*t)).unwrap();
             }

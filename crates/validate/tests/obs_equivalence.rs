@@ -307,11 +307,7 @@ fn small_document_telemetry_is_thread_budget_independent() {
         v.validate(&tree);
         v.validate_stream(&src).expect("stream parses");
         let mut live = LiveValidator::new(&v, tree.clone());
-        let node = tree
-            .node(tree.root())
-            .child_nodes()
-            .next()
-            .expect("a t-vertex");
+        let node = tree.child_nodes(tree.root()).next().expect("a t-vertex");
         live.apply_batch(&[BatchEdit::SetAttr {
             node,
             attr: Name::new("a0"),

@@ -3,7 +3,7 @@
 use std::fmt;
 
 use xic_constraints::DtdStructure;
-use xic_model::{AttrValue, DataTree, FastHashMap, ModelError, Name, NodeId, TreeBuilder};
+use xic_model::{AttrValue, DataTree, ModelError, NodeId, TreeBuilder};
 
 use crate::dtd::parse_dtd_declarations;
 use crate::events::{Event, EventParser};
@@ -313,19 +313,16 @@ pub(crate) fn decode_entities(raw: &str, at: usize) -> Result<String, XmlError> 
 pub fn parse_document(src: &str) -> Result<ParsedDocument, XmlError> {
     let mut events = EventParser::new(src);
     let dtd = events.dtd()?.cloned();
+    // The builder's name dictionary gives each spelling one id: a label
+    // or attribute name allocates the first time it appears.
     let mut b = TreeBuilder::new();
-    // One shared `Name` per spelling, keyed by the source slice: a label
-    // or attribute name allocates the first time it appears, and every
-    // later occurrence is a reference-count bump.
-    let mut names: FastHashMap<&str, Name> = FastHashMap::default();
-    let mut name_of = |s| names.entry(s).or_insert_with(|| Name::new(s)).clone();
     // Stack of (node, element name) for the open elements.
     let mut stack: Vec<(NodeId, &str)> = Vec::new();
     let mut root: Option<NodeId> = None;
     for event in &mut events {
         match event? {
             Event::Open { name, .. } => {
-                let node = b.node(name_of(name));
+                let node = b.node(name);
                 match stack.last() {
                     Some(&(parent, _)) => {
                         b.child(parent, node)
@@ -343,9 +340,9 @@ pub fn parse_document(src: &str) -> Result<ParsedDocument, XmlError> {
                 let &(node, elem) = stack.last().expect("Attr implies an open element");
                 let added = if dtd.as_ref().is_some_and(|d| d.is_set_valued(elem, name)) {
                     let av = AttrValue::set(value.split_whitespace().map(str::to_string));
-                    b.attr(node, name_of(name), av)
+                    b.attr(node, name, av)
                 } else {
-                    b.attr_str(node, name_of(name), &value)
+                    b.attr_str(node, name, &value)
                 };
                 added.map_err(|e| {
                     XmlError::new(format!("attribute error: {e}"), offset).locate(src)
@@ -475,7 +472,7 @@ mod tests {
         let doc = parse_document("<a>\n  <b/>\n  mixed\n  <b/>\n</a>").unwrap();
         let t = &doc.tree;
         let a = t.root();
-        assert_eq!(t.node(a).children.len(), 3); // b, text, b
+        assert_eq!(t.children(a).len(), 3); // b, text, b
         assert!(t.text(a).contains("mixed"));
     }
 

@@ -45,16 +45,16 @@ pub fn serialize_document(tree: &DataTree) -> String {
 }
 
 fn has_text_child(tree: &DataTree, id: NodeId) -> bool {
-    tree.node(id)
-        .children
+    tree.children(id)
         .iter()
         .any(|c| matches!(c, Child::Text(_)))
 }
 
 fn write_node(tree: &DataTree, id: NodeId, depth: usize, out: &mut String) {
-    let node = tree.node(id);
+    let label = tree.label(id);
+    let children = tree.children(id);
     let pad = "  ".repeat(depth);
-    let _ = write!(out, "{pad}<{}", node.label);
+    let _ = write!(out, "{pad}<{label}");
     for (name, value) in tree.attrs(id) {
         let _ = write!(out, " {name}=\"");
         let mut first = true;
@@ -67,14 +67,14 @@ fn write_node(tree: &DataTree, id: NodeId, depth: usize, out: &mut String) {
         }
         out.push('"');
     }
-    if node.children.is_empty() {
+    if children.is_empty() {
         out.push_str("/>\n");
         return;
     }
     out.push('>');
     if has_text_child(tree, id) {
         // Mixed / text content: no pretty-printing inside.
-        for c in &node.children {
+        for c in children {
             match c {
                 Child::Text(t) => escape(tree.pool().resolve(*t), out),
                 Child::Node(n) => {
@@ -84,15 +84,13 @@ fn write_node(tree: &DataTree, id: NodeId, depth: usize, out: &mut String) {
                 }
             }
         }
-        let _ = writeln!(out, "</{}>", node.label);
+        let _ = writeln!(out, "</{label}>");
     } else {
         out.push('\n');
-        for c in &node.children {
-            if let Child::Node(n) = c {
-                write_node(tree, *n, depth + 1, out);
-            }
+        for n in tree.child_nodes(id) {
+            write_node(tree, n, depth + 1, out);
         }
-        let _ = writeln!(out, "{pad}</{}>", node.label);
+        let _ = writeln!(out, "{pad}</{label}>");
     }
 }
 

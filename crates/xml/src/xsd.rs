@@ -166,7 +166,6 @@ pub fn xsd_to_constraints(
 
     let parse_decl =
         |id: xic_model::NodeId| -> Result<(String, Option<String>, Name, Vec<Field>), XmlError> {
-            let node = tree.node(id);
             let name = tree
                 .attr(id, "name")
                 .and_then(|v| v.as_single())
@@ -177,9 +176,8 @@ pub fn xsd_to_constraints(
                 .map(str::to_string);
             let mut tau: Option<Name> = None;
             let mut fields = Vec::new();
-            for c in node.child_nodes() {
-                let child = tree.node(c);
-                match child.label.as_str() {
+            for c in tree.child_nodes(id) {
+                match tree.label(c).as_str() {
                     "xs:selector" => {
                         let xpath = tree
                             .attr(c, "xpath")

@@ -55,8 +55,6 @@ fn trees_equal(a: &DataTree, b: &DataTree) -> bool {
         if a.label(x) != b.label(y) {
             return false;
         }
-        let na = a.node(x);
-        let nb = b.node(y);
         if a.attrs(x).count() != b.attrs(y).count() {
             return false;
         }
@@ -69,8 +67,8 @@ fn trees_equal(a: &DataTree, b: &DataTree) -> bool {
         if a.text(x) != b.text(y) {
             return false;
         }
-        let ca: Vec<_> = na.child_nodes().collect();
-        let cb: Vec<_> = nb.child_nodes().collect();
+        let ca: Vec<_> = a.child_nodes(x).collect();
+        let cb: Vec<_> = b.child_nodes(y).collect();
         ca.len() == cb.len() && ca.iter().zip(&cb).all(|(&x2, &y2)| node_eq(a, x2, b, y2))
     }
     node_eq(a, a.root(), b, b.root())
@@ -135,8 +133,7 @@ fn text_with_children_round_trips() {
     let back = parse_document(&xml).unwrap();
     let kinds: Vec<bool> = back
         .tree
-        .node(back.tree.root())
-        .children
+        .children(back.tree.root())
         .iter()
         .map(|c| matches!(c, Child::Text(_)))
         .collect();
@@ -222,7 +219,6 @@ fn pick(encs: &[u8], i: &mut usize) -> u8 {
 /// attribute value: plain escaped, CDATA (text only), decimal refs, hex
 /// refs. All encodings decode to the same logical value.
 fn render_encoded(t: &DataTree, id: NodeId, encs: &[u8], i: &mut usize, out: &mut String) {
-    let node = t.node(id);
     let label = t.label(id).as_str();
     out.push('<');
     out.push_str(label);
@@ -238,14 +234,14 @@ fn render_encoded(t: &DataTree, id: NodeId, encs: &[u8], i: &mut usize, out: &mu
         }
         out.push('"');
     }
-    if node.children.is_empty() {
+    if t.children(id).is_empty() {
         out.push_str("/>");
         return;
     }
     out.push('>');
-    for c in &node.children {
+    for &c in t.children(id) {
         match c {
-            Child::Text(s) => match (pick(encs, i) % 4, t.pool().resolve(*s)) {
+            Child::Text(s) => match (pick(encs, i) % 4, t.pool().resolve(s)) {
                 (0, s) => escape_text(s, out),
                 (1, s) => {
                     out.push_str("<![CDATA[");
@@ -255,7 +251,7 @@ fn render_encoded(t: &DataTree, id: NodeId, encs: &[u8], i: &mut usize, out: &mu
                 (2, s) => char_refs(s, false, out),
                 (_, s) => char_refs(s, true, out),
             },
-            Child::Node(n) => render_encoded(t, *n, encs, i, out),
+            Child::Node(n) => render_encoded(t, n, encs, i, out),
         }
     }
     out.push_str("</");
